@@ -166,6 +166,9 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     train_labels = paths_of(_get(cp, "data", "train_labels") or "")
     test_labels_raw = _get(cp, "data", "test_labels")
     test_labels = paths_of(test_labels_raw)[0] if test_labels_raw else None
+    if train_labels and len(train_labels) != len(train_images):
+        raise ConfigError(f"[data] train names {len(train_images)} file(s) but "
+                          f"train_labels names {len(train_labels)}")
     for p in (*train_images, test_images[0], *train_labels,
               *((test_labels,) if test_labels else ())):
         if not os.path.exists(p):

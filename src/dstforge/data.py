@@ -198,7 +198,7 @@ def corrupted_set_filename(base: str, kind: str, severity: int) -> str:
 def parse_corrupted_set_filename(path) -> tuple[str, str, int]:
     """(base, kind, severity) from `<base>-<kind>-s<severity>.bin`; files not
     matching the pattern come back as (stem, stem, 0)."""
-    stem = _stem(path)
+    stem = os.path.basename(str(path)).removesuffix(".bin")
     parts = stem.rsplit("-", 2)
     if len(parts) == 3 and parts[2].startswith("s") and parts[2][1:].isdigit():
         return parts[0], parts[1], int(parts[2][1:])

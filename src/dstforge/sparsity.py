@@ -3,7 +3,9 @@
 Selection rules are fully deterministic: magnitude pruning removes the k
 smallest |w| among active positions with ties broken by ascending flat index,
 gradient regrowth activates the k largest |g| among candidates with the same
-tie rule, and random regrowth draws from the supplied generator.
+tie rule, and random regrowth draws from the supplied generator. Selection is
+linear-time (a partition, not a sort), NaN scores rank last, and every rule
+returns its picks in ascending flat-index order.
 """
 
 from __future__ import annotations
@@ -199,17 +201,34 @@ def apply_mask(model: Model, mask: TopologyMask):
             layer.weight.momentum *= m
 
 
+def _select_lowest(s: np.ndarray, k: int) -> np.ndarray:
+    """Ascending positions of the k lowest entries of 1-D `s`, ties broken by
+    lowest position; NaN ranks above everything, and -0.0 ties with 0.0.
+
+    Linear time: partition to the k-th value, take everything strictly
+    below it, then the lowest positions among the entries equal to it. This
+    picks exactly the first k of a stable (score, position) sort.
+    """
+    if k == 0:
+        return np.empty(0, dtype=np.int64)
+    thr = np.partition(s, k - 1)[k - 1]
+    if np.isnan(thr):  # fewer than k non-NaN entries: all of them, then NaNs
+        tie = np.isnan(s)
+        chosen = ~tie
+    else:
+        tie = s == thr
+        chosen = s < thr
+    chosen[np.flatnonzero(tie)[: k - np.count_nonzero(chosen)]] = True
+    return np.flatnonzero(chosen)
+
+
 def _prune_by_score(score: np.ndarray, mask: np.ndarray, k: int) -> np.ndarray:
-    """Flat indices of the k lowest-scoring active positions (ties: lowest
-    flat index first)."""
+    """Ascending flat indices of the k lowest-scoring active positions (ties:
+    lowest flat index first)."""
     active_idx = np.flatnonzero(mask)
     if not 0 <= k <= active_idx.size:
         raise ValueError(f"prune count {k} outside [0, {active_idx.size}]")
-    if k == 0:
-        return np.empty(0, dtype=np.int64)
-    s = score.reshape(-1)[active_idx]
-    order = np.lexsort((active_idx, s))
-    return active_idx[order[:k]].astype(np.int64)
+    return active_idx[_select_lowest(score.reshape(-1)[active_idx], k)]
 
 
 def magnitude_prune(weight: np.ndarray, mask: np.ndarray, k: int) -> np.ndarray:
@@ -218,10 +237,10 @@ def magnitude_prune(weight: np.ndarray, mask: np.ndarray, k: int) -> np.ndarray:
 
 
 def _regrow_candidates(mask: np.ndarray, exclude: np.ndarray | None) -> np.ndarray:
-    cands = np.flatnonzero(~mask.reshape(-1))
+    free = ~mask.reshape(-1)
     if exclude is not None and exclude.size:
-        cands = np.setdiff1d(cands, exclude, assume_unique=True)
-    return cands
+        free[exclude] = False
+    return np.flatnonzero(free)
 
 
 def random_regrow(mask: np.ndarray, k: int, rng: np.random.Generator,
@@ -238,15 +257,12 @@ def random_regrow(mask: np.ndarray, k: int, rng: np.random.Generator,
 
 def gradient_regrow(mask: np.ndarray, k: int, grad: np.ndarray,
                     exclude: np.ndarray | None = None) -> np.ndarray:
-    """k inactive positions with the largest |grad| (ties: lowest flat index)."""
+    """Ascending indices of the k inactive positions with the largest |grad|
+    (ties: lowest flat index)."""
     cands = _regrow_candidates(mask, exclude)
     if not 0 <= k <= cands.size:
         raise ValueError(f"regrow count {k} outside [0, {cands.size}]")
-    if k == 0:
-        return np.empty(0, dtype=np.int64)
-    g = np.abs(grad.reshape(-1)[cands])
-    order = np.lexsort((cands, -g))
-    return cands[order[:k]].astype(np.int64)
+    return cands[_select_lowest(-np.abs(grad.reshape(-1)[cands]), k)]
 
 
 def prune_rate(p0: float, step: int, total_steps: int) -> float:

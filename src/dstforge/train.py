@@ -38,9 +38,14 @@ class DivergenceError(RuntimeError):
 
 def load_train_test(cfg: RunConfig) -> tuple[ImageSet, ImageSet]:
     if cfg.fmt == "idx":
-        train = load_idx(cfg.train_images[0],
-                         cfg.train_labels[0] if cfg.train_labels else None,
-                         name=cfg.dataset, classes=cfg.classes)
+        # several training files concatenate in config order, as CIFAR batches
+        # do; a single file is used as loaded, without a second copy
+        labels = cfg.train_labels or (None,) * len(cfg.train_images)
+        parts = [load_idx(img, lab, name=cfg.dataset, classes=cfg.classes)
+                 for img, lab in zip(cfg.train_images, labels, strict=True)]
+        train = parts[0] if len(parts) == 1 else ImageSet(
+            np.concatenate([p.images for p in parts]),
+            np.concatenate([p.labels for p in parts]), cfg.dataset, "idx")
         test = load_idx(cfg.test_images, cfg.test_labels, name=cfg.dataset, classes=cfg.classes)
     else:
         train = load_cifar_binary(list(cfg.train_images), name=cfg.dataset, classes=cfg.classes)

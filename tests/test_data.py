@@ -179,6 +179,19 @@ def test_corrupted_filename_round_trip():
     assert (stem, kind, sev) == ("plain", "plain", 0)
 
 
+def test_corrupted_filename_round_trip_with_dotted_base(tmp_path):
+    # a dataset file such as `test.bin` or `cifar.test.bin` names its sets
+    # with the dot kept; every (kind, severity) must still parse apart
+    s = ImageSet(images=toy_images(n=2), labels=np.zeros(2, dtype=np.int64))
+    kinds = [f"kind_{i}" for i in range(10)]
+    sets = {(kind, sev): s for kind in kinds for sev in range(1, 6)}
+    for base in ("test.bin", "cifar.test"):
+        paths = write_corrupted_sets(sets, tmp_path / base, base)
+        parsed = [parse_corrupted_set_filename(p) for p in paths]
+        assert {(kind, sev) for _, kind, sev in parsed} == set(sets)
+        assert {b for b, _, _ in parsed} == {base}
+
+
 def test_write_corrupted_sets(tmp_path):
     imgs = toy_images(n=3)
     s = ImageSet(images=imgs, labels=np.zeros(3, dtype=np.int64), name="toy")

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dstforge import schedulers
 from dstforge.models import build_mlp
+from dstforge.optim import sgd_momentum_step
 from dstforge.schedulers import (
     METHODS,
     BudgetTrajectory,
@@ -18,6 +20,7 @@ from dstforge.schedulers import (
     topology_update,
 )
 from dstforge.sparsity import allocate_uniform, apply_mask, init_topology, mask_shapes
+from dstforge.tensor import Tensor, backward, softmax_cross_entropy
 
 
 def toy_setup(method: str, sparsity: float = 0.5, total: int = 80, delta_t: int = 10,
@@ -355,3 +358,78 @@ def test_update_never_breaks_budget_bounds(method, seed):
             layer = model.layer_by_name(n)
             assert np.all(layer.weight.data[~mask[n]] == 0.0)
         assert 0.0 < mask.global_density() <= 1.0
+
+
+def schedule_targets(cfg: DstConfig, alloc, step: int) -> dict[str, int]:
+    """Per-layer active counts each method's schedule prescribes after the
+    event at `step`."""
+    if cfg.method in ("mest_r", "mest_g"):
+        next_step = min(step + cfg.delta_t, cfg.total_steps)
+        return alloc.targets(at_density=cfg.budget + mest_soft_bound(cfg, next_step))
+    if cfg.method in ("granet_r", "granet_g"):
+        return alloc.targets(at_density=granet_density(cfg, step))
+    return alloc.targets()
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from(["set", "rigl", "mest_r", "mest_g", "granet_r", "granet_g"]),
+       st.sampled_from([0.3, 0.5, 0.8]),
+       st.integers(min_value=0, max_value=10_000))
+def test_every_event_meets_schedule_with_disjoint_moves(method, sparsity, seed):
+    """Train a toy MLP through every event of a run; after each one every
+    layer holds its scheduled count, the removed and regrown sets are
+    disjoint and account for the whole mask change, and masked weights and
+    momentum are exactly zero."""
+    cfg, model, alloc, mask, rng = toy_setup(method, sparsity=sparsity, total=40,
+                                             delta_t=4, seed=seed)
+    data_rng = np.random.default_rng((seed, 1))
+    layer_of = {id(mask[n]): n for n in mask.names()}
+    picks = {}
+
+    def recording(fn, kind, mask_arg):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            picks[layer_of[id(args[mask_arg])], kind] = out
+            return out
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schedulers, "magnitude_prune",
+                   recording(schedulers.magnitude_prune, "removed", 1))
+        mp.setattr(schedulers, "_prune_by_score",
+                   recording(schedulers._prune_by_score, "removed", 1))
+        mp.setattr(schedulers, "random_regrow",
+                   recording(schedulers.random_regrow, "grown", 0))
+        mp.setattr(schedulers, "gradient_regrow",
+                   recording(schedulers.gradient_regrow, "grown", 0))
+        events = 0
+        for step in range(1, cfg.total_steps):
+            x, y = fake_batch(data_rng)
+            model.zero_grad()
+            backward(softmax_cross_entropy(model.forward(Tensor(x)), y))
+            sgd_momentum_step(model.parameters(), lr=0.1, momentum=0.9, weight_decay=1e-4)
+            apply_mask(model, mask)
+            if not should_update(cfg, step):
+                continue
+            before = {n: mask[n].copy() for n in mask.names()}
+            picks.clear()
+            topology_update(model, mask, alloc, cfg, step, rng, (x, y))
+            apply_mask(model, mask)
+            events += 1
+            targets = schedule_targets(cfg, alloc, step)
+            for n in mask.names():
+                removed, grown = picks[n, "removed"], picks[n, "grown"]
+                for picked in (removed, grown):
+                    assert np.all(np.diff(picked) > 0), (n, step)
+                assert np.intersect1d(removed, grown).size == 0, (n, step)
+                expected = before[n].reshape(-1).copy()
+                assert expected[removed].all(), (n, step)
+                expected[removed] = False
+                assert not expected[grown].any(), (n, step)
+                expected[grown] = True
+                np.testing.assert_array_equal(mask[n].reshape(-1), expected)
+                assert mask.active_count(n) == targets[n], (method, n, step)
+                weight = model.layer_by_name(n).weight
+                assert np.all(weight.data[~mask[n]] == 0.0)
+                assert np.all(weight.momentum[~mask[n]] == 0.0)
+        assert events == 9

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from dstforge.models import ArchDescriptor, LayerSpec, build_mlp, descriptor_library
 from dstforge.sparsity import (
     TopologyMask,
+    _prune_by_score,
     allocate_erk,
     allocate_uniform,
     apply_mask,
@@ -351,3 +353,94 @@ def test_pruned_positions_hold_smallest_magnitudes(seed):
     kept = np.setdiff1d(np.flatnonzero(mask), removed)
     if kept.size and removed.size:
         assert np.abs(w[removed]).max() <= np.abs(w[kept]).min() + 1e-12
+
+
+# --- linear-time selection against a sorting oracle -------------------------
+
+
+def oracle_lowest(score: np.ndarray, positions: np.ndarray, k: int) -> list[int]:
+    """First k positions of a full (score, position) sort with NaN ranked
+    last, returned ascending; -0.0 and 0.0 compare equal."""
+    flat = score.reshape(-1)
+
+    def key(i):
+        nan = bool(np.isnan(flat[i]))
+        return nan, 0.0 if nan else flat[i], i
+
+    return sorted(sorted(positions.tolist(), key=key)[:k])
+
+
+SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan]
+# coarse values force ties; the specials stress the partition threshold
+scores = st.one_of(st.sampled_from(SPECIALS),
+                   st.floats(-2.0, 2.0).map(lambda v: round(v, 1)))
+
+
+@st.composite
+def selection_case(draw):
+    shape = draw(array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=6))
+    score = draw(arrays(np.float64, shape, elements=scores))
+    mask = draw(arrays(np.bool_, shape))
+    return score, mask
+
+
+def assert_ascending_unique(idx: np.ndarray):
+    assert idx.dtype == np.int64
+    assert np.all(np.diff(idx) > 0)
+
+
+@settings(deadline=None, max_examples=300)
+@given(selection_case(), st.data())
+def test_prune_matches_sorting_oracle(case, data):
+    score, mask = case
+    active = np.flatnonzero(mask)
+    k = data.draw(st.integers(0, active.size))
+    got = _prune_by_score(score, mask, k)
+    assert_ascending_unique(got)
+    assert got.tolist() == oracle_lowest(score, active, k)
+    got = magnitude_prune(score, mask, k)
+    assert_ascending_unique(got)
+    assert got.tolist() == oracle_lowest(np.abs(score), active, k)
+
+
+@settings(deadline=None, max_examples=300)
+@given(selection_case(), st.data())
+def test_gradient_regrow_matches_sorting_oracle(case, data):
+    grad, mask = case
+    free = np.flatnonzero(~mask)
+    exclude = np.array(sorted(data.draw(st.sets(st.sampled_from(free.tolist()))
+                                        if free.size else st.just(set()))), dtype=np.int64)
+    cands = np.setdiff1d(free, exclude)
+    k = data.draw(st.integers(0, cands.size))
+    got = gradient_regrow(mask, k, grad, exclude=exclude)
+    assert_ascending_unique(got)
+    assert got.tolist() == oracle_lowest(-np.abs(grad), cands, k)
+
+
+def test_selection_nan_threshold_keeps_the_budget():
+    # two finite scores and three NaNs: asking for four must take both
+    # finite ones and then the lowest-index NaNs, never fewer than four
+    score = np.array([np.nan, 0.3, np.nan, 0.1, np.nan])
+    mask = np.ones(5, dtype=bool)
+    assert _prune_by_score(score, mask, 4).tolist() == [0, 1, 2, 3]
+    assert _prune_by_score(score, mask, 3).tolist() == [0, 1, 3]
+    grad = np.array([np.nan, 0.0, np.nan, np.inf])
+    assert gradient_regrow(np.zeros(4, dtype=bool), 3, grad).tolist() == [0, 1, 3]
+
+
+def test_selection_signed_zeros_tie_on_index():
+    score = np.array([0.0, -0.0, 0.0, -0.0])
+    mask = np.ones(4, dtype=bool)
+    assert _prune_by_score(score, mask, 2).tolist() == [0, 1]
+    grad = np.array([1.0, -0.0, 0.0, 1.0])
+    assert gradient_regrow(np.zeros(4, dtype=bool), 3, grad).tolist() == [0, 1, 3]
+
+
+def test_selection_count_endpoints():
+    score = np.array([[np.nan, 2.0], [-np.inf, 0.0]])
+    mask = np.array([[True, True], [False, True]])
+    assert _prune_by_score(score, mask, 0).tolist() == []
+    assert _prune_by_score(score, mask, 3).tolist() == [0, 1, 3]
+    free = ~mask
+    assert gradient_regrow(free, 3, score).tolist() == [0, 1, 3]
+    assert gradient_regrow(free, 0, score).tolist() == []

@@ -6,10 +6,10 @@ import os
 import numpy as np
 import pytest
 
-from conftest import toy_config
+from conftest import make_blob_set, toy_config, write_idx_pair
 
 from dstforge.checkpoint import CheckpointError, load_checkpoint
-from dstforge.config import parse_config
+from dstforge.config import ConfigError, parse_config
 from dstforge.corruption import CorruptionSpec, corrupt_images
 from dstforge.data import ImageSet
 from dstforge.metrics import accuracy
@@ -205,6 +205,36 @@ def test_load_train_test_shapes(set_run):
     assert train.images.shape == (1500, 1, 12, 12)
     assert test.images.shape == (400, 1, 12, 12)
     assert train.fmt == "idx"
+
+
+def test_split_idx_training_files_concatenate_and_train(idx_dir, tmp_path):
+    # `[data] train = a,b` with IDX files: both files load, in config order,
+    # and the run trains through every step the config counted
+    d = str(tmp_path)
+    parts = [make_blob_set(300, seed=10 + i) for i in range(2)]
+    for i, (imgs, labels) in enumerate(parts):
+        write_idx_pair(d, f"split{i}", imgs, labels)
+    text = toy_config(idx_dir, str(tmp_path / "run"), epochs=1)
+    text = text.replace(f"train = {idx_dir}/train-images-idx3-ubyte",
+                        f"train = {d}/split0-images-idx3-ubyte, {d}/split1-images-idx3-ubyte")
+    text = text.replace(f"train_labels = {idx_dir}/train-labels-idx1-ubyte",
+                        f"train_labels = {d}/split0-labels-idx1-ubyte,{d}/split1-labels-idx1-ubyte")
+    cfg = parse_config(text)
+    assert cfg.n_train == 600 and cfg.steps_per_epoch == 12
+    train, _ = load_train_test(cfg)
+    assert train.images.shape == (600, 1, 12, 12)
+    np.testing.assert_array_equal(train.labels, np.concatenate([p[1] for p in parts]))
+    ckpt = run_train(cfg)
+    assert load_checkpoint(ckpt).step == 12
+    assert len(read_metrics(cfg.out_dir)) == 1
+
+
+def test_split_idx_label_count_must_match(idx_dir, tmp_path):
+    text = toy_config(idx_dir, str(tmp_path / "run"))
+    text = text.replace(f"train = {idx_dir}/train-images-idx3-ubyte",
+                        f"train = {idx_dir}/train-images-idx3-ubyte,{idx_dir}/t10k-images-idx3-ubyte")
+    with pytest.raises(ConfigError, match="train_labels names 1"):
+        parse_config(text)
 
 
 def test_run_eval_exactly_one_argument(set_run, blob_test_set):
