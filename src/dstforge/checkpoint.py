@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import atomic_write
 from .models import Model, build_model, parse_model_spec
 from .schedulers import BudgetTrajectory, DstConfig, dst_digest
 from .sparsity import TopologyMask
@@ -103,7 +104,7 @@ def save_checkpoint(path, model: Model, mask: TopologyMask | None, step: int,
         "layers": layer_meta,
     }
     hbytes = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<HQI", VERSION, step, len(hbytes)))
         fh.write(hbytes)

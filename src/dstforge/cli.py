@@ -175,8 +175,7 @@ def cmd_inspect(args) -> int:
 
     if args.layer:
         hm = _layer_heatmap(ck, args.layer)
-        counts = np.bincount(hm.matrix.reshape(-1).astype(np.int64),
-                             minlength=10 if hm.kind == "count" else 2)
+        counts = np.bincount(hm.matrix.reshape(-1).astype(np.int64), minlength=10)
         print(f"\nlayer {args.layer}: kernel nonzero counts, total {int(hm.total())}")
         for value, n in enumerate(counts):
             if n:

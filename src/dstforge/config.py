@@ -1,7 +1,7 @@
 """Run configuration: INI-style sections [data], [train], [dst], [output].
 
 Keys mirror the usual recipe names (lr, bs, epochs, wd, momentum, lrs,
-sparsity_dist, delta_t, sched, p). Unknown keys are rejected by name; paths
+sparsity_dist, delta_t, p). Unknown keys are rejected by name; paths
 are checked at parse time; dataset sizes are read from the file headers so the
 step counts of every schedule are fixed before training starts.
 """
@@ -28,7 +28,7 @@ class ConfigError(Exception):
 _ALLOWED = {
     "data": {"dataset", "format", "train", "train_labels", "test", "test_labels", "classes"},
     "train": {"model", "epochs", "seed", "lr", "bs", "lrs", "wd", "momentum", "eval_every"},
-    "dst": {"method", "sparsity", "sparsity_dist", "delta_t", "sched", "p", "soft_bound",
+    "dst": {"method", "sparsity", "sparsity_dist", "delta_t", "p", "soft_bound",
             "init_density", "horizon", "start_step", "stop_step", "mest_lambda",
             "dense_overrides"},
     "output": {"dir", "save_every"},
@@ -201,7 +201,6 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     if n_train < bs:
         raise ConfigError(f"batch size {bs} exceeds training set size {n_train}")
 
-    sched = "polynomial"
     method = "dense"
     sparsity = 0.0
     sparsity_dist = "uniform"
@@ -213,9 +212,6 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         sparsity_dist = _get(cp, "dst", "sparsity_dist", "uniform")
         if sparsity_dist not in ("uniform", "erk"):
             raise ConfigError(f"[dst] sparsity_dist must be uniform or erk, got {sparsity_dist!r}")
-        sched = _get(cp, "dst", "sched", "polynomial")
-        if sched != "polynomial":
-            raise ConfigError(f"[dst] sched: only 'polynomial' is supported, got {sched!r}")
         dense_overrides = tuple(
             s.strip() for s in (_get(cp, "dst", "dense_overrides") or "").split(",") if s.strip())
         dst_kwargs["delta_t"] = _typed("dst", "delta_t", _get(cp, "dst", "delta_t", "500"), int)

@@ -9,6 +9,7 @@ labels block.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 from dataclasses import dataclass
@@ -152,6 +153,27 @@ def _quantize(images: np.ndarray) -> np.ndarray:
     return np.rint(np.clip(images, 0.0, 1.0) * 255.0).astype(np.uint8)
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open `path` for writing so that it only ever appears whole: the block
+    writes `<path>.tmp`, which is synced to disk and renamed over `path` on a
+    normal exit and removed on an exception. Readers that trust a file's
+    presence (finished runs, cached corrupted sets) never see a partial
+    write, also after an OS crash."""
+    path = os.fspath(path)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_image_set(s: ImageSet, path):
     """Persist in the set's source layout (see module docstring)."""
     if s.fmt == "cifar":
@@ -169,7 +191,7 @@ def save_image_set(s: ImageSet, path):
             raise DataError(f"idx layout stores single-channel images, got {c} channels")
         payload = (struct.pack(">IIII", IDX_IMAGES_MAGIC, n, h, w) + imgs.tobytes()
                    + struct.pack(">II", IDX_LABELS_MAGIC, n) + s.labels.astype(np.uint8).tobytes())
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(payload)
 
 

@@ -82,12 +82,21 @@ class CostReport:
         }, indent=2, sort_keys=True)
 
 
-def _accuracy(model: Model, s: ImageSet, batch_size: int = 512, sparse: bool = False) -> float:
+def batched_accuracy(model: Model, images: np.ndarray, labels: np.ndarray,
+                     batch_size: int = 512, sparse: bool = False, transform=None) -> float:
+    """Top-1 accuracy of `model.predict`, `batch_size` images at a time.
+
+    `transform`, when given, maps each batch of images before prediction, so
+    a filtered copy of a large set never has to exist whole.
+    """
     correct = 0
-    for lo in range(0, len(s), batch_size):
-        pred = model.predict(s.images[lo : lo + batch_size], sparse=sparse).argmax(axis=1)
-        correct += int((pred == s.labels[lo : lo + batch_size]).sum())
-    return correct / len(s)
+    for lo in range(0, len(images), batch_size):
+        x = images[lo : lo + batch_size]
+        if transform is not None:
+            x = transform(x)
+        pred = model.predict(x, sparse=sparse).argmax(axis=1)
+        correct += int((pred == labels[lo : lo + batch_size]).sum())
+    return correct / len(images)
 
 
 def accuracy(model: Model, s: ImageSet, batch_size: int = 512, sparse: bool = False) -> float:
@@ -95,7 +104,7 @@ def accuracy(model: Model, s: ImageSet, batch_size: int = 512, sparse: bool = Fa
     if len(s) == 0:
         raise DataError("empty image set")
     try:
-        return _accuracy(model, s, batch_size, sparse)
+        return batched_accuracy(model, s.images, s.labels, batch_size, sparse)
     except ValueError as e:
         raise DataError(f"set {s.name!r} does not match the model: {e}") from e
 

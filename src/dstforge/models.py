@@ -15,10 +15,10 @@ import numpy as np
 from .tensor import (
     Parameter,
     Tensor,
-    conv2d_forward,
     flatten,
-    linear_forward,
-    maxpool2x2,
+    grad_enabled,
+    layer_kernels,
+    no_grad,
     relu,
 )
 
@@ -143,52 +143,51 @@ class Model:
         for p in self.parameters():
             p.zero_grad()
 
-    def forward(self, x: Tensor) -> Tensor:
-        """Logits for a batch. Images may arrive flat or as (n, c, h, w)."""
+    def forward(self, x: Tensor, sparse: bool = False) -> Tensor:
+        """Logits for a batch. Images may arrive flat or as (n, c, h, w).
+
+        The layer kernels come from `layer_kernels()`: graph ops, or under
+        `no_grad` their forward-only forms. With sparse=True the linear layers
+        run as CSR products of the current (masked) weights and convolutions
+        stay dense; that product records no graph, so it is only allowed
+        under `no_grad` (see `predict`).
+        """
+        def csr_linear(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
+            from scipy.sparse import csr_matrix
+
+            return Tensor(np.asarray((csr_matrix(w.data) @ h.data.T).T) + b.data)
+
+        linear, conv2d, maxpool = layer_kernels()
+        if sparse:
+            if grad_enabled():
+                raise ValueError("forward(sparse=True) builds no graph; call it under no_grad")
+            linear = csr_linear
+
         if self.spec.kind == "mlp":
             if x.data.ndim > 2:
                 x = flatten(x)
             for layer in self.layers[:-1]:
-                x = relu(linear_forward(x, layer.weight, layer.bias))
+                x = relu(linear(x, layer.weight, layer.bias))
             last = self.layers[-1]
-            return linear_forward(x, last.weight, last.bias)
+            return linear(x, last.weight, last.bias)
 
         conv1, conv2, fc1, fc2 = self.layers
         if x.data.ndim != 4:
             raise ValueError(f"small_convnet expects (n, c, h, w) input, got {x.data.shape}")
-        h = maxpool2x2(relu(conv2d_forward(x, conv1.weight, conv1.bias, padding=conv1.padding)))
-        h = maxpool2x2(relu(conv2d_forward(h, conv2.weight, conv2.bias, padding=conv2.padding)))
-        h = relu(linear_forward(flatten(h), fc1.weight, fc1.bias))
-        return linear_forward(h, fc2.weight, fc2.bias)
+        h = maxpool(relu(conv2d(x, conv1.weight, conv1.bias, conv1.stride, conv1.padding)))
+        h = maxpool(relu(conv2d(h, conv2.weight, conv2.bias, conv2.stride, conv2.padding)))
+        h = relu(linear(flatten(h), fc1.weight, fc1.bias))
+        return linear(h, fc2.weight, fc2.bias)
 
     def predict(self, x: np.ndarray, sparse: bool = False) -> np.ndarray:
-        """Inference-only logits on plain arrays; no graph is built.
+        """Logits for a plain array: `forward` under `no_grad`, as an array.
 
-        With sparse=True the linear layers run through CSR matrices built from
-        the current (masked) weights; convolutions stay dense.
+        The input is cast to float32 first, so float64 and float32 copies of a
+        batch give the same logits, equal to the training forward's on the
+        float32 batch. sparse=True selects the CSR linear layers of `forward`.
         """
-        x = np.asarray(x, dtype=np.float32)
-
-        def lin(layer, h):
-            if sparse:
-                from scipy.sparse import csr_matrix
-
-                return np.asarray((csr_matrix(layer.weight.data) @ h.T).T) + layer.bias.data
-            return h @ layer.weight.data.T + layer.bias.data
-
-        if self.spec.kind == "mlp":
-            h = x.reshape(x.shape[0], -1)
-            for layer in self.layers[:-1]:
-                h = np.maximum(lin(layer, h), 0)
-            return lin(self.layers[-1], h)
-
-        conv1, conv2, fc1, fc2 = self.layers
-        h = _conv_infer(x, conv1)
-        h = _pool_infer(np.maximum(h, 0))
-        h = _conv_infer(h, conv2)
-        h = _pool_infer(np.maximum(h, 0))
-        h = np.maximum(lin(fc1, h.reshape(h.shape[0], -1)), 0)
-        return lin(fc2, h)
+        with no_grad():
+            return self.forward(Tensor(np.asarray(x, dtype=np.float32)), sparse=sparse).data
 
     def descriptor(self) -> ArchDescriptor:
         specs = []
@@ -210,25 +209,6 @@ class Model:
             specs.append(LayerSpec(fc2.name, "linear", 128, self.spec.classes, 1, 1, 1, 1,
                                    sparsifiable=fc2.sparsifiable))
         return ArchDescriptor(self.spec.to_string(), self.input_shape, self.spec.classes, tuple(specs))
-
-
-def _conv_infer(x: np.ndarray, layer: Layer) -> np.ndarray:
-    from .tensor import _im2col
-
-    n, c_in, h, w = x.shape
-    c_out, _, kh, kw = layer.weight.data.shape
-    p, s = layer.padding, layer.stride
-    oh = (h + 2 * p - kh) // s + 1
-    ow = (w + 2 * p - kw) // s + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-    cols = _im2col(xp, kh, kw, s, oh, ow)
-    y = np.matmul(layer.weight.data.reshape(c_out, -1), cols)
-    return y.reshape(n, c_out, oh, ow) + layer.bias.data.reshape(1, c_out, 1, 1)
-
-
-def _pool_infer(x: np.ndarray) -> np.ndarray:
-    n, c, h, w = x.shape
-    return x.reshape(n, c, h // 2, 2, w // 2, 2).max(axis=(3, 5))
 
 
 def _he_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -294,44 +274,6 @@ def build_model(spec: ModelSpec, rng: np.random.Generator) -> Model:
     if spec.kind == "small_convnet":
         return build_small_convnet(spec.input_shape, spec.classes, rng)
     raise ValueError(f"unknown model kind {spec.kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# plain-text layer tables
-
-
-def format_layer_table(desc: ArchDescriptor) -> str:
-    """One row per layer: kind, cin, cout, kh, kw, out_h, out_w."""
-    rows = [f"{s.kind}, {s.c_in}, {s.c_out}, {s.kh}, {s.kw}, {s.out_h}, {s.out_w}"
-            for s in desc.layers]
-    return "\n".join(rows) + "\n"
-
-def parse_layer_table(text: str, name: str = "custom",
-                      input_shape: tuple[int, int, int] = (3, 32, 32),
-                      classes: int = 10) -> ArchDescriptor:
-    """Inverse of format_layer_table. Conv and linear rows are assumed biased."""
-    layers = []
-    counts: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 7:
-            raise ValueError(f"layer table line {lineno}: expected 7 fields, got {len(parts)}")
-        kind = parts[0]
-        if kind not in ("conv", "linear", "bn"):
-            raise ValueError(f"layer table line {lineno}: unknown kind {kind!r}")
-        try:
-            c_in, c_out, kh, kw, oh, ow = (int(p) for p in parts[1:])
-        except ValueError:
-            raise ValueError(f"layer table line {lineno}: non-integer field") from None
-        counts[kind] = counts.get(kind, 0) + 1
-        layers.append(LayerSpec(f"{kind}{counts[kind]}", kind, c_in, c_out, kh, kw, oh, ow,
-                                sparsifiable=kind != "bn"))
-    if not layers:
-        raise ValueError("layer table has no rows")
-    return ArchDescriptor(name, input_shape, classes, tuple(layers))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .data import atomic_write
 from .models import Model
 from .sparsity import (
     SparsityAllocation,
@@ -117,18 +118,8 @@ class BudgetTrajectory:
             raise ValueError(f"trajectory steps must increase, got {step} after {self.samples[-1][0]}")
         self.samples.append((int(step), float(density)))
 
-    def density_at(self, step: int) -> float:
-        if not self.samples or self.samples[0][0] > step:
-            raise ValueError(f"trajectory does not cover step {step}")
-        out = self.samples[0][1]
-        for s, d in self.samples:
-            if s > step:
-                break
-            out = d
-        return out
-
     def write_csv(self, path):
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             fh.write("step,density\n")
             for s, d in self.samples:
                 fh.write(f"{s},{d!r}\n")

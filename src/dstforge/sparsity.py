@@ -31,12 +31,6 @@ class SparsityAllocation:
     global_density: float
     layers: tuple[LayerBudget, ...]
 
-    def density_of(self, name: str) -> float:
-        for lb in self.layers:
-            if lb.name == name:
-                return lb.density
-        raise KeyError(f"no layer {name!r} in allocation")
-
     def targets(self, at_density: float | None = None) -> dict[str, int]:
         """Per-layer active-weight targets, optionally rescaled to another
         global density (used by schedules that run above the base budget)."""
@@ -76,9 +70,6 @@ class TopologyMask:
 
     def global_density(self) -> float:
         return self.total_active() / self.total_weights()
-
-    def copy(self) -> "TopologyMask":
-        return TopologyMask({k: v.copy() for k, v in self.masks.items()})
 
 
 def _budget_layers(desc: ArchDescriptor, dense_overrides: tuple[str, ...]):

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ImageSet
+from .metrics import batched_accuracy
 from .models import Layer, Model
-from .svg import grid_heatmap, line_plot
+from .svg import line_plot
 
 
 @dataclass
@@ -51,7 +52,7 @@ class RACurve:
 @dataclass
 class KernelHeatmap:
     layer: str
-    kind: str  # "count" | "magnitude"
+    kind: str  # "count"
     matrix: np.ndarray  # (c_out, c_in)
 
     def total(self) -> float:
@@ -61,9 +62,6 @@ class KernelHeatmap:
         with open(path, "w") as fh:
             for row in self.matrix:
                 fh.write(",".join(repr(v.item()) for v in row) + "\n")
-
-    def write_svg(self, path):
-        grid_heatmap(self.matrix.tolist(), f"{self.layer} {self.kind}", path)
 
 
 def dft2_centered(image: np.ndarray) -> Spectrum:
@@ -119,15 +117,11 @@ def ra_curve(model: Model, clean_test: ImageSet, mode: str, radii,
     if not radii:
         raise ValueError("ra_curve needs at least one radius")
     points = []
-    labels = clean_test.labels
     for r in radii:
-        correct = 0
-        for lo in range(0, len(clean_test), batch_size):
-            chunk = clean_test.images[lo : lo + batch_size]
-            x = attenuate_images(chunk, mode, r)
-            pred = model.predict(x).argmax(axis=1)
-            correct += int((pred == labels[lo : lo + batch_size]).sum())
-        points.append((int(r), correct / len(clean_test)))
+        # attenuate one batch at a time, so a filtered copy of the set never exists whole
+        acc = batched_accuracy(model, clean_test.images, clean_test.labels, batch_size,
+                               transform=lambda x: attenuate_images(x, mode, r))
+        points.append((int(r), acc))
     return RACurve(mode=mode, points=points, model_id=model.spec.to_string())
 
 
@@ -144,12 +138,3 @@ def kernel_nonzero_counts(layer: Layer, mask: np.ndarray) -> KernelHeatmap:
         raise ValueError(f"mask shape {mask.shape} does not match layer {layer.weight.data.shape}")
     return KernelHeatmap(layer.name, "count", mask.reshape(mask.shape[0], mask.shape[1], -1)
                          .sum(axis=2).astype(np.int64))
-
-
-def kernel_magnitude_sums(layer: Layer) -> KernelHeatmap:
-    """(c_out, c_in) grid of summed |w| per kernel."""
-    if layer.kind != "conv":
-        raise TypeError(f"kernel heatmaps need a conv layer, {layer.name} is {layer.kind}")
-    w = np.abs(layer.weight.data)
-    return KernelHeatmap(layer.name, "magnitude",
-                         w.reshape(w.shape[0], w.shape[1], -1).sum(axis=2, dtype=np.float64))

@@ -16,8 +16,9 @@ import numpy as np
 
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .config import RunConfig
-from .data import DataError, ImageSet, load_cifar_binary, load_idx, load_image_set
-from .metrics import CostReport, MetricsReport, inference_flops, param_count, robustness_accuracy, training_flops
+from .data import DataError, ImageSet, atomic_write, load_cifar_binary, load_idx, load_image_set
+from .metrics import (CostReport, MetricsReport, batched_accuracy, inference_flops, param_count,
+                      robustness_accuracy, training_flops)
 from .models import Model, build_model
 from .optim import lr_at, sgd_momentum_step
 from .schedulers import BudgetTrajectory, DstConfig, dst_digest, should_update, topology_update
@@ -55,11 +56,7 @@ def load_train_test(cfg: RunConfig) -> tuple[ImageSet, ImageSet]:
 
 def test_accuracy(model: Model, images: np.ndarray, labels: np.ndarray,
                   batch_size: int = 500) -> float:
-    correct = 0
-    for lo in range(0, images.shape[0], batch_size):
-        pred = model.predict(images[lo : lo + batch_size]).argmax(axis=1)
-        correct += int((pred == labels[lo : lo + batch_size]).sum())
-    return correct / images.shape[0]
+    return batched_accuracy(model, images, labels, batch_size)
 
 
 def make_allocation(cfg: RunConfig, model: Model):
@@ -199,7 +196,7 @@ def run_train(cfg: RunConfig, resume_path=None, stop_after_step: int | None = No
         trajectory=list(trajectory.samples),
         probe_events=(len(trajectory.samples) - 1) if dst.method in PROBE_METHODS else 0,
     )
-    with open(os.path.join(cfg.out_dir, "cost.json"), "w") as fh:
+    with atomic_write(os.path.join(cfg.out_dir, "cost.json")) as fh:
         fh.write(cost.to_json() + "\n")
     return last_ckpt
 

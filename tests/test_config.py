@@ -119,10 +119,12 @@ def test_batch_larger_than_dataset(idx_dir, tmp_path):
 
 
 def test_unknown_dst_sched_rejected(idx_dir, tmp_path):
-    text = toy_config(idx_dir, str(tmp_path / "o"), method="set", sparsity=0.5,
-                      extra_dst="sched = cosine")
-    with pytest.raises(ConfigError, match="sched"):
-        parse_config(text)
+    # [dst] sched is gone: even its one former value is an unknown key
+    for value in ("cosine", "polynomial"):
+        text = toy_config(idx_dir, str(tmp_path / "o"), method="set", sparsity=0.5,
+                          extra_dst=f"sched = {value}")
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) in \[dst\]: sched"):
+            parse_config(text)
 
 
 def test_bad_sparsity_dist(idx_dir, tmp_path):

@@ -8,8 +8,6 @@ from dstforge.models import (
     build_model,
     build_small_convnet,
     descriptor_library,
-    format_layer_table,
-    parse_layer_table,
     parse_model_spec,
 )
 from dstforge.tensor import Tensor
@@ -97,11 +95,21 @@ def test_build_model_dispatch():
 
 
 def test_forward_and_predict_agree():
-    model = build_small_convnet((1, 12, 12), 10, np.random.default_rng(1))
+    # predict is forward under no_grad, so the logits match bit for bit
+    models = (build_small_convnet((1, 12, 12), 10, np.random.default_rng(1)),
+              build_mlp((144, 16, 10), np.random.default_rng(1)))
     x = np.random.default_rng(2).random((4, 1, 12, 12)).astype(np.float32)
-    graph_logits = model.forward(Tensor(x)).data
-    plain_logits = model.predict(x)
-    np.testing.assert_allclose(graph_logits, plain_logits, atol=1e-5)
+    for model in models:
+        graph_logits = model.forward(Tensor(x)).data
+        plain_logits = model.predict(x)
+        assert plain_logits.dtype == np.float32
+        np.testing.assert_array_equal(graph_logits, plain_logits)
+
+
+def test_predict_casts_float64_input_to_float32():
+    model = build_small_convnet((1, 12, 12), 10, np.random.default_rng(1))
+    x = np.random.default_rng(2).random((4, 1, 12, 12))
+    np.testing.assert_array_equal(model.predict(x), model.predict(x.astype(np.float32)))
 
 
 def test_predict_sparse_matches_dense():
@@ -110,6 +118,12 @@ def test_predict_sparse_matches_dense():
     model.layers[0].weight.data[::2] = 0.0
     x = np.random.default_rng(4).random((5, 36)).astype(np.float32)
     np.testing.assert_allclose(model.predict(x), model.predict(x, sparse=True), atol=1e-5)
+
+
+def test_sparse_forward_needs_no_grad():
+    model = build_mlp((36, 16, 10), np.random.default_rng(3))
+    with pytest.raises(ValueError, match="no_grad"):
+        model.forward(Tensor(np.zeros((2, 36), dtype=np.float32)), sparse=True)
 
 
 def test_mlp_accepts_image_shaped_input():
@@ -154,24 +168,3 @@ def test_vgg16_cifar_parameter_total():
 def test_resnet34_cifar_parameter_total():
     desc = descriptor_library()["resnet34-cifar"]
     assert sum(s.param_count() for s in desc.layers) == 21_282_122
-
-
-def test_layer_table_round_trip():
-    desc = descriptor_library()["vgg16-cifar"]
-    text = format_layer_table(desc)
-    back = parse_layer_table(text, name=desc.name, input_shape=desc.input_shape,
-                             classes=desc.classes)
-    structural = lambda layers: [(s.kind, s.c_in, s.c_out, s.kh, s.kw, s.out_h, s.out_w)
-                                 for s in layers]
-    assert structural(back.layers) == structural(desc.layers)
-
-
-def test_layer_table_parse_errors():
-    with pytest.raises(ValueError):
-        parse_layer_table("conv, 3, 64, 3, 3, 32\n")  # six fields
-    with pytest.raises(ValueError):
-        parse_layer_table("swish, 3, 64, 3, 3, 32, 32\n")
-    with pytest.raises(ValueError):
-        parse_layer_table("conv, 3, sixty, 3, 3, 32, 32\n")
-    with pytest.raises(ValueError):
-        parse_layer_table("\n\n")

@@ -207,16 +207,6 @@ def test_trajectory_monotone_steps_enforced():
         t.record(5, 0.4)
 
 
-def test_trajectory_density_at():
-    t = BudgetTrajectory([(0, 1.0), (10, 0.5), (20, 0.25)])
-    assert t.density_at(0) == 1.0
-    assert t.density_at(9) == 1.0
-    assert t.density_at(10) == 0.5
-    assert t.density_at(100) == 0.25
-    with pytest.raises(ValueError):
-        BudgetTrajectory().density_at(0)
-
-
 def test_trajectory_csv_round_trip(tmp_path):
     t = BudgetTrajectory([(0, 0.55), (500, 0.5123456789012345)])
     p = tmp_path / "traj.csv"

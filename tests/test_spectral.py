@@ -13,7 +13,6 @@ from dstforge.spectral import (
     attenuate_images,
     dft2_centered,
     idft2,
-    kernel_magnitude_sums,
     kernel_nonzero_counts,
     ra_curve,
     write_ra_curves_svg,
@@ -201,28 +200,10 @@ def test_hand_built_mask_counts():
     assert hm.total() == 4
 
 
-def test_kernel_magnitude_sums_hand_values():
-    model = build_small_convnet((3, 32, 32), 10, np.random.default_rng(0))
-    conv1 = model.layers[0]
-    conv1.weight.data[:] = 0.0
-    conv1.weight.data[0, 0, 0, 0] = 0.5
-    conv1.weight.data[0, 0, 1, 1] = -0.3
-    conv1.weight.data[0, 1, 2, 2] = 0.25
-    conv1.weight.data[1, 0, 0, 1] = 0.25
-    hm = kernel_magnitude_sums(conv1)
-    assert hm.kind == "magnitude"
-    assert hm.matrix[0, 0] == pytest.approx(0.8)
-    assert hm.matrix[0, 1] == pytest.approx(0.25)
-    assert hm.matrix[1, 0] == pytest.approx(0.25)
-    assert hm.total() == pytest.approx(1.3)
-
-
 def test_kernel_heatmap_rejects_non_conv():
     model = build_mlp((8, 4), np.random.default_rng(0))
     with pytest.raises(TypeError):
         kernel_nonzero_counts(model.layers[0], np.ones((4, 8), dtype=bool))
-    with pytest.raises(TypeError):
-        kernel_magnitude_sums(model.layers[0])
 
 
 def test_kernel_heatmap_shape_mismatch():

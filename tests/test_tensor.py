@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import MARGIN, check_param_grads, relu_margin
 
+from dstforge.models import build_small_convnet
 from dstforge.tensor import (
     GraphError,
     Parameter,
@@ -14,8 +15,10 @@ from dstforge.tensor import (
     backward,
     conv2d_forward,
     flatten,
+    layer_kernels,
     linear_forward,
     maxpool2x2,
+    no_grad,
     relu,
     softmax_cross_entropy,
 )
@@ -169,3 +172,45 @@ def test_conv_stride_two():
     y = conv2d_forward(x, w, b, stride=2)
     assert y.data.shape == (1, 1, 2, 2)
     assert np.all(y.data == 9.0)
+
+
+def test_no_grad_builds_no_graph_and_restores_grad_mode():
+    model = build_small_convnet((1, 8, 8), 10, np.random.default_rng(0))
+    x = Tensor(np.random.default_rng(1).random((2, 1, 8, 8)).astype(np.float32))
+    sentinels = [np.full_like(p.data, 7.0) for p in model.parameters()]
+    for p, g in zip(model.parameters(), sentinels):
+        p.grad = g
+    with no_grad():
+        out = model.forward(x)
+    assert out._parents == () and out._grad_fn is None
+    assert not out.requires_grad
+    for p, g in zip(model.parameters(), sentinels):
+        assert p.grad is g and np.all(g == 7.0)
+
+    with pytest.raises(KeyError):
+        with no_grad():
+            raise KeyError("inside the block")
+    model.zero_grad()
+    backward(softmax_cross_entropy(model.forward(x), np.array([0, 1])))
+    assert all(p.grad is not None for p in model.parameters())
+
+
+def test_layer_kernels_under_no_grad_match_the_graph_ops():
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.standard_normal((2, 3, 6, 6)).astype(np.float32))
+    w = Parameter(rng.standard_normal((4, 3, 3, 3)).astype(np.float32), name="w")
+    b = Parameter(rng.standard_normal(4).astype(np.float32), name="b")
+    fw = Parameter(rng.standard_normal((5, 108)).astype(np.float32), name="fw")
+    fb = Parameter(rng.standard_normal(5).astype(np.float32), name="fb")
+    ties = Tensor(np.round(rng.random((2, 3, 6, 6)) * 3).astype(np.float32))
+    assert layer_kernels() == (linear_forward, conv2d_forward, maxpool2x2)
+    with no_grad():
+        linear, conv2d, maxpool = layer_kernels()
+        assert maxpool is not maxpool2x2
+        for got, want in ((conv2d(x, w, b, padding=1), conv2d_forward(x, w, b, padding=1)),
+                          (linear(flatten(x), fw, fb), linear_forward(flatten(x), fw, fb)),
+                          (maxpool(ties), maxpool2x2(ties))):
+            assert not got.requires_grad and got._parents == ()
+            np.testing.assert_array_equal(got.data, want.data)
+        with pytest.raises(ValueError):
+            maxpool(Tensor(np.ones((1, 1, 3, 4), dtype=np.float32)))

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import make_blob_set, toy_config, write_idx_pair
 
+import dstforge.data
 from dstforge.checkpoint import CheckpointError, load_checkpoint
 from dstforge.config import ConfigError, parse_config
 from dstforge.corruption import CorruptionSpec, corrupt_images
@@ -26,6 +27,37 @@ from dstforge.train import (
 def read_metrics(out_dir):
     with open(os.path.join(out_dir, "metrics.jsonl")) as fh:
         return [json.loads(line) for line in fh]
+
+
+def test_failed_checkpoint_write_leaves_no_final_ckpt(idx_dir, tmp_path, monkeypatch):
+    # a write that dies partway must not leave a truncated final.ckpt behind:
+    # study.ensure_run takes its presence for a finished run
+    class DiskFullAfterFirstWrite:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, b):
+            self.writes += 1
+            if self.writes > 1:
+                raise OSError(28, "No space left on device")
+            return self.fh.write(b)
+
+    def failing_open(path, mode="r"):
+        fh = open(path, mode)
+        return DiskFullAfterFirstWrite(fh) if path.endswith("final.ckpt.tmp") else fh
+
+    monkeypatch.setattr(dstforge.data, "open", failing_open, raising=False)
+    cfg = parse_config(toy_config(idx_dir, str(tmp_path / "run"), epochs=1))
+    with pytest.raises(OSError, match="No space left"):
+        run_train(cfg)
+    assert not os.path.exists(os.path.join(cfg.out_dir, "final.ckpt"))
+    assert not os.path.exists(os.path.join(cfg.out_dir, "final.ckpt.tmp"))
 
 
 def test_run_artifacts_exist(set_run):
