@@ -9,16 +9,22 @@ all seven methods on the synthetic blob task of perfbench/blobs.py:
 at 0.5 (dense once per model), writing data and run directories under
 OUT_DIR. For each run it prints `<run> <artifact> <sha256>` for final.ckpt,
 metrics.jsonl, trajectory.csv and cost.json, and for the dense and sparse
-`Model.predict` logits of the final checkpoint on a fixed batch. Run it on two
-checkouts and diff the outputs: a change that keeps every byte prints the
-same lines. BLAS runs on one thread, since float sums (and so the MLP
-artifacts) change with the thread count.
+`Model.predict` logits of the final checkpoint on a fixed batch. It then
+prints `flops-<arch>-<method> stdout <sha256>` for the `dstforge flops` report
+of every method on `mlp:784-300-100-10` and `vgg16-cifar` (sparsity 0.5, ERK,
+2 epochs, batch 100, delta_t 50, so every schedule has events), which covers
+the closed-form trajectory and the probe accounting. Run it on two checkouts
+and diff the outputs: a change that keeps every byte prints the same lines.
+BLAS runs on one thread, since float sums (and so the MLP artifacts) change
+with the thread count.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import os
 import shutil
 import sys
@@ -35,6 +41,8 @@ GRID = (
     ("mlp:784-300-100-10", (1, 28, 28), (0.5, 0.9), (2, 50, 0.1, 4), (600, 200)),
     ("small_convnet:3x32x32-10", (3, 32, 32), (0.5,), (2, 20, 0.05, 4), (200, 100)),
 )
+FLOPS_ARCHS = ("mlp:784-300-100-10", "vgg16-cifar")
+FLOPS_ARGS = ("--dist", "erk", "--epochs", "2", "--bs", "100", "--delta-t", "50")
 
 
 def _sha256_file(path: str) -> str:
@@ -59,6 +67,7 @@ def main() -> int:
     import blobs
     import dstforge
     from dstforge.checkpoint import load_checkpoint
+    from dstforge.cli import main as cli_main
     from dstforge.config import parse_config
     from dstforge.train import run_train
 
@@ -99,6 +108,20 @@ def main() -> int:
                     print(name, "predict-sparse" if sparse else "predict-dense",
                           _sha256_logits(logits))
                 sys.stdout.flush()
+
+    for arch in FLOPS_ARCHS:
+        for method in METHODS:
+            argv = ["flops", arch, "--method", method, *FLOPS_ARGS]
+            if method != "dense":
+                argv += ["--sparsity", "0.5"]
+            report = io.StringIO()
+            with contextlib.redirect_stdout(report):
+                status = cli_main(argv)
+            if status != 0:
+                print(f"dstforge {' '.join(argv)} exited {status}", file=sys.stderr)
+                return 1
+            digest = hashlib.sha256(report.getvalue().encode()).hexdigest()
+            print(f"flops-{arch.split(':')[0]}-{method}", "stdout", digest)
     return 0
 
 

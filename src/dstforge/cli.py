@@ -39,11 +39,11 @@ from .data import (
 )
 from .metrics import CostReport, attach_baseline, inference_flops, param_count, training_flops
 from .models import build_model, descriptor_library, parse_model_spec
-from .schedulers import METHODS, DstConfig, synthetic_trajectory
+from .schedulers import METHODS, PROBE_METHODS, DstConfig, synthetic_trajectory
 from .sparsity import allocate_erk, allocate_uniform
 from .spectral import KernelHeatmap, kernel_nonzero_counts, write_ra_curves_svg
 from .svg import grid_heatmap
-from .train import PROBE_METHODS, DivergenceError, run_eval, run_train
+from .train import DivergenceError, run_eval, run_train
 
 
 def _stem(path: str) -> str:

@@ -1,15 +1,21 @@
 """Topology-update schedules: SET, RigL, MEST (soft memory bound), GraNet.
 
-Every method shares the polynomial remove/regrow rate and the same per-layer
-budget arithmetic; they differ in how removal is scored, how regrowth picks
-positions, and how the global density moves over training:
+The sparse methods differ in only two choices, recorded per method in RULES:
+how the global density moves over training (the schedule), and whether
+regrowth picks the largest dense |grad| or draws at random. One kernel,
+`topology_update`, runs every event from those two fields:
 
-  set      fixed budget, remove smallest |w|, regrow uniformly at random
-  rigl     fixed budget, remove smallest |w|, regrow largest dense |grad|
-  mest_r/g budget decays from b + b_s0 to b (cubic soft bound); removal is
-           scored by |w| + lambda*|grad|
-  granet_r/g density decays from d_i to the target along a cubic schedule;
-           each update removes more than it regrows until the horizon
+  fixed   density stays at the budget; each event removes and regrows
+          round(p * target) weights per layer (set, rigl)
+  mest    density decays from b + b_s0 to b (cubic soft bound); each event
+          prunes to the base budget by |w| + lambda*|grad| and regrows to
+          b + b_s(next event) (mest_r, mest_g)
+  granet  density decays from d_i to the target along a cubic schedule; each
+          event prunes round(p * target) below the scheduled count, then
+          regrows to it (granet_r, granet_g)
+
+Removal ranks by |w| except under the MEST schedule. A method pays for a dense
+gradient probe at each event when it regrows or scores by gradient.
 """
 
 from __future__ import annotations
@@ -27,13 +33,31 @@ from .sparsity import (
     TopologyMask,
     _prune_by_score,
     gradient_regrow,
-    magnitude_prune,
     prune_rate,
     random_regrow,
 )
 from .tensor import Tensor, backward, softmax_cross_entropy
 
-METHODS = ("dense", "set", "rigl", "mest_r", "mest_g", "granet_r", "granet_g")
+
+@dataclass(frozen=True)
+class Rule:
+    schedule: str  # "fixed", "mest" or "granet"
+    grad_regrow: bool  # regrow the largest dense |grad|, else uniformly at random
+
+
+RULES = {
+    "set": Rule("fixed", grad_regrow=False),
+    "rigl": Rule("fixed", grad_regrow=True),
+    "mest_r": Rule("mest", grad_regrow=False),
+    "mest_g": Rule("mest", grad_regrow=True),
+    "granet_r": Rule("granet", grad_regrow=False),
+    "granet_g": Rule("granet", grad_regrow=True),
+}
+METHODS = ("dense", *RULES)
+# methods that need the dense gradient at every event: to regrow by it, or to
+# score removal by |w| + lambda*|grad| as MEST does
+PROBE_METHODS = tuple(m for m, rule in RULES.items()
+                      if rule.grad_regrow or rule.schedule == "mest")
 
 
 @dataclass(frozen=True)
@@ -68,7 +92,7 @@ class DstConfig:
             raise ValueError(f"p0 must be in [0, 1], got {self.p0}")
         if not 0.0 < self.init_density <= 1.0:
             raise ValueError(f"init_density must be in (0, 1], got {self.init_density}")
-        if self.method in ("granet_r", "granet_g") and self.init_density < self.budget:
+        if self.schedule == "granet" and self.init_density < self.budget:
             raise ValueError(
                 f"init_density {self.init_density} below the target density {self.budget}; "
                 f"the density schedule only decays")
@@ -78,6 +102,11 @@ class DstConfig:
             raise ValueError("start_step must be >= 0")
         if self.mest_lambda < 0:
             raise ValueError("mest_lambda must be >= 0")
+
+    @property
+    def schedule(self) -> str:
+        """The method's density schedule; dense stays fixed at density 1."""
+        return RULES[self.method].schedule if self.method in RULES else "fixed"
 
     @property
     def budget(self) -> float:
@@ -96,9 +125,9 @@ class DstConfig:
         return self.stop_step if self.stop_step is not None else self.total_steps
 
     def initial_density(self) -> float:
-        if self.method in ("mest_r", "mest_g"):
+        if self.schedule == "mest":
             return min(1.0, self.budget + self.b_s0)
-        if self.method in ("granet_r", "granet_g"):
+        if self.schedule == "granet":
             return self.init_density
         return self.budget
 
@@ -166,6 +195,16 @@ def granet_density(cfg: DstConfig, step: int) -> float:
     return d_t + (d_i - d_t) * (1.0 - (step - t0) / n) ** 3
 
 
+def event_density(cfg: DstConfig, step: int) -> float:
+    """Global density an event at `step` regrows to. MEST looks one update
+    ahead: it regrows to the soft bound of the next event (or the end)."""
+    if cfg.schedule == "mest":
+        return cfg.budget + mest_soft_bound(cfg, min(step + cfg.delta_t, cfg.total_steps))
+    if cfg.schedule == "granet":
+        return granet_density(cfg, step)
+    return cfg.budget
+
+
 def synthetic_trajectory(cfg: DstConfig) -> BudgetTrajectory:
     """Closed-form density trajectory for cost estimates made without a run.
 
@@ -175,18 +214,9 @@ def synthetic_trajectory(cfg: DstConfig) -> BudgetTrajectory:
     """
     traj = BudgetTrajectory()
     traj.record(0, cfg.initial_density())
-    if cfg.method == "dense":
-        return traj
     for step in range(cfg.delta_t, cfg.total_steps + 1, cfg.delta_t):
-        if not should_update(cfg, step):
-            continue
-        if cfg.method in ("mest_r", "mest_g"):
-            d = cfg.budget + mest_soft_bound(cfg, min(step + cfg.delta_t, cfg.total_steps))
-        elif cfg.method in ("granet_r", "granet_g"):
-            d = granet_density(cfg, step)
-        else:
-            d = cfg.budget
-        traj.record(step, min(1.0, d))
+        if should_update(cfg, step):
+            traj.record(step, min(1.0, event_density(cfg, step)))
     return traj
 
 
@@ -203,106 +233,40 @@ def _dense_grads(model: Model, batch) -> dict[str, np.ndarray]:
     return grads
 
 
-def set_update(model: Model, mask: TopologyMask, alloc: SparsityAllocation,
-               cfg: DstConfig, step: int, rng: np.random.Generator):
-    """Remove k smallest-|w|, regrow k uniformly at random; k = round(p * active)."""
-    p = prune_rate(cfg.p0, step, cfg.total_steps)
-    for layer in model.layers:
-        if layer.name not in mask:
-            continue
-        m = mask[layer.name]
-        k = int(round(p * mask.active_count(layer.name)))
-        removed = magnitude_prune(layer.weight.data, m, k)
-        flat = m.reshape(-1)
-        flat[removed] = False
-        grown = random_regrow(m, k, rng, exclude=removed)
-        flat[grown] = True
+def topology_update(model: Model, mask: TopologyMask, alloc: SparsityAllocation,
+                    cfg: DstConfig, step: int, rng: np.random.Generator, batch):
+    """One prune/regrow event, the same for every sparse method.
 
-
-def rigl_update(model: Model, mask: TopologyMask, alloc: SparsityAllocation,
-                cfg: DstConfig, step: int, rng: np.random.Generator, batch):
-    """Remove k smallest-|w|, regrow the k largest dense-gradient positions."""
-    p = prune_rate(cfg.p0, step, cfg.total_steps)
-    grads = _dense_grads(model, batch)
-    for layer in model.layers:
-        if layer.name not in mask:
-            continue
-        m = mask[layer.name]
-        k = int(round(p * mask.active_count(layer.name)))
-        removed = magnitude_prune(layer.weight.data, m, k)
-        flat = m.reshape(-1)
-        flat[removed] = False
-        grown = gradient_regrow(m, k, grads[layer.name], exclude=removed)
-        flat[grown] = True
-
-
-def mest_update(model: Model, mask: TopologyMask, alloc: SparsityAllocation,
-                cfg: DstConfig, step: int, rng: np.random.Generator, batch):
-    """Score active weights by |w| + lambda*|g|, prune down to the base budget,
-    then regrow up to b + b_s(next update step)."""
-    next_step = min(step + cfg.delta_t, cfg.total_steps)
-    d_next = cfg.budget + mest_soft_bound(cfg, next_step)
-    t_base = alloc.targets()
-    t_next = alloc.targets(at_density=d_next)
-    grads = _dense_grads(model, batch)
+    Each layer's target is its share of the event density. Removal takes the
+    layer down to a floor by lowest score (the base budget for MEST, else
+    round(p * target) below the target); regrowth then fills it back up to
+    the target, never at a position removed in the same event.
+    """
+    rule = RULES.get(cfg.method)
+    if rule is None:
+        raise ValueError(f"no topology update for method {cfg.method!r}")
+    targets = alloc.targets(at_density=event_density(cfg, step))
+    if rule.schedule == "mest":
+        floors = alloc.targets()
+    else:
+        p = prune_rate(cfg.p0, step, cfg.total_steps)
+        floors = {name: t - int(round(p * t)) for name, t in targets.items()}
+    grads = _dense_grads(model, batch) if cfg.method in PROBE_METHODS else None
     for layer in model.layers:
         if layer.name not in mask:
             continue
         m = mask[layer.name]
         active = mask.active_count(layer.name)
-        k_remove = max(0, active - t_base[layer.name])
-        score = np.abs(layer.weight.data) + cfg.mest_lambda * np.abs(grads[layer.name])
+        k_remove = max(0, active - floors[layer.name])
+        score = np.abs(layer.weight.data)
+        if rule.schedule == "mest":
+            score = score + cfg.mest_lambda * np.abs(grads[layer.name])
         removed = _prune_by_score(score, m, k_remove)
         flat = m.reshape(-1)
         flat[removed] = False
-        k_grow = max(0, t_next[layer.name] - (active - k_remove))
-        if cfg.method == "mest_g":
+        k_grow = max(0, targets[layer.name] - (active - k_remove))
+        if rule.grad_regrow:
             grown = gradient_regrow(m, k_grow, grads[layer.name], exclude=removed)
         else:
             grown = random_regrow(m, k_grow, rng, exclude=removed)
         flat[grown] = True
-
-
-def granet_update(model: Model, mask: TopologyMask, alloc: SparsityAllocation,
-                  cfg: DstConfig, step: int, rng: np.random.Generator, batch=None):
-    """Prune down to the cubic schedule's density plus the swap amount, then
-    regrow the swap amount; while density decays, removals outnumber regrowth."""
-    p = prune_rate(cfg.p0, step, cfg.total_steps)
-    d_target = granet_density(cfg, step)
-    t_target = alloc.targets(at_density=d_target)
-    grads = _dense_grads(model, batch) if cfg.method == "granet_g" else None
-    for layer in model.layers:
-        if layer.name not in mask:
-            continue
-        m = mask[layer.name]
-        active = mask.active_count(layer.name)
-        tgt = t_target[layer.name]
-        k_grow = int(round(p * tgt))
-        k_remove = max(0, active - tgt + k_grow)
-        if k_remove > active:
-            raise RuntimeError(
-                f"layer {layer.name}: schedule infeasible, must remove {k_remove} "
-                f"of {active} active weights")
-        removed = magnitude_prune(layer.weight.data, m, k_remove)
-        flat = m.reshape(-1)
-        flat[removed] = False
-        k_grow = max(0, tgt - (active - k_remove))
-        if cfg.method == "granet_g":
-            grown = gradient_regrow(m, k_grow, grads[layer.name], exclude=removed)
-        else:
-            grown = random_regrow(m, k_grow, rng, exclude=removed)
-        flat[grown] = True
-
-
-def topology_update(model: Model, mask: TopologyMask, alloc: SparsityAllocation,
-                    cfg: DstConfig, step: int, rng: np.random.Generator, batch):
-    if cfg.method == "set":
-        set_update(model, mask, alloc, cfg, step, rng)
-    elif cfg.method == "rigl":
-        rigl_update(model, mask, alloc, cfg, step, rng, batch)
-    elif cfg.method in ("mest_r", "mest_g"):
-        mest_update(model, mask, alloc, cfg, step, rng, batch)
-    elif cfg.method in ("granet_r", "granet_g"):
-        granet_update(model, mask, alloc, cfg, step, rng, batch)
-    else:
-        raise ValueError(f"no topology update for method {cfg.method!r}")

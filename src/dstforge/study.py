@@ -17,7 +17,8 @@ import numpy as np
 from .checkpoint import load_checkpoint
 from .config import RunConfig, parse_config
 from .corruption import KINDS, CorruptionSpec, corrupt_images
-from .data import ImageSet, corrupted_set_filename, load_idx, load_image_set, save_image_set
+from .data import (ImageSet, atomic_write, corrupted_set_filename, load_idx, load_image_set,
+                   save_image_set)
 from .metrics import MetricsReport, accuracy
 from .models import Model
 from .spectral import RACurve, attenuate_images, write_ra_curves_svg
@@ -127,7 +128,7 @@ def ensure_run(m: StudyMethod, seed: int, epochs: int, data: dict[str, str],
                     f"{run_dir} holds results for a different config; remove it to rerun")
         if os.path.exists(ckpt):
             return parse_config(text), ckpt
-    with open(cfg_path, "w") as fh:
+    with atomic_write(cfg_path) as fh:
         fh.write(text)
     cfg = parse_config(text)
     if echo:
@@ -252,7 +253,7 @@ def run_study(data: dict[str, str], root: str, epochs: int = 20,
         result.ra[(label, seed, mode)] = RACurve(
             mode=mode, points=pts, model_id=f"{label}-seed{seed}")
 
-    with open(os.path.join(root, "study.json"), "w") as fh:
+    with atomic_write(os.path.join(root, "study.json")) as fh:
         fh.write(result.to_json() + "\n")
     curves = []
     for label in result.labels:

@@ -21,7 +21,8 @@ from .metrics import (CostReport, MetricsReport, batched_accuracy, inference_flo
                       robustness_accuracy, training_flops)
 from .models import Model, build_model
 from .optim import lr_at, sgd_momentum_step
-from .schedulers import BudgetTrajectory, DstConfig, dst_digest, should_update, topology_update
+from .schedulers import (PROBE_METHODS, BudgetTrajectory, DstConfig, dst_digest, should_update,
+                         topology_update)
 from .sparsity import allocate_erk, allocate_uniform, apply_mask, init_topology, mask_shapes
 from .spectral import RACurve, ra_curve
 from .tensor import Tensor, backward, softmax_cross_entropy
@@ -29,8 +30,6 @@ from .tensor import Tensor, backward, softmax_cross_entropy
 _INIT_STREAM = 11
 _TOPOLOGY_STREAM = 23
 _SHUFFLE_STREAM = 37
-
-PROBE_METHODS = ("rigl", "mest_r", "mest_g", "granet_g")
 
 
 class DivergenceError(RuntimeError):
@@ -64,6 +63,23 @@ def make_allocation(cfg: RunConfig, model: Model):
         return None
     alloc_fn = allocate_erk if cfg.sparsity_dist == "erk" else allocate_uniform
     return alloc_fn(model.descriptor(), cfg.dst.sparsity, cfg.dense_overrides)
+
+
+def _keep_epoch_lines(metrics_path: str, epochs: int):
+    """Cut metrics.jsonl back to the lines of the `epochs` epochs a resumed
+    checkpoint has completed, so a resume from an earlier checkpoint of the
+    same run writes every later epoch once."""
+    try:
+        with open(metrics_path) as fh:
+            lines = fh.readlines()
+    except FileNotFoundError:
+        lines = []
+    if len(lines) < epochs:
+        raise CheckpointError(
+            f"{metrics_path}: holds {len(lines)} epoch lines, but the checkpoint "
+            f"has completed {epochs} epochs")
+    with atomic_write(metrics_path) as fh:
+        fh.writelines(lines[:epochs])
 
 
 def run_train(cfg: RunConfig, resume_path=None, stop_after_step: int | None = None,
@@ -109,12 +125,14 @@ def run_train(cfg: RunConfig, resume_path=None, stop_after_step: int | None = No
         epoch_loss_sum = ck.epoch_loss_sum
         epoch_loss_count = ck.epoch_loss_count
 
+    spe = cfg.steps_per_epoch
     os.makedirs(cfg.out_dir, exist_ok=True)
     metrics_path = os.path.join(cfg.out_dir, "metrics.jsonl")
+    if resume_path is not None:
+        _keep_epoch_lines(metrics_path, start_step // spe)
     metrics_fh = open(metrics_path, "a" if resume_path else "w")
 
     schedule = cfg.lr_schedule()
-    spe = cfg.steps_per_epoch
     total = cfg.total_steps
     params = model.parameters()
     perm = None
@@ -182,6 +200,7 @@ def run_train(cfg: RunConfig, resume_path=None, stop_after_step: int | None = No
 
     last_ckpt = save(os.path.join(cfg.out_dir, "final.ckpt"), total)
     trajectory.write_csv(os.path.join(cfg.out_dir, "trajectory.csv"))
+    probes = (len(trajectory.samples) - 1) if dst.method in PROBE_METHODS else 0
     cost = CostReport(
         arch=cfg.model.to_string(),
         method=dst.method,
@@ -190,11 +209,10 @@ def run_train(cfg: RunConfig, resume_path=None, stop_after_step: int | None = No
             model.descriptor(), alloc,
             density_scale=(trajectory.samples[-1][1] / alloc.global_density) if alloc else 1.0),
         training_flops=training_flops(
-            model.descriptor(), alloc, trajectory, total, cfg.batch_size,
-            probe_events=(len(trajectory.samples) - 1) if dst.method in PROBE_METHODS else 0),
+            model.descriptor(), alloc, trajectory, total, cfg.batch_size, probe_events=probes),
         param_count=param_count(model.descriptor(), alloc),
         trajectory=list(trajectory.samples),
-        probe_events=(len(trajectory.samples) - 1) if dst.method in PROBE_METHODS else 0,
+        probe_events=probes,
     )
     with atomic_write(os.path.join(cfg.out_dir, "cost.json")) as fh:
         fh.write(cost.to_json() + "\n")

@@ -248,6 +248,16 @@ def test_flops_rigl_probe_toggle(capsys):
     assert a["training_flops"] > b["training_flops"]
 
 
+def test_flops_mest_r_charges_probes(capsys):
+    # mest_r regrows at random but scores removal by |w| + lambda*|grad|, so
+    # every event still needs the dense gradient
+    code, stdout, _ = run_cli(capsys, "flops", "mlp:784-300-100-10", "--method", "mest_r",
+                              "--sparsity", "0.5", "--epochs", "1", "--bs", "100",
+                              "--delta-t", "50")
+    assert code == 0
+    assert json.loads(stdout)["probe_events"] > 0
+
+
 def test_flops_argument_validation(capsys):
     code, _, err = run_cli(capsys, "flops", "vgg16-cifar", "--method", "set",
                            "--density", "0.5", "--sparsity", "0.5",

@@ -10,6 +10,7 @@ from dstforge.models import build_mlp
 from dstforge.optim import sgd_momentum_step
 from dstforge.schedulers import (
     METHODS,
+    PROBE_METHODS,
     BudgetTrajectory,
     DstConfig,
     dst_digest,
@@ -328,6 +329,23 @@ def test_granet_g_uses_gradient_regrowth():
     assert any(not np.array_equal(before[n], mask[n]) for n in mask.names())
 
 
+@pytest.mark.parametrize("method", METHODS[1:])
+def test_probe_methods_match_the_kernel(method, monkeypatch):
+    """The cost account charges a dense-gradient probe per event exactly for
+    the methods whose update computes one."""
+    cfg, model, alloc, mask, rng = toy_setup(method)
+    dense_grads = schedulers._dense_grads
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return dense_grads(*args)
+
+    monkeypatch.setattr(schedulers, "_dense_grads", counting)
+    topology_update(model, mask, alloc, cfg, 10, rng, fake_batch(np.random.default_rng(0)))
+    assert len(calls) == (1 if method in PROBE_METHODS else 0)
+
+
 def test_topology_update_rejects_dense():
     cfg, model, alloc, mask, rng = toy_setup("set")
     dense = DstConfig(method="dense", total_steps=80)
@@ -384,8 +402,6 @@ def test_every_event_meets_schedule_with_disjoint_moves(method, sparsity, seed):
         return wrapped
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(schedulers, "magnitude_prune",
-                   recording(schedulers.magnitude_prune, "removed", 1))
         mp.setattr(schedulers, "_prune_by_score",
                    recording(schedulers._prune_by_score, "removed", 1))
         mp.setattr(schedulers, "random_regrow",

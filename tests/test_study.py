@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import dstforge.data
 from dstforge.config import parse_config
 from dstforge.study import (
     DEFAULT_METHODS,
@@ -85,3 +86,33 @@ def test_ensure_run_rejects_mismatched_config(idx_dir, tmp_path):
         study_config_text(m, 1, 10, data, str(run_dir)))
     with pytest.raises(StudyError, match="different config"):
         ensure_run(m, 1, 20, data, str(tmp_path))
+
+
+def test_failed_config_write_leaves_no_config(idx_dir, tmp_path, monkeypatch):
+    # a partial config.ini would make every later run_study refuse the
+    # directory as holding a different config
+    class DiskFull:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            raise OSError(28, "No space left on device")
+
+    def failing_open(path, mode="r"):
+        fh = open(path, mode)
+        return DiskFull(fh) if path.endswith("config.ini.tmp") else fh
+
+    monkeypatch.setattr(dstforge.data, "open", failing_open, raising=False)
+    data = find_idx_dataset(str(idx_dir))
+    with pytest.raises(OSError, match="No space left"):
+        ensure_run(StudyMethod("dense", "dense"), 1, 1, data, str(tmp_path))
+    run_dir = tmp_path / "dense-seed1"
+    assert not run_dir.joinpath("config.ini").exists()
+    assert not run_dir.joinpath("config.ini.tmp").exists()

@@ -153,6 +153,36 @@ def test_resume_is_bitwise_identical(idx_dir, tmp_path):
             assert fa.read() == fb.read(), name
 
 
+def test_resume_from_earlier_checkpoint_rewrites_later_epochs(idx_dir, tmp_path):
+    """Resuming a finished run from its step-10 checkpoint, in the same
+    directory, redoes epochs 0 and 1 without duplicating their lines."""
+    full = str(tmp_path / "full")
+    again = str(tmp_path / "again")
+    for out in (full, again):
+        run_train(parse_config(toy_config(idx_dir, out, method="set", sparsity=0.5,
+                                          epochs=2, save_every=10)))
+    cfg = parse_config(toy_config(idx_dir, again, method="set", sparsity=0.5,
+                                  epochs=2, save_every=10))
+    run_train(cfg, resume_path=os.path.join(again, "step00000010.ckpt"))
+    assert [r["epoch"] for r in read_metrics(again)] == [0, 1]
+    for name in ("final.ckpt", "metrics.jsonl", "trajectory.csv", "cost.json"):
+        with open(os.path.join(full, name), "rb") as fa, \
+             open(os.path.join(again, name), "rb") as fb:
+            assert fa.read() == fb.read(), name
+
+
+def test_resume_rejects_missing_epoch_lines(idx_dir, tmp_path):
+    out = str(tmp_path / "run")
+    cfg = parse_config(toy_config(idx_dir, out, method="set", sparsity=0.5,
+                                  epochs=2, save_every=40))
+    run_train(cfg)
+    path = os.path.join(out, "metrics.jsonl")
+    os.remove(path)
+    with pytest.raises(CheckpointError, match="metrics.jsonl"):
+        run_train(cfg, resume_path=os.path.join(out, "step00000040.ckpt"))
+    assert not os.path.exists(path)
+
+
 def test_resume_rejects_wrong_schedule(idx_dir, tmp_path, set_run):
     _, ckpt = set_run
     other = parse_config(toy_config(idx_dir, str(tmp_path / "o"), method="set",
