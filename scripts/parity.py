@@ -13,8 +13,14 @@ metrics.jsonl, trajectory.csv and cost.json, and for the dense and sparse
 prints `flops-<arch>-<method> stdout <sha256>` for the `dstforge flops` report
 of every method on `mlp:784-300-100-10` and `vgg16-cifar` (sparsity 0.5, ERK,
 2 epochs, batch 100, delta_t 50, so every schedule has events), which covers
-the closed-form trajectory and the probe accounting. Run it on two checkouts
-and diff the outputs: a change that keeps every byte prints the same lines.
+the closed-form trajectory and the probe accounting. Last it runs the
+robustness study (`study.run_study`: dense, set_s50 and rigl_s50, seeds 1 and
+2, 2 epochs, on a 1x28x28 blob IDX set) twice, first from an empty root and
+then on its cached runs and corrupted grid, and prints
+`study-<fresh|cached> <artifact> <sha256>` for study.json, ra_curves.svg and
+the corrupted grid (one digest over the sorted file names and contents). Run
+it on two checkouts and diff the outputs: a change that keeps every byte
+prints the same lines.
 BLAS runs on one thread, since float sums (and so the MLP artifacts) change
 with the thread count.
 """
@@ -43,6 +49,11 @@ GRID = (
 )
 FLOPS_ARCHS = ("mlp:784-300-100-10", "vgg16-cifar")
 FLOPS_ARGS = ("--dist", "erk", "--epochs", "2", "--bs", "100", "--delta-t", "50")
+# label, method, sparsity
+STUDY_METHODS = (("dense", "dense", 0.0), ("set_s50", "set", 0.5), ("rigl_s50", "rigl", 0.5))
+STUDY_SEEDS = (1, 2)
+STUDY_EPOCHS = 2
+STUDY_SIZES = (600, 700)  # n_train, n_test; the test set spans two 512-image batches
 
 
 def _sha256_file(path: str) -> str:
@@ -53,6 +64,13 @@ def _sha256_file(path: str) -> str:
 def _sha256_logits(logits) -> str:
     head = f"{logits.dtype.str} {logits.shape}".encode()
     return hashlib.sha256(head + logits.tobytes()).hexdigest()
+
+
+def _sha256_dir(path: str) -> str:
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(path)):
+        h.update(f"{name} {_sha256_file(os.path.join(path, name))}\n".encode())
+    return h.hexdigest()
 
 
 def main() -> int:
@@ -69,6 +87,7 @@ def main() -> int:
     from dstforge.checkpoint import load_checkpoint
     from dstforge.cli import main as cli_main
     from dstforge.config import parse_config
+    from dstforge.study import StudyMethod, find_idx_dataset, run_study
     from dstforge.train import run_train
 
     if not os.path.abspath(dstforge.__file__).startswith(src_dir + os.sep):
@@ -122,6 +141,22 @@ def main() -> int:
                 return 1
             digest = hashlib.sha256(report.getvalue().encode()).hexdigest()
             print(f"flops-{arch.split(':')[0]}-{method}", "stdout", digest)
+
+    study_data_dir = os.path.join(out, "data", "study")
+    os.makedirs(study_data_dir, exist_ok=True)
+    n_train, n_test = STUDY_SIZES
+    blobs.write_idx_pair(study_data_dir, "train", *blobs.make_blob_set(n_train, (SEED, 3), (1, 28, 28)))
+    blobs.write_idx_pair(study_data_dir, "t10k", *blobs.make_blob_set(n_test, (SEED, 4), (1, 28, 28)))
+    study_root = os.path.join(out, "study")
+    shutil.rmtree(study_root, ignore_errors=True)
+    methods = [StudyMethod(*m) for m in STUDY_METHODS]
+    for phase in ("fresh", "cached"):
+        run_study(find_idx_dataset(study_data_dir), study_root, epochs=STUDY_EPOCHS,
+                  seeds=STUDY_SEEDS, methods=methods)
+        for artifact in ("study.json", "ra_curves.svg"):
+            print(f"study-{phase}", artifact, _sha256_file(os.path.join(study_root, artifact)))
+        print(f"study-{phase}", "corrupted", _sha256_dir(os.path.join(study_root, "corrupted")))
+        sys.stdout.flush()
     return 0
 
 

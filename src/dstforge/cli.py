@@ -29,25 +29,22 @@ import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import ConfigError, load_config
-from .corruption import KINDS, build_corrupted_set
+from .corruption import KINDS, SEVERITIES, build_corrupted_set
 from .data import (
     DataError,
+    _stem,
     load_idx,
     load_image_set,
     parse_corrupted_set_filename,
     write_corrupted_sets,
 )
-from .metrics import CostReport, attach_baseline, inference_flops, param_count, training_flops
+from .metrics import attach_baseline, cost_report, robustness_accuracy
 from .models import build_model, descriptor_library, parse_model_spec
-from .schedulers import METHODS, PROBE_METHODS, DstConfig, synthetic_trajectory
+from .schedulers import METHODS, DstConfig, synthetic_trajectory
 from .sparsity import allocate_erk, allocate_uniform
 from .spectral import KernelHeatmap, kernel_nonzero_counts, write_ra_curves_svg
 from .svg import grid_heatmap
 from .train import DivergenceError, run_eval, run_train
-
-
-def _stem(path: str) -> str:
-    return os.path.basename(path).rsplit(".", 1)[0]
 
 
 def _load_dataset(path: str, classes: int = 10):
@@ -80,10 +77,10 @@ def cmd_corrupt(args) -> int:
     for k in kinds:
         if k not in KINDS:
             raise ConfigError(f"unknown corruption kind {k!r}; known: {', '.join(KINDS)}")
-    severities = _csv_ints(args.severities) if args.severities else [1, 2, 3, 4, 5]
+    severities = _csv_ints(args.severities) if args.severities else list(SEVERITIES)
     for s in severities:
-        if not 1 <= s <= 5:
-            raise ConfigError(f"severity {s} outside 1..5")
+        if s not in SEVERITIES:
+            raise ConfigError(f"severity {s} outside {SEVERITIES[0]}..{SEVERITIES[-1]}")
     clean = _load_dataset(args.dataset)
     sets = build_corrupted_set(clean, kinds, severities, seed=args.seed)
     out_dir = args.out or (os.path.dirname(args.dataset) or ".")
@@ -110,10 +107,13 @@ def cmd_evaluate(args) -> int:
     sets = {}
     for p in _expand_sets(args.sets.split(",")):
         _, kind, sev = parse_corrupted_set_filename(p)
-        sets[(kind, sev)] = load_image_set(p)
-    report = run_eval(args.ckpt, corrupted_sets=sets)
-    if args.baseline:
-        report = attach_baseline(report, run_eval(args.baseline, corrupted_sets=sets))
+        sets[(kind, sev)] = p
+    ckpts = [args.ckpt] + ([args.baseline] if args.baseline else [])
+    # one pass: each set is loaded once and scored by the model and the baseline
+    report, *baseline = robustness_accuracy(
+        [load_checkpoint(c).build_model() for c in ckpts], sets)
+    if baseline:
+        report = attach_baseline(report, baseline[0])
     if args.csv:
         report.write_csv(args.csv)
     text = report.to_json()
@@ -236,23 +236,8 @@ def cmd_flops(args) -> int:
             alloc = alloc_fn(desc, sparsity)
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    traj = synthetic_trajectory(dst)
-    final_density = traj.samples[-1][1]
-    probes = 0
-    if args.method in PROBE_METHODS and not args.no_probe:
-        probes = len(traj.samples) - 1
-    report = CostReport(
-        arch=args.arch,
-        method=args.method,
-        density=final_density,
-        inference_flops=inference_flops(
-            desc, alloc,
-            density_scale=(final_density / alloc.global_density) if alloc else 1.0),
-        training_flops=training_flops(desc, alloc, traj, steps, args.bs, probe_events=probes),
-        param_count=param_count(desc, alloc),
-        trajectory=list(traj.samples),
-        probe_events=probes,
-    )
+    report = cost_report(args.arch, desc, args.method, alloc, synthetic_trajectory(dst),
+                         steps, args.bs, probe=not args.no_probe)
     print(report.to_json())
     return 0
 

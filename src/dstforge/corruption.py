@@ -34,6 +34,8 @@ KINDS = (
 HIGH_FREQUENCY_KINDS = KINDS[:4]
 LOW_FREQUENCY_KINDS = KINDS[4:]
 
+SEVERITIES = (1, 2, 3, 4, 5)
+
 SEVERITY_TABLE = {
     "gaussian_noise": (0.04, 0.08, 0.12, 0.18, 0.26),  # additive sigma
     "shot_noise": (500, 250, 100, 75, 50),  # photon count c
@@ -57,7 +59,7 @@ class CorruptionSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown corruption kind {self.kind!r}")
-        if self.severity not in (1, 2, 3, 4, 5):
+        if self.severity not in SEVERITIES:
             raise ValueError(f"severity must be 1..5, got {self.severity}")
 
     @property
@@ -184,7 +186,7 @@ def build_corrupted_set(clean: ImageSet, kinds=None, severities=None,
     """One corrupted copy of the clean set per (kind, severity); labels pass
     through untouched."""
     kinds = tuple(kinds) if kinds is not None else KINDS
-    severities = tuple(severities) if severities is not None else (1, 2, 3, 4, 5)
+    severities = tuple(severities) if severities is not None else SEVERITIES
     if not kinds or not severities:
         raise ValueError("build_corrupted_set needs non-empty kinds and severities")
     for k in kinds:

@@ -145,8 +145,8 @@ def load_cifar_binary(paths, name: str | None = None, classes: int = 10) -> Imag
 
 
 def _stem(path) -> str:
-    base = os.path.basename(str(path))
-    return base.split(".")[0]
+    """File name without its last extension."""
+    return os.path.basename(str(path)).rsplit(".", 1)[0]
 
 
 def _quantize(images: np.ndarray) -> np.ndarray:

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataError, ImageSet
+from .data import DataError, ImageSet, load_image_set
 from .models import ArchDescriptor, Model
-from .schedulers import BudgetTrajectory
+from .schedulers import PROBE_METHODS, BudgetTrajectory
 from .sparsity import SparsityAllocation
 
 
@@ -82,21 +82,23 @@ class CostReport:
         }, indent=2, sort_keys=True)
 
 
-def batched_accuracy(model: Model, images: np.ndarray, labels: np.ndarray,
-                     batch_size: int = 512, sparse: bool = False, transform=None) -> float:
-    """Top-1 accuracy of `model.predict`, `batch_size` images at a time.
+def batched_accuracy(models: list[Model], images: np.ndarray, labels: np.ndarray,
+                     batch_size: int = 512, sparse: bool = False, transform=None) -> list[float]:
+    """Top-1 accuracy of each model's `predict`, `batch_size` images at a time.
 
     `transform`, when given, maps each batch of images before prediction, so
-    a filtered copy of a large set never has to exist whole.
+    a filtered copy of a large set never has to exist whole; every model
+    scores the same transformed batch, which is built once.
     """
-    correct = 0
+    correct = [0] * len(models)
     for lo in range(0, len(images), batch_size):
         x = images[lo : lo + batch_size]
         if transform is not None:
             x = transform(x)
-        pred = model.predict(x, sparse=sparse).argmax(axis=1)
-        correct += int((pred == labels[lo : lo + batch_size]).sum())
-    return correct / len(images)
+        y = labels[lo : lo + batch_size]
+        for i, model in enumerate(models):
+            correct[i] += int((model.predict(x, sparse=sparse).argmax(axis=1) == y).sum())
+    return [c / len(images) for c in correct]
 
 
 def accuracy(model: Model, s: ImageSet, batch_size: int = 512, sparse: bool = False) -> float:
@@ -104,20 +106,30 @@ def accuracy(model: Model, s: ImageSet, batch_size: int = 512, sparse: bool = Fa
     if len(s) == 0:
         raise DataError("empty image set")
     try:
-        return batched_accuracy(model, s.images, s.labels, batch_size, sparse)
+        return batched_accuracy([model], s.images, s.labels, batch_size, sparse)[0]
     except ValueError as e:
         raise DataError(f"set {s.name!r} does not match the model: {e}") from e
 
 
-def robustness_accuracy(model: Model, corrupted_sets: dict) -> MetricsReport:
-    """Accuracy per (kind, severity) cell and the unweighted mean over cells."""
+def robustness_accuracy(models: list[Model], corrupted_sets: dict) -> list[MetricsReport]:
+    """Accuracy per (kind, severity) cell and the unweighted mean over cells,
+    one report per model.
+
+    Each cell is an ImageSet or the path of a persisted set. A path is loaded
+    only when its turn comes and every model scores it before the next one
+    loads, so at most one loaded set is held at a time.
+    """
     if not corrupted_sets:
         raise DataError("robustness_accuracy needs at least one set")
-    cells = {}
+    cells = [{} for _ in models]
     for key, s in corrupted_sets.items():
-        cells[key] = accuracy(model, s)
-    return MetricsReport(cells=cells, mean=float(np.mean(list(cells.values()))),
-                         model_id=model.spec.to_string())
+        if not isinstance(s, ImageSet):
+            s = load_image_set(s)
+        for cell, model in zip(cells, models):
+            cell[key] = accuracy(model, s)
+    return [MetricsReport(cells=cell, mean=float(np.mean(list(cell.values()))),
+                          model_id=model.spec.to_string())
+            for cell, model in zip(cells, models)]
 
 
 def relative_gain(acc_sparse: float, acc_dense: float) -> float:
@@ -207,3 +219,26 @@ def training_flops(desc: ArchDescriptor, alloc: SparsityAllocation | None,
     if probe_events:
         total += probe_events * batch * 3.0 * inference_flops(desc, None)
     return total
+
+
+def cost_report(arch: str, desc: ArchDescriptor, method: str,
+                alloc: SparsityAllocation | None, trajectory: BudgetTrajectory,
+                steps: int, batch: int, probe: bool = True) -> CostReport:
+    """The FLOP and parameter account of one recipe at its final density.
+
+    Gradient-probing methods are charged one dense probe per topology event
+    (one per trajectory sample after step 0) unless `probe` is False.
+    """
+    final = trajectory.samples[-1][1]
+    probes = len(trajectory.samples) - 1 if probe and method in PROBE_METHODS else 0
+    return CostReport(
+        arch=arch,
+        method=method,
+        density=final,
+        inference_flops=inference_flops(
+            desc, alloc, density_scale=(final / alloc.global_density) if alloc else 1.0),
+        training_flops=training_flops(desc, alloc, trajectory, steps, batch, probe_events=probes),
+        param_count=param_count(desc, alloc),
+        trajectory=list(trajectory.samples),
+        probe_events=probes,
+    )

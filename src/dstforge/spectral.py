@@ -42,12 +42,6 @@ class RACurve:
         if any(not 0.0 <= a <= 1.0 for _, a in self.points):
             raise ValueError("RA curve accuracies must lie in [0, 1]")
 
-    def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("mode,r,accuracy\n")
-            for r, acc in self.points:
-                fh.write(f"{self.mode},{r},{acc!r}\n")
-
 
 @dataclass
 class KernelHeatmap:
@@ -57,11 +51,6 @@ class KernelHeatmap:
 
     def total(self) -> float:
         return float(self.matrix.sum())
-
-    def write_csv(self, path):
-        with open(path, "w") as fh:
-            for row in self.matrix:
-                fh.write(",".join(repr(v.item()) for v in row) + "\n")
 
 
 def dft2_centered(image: np.ndarray) -> Spectrum:
@@ -110,19 +99,23 @@ def attenuate_images(images: np.ndarray, mode: str, r: int) -> np.ndarray:
     return idft2(attenuate(spec, mode, r)).astype(np.float32)
 
 
-def ra_curve(model: Model, clean_test: ImageSet, mode: str, radii,
-             batch_size: int = 512) -> RACurve:
-    """Accuracy after frequency attenuation, one point per radius."""
+def ra_curve(models: list[Model], clean_test: ImageSet, mode: str, radii,
+             batch_size: int = 512) -> list[RACurve]:
+    """Accuracy after frequency attenuation, one point per radius and one
+    curve per model."""
     radii = list(radii)
     if not radii:
         raise ValueError("ra_curve needs at least one radius")
-    points = []
+    points = [[] for _ in models]
     for r in radii:
-        # attenuate one batch at a time, so a filtered copy of the set never exists whole
-        acc = batched_accuracy(model, clean_test.images, clean_test.labels, batch_size,
-                               transform=lambda x: attenuate_images(x, mode, r))
-        points.append((int(r), acc))
-    return RACurve(mode=mode, points=points, model_id=model.spec.to_string())
+        # attenuate one batch at a time, so a filtered copy of the set never
+        # exists whole; every model scores each filtered batch
+        accs = batched_accuracy(models, clean_test.images, clean_test.labels, batch_size,
+                                transform=lambda x: attenuate_images(x, mode, r))
+        for pts, acc in zip(points, accs):
+            pts.append((int(r), acc))
+    return [RACurve(mode=mode, points=pts, model_id=model.spec.to_string())
+            for pts, model in zip(points, models)]
 
 
 def write_ra_curves_svg(curves: list[RACurve], path, title: str = "frequency attenuation"):

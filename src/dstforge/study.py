@@ -16,12 +16,11 @@ import numpy as np
 
 from .checkpoint import load_checkpoint
 from .config import RunConfig, parse_config
-from .corruption import KINDS, CorruptionSpec, corrupt_images
-from .data import (ImageSet, atomic_write, corrupted_set_filename, load_idx, load_image_set,
-                   save_image_set)
-from .metrics import MetricsReport, accuracy
+from .corruption import KINDS, SEVERITIES, build_corrupted_set
+from .data import ImageSet, atomic_write, corrupted_set_filename, load_idx, write_corrupted_sets
+from .metrics import accuracy, robustness_accuracy
 from .models import Model
-from .spectral import RACurve, attenuate_images, write_ra_curves_svg
+from .spectral import RACurve, ra_curve, write_ra_curves_svg
 from .train import run_train
 
 DEFAULT_RADII = (2, 4, 6, 8, 10)
@@ -137,23 +136,14 @@ def ensure_run(m: StudyMethod, seed: int, epochs: int, data: dict[str, str],
     return cfg, ckpt
 
 
-def _corrupted_path(corr_dir: str, base: str, kind: str, severity: int) -> str:
-    return os.path.join(corr_dir, corrupted_set_filename(base, kind, severity))
-
-
 def ensure_corrupted_set(clean: ImageSet, corr_dir: str, base: str, kind: str,
-                         severity: int, seed: int) -> ImageSet:
-    path = _corrupted_path(corr_dir, base, kind, severity)
-    if os.path.exists(path):
-        return load_image_set(path, name=f"{base}-{kind}-s{severity}")
-    spec = CorruptionSpec(kind=kind, severity=severity, seed=seed)
-    images = corrupt_images(clean.images, spec)
-    s = ImageSet(images=images, labels=clean.labels.copy(),
-                 name=f"{base}-{kind}-s{severity}", fmt=clean.fmt)
-    os.makedirs(corr_dir, exist_ok=True)
-    save_image_set(s, path)
-    # read back so cached and fresh invocations see identical uint8 rounding
-    return load_image_set(path, name=s.name)
+                         severity: int, seed: int) -> str:
+    """Path of one corrupted grid cell, rendering and writing it if missing."""
+    path = os.path.join(corr_dir, corrupted_set_filename(base, kind, severity))
+    if not os.path.exists(path):
+        sets = build_corrupted_set(clean, [kind], [severity], seed=seed)
+        write_corrupted_sets(sets, corr_dir, base)
+    return path
 
 
 @dataclass
@@ -202,10 +192,8 @@ def run_study(data: dict[str, str], root: str, epochs: int = 20,
     Everything lands under `root`: one run directory per (method, seed), the
     corrupted sets under corrupted/, and study.json + RA-curve SVGs on top.
     """
-    seeds = tuple(seeds)
-    methods = tuple(methods)
-    result = StudyResult(labels=tuple(m.label for m in methods), seeds=seeds,
-                         radii=tuple(radii))
+    seeds, methods, radii = tuple(seeds), tuple(methods), tuple(radii)
+    result = StudyResult(labels=tuple(m.label for m in methods), seeds=seeds, radii=radii)
 
     models: dict[tuple[str, int], Model] = {}
     test = None
@@ -221,37 +209,29 @@ def run_study(data: dict[str, str], root: str, epochs: int = 20,
     for key, model in models.items():
         result.clean_accuracy[key] = accuracy(model, test)
 
-    # corruption grid: one set in memory at a time, every model scored on it
+    # corruption grid: cells are rendered once and cached on disk; every model
+    # scores each cell before the next one loads
     corr_dir = os.path.join(root, "corrupted")
     base = os.path.basename(data["test_images"])
-    cells: dict[tuple[str, int], dict] = {key: {} for key in models}
+    paths = {}
     for kind in KINDS:
         if echo:
             echo(f"corruption {kind}")
-        for severity in (1, 2, 3, 4, 5):
-            s = ensure_corrupted_set(test, corr_dir, base, kind, severity, corruption_seed)
-            for key, model in models.items():
-                cells[key][(kind, severity)] = accuracy(model, s)
-    for key, cell in cells.items():
-        result.robustness[key] = MetricsReport(
-            cells=cell, mean=float(np.mean(list(cell.values()))),
-            model_id=f"{key[0]}-seed{key[1]}")
+        for severity in SEVERITIES:
+            paths[(kind, severity)] = ensure_corrupted_set(
+                test, corr_dir, base, kind, severity, corruption_seed)
+    stable = list(models.values())
+    for (label, seed), report in zip(models, robustness_accuracy(stable, paths)):
+        report.model_id = f"{label}-seed{seed}"
+        result.robustness[(label, seed)] = report
 
-    # attenuation sweep: each filtered set is built once, shared by all models
-    points: dict[tuple[str, int, str], list] = {
-        (label, seed, mode): []
-        for (label, seed) in models for mode in ("low", "high")}
+    # attenuation sweep: each filtered batch is built once, shared by all models
     for mode in ("low", "high"):
-        for r in radii:
-            if echo:
-                echo(f"attenuation {mode} r={r}")
-            filtered = ImageSet(images=attenuate_images(test.images, mode, r),
-                                labels=test.labels, name=f"att-{mode}-{r}", fmt=test.fmt)
-            for (label, seed), model in models.items():
-                points[(label, seed, mode)].append((r, accuracy(model, filtered)))
-    for (label, seed, mode), pts in points.items():
-        result.ra[(label, seed, mode)] = RACurve(
-            mode=mode, points=pts, model_id=f"{label}-seed{seed}")
+        if echo:
+            echo(f"attenuation {mode} r={','.join(str(r) for r in radii)}")
+        for (label, seed), curve in zip(models, ra_curve(stable, test, mode, radii)):
+            curve.model_id = f"{label}-seed{seed}"
+            result.ra[(label, seed, mode)] = curve
 
     with atomic_write(os.path.join(root, "study.json")) as fh:
         fh.write(result.to_json() + "\n")

@@ -16,13 +16,11 @@ import numpy as np
 
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .config import RunConfig
-from .data import DataError, ImageSet, atomic_write, load_cifar_binary, load_idx, load_image_set
-from .metrics import (CostReport, MetricsReport, batched_accuracy, inference_flops, param_count,
-                      robustness_accuracy, training_flops)
+from .data import ImageSet, atomic_write, load_cifar_binary, load_idx
+from .metrics import MetricsReport, batched_accuracy, cost_report, robustness_accuracy
 from .models import Model, build_model
 from .optim import lr_at, sgd_momentum_step
-from .schedulers import (PROBE_METHODS, BudgetTrajectory, DstConfig, dst_digest, should_update,
-                         topology_update)
+from .schedulers import BudgetTrajectory, dst_digest, should_update, topology_update
 from .sparsity import allocate_erk, allocate_uniform, apply_mask, init_topology, mask_shapes
 from .spectral import RACurve, ra_curve
 from .tensor import Tensor, backward, softmax_cross_entropy
@@ -55,7 +53,7 @@ def load_train_test(cfg: RunConfig) -> tuple[ImageSet, ImageSet]:
 
 def test_accuracy(model: Model, images: np.ndarray, labels: np.ndarray,
                   batch_size: int = 500) -> float:
-    return batched_accuracy(model, images, labels, batch_size)
+    return batched_accuracy([model], images, labels, batch_size)[0]
 
 
 def make_allocation(cfg: RunConfig, model: Model):
@@ -200,20 +198,8 @@ def run_train(cfg: RunConfig, resume_path=None, stop_after_step: int | None = No
 
     last_ckpt = save(os.path.join(cfg.out_dir, "final.ckpt"), total)
     trajectory.write_csv(os.path.join(cfg.out_dir, "trajectory.csv"))
-    probes = (len(trajectory.samples) - 1) if dst.method in PROBE_METHODS else 0
-    cost = CostReport(
-        arch=cfg.model.to_string(),
-        method=dst.method,
-        density=trajectory.samples[-1][1],
-        inference_flops=inference_flops(
-            model.descriptor(), alloc,
-            density_scale=(trajectory.samples[-1][1] / alloc.global_density) if alloc else 1.0),
-        training_flops=training_flops(
-            model.descriptor(), alloc, trajectory, total, cfg.batch_size, probe_events=probes),
-        param_count=param_count(model.descriptor(), alloc),
-        trajectory=list(trajectory.samples),
-        probe_events=probes,
-    )
+    cost = cost_report(cfg.model.to_string(), model.descriptor(), dst.method, alloc,
+                       trajectory, total, cfg.batch_size)
     with atomic_write(os.path.join(cfg.out_dir, "cost.json")) as fh:
         fh.write(cost.to_json() + "\n")
     return last_ckpt
@@ -231,13 +217,10 @@ def run_eval(ckpt_path, corrupted_sets: dict | None = None,
     `corrupted_sets` maps (kind, severity) to ImageSet or to a file path;
     `attenuation` is (clean ImageSet, mode, radii). Weights are never touched.
     """
-    model, _ = load_model_from_checkpoint(ckpt_path)
     if (corrupted_sets is None) == (attenuation is None):
         raise ValueError("run_eval takes exactly one of corrupted_sets or attenuation")
+    model, _ = load_model_from_checkpoint(ckpt_path)
     if corrupted_sets is not None:
-        sets = {}
-        for key, val in corrupted_sets.items():
-            sets[key] = val if isinstance(val, ImageSet) else load_image_set(val)
-        return robustness_accuracy(model, sets)
+        return robustness_accuracy([model], corrupted_sets)[0]
     clean, mode, radii = attenuation
-    return ra_curve(model, clean, mode, radii)
+    return ra_curve([model], clean, mode, radii)[0]

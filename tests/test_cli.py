@@ -133,6 +133,39 @@ def test_evaluate_with_baseline_gains(cli_run, idx_dir, tmp_path, capsys):
     assert doc["per_kind_relative_gain"]["gaussian_noise"] == pytest.approx(0.0)
 
 
+def test_evaluate_baseline_in_one_pass_matches_single_runs(
+        cli_run, dense_run, idx_dir, tmp_path, capsys, monkeypatch):
+    import dstforge.metrics
+
+    out, _ = cli_run
+    corr = str(tmp_path / "sets")
+    assert run_cli(capsys, "corrupt", f"{idx_dir}/t10k-images-idx3-ubyte",
+                   "--kinds", "gaussian_noise,contrast", "--severities", "2,4",
+                   "--out", corr)[0] == 0
+    ckpt, baseline = os.path.join(out, "final.ckpt"), dense_run[1]
+    single = [json.loads(run_cli(capsys, "evaluate", c, "--sets", corr)[1])
+              for c in (ckpt, baseline)]
+    loads = []
+    load = dstforge.metrics.load_image_set
+    monkeypatch.setattr(dstforge.metrics, "load_image_set",
+                        lambda p, *a, **k: loads.append(p) or load(p, *a, **k))
+    code, stdout, _ = run_cli(capsys, "evaluate", ckpt, "--sets", corr, "--baseline", baseline)
+    assert code == 0
+    assert sorted(loads) == sorted(os.path.join(corr, f) for f in os.listdir(corr))
+    doc = json.loads(stdout)
+    assert doc["cells"] == single[0]["cells"]
+    assert doc["mean_robustness_accuracy"] == single[0]["mean_robustness_accuracy"]
+    assert doc["baseline"] == single[1]["model"]
+    base_cells = {(c["kind"], c["severity"]): c["accuracy"] for c in single[1]["cells"]}
+    for kind, gain in doc["per_kind_relative_gain"].items():
+        base = np.mean([a for (k, _), a in base_cells.items() if k == kind])
+        mine = np.mean([c["accuracy"] for c in doc["cells"] if c["kind"] == kind])
+        assert gain == pytest.approx((mine - base) / base)
+    assert doc["mean_relative_gain"] == pytest.approx(
+        (doc["mean_robustness_accuracy"] - single[1]["mean_robustness_accuracy"])
+        / single[1]["mean_robustness_accuracy"])
+
+
 def test_evaluate_missing_set_exits_3(cli_run, tmp_path, capsys):
     out, _ = cli_run
     code, _, err = run_cli(capsys, "evaluate", os.path.join(out, "final.ckpt"),

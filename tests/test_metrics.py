@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from dstforge.data import DataError, ImageSet
+import dstforge.metrics
+from dstforge.data import DataError, ImageSet, save_image_set
 from dstforge.metrics import (
     CostReport,
     MetricsReport,
@@ -62,19 +63,51 @@ def test_accuracy_shape_mismatch_names_the_set():
 def test_robustness_accuracy_mean_over_cells():
     model = build_mlp((144, 16, 10), np.random.default_rng(1))
     sets = {("gaussian_noise", 1): toy_set(seed=1), ("contrast", 5): toy_set(seed=2)}
-    rep = robustness_accuracy(model, sets)
+    [rep] = robustness_accuracy([model], sets)
     assert rep.model_id == "mlp:144-16-10"
     assert set(rep.cells) == set(sets)
     assert rep.mean == pytest.approx(np.mean(list(rep.cells.values())))
     with pytest.raises(DataError):
-        robustness_accuracy(model, {})
+        robustness_accuracy([model], {})
 
 
 def test_clean_set_as_single_cell_equals_clean_accuracy():
     model = build_mlp((144, 16, 10), np.random.default_rng(1))
     s = toy_set(seed=3)
-    rep = robustness_accuracy(model, {("clean", 1): s})
+    [rep] = robustness_accuracy([model], {("clean", 1): s})
     assert rep.mean == pytest.approx(accuracy(model, s))
+
+
+def test_robustness_accuracy_loads_each_path_once_and_scores_it_with_every_model(
+        tmp_path, monkeypatch):
+    models = [build_mlp((144, 16, 10), np.random.default_rng(seed)) for seed in (1, 2)]
+    sets = {("gaussian_noise", s): toy_set(seed=s) for s in (1, 2, 3)}
+    paths = {}
+    for key, s in sets.items():
+        paths[key] = str(tmp_path / f"toy-{key[0]}-s{key[1]}.bin")
+        save_image_set(s, paths[key])
+    log = []
+    load, score = dstforge.metrics.load_image_set, dstforge.metrics.accuracy
+
+    def logged_load(path, *args, **kwargs):
+        log.append(("load", path))
+        return load(path, *args, **kwargs)
+
+    def logged_score(model, s, *args, **kwargs):
+        log.append(("score", models.index(model)))
+        return score(model, s, *args, **kwargs)
+
+    monkeypatch.setattr(dstforge.metrics, "load_image_set", logged_load)
+    monkeypatch.setattr(dstforge.metrics, "accuracy", logged_score)
+    reports = robustness_accuracy(models, paths)
+    assert log == [entry for p in paths.values()
+                   for entry in (("load", p), ("score", 0), ("score", 1))]
+    monkeypatch.undo()
+    # the persisted sets are quantized, so score the files against themselves
+    for model, report in zip(models, reports):
+        [single] = robustness_accuracy([model], paths)
+        assert report.cells == single.cells
+        assert report.mean == single.mean
 
 
 # --- relative gain ------------------------------------------------------------

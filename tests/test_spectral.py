@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from dstforge.models import build_mlp, build_small_convnet
 from dstforge.spectral import (
-    KernelHeatmap,
     RACurve,
     attenuate,
     attenuate_images,
@@ -136,7 +135,7 @@ def test_ra_curve_on_toy_model():
     labels = r.integers(0, 10, 40).astype(np.int64)
     s = ImageSet(images=imgs, labels=labels, name="toy")
     model = build_mlp((144, 16, 10), np.random.default_rng(1))
-    curve = ra_curve(model, s, "low", (0, 2, 4))
+    [curve] = ra_curve([model], s, "low", (0, 2, 4))
     assert curve.mode == "low"
     assert [p[0] for p in curve.points] == [0, 2, 4]
     assert all(0.0 <= a <= 1.0 for _, a in curve.points)
@@ -151,17 +150,30 @@ def test_ra_curve_r0_equals_clean_accuracy():
     labels = r.integers(0, 10, 30).astype(np.int64)
     s = ImageSet(images=imgs, labels=labels, name="toy")
     model = build_mlp((144, 16, 10), np.random.default_rng(1))
-    curve = ra_curve(model, s, "high", (0, 3))
+    [curve] = ra_curve([model], s, "high", (0, 3))
     assert curve.points[0][1] == pytest.approx(accuracy(model, s))
 
 
-def test_ra_curve_csv(tmp_path):
-    c = RACurve(mode="low", points=[(2, 0.5), (4, 0.25)], model_id="m")
-    p = tmp_path / "ra.csv"
-    c.write_csv(p)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "mode,r,accuracy"
-    assert lines[1] == "low,2,0.5"
+def test_ra_curve_filters_each_batch_once_for_every_model(monkeypatch):
+    import dstforge.spectral
+
+    r = np.random.default_rng(4)
+    s = ImageSet(images=r.random((25, 1, 12, 12)).astype(np.float32),
+                 labels=r.integers(0, 10, 25).astype(np.int64), name="toy")
+    models = [build_mlp((144, 16, 10), np.random.default_rng(seed)) for seed in (1, 2, 3)]
+    singles = [ra_curve([m], s, "low", (0, 2, 4), batch_size=10)[0] for m in models]
+    calls = []
+    attenuate_images = dstforge.spectral.attenuate_images
+
+    def counted(x, mode, radius):
+        calls.append((len(x), radius))
+        return attenuate_images(x, mode, radius)
+
+    monkeypatch.setattr(dstforge.spectral, "attenuate_images", counted)
+    curves = ra_curve(models, s, "low", (0, 2, 4), batch_size=10)
+    assert calls == [(n, radius) for radius in (0, 2, 4) for n in (10, 10, 5)]
+    assert [c.points for c in curves] == [c.points for c in singles]
+    assert [c.model_id for c in curves] == ["mlp:144-16-10"] * 3
 
 
 def test_write_ra_curves_svg(tmp_path):
@@ -211,9 +223,3 @@ def test_kernel_heatmap_shape_mismatch():
     with pytest.raises(ValueError):
         kernel_nonzero_counts(model.layers[0], np.ones((32, 3, 2, 2), dtype=bool))
 
-
-def test_heatmap_csv(tmp_path):
-    hm = KernelHeatmap("conv1", "count", np.array([[1, 2], [3, 4]]))
-    p = tmp_path / "hm.csv"
-    hm.write_csv(p)
-    assert p.read_text().splitlines() == ["1,2", "3,4"]

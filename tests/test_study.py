@@ -1,18 +1,29 @@
-"""Study orchestration: dataset discovery, config generation, run reuse."""
+"""Study orchestration: dataset discovery, config generation, run reuse,
+and the scores of a whole study against direct metric calls."""
 
+import json
 import os
 from pathlib import Path
 
 import pytest
 
+from conftest import make_blob_set, write_idx_pair
+
 import dstforge.data
+import dstforge.study
+from dstforge.checkpoint import load_checkpoint
 from dstforge.config import parse_config
+from dstforge.corruption import KINDS, SEVERITIES
+from dstforge.data import corrupted_set_filename, load_idx
+from dstforge.metrics import accuracy, robustness_accuracy
+from dstforge.spectral import ra_curve
 from dstforge.study import (
     DEFAULT_METHODS,
     StudyError,
     StudyMethod,
     ensure_run,
     find_idx_dataset,
+    run_study,
     study_config_text,
 )
 
@@ -116,3 +127,43 @@ def test_failed_config_write_leaves_no_config(idx_dir, tmp_path, monkeypatch):
     run_dir = tmp_path / "dense-seed1"
     assert not run_dir.joinpath("config.ini").exists()
     assert not run_dir.joinpath("config.ini.tmp").exists()
+
+
+def test_run_study_scores_match_direct_calls_and_rerun_is_cached(tmp_path, monkeypatch):
+    # the study trains mlp:784-300-100-10, so it needs 1x28x28 images
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    write_idx_pair(str(data_dir), "train", *make_blob_set(300, seed=1, side=28))
+    write_idx_pair(str(data_dir), "t10k", *make_blob_set(120, seed=2, side=28))
+    data = find_idx_dataset(str(data_dir))
+    root = str(tmp_path / "study")
+    methods = (StudyMethod("dense", "dense"), StudyMethod("set_s50", "set", 0.5))
+    radii = (2, 6)
+    result = run_study(data, root, epochs=1, seeds=(1,), methods=methods, radii=radii,
+                       corruption_seed=3)
+    with open(os.path.join(root, "study.json"), "rb") as fh:
+        written = fh.read()
+    doc = json.loads(written)
+
+    test = load_idx(data["test_images"], data["test_labels"])
+    base = os.path.basename(data["test_images"])
+    grid = {(kind, sev): os.path.join(root, "corrupted", corrupted_set_filename(base, kind, sev))
+            for kind in KINDS for sev in SEVERITIES}
+    for m in methods:
+        model = load_checkpoint(result.checkpoints[(m.label, 1)]).build_model()
+        assert doc["clean_accuracy"][f"{m.label}-seed1"] == accuracy(model, test)
+        [report] = robustness_accuracy([model], grid)
+        assert doc["mean_robustness_accuracy"][m.label] == report.mean
+        for mode in ("low", "high"):
+            [curve] = ra_curve([model], test, mode, radii)
+            assert doc["ra_mean"][f"{m.label}-{mode}"] == [list(p) for p in curve.points]
+
+    def no_rework(*args, **kwargs):
+        raise AssertionError("a cached study trained or rendered again")
+
+    monkeypatch.setattr(dstforge.study, "build_corrupted_set", no_rework)
+    monkeypatch.setattr(dstforge.study, "run_train", no_rework)
+    run_study(data, root, epochs=1, seeds=(1,), methods=methods, radii=radii,
+              corruption_seed=3)
+    with open(os.path.join(root, "study.json"), "rb") as fh:
+        assert fh.read() == written
