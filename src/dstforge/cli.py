@@ -107,7 +107,8 @@ def cmd_evaluate(args) -> int:
     sets = {}
     for p in _expand_sets(args.sets.split(",")):
         _, kind, sev = parse_corrupted_set_filename(p)
-        sets[(kind, sev)] = p
+        if sets.setdefault((kind, sev), p) != p:
+            raise DataError(f"two sets for cell {kind}-s{sev}: {sets[(kind, sev)]} and {p}")
     ckpts = [args.ckpt] + ([args.baseline] if args.baseline else [])
     # one pass: each set is loaded once and scored by the model and the baseline
     report, *baseline = robustness_accuracy(

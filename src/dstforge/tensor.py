@@ -210,26 +210,47 @@ def relu(x: Tensor) -> Tensor:
     return _make(y, (x,), grad_fn)
 
 
-def _pool_input(x: np.ndarray) -> np.ndarray:
+def _pool_max(x: np.ndarray) -> np.ndarray:
+    """The values of maxpool2x2: a pairwise maximum over the four strided
+    window positions, written into one output array."""
     if x.ndim != 4:
         raise ValueError(f"maxpool2x2 expects 4-d input, got {x.shape}")
     if x.shape[2] % 2 or x.shape[3] % 2:
         raise ValueError(f"maxpool2x2 needs even spatial dims, got {x.shape[2]}x{x.shape[3]}")
-    return x
+    y = np.maximum(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2])
+    np.maximum(y, x[:, :, 1::2, 0::2], out=y)
+    return np.maximum(y, x[:, :, 1::2, 1::2], out=y)
 
 
 def maxpool2x2(x: Tensor) -> Tensor:
-    """2x2 max pooling with stride 2. Both spatial dims must be even."""
-    n, c, h, w = _pool_input(x.data).shape
-    oh, ow = h // 2, w // 2
-    windows = x.data.reshape(n, c, oh, 2, ow, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, 4)
-    idx = windows.argmax(axis=-1)  # first max wins on ties
-    y = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    """2x2 max pooling with stride 2. Both spatial dims must be even.
+
+    Backward routes each window's gradient to the first of its positions, in
+    row-major order, whose value equals the window's max; the other three
+    get +0.0. So a tie goes to the top-left-most winner, as an argmax over
+    the window picks it. A window holding NaN pools to NaN and routes
+    nothing, where an argmax would pick its first NaN; its loss is NaN
+    either way. On a window that mixes -0.0 and +0.0 as its max, the pooled
+    value may carry either sign, while an argmax pick returns the first
+    one's. relu never outputs -0.0, so no model's pool input holds such a
+    window, and no trained artifact depends on it.
+    """
+    y = _pool_max(x.data)
 
     def grad_fn(dy):
-        dwin = np.zeros_like(windows)
-        np.put_along_axis(dwin, idx[..., None], dy[..., None], axis=-1)
-        dx = dwin.reshape(n, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+        a = x.data
+        uint = np.dtype(f"u{a.itemsize}")
+        dx = np.empty_like(a)
+        # dy where a window routes to this position, +0.0 elsewhere: masking
+        # the bits keeps dy exact, where dy * hit would write -0.0 under a
+        # negative dy
+        dy_bits, dx_bits = dy.astype(a.dtype, copy=False).view(uint), dx.view(uint)
+        free = np.ones(y.shape, dtype=bool)  # windows not yet routed
+        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):  # row-major
+            hit = a[:, :, i::2, j::2] == y
+            hit &= free
+            free ^= hit
+            np.bitwise_and(dy_bits, np.negative(hit, dtype=uint), out=dx_bits[:, :, i::2, j::2])
         _accum(x, dx)
 
     return _make(y, (x,), grad_fn)
@@ -255,19 +276,15 @@ def _conv2d_eval(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int 
 
 
 def _maxpool2x2_eval(x: Tensor) -> Tensor:
-    # a strided max: the argmax pick's values, without the window copy and
-    # index array that only backward reads
-    a = _pool_input(x.data)
-    y = np.maximum(a[:, :, 0::2, 0::2], a[:, :, 0::2, 1::2])
-    np.maximum(y, a[:, :, 1::2, 0::2], out=y)
-    return Tensor(np.maximum(y, a[:, :, 1::2, 1::2], out=y))
+    return Tensor(_pool_max(x.data))
 
 
 def layer_kernels():
     """(linear, conv2d, maxpool) for the current grad mode: the graph ops
     `linear_forward`, `conv2d_forward` and `maxpool2x2`, or inside `no_grad`
-    forward-only forms of them, which give the same values (linear and conv2d
-    share the graph ops' arithmetic) and keep nothing for a backward pass.
+    forward-only forms of them, which run the graph ops' own forward
+    arithmetic (`_linear`, `_conv2d`, `_pool_max`) and keep nothing for a
+    backward pass.
     Inference thus stays off the graph ops' entry points, which the
     benchmark's traced pass (perfbench/tracing.py) counts as training work."""
     if grad_enabled():

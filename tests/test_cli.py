@@ -173,6 +173,21 @@ def test_evaluate_missing_set_exits_3(cli_run, tmp_path, capsys):
     assert code == 3
 
 
+def test_evaluate_two_files_for_one_cell_exits_3(cli_run, idx_dir, tmp_path, capsys):
+    out, _ = cli_run
+    corr = str(tmp_path / "sets")
+    for base in ("t10k-images-idx3-ubyte", "train-images-idx3-ubyte"):
+        assert run_cli(capsys, "corrupt", f"{idx_dir}/{base}", "--kinds", "contrast",
+                       "--severities", "5", "--out", corr)[0] == 0
+    paths = sorted(os.path.join(corr, f) for f in os.listdir(corr))
+    assert len(paths) == 2
+    code, stdout, err = run_cli(capsys, "evaluate", os.path.join(out, "final.ckpt"),
+                                "--sets", corr)
+    assert code == 3
+    assert stdout == ""
+    assert "contrast-s5" in err and all(p in err for p in paths)
+
+
 def test_evaluate_bad_checkpoint_exits_3(idx_dir, tmp_path, capsys):
     bogus = str(tmp_path / "bogus.ckpt")
     with open(bogus, "wb") as fh:

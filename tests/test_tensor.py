@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MARGIN, check_param_grads, relu_margin
+from conftest import MARGIN, check_param_grads, numeric_grad, relu_margin
 
 from dstforge.models import build_small_convnet
 from dstforge.tensor import (
@@ -86,6 +86,50 @@ def test_maxpool_forward():
     x = Tensor(np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4))
     y = maxpool2x2(x)
     np.testing.assert_array_equal(y.data[0, 0], [[5.0, 7.0], [13.0, 15.0]])
+
+
+def _pool_oracle(a: np.ndarray, dy: np.ndarray):
+    """maxpool2x2 by a loop over windows: each takes the first of its maxima
+    in row-major order, which alone receives dy; every other position +0.0."""
+    y, dx = np.empty_like(dy), np.zeros_like(a)
+    for b, c, i, j in np.ndindex(*dy.shape):
+        win = a[b, c, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
+        r, s = next((r, s) for r in range(2) for s in range(2) if win[r, s] == win.max())
+        y[b, c, i, j] = win[r, s]
+        dx[b, c, 2 * i + r, 2 * j + s] = dy[b, c, i, j]
+    return y, dx
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(1, 4),
+       st.sampled_from([np.float32, np.float64]),
+       st.sampled_from(["ints", "relu", "zero_windows"]), st.integers(0, 2**32 - 1))
+def test_maxpool_matches_a_window_loop_bytewise(n, c, oh, ow, dtype, inputs, seed):
+    rng = np.random.default_rng(seed)
+    shape = (n, c, 2 * oh, 2 * ow)
+    if inputs == "ints":
+        # one value per window, half the positions redrawn: ties of two to four
+        a = rng.integers(-2, 3, (n, c, oh, ow)).repeat(2, axis=2).repeat(2, axis=3)
+        redraw = rng.random(shape) < 0.5
+        a[redraw] = rng.integers(-2, 3, int(redraw.sum()))
+    else:
+        a = np.maximum(rng.standard_normal(shape), 0.0)
+        if inputs == "zero_windows":
+            a[(rng.random((n, c, oh, ow)) < 0.5).repeat(2, axis=2).repeat(2, axis=3)] = 0.0
+    a = a.astype(dtype)
+    dy = rng.standard_normal((n, c, oh, ow)).astype(dtype)
+    dy[rng.random(dy.shape) < 0.2] = -0.0
+    want_y, want_dx = _pool_oracle(a, dy)
+
+    x = Tensor(a, requires_grad=True)
+    y = maxpool2x2(x)
+    y._grad_fn(dy)
+    assert y.data.dtype == x.grad.dtype == dtype
+    assert y.data.tobytes() == want_y.tobytes()
+    assert x.grad.tobytes() == want_dx.tobytes()
+    for odd in (a[:, :, 1:], a[:, :, :, 1:]):
+        with pytest.raises(ValueError):
+            maxpool2x2(Tensor(odd))
 
 
 def test_flatten_shape():
@@ -174,6 +218,31 @@ def test_conv_stride_two():
     assert np.all(y.data == 9.0)
 
 
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(3, 7), st.integers(3, 7),
+       st.integers(1, 3), st.integers(1, 3), st.integers(1, 2), st.integers(0, 2),
+       st.integers(0, 2**32 - 1))
+def test_conv_gradients_match_finite_differences_over_strides_and_padding(
+        c_in, c_out, h, w, kh, kw, stride, padding, seed):
+    # sum(y * r) is linear in each of x, w and b, so central differences are
+    # exact up to rounding: no relu or pool switch in the way
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal((2, c_in, h, w)), requires_grad=True)
+    wt = Parameter(rng.standard_normal((c_out, c_in, kh, kw)), name="w")
+    b = Parameter(rng.standard_normal(c_out), name="b")
+    y = conv2d_forward(x, wt, b, stride, padding)
+    assert y.shape[2:] == ((h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1)
+    r = rng.standard_normal(y.shape)
+    y._grad_fn(r)  # the gradient of sum(y * r)
+
+    def loss():
+        return float(np.sum(conv2d_forward(x, wt, b, stride, padding).data * r))
+
+    for t in (x, wt, b):
+        np.testing.assert_allclose(t.grad, numeric_grad(loss, t.data, eps=1e-3),
+                                   rtol=1e-7, atol=1e-9)
+
+
 def test_no_grad_builds_no_graph_and_restores_grad_mode():
     model = build_small_convnet((1, 8, 8), 10, np.random.default_rng(0))
     x = Tensor(np.random.default_rng(1).random((2, 1, 8, 8)).astype(np.float32))
@@ -202,15 +271,17 @@ def test_layer_kernels_under_no_grad_match_the_graph_ops():
     b = Parameter(rng.standard_normal(4).astype(np.float32), name="b")
     fw = Parameter(rng.standard_normal((5, 108)).astype(np.float32), name="fw")
     fb = Parameter(rng.standard_normal(5).astype(np.float32), name="fb")
-    ties = Tensor(np.round(rng.random((2, 3, 6, 6)) * 3).astype(np.float32))
+    # relu'd like every pool input of the models: zeros and rounded ties
+    pooled = relu(Tensor(np.round(rng.standard_normal((2, 3, 6, 6)) * 2).astype(np.float32)))
     assert layer_kernels() == (linear_forward, conv2d_forward, maxpool2x2)
     with no_grad():
         linear, conv2d, maxpool = layer_kernels()
         assert maxpool is not maxpool2x2
         for got, want in ((conv2d(x, w, b, padding=1), conv2d_forward(x, w, b, padding=1)),
                           (linear(flatten(x), fw, fb), linear_forward(flatten(x), fw, fb)),
-                          (maxpool(ties), maxpool2x2(ties))):
+                          (maxpool(pooled), maxpool2x2(pooled))):
             assert not got.requires_grad and got._parents == ()
-            np.testing.assert_array_equal(got.data, want.data)
+            assert got.data.dtype == want.data.dtype
+            assert got.data.tobytes() == want.data.tobytes()
         with pytest.raises(ValueError):
             maxpool(Tensor(np.ones((1, 1, 3, 4), dtype=np.float32)))
