@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sparsity", type=float, default=None)
     p.add_argument("--epochs", type=int, required=True)
     p.add_argument("--bs", type=int, required=True)
-    p.add_argument("--delta-t", type=int, default=500)
+    p.add_argument("--delta-t", type=int, default=DstConfig.delta_t)
     p.add_argument("--dist", default="erk", choices=("erk", "uniform"))
     p.add_argument("--images-per-epoch", type=int, default=None,
                    help="default: 50000, or 1281167/*imagenet*, 100000/*tiny*")

@@ -25,12 +25,24 @@ class ConfigError(Exception):
     pass
 
 
+# [dst] key -> (DstConfig field, cast). Only the keys a config sets are passed
+# on, so DstConfig holds the one copy of every default.
+_DST_FIELDS = {
+    "method": ("method", str),
+    "sparsity": ("sparsity", float),
+    "delta_t": ("delta_t", int),
+    "p": ("p0", float),
+    "soft_bound": ("soft_bound", float),
+    "init_density": ("init_density", float),
+    "horizon": ("horizon", int),
+    "start_step": ("start_step", int),
+    "stop_step": ("stop_step", int),
+    "mest_lambda": ("mest_lambda", float),
+}
 _ALLOWED = {
     "data": {"dataset", "format", "train", "train_labels", "test", "test_labels", "classes"},
     "train": {"model", "epochs", "seed", "lr", "bs", "lrs", "wd", "momentum", "eval_every"},
-    "dst": {"method", "sparsity", "sparsity_dist", "delta_t", "p", "soft_bound",
-            "init_density", "horizon", "start_step", "stop_step", "mest_lambda",
-            "dense_overrides"},
+    "dst": {*_DST_FIELDS, "sparsity_dist", "dense_overrides"},
     "output": {"dir", "save_every"},
 }
 _REQUIRED = {"data": {"dataset", "train", "test"}, "train": {"model", "epochs", "seed"},
@@ -81,28 +93,40 @@ class RunConfig:
         return hashlib.sha256(json.dumps(doc, sort_keys=True, default=str).encode()).hexdigest()
 
 
-def _peek_idx_count(path: str) -> int:
+def _peek_idx(path: str) -> tuple[int, tuple[int, int, int]]:
     with open(path, "rb") as fh:
         head = fh.read(16)
     if len(head) < 16:
         raise DataError(f"{path}: truncated IDX header ({len(head)} bytes)")
-    magic, n, _, _ = struct.unpack(">IIII", head)
+    magic, n, h, w = struct.unpack(">IIII", head)
     if magic != IDX_IMAGES_MAGIC:
         raise DataError(f"{path}: bad IDX image magic 0x{magic:08x}")
-    return n
+    return n, (1, h, w)
 
 
-def _peek_cifar_count(path: str) -> int:
+def _peek_cifar(path: str) -> tuple[int, tuple[int, int, int]]:
     size = os.path.getsize(path)
     if size == 0 or size % CIFAR_RECORD:
         raise DataError(f"{path}: size {size} is not a multiple of {CIFAR_RECORD}-byte records")
-    return size // CIFAR_RECORD
+    return size // CIFAR_RECORD, (3, 32, 32)
 
 
-def _count_examples(paths: tuple[str, ...], fmt: str) -> int:
-    if fmt == "idx":
-        return sum(_peek_idx_count(p) for p in paths)
-    return sum(_peek_cifar_count(p) for p in paths)
+def _shape_text(shape: tuple[int, ...]) -> str:
+    return "x".join(str(d) for d in shape)
+
+
+def _peek_images(paths: tuple[str, ...], fmt: str) -> tuple[int, tuple[int, int, int]]:
+    """Image count of `paths` and their (c, h, w), read from the file headers
+    (IDX) or sizes (CIFAR); every file must hold the same image shape."""
+    peek = _peek_idx if fmt == "idx" else _peek_cifar
+    total, shape = 0, None
+    for p in paths:
+        n, s = peek(p)
+        if shape is not None and s != shape:
+            raise ConfigError(f"[data] {p} holds {_shape_text(s)} images, "
+                              f"the files before it {_shape_text(shape)}")
+        total, shape = total + n, s
+    return total, shape
 
 
 def _get(cp, section, key, default=None):
@@ -194,48 +218,41 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         raise ConfigError("[train] epochs, bs and eval_every must be >= 1")
 
     try:
-        n_train = _count_examples(train_images, fmt)
-        n_test = _count_examples((test_images[0],), fmt)
+        n_train, image_shape = _peek_images(train_images, fmt)
+        n_test, test_shape = _peek_images(test_images, fmt)
     except (DataError, OSError) as e:
         raise ConfigError(f"cannot read dataset sizes: {e}") from None
     if n_train < bs:
         raise ConfigError(f"batch size {bs} exceeds training set size {n_train}")
+    if test_shape != image_shape:
+        raise ConfigError(f"[data] train images are {_shape_text(image_shape)} but test "
+                          f"images are {_shape_text(test_shape)}")
+    c, h, w = image_shape
+    fits = model.dims[0] == c * h * w if model.kind == "mlp" else model.input_shape == image_shape
+    if not fits:
+        raise ConfigError(f"[train] model {model.to_string()} does not take the "
+                          f"{_shape_text(image_shape)} images of [data]")
+    if model.classes != classes:
+        raise ConfigError(f"[train] model {model.to_string()} has {model.classes} classes "
+                          f"but [data] classes = {classes}")
 
-    method = "dense"
-    sparsity = 0.0
-    sparsity_dist = "uniform"
-    dense_overrides: tuple[str, ...] = ()
-    dst_kwargs = {}
-    if cp.has_section("dst"):
-        method = _get(cp, "dst", "method", "dense")
-        sparsity = _typed("dst", "sparsity", _get(cp, "dst", "sparsity", "0"), float)
-        sparsity_dist = _get(cp, "dst", "sparsity_dist", "uniform")
-        if sparsity_dist not in ("uniform", "erk"):
-            raise ConfigError(f"[dst] sparsity_dist must be uniform or erk, got {sparsity_dist!r}")
-        dense_overrides = tuple(
-            s.strip() for s in (_get(cp, "dst", "dense_overrides") or "").split(",") if s.strip())
-        dst_kwargs["delta_t"] = _typed("dst", "delta_t", _get(cp, "dst", "delta_t", "500"), int)
-        dst_kwargs["p0"] = _typed("dst", "p", _get(cp, "dst", "p", "0.1"), float)
-        for key, cast in (("soft_bound", float), ("horizon", int), ("stop_step", int)):
-            raw = _get(cp, "dst", key)
-            if raw is not None:
-                dst_kwargs[key] = _typed("dst", key, raw, cast)
-        dst_kwargs["init_density"] = _typed(
-            "dst", "init_density", _get(cp, "dst", "init_density", "0.8"), float)
-        dst_kwargs["start_step"] = _typed(
-            "dst", "start_step", _get(cp, "dst", "start_step", "0"), int)
-        dst_kwargs["mest_lambda"] = _typed(
-            "dst", "mest_lambda", _get(cp, "dst", "mest_lambda", "1.0"), float)
-
-    steps_per_epoch = n_train // bs
+    sparsity_dist = _get(cp, "dst", "sparsity_dist", "uniform")
+    if sparsity_dist not in ("uniform", "erk"):
+        raise ConfigError(f"[dst] sparsity_dist must be uniform or erk, got {sparsity_dist!r}")
+    dense_overrides = tuple(
+        s.strip() for s in (_get(cp, "dst", "dense_overrides") or "").split(",") if s.strip())
+    dst_kwargs = {field: _typed("dst", key, raw, cast)
+                  for key, (field, cast) in _DST_FIELDS.items()
+                  if (raw := _get(cp, "dst", key)) is not None}
     try:
-        dst = DstConfig(method=method, sparsity=sparsity,
-                        total_steps=steps_per_epoch * epochs, **dst_kwargs)
+        dst = DstConfig(total_steps=n_train // bs * epochs, **dst_kwargs)
     except ValueError as e:
         raise ConfigError(f"[dst] {e}") from None
 
     out_dir = os.path.normpath(os.path.join(base_dir, _get(cp, "output", "dir")))
     save_every = _typed("output", "save_every", _get(cp, "output", "save_every", "0"), int)
+    if save_every < 0:
+        raise ConfigError("[output] save_every must be >= 0")
 
     return RunConfig(
         dataset=dataset, fmt=fmt, train_images=train_images, test_images=test_images[0],

@@ -180,8 +180,8 @@ def inference_flops(desc: ArchDescriptor, alloc: SparsityAllocation | None = Non
 
 
 def param_count(desc: ArchDescriptor, alloc: SparsityAllocation | None = None) -> int:
-    """round(density * weights) per sparsifiable layer, plus everything else
-    (biases, bn affines, non-sparsifiable weights) counted dense."""
+    """round(density * weights) per allocated layer, plus everything else
+    (biases, bn affines, weights the allocation leaves out) counted dense."""
     dens = _density_lookup(desc, alloc)
     total = 0
     for s in desc.layers:

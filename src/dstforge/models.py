@@ -41,7 +41,6 @@ class LayerSpec:
     out_h: int
     out_w: int
     has_bias: bool = True
-    sparsifiable: bool = True
 
     def weight_count(self) -> int:
         if self.kind == "bn":
@@ -67,7 +66,7 @@ class ArchDescriptor:
     layers: tuple[LayerSpec, ...]
 
     def sparsifiable_layers(self) -> tuple[LayerSpec, ...]:
-        return tuple(s for s in self.layers if s.sparsifiable and s.kind != "bn")
+        return tuple(s for s in self.layers if s.kind != "bn")
 
 
 @dataclass(frozen=True)
@@ -91,8 +90,8 @@ def parse_model_spec(text: str) -> ModelSpec:
     text = text.strip()
     if text.startswith("mlp:"):
         dims = tuple(int(p) for p in text[4:].split("-"))
-        if len(dims) < 2:
-            raise ValueError(f"mlp spec needs at least input and output widths: {text!r}")
+        if len(dims) < 2 or min(dims) < 1:
+            raise ValueError(f"mlp spec needs input and output widths, each >= 1: {text!r}")
         return ModelSpec(kind="mlp", dims=dims, classes=dims[-1])
     if text.startswith("small_convnet:"):
         body = text[len("small_convnet:"):]
@@ -102,22 +101,25 @@ def parse_model_spec(text: str) -> ModelSpec:
             classes = int(cls_part)
         except ValueError:
             raise ValueError(f"bad small_convnet spec {text!r}, expected CxHxW-classes") from None
+        if min(c, h, w, classes) < 1 or h % 4 or w % 4:
+            raise ValueError(f"small_convnet needs sizes >= 1 and spatial dims divisible by 4, "
+                             f"got {text!r}")
         return ModelSpec(kind="small_convnet", input_shape=(c, h, w), classes=classes)
     raise ValueError(f"unknown model spec {text!r}")
 
 
 class Layer:
-    """A weight-bearing layer of a trainable model."""
+    """A weight-bearing layer of a trainable model: "conv" (followed by relu
+    and a 2x2 max pool) or "linear" (followed by relu unless it is the last)."""
 
     def __init__(self, name: str, kind: str, weight: Parameter, bias: Parameter,
-                 stride: int = 1, padding: int = 0, sparsifiable: bool = True):
+                 stride: int = 1, padding: int = 0):
         self.name = name
         self.kind = kind
         self.weight = weight
         self.bias = bias
         self.stride = stride
         self.padding = padding
-        self.sparsifiable = sparsifiable
 
 
 class Model:
@@ -144,7 +146,9 @@ class Model:
             p.zero_grad()
 
     def forward(self, x: Tensor, sparse: bool = False) -> Tensor:
-        """Logits for a batch. Images may arrive flat or as (n, c, h, w).
+        """Logits for a batch: one pass over `self.layers` (see `Layer`).
+        Images may arrive flat or as (n, c, h, w); a linear layer flattens
+        what reaches it.
 
         The layer kernels come from `layer_kernels()`: graph ops, or under
         `no_grad` their forward-only forms. With sparse=True the linear layers
@@ -163,21 +167,17 @@ class Model:
                 raise ValueError("forward(sparse=True) builds no graph; call it under no_grad")
             linear = csr_linear
 
-        if self.spec.kind == "mlp":
+        last = self.layers[-1]
+        for layer in self.layers:
+            if layer.kind == "conv":
+                x = maxpool(relu(conv2d(x, layer.weight, layer.bias, layer.stride, layer.padding)))
+                continue
             if x.data.ndim > 2:
                 x = flatten(x)
-            for layer in self.layers[:-1]:
-                x = relu(linear(x, layer.weight, layer.bias))
-            last = self.layers[-1]
-            return linear(x, last.weight, last.bias)
-
-        conv1, conv2, fc1, fc2 = self.layers
-        if x.data.ndim != 4:
-            raise ValueError(f"small_convnet expects (n, c, h, w) input, got {x.data.shape}")
-        h = maxpool(relu(conv2d(x, conv1.weight, conv1.bias, conv1.stride, conv1.padding)))
-        h = maxpool(relu(conv2d(h, conv2.weight, conv2.bias, conv2.stride, conv2.padding)))
-        h = relu(linear(flatten(h), fc1.weight, fc1.bias))
-        return linear(h, fc2.weight, fc2.bias)
+            x = linear(x, layer.weight, layer.bias)
+            if layer is not last:
+                x = relu(x)
+        return x
 
     def predict(self, x: np.ndarray, sparse: bool = False) -> np.ndarray:
         """Logits for a plain array: `forward` under `no_grad`, as an array.
@@ -190,31 +190,31 @@ class Model:
             return self.forward(Tensor(np.asarray(x, dtype=np.float32)), sparse=sparse).data
 
     def descriptor(self) -> ArchDescriptor:
+        """The accounting table of this model, read off its weights. A conv's
+        output size follows from its stride and padding, and the pool after
+        it halves that size for the next layer."""
         specs = []
-        c, hh, ww = self.input_shape
-        if self.spec.kind == "mlp":
-            for layer in self.layers:
-                f_out, f_in = layer.weight.data.shape
-                specs.append(LayerSpec(layer.name, "linear", f_in, f_out, 1, 1, 1, 1,
-                                       sparsifiable=layer.sparsifiable))
-        else:
-            conv1, conv2, fc1, fc2 = self.layers
-            specs.append(LayerSpec(conv1.name, "conv", c, 32, 3, 3, hh, ww,
-                                   sparsifiable=conv1.sparsifiable))
-            specs.append(LayerSpec(conv2.name, "conv", 32, 64, 3, 3, hh // 2, ww // 2,
-                                   sparsifiable=conv2.sparsifiable))
-            fc_in = 64 * (hh // 4) * (ww // 4)
-            specs.append(LayerSpec(fc1.name, "linear", fc_in, 128, 1, 1, 1, 1,
-                                   sparsifiable=fc1.sparsifiable))
-            specs.append(LayerSpec(fc2.name, "linear", 128, self.spec.classes, 1, 1, 1, 1,
-                                   sparsifiable=fc2.sparsifiable))
+        _, h, w = self.input_shape
+        for layer in self.layers:
+            c_out, c_in, kh, kw = (*layer.weight.data.shape, 1, 1)[:4]
+            out_h = out_w = 1
+            if layer.kind == "conv":
+                out_h = (h + 2 * layer.padding - kh) // layer.stride + 1
+                out_w = (w + 2 * layer.padding - kw) // layer.stride + 1
+                h, w = out_h // 2, out_w // 2
+            specs.append(LayerSpec(layer.name, layer.kind, c_in, c_out, kh, kw, out_h, out_w))
         return ArchDescriptor(self.spec.to_string(), self.input_shape, self.spec.classes, tuple(specs))
 
 
-def _he_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    # Kaiming-uniform, fan-in mode, relu gain: U(-b, b) with b = sqrt(6/fan_in)
-    bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, shape).astype(np.float32)
+def _param_layer(rng: np.random.Generator, name: str, shape: tuple[int, ...],
+                 padding: int = 0) -> Layer:
+    """A conv (4-d `shape`) or linear (2-d) layer: Kaiming-uniform weight,
+    fan-in mode with relu gain, U(-b, b) with b = sqrt(6/fan_in), then a zero
+    bias. Only the weight draws from `rng`."""
+    bound = np.sqrt(6.0 / np.prod(shape[1:]))
+    weight = Parameter(rng.uniform(-bound, bound, shape).astype(np.float32), name=f"{name}.weight")
+    bias = Parameter(np.zeros(shape[0], dtype=np.float32), name=f"{name}.bias")
+    return Layer(name, "conv" if len(shape) == 4 else "linear", weight, bias, padding=padding)
 
 
 def build_mlp(dims: tuple[int, ...], rng: np.random.Generator) -> Model:
@@ -224,12 +224,8 @@ def build_mlp(dims: tuple[int, ...], rng: np.random.Generator) -> Model:
     """
     if len(dims) < 2:
         raise ValueError("mlp needs at least input and output widths")
-    layers = []
-    for i in range(len(dims) - 1):
-        f_in, f_out = dims[i], dims[i + 1]
-        w = Parameter(_he_init(rng, (f_out, f_in), f_in), name=f"fc{i + 1}.weight")
-        b = Parameter(np.zeros(f_out, dtype=np.float32), name=f"fc{i + 1}.bias")
-        layers.append(Layer(f"fc{i + 1}", "linear", w, b))
+    layers = [_param_layer(rng, f"fc{i}", (f_out, f_in))
+              for i, (f_in, f_out) in enumerate(zip(dims, dims[1:]), start=1)]
     spec = ModelSpec(kind="mlp", dims=tuple(dims), classes=dims[-1])
     side = int(round(np.sqrt(dims[0])))
     input_shape = (1, side, side) if side * side == dims[0] else (1, 1, dims[0])
@@ -246,23 +242,11 @@ def build_small_convnet(input_shape: tuple[int, int, int], classes: int,
     c, h, w = input_shape
     if h % 4 or w % 4:
         raise ValueError(f"small_convnet needs spatial dims divisible by 4, got {h}x{w}")
-    fc_in = 64 * (h // 4) * (w // 4)
-
-    def conv_layer(name, c_in, c_out):
-        wgt = Parameter(_he_init(rng, (c_out, c_in, 3, 3), c_in * 9), name=f"{name}.weight")
-        bias = Parameter(np.zeros(c_out, dtype=np.float32), name=f"{name}.bias")
-        return Layer(name, "conv", wgt, bias, stride=1, padding=1)
-
-    def fc_layer(name, f_in, f_out):
-        wgt = Parameter(_he_init(rng, (f_out, f_in), f_in), name=f"{name}.weight")
-        bias = Parameter(np.zeros(f_out, dtype=np.float32), name=f"{name}.bias")
-        return Layer(name, "linear", wgt, bias)
-
     layers = [
-        conv_layer("conv1", c, 32),
-        conv_layer("conv2", 32, 64),
-        fc_layer("fc1", fc_in, 128),
-        fc_layer("fc2", 128, classes),
+        _param_layer(rng, "conv1", (32, c, 3, 3), padding=1),
+        _param_layer(rng, "conv2", (64, 32, 3, 3), padding=1),
+        _param_layer(rng, "fc1", (128, 64 * (h // 4) * (w // 4))),
+        _param_layer(rng, "fc2", (classes, 128)),
     ]
     spec = ModelSpec(kind="small_convnet", input_shape=tuple(input_shape), classes=classes)
     return Model(spec, layers, tuple(input_shape))
@@ -280,6 +264,13 @@ def build_model(spec: ModelSpec, rng: np.random.Generator) -> Model:
 # descriptor library
 
 
+def _conv_bn(layers: list[LayerSpec], conv: str, bn: str, c_in: int, c_out: int, k: int,
+             hw: int, has_bias: bool = False):
+    """A k x k conv row at output size hw x hw and the bn row that follows it."""
+    layers.append(LayerSpec(conv, "conv", c_in, c_out, k, k, hw, hw, has_bias=has_bias))
+    layers.append(LayerSpec(bn, "bn", c_out, c_out, 0, 0, hw, hw))
+
+
 def _vgg16_cifar() -> ArchDescriptor:
     cfg = [64, 64, "M", 128, 128, "M", 256, 256, 256, "M", 512, 512, 512, "M", 512, 512, 512, "M"]
     layers = []
@@ -290,8 +281,7 @@ def _vgg16_cifar() -> ArchDescriptor:
             hw //= 2
             continue
         idx += 1
-        layers.append(LayerSpec(f"conv{idx}", "conv", c_in, item, 3, 3, hw, hw))
-        layers.append(LayerSpec(f"bn{idx}", "bn", item, item, 0, 0, hw, hw, sparsifiable=False))
+        _conv_bn(layers, f"conv{idx}", f"bn{idx}", c_in, item, 3, hw, has_bias=True)
         c_in = item
     layers.append(LayerSpec("fc1", "linear", 512, 512, 1, 1, 1, 1))
     layers.append(LayerSpec("fc2", "linear", 512, 10, 1, 1, 1, 1))
@@ -300,20 +290,15 @@ def _vgg16_cifar() -> ArchDescriptor:
 
 def _basic_block(layers: list[LayerSpec], tag: str, c_in: int, c_out: int, hw: int,
                  downsample: bool):
-    layers.append(LayerSpec(f"{tag}.conv1", "conv", c_in, c_out, 3, 3, hw, hw, has_bias=False))
-    layers.append(LayerSpec(f"{tag}.bn1", "bn", c_out, c_out, 0, 0, hw, hw, sparsifiable=False))
-    layers.append(LayerSpec(f"{tag}.conv2", "conv", c_out, c_out, 3, 3, hw, hw, has_bias=False))
-    layers.append(LayerSpec(f"{tag}.bn2", "bn", c_out, c_out, 0, 0, hw, hw, sparsifiable=False))
+    _conv_bn(layers, f"{tag}.conv1", f"{tag}.bn1", c_in, c_out, 3, hw)
+    _conv_bn(layers, f"{tag}.conv2", f"{tag}.bn2", c_out, c_out, 3, hw)
     if downsample:
-        layers.append(LayerSpec(f"{tag}.down", "conv", c_in, c_out, 1, 1, hw, hw, has_bias=False))
-        layers.append(LayerSpec(f"{tag}.down_bn", "bn", c_out, c_out, 0, 0, hw, hw, sparsifiable=False))
+        _conv_bn(layers, f"{tag}.down", f"{tag}.down_bn", c_in, c_out, 1, hw)
 
 
 def _resnet34_cifar() -> ArchDescriptor:
-    layers: list[LayerSpec] = [
-        LayerSpec("stem", "conv", 3, 64, 3, 3, 32, 32, has_bias=False),
-        LayerSpec("stem_bn", "bn", 64, 64, 0, 0, 32, 32, sparsifiable=False),
-    ]
+    layers: list[LayerSpec] = []
+    _conv_bn(layers, "stem", "stem_bn", 3, 64, 3, 32)
     c_in, hw = 64, 32
     for stage, (blocks, c_out) in enumerate([(3, 64), (4, 128), (6, 256), (3, 512)], start=1):
         for b in range(blocks):
@@ -328,22 +313,16 @@ def _resnet34_cifar() -> ArchDescriptor:
 
 def _bottleneck(layers: list[LayerSpec], tag: str, c_in: int, mid: int, c_out: int,
                 hw_in: int, hw_out: int, downsample: bool):
-    layers.append(LayerSpec(f"{tag}.conv1", "conv", c_in, mid, 1, 1, hw_in, hw_in, has_bias=False))
-    layers.append(LayerSpec(f"{tag}.bn1", "bn", mid, mid, 0, 0, hw_in, hw_in, sparsifiable=False))
-    layers.append(LayerSpec(f"{tag}.conv2", "conv", mid, mid, 3, 3, hw_out, hw_out, has_bias=False))
-    layers.append(LayerSpec(f"{tag}.bn2", "bn", mid, mid, 0, 0, hw_out, hw_out, sparsifiable=False))
-    layers.append(LayerSpec(f"{tag}.conv3", "conv", mid, c_out, 1, 1, hw_out, hw_out, has_bias=False))
-    layers.append(LayerSpec(f"{tag}.bn3", "bn", c_out, c_out, 0, 0, hw_out, hw_out, sparsifiable=False))
+    _conv_bn(layers, f"{tag}.conv1", f"{tag}.bn1", c_in, mid, 1, hw_in)
+    _conv_bn(layers, f"{tag}.conv2", f"{tag}.bn2", mid, mid, 3, hw_out)
+    _conv_bn(layers, f"{tag}.conv3", f"{tag}.bn3", mid, c_out, 1, hw_out)
     if downsample:
-        layers.append(LayerSpec(f"{tag}.down", "conv", c_in, c_out, 1, 1, hw_out, hw_out, has_bias=False))
-        layers.append(LayerSpec(f"{tag}.down_bn", "bn", c_out, c_out, 0, 0, hw_out, hw_out, sparsifiable=False))
+        _conv_bn(layers, f"{tag}.down", f"{tag}.down_bn", c_in, c_out, 1, hw_out)
 
 
 def _resnet50_imagenet() -> ArchDescriptor:
-    layers: list[LayerSpec] = [
-        LayerSpec("stem", "conv", 3, 64, 7, 7, 112, 112, has_bias=False),
-        LayerSpec("stem_bn", "bn", 64, 64, 0, 0, 112, 112, sparsifiable=False),
-    ]
+    layers: list[LayerSpec] = []
+    _conv_bn(layers, "stem", "stem_bn", 3, 64, 7, 112)
     c_in, hw = 64, 56  # after the stem maxpool
     for stage, (blocks, mid, c_out) in enumerate(
         [(3, 64, 256), (4, 128, 512), (6, 256, 1024), (3, 512, 2048)], start=1
@@ -366,10 +345,8 @@ def _efficientnetb0_tiny() -> ArchDescriptor:
     generic weight/MAC formulas stay valid. SE reductions squeeze to a quarter
     of the block's input channels.
     """
-    layers: list[LayerSpec] = [
-        LayerSpec("stem", "conv", 3, 32, 3, 3, 32, 32, has_bias=False),
-        LayerSpec("stem_bn", "bn", 32, 32, 0, 0, 32, 32, sparsifiable=False),
-    ]
+    layers: list[LayerSpec] = []
+    _conv_bn(layers, "stem", "stem_bn", 3, 32, 3, 32)
     stages = [  # expansion, c_out, repeats, stride, kernel
         (1, 16, 1, 1, 3),
         (6, 24, 2, 2, 3),
@@ -386,19 +363,15 @@ def _efficientnetb0_tiny() -> ArchDescriptor:
             tag = f"s{snum}b{b + 1}"
             exp = c_in * e
             if e != 1:
-                layers.append(LayerSpec(f"{tag}.expand", "conv", c_in, exp, 1, 1, hw, hw, has_bias=False))
-                layers.append(LayerSpec(f"{tag}.expand_bn", "bn", exp, exp, 0, 0, hw, hw, sparsifiable=False))
+                _conv_bn(layers, f"{tag}.expand", f"{tag}.expand_bn", c_in, exp, 1, hw)
             hw_out = hw // s
-            layers.append(LayerSpec(f"{tag}.dw", "conv", 1, exp, k, k, hw_out, hw_out, has_bias=False))
-            layers.append(LayerSpec(f"{tag}.dw_bn", "bn", exp, exp, 0, 0, hw_out, hw_out, sparsifiable=False))
+            _conv_bn(layers, f"{tag}.dw", f"{tag}.dw_bn", 1, exp, k, hw_out)
             se_mid = max(1, c_in // 4)
             layers.append(LayerSpec(f"{tag}.se1", "conv", exp, se_mid, 1, 1, 1, 1))
             layers.append(LayerSpec(f"{tag}.se2", "conv", se_mid, exp, 1, 1, 1, 1))
-            layers.append(LayerSpec(f"{tag}.project", "conv", exp, c_out, 1, 1, hw_out, hw_out, has_bias=False))
-            layers.append(LayerSpec(f"{tag}.project_bn", "bn", c_out, c_out, 0, 0, hw_out, hw_out, sparsifiable=False))
+            _conv_bn(layers, f"{tag}.project", f"{tag}.project_bn", exp, c_out, 1, hw_out)
             c_in, hw = c_out, hw_out
-    layers.append(LayerSpec("head", "conv", 320, 1280, 1, 1, hw, hw, has_bias=False))
-    layers.append(LayerSpec("head_bn", "bn", 1280, 1280, 0, 0, hw, hw, sparsifiable=False))
+    _conv_bn(layers, "head", "head_bn", 320, 1280, 1, hw)
     layers.append(LayerSpec("fc", "linear", 1280, 200, 1, 1, 1, 1))
     return ArchDescriptor("efficientnetb0-tiny", (3, 64, 64), 200, tuple(layers))
 

@@ -227,8 +227,7 @@ def _dense_grads(model: Model, batch) -> dict[str, np.ndarray]:
     model.zero_grad()
     loss = softmax_cross_entropy(model.forward(Tensor(x)), y)
     backward(loss)
-    grads = {layer.name: layer.weight.grad.copy()
-             for layer in model.layers if layer.sparsifiable}
+    grads = {layer.name: layer.weight.grad for layer in model.layers}
     model.zero_grad()
     return grads
 

@@ -45,7 +45,7 @@ class SparsityAllocation:
 
 
 class TopologyMask:
-    """Boolean arrays (True = active), one per sparsifiable layer."""
+    """Boolean arrays (True = active), one per weight layer the allocation covers."""
 
     def __init__(self, masks: dict[str, np.ndarray]):
         self.masks = {name: np.asarray(m, dtype=bool) for name, m in masks.items()}
@@ -77,7 +77,7 @@ def _budget_layers(desc: ArchDescriptor, dense_overrides: tuple[str, ...]):
     names = {s.name for s in layers}
     for name in dense_overrides:
         if name not in names:
-            raise ValueError(f"dense override {name!r} is not a sparsifiable layer")
+            raise ValueError(f"dense override {name!r} names no conv or linear layer")
     return layers
 
 
@@ -156,8 +156,7 @@ def allocate_erk(desc: ArchDescriptor, sparsity: float,
 
 
 def mask_shapes(model: Model) -> dict[str, tuple[int, ...]]:
-    return {layer.name: layer.weight.data.shape
-            for layer in model.layers if layer.sparsifiable}
+    return {layer.name: layer.weight.data.shape for layer in model.layers}
 
 
 def init_topology(alloc: SparsityAllocation, shapes: dict[str, tuple[int, ...]],

@@ -8,6 +8,7 @@ so a crashed or repeated invocation only pays for what is missing.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -146,6 +147,40 @@ def ensure_corrupted_set(clean: ImageSet, corr_dir: str, base: str, kind: str,
     return path
 
 
+def _sha256_file(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _pin_grid_source(corr_dir: str, data: dict[str, str], corruption_seed: int):
+    """Tie the cached corrupted grid to what it was rendered from.
+
+    Cells are cached by file name alone, so `corr_dir/source.json` records the
+    SHA-256 of the test image and label files and the corruption seed. A grid
+    rendered from other sources, or cells without that record, raise
+    StudyError rather than being scored as if they were current.
+    """
+    source = {
+        "corruption_seed": corruption_seed,
+        "test_images_sha256": _sha256_file(data["test_images"]),
+        "test_labels_sha256": _sha256_file(data["test_labels"]),
+    }
+    path = os.path.join(corr_dir, "source.json")
+    if os.path.exists(path):
+        with open(path) as fh:
+            pinned = json.load(fh)
+        if pinned != source:
+            raise StudyError(
+                f"{corr_dir} was rendered from {pinned}, not the current {source}; "
+                f"remove it to rerun")
+        return
+    os.makedirs(corr_dir, exist_ok=True)
+    if any(name.endswith(".bin") for name in os.listdir(corr_dir)):
+        raise StudyError(f"{corr_dir} holds corrupted sets but no source.json; remove it to rerun")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(source, indent=2, sort_keys=True) + "\n")
+
+
 @dataclass
 class StudyResult:
     labels: tuple[str, ...]
@@ -213,6 +248,7 @@ def run_study(data: dict[str, str], root: str, epochs: int = 20,
     # scores each cell before the next one loads
     corr_dir = os.path.join(root, "corrupted")
     base = os.path.basename(data["test_images"])
+    _pin_grid_source(corr_dir, data, corruption_seed)
     paths = {}
     for kind in KINDS:
         if echo:

@@ -104,10 +104,15 @@ def _make(data, parents, grad_fn) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray):
+    """Add `g` into `t.grad`. The first gradient is stored as is, not copied:
+    every grad_fn hands over an array it built for that call, or a view into
+    one. The exception, flatten's `dy.reshape`, points into its output's
+    gradient, which no node reads once flatten's grad_fn has run, so a later
+    `+=` into it is safe."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = g.copy()
+        t.grad = g
     else:
         t.grad += g
 

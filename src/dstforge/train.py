@@ -15,7 +15,7 @@ import os
 import numpy as np
 
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .data import ImageSet, atomic_write, load_cifar_binary, load_idx
 from .metrics import MetricsReport, batched_accuracy, cost_report, robustness_accuracy
 from .models import Model, build_model
@@ -57,6 +57,13 @@ def test_accuracy(model: Model, images: np.ndarray, labels: np.ndarray,
 
 
 def make_allocation(cfg: RunConfig, model: Model):
+    """The run's per-layer budget, None for dense; every dense override must
+    name a layer of the model, whatever the method."""
+    names = {layer.name for layer in model.layers}
+    unknown = [name for name in cfg.dense_overrides if name not in names]
+    if unknown:
+        raise ConfigError(f"[dst] dense_overrides: {cfg.model.to_string()} has no layer "
+                          f"{', '.join(unknown)}; its layers are {', '.join(sorted(names))}")
     if cfg.dst.method == "dense":
         return None
     alloc_fn = allocate_erk if cfg.sparsity_dist == "erk" else allocate_uniform
@@ -187,12 +194,13 @@ def run_train(cfg: RunConfig, resume_path=None, stop_after_step: int | None = No
                 epoch_loss_sum = 0.0
                 epoch_loss_count = 0
 
-            if cfg.save_every and completed % cfg.save_every == 0 and completed < total:
-                last_ckpt = save(os.path.join(cfg.out_dir, f"step{completed:08d}.ckpt"), completed)
-            if stop_after_step is not None and completed == stop_after_step and completed < total:
-                last_ckpt = save(os.path.join(cfg.out_dir, f"step{completed:08d}.ckpt"), completed)
-                trajectory.write_csv(os.path.join(cfg.out_dir, "trajectory.csv"))
-                return last_ckpt
+            if completed < total:
+                stop = completed == stop_after_step
+                if stop or (cfg.save_every and completed % cfg.save_every == 0):
+                    last_ckpt = save(os.path.join(cfg.out_dir, f"step{completed:08d}.ckpt"), completed)
+                if stop:
+                    trajectory.write_csv(os.path.join(cfg.out_dir, "trajectory.csv"))
+                    return last_ckpt
     finally:
         metrics_fh.close()
 

@@ -61,6 +61,19 @@ def test_train_bad_data_path_exits_2(idx_dir, tmp_path, capsys):
     assert "does not exist" in err
 
 
+def test_train_model_that_does_not_fit_the_data_exits_2_before_writing(
+        idx_dir, tmp_path, capsys):
+    out = tmp_path / "o"
+    cfg_path = str(tmp_path / "run.ini")
+    for model in ("mlp:100-64-10", "small_convnet:3x32x32-10", "mlp:144-64-5"):
+        with open(cfg_path, "w") as fh:
+            fh.write(toy_config(idx_dir, str(out), model=model))
+        code, _, err = run_cli(capsys, "train", cfg_path)
+        assert code == 2, err
+        assert "config error" in err and model in err
+        assert not out.exists()
+
+
 def test_corrupt_writes_named_files(idx_dir, tmp_path, capsys):
     out = str(tmp_path / "corr")
     code, stdout, _ = run_cli(

@@ -1,10 +1,13 @@
 """Config grammar: sections, defaults, validation, and derived quantities."""
 
+from dataclasses import fields
+
 import pytest
 
-from conftest import toy_config
+from conftest import make_blob_set, toy_config, write_idx_pair
 
-from dstforge.config import ConfigError, load_config, parse_config
+from dstforge.config import _DST_FIELDS, ConfigError, load_config, parse_config
+from dstforge.schedulers import DstConfig
 
 
 def test_minimal_config_defaults(idx_dir, tmp_path):
@@ -194,3 +197,60 @@ def test_multi_file_train_counts(idx_dir, tmp_path):
     text = "\n".join(l for l in text.splitlines() if not l.startswith("train_labels"))
     cfg = parse_config(text)
     assert cfg.n_train == 1900
+
+
+def test_dst_keys_map_onto_every_schedule_field_and_leave_the_defaults_to_it(idx_dir, tmp_path):
+    assert sorted(f for f, _ in _DST_FIELDS.values()) == sorted(
+        f.name for f in fields(DstConfig) if f.name != "total_steps")
+    text = toy_config(idx_dir, str(tmp_path / "o")) + "\n[dst]\nmethod = set\nsparsity = 0.5\n"
+    cfg = parse_config(text)
+    assert cfg.dst == DstConfig(method="set", sparsity=0.5, total_steps=cfg.total_steps)
+    assert cfg.sparsity_dist == "uniform"
+
+
+@pytest.fixture(scope="module")
+def other_sides(tmp_path_factory) -> str:
+    """IDX pairs of 14x14 and 16x16 blobs, beside the 12x12 task of idx_dir."""
+    d = str(tmp_path_factory.mktemp("sides"))
+    for side in (14, 16):
+        write_idx_pair(d, f"side{side}", *make_blob_set(60, seed=3, side=side))
+    return d
+
+
+def test_train_and_test_images_must_share_a_shape(idx_dir, other_sides, tmp_path):
+    text = toy_config(idx_dir, str(tmp_path / "o"))
+    other_test = text.replace(f"{idx_dir}/t10k-", f"{other_sides}/side14-")
+    with pytest.raises(ConfigError, match="train images are 1x12x12 but test images are 1x14x14"):
+        parse_config(other_test)
+    mixed_train = "\n".join(l for l in text.splitlines() if not l.startswith("train_labels"))
+    mixed_train = mixed_train.replace(
+        f"train = {idx_dir}/train-images-idx3-ubyte",
+        f"train = {idx_dir}/train-images-idx3-ubyte, {other_sides}/side14-images-idx3-ubyte")
+    with pytest.raises(ConfigError, match="holds 1x14x14 images"):
+        parse_config(mixed_train)
+
+
+def test_model_input_must_match_the_images(idx_dir, other_sides, tmp_path):
+    text = toy_config(idx_dir, str(tmp_path / "o"))
+    for model in ("mlp:100-64-10", "small_convnet:3x32x32-10", "small_convnet:1x16x16-10"):
+        with pytest.raises(ConfigError, match=f"model {model} does not take the 1x12x12 images"):
+            parse_config(text.replace("model = mlp:144-64-10", f"model = {model}"))
+    for model in ("small_convnet:1x12x12-10", "mlp:144-10"):
+        parse_config(text.replace("model = mlp:144-64-10", f"model = {model}"))
+    # a convnet's sides must divide by 4, whatever the data
+    side14 = text.replace(f"{idx_dir}/t10k-", f"{other_sides}/side14-").replace(
+        f"{idx_dir}/train-", f"{other_sides}/side14-")
+    with pytest.raises(ConfigError, match="divisible by 4"):
+        parse_config(side14.replace("model = mlp:144-64-10", "model = small_convnet:1x14x14-10"))
+
+
+def test_model_classes_must_match_data_classes(idx_dir, tmp_path):
+    text = toy_config(idx_dir, str(tmp_path / "o")).replace(
+        "model = mlp:144-64-10", "model = mlp:144-64-5")
+    with pytest.raises(ConfigError, match="has 5 classes but \\[data\\] classes = 10"):
+        parse_config(text)
+
+
+def test_negative_save_every_rejected(idx_dir, tmp_path):
+    with pytest.raises(ConfigError, match="save_every"):
+        parse_config(toy_config(idx_dir, str(tmp_path / "o"), save_every=-1))

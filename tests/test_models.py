@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from dstforge import models
+from dstforge.metrics import inference_flops
 from dstforge.models import (
     build_mlp,
     build_model,
@@ -10,7 +12,15 @@ from dstforge.models import (
     descriptor_library,
     parse_model_spec,
 )
-from dstforge.tensor import Tensor
+from dstforge.tensor import (
+    Tensor,
+    conv2d_forward,
+    flatten,
+    linear_forward,
+    maxpool2x2,
+    no_grad,
+    relu,
+)
 
 
 def _param_count(model) -> int:
@@ -82,7 +92,10 @@ def test_parse_model_spec_round_trip():
 
 
 def test_parse_model_spec_errors():
-    for bad in ("mlp:784", "resnet:50", "small_convnet:3x32-10", "mlp:a-b"):
+    for bad in ("mlp:784", "resnet:50", "small_convnet:3x32-10", "mlp:a-b",
+                # sizes a model cannot be built or trained with
+                "mlp:144-0-10", "mlp:0-10", "small_convnet:0x32x32-10",
+                "small_convnet:3x0x32-10", "small_convnet:3x32x32-0", "small_convnet:1x14x14-10"):
         with pytest.raises(ValueError):
             parse_model_spec(bad)
 
@@ -168,3 +181,86 @@ def test_vgg16_cifar_parameter_total():
 def test_resnet34_cifar_parameter_total():
     desc = descriptor_library()["resnet34-cifar"]
     assert sum(s.param_count() for s in desc.layers) == 21_282_122
+
+
+def _models_under_test():
+    rng = np.random.default_rng(11)
+    return [
+        (build_mlp((144, 16, 10), rng), (3, 1, 12, 12)),
+        (build_mlp((36, 8, 6, 4), rng), (3, 36)),
+        (build_model(parse_model_spec("mlp:784-300-100-10"), rng), (2, 1, 28, 28)),
+        (build_small_convnet((1, 12, 12), 10, rng), (3, 1, 12, 12)),
+        (build_small_convnet((3, 16, 20), 7, rng), (2, 3, 16, 20)),
+        (build_model(parse_model_spec("small_convnet:3x32x32-10"), rng), (2, 3, 32, 32)),
+    ]
+
+
+def test_descriptor_matches_the_shapes_forward_produces(monkeypatch):
+    # record what each layer op of a real forward consumes and produces
+    seen = []
+
+    def linear(x, w, b):
+        y = linear_forward(x, w, b)
+        seen.append(("linear", w.data.shape, x.data.shape, y.data.shape))
+        return y
+
+    def conv2d(x, w, b, stride, padding):
+        y = conv2d_forward(x, w, b, stride, padding)
+        seen.append(("conv", w.data.shape, x.data.shape, y.data.shape))
+        return y
+
+    monkeypatch.setattr(models, "layer_kernels", lambda: (linear, conv2d, maxpool2x2))
+    for model, x_shape in _models_under_test():
+        seen.clear()
+        x = np.random.default_rng(0).random(x_shape).astype(np.float32)
+        model.forward(Tensor(x))
+        desc = model.descriptor()
+        assert [s.name for s in desc.layers] == [l.name for l in model.layers]
+        assert [s.name for s in desc.sparsifiable_layers()] == [l.name for l in model.layers]
+        macs = 0
+        for spec, (kind, w_shape, x_in, y_out) in zip(desc.layers, seen, strict=True):
+            assert spec.kind == kind
+            if kind == "conv":
+                c_out, c_in, kh, kw = w_shape
+                assert x_in[1] == c_in and y_out[1] == c_out
+                assert (spec.out_h, spec.out_w) == y_out[2:]
+                layer_macs = c_out * y_out[2] * y_out[3] * c_in * kh * kw
+            else:
+                assert x_in[1] == w_shape[1] and y_out[1] == w_shape[0]
+                c_out, c_in, kh, kw = w_shape[0], x_in[1], 1, 1
+                assert (spec.out_h, spec.out_w) == (1, 1)
+                layer_macs = c_out * c_in
+            assert (spec.c_out, spec.c_in, spec.kh, spec.kw) == (c_out, c_in, kh, kw)
+            assert spec.macs() == layer_macs
+            macs += layer_macs
+        assert inference_flops(desc) == 2 * macs
+        assert desc.input_shape == model.input_shape
+        assert desc.classes == model.spec.classes == seen[-1][3][1]
+
+
+def _explicit_logits(model, x: Tensor) -> Tensor:
+    # the layer sequence each model kind runs, spelled out op by op
+    if model.spec.kind == "mlp":
+        h = flatten(x) if x.data.ndim > 2 else x
+        for layer in model.layers[:-1]:
+            h = relu(linear_forward(h, layer.weight, layer.bias))
+    else:
+        conv1, conv2, fc1, _ = model.layers
+        h = maxpool2x2(relu(conv2d_forward(x, conv1.weight, conv1.bias, 1, 1)))
+        h = maxpool2x2(relu(conv2d_forward(h, conv2.weight, conv2.bias, 1, 1)))
+        h = relu(linear_forward(flatten(h), fc1.weight, fc1.bias))
+    last = model.layers[-1]
+    return linear_forward(h, last.weight, last.bias)
+
+
+def test_forward_is_byte_equal_to_the_explicit_op_sequence():
+    for model, x_shape in _models_under_test():
+        x = Tensor(np.random.default_rng(3).random(x_shape).astype(np.float32))
+        expected = _explicit_logits(model, x).data
+        got = model.forward(x)
+        assert got.requires_grad
+        assert got.data.tobytes() == expected.tobytes()
+        with no_grad():
+            got = model.forward(x)
+            assert not got.requires_grad
+            assert got.data.tobytes() == _explicit_logits(model, x).data.tobytes()

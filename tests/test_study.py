@@ -58,8 +58,17 @@ def test_default_method_stable():
     assert DEFAULT_METHODS[2].sparsity == 0.95
 
 
-def test_study_config_text_parses(idx_dir, tmp_path):
-    data = find_idx_dataset(str(idx_dir))
+@pytest.fixture(scope="module")
+def idx28_dir(tmp_path_factory) -> str:
+    """A small 1x28x28 blob task: the input the study's MLP takes."""
+    d = str(tmp_path_factory.mktemp("blobs28"))
+    write_idx_pair(d, "train", *make_blob_set(200, seed=1, side=28))
+    write_idx_pair(d, "t10k", *make_blob_set(40, seed=2, side=28))
+    return d
+
+
+def test_study_config_text_parses(idx28_dir, tmp_path):
+    data = find_idx_dataset(idx28_dir)
     text = study_config_text(StudyMethod("set_s50", "set", 0.5), seed=2,
                              epochs=20, data=data, out_dir=str(tmp_path / "o"))
     cfg = parse_config(text)
@@ -73,8 +82,8 @@ def test_study_config_text_parses(idx_dir, tmp_path):
     assert dense.dst.method == "dense"
 
 
-def test_ensure_run_reuses_finished_run(idx_dir, tmp_path):
-    data = find_idx_dataset(str(idx_dir))
+def test_ensure_run_reuses_finished_run(idx28_dir, tmp_path):
+    data = find_idx_dataset(idx28_dir)
     m = StudyMethod("dense", "dense")
     run_dir = tmp_path / "dense-seed1"
     run_dir.mkdir()
@@ -167,3 +176,22 @@ def test_run_study_scores_match_direct_calls_and_rerun_is_cached(tmp_path, monke
               corruption_seed=3)
     with open(os.path.join(root, "study.json"), "rb") as fh:
         assert fh.read() == written
+
+
+def test_corrupted_grid_from_another_seed_or_without_source_is_refused(idx28_dir, tmp_path):
+    data = find_idx_dataset(idx28_dir)
+    root = str(tmp_path / "study")
+    kwargs = dict(epochs=1, seeds=(1,), methods=(StudyMethod("dense", "dense"),), radii=(2,))
+    run_study(data, root, corruption_seed=0, **kwargs)
+    source = Path(root, "corrupted", "source.json")
+    pinned = json.loads(source.read_text())
+    assert pinned["corruption_seed"] == 0
+    run_study(data, root, corruption_seed=0, **kwargs)  # same sources: cached
+
+    with pytest.raises(StudyError, match="corruption_seed': 7"):
+        run_study(data, root, corruption_seed=7, **kwargs)
+    assert json.loads(source.read_text()) == pinned
+
+    source.unlink()
+    with pytest.raises(StudyError, match="no source.json"):
+        run_study(data, root, corruption_seed=0, **kwargs)

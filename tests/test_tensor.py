@@ -285,3 +285,28 @@ def test_layer_kernels_under_no_grad_match_the_graph_ops():
             assert got.data.tobytes() == want.data.tobytes()
         with pytest.raises(ValueError):
             maxpool(Tensor(np.ones((1, 1, 3, 4), dtype=np.float32)))
+
+
+def test_a_parameter_shared_by_two_layers_sums_both_gradients():
+    # w feeds both linear layers, so its gradient is the sum of two
+    # contributions; the first one is stored without a copy and the second
+    # is added into it in place
+    r = np.random.default_rng(5)
+    x = r.standard_normal((3, 4))
+    labels = np.array([0, 3, 1])
+    w = Parameter(r.standard_normal((4, 4)) * 0.5, name="w")
+    b1 = Parameter(r.standard_normal(4) * 0.1, name="b1")
+    b2 = Parameter(r.standard_normal(4) * 0.1, name="b2")
+
+    def forward_loss():
+        h = linear_forward(Tensor(x), w, b1)
+        return softmax_cross_entropy(linear_forward(h, w, b2), labels)
+
+    backward(forward_loss())
+    params = (w, b1, b2)
+    for i, p in enumerate(params):
+        for q in params[i + 1:]:
+            assert not np.shares_memory(p.grad, q.grad), (p.name, q.name)
+    for p in params:
+        numeric = numeric_grad(lambda: float(forward_loss().data), p.data, eps=1e-6)
+        np.testing.assert_allclose(p.grad, numeric, rtol=1e-6, atol=1e-9, err_msg=p.name)

@@ -9,6 +9,7 @@ import pytest
 from conftest import make_blob_set, toy_config, write_idx_pair
 
 import dstforge.data
+import dstforge.train
 from dstforge.checkpoint import CheckpointError, load_checkpoint
 from dstforge.config import ConfigError, parse_config
 from dstforge.corruption import CorruptionSpec, corrupt_images
@@ -332,3 +333,30 @@ def test_run_eval_attenuation_returns_curve(set_run, blob_test_set):
     curve = run_eval(ckpt, attenuation=(blob_test_set, "high", (0, 2, 4)))
     assert isinstance(curve, RACurve)
     assert [r for r, _ in curve.points] == [0, 2, 4]
+
+
+def test_a_step_that_is_both_periodic_and_the_stop_saves_once(idx_dir, tmp_path, monkeypatch):
+    saved = []
+    real_save = dstforge.train.save_checkpoint
+
+    def counting_save(path, *args, **kwargs):
+        saved.append(os.path.basename(path))
+        return real_save(path, *args, **kwargs)
+
+    monkeypatch.setattr(dstforge.train, "save_checkpoint", counting_save)
+    cfg = parse_config(toy_config(idx_dir, str(tmp_path / "run"), epochs=1, save_every=10))
+    last = run_train(cfg, stop_after_step=20)
+    assert saved == ["step00000010.ckpt", "step00000020.ckpt"]
+    assert last == os.path.join(cfg.out_dir, "step00000020.ckpt")
+    assert load_checkpoint(last).step == 20
+
+
+def test_a_dense_override_naming_no_layer_is_a_config_error(idx_dir, tmp_path):
+    out = tmp_path / "run"
+    sparse = toy_config(idx_dir, str(out), method="set", sparsity=0.5,
+                        extra_dst="dense_overrides = fc9")
+    dense = toy_config(idx_dir, str(out)) + "\n[dst]\ndense_overrides = fc1, fc9\n"
+    for text in (sparse, dense):
+        with pytest.raises(ConfigError, match="no layer fc9"):
+            run_train(parse_config(text))
+        assert not out.exists()
