@@ -6,14 +6,17 @@
 Imports dstforge from SRC_DIR (the `src` directory of a checkout) and trains
 all seven methods on the synthetic blob task of perfbench/blobs.py:
 `mlp:784-300-100-10` at sparsity 0.5 and 0.9 and `small_convnet:3x32x32-10`
-at 0.5 (dense once per model), writing data and run directories under
-OUT_DIR. For each run it prints `<run> <artifact> <sha256>` for final.ckpt,
-metrics.jsonl, trajectory.csv and cost.json, and for the dense and sparse
-`Model.predict` logits of the final checkpoint on a fixed batch. It then
-prints `flops-<arch>-<method> stdout <sha256>` for the `dstforge flops` report
-of every method on `mlp:784-300-100-10` and `vgg16-cifar` (sparsity 0.5, ERK,
-2 epochs, batch 100, delta_t 50, so every schedule has events), which covers
-the closed-form trajectory and the probe accounting. Last it runs the
+at 0.5 (dense once per model), all with ERK allocation, plus one mest_g run
+of the MLP at sparsity 0.1 with uniform allocation and fc1 kept dense, writing
+data and run directories under OUT_DIR. For each run it prints
+`<run> <artifact> <sha256>` for final.ckpt, metrics.jsonl, trajectory.csv and
+cost.json, and for the dense and sparse `Model.predict` logits of the final
+checkpoint on a fixed batch. It then
+prints `flops-<arch>-<dist>-<method> stdout <sha256>` for the `dstforge flops`
+report of every method on `mlp:784-300-100-10` and the four library archs
+(sparsity 0.5, ERK and uniform, 2 epochs, batch 100, delta_t 50, so every
+schedule has events), which covers the closed-form trajectory, the probe
+accounting and the bn and depthwise rows. Last it runs the
 robustness study (`study.run_study`: dense, set_s50 and rigl_s50, seeds 1 and
 2, 2 epochs, on a 1x28x28 blob IDX set) twice, first from an empty root and
 then on its cached runs and corrupted grid, and prints
@@ -47,8 +50,11 @@ GRID = (
     ("mlp:784-300-100-10", (1, 28, 28), (0.5, 0.9), (2, 50, 0.1, 4), (600, 200)),
     ("small_convnet:3x32x32-10", (3, 32, 32), (0.5,), (2, 20, 0.05, 4), (200, 100)),
 )
-FLOPS_ARCHS = ("mlp:784-300-100-10", "vgg16-cifar")
-FLOPS_ARGS = ("--dist", "erk", "--epochs", "2", "--bs", "100", "--delta-t", "50")
+# method, sparsity, extra [dst] lines of the uniform-allocation MLP run
+UNIFORM_RUN = ("mest_g", 0.1, "sparsity_dist = uniform\ndense_overrides = fc1\n")
+FLOPS_ARCHS = ("mlp:784-300-100-10", "vgg16-cifar", "resnet34-cifar", "efficientnetb0-tiny",
+               "resnet50-imagenet")
+FLOPS_ARGS = ("--epochs", "2", "--bs", "100", "--delta-t", "50")
 # label, method, sparsity
 STUDY_METHODS = (("dense", "dense", 0.0), ("set_s50", "set", 0.5), ("rigl_s50", "rigl", 0.5))
 STUDY_SEEDS = (1, 2)
@@ -111,36 +117,42 @@ def main() -> int:
                     "train": blobs.write_cifar(os.path.join(data_dir, "train.bin"), *train_set),
                     "test": blobs.write_cifar(os.path.join(data_dir, "test.bin"), test_x, test_y)}
 
-        for method in METHODS:
-            for sparsity in (0.0,) if method == "dense" else sparsities:
-                name = f"{kind}-{method}-s{round(sparsity * 100)}"
-                run_dir = os.path.join(out, "runs", name)
-                shutil.rmtree(run_dir, ignore_errors=True)
-                cfg = parse_config(blobs.run_config(data, model, run_dir, SEED, epochs, bs, lr,
-                                                    method, sparsity, delta_t))
-                run_train(cfg)
-                for artifact in ARTIFACTS:
-                    print(name, artifact, _sha256_file(os.path.join(run_dir, artifact)))
-                trained = load_checkpoint(os.path.join(run_dir, "final.ckpt")).build_model()
-                for sparse in (False, True):
-                    logits = trained.predict(test_x, sparse=sparse)
-                    print(name, "predict-sparse" if sparse else "predict-dense",
-                          _sha256_logits(logits))
-                sys.stdout.flush()
+        runs = [(method, sparsity, "") for method in METHODS
+                for sparsity in ((0.0,) if method == "dense" else sparsities)]
+        if kind == "mlp":
+            runs.append(UNIFORM_RUN)
+        for method, sparsity, extra in runs:
+            name = f"{kind}-{method}-s{round(sparsity * 100)}" + ("-uniform" if extra else "")
+            run_dir = os.path.join(out, "runs", name)
+            shutil.rmtree(run_dir, ignore_errors=True)
+            text = blobs.run_config(data, model, run_dir, SEED, epochs, bs, lr,
+                                    method, sparsity, delta_t)
+            if extra:
+                text = text.replace("sparsity_dist = erk\n", extra)
+            run_train(parse_config(text))
+            for artifact in ARTIFACTS:
+                print(name, artifact, _sha256_file(os.path.join(run_dir, artifact)))
+            trained = load_checkpoint(os.path.join(run_dir, "final.ckpt")).build_model()
+            for sparse in (False, True):
+                logits = trained.predict(test_x, sparse=sparse)
+                print(name, "predict-sparse" if sparse else "predict-dense",
+                      _sha256_logits(logits))
+            sys.stdout.flush()
 
     for arch in FLOPS_ARCHS:
-        for method in METHODS:
-            argv = ["flops", arch, "--method", method, *FLOPS_ARGS]
-            if method != "dense":
-                argv += ["--sparsity", "0.5"]
-            report = io.StringIO()
-            with contextlib.redirect_stdout(report):
-                status = cli_main(argv)
-            if status != 0:
-                print(f"dstforge {' '.join(argv)} exited {status}", file=sys.stderr)
-                return 1
-            digest = hashlib.sha256(report.getvalue().encode()).hexdigest()
-            print(f"flops-{arch.split(':')[0]}-{method}", "stdout", digest)
+        for dist in ("erk", "uniform"):
+            for method in METHODS:
+                argv = ["flops", arch, "--method", method, "--dist", dist, *FLOPS_ARGS]
+                if method != "dense":
+                    argv += ["--sparsity", "0.5"]
+                report = io.StringIO()
+                with contextlib.redirect_stdout(report):
+                    status = cli_main(argv)
+                if status != 0:
+                    print(f"dstforge {' '.join(argv)} exited {status}", file=sys.stderr)
+                    return 1
+                digest = hashlib.sha256(report.getvalue().encode()).hexdigest()
+                print(f"flops-{arch.split(':')[0]}-{dist}-{method}", "stdout", digest)
 
     study_data_dir = os.path.join(out, "data", "study")
     os.makedirs(study_data_dir, exist_ok=True)

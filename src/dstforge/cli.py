@@ -33,6 +33,7 @@ from .corruption import KINDS, SEVERITIES, build_corrupted_set
 from .data import (
     DataError,
     _stem,
+    atomic_write,
     load_idx,
     load_image_set,
     parse_corrupted_set_filename,
@@ -42,7 +43,7 @@ from .metrics import attach_baseline, cost_report, robustness_accuracy
 from .models import build_model, descriptor_library, parse_model_spec
 from .schedulers import METHODS, DstConfig, synthetic_trajectory
 from .sparsity import allocate_erk, allocate_uniform
-from .spectral import KernelHeatmap, kernel_nonzero_counts, write_ra_curves_svg
+from .spectral import KernelHeatmap, check_radii, kernel_nonzero_counts, write_ra_curves_svg
 from .svg import grid_heatmap
 from .train import DivergenceError, run_eval, run_train
 
@@ -119,7 +120,7 @@ def cmd_evaluate(args) -> int:
         report.write_csv(args.csv)
     text = report.to_json()
     if args.json:
-        with open(args.json, "w") as fh:
+        with atomic_write(args.json) as fh:
             fh.write(text + "\n")
     print(text)
     return 0
@@ -128,6 +129,10 @@ def cmd_evaluate(args) -> int:
 def cmd_attenuate(args) -> int:
     clean = _load_dataset(args.images)
     radii = _csv_ints(args.radii)
+    try:
+        check_radii(radii, *clean.images.shape[-2:])
+    except ValueError as e:
+        raise ConfigError(f"--radii: {e}") from None
     curve = run_eval(args.ckpt, attenuation=(clean, args.mode, radii))
     curve = dataclasses.replace(curve, model_id=_stem(args.ckpt))
     doc = json.dumps({
@@ -138,7 +143,7 @@ def cmd_attenuate(args) -> int:
     if args.svg:
         write_ra_curves_svg([curve], args.svg)
     if args.json:
-        with open(args.json, "w") as fh:
+        with atomic_write(args.json) as fh:
             fh.write(doc + "\n")
     print(doc)
     return 0
@@ -157,6 +162,9 @@ def _layer_heatmap(ck, name: str) -> KernelHeatmap:
 
 def cmd_inspect(args) -> int:
     ck = load_checkpoint(args.ckpt)
+    names = [name for name, *_ in ck.layers]
+    if args.layer and args.layer not in names:
+        raise ConfigError(f"--layer {args.layer!r}: the checkpoint's layers are {', '.join(names)}")
     mask = ck.mask()
     print(f"model    {ck.model_spec}")
     print(f"step     {ck.step}")
@@ -184,7 +192,7 @@ def cmd_inspect(args) -> int:
         if args.svg:
             grid_heatmap(hm.matrix, f"{args.layer} nonzero counts", args.svg)
         if args.json:
-            with open(args.json, "w") as fh:
+            with atomic_write(args.json) as fh:
                 json.dump({
                     "layer": args.layer,
                     "kind": hm.kind,
@@ -226,7 +234,11 @@ def cmd_flops(args) -> int:
         raise ConfigError("dense takes no --density/--sparsity")
     if args.method != "dense" and sparsity == 0.0:
         raise ConfigError(f"{args.method} needs --density or --sparsity")
-    images = args.images_per_epoch or _default_images_per_epoch(args.arch)
+    images = args.images_per_epoch
+    if images is None:
+        images = _default_images_per_epoch(args.arch)
+    if min(args.bs, images) < 1:
+        raise ConfigError(f"--bs and --images-per-epoch must be >= 1, got {args.bs} and {images}")
     steps = args.epochs * (images // args.bs)
     try:
         dst = DstConfig(method=args.method, sparsity=sparsity,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataError, ImageSet, load_image_set
+from .data import DataError, ImageSet, atomic_write, load_image_set
 from .models import ArchDescriptor, Model
 from .schedulers import PROBE_METHODS, BudgetTrajectory
 from .sparsity import SparsityAllocation
@@ -46,7 +46,7 @@ class MetricsReport:
         return json.dumps(doc, indent=2, sort_keys=True)
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             fh.write("kind,severity,accuracy\n")
             for (k, s), a in sorted(self.cells.items()):
                 fh.write(f"{k},{s},{a!r}\n")
@@ -154,44 +154,36 @@ def attach_baseline(report: MetricsReport, baseline: MetricsReport) -> MetricsRe
 # compute accounting
 
 
-def _density_lookup(desc: ArchDescriptor, alloc: SparsityAllocation | None) -> dict[str, float]:
-    if alloc is None:
-        return {}
+def _check_alloc(desc: ArchDescriptor, alloc: SparsityAllocation | None):
     names = {s.name for s in desc.layers}
-    for lb in alloc.layers:
+    for lb in alloc.layers if alloc is not None else ():
         if lb.name not in names:
             raise ValueError(f"allocation layer {lb.name!r} not present in {desc.name}")
-    return {lb.name: lb.density for lb in alloc.layers}
 
 
 def inference_flops(desc: ArchDescriptor, alloc: SparsityAllocation | None = None,
-                    density_scale: float = 1.0) -> float:
+                    at_density: float | None = None) -> float:
     """2 * MACs * density summed over layers; unallocated layers are dense.
 
-    density_scale rescales every allocated layer's density (clamped at 1),
-    which is how a schedule's instantaneous global density maps onto layers.
+    The layer densities are the allocation's, rescaled to the global density
+    `at_density` when given (a schedule's instantaneous density).
     """
-    dens = _density_lookup(desc, alloc)
+    _check_alloc(desc, alloc)
+    dens = alloc.densities(at_density) if alloc is not None else {}
     total = 0.0
     for s in desc.layers:
-        d = min(1.0, dens.get(s.name, 1.0) * (density_scale if s.name in dens else 1.0))
-        total += 2.0 * s.macs() * d
+        total += 2.0 * s.macs() * dens.get(s.name, 1.0)
     return total
 
 
 def param_count(desc: ArchDescriptor, alloc: SparsityAllocation | None = None) -> int:
-    """round(density * weights) per allocated layer, plus everything else
-    (biases, bn affines, weights the allocation leaves out) counted dense."""
-    dens = _density_lookup(desc, alloc)
-    total = 0
-    for s in desc.layers:
-        w = s.weight_count()
-        rest = s.param_count() - w
-        if s.name in dens:
-            total += int(round(dens[s.name] * w)) + rest
-        else:
-            total += w + rest
-    return total
+    """The allocation's active-weight targets, plus everything else (biases,
+    bn affines, weights the allocation leaves out) counted dense."""
+    _check_alloc(desc, alloc)
+    total = sum(s.param_count() for s in desc.layers)
+    if alloc is None:
+        return total
+    return total - alloc.total_weights() + sum(alloc.targets().values())
 
 
 def training_flops(desc: ArchDescriptor, alloc: SparsityAllocation | None,
@@ -208,14 +200,13 @@ def training_flops(desc: ArchDescriptor, alloc: SparsityAllocation | None,
         raise ValueError("trajectory must start with a step-0 sample")
     if samples[-1][0] > steps:
         raise ValueError(f"trajectory sample at step {samples[-1][0]} is beyond {steps} steps")
-    base = alloc.global_density if alloc is not None else 1.0
     total = 0.0
     for i, (s0, d) in enumerate(samples):
         s1 = samples[i + 1][0] if i + 1 < len(samples) else steps
         seg = min(s1, steps) - s0
         if seg <= 0:
             continue
-        total += seg * batch * 3.0 * inference_flops(desc, alloc, density_scale=d / base)
+        total += seg * batch * 3.0 * inference_flops(desc, alloc, at_density=d)
     if probe_events:
         total += probe_events * batch * 3.0 * inference_flops(desc, None)
     return total
@@ -235,8 +226,7 @@ def cost_report(arch: str, desc: ArchDescriptor, method: str,
         arch=arch,
         method=method,
         density=final,
-        inference_flops=inference_flops(
-            desc, alloc, density_scale=(final / alloc.global_density) if alloc else 1.0),
+        inference_flops=inference_flops(desc, alloc, at_density=final),
         training_flops=training_flops(desc, alloc, trajectory, steps, batch, probe_events=probes),
         param_count=param_count(desc, alloc),
         trajectory=list(trajectory.samples),

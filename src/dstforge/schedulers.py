@@ -256,7 +256,8 @@ def topology_update(model: Model, mask: TopologyMask, alloc: SparsityAllocation,
             continue
         m = mask[layer.name]
         active = mask.active_count(layer.name)
-        k_remove = max(0, active - floors[layer.name])
+        # removed positions are not regrown, so remove no more than can regrow
+        k_remove = min(max(0, active - floors[layer.name]), m.size - targets[layer.name])
         score = np.abs(layer.weight.data)
         if rule.schedule == "mest":
             score = score + cfg.mest_lambda * np.abs(grads[layer.name])

@@ -31,14 +31,16 @@ class SparsityAllocation:
     global_density: float
     layers: tuple[LayerBudget, ...]
 
-    def targets(self, at_density: float | None = None) -> dict[str, int]:
-        """Per-layer active-weight targets, optionally rescaled to another
-        global density (used by schedules that run above the base budget)."""
+    def densities(self, at_density: float | None = None) -> dict[str, float]:
+        """Per-layer densities, optionally rescaled to another global density
+        (a schedule's) and clamped at 1."""
         scale = 1.0 if at_density is None else at_density / self.global_density
-        return {
-            lb.name: min(lb.weights, int(round(lb.density * scale * lb.weights)))
-            for lb in self.layers
-        }
+        return {lb.name: min(1.0, lb.density * scale) for lb in self.layers}
+
+    def targets(self, at_density: float | None = None) -> dict[str, int]:
+        """Per-layer active-weight counts at `densities(at_density)`."""
+        dens = self.densities(at_density)
+        return {lb.name: int(round(dens[lb.name] * lb.weights)) for lb in self.layers}
 
     def total_weights(self) -> int:
         return sum(lb.weights for lb in self.layers)
@@ -72,80 +74,46 @@ class TopologyMask:
         return self.total_active() / self.total_weights()
 
 
-def _budget_layers(desc: ArchDescriptor, dense_overrides: tuple[str, ...]):
+def _erk_factor(s) -> float:
+    # kernel-aware scaling; linear rows carry kh = kw = 1
+    return 1.0 - (s.c_in + s.c_out + s.kw + s.kh) / (s.c_in * s.c_out * s.kw * s.kh)
+
+
+def _allocate(desc: ArchDescriptor, sparsity: float, dense_overrides: tuple[str, ...],
+              factor) -> SparsityAllocation:
+    """Densities proportional to `factor(layer)`, scaled to meet the global
+    budget 1 - sparsity over the conv and linear layers. Overridden layers
+    are dense; any layer whose scaled density would exceed 1 is pinned dense
+    and the remainder re-solved."""
+    if not 0.0 <= sparsity < 1.0:
+        raise ValueError(f"sparsity must be in [0, 1), got {sparsity}")
+    b = 1.0 - sparsity
     layers = desc.sparsifiable_layers()
     names = {s.name for s in layers}
     for name in dense_overrides:
         if name not in names:
             raise ValueError(f"dense override {name!r} names no conv or linear layer")
-    return layers
-
-
-def allocate_uniform(desc: ArchDescriptor, sparsity: float,
-                     dense_overrides: tuple[str, ...] = ()) -> SparsityAllocation:
-    """Same density everywhere; overridden layers stay dense and the rest are
-    renormalized so the global budget still comes out at 1 - sparsity."""
-    if not 0.0 <= sparsity < 1.0:
-        raise ValueError(f"sparsity must be in [0, 1), got {sparsity}")
-    b = 1.0 - sparsity
-    layers = _budget_layers(desc, dense_overrides)
     total = sum(s.weight_count() for s in layers)
-    dense_total = sum(s.weight_count() for s in layers if s.name in dense_overrides)
-    rest_total = total - dense_total
-    if rest_total > 0:
-        d_rest = (b * total - dense_total) / rest_total
-        if d_rest < 0 or d_rest > 1:
-            raise ValueError(
-                f"global density {b} infeasible with dense overrides covering "
-                f"{dense_total}/{total} weights")
-    else:
-        d_rest = 1.0
-    out = tuple(
-        LayerBudget(s.name, s.weight_count(),
-                    1.0 if s.name in dense_overrides else d_rest)
-        for s in layers
-    )
-    return SparsityAllocation(b, out)
-
-
-def _erk_factor(s) -> float:
-    # kernel-aware scaling; linear layers take w = h = 1
-    n_in, n_out = s.c_in, s.c_out
-    w = s.kw if s.kind == "conv" else 1
-    h = s.kh if s.kind == "conv" else 1
-    return 1.0 - (n_in + n_out + w + h) / (n_in * n_out * w * h)
-
-
-def allocate_erk(desc: ArchDescriptor, sparsity: float,
-                 dense_overrides: tuple[str, ...] = ()) -> SparsityAllocation:
-    """Kernel-shaped Erdos-Renyi allocation.
-
-    Layer densities are proportional to 1 - (n_in + n_out + w + h)/(n_in *
-    n_out * w * h), rescaled to meet the global budget; any layer whose scaled
-    density would exceed 1 is pinned dense and the remainder re-solved.
-    """
-    if not 0.0 <= sparsity < 1.0:
-        raise ValueError(f"sparsity must be in [0, 1), got {sparsity}")
-    b = 1.0 - sparsity
-    layers = _budget_layers(desc, dense_overrides)
-    total = sum(s.weight_count() for s in layers)
-    factors = {s.name: _erk_factor(s) for s in layers}
+    factors = {s.name: factor(s) for s in layers}
     dense = set(dense_overrides)
+    pinned = sum(s.weight_count() for s in layers if s.name in dense)
+    if b * total < pinned:
+        raise ValueError(f"global density {b} infeasible with dense overrides covering "
+                         f"{pinned}/{total} weights")
+    for s in layers:
+        if s.name not in dense and factors[s.name] <= 0:
+            raise ValueError(f"layer {s.name!r} is too small for this allocation (density "
+                             f"factor {factors[s.name]:.3g}); list it in dense_overrides")
 
     while True:
         rhs = b * total - sum(s.weight_count() for s in layers if s.name in dense)
         divisor = sum(factors[s.name] * s.weight_count() for s in layers if s.name not in dense)
-        if divisor <= 0:
-            eps = 0.0
-        else:
-            eps = rhs / divisor
+        eps = rhs / divisor if divisor > 0 else 0.0
         newly_dense = [s.name for s in layers
                        if s.name not in dense and eps * factors[s.name] > 1.0]
         if not newly_dense:
             break
         dense.update(newly_dense)
-    if eps < 0:
-        raise ValueError(f"global density {b} infeasible with dense overrides")
 
     out = tuple(
         LayerBudget(s.name, s.weight_count(),
@@ -153,6 +121,20 @@ def allocate_erk(desc: ArchDescriptor, sparsity: float,
         for s in layers
     )
     return SparsityAllocation(b, out)
+
+
+def allocate_uniform(desc: ArchDescriptor, sparsity: float,
+                     dense_overrides: tuple[str, ...] = ()) -> SparsityAllocation:
+    """Same density everywhere; overridden layers stay dense and the rest are
+    renormalized so the global budget still comes out at 1 - sparsity."""
+    return _allocate(desc, sparsity, dense_overrides, lambda s: 1.0)
+
+
+def allocate_erk(desc: ArchDescriptor, sparsity: float,
+                 dense_overrides: tuple[str, ...] = ()) -> SparsityAllocation:
+    """Kernel-shaped Erdos-Renyi allocation: layer densities proportional to
+    1 - (n_in + n_out + w + h)/(n_in * n_out * w * h)."""
+    return _allocate(desc, sparsity, dense_overrides, _erk_factor)
 
 
 def mask_shapes(model: Model) -> dict[str, tuple[int, ...]]:

@@ -99,13 +99,22 @@ def attenuate_images(images: np.ndarray, mode: str, r: int) -> np.ndarray:
     return idft2(attenuate(spec, mode, r)).astype(np.float32)
 
 
+def check_radii(radii: list, h: int, w: int):
+    """Reject an attenuation sweep that is empty, not strictly increasing, or
+    reaches outside [0, min(h, w)//2] for h x w images."""
+    r_max = min(h, w) // 2
+    if (not radii or any(b <= a for a, b in zip(radii, radii[1:]))
+            or radii[0] < 0 or radii[-1] > r_max):
+        raise ValueError(f"attenuation radii must be strictly increasing within "
+                         f"[0, {r_max}] for {h}x{w} images, got {radii}")
+
+
 def ra_curve(models: list[Model], clean_test: ImageSet, mode: str, radii,
              batch_size: int = 512) -> list[RACurve]:
     """Accuracy after frequency attenuation, one point per radius and one
-    curve per model."""
+    curve per model. The radii are checked before any model is scored."""
     radii = list(radii)
-    if not radii:
-        raise ValueError("ra_curve needs at least one radius")
+    check_radii(radii, *clean_test.images.shape[-2:])
     points = [[] for _ in models]
     for r in radii:
         # attenuate one batch at a time, so a filtered copy of the set never

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from .data import atomic_write
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -44,7 +46,7 @@ def line_plot(series, title: str, path, x_label: str = "", y_label: str = ""):
     parts.append(f'<text x="{pad - 4}" y="{height - pad + 4}" text-anchor="end" font-size="10">{y0:.3g}</text>')
     parts.append(f'<text x="{pad - 4}" y="{pad + 4}" text-anchor="end" font-size="10">{y1:.3g}</text>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(parts))
 
 
@@ -70,5 +72,5 @@ def grid_heatmap(matrix, title: str, path):
                 f'<rect x="{c * cell + 1}" y="{top + r * cell}" width="{cell}" height="{cell}" '
                 f'fill="rgb({shade},{shade},{shade})"/>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(parts))

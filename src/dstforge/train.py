@@ -67,7 +67,10 @@ def make_allocation(cfg: RunConfig, model: Model):
     if cfg.dst.method == "dense":
         return None
     alloc_fn = allocate_erk if cfg.sparsity_dist == "erk" else allocate_uniform
-    return alloc_fn(model.descriptor(), cfg.dst.sparsity, cfg.dense_overrides)
+    try:
+        return alloc_fn(model.descriptor(), cfg.dst.sparsity, cfg.dense_overrides)
+    except ValueError as e:
+        raise ConfigError(f"[dst] {e}") from None
 
 
 def _keep_epoch_lines(metrics_path: str, epochs: int):

@@ -11,6 +11,7 @@ import struct
 import numpy as np
 import pytest
 
+import dstforge.data
 from dstforge.config import parse_config
 from dstforge.data import ImageSet
 from dstforge.study import find_idx_dataset
@@ -42,6 +43,33 @@ def write_idx_pair(dir_path: str, prefix: str, imgs: np.ndarray, labels: np.ndar
     with open(os.path.join(dir_path, f"{prefix}-labels-idx1-ubyte"), "wb") as fh:
         fh.write(struct.pack(">II", 0x801, n))
         fh.write(labels.tobytes())
+
+
+class _DiskFull:
+    """A file whose every write puts half its data on disk, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+def fail_atomic_writes(monkeypatch, suffix: str):
+    """Make `data.atomic_write` fail partway through the first write to any
+    temporary file whose path ends with `suffix`."""
+    def failing_open(path, mode="r"):
+        fh = open(path, mode)
+        return _DiskFull(fh) if path.endswith(suffix) else fh
+
+    monkeypatch.setattr(dstforge.data, "open", failing_open, raising=False)
 
 
 @pytest.fixture(scope="session")

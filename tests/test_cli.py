@@ -6,8 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from conftest import toy_config
+from conftest import fail_atomic_writes, toy_config
 
+import dstforge.spectral
 from dstforge.cli import main
 from dstforge.data import load_image_set, save_image_set
 
@@ -243,6 +244,22 @@ def test_attenuate_bad_radii_exits_2(cli_run, idx_dir, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("radii", ["4,2", "2,99", "-1", ""])
+def test_attenuate_rejects_radii_before_scoring(cli_run, idx_dir, capsys, monkeypatch, radii):
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("a model was scored")
+
+    monkeypatch.setattr(dstforge.spectral, "batched_accuracy", no_scoring)
+    out, _ = cli_run
+    code, stdout, err = run_cli(
+        capsys, "attenuate", os.path.join(out, "final.ckpt"),
+        "--mode", "low", "--radii", radii,
+        "--images", f"{idx_dir}/t10k-images-idx3-ubyte")
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("config error: --radii")
+
+
 def test_inspect_totals_match_density(cli_run, capsys):
     out, _ = cli_run
     code, stdout, _ = run_cli(capsys, "inspect", os.path.join(out, "final.ckpt"))
@@ -268,6 +285,42 @@ def test_inspect_layer_heatmap_json(cli_run, tmp_path, capsys):
     mat = np.array(doc["matrix"])
     assert mat.shape == (64, 144)
     assert doc["total"] == int(mat.sum())
+
+
+def test_inspect_unknown_layer_exits_2_and_lists_the_layers(cli_run, capsys):
+    out, _ = cli_run
+    code, stdout, err = run_cli(capsys, "inspect", os.path.join(out, "final.ckpt"),
+                                "--layer", "bogus")
+    assert code == 2
+    assert stdout == ""
+    assert "'bogus'" in err and "fc1, fc2" in err
+
+
+@pytest.mark.parametrize("command, written", [
+    ("evaluate", "--csv"), ("evaluate", "--json"),
+    ("attenuate", "--svg"), ("attenuate", "--json"),
+    ("inspect", "--svg"), ("inspect", "--json"),
+])
+def test_failed_output_write_leaves_no_file(cli_run, idx_dir, tmp_path, capsys, monkeypatch,
+                                            command, written):
+    out, _ = cli_run
+    ckpt = os.path.join(out, "final.ckpt")
+    args = {
+        "evaluate": ["--sets", str(tmp_path / "sets")],
+        "attenuate": ["--mode", "low", "--radii", "0,2",
+                      "--images", f"{idx_dir}/t10k-images-idx3-ubyte"],
+        "inspect": ["--layer", "fc1"],
+    }[command]
+    if command == "evaluate":
+        assert run_cli(capsys, "corrupt", f"{idx_dir}/t10k-images-idx3-ubyte",
+                       "--kinds", "brightness", "--severities", "1",
+                       "--out", str(tmp_path / "sets"))[0] == 0
+    path = str(tmp_path / "artifact")
+    fail_atomic_writes(monkeypatch, "artifact.tmp")
+    with pytest.raises(OSError, match="No space left"):
+        main([command, ckpt, *args, written, path])
+    assert not os.path.exists(path)
+    assert not os.path.exists(path + ".tmp")
 
 
 def test_inspect_not_a_checkpoint_exits_3(tmp_path, capsys):
@@ -334,6 +387,14 @@ def test_flops_argument_validation(capsys):
                            "--epochs", "1", "--bs", "100")
     assert code == 2
     assert "unknown arch" in err
+
+
+@pytest.mark.parametrize("sizes", [("--bs", "0"), ("--bs", "100", "--images-per-epoch", "0")])
+def test_flops_rejects_a_zero_size(capsys, sizes):
+    code, stdout, err = run_cli(capsys, "flops", "vgg16-cifar", "--epochs", "1", *sizes)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("config error: --bs and --images-per-epoch must be >= 1")
 
 
 def test_flops_accepts_model_spec_strings(capsys):

@@ -180,8 +180,8 @@ def test_inference_flops_density_scale_clamps_at_dense():
     desc = descriptor_library()["vgg16-cifar"]
     alloc = allocate_uniform(desc, 0.5)
     dense = inference_flops(desc)
-    assert inference_flops(desc, alloc, density_scale=2.0) == pytest.approx(dense)
-    assert inference_flops(desc, alloc, density_scale=1.0) == pytest.approx(dense / 2, rel=1e-6)
+    assert inference_flops(desc, alloc, at_density=1.0) == pytest.approx(dense)
+    assert inference_flops(desc, alloc, at_density=0.5) == pytest.approx(dense / 2, rel=1e-6)
 
 
 def test_param_count_anchors():
@@ -228,7 +228,7 @@ def test_training_flops_segment_integration():
     traj = BudgetTrajectory([(0, 0.5), (10, 0.25)])
     got = training_flops(desc, alloc, traj, steps=20, batch=2)
     # 10 steps at density 0.5 plus 10 at 0.25 (half the layer densities)
-    want = 10 * 2 * 3 * base + 10 * 2 * 3 * inference_flops(desc, alloc, density_scale=0.5)
+    want = 10 * 2 * 3 * base + 10 * 2 * 3 * inference_flops(desc, alloc, at_density=0.25)
     assert got == pytest.approx(want, rel=1e-12)
 
 

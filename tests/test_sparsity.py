@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from dstforge.metrics import param_count
 from dstforge.models import ArchDescriptor, LayerSpec, build_mlp, descriptor_library
 from dstforge.sparsity import (
     TopologyMask,
@@ -142,6 +143,89 @@ def test_erk_dense_override():
 def test_unknown_dense_override_rejected():
     with pytest.raises(ValueError):
         allocate_uniform(two_layer_desc(), 0.5, dense_overrides=("conv9",))
+
+
+def test_infeasible_dense_overrides_rejected():
+    # fc1 holds 9216 of mlp:144-64-10's 9856 weights, more than 10% of them
+    desc = build_mlp((144, 64, 10), np.random.default_rng(0)).descriptor()
+    for alloc_fn in (allocate_uniform, allocate_erk):
+        with pytest.raises(ValueError, match="covering 9216/9856 weights"):
+            alloc_fn(desc, 0.9, dense_overrides=("fc1",))
+        # every layer dense cannot meet any budget below 1
+        with pytest.raises(ValueError, match="covering 9856/9856 weights"):
+            alloc_fn(desc, 0.5, dense_overrides=("fc1", "fc2"))
+        assert alloc_fn(desc, 0.0, dense_overrides=("fc1", "fc2")).densities() == {
+            "fc1": 1.0, "fc2": 1.0}
+
+
+def test_erk_rejects_a_layer_with_no_positive_factor():
+    # a 1-wide hidden layer: fc1's factor is 1 - 147/144 and fc2's 1 - 13/10
+    desc = build_mlp((144, 1, 10), np.random.default_rng(0)).descriptor()
+    with pytest.raises(ValueError, match="'fc1' is too small"):
+        allocate_erk(desc, 0.5)
+    with pytest.raises(ValueError, match="'fc2' is too small"):
+        allocate_erk(desc, 0.05, dense_overrides=("fc1",))
+    assert allocate_uniform(desc, 0.5).densities() == {"fc1": 0.5, "fc2": 0.5}
+
+
+@st.composite
+def budget_cases(draw):
+    """A small descriptor of conv, linear and bn rows, a sparsity, a set of
+    dense overrides and an allocation rule."""
+    layers = []
+    for i in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("conv", "linear", "bn")))
+        c_in, c_out = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+        if kind == "conv":
+            k = draw(st.sampled_from((1, 3, 5)))
+            layers.append(LayerSpec(f"conv{i}", "conv", c_in, c_out, k, k, 4, 4))
+        elif kind == "linear":
+            layers.append(LayerSpec(f"fc{i}", "linear", c_in, c_out, 1, 1, 1, 1))
+        else:
+            layers.append(LayerSpec(f"bn{i}", "bn", c_out, c_out, 0, 0, 4, 4))
+    desc = ArchDescriptor("rand", (3, 8, 8), 10, tuple(layers))
+    names = [s.name for s in desc.sparsifiable_layers()]
+    assume(names)
+    overrides = tuple(n for n in names if draw(st.booleans()) and draw(st.booleans()))
+    sparsity = draw(st.floats(0.0, 0.99, exclude_max=True))
+    dist = draw(st.sampled_from(("erk", "uniform")))
+    return desc, sparsity, overrides, dist
+
+
+@settings(max_examples=300, deadline=None)
+@given(budget_cases(), st.floats(0.0, 1.0))
+def test_allocation_properties(case, at):
+    desc, sparsity, overrides, dist = case
+    layers = desc.sparsifiable_layers()
+    weights = {s.name: s.weight_count() for s in layers}
+    total = sum(weights.values())
+    factors = {s.name: erk_factor(s) if dist == "erk" else 1.0 for s in layers}
+    alloc_fn = allocate_erk if dist == "erk" else allocate_uniform
+    b = 1.0 - sparsity
+    if (b * total < sum(weights[n] for n in overrides)
+            or any(factors[n] <= 0 for n in weights if n not in overrides)):
+        with pytest.raises(ValueError):
+            alloc_fn(desc, sparsity, overrides)
+        return
+    alloc = alloc_fn(desc, sparsity, overrides)
+    dens = alloc.densities()
+    assert alloc.global_density == b
+    assert sum(dens[n] * weights[n] for n in dens) / total == pytest.approx(b, abs=1e-9)
+    assert all(0.0 <= d <= 1.0 for d in dens.values())
+    assert all(dens[n] == 1.0 for n in overrides)
+    # unpinned layers share one ratio density/factor; pinned ones would exceed 1 at it
+    free = [n for n in dens if n not in overrides and dens[n] < 1.0]
+    if free:
+        eps = dens[free[0]] / factors[free[0]]
+        for n in dens:
+            if n in free:
+                assert dens[n] == pytest.approx(eps * factors[n], rel=1e-9, abs=1e-15)
+            elif n not in overrides:
+                assert eps * factors[n] >= 1.0 - 1e-9
+    for targets in (alloc.targets(), alloc.targets(at)):
+        assert all(0 <= targets[n] <= weights[n] for n in weights)
+    dense_params = sum(s.param_count() for s in desc.layers)
+    assert param_count(desc, alloc) == dense_params - total + sum(alloc.targets().values())
 
 
 def test_sparsity_zero_endpoint_is_dense():

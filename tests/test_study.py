@@ -7,9 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_blob_set, write_idx_pair
+from conftest import fail_atomic_writes, make_blob_set, write_idx_pair
 
-import dstforge.data
 import dstforge.study
 from dstforge.checkpoint import load_checkpoint
 from dstforge.config import parse_config
@@ -111,25 +110,7 @@ def test_ensure_run_rejects_mismatched_config(idx_dir, tmp_path):
 def test_failed_config_write_leaves_no_config(idx_dir, tmp_path, monkeypatch):
     # a partial config.ini would make every later run_study refuse the
     # directory as holding a different config
-    class DiskFull:
-        def __init__(self, fh):
-            self.fh = fh
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-        def write(self, text):
-            self.fh.write(text[: len(text) // 2])
-            raise OSError(28, "No space left on device")
-
-    def failing_open(path, mode="r"):
-        fh = open(path, mode)
-        return DiskFull(fh) if path.endswith("config.ini.tmp") else fh
-
-    monkeypatch.setattr(dstforge.data, "open", failing_open, raising=False)
+    fail_atomic_writes(monkeypatch, "config.ini.tmp")
     data = find_idx_dataset(str(idx_dir))
     with pytest.raises(OSError, match="No space left"):
         ensure_run(StudyMethod("dense", "dense"), 1, 1, data, str(tmp_path))

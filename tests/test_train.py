@@ -360,3 +360,30 @@ def test_a_dense_override_naming_no_layer_is_a_config_error(idx_dir, tmp_path):
         with pytest.raises(ConfigError, match="no layer fc9"):
             run_train(parse_config(text))
         assert not out.exists()
+
+
+def test_an_infeasible_budget_is_a_config_error(idx_dir, tmp_path):
+    out = tmp_path / "run"
+    overridden = toy_config(idx_dir, str(out), method="set", sparsity=0.9,
+                            extra_dst="dense_overrides = fc1")
+    too_small = toy_config(idx_dir, str(out), method="set", sparsity=0.5,
+                           model="mlp:144-1-10")
+    for text, message in ((overridden, "covering 9216/9856 weights"),
+                          (too_small, "'fc1' is too small")):
+        with pytest.raises(ConfigError, match=message):
+            run_train(parse_config(text))
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["set", "rigl", "mest_r", "mest_g", "granet_r", "granet_g"])
+def test_a_dense_override_stays_dense_through_topology_events(idx_dir, tmp_path, method):
+    # an event removes no weight it could only regrow where it just removed one
+    cfg = parse_config(toy_config(idx_dir, str(tmp_path / "run"), method=method,
+                                  sparsity=0.5, epochs=1, delta_t=10,
+                                  extra_dst="dense_overrides = fc2"))
+    ck = load_checkpoint(run_train(cfg))
+    mask = ck.mask()
+    assert mask["fc2"].all()
+    assert mask.active_count("fc1") < mask["fc1"].size
+    with open(os.path.join(cfg.out_dir, "trajectory.csv")) as fh:
+        assert len(fh.readlines()) >= 4  # header, step 0 and two events
