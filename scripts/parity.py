@@ -21,7 +21,12 @@ robustness study (`study.run_study`: dense, set_s50 and rigl_s50, seeds 1 and
 2, 2 epochs, on a 1x28x28 blob IDX set) twice, first from an empty root and
 then on its cached runs and corrupted grid, and prints
 `study-<fresh|cached> <artifact> <sha256>` for study.json, ra_curves.svg and
-the corrupted grid (one digest over the sorted file names and contents). Run
+the corrupted grid (one digest over the sorted file names and contents).
+Then it renders all 50 (kind, severity) cells of a 3x32x32 blob set with
+`corrupt_images` and prints `grid-3x32x32 <kind>-s<severity> <sha256>` of
+each cell's float32 bytes, and runs `dstforge corrupt` on the same set
+written as CIFAR records, printing `corrupt-3x32x32 files <sha256>` over the
+files it writes and `corrupt-3x32x32 stdout <sha256>` of what it prints. Run
 it on two checkouts and diff the outputs: a change that keeps every byte
 prints the same lines.
 BLAS runs on one thread, since float sums (and so the MLP artifacts) change
@@ -60,6 +65,7 @@ STUDY_METHODS = (("dense", "dense", 0.0), ("set_s50", "set", 0.5), ("rigl_s50", 
 STUDY_SEEDS = (1, 2)
 STUDY_EPOCHS = 2
 STUDY_SIZES = (600, 700)  # n_train, n_test; the test set spans two 512-image batches
+COLOR_GRID_SIZE = 200
 
 
 def _sha256_file(path: str) -> str:
@@ -93,6 +99,7 @@ def main() -> int:
     from dstforge.checkpoint import load_checkpoint
     from dstforge.cli import main as cli_main
     from dstforge.config import parse_config
+    from dstforge.corruption import KINDS, SEVERITIES, CorruptionSpec, corrupt_images
     from dstforge.study import StudyMethod, find_idx_dataset, run_study
     from dstforge.train import run_train
 
@@ -169,6 +176,26 @@ def main() -> int:
             print(f"study-{phase}", artifact, _sha256_file(os.path.join(study_root, artifact)))
         print(f"study-{phase}", "corrupted", _sha256_dir(os.path.join(study_root, "corrupted")))
         sys.stdout.flush()
+
+    color_x, color_y = blobs.make_blob_set(COLOR_GRID_SIZE, (SEED, 5), (3, 32, 32))
+    for kind in KINDS:
+        for sev in SEVERITIES:
+            cell = corrupt_images(color_x, CorruptionSpec(kind, sev, SEED))
+            print("grid-3x32x32", f"{kind}-s{sev}", hashlib.sha256(cell.tobytes()).hexdigest())
+    color_dir = os.path.join(out, "data", "color")
+    corr_dir = os.path.join(out, "corrupt-3x32x32")
+    os.makedirs(color_dir, exist_ok=True)
+    shutil.rmtree(corr_dir, ignore_errors=True)
+    color_path = blobs.write_cifar(os.path.join(color_dir, "test.bin"), color_x, color_y)
+    listing = io.StringIO()
+    with contextlib.redirect_stdout(listing):
+        status = cli_main(["corrupt", color_path, "--seed", str(SEED), "--out", corr_dir])
+    if status != 0:
+        print(f"dstforge corrupt exited {status}", file=sys.stderr)
+        return 1
+    print("corrupt-3x32x32", "files", _sha256_dir(corr_dir))
+    stdout = listing.getvalue().replace(out + os.sep, "")
+    print("corrupt-3x32x32", "stdout", hashlib.sha256(stdout.encode()).hexdigest())
     return 0
 
 

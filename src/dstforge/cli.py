@@ -82,12 +82,17 @@ def cmd_corrupt(args) -> int:
     for s in severities:
         if s not in SEVERITIES:
             raise ConfigError(f"severity {s} outside {SEVERITIES[0]}..{SEVERITIES[-1]}")
+    if not severities:
+        raise ConfigError("--severities names no severity")
     clean = _load_dataset(args.dataset)
-    sets = build_corrupted_set(clean, kinds, severities, seed=args.seed)
     out_dir = args.out or (os.path.dirname(args.dataset) or ".")
-    paths = write_corrupted_sets(sets, out_dir, _stem(args.dataset))
-    for p in paths:
-        print(p)
+    # one rendered cell in memory at a time: a full grid of a real test set
+    # would hold gigabytes. A cell named twice is written once.
+    for kind in dict.fromkeys(kinds):
+        for sev in dict.fromkeys(severities):
+            cell = build_corrupted_set(clean, [kind], [sev], seed=args.seed)
+            for p in write_corrupted_sets(cell, out_dir, _stem(args.dataset)):
+                print(p)
     return 0
 
 
@@ -161,6 +166,8 @@ def _layer_heatmap(ck, name: str) -> KernelHeatmap:
 
 
 def cmd_inspect(args) -> int:
+    if (args.svg or args.json) and not args.layer:
+        raise ConfigError("--svg and --json write one layer's heatmap and need --layer")
     ck = load_checkpoint(args.ckpt)
     names = [name for name, *_ in ck.layers]
     if args.layer and args.layer not in names:

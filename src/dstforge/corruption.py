@@ -5,6 +5,13 @@ severity, image index), so a corrupted set is byte-identical no matter the
 generation order, process count, or thread count. All kinds operate on float
 images in [0, 1], channel-wise for grayscale and color alike, and clip their
 output back to [0, 1].
+
+A (kind, severity) cell is rendered as one batch: `corrupt_images` checks the
+batch once, runs the kind's transform over all of it and clips once. Only the
+kinds that draw random numbers loop over images, one generator each, and the
+kinds that draw nothing build no generator. `corrupt` is the same pass on a
+batch of one image, so its bytes equal that image's row of the batch.
+`dstforge corrupt` and the study hold one rendered cell at a time.
 """
 
 from __future__ import annotations
@@ -71,31 +78,58 @@ def _image_rng(spec: CorruptionSpec, index: int) -> np.random.Generator:
     return np.random.default_rng((spec.seed, KINDS.index(spec.kind), spec.severity, index))
 
 
-def _gaussian_noise(x, sigma, rng):
-    return x + (rng.standard_normal(x.shape) * sigma).astype(np.float32)
+# Each transform maps a float32 (n, c, h, w) batch to a new array. `rngs`
+# yields image i's generator on demand; kinds that draw nothing never ask.
 
 
-def _shot_noise(x, c, rng):
-    return (rng.poisson(x.astype(np.float64) * c) / c).astype(np.float32)
+def _draw_noise(x, sigma, rngs):
+    """One standard normal field per image, scaled by sigma, in float32."""
+    noise = np.empty_like(x)
+    for img_noise, rng in zip(noise, rngs):
+        # the float64 product is rounded into float32 as astype would round it
+        np.multiply(rng.standard_normal(img_noise.shape), sigma, out=img_noise)
+    return noise
 
 
-def _impulse_noise(x, p, rng):
-    out = x.reshape(-1).copy()
-    n_flip = int(round(p * out.size))
+def _gaussian_noise(x, sigma, rngs):
+    noise = _draw_noise(x, sigma, rngs)
+    noise += x
+    return noise
+
+
+def _shot_noise(x, c, rngs):
+    counts = np.empty_like(x)
+    for img, img_counts, rng in zip(x, counts, rngs):
+        img_counts[...] = rng.poisson(img.astype(np.float64) * c)
+    # the counts are exact in float32, and float32 division gives the bytes
+    # of dividing in float64 and casting: float64's 53 bits are at least
+    # 2 * 24 + 2, so rounding twice cannot differ from rounding once
+    counts /= c
+    return counts
+
+
+def _impulse_noise(x, p, rngs):
+    out = x.copy()
+    size = x[0].size
+    n_flip = int(round(p * size))
     if n_flip:
-        pos = rng.choice(out.size, size=n_flip, replace=False)
         n_salt = (n_flip + 1) // 2
-        out[pos[:n_salt]] = 1.0
-        out[pos[n_salt:]] = 0.0
-    return out.reshape(x.shape)
+        for flat, rng in zip(out.reshape(len(x), size), rngs):
+            pos = rng.choice(size, size=n_flip, replace=False)
+            flat[pos[:n_salt]] = 1.0
+            flat[pos[n_salt:]] = 0.0
+    return out
 
 
-def _speckle_noise(x, sigma, rng):
-    return x + x * (rng.standard_normal(x.shape) * sigma).astype(np.float32)
+def _speckle_noise(x, sigma, rngs):
+    noise = _draw_noise(x, sigma, rngs)
+    noise *= x
+    noise += x
+    return noise
 
 
-def _gaussian_blur(x, sigma, rng):
-    return ndimage.gaussian_filter(x, sigma=(0, sigma, sigma), mode="reflect")
+def _gaussian_blur(x, sigma, rngs):
+    return ndimage.gaussian_filter(x, sigma=(0, 0, sigma, sigma), mode="reflect")
 
 
 def _disk_kernel(radius: int) -> np.ndarray:
@@ -104,47 +138,54 @@ def _disk_kernel(radius: int) -> np.ndarray:
     return k / k.sum()
 
 
-def _defocus_blur(x, radius, rng):
-    return ndimage.convolve(x, _disk_kernel(radius)[None, :, :], mode="reflect")
+def _defocus_blur(x, radius, rngs):
+    return ndimage.convolve(x, _disk_kernel(radius)[None, None], mode="reflect")
 
 
 def _motion_kernel(length: int, angle: float) -> np.ndarray:
     k = np.zeros((length, length), dtype=np.float32)
     center = (length - 1) // 2
-    for t in np.linspace(-(length - 1) / 2, (length - 1) / 2, length):
-        iy = center + int(round(t * np.sin(angle)))
-        ix = center + int(round(t * np.cos(angle)))
-        k[iy, ix] = 1.0
+    t = np.arange(length) - (length - 1) / 2  # the values of linspace(-a, a, length), exactly
+    # np.rint rounds half to even, as Python's round does
+    iy = center + np.rint(t * np.sin(angle)).astype(np.intp)
+    ix = center + np.rint(t * np.cos(angle)).astype(np.intp)
+    k[iy, ix] = 1.0
     return k / k.sum()
 
 
-def _motion_blur(x, length, rng):
-    angle = rng.uniform(0.0, np.pi)
-    return ndimage.convolve(x, _motion_kernel(length, angle)[None, :, :], mode="reflect")
+def _motion_blur(x, length, rngs):
+    out = np.empty_like(x)
+    for img, img_out, rng in zip(x, out, rngs):
+        kernel = _motion_kernel(length, rng.uniform(0.0, np.pi))
+        ndimage.convolve(img, kernel[None], output=img_out, mode="reflect")
+    return out
 
 
-def _contrast(x, factor, rng):
-    mean = x.mean()
-    return (x - mean) * factor + mean
+def _contrast(x, factor, rngs):
+    mean = x.mean(axis=(1, 2, 3), keepdims=True)
+    out = x - mean
+    out *= factor
+    out += mean
+    return out
 
 
-def _brightness(x, offset, rng):
+def _brightness(x, offset, rngs):
     return x + offset
 
 
-def _nearest_resample(x, new_h, new_w):
-    c, h, w = x.shape
-    rows = np.floor((np.arange(new_h) + 0.5) * h / new_h).astype(int)
-    cols = np.floor((np.arange(new_w) + 0.5) * w / new_w).astype(int)
-    return x[:, rows][:, :, cols]
+def _nearest_index(size: int, new_size: int) -> np.ndarray:
+    """Source index of each of `new_size` nearest-neighbour samples."""
+    return np.floor((np.arange(new_size) + 0.5) * size / new_size).astype(int)
 
 
-def _pixelate(x, scale, rng):
-    c, h, w = x.shape
+def _pixelate(x, scale, rngs):
+    h, w = x.shape[2:]
     nh = max(1, int(round(h * scale)))
     nw = max(1, int(round(w * scale)))
-    down = _nearest_resample(x, nh, nw)
-    return _nearest_resample(down, h, w)
+    # nearest down- then up-sampling, composed into one gather
+    rows = _nearest_index(h, nh)[_nearest_index(nh, h)]
+    cols = _nearest_index(w, nw)[_nearest_index(nw, w)]
+    return x[:, :, rows[:, None], cols]
 
 
 _TRANSFORMS = {
@@ -161,24 +202,35 @@ _TRANSFORMS = {
 }
 
 
+def _render(images: np.ndarray, spec: CorruptionSpec, start: int) -> np.ndarray:
+    """Corrupt a batch whose first image uses random stream `start`."""
+    images = np.asarray(images, dtype=np.float32)
+    if images.ndim != 4:
+        raise ValueError(f"corrupt_images expects an (n, c, h, w) batch, got shape {images.shape}")
+    if not images.size:
+        return images.copy()
+    if images.min() < 0.0 or images.max() > 1.0:
+        raise ValueError("corrupt: input values outside [0, 1]")
+    rngs = (_image_rng(spec, start + i) for i in range(images.shape[0]))
+    out = _TRANSFORMS[spec.kind](images, spec.param, rngs)
+    # every transform returns a new float32 array, so clipping in place is safe
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
 def corrupt(image: np.ndarray, spec: CorruptionSpec, index: int = 0) -> np.ndarray:
     """Corrupt a single (c, h, w) image in [0, 1]; `index` selects the
-    per-image random stream."""
+    per-image random stream. The bytes equal the image's row in a
+    `corrupt_images` batch where it sits at row `index`."""
     image = np.asarray(image, dtype=np.float32)
     if image.ndim != 3:
         raise ValueError(f"corrupt expects a (c, h, w) image, got shape {image.shape}")
-    if image.min() < 0.0 or image.max() > 1.0:
-        raise ValueError("corrupt: input values outside [0, 1]")
-    rng = _image_rng(spec, index)
-    out = _TRANSFORMS[spec.kind](image, spec.param, rng)
-    return np.clip(out, 0.0, 1.0).astype(np.float32)
+    return _render(image[None], spec, index)[0]
 
 
 def corrupt_images(images: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
-    out = np.empty_like(images, dtype=np.float32)
-    for i in range(images.shape[0]):
-        out[i] = corrupt(images[i], spec, index=i)
-    return out
+    """Corrupt an (n, c, h, w) batch in [0, 1] as one pass; image i draws from
+    random stream i."""
+    return _render(images, spec, 0)
 
 
 def build_corrupted_set(clean: ImageSet, kinds=None, severities=None,

@@ -166,7 +166,8 @@ def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, padding: i
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
     cols = _im2col(xp, kh, kw, stride, oh, ow)  # (n, c_in*kh*kw, oh*ow)
     y = np.matmul(w.reshape(c_out, -1), cols)  # (n, c_out, oh*ow)
-    return y.reshape(n, c_out, oh, ow) + b.reshape(1, c_out, 1, 1), xp, cols
+    y += b.reshape(1, c_out, 1)
+    return y.reshape(n, c_out, oh, ow), xp, cols
 
 
 def conv2d_forward(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:

@@ -106,6 +106,43 @@ def test_corrupt_rejects_bad_severity(idx_dir, capsys):
     assert code == 2
 
 
+def test_corrupt_rejects_empty_severity_list(idx_dir, tmp_path, capsys):
+    code, stdout, err = run_cli(capsys, "corrupt", f"{idx_dir}/t10k-images-idx3-ubyte",
+                                "--severities", ",", "--out", str(tmp_path / "corr"))
+    assert code == 2
+    assert stdout == "" and "--severities" in err
+    assert not (tmp_path / "corr").exists()
+
+
+def test_corrupt_renders_and_writes_one_cell_at_a_time(idx_dir, tmp_path, capsys, monkeypatch):
+    """Each call renders a single cell, and each file equals that cell
+    rendered by itself, printed once in kind-major order."""
+    import dstforge.cli
+    from dstforge.corruption import build_corrupted_set
+    from dstforge.data import load_idx, parse_corrupted_set_filename
+
+    cells_per_call = []
+
+    def one_call(clean, kinds, severities, seed):
+        cells_per_call.append(len(kinds) * len(severities))
+        return build_corrupted_set(clean, kinds, severities, seed=seed)
+
+    monkeypatch.setattr(dstforge.cli, "build_corrupted_set", one_call)
+    images = f"{idx_dir}/t10k-images-idx3-ubyte"
+    code, stdout, _ = run_cli(capsys, "corrupt", images, "--kinds", "shot_noise,pixelate,shot_noise",
+                              "--severities", "2,5,2", "--out", str(tmp_path), "--seed", "3")
+    assert code == 0
+    assert cells_per_call == [1, 1, 1, 1]
+    cells = [parse_corrupted_set_filename(p)[1:] for p in stdout.strip().splitlines()]
+    assert cells == [(k, s) for k in ("shot_noise", "pixelate") for s in (2, 5)]
+    clean = load_idx(images)
+    alone_path = str(tmp_path / "alone")
+    for p, cell in zip(stdout.strip().splitlines(), cells):
+        save_image_set(build_corrupted_set(clean, *zip(cell), seed=3)[cell], alone_path)
+        with open(p, "rb") as written, open(alone_path, "rb") as alone:
+            assert written.read() == alone.read()
+
+
 def test_corrupt_missing_dataset_exits_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "corrupt", str(tmp_path / "none.bin"))
     assert code == 3
@@ -294,6 +331,17 @@ def test_inspect_unknown_layer_exits_2_and_lists_the_layers(cli_run, capsys):
     assert code == 2
     assert stdout == ""
     assert "'bogus'" in err and "fc1, fc2" in err
+
+
+@pytest.mark.parametrize("flag", ["--json", "--svg"])
+def test_inspect_output_without_layer_exits_2(cli_run, tmp_path, capsys, flag):
+    out, _ = cli_run
+    path = str(tmp_path / "hm")
+    code, stdout, err = run_cli(capsys, "inspect", os.path.join(out, "final.ckpt"), flag, path)
+    assert code == 2
+    assert stdout == ""
+    assert "--layer" in err
+    assert not os.path.exists(path)
 
 
 @pytest.mark.parametrize("command, written", [

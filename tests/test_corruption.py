@@ -1,5 +1,9 @@
 """Corruption kinds: determinism, range discipline, and per-kind behavior."""
 
+import hashlib
+import json
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,9 +21,37 @@ from dstforge.corruption import (
 )
 from dstforge.data import ImageSet
 
+# SHA-256 of each cell's float32 output bytes for `golden_batch`, computed
+# with the per-image renderer (one `corrupt` call per image) that preceded
+# the batched one. They are an oracle independent of the code under test:
+# never regenerate them from it.
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "corruption_golden.json")
+GOLDEN_SEEDS = {"1x28x28": 0, "3x32x32": 7}
+
 
 def sample_image(seed=0, c=1, h=16, w=16) -> np.ndarray:
     return np.random.default_rng(seed).random((c, h, w)).astype(np.float32)
+
+
+def golden_batch(shape: str, n: int = 6) -> np.ndarray:
+    """Blob-task images (noise in [0, 0.3) with one lit 2x2 blob each), the
+    first all 0 and the last all 1."""
+    c, h, w = (int(d) for d in shape.split("x"))
+    imgs = (np.random.default_rng(11).random((n, c, h, w)) * 0.3).astype(np.float32)
+    for i in range(n):
+        cy, cx = 2 + (i % 5) * 2, 2 + (i // 5) * 6
+        imgs[i, :, cy : cy + 2, cx : cx + 2] += 0.7
+    imgs[0] = 0.0
+    imgs[-1] = 1.0
+    return np.clip(imgs, 0.0, 1.0)
+
+
+def cell_digests(shape: str) -> dict[str, str]:
+    x = golden_batch(shape)
+    return {f"{shape} {kind}-s{sev}": hashlib.sha256(
+                corrupt_images(x, CorruptionSpec(kind, sev, GOLDEN_SEEDS[shape])).tobytes()
+            ).hexdigest()
+            for kind in KINDS for sev in (1, 2, 3, 4, 5)}
 
 
 def test_kind_taxonomy():
@@ -67,14 +99,14 @@ def test_contrast_factor_one_would_be_identity():
     # the table has no factor-1 severity; apply the transform directly
     from dstforge.corruption import _contrast
 
-    img = sample_image(3)
+    img = sample_image(3)[None]
     np.testing.assert_allclose(_contrast(img, 1.0, None), img, atol=1e-7)
 
 
 def test_impulse_probability_zero_is_identity():
     from dstforge.corruption import _impulse_noise
 
-    img = sample_image(4)
+    img = sample_image(4)[None]
     out = _impulse_noise(img, 0.0, np.random.default_rng(0))
     np.testing.assert_array_equal(out, img)
 
@@ -98,12 +130,63 @@ def test_outputs_clipped_and_shapes_preserved():
 
 
 def test_per_image_rng_is_order_independent():
+    from dstforge.corruption import _render
+
     imgs = np.stack([sample_image(s) for s in range(6)])
-    spec = CorruptionSpec("gaussian_noise", 2, seed=9)
-    batch = corrupt_images(imgs, spec)
-    # corrupting image 4 alone must give the same bytes as inside the batch
-    solo = corrupt(imgs[4], spec, index=4)
-    np.testing.assert_array_equal(batch[4], solo)
+    for kind in KINDS:
+        for sev in (1, 5):
+            spec = CorruptionSpec(kind, sev, seed=9)
+            batch = corrupt_images(imgs, spec)
+            # the tail rendered alone, from its own first stream, and each
+            # image alone must give the same bytes as inside the batch
+            for k in (1, 4):
+                tail = _render(imgs[k:], spec, k)
+                assert tail.tobytes() == batch[k:].tobytes(), (kind, sev, k)
+            for i in range(len(imgs)):
+                solo = corrupt(imgs[i], spec, index=i)
+                assert solo.tobytes() == batch[i].tobytes(), (kind, sev, i)
+
+
+def test_only_kinds_that_draw_build_generators(monkeypatch):
+    import dstforge.corruption as corruption
+
+    built = []
+    real = corruption._image_rng
+    monkeypatch.setattr(corruption, "_image_rng",
+                        lambda spec, index: built.append(index) or real(spec, index))
+    imgs = np.stack([sample_image(s) for s in range(4)])
+    for kind in KINDS:
+        built.clear()
+        corrupt_images(imgs, CorruptionSpec(kind, 3))
+        draws = kind in HIGH_FREQUENCY_KINDS or kind == "motion_blur"
+        assert built == ([0, 1, 2, 3] if draws else []), kind
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN_SEEDS))
+def test_cells_match_golden_digests(shape):
+    with open(GOLDEN_PATH) as fh:
+        golden = {k: v for k, v in json.load(fh).items() if k.startswith(shape + " ")}
+    assert len(golden) == 50
+    got = cell_digests(shape)
+    assert [cell for cell in golden if got[cell] != golden[cell]] == []
+
+
+def test_corrupt_images_validates_the_batch_once():
+    spec = CorruptionSpec("brightness", 1)
+    with pytest.raises(ValueError, match="batch"):
+        corrupt_images(sample_image(), spec)
+    with pytest.raises(ValueError, match="batch"):
+        corrupt_images(np.zeros((2, 1, 1, 4, 4), dtype=np.float32), spec)
+    bad = np.stack([sample_image(s) for s in range(3)])
+    bad[2, 0, 5, 5] = 1.5
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        corrupt_images(bad, spec)
+    bad[2, 0, 5, 5] = -0.5
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        corrupt_images(bad, spec)
+    for kind in KINDS:
+        empty = corrupt_images(np.zeros((0, 3, 8, 8)), CorruptionSpec(kind, 3))
+        assert empty.shape == (0, 3, 8, 8) and empty.dtype == np.float32
 
 
 def test_same_seed_byte_identical():
