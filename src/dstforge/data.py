@@ -114,7 +114,7 @@ def load_idx(images_path, labels_path=None, name: str | None = None, classes: in
     _check_labels(labels, classes, labels_path)
     n, h, w = images.shape
     return ImageSet(
-        images=(images.astype(np.float32) / 255.0).reshape(n, 1, h, w),
+        images=_unit_floats(images).reshape(n, 1, h, w),
         labels=labels.astype(np.int64),
         name=name or _stem(images_path),
         fmt="idx",
@@ -133,11 +133,10 @@ def load_cifar_binary(paths, name: str | None = None, classes: int = 10) -> Imag
         rec = np.frombuffer(buf, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
         labels.append(rec[:, 0])
         chunks.append(rec[:, 1:].reshape(-1, 3, 32, 32))
-    images = np.concatenate(chunks)
     labels = np.concatenate(labels)
     _check_labels(labels, classes, paths[0])
     return ImageSet(
-        images=images.astype(np.float32) / 255.0,
+        images=_unit_floats(np.concatenate(chunks)),
         labels=labels.astype(np.int64),
         name=name or _stem(paths[0]),
         fmt="cifar",
@@ -149,8 +148,20 @@ def _stem(path) -> str:
     return os.path.basename(str(path)).rsplit(".", 1)[0]
 
 
+def _unit_floats(pixels: np.ndarray) -> np.ndarray:
+    """uint8 pixels as float32 in [0, 1], divided in place: one float copy."""
+    images = pixels.astype(np.float32)
+    images /= 255.0
+    return images
+
+
 def _quantize(images: np.ndarray) -> np.ndarray:
-    return np.rint(np.clip(images, 0.0, 1.0) * 255.0).astype(np.uint8)
+    """Pixels in [0, 1] to uint8: clip into one new array, then scale and
+    round it in place."""
+    q = np.clip(images, 0.0, 1.0)
+    q *= 255.0
+    np.rint(q, out=q)
+    return q.astype(np.uint8)
 
 
 @contextlib.contextmanager
@@ -205,7 +216,7 @@ def load_image_set(path, name: str | None = None, classes: int = 10) -> ImageSet
             raise DataError(f"{path}: {images.shape[0]} images but {labels.shape[0]} labels")
         _check_labels(labels, classes, path)
         n, h, w = images.shape
-        return ImageSet((images.astype(np.float32) / 255.0).reshape(n, 1, h, w),
+        return ImageSet(_unit_floats(images).reshape(n, 1, h, w),
                         labels.astype(np.int64), name or _stem(path), "idx")
     if len(buf) and len(buf) % CIFAR_RECORD == 0:
         return load_cifar_binary(path, name=name, classes=classes)

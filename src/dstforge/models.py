@@ -109,8 +109,10 @@ def parse_model_spec(text: str) -> ModelSpec:
 
 
 class Layer:
-    """A weight-bearing layer of a trainable model: "conv" (followed by relu
-    and a 2x2 max pool) or "linear" (followed by relu unless it is the last)."""
+    """A weight-bearing layer of a trainable model: "conv" (followed by a 2x2
+    max pool and relu; max and relu commute, so pooling first gives the same
+    values with relu on a quarter of the elements) or "linear" (followed by
+    relu unless it is the last)."""
 
     def __init__(self, name: str, kind: str, weight: Parameter, bias: Parameter,
                  stride: int = 1, padding: int = 0):
@@ -170,7 +172,7 @@ class Model:
         last = self.layers[-1]
         for layer in self.layers:
             if layer.kind == "conv":
-                x = maxpool(relu(conv2d(x, layer.weight, layer.bias, layer.stride, layer.padding)))
+                x = relu(maxpool(conv2d(x, layer.weight, layer.bias, layer.stride, layer.padding)))
                 continue
             if x.data.ndim > 2:
                 x = flatten(x)
@@ -234,7 +236,7 @@ def build_mlp(dims: tuple[int, ...], rng: np.random.Generator) -> Model:
 
 def build_small_convnet(input_shape: tuple[int, int, int], classes: int,
                         rng: np.random.Generator) -> Model:
-    """conv3x3(32)-relu-pool-conv3x3(64)-relu-pool-flatten-linear(128)-relu-linear(classes).
+    """conv3x3(32)-pool-relu-conv3x3(64)-pool-relu-flatten-linear(128)-relu-linear(classes).
 
     Convolutions are stride 1 with padding 1, pools are 2x2/2, so spatial dims
     shrink by 4x overall and must be divisible by 4.

@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .tensor import Parameter
 
 
@@ -13,18 +15,25 @@ def sgd_momentum_step(params: Iterable[Parameter], lr: float, momentum: float = 
                       weight_decay: float = 0.0):
     """One coupled-weight-decay SGD step: v <- mu*v + (g + wd*w); w <- w - lr*v.
 
+    Updates in place with one scratch array per parameter; `p.grad` is only
+    read. Each operation rounds as in the formula (float addition commutes,
+    so wd*w + g is g + wd*w).
     Parameters without a gradient (no backward reached them) raise, since that
     always indicates a wiring bug rather than a legitimate state.
     """
     for p in params:
         if p.grad is None:
             raise ValueError(f"sgd_momentum_step: parameter {p.name!r} has no gradient")
-        g = p.grad
+        dtype = p.data.dtype.type
+        scratch = np.empty_like(p.data)
+        p.momentum *= dtype(momentum)
         if weight_decay:
-            g = g + p.data.dtype.type(weight_decay) * p.data
-        p.momentum *= p.data.dtype.type(momentum)
-        p.momentum += g
-        p.data -= p.data.dtype.type(lr) * p.momentum
+            np.multiply(p.data, dtype(weight_decay), out=scratch)
+            scratch += p.grad
+            p.momentum += scratch
+        else:
+            p.momentum += p.grad
+        p.data -= np.multiply(p.momentum, dtype(lr), out=scratch)
 
 
 @dataclass(frozen=True)

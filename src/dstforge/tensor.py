@@ -141,17 +141,49 @@ def linear_forward(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make(y, (x, w, b), grad_fn)
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    n, c = xp.shape[:2]
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=xp.dtype)
+def _window_offsets(kh: int, kw: int, stride: int, padding: int, size: tuple[int, int],
+                    out: tuple[int, int]):
+    """For each kernel offset (i, j) in row-major order: (i, j, oy, ox, iy, ix),
+    the output and input slices it pairs. Output (y, x) reads input
+    (y*stride + i - padding, x*stride + j - padding); only outputs whose input
+    lies inside `size` are kept. The rest read zero padding, so im2col leaves
+    them zero and col2im drops them, and no padded copy of x is made."""
+    def axis(k: int, n_in: int, n_out: int):
+        lo = max(0, -((k - padding) // stride))
+        hi = max(lo, min(n_out, (n_in - 1 + padding - k) // stride + 1))
+        start = lo * stride + k - padding
+        return slice(lo, hi), slice(start, start + stride * (hi - lo), stride)
+
     for i in range(kh):
+        oy, iy = axis(i, size[0], out[0])
         for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+            ox, ix = axis(j, size[1], out[1])
+            yield i, j, oy, ox, iy, ix
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: int, ow: int) -> np.ndarray:
+    """Columns (n, c*kh*kw, oh*ow) in (c, kh, kw) row order, the kernels' own."""
+    n, c = x.shape[:2]
+    cols = (np.zeros if padding else np.empty)((n, c, kh, kw, oh, ow), dtype=x.dtype)
+    for i, j, oy, ox, iy, ix in _window_offsets(kh, kw, stride, padding, x.shape[2:], (oh, ow)):
+        cols[:, :, i, j, oy, ox] = x[:, :, iy, ix]
     return cols.reshape(n, c * kh * kw, oh * ow)
 
 
+def _col2im(dcols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: int,
+            oh: int, ow: int) -> np.ndarray:
+    """The adjoint of `_im2col`: dx from the columns' gradient, adding the
+    window offsets in row-major order."""
+    n, c = x_shape[:2]
+    dcols = dcols.reshape(n, c, kh, kw, oh, ow)
+    dx = np.zeros(x_shape, dtype=dcols.dtype)
+    for i, j, oy, ox, iy, ix in _window_offsets(kh, kw, stride, padding, x_shape[2:], (oh, ow)):
+        dx[:, :, iy, ix] += dcols[:, :, i, j, oy, ox]
+    return dx
+
+
 def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, padding: int):
-    """The forward arithmetic of conv2d_forward: (y, padded x, im2col columns)."""
+    """The forward arithmetic of conv2d_forward: (y, im2col columns)."""
     if x.ndim != 4 or w.ndim != 4:
         raise ValueError(f"conv2d_forward expects 4-d x and w, got {x.shape} and {w.shape}")
     n, c_in, h, wid = x.shape
@@ -163,11 +195,10 @@ def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, padding: i
     if oh <= 0 or ow <= 0:
         raise ValueError(f"conv2d_forward: kernel {kh}x{kw} does not fit input {h}x{wid} with padding {padding}")
 
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
-    cols = _im2col(xp, kh, kw, stride, oh, ow)  # (n, c_in*kh*kw, oh*ow)
+    cols = _im2col(x, kh, kw, stride, padding, oh, ow)  # (n, c_in*kh*kw, oh*ow)
     y = np.matmul(w.reshape(c_out, -1), cols)  # (n, c_out, oh*ow)
     y += b.reshape(1, c_out, 1)
-    return y.reshape(n, c_out, oh, ow), xp, cols
+    return y.reshape(n, c_out, oh, ow), cols
 
 
 def conv2d_forward(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -182,27 +213,22 @@ def conv2d_forward(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: in
 
     Returns:
         Tensor of shape (n, c_out, oh, ow) with oh = (h + 2p - kh)//stride + 1.
+
+    Backward takes dW as one GEMM per image against the columns' transposed
+    view, summed over the batch, and dx as the columns' gradient scattered
+    back by `_col2im`; neither copies the columns.
     """
-    y, xp, cols = _conv2d(x.data, w.data, b.data, stride, padding)
-    n, c_in, h, wid = x.data.shape
+    y, cols = _conv2d(x.data, w.data, b.data, stride, padding)
     c_out, _, kh, kw = w.data.shape
-    oh, ow = y.shape[2:]
-    wmat = w.data.reshape(c_out, -1)
+    n, _, oh, ow = y.shape
 
     def grad_fn(dy):
         dymat = dy.reshape(n, c_out, oh * ow)
-        _accum(w, np.einsum("nco,nio->ci", dymat, cols, optimize=True).reshape(w.data.shape))
+        _accum(w, np.matmul(dymat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape))
         _accum(b, dy.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            dcols = np.matmul(wmat.T, dymat)  # (n, c_in*kh*kw, oh*ow)
-            dcols = dcols.reshape(n, c_in, kh, kw, oh, ow)
-            dxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += dcols[:, :, i, j]
-            if padding:
-                dxp = dxp[:, :, padding : padding + h, padding : padding + wid]
-            _accum(x, dxp)
+            dcols = np.matmul(w.data.reshape(c_out, -1).T, dymat)  # (n, c_in*kh*kw, oh*ow)
+            _accum(x, _col2im(dcols, x.data.shape, kh, kw, stride, padding, oh, ow))
 
     return _make(y, (x, w, b), grad_fn)
 
@@ -238,8 +264,10 @@ def maxpool2x2(x: Tensor) -> Tensor:
     nothing, where an argmax would pick its first NaN; its loss is NaN
     either way. On a window that mixes -0.0 and +0.0 as its max, the pooled
     value may carry either sign, while an argmax pick returns the first
-    one's. relu never outputs -0.0, so no model's pool input holds such a
-    window, and no trained artifact depends on it.
+    one's. The models pool raw conv output, which holds -0.0 only where its
+    bias is -0.0 (GEMM sum + bias); a bias starts at +0.0, and SGD's
+    subtractions never make -0.0 of it, so no trained artifact depends on
+    that sign.
     """
     y = _pool_max(x.data)
 
@@ -277,8 +305,19 @@ def _linear_eval(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return Tensor(_linear(x.data, w.data, b.data))
 
 
+# images per `_conv2d` call in inference: bounds the im2col buffer (4.7 MB
+# for the small convnet's conv2) whatever the batch size. Each image is its
+# own GEMM either way, so the chunk changes memory, not arithmetic.
+EVAL_CONV_CHUNK = 16
+
+
 def _conv2d_eval(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    return Tensor(_conv2d(x.data, w.data, b.data, stride, padding)[0])
+    """`_conv2d` over chunks of EVAL_CONV_CHUNK images; the bytes equal one
+    call on the whole batch."""
+    n = x.data.shape[0]
+    chunks = [_conv2d(x.data[s : s + EVAL_CONV_CHUNK], w.data, b.data, stride, padding)[0]
+              for s in range(0, max(n, 1), EVAL_CONV_CHUNK)]
+    return Tensor(chunks[0] if len(chunks) == 1 else np.concatenate(chunks))
 
 
 def _maxpool2x2_eval(x: Tensor) -> Tensor:

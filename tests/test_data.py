@@ -153,6 +153,28 @@ def test_save_quantization_is_idempotent(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("fmt, c", [("idx", 1), ("cifar", 3)])
+def test_save_and_load_keep_the_bytes_of_the_plain_formulas(tmp_path, fmt, c):
+    # pixels past both ends, on exact half levels and in between
+    r = np.random.default_rng(4)
+    imgs = (r.random((5, c, 32, 32)) * 1.4 - 0.2).astype(np.float32)
+    imgs[:, :, 0, :8] = (np.arange(8) + 0.5) / 255
+    before = imgs.copy()
+    p = tmp_path / "set.bin"
+    save_image_set(ImageSet(images=imgs, labels=np.arange(5, dtype=np.int64), fmt=fmt), p)
+    assert imgs.tobytes() == before.tobytes()  # the caller's array is not touched
+    q = np.rint(np.clip(imgs, 0.0, 1.0) * 255.0).astype(np.uint8)
+    back = load_image_set(p)
+    assert back.images.dtype == np.float32
+    assert back.images.tobytes() == (q.astype(np.float32) / 255.0).tobytes()
+    raw = p.read_bytes()
+    if fmt == "cifar":
+        assert raw == np.concatenate([np.arange(5, dtype=np.uint8)[:, None],
+                                      q.reshape(5, -1)], axis=1).tobytes()
+    else:
+        assert raw[16 : 16 + q.size] == q.tobytes()
+
+
 def test_save_layout_constraints(tmp_path):
     with pytest.raises(DataError, match="channel"):
         save_image_set(ImageSet(images=toy_images(c=3), labels=np.zeros(6, dtype=np.int64)),

@@ -246,8 +246,8 @@ def _explicit_logits(model, x: Tensor) -> Tensor:
             h = relu(linear_forward(h, layer.weight, layer.bias))
     else:
         conv1, conv2, fc1, _ = model.layers
-        h = maxpool2x2(relu(conv2d_forward(x, conv1.weight, conv1.bias, 1, 1)))
-        h = maxpool2x2(relu(conv2d_forward(h, conv2.weight, conv2.bias, 1, 1)))
+        h = relu(maxpool2x2(conv2d_forward(x, conv1.weight, conv1.bias, 1, 1)))
+        h = relu(maxpool2x2(conv2d_forward(h, conv2.weight, conv2.bias, 1, 1)))
         h = relu(linear_forward(flatten(h), fc1.weight, fc1.bias))
     last = model.layers[-1]
     return linear_forward(h, last.weight, last.bias)

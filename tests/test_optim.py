@@ -99,3 +99,32 @@ def test_momentum_matches_reference_loop():
 def test_schedule_works_with_math_pi():
     s = LrSchedule(kind="cosine", base_lr=1.0, total_steps=4)
     assert lr_at(s, 1) == pytest.approx(0.5 * (1 + math.cos(math.pi / 4)))
+
+
+def _out_of_place_step(w, v, g, lr, momentum, weight_decay):
+    """The SGD step written with a fresh array per operation."""
+    t = w.dtype.type
+    if weight_decay:
+        g = g + t(weight_decay) * w
+    v = v * t(momentum) + g
+    return w - t(lr) * v, v
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+def test_in_place_step_is_byte_equal_to_the_out_of_place_formula(dtype, weight_decay):
+    rng = np.random.default_rng(11)
+    p = Parameter(rng.standard_normal((7, 5)).astype(dtype), name="w")
+    w, v = p.data.copy(), p.momentum.copy()
+    data, momentum = p.data, p.momentum
+    for step in range(4):
+        g = rng.standard_normal(p.data.shape).astype(dtype)
+        g_before = g.copy()
+        p.grad = g
+        sgd_momentum_step([p], lr=0.05 + 0.01 * step, momentum=0.9, weight_decay=weight_decay)
+        w, v = _out_of_place_step(w, v, g_before, 0.05 + 0.01 * step, 0.9, weight_decay)
+        assert p.grad is g and g.tobytes() == g_before.tobytes()
+        assert p.data is data and p.momentum is momentum  # updated in place
+        assert p.data.dtype == p.momentum.dtype == dtype
+        assert p.data.tobytes() == w.tobytes()
+        assert p.momentum.tobytes() == v.tobytes()

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import MARGIN, check_param_grads, numeric_grad, relu_margin
 
+import dstforge.tensor
 from dstforge.models import build_small_convnet
 from dstforge.tensor import (
+    EVAL_CONV_CHUNK,
     GraphError,
     Parameter,
     Tensor,
@@ -130,6 +132,59 @@ def test_maxpool_matches_a_window_loop_bytewise(n, c, oh, ow, dtype, inputs, see
     for odd in (a[:, :, 1:], a[:, :, :, 1:]):
         with pytest.raises(ValueError):
             maxpool2x2(Tensor(odd))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+       st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
+def test_pool_then_relu_equals_relu_then_pool(n, c_out, oh, ow, dtype, seed):
+    # small integer inputs, kernels and biases make conv outputs with ties,
+    # exact zeros and negatives, and whole windows at or below zero
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.integers(-1, 2, (n, 2, 2 * oh, 2 * ow)).astype(dtype))
+    w = Parameter(rng.integers(-1, 2, (c_out, 2, 3, 3)).astype(dtype), name="w")
+    b = Parameter(rng.integers(-1, 2, c_out).astype(dtype), name="b")
+    y = conv2d_forward(x, w, b, padding=1).data
+    dy = rng.standard_normal((n, c_out, oh, ow)).astype(dtype)
+    dy[rng.random(dy.shape) < 0.2] = -0.0
+
+    grads = []
+    for first, second in ((maxpool2x2, relu), (relu, maxpool2x2)):
+        leaf = Tensor(y, requires_grad=True)
+        mid = first(leaf)
+        out = second(mid)
+        out._grad_fn(dy)
+        mid._grad_fn(mid.grad)
+        grads.append((out.data, leaf.grad))
+    (pool_relu, d_pool_relu), (relu_pool, d_relu_pool) = grads
+    assert pool_relu.dtype == relu_pool.dtype == dtype
+    assert pool_relu.tobytes() == relu_pool.tobytes()
+    # equal as numbers: the two orders differ only in the sign of a zero
+    # gradient, at windows whose max is not above zero
+    assert d_pool_relu.dtype == d_relu_pool.dtype == dtype
+    assert np.array_equal(d_pool_relu, d_relu_pool)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 7), st.integers(1, 7),
+       st.integers(1, 3), st.integers(1, 3), st.integers(1, 2), st.integers(0, 2),
+       st.integers(0, 2**32 - 1))
+def test_conv_forward_matches_a_padded_window_loop(c_in, c_out, h, w, kh, kw, stride, padding, seed):
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    if oh < 1 or ow < 1:
+        return
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((2, c_in, h, w))
+    wt = rng.standard_normal((c_out, c_in, kh, kw))
+    b = rng.standard_normal(c_out)
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    want = np.empty((2, c_out, oh, ow))
+    for i, j in np.ndindex(oh, ow):
+        win = xp[:, :, i * stride : i * stride + kh, j * stride : j * stride + kw]
+        want[:, :, i, j] = np.einsum("nchw,ochw->no", win, wt) + b
+    got = conv2d_forward(Tensor(x), Parameter(wt, name="w"), Parameter(b, name="b"), stride, padding)
+    np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-12)
 
 
 def test_flatten_shape():
@@ -264,7 +319,7 @@ def test_no_grad_builds_no_graph_and_restores_grad_mode():
     assert all(p.grad is not None for p in model.parameters())
 
 
-def test_layer_kernels_under_no_grad_match_the_graph_ops():
+def test_layer_kernels_under_no_grad_match_the_graph_ops(monkeypatch):
     rng = np.random.default_rng(3)
     x = Tensor(rng.standard_normal((2, 3, 6, 6)).astype(np.float32))
     w = Parameter(rng.standard_normal((4, 3, 3, 3)).astype(np.float32), name="w")
@@ -285,6 +340,24 @@ def test_layer_kernels_under_no_grad_match_the_graph_ops():
             assert got.data.tobytes() == want.data.tobytes()
         with pytest.raises(ValueError):
             maxpool(Tensor(np.ones((1, 1, 3, 4), dtype=np.float32)))
+
+    # a batch past the inference chunk, with a ragged tail, runs as three
+    # `_conv2d` calls and still gives the graph op's bytes
+    big = Tensor(rng.standard_normal((2 * EVAL_CONV_CHUNK + 3, 3, 6, 6)).astype(np.float32))
+    want = conv2d_forward(big, w, b, padding=1).data
+    calls = []
+
+    real_conv2d = dstforge.tensor._conv2d
+
+    def counting_conv2d(x, *args):
+        calls.append(x.shape[0])
+        return real_conv2d(x, *args)
+
+    monkeypatch.setattr(dstforge.tensor, "_conv2d", counting_conv2d)
+    with no_grad():
+        got = layer_kernels()[1](big, w, b, padding=1).data
+    assert calls == [EVAL_CONV_CHUNK, EVAL_CONV_CHUNK, 3]
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_a_parameter_shared_by_two_layers_sums_both_gradients():

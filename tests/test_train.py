@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ import dstforge.train
 from dstforge.checkpoint import CheckpointError, load_checkpoint
 from dstforge.config import ConfigError, parse_config
 from dstforge.corruption import CorruptionSpec, corrupt_images
-from dstforge.data import ImageSet
+from dstforge.data import ImageSet, save_image_set
 from dstforge.metrics import accuracy
 from dstforge.spectral import RACurve
 from dstforge.train import (
@@ -387,3 +389,88 @@ def test_a_dense_override_stays_dense_through_topology_events(idx_dir, tmp_path,
     assert mask.active_count("fc1") < mask["fc1"].size
     with open(os.path.join(cfg.out_dir, "trajectory.csv")) as fh:
         assert len(fh.readlines()) >= 4  # header, step 0 and two events
+
+
+
+# Trains every config named on the command line, then writes the dense
+# predict logits of each run's final.ckpt on its test set next to it.
+# Importing dstforge.cli first turns DSTFORGE_THREADS into the BLAS thread
+# variables before numpy loads.
+_TRAIN_AND_PREDICT = """
+import os, sys
+from dstforge.cli import main
+from dstforge.checkpoint import load_checkpoint
+from dstforge.config import load_config
+from dstforge.data import load_image_set
+
+for path in sys.argv[1:]:
+    assert main(["train", path]) == 0
+    cfg = load_config(path)
+    model = load_checkpoint(os.path.join(cfg.out_dir, "final.ckpt")).build_model()
+    logits = model.predict(load_image_set(cfg.test_images).images)
+    with open(os.path.join(cfg.out_dir, "logits.bin"), "wb") as fh:
+        fh.write(logits.tobytes())
+"""
+
+
+def _convnet_config(train: str, test: str, out_dir: str, method: str) -> str:
+    dst = "" if method == "dense" else f"""
+[dst]
+method = {method}
+sparsity = 0.5
+sparsity_dist = erk
+delta_t = 2
+p = 0.2
+"""
+    return f"""[data]
+dataset = blobs
+format = cifar
+train = {train}
+test = {test}
+classes = 10
+
+[train]
+model = small_convnet:3x32x32-10
+epochs = 1
+seed = 3
+lr = 0.05
+bs = 20
+lrs = step
+wd = 1e-4
+momentum = 0.9
+
+[output]
+dir = {out_dir}
+{dst}"""
+
+
+def test_convnet_training_and_predict_bytes_do_not_depend_on_the_thread_count(tmp_path):
+    """small_convnet at the benchmark's 3x32x32 shape, dense and RigL (whose
+    events probe a dense gradient), trained at 1 and at 2 BLAS threads: the
+    final checkpoints and the predict logits must match byte for byte. The
+    test set spans two inference chunks and a ragged tail. The MLP is left
+    out: its fc1 forward GEMM (K = 784) gives different bytes at 1 and 2
+    OpenBLAS threads, which ROADMAP.md item 1 (thread-invariant arithmetic)
+    is to fix."""
+    paths = {}
+    for name, n, seed in (("train", 60, 1), ("test", 37, 2)):
+        imgs, labels = make_blob_set(n, seed=seed, side=32)
+        paths[name] = str(tmp_path / f"{name}.bin")
+        save_image_set(ImageSet(np.repeat(imgs[:, None], 3, axis=1), labels.astype(np.int64),
+                                fmt="cifar"), paths[name])
+    runs = {}
+    for threads in (1, 2):
+        configs = []
+        for method in ("dense", "rigl"):
+            runs[method, threads] = tmp_path / f"{method}-t{threads}"
+            configs.append(tmp_path / f"{method}-t{threads}.ini")
+            configs[-1].write_text(_convnet_config(paths["train"], paths["test"],
+                                                   str(runs[method, threads]), method))
+        r = subprocess.run([sys.executable, "-c", _TRAIN_AND_PREDICT, *map(str, configs)],
+                           env=dict(os.environ, DSTFORGE_THREADS=str(threads)),
+                           capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+    for method in ("dense", "rigl"):
+        for name in ("final.ckpt", "logits.bin"):
+            one, two = ((runs[method, t] / name).read_bytes() for t in (1, 2))
+            assert one == two, f"{method} {name}"
