@@ -191,7 +191,9 @@ def training_flops(desc: ArchDescriptor, alloc: SparsityAllocation | None,
                    probe_events: int = 0) -> float:
     """batch * 3 * inference_flops at the trajectory's density, summed over
     steps. Each gradient-probe event (dense backward for regrowth scoring)
-    adds batch * 3 * dense inference.
+    adds batch * 3 * dense inference: the pass a sparse-kernel implementation
+    would run, which this one does not (its step backward is already dense),
+    so measured time and this account differ.
     """
     if steps < 1:
         raise ValueError("training_flops needs steps >= 1")
@@ -218,7 +220,9 @@ def cost_report(arch: str, desc: ArchDescriptor, method: str,
     """The FLOP and parameter account of one recipe at its final density.
 
     Gradient-probing methods are charged one dense probe per topology event
-    (one per trajectory sample after step 0) unless `probe` is False.
+    (one per trajectory sample after step 0) unless `probe` is False. The
+    probe is charged, not run: the training loop reads the step's own dense
+    gradient (see `schedulers`).
     """
     final = trajectory.samples[-1][1]
     probes = len(trajectory.samples) - 1 if probe and method in PROBE_METHODS else 0

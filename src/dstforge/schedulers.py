@@ -14,8 +14,13 @@ regrowth picks the largest dense |grad| or draws at random. One kernel,
           event prunes round(p * target) below the scheduled count, then
           regrows to it (granet_r, granet_g)
 
-Removal ranks by |w| except under the MEST schedule. A method pays for a dense
-gradient probe at each event when it regrows or scores by gradient.
+Removal ranks by |w| except under the MEST schedule. A method that regrows or
+scores by gradient reads each layer's `weight.grad` as the step's backward left
+it: the minibatch gradient at the weights before that step's SGD update, at
+every position, masked ones included. The FLOP account still charges such a
+method one dense gradient probe per event, the backward a sparse-kernel
+implementation would run to get those gradients; this implementation runs no
+extra pass, so measured time and `cost.json` differ.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from .sparsity import (
     prune_rate,
     random_regrow,
 )
-from .tensor import Tensor, backward, softmax_cross_entropy
 
 
 @dataclass(frozen=True)
@@ -54,8 +58,8 @@ RULES = {
     "granet_g": Rule("granet", grad_regrow=True),
 }
 METHODS = ("dense", *RULES)
-# methods that need the dense gradient at every event: to regrow by it, or to
-# score removal by |w| + lambda*|grad| as MEST does
+# methods that read the step's dense weight gradient at every event: to regrow
+# by it, or to score removal by |w| + lambda*|grad| as MEST does
 PROBE_METHODS = tuple(m for m, rule in RULES.items()
                       if rule.grad_regrow or rule.schedule == "mest")
 
@@ -96,6 +100,11 @@ class DstConfig:
             raise ValueError(
                 f"init_density {self.init_density} below the target density {self.budget}; "
                 f"the density schedule only decays")
+        if self.soft_bound is not None and self.soft_bound < 0:
+            raise ValueError(f"soft_bound must be >= 0, got {self.soft_bound}; "
+                             f"MEST starts at or above its budget")
+        if self.stop_step is not None and self.stop_step < 0:
+            raise ValueError(f"stop_step must be >= 0, got {self.stop_step}")
         if self.horizon is not None and self.horizon < 1:
             raise ValueError("horizon must be >= 1 when given")
         if self.start_step < 0:
@@ -220,20 +229,8 @@ def synthetic_trajectory(cfg: DstConfig) -> BudgetTrajectory:
     return traj
 
 
-def _dense_grads(model: Model, batch) -> dict[str, np.ndarray]:
-    """Weight gradients of the batch loss with masking suspended for the
-    gradient only: weight values stay masked, but grads cover every position."""
-    x, y = batch
-    model.zero_grad()
-    loss = softmax_cross_entropy(model.forward(Tensor(x)), y)
-    backward(loss)
-    grads = {layer.name: layer.weight.grad for layer in model.layers}
-    model.zero_grad()
-    return grads
-
-
 def topology_update(model: Model, mask: TopologyMask, alloc: SparsityAllocation,
-                    cfg: DstConfig, step: int, rng: np.random.Generator, batch):
+                    cfg: DstConfig, step: int, rng: np.random.Generator):
     """One prune/regrow event, the same for every sparse method.
 
     Each layer's target is its share of the event density. Removal takes the
@@ -250,7 +247,12 @@ def topology_update(model: Model, mask: TopologyMask, alloc: SparsityAllocation,
     else:
         p = prune_rate(cfg.p0, step, cfg.total_steps)
         floors = {name: t - int(round(p * t)) for name, t in targets.items()}
-    grads = _dense_grads(model, batch) if cfg.method in PROBE_METHODS else None
+    if cfg.method in PROBE_METHODS:
+        missing = next((layer.name for layer in model.layers
+                        if layer.name in mask and layer.weight.grad is None), None)
+        if missing is not None:
+            raise ValueError(f"topology_update: {cfg.method} reads the step's weight gradient, "
+                             f"but layer {missing!r} has none; call it after the backward")
     for layer in model.layers:
         if layer.name not in mask:
             continue
@@ -260,13 +262,13 @@ def topology_update(model: Model, mask: TopologyMask, alloc: SparsityAllocation,
         k_remove = min(max(0, active - floors[layer.name]), m.size - targets[layer.name])
         score = np.abs(layer.weight.data)
         if rule.schedule == "mest":
-            score = score + cfg.mest_lambda * np.abs(grads[layer.name])
+            score = score + cfg.mest_lambda * np.abs(layer.weight.grad)
         removed = _prune_by_score(score, m, k_remove)
         flat = m.reshape(-1)
         flat[removed] = False
         k_grow = max(0, targets[layer.name] - (active - k_remove))
         if rule.grad_regrow:
-            grown = gradient_regrow(m, k_grow, grads[layer.name], exclude=removed)
+            grown = gradient_regrow(m, k_grow, layer.weight.grad, exclude=removed)
         else:
             grown = random_regrow(m, k_grow, rng, exclude=removed)
         flat[grown] = True

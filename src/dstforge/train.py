@@ -95,7 +95,9 @@ def run_train(cfg: RunConfig, resume_path=None, stop_after_step: int | None = No
     """Run the configured training; returns the path of the last checkpoint.
 
     Per step: forward on masked weights, backward, SGD step, re-mask, then a
-    topology update when the schedule fires. One JSON line per epoch goes to
+    topology update when the schedule fires, which reads the gradients this
+    step's backward left on the weights. `stop_after_step` must lie after the
+    step the run starts from. One JSON line per epoch goes to
     metrics.jsonl (and `echo` when given). A non-finite loss aborts with the
     failing step number.
     """
@@ -132,6 +134,9 @@ def run_train(cfg: RunConfig, resume_path=None, stop_after_step: int | None = No
         start_step = ck.step
         epoch_loss_sum = ck.epoch_loss_sum
         epoch_loss_count = ck.epoch_loss_count
+    if stop_after_step is not None and stop_after_step <= start_step:
+        raise ConfigError(f"stop after step {stop_after_step}: the run starts at step "
+                          f"{start_step}, so it would never stop there")
 
     spe = cfg.steps_per_epoch
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -173,7 +178,7 @@ def run_train(cfg: RunConfig, resume_path=None, stop_after_step: int | None = No
             if mask is not None:
                 apply_mask(model, mask)
                 if should_update(dst, completed):
-                    topology_update(model, mask, alloc, dst, completed, rng, (x, y))
+                    topology_update(model, mask, alloc, dst, completed, rng)
                     apply_mask(model, mask)
                     trajectory.record(completed, mask.global_density())
 

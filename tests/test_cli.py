@@ -473,3 +473,24 @@ def test_resume_through_cli_is_bitwise(idx_dir, tmp_path, capsys):
         with open(os.path.join(full_out, name), "rb") as fa, \
              open(os.path.join(split_out, name), "rb") as fb:
             assert fa.read() == fb.read(), name
+
+
+@pytest.mark.parametrize("stop", ["0", "-3", "resume"])
+def test_train_unreachable_stop_step_exits_2_without_a_checkpoint(idx_dir, tmp_path, capsys,
+                                                                   stop):
+    """A stop step at or before the step the run starts from (0 fresh, the
+    checkpoint's step on resume) would never be reached."""
+    out = tmp_path / "run"
+    cfg_path = str(tmp_path / "run.ini")
+    with open(cfg_path, "w") as fh:
+        fh.write(toy_config(idx_dir, str(out), method="set", sparsity=0.5, epochs=1))
+    args = ["train", cfg_path, "--stop-after-step", stop]
+    if stop == "resume":
+        assert run_cli(capsys, "train", cfg_path, "--stop-after-step", "17")[0] == 0
+        args = ["train", cfg_path, "--resume", str(out / "step00000017.ckpt"),
+                "--stop-after-step", "17"]
+    written = sorted(os.listdir(out)) if out.exists() else []
+    code, _, err = run_cli(capsys, *args)
+    assert code == 2
+    assert err.startswith("config error: stop after step")
+    assert (sorted(os.listdir(out)) if out.exists() else []) == written

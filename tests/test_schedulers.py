@@ -40,6 +40,14 @@ def fake_batch(rng, n=8, f=20, classes=10):
     return rng.random((n, f)).astype(np.float32), rng.integers(0, classes, n)
 
 
+def fake_backward(model, rng):
+    """One forward and backward on a fake batch, leaving each weight's
+    gradient in place as a training step's backward does."""
+    x, y = fake_batch(rng)
+    model.zero_grad()
+    backward(softmax_cross_entropy(model.forward(Tensor(x)), y))
+
+
 # --- config ------------------------------------------------------------------
 
 
@@ -62,6 +70,10 @@ def test_config_validation():
         DstConfig(method="set", sparsity=0.5, total_steps=10, p0=1.5)
     with pytest.raises(ValueError):
         DstConfig(method="granet_r", sparsity=0.1, total_steps=10, init_density=0.8)
+    with pytest.raises(ValueError, match="soft_bound"):
+        DstConfig(method="mest_r", sparsity=0.5, soft_bound=-0.3, total_steps=100, delta_t=10)
+    with pytest.raises(ValueError, match="stop_step"):
+        DstConfig(method="set", sparsity=0.5, total_steps=100, stop_step=-5)
 
 
 def test_config_defaults():
@@ -227,7 +239,7 @@ def test_set_update_preserves_counts_and_moves_positions():
     cfg, model, alloc, mask, rng = toy_setup("set")
     before = {n: mask[n].copy() for n in mask.names()}
     counts = {n: mask.active_count(n) for n in mask.names()}
-    topology_update(model, mask, alloc, cfg, 10, rng, None)
+    topology_update(model, mask, alloc, cfg, 10, rng)
     assert {n: mask.active_count(n) for n in mask.names()} == counts
     assert any(not np.array_equal(before[n], mask[n]) for n in mask.names())
 
@@ -241,17 +253,18 @@ def test_set_update_drops_smallest_magnitudes():
     active = np.flatnonzero(m)
     order = np.argsort(np.abs(w.reshape(-1)[active]), kind="stable")
     expect_removed = set(active[order[:k]].tolist())
-    topology_update(model, mask, alloc, cfg, 10, rng, None)
+    topology_update(model, mask, alloc, cfg, 10, rng)
     now_active = set(np.flatnonzero(mask[name]).tolist())
     assert expect_removed.isdisjoint(now_active)
 
 
 def test_rigl_update_regrows_largest_gradients():
     cfg, model, alloc, mask, rng = toy_setup("rigl", seed=3)
-    batch = fake_batch(np.random.default_rng(0))
-    from dstforge.schedulers import _dense_grads
-
-    grads = _dense_grads(model, batch)
+    fake_backward(model, np.random.default_rng(0))
+    grads = {layer.name: layer.weight.grad.copy() for layer in model.layers}
+    # the step's SGD update and re-mask leave the gradient the event reads
+    sgd_momentum_step(model.parameters(), lr=0.1, momentum=0.9, weight_decay=1e-4)
+    apply_mask(model, mask)
     name = "fc1"
     m_before = mask[name].copy()
     w = model.layer_by_name(name).weight.data
@@ -259,11 +272,13 @@ def test_rigl_update_regrows_largest_gradients():
     removed = set(np.flatnonzero(m_before)[
         np.argsort(np.abs(w.reshape(-1)[np.flatnonzero(m_before)]), kind="stable")[:k]
     ].tolist())
-    topology_update(model, mask, alloc, cfg, 10, rng, batch)
+    topology_update(model, mask, alloc, cfg, 10, rng)
     grown = set(np.flatnonzero(mask[name]).tolist()) - set(np.flatnonzero(m_before).tolist())
     assert len(grown) == k
-    # every grown position must carry a dense-gradient magnitude at least as
+    # every grown position must carry a step-gradient magnitude at least as
     # large as any still-inactive, non-excluded candidate
+    for layer in model.layers:
+        np.testing.assert_array_equal(layer.weight.grad, grads[layer.name])
     g = np.abs(grads[name].reshape(-1))
     inactive_after = set(np.flatnonzero(~mask[name].reshape(-1)).tolist()) - removed
     if grown and inactive_after:
@@ -272,16 +287,16 @@ def test_rigl_update_regrows_largest_gradients():
 
 def test_mest_update_tracks_soft_bound():
     cfg, model, alloc, mask, rng = toy_setup("mest_r", total=80, delta_t=10)
-    batch = fake_batch(np.random.default_rng(1))
+    fake_backward(model, np.random.default_rng(1))
     assert mask.global_density() == pytest.approx(0.55, abs=0.01)
-    topology_update(model, mask, alloc, cfg, 10, rng, batch)
+    topology_update(model, mask, alloc, cfg, 10, rng)
     from dstforge.schedulers import mest_soft_bound as msb
 
     want = alloc.targets(at_density=cfg.budget + msb(cfg, 20))
     for n in mask.names():
         assert mask.active_count(n) == want[n]
     # final event regrows to b_s(total) = 0 -> exactly the base budget
-    topology_update(model, mask, alloc, cfg, 70, rng, batch)
+    topology_update(model, mask, alloc, cfg, 70, rng)
     base = alloc.targets()
     for n in mask.names():
         assert mask.active_count(n) == base[n]
@@ -291,7 +306,7 @@ def test_mest_scoring_prefers_low_weight_and_low_grad():
     # lambda = 0 reduces the removal score to |w| alone
     cfg, model, alloc, mask, rng = toy_setup("mest_r", total=80, delta_t=10,
                                              mest_lambda=0.0)
-    batch = fake_batch(np.random.default_rng(2))
+    fake_backward(model, np.random.default_rng(2))
     name = "fc2"
     m = mask[name].copy()
     w = model.layer_by_name(name).weight.data
@@ -300,17 +315,16 @@ def test_mest_scoring_prefers_low_weight_and_low_grad():
     active = np.flatnonzero(m)
     order = np.argsort(np.abs(w.reshape(-1)[active]), kind="stable")
     expect_gone = set(active[order[:k_remove]].tolist())
-    topology_update(model, mask, alloc, cfg, 70, rng, batch)
+    topology_update(model, mask, alloc, cfg, 70, rng)
     assert expect_gone.isdisjoint(np.flatnonzero(mask[name]).tolist())
 
 
 def test_granet_update_decays_density():
     cfg, model, alloc, mask, rng = toy_setup("granet_r", total=80, delta_t=10,
                                              horizon=40)
-    batch = fake_batch(np.random.default_rng(3))
     assert mask.global_density() == pytest.approx(0.8, abs=0.01)
     for step in (10, 20, 30, 40):
-        topology_update(model, mask, alloc, cfg, step, rng, batch)
+        topology_update(model, mask, alloc, cfg, step, rng)
         want = alloc.targets(at_density=granet_density(cfg, step))
         for n in mask.names():
             assert mask.active_count(n) == want[n], (step, n)
@@ -320,9 +334,9 @@ def test_granet_update_decays_density():
 def test_granet_g_uses_gradient_regrowth():
     cfg, model, alloc, mask, rng = toy_setup("granet_g", total=80, delta_t=10,
                                              horizon=40, seed=5)
-    batch = fake_batch(np.random.default_rng(4))
+    fake_backward(model, np.random.default_rng(4))
     before = {n: mask[n].copy() for n in mask.names()}
-    topology_update(model, mask, alloc, cfg, 10, rng, batch)
+    topology_update(model, mask, alloc, cfg, 10, rng)
     want = alloc.targets(at_density=granet_density(cfg, 10))
     for n in mask.names():
         assert mask.active_count(n) == want[n]
@@ -330,27 +344,24 @@ def test_granet_g_uses_gradient_regrowth():
 
 
 @pytest.mark.parametrize("method", METHODS[1:])
-def test_probe_methods_match_the_kernel(method, monkeypatch):
+def test_probe_methods_match_the_kernel(method):
     """The cost account charges a dense-gradient probe per event exactly for
-    the methods whose update computes one."""
+    the methods whose update reads a gradient: with every weight gradient
+    cleared, the others complete and these raise, naming the layer."""
     cfg, model, alloc, mask, rng = toy_setup(method)
-    dense_grads = schedulers._dense_grads
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return dense_grads(*args)
-
-    monkeypatch.setattr(schedulers, "_dense_grads", counting)
-    topology_update(model, mask, alloc, cfg, 10, rng, fake_batch(np.random.default_rng(0)))
-    assert len(calls) == (1 if method in PROBE_METHODS else 0)
+    model.zero_grad()
+    if method in PROBE_METHODS:
+        with pytest.raises(ValueError, match="'fc1'"):
+            topology_update(model, mask, alloc, cfg, 10, rng)
+    else:
+        topology_update(model, mask, alloc, cfg, 10, rng)
 
 
 def test_topology_update_rejects_dense():
     cfg, model, alloc, mask, rng = toy_setup("set")
     dense = DstConfig(method="dense", total_steps=80)
     with pytest.raises(ValueError):
-        topology_update(model, mask, alloc, dense, 10, rng, None)
+        topology_update(model, mask, alloc, dense, 10, rng)
 
 
 @settings(deadline=None, max_examples=20)
@@ -358,9 +369,10 @@ def test_topology_update_rejects_dense():
        st.integers(min_value=0, max_value=1000))
 def test_update_never_breaks_budget_bounds(method, seed):
     cfg, model, alloc, mask, rng = toy_setup(method, total=80, delta_t=10, seed=seed)
-    batch = fake_batch(np.random.default_rng(seed))
+    data_rng = np.random.default_rng(seed)
     for step in (10, 40, 70):
-        topology_update(model, mask, alloc, cfg, step, rng, batch)
+        fake_backward(model, data_rng)
+        topology_update(model, mask, alloc, cfg, step, rng)
         apply_mask(model, mask)
         for n in mask.names():
             layer = model.layer_by_name(n)
@@ -419,7 +431,7 @@ def test_every_event_meets_schedule_with_disjoint_moves(method, sparsity, seed):
                 continue
             before = {n: mask[n].copy() for n in mask.names()}
             picks.clear()
-            topology_update(model, mask, alloc, cfg, step, rng, (x, y))
+            topology_update(model, mask, alloc, cfg, step, rng)
             apply_mask(model, mask)
             events += 1
             targets = schedule_targets(cfg, alloc, step)

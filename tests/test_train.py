@@ -139,16 +139,23 @@ def test_different_seed_changes_weights(idx_dir, tmp_path):
     assert not np.array_equal(ma.layers[0].weight.data, mb.layers[0].weight.data)
 
 
-def test_resume_is_bitwise_identical(idx_dir, tmp_path):
-    """Stop mid-epoch, resume, and compare every artifact byte for byte."""
-    text_full = toy_config(idx_dir, str(tmp_path / "full"), method="set",
+@pytest.mark.parametrize("method, stop", [
+    ("set", 37),  # mid-epoch, off the update grid
+    ("rigl", 30),  # at an event (delta_t 15): it reads the step's gradient
+    ("mest_r", 30),
+])
+def test_resume_is_bitwise_identical(idx_dir, tmp_path, method, stop):
+    """Stop, resume, and compare every artifact byte for byte. Stopping at an
+    event of a gradient-reading method pins that no event reads a gradient a
+    resume could lose."""
+    text_full = toy_config(idx_dir, str(tmp_path / "full"), method=method,
                            sparsity=0.5, epochs=2)
-    text_split = toy_config(idx_dir, str(tmp_path / "split"), method="set",
+    text_split = toy_config(idx_dir, str(tmp_path / "split"), method=method,
                             sparsity=0.5, epochs=2)
     run_train(parse_config(text_full))
     cfg_split = parse_config(text_split)
-    mid = run_train(cfg_split, stop_after_step=37)  # mid-epoch, off the update grid
-    assert mid.endswith("step00000037.ckpt")
+    mid = run_train(cfg_split, stop_after_step=stop)
+    assert mid.endswith(f"step{stop:08d}.ckpt")
     run_train(cfg_split, resume_path=mid)
     for name in ("final.ckpt", "metrics.jsonl", "trajectory.csv", "cost.json"):
         with open(os.path.join(tmp_path, "full", name), "rb") as fa, \
@@ -446,7 +453,7 @@ dir = {out_dir}
 
 def test_convnet_training_and_predict_bytes_do_not_depend_on_the_thread_count(tmp_path):
     """small_convnet at the benchmark's 3x32x32 shape, dense and RigL (whose
-    events probe a dense gradient), trained at 1 and at 2 BLAS threads: the
+    events regrow by the step's gradient), trained at 1 and at 2 BLAS threads: the
     final checkpoints and the predict logits must match byte for byte. The
     test set spans two inference chunks and a ragged tail. The MLP is left
     out: its fc1 forward GEMM (K = 784) gives different bytes at 1 and 2
