@@ -1,0 +1,110 @@
+#!/usr/bin/env python
+"""Alternating parent/change runs of one benchmark workload, summarised.
+
+    python scripts/bench_pairs.py PARENT_CHECKOUT CHANGE_CHECKOUT \
+        --workload W --pairs N --seconds S --seed S0
+
+Pair i runs each checkout's own `perfbench/run.py --trace 0` at seed S0+i,
+the parent first on even i and the change first on odd i, so drift in the
+machine's speed falls on both sides. It reads the result from the last line
+of each run's standard output and prints one line per run (its `correct` and
+`failed`, and its end-to-end metrics), then one line per end-to-end metric of
+the change checkout's BENCHMARK.json: the parent's and the change's medians,
+the parent's quartiles, and in how many pairs the change did better, in the
+direction of the metric's `better`. It exits 1 if any run is not `correct`,
+has a failed operation or prints no result, and 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+
+def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict | None:
+    """The result object of one benchmark run, or None if it printed none."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join(checkout, "perfbench", "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
+    except json.JSONDecodeError:
+        result = None
+    if result is None or not isinstance(result.get("metrics"), dict):
+        sys.stderr.write(f"{checkout} seed {seed}: no result (exit {proc.returncode})\n"
+                         f"{proc.stderr[-2000:]}")
+        return None
+    return result
+
+
+def quartiles(values: list[float]) -> tuple[float, float]:
+    if len(values) == 1:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", metavar="PARENT_CHECKOUT")
+    ap.add_argument("change", metavar="CHANGE_CHECKOUT")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--seed", type=int, required=True)
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
+        metrics = json.load(fh)["end_to_end"]
+
+    sides = {"parent": args.parent, "change": args.change}
+    values = {side: {m["name"]: [] for m in metrics} for side in sides}
+    wins = {m["name"]: 0 for m in metrics}
+    ok = True
+    for i in range(args.pairs):
+        seed = args.seed + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {}
+        for side in order:
+            result = run_once(sides[side], args.workload, seed, args.seconds)
+            if result is None:
+                ok = False
+                print(f"pair {i} seed {seed} {side:<6} no result", flush=True)
+                continue
+            ok &= result.get("correct") is True and result.get("failed") == 0
+            got = {m["name"]: result["metrics"][m["name"]]["value"] for m in metrics}
+            print(f"pair {i} seed {seed} {side:<6} correct {result.get('correct')} "
+                  f"failed {result.get('failed')} "
+                  + " ".join(f"{name} {v:.6g}" for name, v in got.items()), flush=True)
+            pair[side] = got
+        if len(pair) < 2:
+            continue
+        for m in metrics:
+            name = m["name"]
+            p, c = pair["parent"][name], pair["change"][name]
+            values["parent"][name].append(p)
+            values["change"][name].append(c)
+            wins[name] += c > p if m["better"] == "higher" else c < p
+
+    print(f"{args.workload}: {len(values['parent'][metrics[0]['name']])} complete pairs")
+    for m in metrics:
+        name = m["name"]
+        p, c = values["parent"][name], values["change"][name]
+        if not p:
+            continue
+        q1, q3 = quartiles(p)
+        print(f"{name} ({m['unit']}, {m['better']} is better): parent median {statistics.median(p):.6g} "
+              f"[q1 {q1:.6g}, q3 {q3:.6g}], change median {statistics.median(c):.6g}, "
+              f"change better in {wins[name]}/{len(p)} pairs")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,6 +10,7 @@ here; nothing in the file depends on wall-clock time.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -88,7 +89,7 @@ def save_checkpoint(path, model: Model, mask: TopologyMask | None, step: int,
         blobs.append(_f32_bytes(layer.bias.momentum))
         if has_mask:
             m = mask[layer.name].reshape(-1)
-            blobs.append(struct.pack("<Q", int(m.sum())))
+            blobs.append(struct.pack("<Q", np.count_nonzero(m)))
             blobs.append(np.packbits(m, bitorder="little").tobytes())
 
     header = {
@@ -123,7 +124,25 @@ def _jsonable_rng(state) -> dict:
     return json.loads(json.dumps(state))
 
 
+# the header fields load_checkpoint reads, with the JSON type each must have
+_HEADER_TYPES = {"model_spec": str, "seed": int, "rng_state": dict, "dst_digest": str,
+                 "dst_config": dict, "epoch_loss_sum": str, "epoch_loss_count": int,
+                 "trajectory": list, "layers": list}
+
+
+def _layer_meta(path, i: int, meta) -> tuple[str, tuple, bool]:
+    """(name, shape, masked) of header layer `i`, or CheckpointError."""
+    shape = meta.get("shape") if isinstance(meta, dict) else None
+    if not (isinstance(shape, list) and shape and all(type(d) is int and d > 0 for d in shape)
+            and isinstance(meta.get("name"), str) and isinstance(meta.get("mask"), bool)):
+        raise CheckpointError(f"{path}: header layer {i} needs a name, a shape of positive "
+                              f"ints and a mask flag")
+    return meta["name"], tuple(shape), meta["mask"]
+
+
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; a file that is not one whole, well-formed checkpoint
+    of this version raises CheckpointError, never a parsing error."""
     try:
         with open(path, "rb") as fh:
             buf = fh.read()
@@ -134,44 +153,55 @@ def load_checkpoint(path) -> Checkpoint:
     version, step, hlen = struct.unpack_from("<HQI", buf, 4)
     if version != VERSION:
         raise CheckpointError(f"{path}: checkpoint version {version}, this build reads {VERSION}")
+    view = memoryview(buf)
     off = 18
-    try:
-        header = json.loads(buf[off : off + hlen].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CheckpointError(f"{path}: corrupt header: {e}") from None
-    off += hlen
+
+    def take(nbytes: int) -> memoryview:
+        nonlocal off
+        if off + nbytes > len(buf):
+            raise CheckpointError(f"{path}: truncated at offset {off}, need {nbytes} bytes")
+        off += nbytes
+        return view[off - nbytes : off]
 
     def take_f32(shape):
-        nonlocal off
-        n = int(np.prod(shape))
-        end = off + 4 * n
-        if end > len(buf):
-            raise CheckpointError(f"{path}: truncated at offset {off}, need {4 * n} bytes")
-        arr = np.frombuffer(buf, dtype="<f4", count=n, offset=off).reshape(shape).copy()
-        off = end
-        return arr
+        return np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape).copy()
+
+    try:
+        header = json.loads(bytes(take(hlen)).decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise CheckpointError(f"{path}: corrupt header: {e}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is a JSON {type(header).__name__}, not an object")
+    for key, kind in _HEADER_TYPES.items():
+        if not isinstance(header.get(key), kind):
+            raise CheckpointError(f"{path}: header field {key!r} is missing or not a {kind.__name__}")
+    if not isinstance(header["dst_config"].get("method"), str):
+        raise CheckpointError(f"{path}: header dst_config names no method")
+    try:
+        parse_model_spec(header["model_spec"])
+        epoch_loss_sum = float.fromhex(header["epoch_loss_sum"])
+        trajectory = [(int(s), float(d)) for s, d in header["trajectory"]]
+    except (TypeError, ValueError, OverflowError) as e:
+        raise CheckpointError(f"{path}: corrupt header: {e}") from None
 
     layers = []
-    for meta in header["layers"]:
-        shape = tuple(meta["shape"])
+    for i, meta in enumerate(header["layers"]):
+        name, shape, masked = _layer_meta(path, i, meta)
         w = take_f32(shape)
         b = take_f32((shape[0],))
         wm = take_f32(shape)
         bm = take_f32((shape[0],))
         m = None
-        if meta["mask"]:
-            n = int(np.prod(shape))
-            (active,) = struct.unpack_from("<Q", buf, off)
-            off += 8
-            nbytes = (n + 7) // 8
-            bits = np.frombuffer(buf, dtype=np.uint8, count=nbytes, offset=off)
-            off += nbytes
+        if masked:
+            n = math.prod(shape)
+            (active,) = struct.unpack("<Q", take(8))
+            bits = np.frombuffer(take((n + 7) // 8), dtype=np.uint8)
             m = np.unpackbits(bits, bitorder="little", count=n).astype(bool).reshape(shape)
-            if int(m.sum()) != active:
+            if np.count_nonzero(m) != active:
                 raise CheckpointError(
-                    f"{path}: mask for {meta['name']} has {int(m.sum())} active bits, "
+                    f"{path}: mask for {name} has {np.count_nonzero(m)} active bits, "
                     f"header says {active}")
-        layers.append((meta["name"], w, b, wm, bm, m))
+        layers.append((name, w, b, wm, bm, m))
     if off != len(buf):
         raise CheckpointError(f"{path}: {len(buf) - off} trailing bytes")
 
@@ -183,8 +213,8 @@ def load_checkpoint(path) -> Checkpoint:
         rng_state=header["rng_state"],
         dst_digest=header["dst_digest"],
         dst_config=header["dst_config"],
-        epoch_loss_sum=float.fromhex(header["epoch_loss_sum"]),
+        epoch_loss_sum=epoch_loss_sum,
         epoch_loss_count=header["epoch_loss_count"],
-        trajectory=[(int(s), float(d)) for s, d in header["trajectory"]],
+        trajectory=trajectory,
         layers=layers,
     )

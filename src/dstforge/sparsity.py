@@ -62,10 +62,10 @@ class TopologyMask:
         return tuple(self.masks)
 
     def active_count(self, name: str) -> int:
-        return int(self.masks[name].sum())
+        return int(np.count_nonzero(self.masks[name]))
 
     def total_active(self) -> int:
-        return sum(int(m.sum()) for m in self.masks.values())
+        return sum(int(np.count_nonzero(m)) for m in self.masks.values())
 
     def total_weights(self) -> int:
         return sum(m.size for m in self.masks.values())

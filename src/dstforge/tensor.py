@@ -130,11 +130,17 @@ def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def linear_forward(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """y = x @ w.T + b for x (n, f_in), w (f_out, f_in), b (f_out,)."""
+    """y = x @ w.T + b for x (n, f_in), w (f_out, f_in), b (f_out,).
+
+    Backward computes dx = dy @ w only when x requires a gradient, as
+    `conv2d_forward` does; a model's first layer reads a gradient-free leaf,
+    so its step runs two GEMMs, not three.
+    """
     y = _linear(x.data, w.data, b.data)
 
     def grad_fn(dy):
-        _accum(x, dy @ w.data)
+        if x.requires_grad:
+            _accum(x, dy @ w.data)
         _accum(w, dy.T @ x.data)
         _accum(b, dy.sum(axis=0))
 

@@ -1,5 +1,6 @@
 """Checkpoint format: exact round trips, determinism, and corruption errors."""
 
+import json
 import struct
 
 import numpy as np
@@ -123,6 +124,53 @@ def test_truncated_payload(tmp_path):
     p.write_bytes(data[:-20])
     with pytest.raises(CheckpointError):
         load_checkpoint(p)
+
+
+def test_every_truncation_is_a_checkpoint_error(tmp_path):
+    # cuts land in the fixed prefix, the header, every float array, each
+    # mask's u64 active count and each mask's bitset
+    model = build_mlp((3, 9, 2), np.random.default_rng(2))
+    alloc = allocate_uniform(model.descriptor(), 0.5)
+    mask = init_topology(alloc, mask_shapes(model), np.random.default_rng(3))
+    cfg = DstConfig(method="set", sparsity=0.5, total_steps=10)
+    p = tmp_path / "whole.ckpt"
+    save_checkpoint(p, model, mask, step=1, rng=np.random.default_rng(4), dst_cfg=cfg, seed=1)
+    data = p.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    for end in range(len(data)):
+        cut.write_bytes(data[:end])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(cut)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: {},
+    lambda h: [],
+    lambda h: {**h, "layers": {}},
+    lambda h: {k: v for k, v in h.items() if k != "seed"},
+    lambda h: {**h, "epoch_loss_sum": "not hex"},
+    lambda h: {**h, "trajectory": [[0]]},
+    lambda h: {**h, "layers": [{**h["layers"][0], "shape": [8, "20"]}] + h["layers"][1:]},
+    lambda h: {**h, "layers": [{**h["layers"][0], "shape": [-8, 20]}] + h["layers"][1:]},
+    lambda h: {**h, "layers": [{k: v for k, v in h["layers"][0].items() if k != "mask"}]
+               + h["layers"][1:]},
+    lambda h: {**h, "layers": [7]},
+    lambda h: {**h, "model_spec": "mlp:20-x-4"},
+    lambda h: {**h, "dst_config": {}},
+], ids=["empty", "list", "layers-dict", "no-seed", "loss-sum", "trajectory",
+        "shape-str", "shape-negative", "no-mask-flag", "layer-int", "model-spec", "no-method"])
+def test_malformed_header_is_a_checkpoint_error(tmp_path, edit):
+    model, mask, cfg, rng = make_state()
+    p = tmp_path / "h.ckpt"
+    save_checkpoint(p, model, mask, step=1, rng=rng, dst_cfg=cfg, seed=1)
+    data = p.read_bytes()
+    (hlen,) = struct.unpack_from("<I", data, 14)
+    header = edit(json.loads(data[18 : 18 + hlen]))
+    hbytes = json.dumps(header).encode()
+    p.write_bytes(data[:14] + struct.pack("<I", len(hbytes)) + hbytes + data[18 + hlen :])
+    with pytest.raises(CheckpointError) as e:
+        load_checkpoint(p)
+    assert "header" in str(e.value).replace(str(p), "")  # the path names the test
 
 
 def test_trailing_bytes_detected(tmp_path):

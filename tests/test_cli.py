@@ -379,6 +379,19 @@ def test_inspect_not_a_checkpoint_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_inspect_truncated_mask_bitset_exits_3(cli_run, tmp_path, capsys):
+    out, _ = cli_run
+    with open(os.path.join(out, "final.ckpt"), "rb") as fh:
+        data = fh.read()
+    p = str(tmp_path / "cut.ckpt")
+    with open(p, "wb") as fh:
+        fh.write(data[:-1])  # the file ends with fc2's 80-byte bitset
+    code, stdout, err = run_cli(capsys, "inspect", p)
+    assert code == 3
+    assert stdout == ""
+    assert err.startswith("data error: ") and "truncated" in err
+
+
 def test_flops_dense_vgg(capsys):
     code, stdout, _ = run_cli(capsys, "flops", "vgg16-cifar",
                               "--epochs", "160", "--bs", "100")

@@ -383,3 +383,44 @@ def test_a_parameter_shared_by_two_layers_sums_both_gradients():
     for p in params:
         numeric = numeric_grad(lambda: float(forward_loss().data), p.data, eps=1e-6)
         np.testing.assert_allclose(p.grad, numeric, rtol=1e-6, atol=1e-9, err_msg=p.name)
+
+
+def test_linear_backward_skips_the_input_gradient_nobody_reads():
+    # the weight's data counts the matrix products it takes part in; with a
+    # gradient-free input, backward's only products are dW = dy.T @ x, which
+    # does not touch the weight, so it runs none with the weight
+    class CountingMatmul(np.ndarray):
+        calls = 0
+
+        def __matmul__(self, other):
+            CountingMatmul.calls += 1
+            return np.asarray(self) @ other
+
+        def __rmatmul__(self, other):
+            CountingMatmul.calls += 1
+            return other @ np.asarray(self)
+
+    r = np.random.default_rng(11)
+    x_data = r.standard_normal((5, 6)).astype(np.float32)
+    w_data = r.standard_normal((4, 6)).astype(np.float32)
+    b_data = r.standard_normal(4).astype(np.float32)
+    labels = np.array([0, 3, 1, 2, 3])
+
+    def step(x_requires_grad):
+        x = Tensor(x_data, requires_grad=x_requires_grad)
+        w, b = Parameter(w_data.copy(), name="w"), Parameter(b_data.copy(), name="b")
+        w.data = w.data.view(CountingMatmul)
+        loss = softmax_cross_entropy(linear_forward(x, w, b), labels)
+        CountingMatmul.calls = 0
+        backward(loss)
+        return x, w, b, CountingMatmul.calls
+
+    x, w, b, products = step(False)
+    assert products == 0
+    assert x.grad is None
+    x_wanted, w_wanted, b_wanted, products_wanted = step(True)
+    assert products_wanted == 1  # dx = dy @ w
+    assert x_wanted.grad.shape == x_data.shape
+    for got, want in ((w.grad, w_wanted.grad), (b.grad, b_wanted.grad)):
+        assert type(got) is np.ndarray and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
