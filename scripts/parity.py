@@ -10,8 +10,10 @@ at 0.5 (dense once per model), all with ERK allocation, plus one mest_g run
 of the MLP at sparsity 0.1 with uniform allocation and fc1 kept dense, writing
 data and run directories under OUT_DIR. For each run it prints
 `<run> <artifact> <sha256>` for final.ckpt, metrics.jsonl, trajectory.csv and
-cost.json, and for the dense and sparse `Model.predict` logits of the final
-checkpoint on a fixed batch. It then
+cost.json, `<run> final.ckpt-body <sha256>` for the checkpoint bytes after
+its JSON header (weights, momenta and masks, so a change to the header alone
+leaves it equal), and for the dense and sparse `Model.predict` logits of the
+final checkpoint on a fixed batch. It then
 prints `flops-<arch>-<dist>-<method> stdout <sha256>` for the `dstforge flops`
 report of every method on `mlp:784-300-100-10` and the four library archs
 (sparsity 0.5, ERK and uniform, 2 epochs, batch 100, delta_t 50, so every
@@ -41,6 +43,7 @@ import hashlib
 import io
 import os
 import shutil
+import struct
 import sys
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
@@ -71,6 +74,15 @@ COLOR_GRID_SIZE = 200
 def _sha256_file(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _sha256_ckpt_body(path: str) -> str:
+    """SHA-256 of a checkpoint after its header: magic, a <HQI of version,
+    step and header length, then the JSON header."""
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    (hlen,) = struct.unpack_from("<I", buf, 14)
+    return hashlib.sha256(buf[18 + hlen :]).hexdigest()
 
 
 def _sha256_logits(logits) -> str:
@@ -139,6 +151,7 @@ def main() -> int:
             run_train(parse_config(text))
             for artifact in ARTIFACTS:
                 print(name, artifact, _sha256_file(os.path.join(run_dir, artifact)))
+            print(name, "final.ckpt-body", _sha256_ckpt_body(os.path.join(run_dir, "final.ckpt")))
             trained = load_checkpoint(os.path.join(run_dir, "final.ckpt")).build_model()
             for sparse in (False, True):
                 logits = trained.predict(test_x, sparse=sparse)

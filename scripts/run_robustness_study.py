@@ -10,7 +10,7 @@ reused on the next invocation.
 import argparse
 import sys
 
-from dstforge.study import DEFAULT_SEEDS, find_idx_dataset, run_study
+from dstforge.study import DEFAULT_SEEDS, StudyError, find_idx_dataset, run_study
 
 
 def main() -> int:
@@ -27,7 +27,11 @@ def main() -> int:
         print("no IDX dataset found; run scripts/fetch_data.py first", file=sys.stderr)
         return 3
     seeds = tuple(int(s) for s in args.seeds.split(","))
-    result = run_study(data, args.out, epochs=args.epochs, seeds=seeds, echo=print)
+    try:
+        result = run_study(data, args.out, epochs=args.epochs, seeds=seeds, echo=print)
+    except StudyError as e:  # a run directory or grid that belongs to other settings or data
+        print(f"study error: {e}", file=sys.stderr)
+        return 3
     for label in result.labels:
         print(f"{label:<10} mean robustness accuracy "
               f"{result.robustness_mean(label):.4f}")

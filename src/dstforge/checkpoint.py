@@ -1,4 +1,4 @@
-"""Binary checkpoints: weights, momentum, masks, RNG state, schedule digest.
+"""Binary checkpoints: weights, momentum, masks, RNG state, run digest.
 
 Layout: magic "DSTF", u16 version, u64 step, u32 header length, JSON header,
 then per layer (in header order) the weight, bias, and momentum arrays as
@@ -12,17 +12,17 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import atomic_write
 from .models import Model, build_model, parse_model_spec
-from .schedulers import BudgetTrajectory, DstConfig, dst_digest
+from .schedulers import BudgetTrajectory, DstConfig
 from .sparsity import TopologyMask
 
 MAGIC = b"DSTF"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(Exception):
@@ -31,12 +31,11 @@ class CheckpointError(Exception):
 
 @dataclass
 class Checkpoint:
-    version: int
     step: int
     model_spec: str
     seed: int
     rng_state: dict
-    dst_digest: str
+    run_digest: str  # RunConfig.digest() of the run that wrote it
     dst_config: dict
     epoch_loss_sum: float
     epoch_loss_count: int
@@ -70,7 +69,7 @@ def _f32_bytes(a: np.ndarray) -> bytes:
 
 
 def save_checkpoint(path, model: Model, mask: TopologyMask | None, step: int,
-                    rng: np.random.Generator, dst_cfg: DstConfig, seed: int,
+                    rng: np.random.Generator, dst_cfg: DstConfig, seed: int, run_digest: str,
                     trajectory: BudgetTrajectory | None = None,
                     epoch_loss_sum: float = 0.0, epoch_loss_count: int = 0):
     layer_meta = []
@@ -93,12 +92,11 @@ def save_checkpoint(path, model: Model, mask: TopologyMask | None, step: int,
             blobs.append(np.packbits(m, bitorder="little").tobytes())
 
     header = {
-        "version": VERSION,
         "model_spec": model.spec.to_string(),
         "seed": seed,
-        "rng_state": _jsonable_rng(rng.bit_generator.state),
-        "dst_digest": dst_digest(dst_cfg),
-        "dst_config": _dst_dict(dst_cfg),
+        "rng_state": rng.bit_generator.state,  # plain ints, which json round-trips exactly
+        "run_digest": run_digest,
+        "dst_config": asdict(dst_cfg),
         "epoch_loss_sum": float(epoch_loss_sum).hex(),
         "epoch_loss_count": epoch_loss_count,
         "trajectory": trajectory.samples if trajectory is not None else [],
@@ -113,19 +111,8 @@ def save_checkpoint(path, model: Model, mask: TopologyMask | None, step: int,
             fh.write(b)
 
 
-def _dst_dict(cfg: DstConfig) -> dict:
-    from dataclasses import asdict
-
-    return asdict(cfg)
-
-
-def _jsonable_rng(state) -> dict:
-    # PCG64 state holds plain ints; json round-trips them exactly
-    return json.loads(json.dumps(state))
-
-
 # the header fields load_checkpoint reads, with the JSON type each must have
-_HEADER_TYPES = {"model_spec": str, "seed": int, "rng_state": dict, "dst_digest": str,
+_HEADER_TYPES = {"model_spec": str, "seed": int, "rng_state": dict, "run_digest": str,
                  "dst_config": dict, "epoch_loss_sum": str, "epoch_loss_count": int,
                  "trajectory": list, "layers": list}
 
@@ -206,12 +193,11 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: {len(buf) - off} trailing bytes")
 
     return Checkpoint(
-        version=version,
         step=step,
         model_spec=header["model_spec"],
         seed=header["seed"],
         rng_state=header["rng_state"],
-        dst_digest=header["dst_digest"],
+        run_digest=header["run_digest"],
         dst_config=header["dst_config"],
         epoch_loss_sum=epoch_loss_sum,
         epoch_loss_count=header["epoch_loss_count"],

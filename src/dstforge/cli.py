@@ -120,7 +120,10 @@ def cmd_evaluate(args) -> int:
     report, *baseline = robustness_accuracy(
         [load_checkpoint(c).build_model() for c in ckpts], sets)
     if baseline:
-        report = attach_baseline(report, baseline[0])
+        try:
+            report = attach_baseline(report, baseline[0])
+        except ValueError as e:
+            raise DataError(f"--baseline {args.baseline}: {e}") from None
     if args.csv:
         report.write_csv(args.csv)
     text = report.to_json()

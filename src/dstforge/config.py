@@ -15,7 +15,7 @@ import os
 import struct
 from dataclasses import asdict, dataclass
 
-from .data import CIFAR_RECORD, IDX_IMAGES_MAGIC, DataError
+from .data import CIFAR_RECORD, IDX_IMAGES_MAGIC, DataError, guess_idx_labels_path, sha256_file
 from .models import ModelSpec, parse_model_spec
 from .optim import LrSchedule
 from .schedulers import DstConfig
@@ -88,9 +88,15 @@ class RunConfig:
                           steps_per_epoch=self.steps_per_epoch if self.lrs == "step" else 0)
 
     def digest(self) -> str:
+        """SHA-256 of every field outside [output], each data file entering by
+        the SHA-256 of its content, not its path: the identity of a run."""
         doc = asdict(self)
-        doc["model"] = self.model.to_string()
-        return hashlib.sha256(json.dumps(doc, sort_keys=True, default=str).encode()).hexdigest()
+        del doc["out_dir"], doc["save_every"]
+        doc["train_images"] = [sha256_file(p) for p in self.train_images]
+        doc["train_labels"] = [sha256_file(p) for p in self.train_labels]
+        doc["test_images"] = sha256_file(self.test_images)
+        doc["test_labels"] = self.test_labels and sha256_file(self.test_labels)
+        return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 def _peek_idx(path: str) -> tuple[int, tuple[int, int, int]]:
@@ -193,8 +199,10 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     if train_labels and len(train_labels) != len(train_images):
         raise ConfigError(f"[data] train names {len(train_images)} file(s) but "
                           f"train_labels names {len(train_labels)}")
-    for p in (*train_images, test_images[0], *train_labels,
-              *((test_labels,) if test_labels else ())):
+    if fmt == "idx":  # the labels files the loader would guess, named so the digest reads them
+        train_labels = train_labels or tuple(map(guess_idx_labels_path, train_images))
+        test_labels = test_labels or guess_idx_labels_path(test_images[0])
+    for p in filter(None, (*train_images, test_images[0], *train_labels, test_labels)):
         if not os.path.exists(p):
             raise ConfigError(f"referenced path does not exist: {p}")
 
@@ -216,6 +224,9 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     eval_every = _typed("train", "eval_every", _get(cp, "train", "eval_every", "1"), int)
     if epochs < 1 or bs < 1 or eval_every < 1:
         raise ConfigError("[train] epochs, bs and eval_every must be >= 1")
+    if not (lr >= 0 and wd >= 0 and 0 <= momentum < 1):
+        raise ConfigError(f"[train] lr and wd must be >= 0 and momentum in [0, 1), got "
+                          f"lr = {lr}, wd = {wd}, momentum = {momentum}")
 
     try:
         n_train, image_shape = _peek_images(train_images, fmt)
@@ -250,6 +261,11 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         raise ConfigError(f"[dst] {e}") from None
 
     out_dir = os.path.normpath(os.path.join(base_dir, _get(cp, "output", "dir")))
+    existing = out_dir  # the deepest part of the path that exists must be a directory
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        raise ConfigError(f"[output] dir {out_dir}: {existing} exists and is not a directory")
     save_every = _typed("output", "save_every", _get(cp, "output", "save_every", "0"), int)
     if save_every < 0:
         raise ConfigError("[output] save_every must be >= 0")

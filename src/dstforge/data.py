@@ -10,6 +10,7 @@ labels block.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import os
 import struct
 from dataclasses import dataclass
@@ -53,6 +54,15 @@ def _read_file(path) -> bytes:
             return fh.read()
     except FileNotFoundError:
         raise DataError(f"dataset file not found: {path}") from None
+
+
+def sha256_file(path) -> str:
+    """SHA-256 hex digest of a file's content, read 1 MiB at a time."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            h.update(chunk)
+    return h.hexdigest()
 
 
 def _idx_images_from(buf: bytes, path, offset: int = 0) -> tuple[np.ndarray, int]:

@@ -140,12 +140,20 @@ def relative_gain(acc_sparse: float, acc_dense: float) -> float:
 
 
 def attach_baseline(report: MetricsReport, baseline: MetricsReport) -> MetricsReport:
-    """Fill in per-kind and mean relative gains against a baseline report."""
+    """Fill in per-kind and mean relative gains against a baseline report; a
+    baseline that scores 0 on a kind, or on the mean, raises ValueError
+    naming it."""
+    def gain(what: str, acc: float, base: float) -> float:
+        try:
+            return relative_gain(acc, base)
+        except ValueError as e:
+            raise ValueError(f"{what}: {e}") from None
+
     base_kinds = baseline.kind_means()
-    gains = {k: relative_gain(v, base_kinds[k])
+    gains = {k: gain(f"kind {k}", v, base_kinds[k])
              for k, v in report.kind_means().items() if k in base_kinds}
     report.per_kind_gain = gains
-    report.mean_gain = relative_gain(report.mean, baseline.mean)
+    report.mean_gain = gain("the mean over all cells", report.mean, baseline.mean)
     report.baseline_id = baseline.model_id or "baseline"
     return report
 

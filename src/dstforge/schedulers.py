@@ -25,9 +25,7 @@ extra pass, so measured time and `cost.json` differ.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,10 +137,6 @@ class DstConfig:
         if self.schedule == "granet":
             return self.init_density
         return self.budget
-
-
-def dst_digest(cfg: DstConfig) -> str:
-    return hashlib.sha256(json.dumps(asdict(cfg), sort_keys=True).encode()).hexdigest()
 
 
 class BudgetTrajectory:

@@ -2,23 +2,23 @@
 
 Trains dense and sparse variants over several seeds, builds the corrupted
 test grid once, and collects robustness accuracies plus frequency-attenuation
-curves. Finished runs are recognized by their saved config text and reused,
-so a crashed or repeated invocation only pays for what is missing.
+curves. Finished runs are recognized by the run digest in their final.ckpt
+and reused, so a crashed or repeated invocation only pays for what is missing.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import load_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint
 from .config import RunConfig, parse_config
 from .corruption import KINDS, SEVERITIES, build_corrupted_set
-from .data import ImageSet, atomic_write, corrupted_set_filename, load_idx, write_corrupted_sets
+from .data import (ImageSet, atomic_write, corrupted_set_filename, load_idx, sha256_file,
+                   write_corrupted_sets)
 from .metrics import accuracy, robustness_accuracy
 from .models import Model
 from .spectral import RACurve, ra_curve, write_ra_curves_svg
@@ -115,19 +115,26 @@ def study_config_text(m: StudyMethod, seed: int, epochs: int,
 
 def ensure_run(m: StudyMethod, seed: int, epochs: int, data: dict[str, str],
                root: str, echo=None) -> tuple[RunConfig, str]:
-    """Train one (method, seed) cell unless its artifacts already exist."""
+    """Train one (method, seed) cell unless its final.ckpt carries the cell's
+    run digest. Any other final.ckpt, or another config.ini, raises StudyError."""
     run_dir = os.path.join(root, f"{m.label}-seed{seed}")
     os.makedirs(run_dir, exist_ok=True)
     text = study_config_text(m, seed, epochs, data, run_dir)
     cfg_path = os.path.join(run_dir, "config.ini")
     ckpt = os.path.join(run_dir, "final.ckpt")
+    if os.path.exists(ckpt):
+        cfg = parse_config(text)
+        try:
+            if load_checkpoint(ckpt).run_digest == cfg.digest():
+                return cfg, ckpt
+        except CheckpointError as e:
+            raise StudyError(f"{run_dir}: {e}; remove it to rerun") from None
+        raise StudyError(f"{run_dir} holds a run of another config or data; remove it to rerun")
     if os.path.exists(cfg_path):
         with open(cfg_path) as fh:
             if fh.read() != text:
                 raise StudyError(
                     f"{run_dir} holds results for a different config; remove it to rerun")
-        if os.path.exists(ckpt):
-            return parse_config(text), ckpt
     with atomic_write(cfg_path) as fh:
         fh.write(text)
     cfg = parse_config(text)
@@ -147,11 +154,6 @@ def ensure_corrupted_set(clean: ImageSet, corr_dir: str, base: str, kind: str,
     return path
 
 
-def _sha256_file(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def _pin_grid_source(corr_dir: str, data: dict[str, str], corruption_seed: int):
     """Tie the cached corrupted grid to what it was rendered from.
 
@@ -162,8 +164,8 @@ def _pin_grid_source(corr_dir: str, data: dict[str, str], corruption_seed: int):
     """
     source = {
         "corruption_seed": corruption_seed,
-        "test_images_sha256": _sha256_file(data["test_images"]),
-        "test_labels_sha256": _sha256_file(data["test_labels"]),
+        "test_images_sha256": sha256_file(data["test_images"]),
+        "test_labels_sha256": sha256_file(data["test_labels"]),
     }
     path = os.path.join(corr_dir, "source.json")
     if os.path.exists(path):

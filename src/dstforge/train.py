@@ -20,7 +20,7 @@ from .data import ImageSet, atomic_write, load_cifar_binary, load_idx
 from .metrics import MetricsReport, batched_accuracy, cost_report, robustness_accuracy
 from .models import Model, build_model
 from .optim import lr_at, sgd_momentum_step
-from .schedulers import BudgetTrajectory, dst_digest, should_update, topology_update
+from .schedulers import BudgetTrajectory, should_update, topology_update
 from .sparsity import allocate_erk, allocate_uniform, apply_mask, init_topology, mask_shapes
 from .spectral import RACurve, ra_curve
 from .tensor import Tensor, backward, softmax_cross_entropy
@@ -38,9 +38,8 @@ def load_train_test(cfg: RunConfig) -> tuple[ImageSet, ImageSet]:
     if cfg.fmt == "idx":
         # several training files concatenate in config order, as CIFAR batches
         # do; a single file is used as loaded, without a second copy
-        labels = cfg.train_labels or (None,) * len(cfg.train_images)
         parts = [load_idx(img, lab, name=cfg.dataset, classes=cfg.classes)
-                 for img, lab in zip(cfg.train_images, labels, strict=True)]
+                 for img, lab in zip(cfg.train_images, cfg.train_labels, strict=True)]
         train = parts[0] if len(parts) == 1 else ImageSet(
             np.concatenate([p.images for p in parts]),
             np.concatenate([p.labels for p in parts]), cfg.dataset, "idx")
@@ -102,6 +101,7 @@ def run_train(cfg: RunConfig, resume_path=None, stop_after_step: int | None = No
     failing step number.
     """
     train, test = load_train_test(cfg)
+    run_digest = cfg.digest()
     model = build_model(cfg.model, np.random.default_rng((cfg.seed, _INIT_STREAM)))
     rng = np.random.default_rng((cfg.seed, _TOPOLOGY_STREAM))
     dst = cfg.dst
@@ -121,12 +121,9 @@ def run_train(cfg: RunConfig, resume_path=None, stop_after_step: int | None = No
     epoch_loss_count = 0
     if resume_path is not None:
         ck = load_checkpoint(resume_path)
-        if ck.dst_digest != dst_digest(dst):
-            raise CheckpointError(
-                f"{resume_path}: schedule config digest mismatch; this checkpoint was "
-                f"written by a run with different [dst] settings")
-        if ck.model_spec != cfg.model.to_string():
-            raise CheckpointError(f"{resume_path}: model {ck.model_spec} does not match config")
+        if ck.run_digest != run_digest:
+            raise CheckpointError(f"{resume_path}: run digest mismatch; it was written with "
+                                  f"other settings outside [output] or other data")
         model = ck.build_model()
         mask = ck.mask()
         rng.bit_generator.state = ck.rng_state
@@ -152,7 +149,7 @@ def run_train(cfg: RunConfig, resume_path=None, stop_after_step: int | None = No
     last_ckpt = None
 
     def save(path, step):
-        save_checkpoint(path, model, mask, step, rng, dst, cfg.seed, trajectory,
+        save_checkpoint(path, model, mask, step, rng, dst, cfg.seed, run_digest, trajectory,
                         epoch_loss_sum, epoch_loss_count)
         return path
 

@@ -13,8 +13,10 @@ from dstforge.checkpoint import (
     save_checkpoint,
 )
 from dstforge.models import build_mlp, build_small_convnet
-from dstforge.schedulers import BudgetTrajectory, DstConfig, dst_digest
+from dstforge.schedulers import BudgetTrajectory, DstConfig
 from dstforge.sparsity import TopologyMask, allocate_uniform, init_topology, mask_shapes
+
+DIGEST = "0123456789abcdef" * 4  # a RunConfig.digest() stand-in
 
 
 def make_state(seed=1, with_mask=True):
@@ -35,13 +37,13 @@ def test_round_trip_exact(tmp_path):
     model, mask, cfg, rng = make_state()
     traj = BudgetTrajectory([(0, 0.5), (10, 0.5)])
     p = tmp_path / "a.ckpt"
-    save_checkpoint(p, model, mask, step=42, rng=rng, dst_cfg=cfg, seed=1,
+    save_checkpoint(p, model, mask, step=42, rng=rng, dst_cfg=cfg, seed=1, run_digest=DIGEST,
                     trajectory=traj, epoch_loss_sum=1.23456789, epoch_loss_count=7)
     ck = load_checkpoint(p)
     assert ck.step == 42
     assert ck.seed == 1
     assert ck.model_spec == "mlp:20-8-4"
-    assert ck.dst_digest == dst_digest(cfg)
+    assert ck.run_digest == DIGEST
     assert ck.epoch_loss_sum == 1.23456789  # hex round trip is exact
     assert ck.epoch_loss_count == 7
     assert ck.trajectory == [(0, 0.5), (10, 0.5)]
@@ -61,7 +63,7 @@ def test_round_trip_exact(tmp_path):
 def test_rng_state_resumes_identically(tmp_path):
     model, mask, cfg, rng = make_state(seed=3)
     p = tmp_path / "a.ckpt"
-    save_checkpoint(p, model, mask, step=0, rng=rng, dst_cfg=cfg, seed=3)
+    save_checkpoint(p, model, mask, step=0, rng=rng, dst_cfg=cfg, seed=3, run_digest=DIGEST)
     future = rng.random(5)  # advance the live generator past the save point
     ck = load_checkpoint(p)
     rng2 = np.random.default_rng(0)
@@ -72,16 +74,16 @@ def test_rng_state_resumes_identically(tmp_path):
 def test_identical_state_saves_identical_bytes(tmp_path):
     a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     model, mask, cfg, rng = make_state(seed=5)
-    save_checkpoint(a, model, mask, step=9, rng=rng, dst_cfg=cfg, seed=5)
+    save_checkpoint(a, model, mask, step=9, rng=rng, dst_cfg=cfg, seed=5, run_digest=DIGEST)
     model2, mask2, cfg2, rng2 = make_state(seed=5)
-    save_checkpoint(b, model2, mask2, step=9, rng=rng2, dst_cfg=cfg2, seed=5)
+    save_checkpoint(b, model2, mask2, step=9, rng=rng2, dst_cfg=cfg2, seed=5, run_digest=DIGEST)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_dense_checkpoint_has_no_mask(tmp_path):
     model, mask, cfg, rng = make_state(with_mask=False)
     p = tmp_path / "d.ckpt"
-    save_checkpoint(p, model, None, step=1, rng=rng, dst_cfg=cfg, seed=1)
+    save_checkpoint(p, model, None, step=1, rng=rng, dst_cfg=cfg, seed=1, run_digest=DIGEST)
     ck = load_checkpoint(p)
     assert ck.mask() is None
 
@@ -93,7 +95,7 @@ def test_conv_model_round_trip(tmp_path):
     mask = init_topology(alloc, mask_shapes(model), np.random.default_rng(0))
     rng = np.random.default_rng(8)
     p = tmp_path / "c.ckpt"
-    save_checkpoint(p, model, mask, step=5, rng=rng, dst_cfg=cfg, seed=2)
+    save_checkpoint(p, model, mask, step=5, rng=rng, dst_cfg=cfg, seed=2, run_digest=DIGEST)
     ck = load_checkpoint(p)
     rebuilt = ck.build_model()
     np.testing.assert_array_equal(rebuilt.layers[0].weight.data, model.layers[0].weight.data)
@@ -119,7 +121,7 @@ def test_version_mismatch(tmp_path):
 def test_truncated_payload(tmp_path):
     model, mask, cfg, rng = make_state()
     p = tmp_path / "t.ckpt"
-    save_checkpoint(p, model, mask, step=1, rng=rng, dst_cfg=cfg, seed=1)
+    save_checkpoint(p, model, mask, step=1, rng=rng, dst_cfg=cfg, seed=1, run_digest=DIGEST)
     data = p.read_bytes()
     p.write_bytes(data[:-20])
     with pytest.raises(CheckpointError):
@@ -134,7 +136,8 @@ def test_every_truncation_is_a_checkpoint_error(tmp_path):
     mask = init_topology(alloc, mask_shapes(model), np.random.default_rng(3))
     cfg = DstConfig(method="set", sparsity=0.5, total_steps=10)
     p = tmp_path / "whole.ckpt"
-    save_checkpoint(p, model, mask, step=1, rng=np.random.default_rng(4), dst_cfg=cfg, seed=1)
+    save_checkpoint(p, model, mask, step=1, rng=np.random.default_rng(4), dst_cfg=cfg, seed=1,
+                    run_digest=DIGEST)
     data = p.read_bytes()
     cut = tmp_path / "cut.ckpt"
     for end in range(len(data)):
@@ -162,7 +165,7 @@ def test_every_truncation_is_a_checkpoint_error(tmp_path):
 def test_malformed_header_is_a_checkpoint_error(tmp_path, edit):
     model, mask, cfg, rng = make_state()
     p = tmp_path / "h.ckpt"
-    save_checkpoint(p, model, mask, step=1, rng=rng, dst_cfg=cfg, seed=1)
+    save_checkpoint(p, model, mask, step=1, rng=rng, dst_cfg=cfg, seed=1, run_digest=DIGEST)
     data = p.read_bytes()
     (hlen,) = struct.unpack_from("<I", data, 14)
     header = edit(json.loads(data[18 : 18 + hlen]))
@@ -176,7 +179,7 @@ def test_malformed_header_is_a_checkpoint_error(tmp_path, edit):
 def test_trailing_bytes_detected(tmp_path):
     model, mask, cfg, rng = make_state()
     p = tmp_path / "t.ckpt"
-    save_checkpoint(p, model, mask, step=1, rng=rng, dst_cfg=cfg, seed=1)
+    save_checkpoint(p, model, mask, step=1, rng=rng, dst_cfg=cfg, seed=1, run_digest=DIGEST)
     p.write_bytes(p.read_bytes() + b"\x00\x00")
     with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(p)
@@ -185,7 +188,7 @@ def test_trailing_bytes_detected(tmp_path):
 def test_corrupt_header_detected(tmp_path):
     model, mask, cfg, rng = make_state()
     p = tmp_path / "h.ckpt"
-    save_checkpoint(p, model, mask, step=1, rng=rng, dst_cfg=cfg, seed=1)
+    save_checkpoint(p, model, mask, step=1, rng=rng, dst_cfg=cfg, seed=1, run_digest=DIGEST)
     data = bytearray(p.read_bytes())
     data[20] = 0xFF  # stomp on the JSON header
     p.write_bytes(bytes(data))
@@ -196,7 +199,7 @@ def test_corrupt_header_detected(tmp_path):
 def test_mask_bit_count_mismatch(tmp_path):
     model, mask, cfg, rng = make_state()
     p = tmp_path / "m.ckpt"
-    save_checkpoint(p, model, mask, step=1, rng=rng, dst_cfg=cfg, seed=1)
+    save_checkpoint(p, model, mask, step=1, rng=rng, dst_cfg=cfg, seed=1, run_digest=DIGEST)
     data = bytearray(p.read_bytes())
     # flip one bit in the final mask bitset (the file ends with mask bytes)
     data[-1] ^= 0x01
@@ -208,7 +211,7 @@ def test_mask_bit_count_mismatch(tmp_path):
 def test_build_model_shape_guard(tmp_path):
     model, mask, cfg, rng = make_state()
     p = tmp_path / "s.ckpt"
-    save_checkpoint(p, model, mask, step=1, rng=rng, dst_cfg=cfg, seed=1)
+    save_checkpoint(p, model, mask, step=1, rng=rng, dst_cfg=cfg, seed=1, run_digest=DIGEST)
     ck = load_checkpoint(p)
     ck.layers[0] = ("fc9",) + tuple(ck.layers[0][1:])
     with pytest.raises(CheckpointError, match="layers"):

@@ -75,6 +75,19 @@ def test_train_model_that_does_not_fit_the_data_exits_2_before_writing(
         assert not out.exists()
 
 
+def test_train_output_dir_that_is_a_file_exits_2(idx_dir, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    cfg_path = str(tmp_path / "run.ini")
+    for out in (taken, taken / "run"):
+        with open(cfg_path, "w") as fh:
+            fh.write(toy_config(idx_dir, str(out)))
+        code, stdout, err = run_cli(capsys, "train", cfg_path)
+        assert code == 2
+        assert stdout == "" and err.startswith(f"config error: [output] dir {out}: {taken} exists")
+    assert taken.read_text() == "not a directory"
+
+
 def test_corrupt_writes_named_files(idx_dir, tmp_path, capsys):
     out = str(tmp_path / "corr")
     code, stdout, _ = run_cli(
@@ -215,6 +228,33 @@ def test_evaluate_baseline_in_one_pass_matches_single_runs(
     assert doc["mean_relative_gain"] == pytest.approx(
         (doc["mean_robustness_accuracy"] - single[1]["mean_robustness_accuracy"])
         / single[1]["mean_robustness_accuracy"])
+
+
+def test_evaluate_baseline_scoring_zero_on_a_kind_exits_3(cli_run, tmp_path, capsys):
+    """A baseline that gets every image of a kind wrong leaves the relative
+    gain undefined: a data error naming the kind, not a traceback."""
+    from dstforge.checkpoint import save_checkpoint
+    from dstforge.data import ImageSet
+    from dstforge.models import build_model, parse_model_spec
+    from dstforge.schedulers import DstConfig
+    from conftest import make_blob_set
+
+    out, _ = cli_run
+    always_0 = build_model(parse_model_spec("mlp:144-64-10"), np.random.default_rng(0))
+    for layer in always_0.layers:
+        layer.weight.data[...] = 0.0
+    always_0.layers[-1].bias.data[0] = 1.0
+    baseline = str(tmp_path / "always0.ckpt")
+    save_checkpoint(baseline, always_0, None, 1, np.random.default_rng(0),
+                    DstConfig(method="dense", total_steps=1), 0, "0" * 64)
+    imgs, _ = make_blob_set(20, seed=0)
+    sets = str(tmp_path / "blobs-contrast-s1.bin")
+    save_image_set(ImageSet(imgs[:, None], np.full(20, 3, dtype=np.int64), "c"), sets)
+    code, stdout, err = run_cli(capsys, "evaluate", os.path.join(out, "final.ckpt"),
+                                "--sets", sets, "--baseline", baseline)
+    assert code == 3
+    assert stdout == ""
+    assert err.startswith("data error: --baseline") and "kind contrast" in err
 
 
 def test_evaluate_missing_set_exits_3(cli_run, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Config grammar: sections, defaults, validation, and derived quantities."""
 
+import shutil
 from dataclasses import fields
 
 import pytest
@@ -97,9 +98,16 @@ def test_full_sparsity_rejected(idx_dir, tmp_path):
 
 
 def test_bad_numeric_value(idx_dir, tmp_path):
-    text = toy_config(idx_dir, str(tmp_path / "o")).replace("epochs = 2", "epochs = two")
-    with pytest.raises(ConfigError, match="epochs"):
-        parse_config(text)
+    text = toy_config(idx_dir, str(tmp_path / "o"))
+    for old, new, key in [("epochs = 2", "epochs = two", "epochs"),
+                          ("lr = 0.1", "lr = -0.1", "lr"),
+                          ("wd = 1e-4", "wd = -1e-4", "wd"),
+                          ("momentum = 0.9", "momentum = -0.1", "momentum"),
+                          ("momentum = 0.9", "momentum = 1.0", "momentum"),
+                          ("momentum = 0.9", "momentum = nan", "momentum")]:
+        with pytest.raises(ConfigError, match=key):
+            parse_config(text.replace(old, new))
+    assert parse_config(text.replace("lr = 0.1", "lr = 0")).lr == 0.0
 
 
 def test_bad_lrs_value(idx_dir, tmp_path):
@@ -148,11 +156,61 @@ def test_explicit_format_beats_heuristic(idx_dir, tmp_path):
 
 
 def test_digest_stable_and_sensitive(idx_dir, tmp_path):
-    a = parse_config(toy_config(idx_dir, str(tmp_path / "o")))
-    b = parse_config(toy_config(idx_dir, str(tmp_path / "o")))
-    c = parse_config(toy_config(idx_dir, str(tmp_path / "o"), seed=2))
-    assert a.digest() == b.digest()
-    assert a.digest() != c.digest()
+    """The run digest covers every field outside [output], each data file by
+    its content: moving the data or the output keeps it, one changed byte or
+    any other setting changes it."""
+    def digest(text):
+        return parse_config(text).digest()
+
+    kw = dict(method="set", sparsity=0.5)
+    base = toy_config(idx_dir, str(tmp_path / "o"), **kw)
+    a = digest(base)
+    assert len(a) == 64 and digest(base) == a
+    data = tmp_path / "moved"
+    shutil.copytree(idx_dir, data)
+    assert digest(toy_config(str(data), str(tmp_path / "p"), save_every=7, **kw)) == a
+    edits = [
+        toy_config(idx_dir, str(tmp_path / "o"), seed=2, **kw),
+        toy_config(idx_dir, str(tmp_path / "o"), lr=0.05, **kw),
+        toy_config(idx_dir, str(tmp_path / "o"), epochs=3, **kw),
+        toy_config(idx_dir, str(tmp_path / "o"), delta_t=16, **kw),
+        toy_config(idx_dir, str(tmp_path / "o"), model="mlp:144-32-10", **kw),
+        toy_config(idx_dir, str(tmp_path / "o"), extra_dst="dense_overrides = fc1", **kw),
+        toy_config(idx_dir, str(tmp_path / "o"), method="set", sparsity=0.6),
+        toy_config(idx_dir, str(tmp_path / "o")),
+        base.replace("sparsity_dist = erk", "sparsity_dist = uniform"),
+        base.replace("p = 0.1", "p = 0.2"),
+        base.replace("bs = 50", "bs = 60"),
+        base.replace("wd = 1e-4", "wd = 2e-4"),
+        base.replace("momentum = 0.9", "momentum = 0.8"),
+        base.replace("lrs = step", "lrs = cosine"),
+        base.replace("dataset = blobs", "dataset = blobs2"),
+        base.replace("[train]", "[train]\neval_every = 2"),
+    ]
+    digests = {digest(text) for text in edits}
+    assert len(digests) == len(edits) and a not in digests
+    for name in ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
+                 "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"):
+        path = data / name
+        whole = path.read_bytes()
+        path.write_bytes(whole[:-1] + bytes([whole[-1] ^ 1]))
+        assert digest(toy_config(str(data), str(tmp_path / "p"), **kw)) != a, name
+        path.write_bytes(whole)
+
+
+def test_labels_found_beside_idx_images_enter_the_digest(idx_dir, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(idx_dir, data)
+    text = "\n".join(l for l in toy_config(str(data), str(tmp_path / "o")).splitlines()
+                     if not l.startswith(("train_labels", "test_labels")))
+    cfg = parse_config(text)
+    assert cfg.train_labels == (str(data / "train-labels-idx1-ubyte"),)
+    assert cfg.test_labels == str(data / "t10k-labels-idx1-ubyte")
+    before = cfg.digest()
+    labels = data / "t10k-labels-idx1-ubyte"
+    whole = labels.read_bytes()
+    labels.write_bytes(whole[:-1] + bytes([(whole[-1] + 1) % 10]))
+    assert parse_config(text).digest() != before
 
 
 def test_load_config_resolves_relative_paths(idx_dir, tmp_path):

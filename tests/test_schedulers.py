@@ -13,7 +13,6 @@ from dstforge.schedulers import (
     PROBE_METHODS,
     BudgetTrajectory,
     DstConfig,
-    dst_digest,
     granet_density,
     mest_soft_bound,
     should_update,
@@ -93,15 +92,6 @@ def test_initial_density_per_method():
     assert mest.initial_density() == pytest.approx(0.55)
     gran = DstConfig(method="granet_g", sparsity=0.5, total_steps=10)
     assert gran.initial_density() == pytest.approx(0.8)
-
-
-def test_digest_stable_and_sensitive():
-    a = DstConfig(method="set", sparsity=0.5, total_steps=100)
-    b = DstConfig(method="set", sparsity=0.5, total_steps=100)
-    c = DstConfig(method="set", sparsity=0.5, total_steps=101)
-    assert dst_digest(a) == dst_digest(b)
-    assert dst_digest(a) != dst_digest(c)
-    assert len(dst_digest(a)) == 64
 
 
 # --- schedule formulas --------------------------------------------------------

@@ -3,6 +3,8 @@ and the scores of a whole study against direct metric calls."""
 
 import json
 import os
+import re
+import struct
 from pathlib import Path
 
 import pytest
@@ -25,6 +27,7 @@ from dstforge.study import (
     run_study,
     study_config_text,
 )
+from dstforge.train import run_train
 
 
 def test_find_idx_dataset_missing(tmp_path):
@@ -81,19 +84,45 @@ def test_study_config_text_parses(idx28_dir, tmp_path):
     assert dense.dst.method == "dense"
 
 
-def test_ensure_run_reuses_finished_run(idx28_dir, tmp_path):
+def test_ensure_run_reuses_finished_run(idx28_dir, tmp_path, monkeypatch):
+    """A final.ckpt that carries the cell's run digest is the finished run:
+    it is reused as it is, config.ini or not."""
     data = find_idx_dataset(idx28_dir)
     m = StudyMethod("dense", "dense")
     run_dir = tmp_path / "dense-seed1"
-    run_dir.mkdir()
-    text = study_config_text(m, 1, 20, data, str(run_dir))
-    run_dir.joinpath("config.ini").write_text(text)
-    run_dir.joinpath("final.ckpt").write_bytes(b"sentinel")
-    cfg, ckpt = ensure_run(m, 1, 20, data, str(tmp_path))
+    run_train(parse_config(study_config_text(m, 1, 1, data, str(run_dir))))
+    planted = run_dir.joinpath("final.ckpt").read_bytes()
+
+    def no_rework(*args, **kwargs):
+        raise AssertionError("a finished run trained again")
+
+    monkeypatch.setattr(dstforge.study, "run_train", no_rework)
+    cfg, ckpt = ensure_run(m, 1, 1, data, str(tmp_path))
     assert ckpt == str(run_dir / "final.ckpt")
-    with open(ckpt, "rb") as fh:
-        assert fh.read() == b"sentinel"
+    assert Path(ckpt).read_bytes() == planted
     assert cfg.seed == 1
+
+
+def test_ensure_run_refuses_a_final_ckpt_of_other_data_or_unreadable(idx28_dir, tmp_path):
+    other = tmp_path / "other"
+    other.mkdir()
+    write_idx_pair(str(other), "train", *make_blob_set(200, seed=5, side=28))
+    write_idx_pair(str(other), "t10k", *make_blob_set(40, seed=2, side=28))
+    m = StudyMethod("dense", "dense")
+    root = tmp_path / "study"
+    run_dir = root / "dense-seed1"
+    run_train(parse_config(study_config_text(m, 1, 1, find_idx_dataset(str(other)), str(run_dir))))
+    data = find_idx_dataset(idx28_dir)
+    with pytest.raises(StudyError, match=re.escape(f"{run_dir} holds a run of another")):
+        ensure_run(m, 1, 1, data, str(root))
+
+    ckpt = run_dir / "final.ckpt"
+    written = bytearray(ckpt.read_bytes())
+    written[4:6] = struct.pack("<H", 1)  # the version before the run digest
+    ckpt.write_bytes(bytes(written))
+    with pytest.raises(StudyError, match="version 1") as e:
+        ensure_run(m, 1, 1, data, str(root))
+    assert str(run_dir) in str(e.value)
 
 
 def test_ensure_run_rejects_mismatched_config(idx_dir, tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -199,6 +200,44 @@ def test_resume_rejects_wrong_schedule(idx_dir, tmp_path, set_run):
                                     sparsity=0.6, epochs=2))
     with pytest.raises(CheckpointError, match="digest"):
         run_train(other, resume_path=ckpt)
+
+
+def test_resume_refuses_other_settings_or_data(idx_dir, tmp_path, set_run):
+    """Everything outside [output] identifies the run, each data file by its
+    content: another lr, or one changed byte of the training images, and the
+    resume is refused before it writes anything."""
+    _, ckpt = set_run
+    out = tmp_path / "o"
+    other_lr = parse_config(toy_config(idx_dir, str(out), method="set", sparsity=0.5, lr=0.05))
+    with pytest.raises(CheckpointError, match="digest"):
+        run_train(other_lr, resume_path=ckpt)
+    data = tmp_path / "data"
+    shutil.copytree(idx_dir, data)
+    images = data / "train-images-idx3-ubyte"
+    pixels = bytearray(images.read_bytes())
+    pixels[-1] ^= 1
+    images.write_bytes(bytes(pixels))
+    other_data = parse_config(toy_config(str(data), str(out), method="set", sparsity=0.5))
+    with pytest.raises(CheckpointError, match="digest"):
+        run_train(other_data, resume_path=ckpt)
+    assert not out.exists()
+
+
+def test_resume_into_another_out_dir_with_moved_data_is_bitwise_identical(
+        idx_dir, tmp_path, set_run):
+    """[output] and where the data files lie are not part of the run."""
+    cfg, _ = set_run
+    mid = run_train(parse_config(toy_config(idx_dir, str(tmp_path / "a"), method="set",
+                                            sparsity=0.5)), stop_after_step=20)
+    data = tmp_path / "data"
+    shutil.copytree(idx_dir, data)
+    moved = parse_config(toy_config(str(data), str(tmp_path / "b"), method="set", sparsity=0.5,
+                                    save_every=25))
+    run_train(moved, resume_path=mid)
+    for name in ("final.ckpt", "metrics.jsonl", "trajectory.csv", "cost.json"):
+        with open(os.path.join(cfg.out_dir, name), "rb") as fa, \
+             open(os.path.join(moved.out_dir, name), "rb") as fb:
+            assert fa.read() == fb.read(), name
 
 
 def test_resume_rejects_wrong_model(idx_dir, tmp_path, set_run):
