@@ -28,9 +28,13 @@ Then it renders all 50 (kind, severity) cells of a 3x32x32 blob set with
 `corrupt_images` and prints `grid-3x32x32 <kind>-s<severity> <sha256>` of
 each cell's float32 bytes, and runs `dstforge corrupt` on the same set
 written as CIFAR records, printing `corrupt-3x32x32 files <sha256>` over the
-files it writes and `corrupt-3x32x32 stdout <sha256>` of what it prints. Run
-it on two checkouts and diff the outputs: a change that keeps every byte
-prints the same lines.
+files it writes and `corrupt-3x32x32 stdout <sha256>` of what it prints. The
+same two lines follow as `corrupt-1x28x28` for `dstforge corrupt` on the MLP
+grid's raw `t10k-images-idx3-ubyte` file, whose labels the command finds by
+name, and `attenuate-1x28x28 stdout <sha256>` digests what `dstforge
+attenuate` prints for mlp-dense-s0 on that file, low then high mode. Run it
+on two checkouts and diff the outputs: a change that keeps every byte prints
+the same lines.
 BLAS runs on one thread, since float sums (and so the MLP artifacts) change
 with the thread count.
 """
@@ -69,6 +73,7 @@ STUDY_SEEDS = (1, 2)
 STUDY_EPOCHS = 2
 STUDY_SIZES = (600, 700)  # n_train, n_test; the test set spans two 512-image batches
 COLOR_GRID_SIZE = 200
+ATTENUATE_RADII = "0,2,4,8,14"
 
 
 def _sha256_file(path: str) -> str:
@@ -95,6 +100,17 @@ def _sha256_dir(path: str) -> str:
     for name in sorted(os.listdir(path)):
         h.update(f"{name} {_sha256_file(os.path.join(path, name))}\n".encode())
     return h.hexdigest()
+
+
+def _run_cli(cli_main, argv: list[str]) -> str | None:
+    """What `dstforge <argv>` prints, or None (reported on stderr) when it fails."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        status = cli_main(argv)
+    if status != 0:
+        print(f"dstforge {' '.join(argv)} exited {status}", file=sys.stderr)
+        return None
+    return stdout.getvalue()
 
 
 def main() -> int:
@@ -165,13 +181,10 @@ def main() -> int:
                 argv = ["flops", arch, "--method", method, "--dist", dist, *FLOPS_ARGS]
                 if method != "dense":
                     argv += ["--sparsity", "0.5"]
-                report = io.StringIO()
-                with contextlib.redirect_stdout(report):
-                    status = cli_main(argv)
-                if status != 0:
-                    print(f"dstforge {' '.join(argv)} exited {status}", file=sys.stderr)
+                report = _run_cli(cli_main, argv)
+                if report is None:
                     return 1
-                digest = hashlib.sha256(report.getvalue().encode()).hexdigest()
+                digest = hashlib.sha256(report.encode()).hexdigest()
                 print(f"flops-{arch.split(':')[0]}-{dist}-{method}", "stdout", digest)
 
     study_data_dir = os.path.join(out, "data", "study")
@@ -196,19 +209,25 @@ def main() -> int:
             cell = corrupt_images(color_x, CorruptionSpec(kind, sev, SEED))
             print("grid-3x32x32", f"{kind}-s{sev}", hashlib.sha256(cell.tobytes()).hexdigest())
     color_dir = os.path.join(out, "data", "color")
-    corr_dir = os.path.join(out, "corrupt-3x32x32")
     os.makedirs(color_dir, exist_ok=True)
-    shutil.rmtree(corr_dir, ignore_errors=True)
     color_path = blobs.write_cifar(os.path.join(color_dir, "test.bin"), color_x, color_y)
-    listing = io.StringIO()
-    with contextlib.redirect_stdout(listing):
-        status = cli_main(["corrupt", color_path, "--seed", str(SEED), "--out", corr_dir])
-    if status != 0:
-        print(f"dstforge corrupt exited {status}", file=sys.stderr)
+    mlp_test = os.path.join(out, "data", "mlp", "t10k-images-idx3-ubyte")
+    for label, path in (("corrupt-3x32x32", color_path), ("corrupt-1x28x28", mlp_test)):
+        corr_dir = os.path.join(out, label)
+        shutil.rmtree(corr_dir, ignore_errors=True)
+        listing = _run_cli(cli_main, ["corrupt", path, "--seed", str(SEED), "--out", corr_dir])
+        if listing is None:
+            return 1
+        print(label, "files", _sha256_dir(corr_dir))
+        stdout = listing.replace(out + os.sep, "")
+        print(label, "stdout", hashlib.sha256(stdout.encode()).hexdigest())
+    mlp_dense = os.path.join(out, "runs", "mlp-dense-s0", "final.ckpt")
+    curves = [_run_cli(cli_main, ["attenuate", mlp_dense, "--mode", mode, "--radii",
+                                  ATTENUATE_RADII, "--images", mlp_test])
+              for mode in ("low", "high")]
+    if None in curves:
         return 1
-    print("corrupt-3x32x32", "files", _sha256_dir(corr_dir))
-    stdout = listing.getvalue().replace(out + os.sep, "")
-    print("corrupt-3x32x32", "stdout", hashlib.sha256(stdout.encode()).hexdigest())
+    print("attenuate-1x28x28", "stdout", hashlib.sha256("".join(curves).encode()).hexdigest())
     return 0
 
 

@@ -34,7 +34,6 @@ from .data import (
     DataError,
     _stem,
     atomic_write,
-    load_idx,
     load_image_set,
     parse_corrupted_set_filename,
     write_corrupted_sets,
@@ -46,16 +45,6 @@ from .sparsity import allocate_erk, allocate_uniform
 from .spectral import KernelHeatmap, check_radii, kernel_nonzero_counts, write_ra_curves_svg
 from .svg import grid_heatmap
 from .train import DivergenceError, run_eval, run_train
-
-
-def _load_dataset(path: str, classes: int = 10):
-    """Load a dataset file argument: a persisted single-file set (corrupted
-    output or raw CIFAR batch) or a raw IDX images file with its labels file
-    found by name."""
-    try:
-        return load_image_set(path, classes=classes)
-    except DataError:
-        return load_idx(path, classes=classes)
 
 
 def _csv_ints(raw: str) -> list[int]:
@@ -84,7 +73,7 @@ def cmd_corrupt(args) -> int:
             raise ConfigError(f"severity {s} outside {SEVERITIES[0]}..{SEVERITIES[-1]}")
     if not severities:
         raise ConfigError("--severities names no severity")
-    clean = _load_dataset(args.dataset)
+    clean = load_image_set(args.dataset)
     out_dir = args.out or (os.path.dirname(args.dataset) or ".")
     # one rendered cell in memory at a time: a full grid of a real test set
     # would hold gigabytes. A cell named twice is written once.
@@ -96,12 +85,20 @@ def cmd_corrupt(args) -> int:
     return 0
 
 
+def _is_grid_cell(name: str) -> bool:
+    """Whether a file name is `<base>-<kind>-s<severity>.bin` of a known cell."""
+    _, kind, sev = parse_corrupted_set_filename(name)
+    return name.endswith(".bin") and kind in KINDS and sev in SEVERITIES
+
+
 def _expand_sets(tokens: list[str]) -> list[str]:
+    """Set files named on the command line, each directory expanded to the
+    corrupted-set files in it; other files there (the clean test set, a
+    training batch) are left out."""
     paths = []
     for tok in tokens:
         if os.path.isdir(tok):
-            paths.extend(sorted(
-                os.path.join(tok, f) for f in os.listdir(tok) if f.endswith(".bin")))
+            paths.extend(sorted(os.path.join(tok, f) for f in os.listdir(tok) if _is_grid_cell(f)))
         else:
             paths.append(tok)
     if not paths:
@@ -135,7 +132,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_attenuate(args) -> int:
-    clean = _load_dataset(args.images)
+    clean = load_image_set(args.images)
     radii = _csv_ints(args.radii)
     try:
         check_radii(radii, *clean.images.shape[-2:])

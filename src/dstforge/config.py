@@ -12,10 +12,9 @@ import configparser
 import hashlib
 import json
 import os
-import struct
 from dataclasses import asdict, dataclass
 
-from .data import CIFAR_RECORD, IDX_IMAGES_MAGIC, DataError, guess_idx_labels_path, sha256_file
+from .data import DataError, guess_idx_labels_path, image_file_shape, sha256_file
 from .models import ModelSpec, parse_model_spec
 from .optim import LrSchedule
 from .schedulers import DstConfig
@@ -99,24 +98,6 @@ class RunConfig:
         return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def _peek_idx(path: str) -> tuple[int, tuple[int, int, int]]:
-    with open(path, "rb") as fh:
-        head = fh.read(16)
-    if len(head) < 16:
-        raise DataError(f"{path}: truncated IDX header ({len(head)} bytes)")
-    magic, n, h, w = struct.unpack(">IIII", head)
-    if magic != IDX_IMAGES_MAGIC:
-        raise DataError(f"{path}: bad IDX image magic 0x{magic:08x}")
-    return n, (1, h, w)
-
-
-def _peek_cifar(path: str) -> tuple[int, tuple[int, int, int]]:
-    size = os.path.getsize(path)
-    if size == 0 or size % CIFAR_RECORD:
-        raise DataError(f"{path}: size {size} is not a multiple of {CIFAR_RECORD}-byte records")
-    return size // CIFAR_RECORD, (3, 32, 32)
-
-
 def _shape_text(shape: tuple[int, ...]) -> str:
     return "x".join(str(d) for d in shape)
 
@@ -124,10 +105,9 @@ def _shape_text(shape: tuple[int, ...]) -> str:
 def _peek_images(paths: tuple[str, ...], fmt: str) -> tuple[int, tuple[int, int, int]]:
     """Image count of `paths` and their (c, h, w), read from the file headers
     (IDX) or sizes (CIFAR); every file must hold the same image shape."""
-    peek = _peek_idx if fmt == "idx" else _peek_cifar
     total, shape = 0, None
     for p in paths:
-        n, s = peek(p)
+        n, s = image_file_shape(p, fmt)
         if shape is not None and s != shape:
             raise ConfigError(f"[data] {p} holds {_shape_text(s)} images, "
                               f"the files before it {_shape_text(shape)}")

@@ -252,6 +252,5 @@ def build_corrupted_set(clean: ImageSet, kinds=None, severities=None,
                 images=corrupt_images(clean.images, spec),
                 labels=clean.labels.copy(),
                 name=clean.name,
-                fmt=clean.fmt,
             )
     return out

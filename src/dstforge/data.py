@@ -1,10 +1,11 @@
 """Dataset ingestion and persistence in the canonical public binary formats.
 
-IDX files (big-endian magic 0x00000803 for images, 0x00000801 for labels) and
-CIFAR-style records (1 label byte + 3072 pixel bytes) are supported. Corrupted
-sets persist in the same layout as their source: CIFAR sets as plain record
-files, IDX sets as a single file holding the images block followed by the
-labels block.
+This module alone knows the two file layouts. IDX files (big-endian magic
+0x00000803 for images, 0x00000801 for labels) hold 1-channel images;
+CIFAR-style records (1 label byte + 3072 pixel bytes) hold 3x32x32 ones.
+Persisted sets take the layout their image shape fits: 1-channel sets as a
+single file holding the IDX images block followed by the labels block,
+3x32x32 sets as plain record files.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ class ImageSet:
     images: np.ndarray
     labels: np.ndarray
     name: str = "dataset"
-    fmt: str = "idx"  # persistence layout: "idx" | "cifar"
 
     def __post_init__(self):
         if self.images.ndim != 4:
@@ -41,8 +41,6 @@ class ImageSet:
         if self.labels.shape != (self.images.shape[0],):
             raise DataError(
                 f"ImageSet has {self.images.shape[0]} images but {self.labels.shape} labels")
-        if self.fmt not in ("idx", "cifar"):
-            raise DataError(f"unknown ImageSet format {self.fmt!r}")
 
     def __len__(self):
         return self.images.shape[0]
@@ -65,13 +63,18 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _idx_images_from(buf: bytes, path, offset: int = 0) -> tuple[np.ndarray, int]:
+def _idx_images_header(buf: bytes, path, offset: int = 0) -> tuple[int, int, int]:
     if len(buf) - offset < 16:
         raise DataError(f"{path}: truncated IDX header, {len(buf) - offset} bytes at offset {offset}")
     magic, n, h, w = struct.unpack_from(">IIII", buf, offset)
     if magic != IDX_IMAGES_MAGIC:
         raise DataError(f"{path}: bad IDX image magic 0x{magic:08x} at offset {offset}, "
                         f"expected 0x{IDX_IMAGES_MAGIC:08x}")
+    return n, h, w
+
+
+def _idx_images_from(buf: bytes, path, offset: int = 0) -> tuple[np.ndarray, int]:
+    n, h, w = _idx_images_header(buf, path, offset)
     need = n * h * w
     start = offset + 16
     if len(buf) - start < need:
@@ -101,6 +104,22 @@ def _check_labels(labels: np.ndarray, classes: int, path):
         raise DataError(f"{path}: label {int(labels[bad])} outside [0, {classes}) at record {bad}")
 
 
+def _cifar_records(size: int, path) -> int:
+    if size == 0 or size % CIFAR_RECORD:
+        raise DataError(f"{path}: size {size} is not a multiple of {CIFAR_RECORD}-byte records")
+    return size // CIFAR_RECORD
+
+
+def image_file_shape(path, fmt: str) -> tuple[int, tuple[int, int, int]]:
+    """Image count and (c, h, w) of one `fmt` ("idx" | "cifar") images file,
+    read from its IDX header or its size alone, under the loaders' checks."""
+    if fmt == "idx":
+        with open(path, "rb") as fh:
+            n, h, w = _idx_images_header(fh.read(16), path)
+        return n, (1, h, w)
+    return _cifar_records(os.path.getsize(path), path), (3, 32, 32)
+
+
 def guess_idx_labels_path(images_path: str) -> str | None:
     base = os.path.basename(images_path)
     if "images" not in base:
@@ -108,6 +127,16 @@ def guess_idx_labels_path(images_path: str) -> str | None:
     cand = os.path.join(os.path.dirname(images_path),
                         base.replace("images", "labels").replace("idx3", "idx1"))
     return cand if os.path.exists(cand) else None
+
+
+def _idx_set(images: np.ndarray, labels: np.ndarray, images_path, labels_path,
+             name: str | None, classes: int) -> ImageSet:
+    if images.shape[0] != labels.shape[0]:
+        raise DataError(f"{images_path}: {images.shape[0]} images but {labels.shape[0]} labels")
+    _check_labels(labels, classes, labels_path)
+    n, h, w = images.shape
+    return ImageSet(_unit_floats(images).reshape(n, 1, h, w), labels.astype(np.int64),
+                    name or _stem(images_path))
 
 
 def load_idx(images_path, labels_path=None, name: str | None = None, classes: int = 10) -> ImageSet:
@@ -119,16 +148,7 @@ def load_idx(images_path, labels_path=None, name: str | None = None, classes: in
             raise DataError(f"{images_path}: cannot infer labels file, pass labels_path")
     images, _ = _idx_images_from(_read_file(images_path), images_path)
     labels, _ = _idx_labels_from(_read_file(labels_path), labels_path)
-    if images.shape[0] != labels.shape[0]:
-        raise DataError(f"{images_path}: {images.shape[0]} images but {labels.shape[0]} labels")
-    _check_labels(labels, classes, labels_path)
-    n, h, w = images.shape
-    return ImageSet(
-        images=_unit_floats(images).reshape(n, 1, h, w),
-        labels=labels.astype(np.int64),
-        name=name or _stem(images_path),
-        fmt="idx",
-    )
+    return _idx_set(images, labels, images_path, labels_path, name, classes)
 
 
 def load_cifar_binary(paths, name: str | None = None, classes: int = 10) -> ImageSet:
@@ -138,8 +158,7 @@ def load_cifar_binary(paths, name: str | None = None, classes: int = 10) -> Imag
     chunks, labels = [], []
     for path in paths:
         buf = _read_file(path)
-        if len(buf) == 0 or len(buf) % CIFAR_RECORD:
-            raise DataError(f"{path}: size {len(buf)} is not a multiple of {CIFAR_RECORD}-byte records")
+        _cifar_records(len(buf), path)
         rec = np.frombuffer(buf, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
         labels.append(rec[:, 0])
         chunks.append(rec[:, 1:].reshape(-1, 3, 32, 32))
@@ -149,8 +168,20 @@ def load_cifar_binary(paths, name: str | None = None, classes: int = 10) -> Imag
         images=_unit_floats(np.concatenate(chunks)),
         labels=labels.astype(np.int64),
         name=name or _stem(paths[0]),
-        fmt="cifar",
     )
+
+
+def load_split(fmt: str, images_paths, labels_paths, name: str, classes: int) -> ImageSet:
+    """One split of a run's data: the `fmt` files concatenated in order, a
+    single file used as loaded; IDX images pair with `labels_paths`."""
+    if fmt == "cifar":
+        return load_cifar_binary(list(images_paths), name=name, classes=classes)
+    parts = [load_idx(img, lab, name=name, classes=classes)
+             for img, lab in zip(images_paths, labels_paths, strict=True)]
+    if len(parts) == 1:
+        return parts[0]
+    return ImageSet(np.concatenate([p.images for p in parts]),
+                    np.concatenate([p.labels for p in parts]), name)
 
 
 def _stem(path) -> str:
@@ -196,38 +227,32 @@ def atomic_write(path, mode: str = "w"):
 
 
 def save_image_set(s: ImageSet, path):
-    """Persist in the set's source layout (see module docstring)."""
-    if s.fmt == "cifar":
-        imgs = _quantize(s.images)
-        if imgs.shape[1:] != (3, 32, 32):
-            raise DataError(f"cifar layout requires (n, 3, 32, 32) images, got {imgs.shape}")
-        rec = np.empty((imgs.shape[0], CIFAR_RECORD), dtype=np.uint8)
-        rec[:, 0] = s.labels.astype(np.uint8)
-        rec[:, 1:] = imgs.reshape(imgs.shape[0], -1)
-        payload = rec.tobytes()
-    else:
-        imgs = _quantize(s.images)
-        n, c, h, w = imgs.shape
-        if c != 1:
-            raise DataError(f"idx layout stores single-channel images, got {c} channels")
+    """Persist in the layout the image shape fits (see module docstring)."""
+    imgs, labels = _quantize(s.images), s.labels.astype(np.uint8)
+    n, c, h, w = imgs.shape
+    if c == 1:
         payload = (struct.pack(">IIII", IDX_IMAGES_MAGIC, n, h, w) + imgs.tobytes()
-                   + struct.pack(">II", IDX_LABELS_MAGIC, n) + s.labels.astype(np.uint8).tobytes())
+                   + struct.pack(">II", IDX_LABELS_MAGIC, n) + labels.tobytes())
+    elif (c, h, w) == (3, 32, 32):
+        payload = np.concatenate([labels[:, None], imgs.reshape(n, -1)], axis=1).tobytes()
+    else:
+        raise DataError(f"{path}: {c}x{h}x{w} images fit neither layout: IDX holds "
+                        f"1-channel images, CIFAR records 3x32x32 ones")
     with atomic_write(path, "wb") as fh:
         fh.write(payload)
 
 
 def load_image_set(path, name: str | None = None, classes: int = 10) -> ImageSet:
-    """Load a persisted set, sniffing the layout from the leading bytes."""
+    """Load a persisted set or a raw images file, sniffing the layout from the
+    leading bytes. An IDX images block that ends the file takes its labels
+    from the file beside it, found by name as load_idx finds them."""
     buf = _read_file(path)
     if len(buf) >= 4 and struct.unpack_from(">I", buf)[0] == IDX_IMAGES_MAGIC:
         images, off = _idx_images_from(buf, path)
-        labels, off = _idx_labels_from(buf, path, off)
-        if images.shape[0] != labels.shape[0]:
-            raise DataError(f"{path}: {images.shape[0]} images but {labels.shape[0]} labels")
-        _check_labels(labels, classes, path)
-        n, h, w = images.shape
-        return ImageSet(_unit_floats(images).reshape(n, 1, h, w),
-                        labels.astype(np.int64), name or _stem(path), "idx")
+        if off == len(buf):  # a raw images file
+            return load_idx(path, name=name, classes=classes)
+        labels, _ = _idx_labels_from(buf, path, off)
+        return _idx_set(images, labels, path, path, name, classes)
     if len(buf) and len(buf) % CIFAR_RECORD == 0:
         return load_cifar_binary(path, name=name, classes=classes)
     raise DataError(f"{path}: neither an IDX block (magic at offset 0) nor whole "

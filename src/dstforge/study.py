@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_checkpoint
+from .checkpoint import Checkpoint, CheckpointError, load_checkpoint
 from .config import RunConfig, parse_config
 from .corruption import KINDS, SEVERITIES, build_corrupted_set
 from .data import (ImageSet, atomic_write, corrupted_set_filename, load_idx, sha256_file,
@@ -113,10 +113,10 @@ def study_config_text(m: StudyMethod, seed: int, epochs: int,
     return "\n".join(lines) + "\n"
 
 
-def ensure_run(m: StudyMethod, seed: int, epochs: int, data: dict[str, str],
-               root: str, echo=None) -> tuple[RunConfig, str]:
-    """Train one (method, seed) cell unless its final.ckpt carries the cell's
-    run digest. Any other final.ckpt, or another config.ini, raises StudyError."""
+def _ensure_run(m: StudyMethod, seed: int, epochs: int, data: dict[str, str],
+                root: str, echo=None) -> tuple[RunConfig, str, Checkpoint | None]:
+    """ensure_run, plus the final.ckpt it loaded to check a finished run's
+    digest (None when it trained the run)."""
     run_dir = os.path.join(root, f"{m.label}-seed{seed}")
     os.makedirs(run_dir, exist_ok=True)
     text = study_config_text(m, seed, epochs, data, run_dir)
@@ -125,10 +125,11 @@ def ensure_run(m: StudyMethod, seed: int, epochs: int, data: dict[str, str],
     if os.path.exists(ckpt):
         cfg = parse_config(text)
         try:
-            if load_checkpoint(ckpt).run_digest == cfg.digest():
-                return cfg, ckpt
+            loaded = load_checkpoint(ckpt)
         except CheckpointError as e:
             raise StudyError(f"{run_dir}: {e}; remove it to rerun") from None
+        if loaded.run_digest == cfg.digest():
+            return cfg, ckpt, loaded
         raise StudyError(f"{run_dir} holds a run of another config or data; remove it to rerun")
     if os.path.exists(cfg_path):
         with open(cfg_path) as fh:
@@ -141,7 +142,14 @@ def ensure_run(m: StudyMethod, seed: int, epochs: int, data: dict[str, str],
     if echo:
         echo(f"training {m.label} seed {seed}")
     run_train(cfg)
-    return cfg, ckpt
+    return cfg, ckpt, None
+
+
+def ensure_run(m: StudyMethod, seed: int, epochs: int, data: dict[str, str],
+               root: str, echo=None) -> tuple[RunConfig, str]:
+    """Train one (method, seed) cell unless its final.ckpt carries the cell's
+    run digest. Any other final.ckpt, or another config.ini, raises StudyError."""
+    return _ensure_run(m, seed, epochs, data, root, echo)[:2]
 
 
 def ensure_corrupted_set(clean: ImageSet, corr_dir: str, base: str, kind: str,
@@ -236,9 +244,9 @@ def run_study(data: dict[str, str], root: str, epochs: int = 20,
     test = None
     for m in methods:
         for seed in seeds:
-            cfg, ckpt = ensure_run(m, seed, epochs, data, root, echo=echo)
+            cfg, ckpt, loaded = _ensure_run(m, seed, epochs, data, root, echo)
             result.checkpoints[(m.label, seed)] = ckpt
-            models[(m.label, seed)] = load_checkpoint(ckpt).build_model()
+            models[(m.label, seed)] = (loaded or load_checkpoint(ckpt)).build_model()
             if test is None:
                 test = load_idx(data["test_images"], data["test_labels"],
                                 name="test", classes=cfg.classes)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig
-from .data import ImageSet, atomic_write, load_cifar_binary, load_idx
+from .data import ImageSet, atomic_write, load_split
 from .metrics import MetricsReport, batched_accuracy, cost_report, robustness_accuracy
 from .models import Model, build_model
 from .optim import lr_at, sgd_momentum_step
@@ -35,18 +35,8 @@ class DivergenceError(RuntimeError):
 
 
 def load_train_test(cfg: RunConfig) -> tuple[ImageSet, ImageSet]:
-    if cfg.fmt == "idx":
-        # several training files concatenate in config order, as CIFAR batches
-        # do; a single file is used as loaded, without a second copy
-        parts = [load_idx(img, lab, name=cfg.dataset, classes=cfg.classes)
-                 for img, lab in zip(cfg.train_images, cfg.train_labels, strict=True)]
-        train = parts[0] if len(parts) == 1 else ImageSet(
-            np.concatenate([p.images for p in parts]),
-            np.concatenate([p.labels for p in parts]), cfg.dataset, "idx")
-        test = load_idx(cfg.test_images, cfg.test_labels, name=cfg.dataset, classes=cfg.classes)
-    else:
-        train = load_cifar_binary(list(cfg.train_images), name=cfg.dataset, classes=cfg.classes)
-        test = load_cifar_binary(cfg.test_images, name=cfg.dataset, classes=cfg.classes)
+    train = load_split(cfg.fmt, cfg.train_images, cfg.train_labels, cfg.dataset, cfg.classes)
+    test = load_split(cfg.fmt, (cfg.test_images,), (cfg.test_labels,), cfg.dataset, cfg.classes)
     return train, test
 
 
@@ -96,7 +86,8 @@ def run_train(cfg: RunConfig, resume_path=None, stop_after_step: int | None = No
     Per step: forward on masked weights, backward, SGD step, re-mask, then a
     topology update when the schedule fires, which reads the gradients this
     step's backward left on the weights. `stop_after_step` must lie after the
-    step the run starts from. One JSON line per epoch goes to
+    step the run starts from and at most at its last step, which completes
+    the run. One JSON line per epoch goes to
     metrics.jsonl (and `echo` when given). A non-finite loss aborts with the
     failing step number.
     """
@@ -131,9 +122,9 @@ def run_train(cfg: RunConfig, resume_path=None, stop_after_step: int | None = No
         start_step = ck.step
         epoch_loss_sum = ck.epoch_loss_sum
         epoch_loss_count = ck.epoch_loss_count
-    if stop_after_step is not None and stop_after_step <= start_step:
-        raise ConfigError(f"stop after step {stop_after_step}: the run starts at step "
-                          f"{start_step}, so it would never stop there")
+    if stop_after_step is not None and not start_step < stop_after_step <= cfg.total_steps:
+        raise ConfigError(f"stop after step {stop_after_step}: the run goes from step "
+                          f"{start_step} to step {cfg.total_steps}, so it would never stop there")
 
     spe = cfg.steps_per_epoch
     os.makedirs(cfg.out_dir, exist_ok=True)

@@ -86,7 +86,7 @@ def idx_dir(tmp_path_factory) -> str:
 def blob_test_set() -> ImageSet:
     imgs, labels = make_blob_set(N_TEST, seed=2)
     return ImageSet(images=imgs[:, None, :, :], labels=labels.astype(np.int64),
-                    name="blobs-test", fmt="idx")
+                    name="blobs-test")
 
 
 def toy_config(idx_dir: str, out_dir: str, method: str = "dense",

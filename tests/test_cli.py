@@ -162,6 +162,27 @@ def test_corrupt_missing_dataset_exits_3(tmp_path, capsys):
     assert "data error" in err
 
 
+def test_corrupt_cifar_file_cut_mid_record_exits_3(tmp_path, capsys):
+    """A CIFAR batch missing the tail of its last record is named as such,
+    not reported as an IDX file without labels."""
+    cut = tmp_path / "batch.bin"
+    cut.write_bytes(bytes(2 * 3073 - 100))
+    code, stdout, err = run_cli(capsys, "corrupt", str(cut), "--out", str(tmp_path / "corr"))
+    assert code == 3
+    assert stdout == ""
+    assert "3073-byte CIFAR records (size 6046)" in err
+    assert not (tmp_path / "corr").exists()
+
+
+def test_corrupt_raw_idx_images_without_labels_beside_exits_3(idx_dir, tmp_path, capsys):
+    lonely = tmp_path / "lonely-images-idx3-ubyte"
+    with open(f"{idx_dir}/t10k-images-idx3-ubyte", "rb") as fh:
+        lonely.write_bytes(fh.read())
+    code, _, err = run_cli(capsys, "corrupt", str(lonely), "--out", str(tmp_path / "corr"))
+    assert code == 3
+    assert "cannot infer labels file" in err
+
+
 def test_evaluate_reports_cells(cli_run, idx_dir, tmp_path, capsys):
     out, _ = cli_run
     corr = str(tmp_path / "sets")
@@ -257,6 +278,34 @@ def test_evaluate_baseline_scoring_zero_on_a_kind_exits_3(cli_run, tmp_path, cap
     assert err.startswith("data error: --baseline") and "kind contrast" in err
 
 
+def test_evaluate_directory_scores_only_corrupted_set_files(cli_run, idx_dir, tmp_path,
+                                                            capsys):
+    """`corrupt` writes beside its input by default, so a directory holds the
+    clean set and other batches too: only `<base>-<kind>-s<severity>.bin`
+    files of a known kind and severity enter the report."""
+    from dstforge.data import load_idx
+
+    out, _ = cli_run
+    corr = tmp_path / "sets"
+    assert run_cli(capsys, "corrupt", f"{idx_dir}/t10k-images-idx3-ubyte", "--kinds",
+                   "contrast", "--severities", "2", "--out", str(corr))[0] == 0
+    clean = load_idx(f"{idx_dir}/t10k-images-idx3-ubyte")
+    for name in ("t10k.bin", "train.bin", "t10k-sepia-s1.bin", "t10k-contrast-s9.bin",
+                 "t10k-contrast-s1.bin.tmp"):
+        save_image_set(clean, corr / name)
+    ckpt = os.path.join(out, "final.ckpt")
+    code, stdout, _ = run_cli(capsys, "evaluate", ckpt, "--sets", str(corr))
+    assert code == 0
+    doc = json.loads(stdout)
+    assert [(c["kind"], c["severity"]) for c in doc["cells"]] == [("contrast", 2)]
+    assert doc["mean_robustness_accuracy"] == doc["cells"][0]["accuracy"]
+    # a file named on the command line is scored whatever its name
+    code, stdout, _ = run_cli(capsys, "evaluate", ckpt, "--sets", f"{corr},{corr / 't10k.bin'}")
+    assert code == 0
+    assert {(c["kind"], c["severity"]) for c in json.loads(stdout)["cells"]} == {
+        ("contrast", 2), ("t10k", 0)}
+
+
 def test_evaluate_missing_set_exits_3(cli_run, tmp_path, capsys):
     out, _ = cli_run
     code, _, err = run_cli(capsys, "evaluate", os.path.join(out, "final.ckpt"),
@@ -319,6 +368,19 @@ def test_attenuate_bad_radii_exits_2(cli_run, idx_dir, capsys):
         "--mode", "low", "--radii", "2,four",
         "--images", f"{idx_dir}/t10k-images-idx3-ubyte")
     assert code == 2
+
+
+def test_attenuate_names_an_out_of_range_cifar_label(cli_run, tmp_path, capsys):
+    batch = np.zeros((3, 3073), dtype=np.uint8)
+    batch[:, 0] = (4, 12, 1)
+    path = tmp_path / "batch.bin"
+    path.write_bytes(batch.tobytes())
+    out, _ = cli_run
+    code, stdout, err = run_cli(capsys, "attenuate", os.path.join(out, "final.ckpt"),
+                                "--mode", "low", "--radii", "0,2", "--images", str(path))
+    assert code == 3
+    assert stdout == ""
+    assert "label 12 outside [0, 10) at record 1" in err
 
 
 @pytest.mark.parametrize("radii", ["4,2", "2,99", "-1", ""])
@@ -528,11 +590,12 @@ def test_resume_through_cli_is_bitwise(idx_dir, tmp_path, capsys):
             assert fa.read() == fb.read(), name
 
 
-@pytest.mark.parametrize("stop", ["0", "-3", "resume"])
+@pytest.mark.parametrize("stop", ["0", "-3", "resume", "31", "1000000"])
 def test_train_unreachable_stop_step_exits_2_without_a_checkpoint(idx_dir, tmp_path, capsys,
                                                                    stop):
     """A stop step at or before the step the run starts from (0 fresh, the
-    checkpoint's step on resume) would never be reached."""
+    checkpoint's step on resume), or past the run's last step (30), would
+    never be reached."""
     out = tmp_path / "run"
     cfg_path = str(tmp_path / "run.ini")
     with open(cfg_path, "w") as fh:
@@ -547,3 +610,18 @@ def test_train_unreachable_stop_step_exits_2_without_a_checkpoint(idx_dir, tmp_p
     assert code == 2
     assert err.startswith("config error: stop after step")
     assert (sorted(os.listdir(out)) if out.exists() else []) == written
+
+
+def test_train_stop_at_the_last_step_completes_the_run(idx_dir, tmp_path, capsys):
+    """N equal to the run's total steps (30) is the whole run: final.ckpt with
+    the bytes of a run given no stop step, and no step checkpoint."""
+    finals = []
+    for name, stop in (("stopped", ["--stop-after-step", "30"]), ("whole", [])):
+        out = tmp_path / name
+        cfg_path = str(tmp_path / f"{name}.ini")
+        with open(cfg_path, "w") as fh:
+            fh.write(toy_config(idx_dir, str(out), method="set", sparsity=0.5, epochs=1))
+        assert run_cli(capsys, "train", cfg_path, *stop)[0] == 0
+        assert not [f for f in os.listdir(out) if f.startswith("step")]
+        finals.append((out / "final.ckpt").read_bytes())
+    assert finals[0] == finals[1]

@@ -30,8 +30,6 @@ def test_image_set_validation():
                  labels=np.zeros(3, dtype=np.int64))
     with pytest.raises(DataError):
         ImageSet(images=toy_images(), labels=np.zeros(5, dtype=np.int64))
-    with pytest.raises(DataError):
-        ImageSet(images=toy_images(), labels=np.zeros(6, dtype=np.int64), fmt="npz")
 
 
 def test_load_idx_pair(idx_dir):
@@ -41,7 +39,6 @@ def test_load_idx_pair(idx_dir):
     assert s.images.dtype == np.float32
     assert 0.0 <= s.images.min() and s.images.max() <= 1.0
     assert s.labels.dtype == np.int64
-    assert s.fmt == "idx"
 
 
 def test_load_idx_autoguesses_labels(idx_dir):
@@ -104,7 +101,6 @@ def test_load_cifar_binary(tmp_path):
     p.write_bytes(rec.tobytes())
     s = load_cifar_binary(str(p))
     assert s.images.shape == (7, 3, 32, 32)
-    assert s.fmt == "cifar"
     np.testing.assert_array_equal(s.labels, rec[:, 0])
     # two files concatenate in argument order
     s2 = load_cifar_binary([str(p), str(p)])
@@ -124,8 +120,8 @@ def test_idx_set_save_load_round_trip(tmp_path):
     s = ImageSet(images=imgs, labels=np.arange(6, dtype=np.int64) % 3, name="toy")
     p = tmp_path / "toy.bin"
     save_image_set(s, p)
+    assert p.read_bytes()[:4] == struct.pack(">I", 0x803)  # one channel: IDX
     back = load_image_set(p)
-    assert back.fmt == "idx"
     np.testing.assert_array_equal(back.labels, s.labels)
     # uint8 quantization: within half a level
     assert np.abs(back.images - imgs).max() <= 0.5 / 255 + 1e-6
@@ -133,12 +129,11 @@ def test_idx_set_save_load_round_trip(tmp_path):
 
 def test_cifar_set_save_load_round_trip(tmp_path):
     imgs = np.random.default_rng(2).random((4, 3, 32, 32)).astype(np.float32)
-    s = ImageSet(images=imgs, labels=np.array([0, 1, 2, 3], dtype=np.int64),
-                 name="toy", fmt="cifar")
+    s = ImageSet(images=imgs, labels=np.array([0, 1, 2, 3], dtype=np.int64), name="toy")
     p = tmp_path / "toy.bin"
     save_image_set(s, p)
+    assert p.stat().st_size == 4 * CIFAR_RECORD  # 3x32x32: CIFAR records
     back = load_image_set(p)
-    assert back.fmt == "cifar"
     assert np.abs(back.images - imgs).max() <= 0.5 / 255 + 1e-6
 
 
@@ -155,13 +150,14 @@ def test_save_quantization_is_idempotent(tmp_path):
 
 @pytest.mark.parametrize("fmt, c", [("idx", 1), ("cifar", 3)])
 def test_save_and_load_keep_the_bytes_of_the_plain_formulas(tmp_path, fmt, c):
+    # the layout follows the channel count: `fmt` names the one `c` selects
     # pixels past both ends, on exact half levels and in between
     r = np.random.default_rng(4)
     imgs = (r.random((5, c, 32, 32)) * 1.4 - 0.2).astype(np.float32)
     imgs[:, :, 0, :8] = (np.arange(8) + 0.5) / 255
     before = imgs.copy()
     p = tmp_path / "set.bin"
-    save_image_set(ImageSet(images=imgs, labels=np.arange(5, dtype=np.int64), fmt=fmt), p)
+    save_image_set(ImageSet(images=imgs, labels=np.arange(5, dtype=np.int64)), p)
     assert imgs.tobytes() == before.tobytes()  # the caller's array is not touched
     q = np.rint(np.clip(imgs, 0.0, 1.0) * 255.0).astype(np.uint8)
     back = load_image_set(p)
@@ -179,9 +175,20 @@ def test_save_layout_constraints(tmp_path):
     with pytest.raises(DataError, match="channel"):
         save_image_set(ImageSet(images=toy_images(c=3), labels=np.zeros(6, dtype=np.int64)),
                        tmp_path / "x.bin")
-    with pytest.raises(DataError, match="cifar"):
-        save_image_set(ImageSet(images=toy_images(), labels=np.zeros(6, dtype=np.int64),
-                                fmt="cifar"), tmp_path / "x.bin")
+    with pytest.raises(DataError, match="3x32x32"):
+        save_image_set(ImageSet(images=toy_images(c=3, h=16, w=16),
+                                labels=np.zeros(6, dtype=np.int64)), tmp_path / "x.bin")
+    assert not (tmp_path / "x.bin").exists()
+
+
+def test_load_image_set_reads_a_raw_idx_images_file(idx_dir):
+    """An IDX images block that ends the file takes the labels file beside it,
+    as load_idx finds it."""
+    images = f"{idx_dir}/t10k-images-idx3-ubyte"
+    raw, pair = load_image_set(images), load_idx(images)
+    assert raw.images.tobytes() == pair.images.tobytes()
+    assert raw.labels.tobytes() == pair.labels.tobytes()
+    assert raw.name == pair.name == "t10k-images-idx3-ubyte"
 
 
 def test_load_image_set_sniffs_garbage(tmp_path):

@@ -182,10 +182,15 @@ def test_run_study_scores_match_direct_calls_and_rerun_is_cached(tmp_path, monke
 
     monkeypatch.setattr(dstforge.study, "build_corrupted_set", no_rework)
     monkeypatch.setattr(dstforge.study, "run_train", no_rework)
+    loads = []
+    load = dstforge.study.load_checkpoint
+    monkeypatch.setattr(dstforge.study, "load_checkpoint", lambda p: loads.append(p) or load(p))
     run_study(data, root, epochs=1, seeds=(1,), methods=methods, radii=radii,
               corruption_seed=3)
     with open(os.path.join(root, "study.json"), "rb") as fh:
         assert fh.read() == written
+    # each finished run's final.ckpt is read once: its digest check builds the model
+    assert sorted(loads) == sorted(result.checkpoints.values())
 
 
 def test_corrupted_grid_from_another_seed_or_without_source_is_refused(idx28_dir, tmp_path):

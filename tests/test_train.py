@@ -315,7 +315,7 @@ def test_load_train_test_shapes(set_run):
     train, test = load_train_test(cfg)
     assert train.images.shape == (1500, 1, 12, 12)
     assert test.images.shape == (400, 1, 12, 12)
-    assert train.fmt == "idx"
+    assert train.name == test.name == "blobs"
 
 
 def test_split_idx_training_files_concatenate_and_train(idx_dir, tmp_path):
@@ -502,8 +502,8 @@ def test_convnet_training_and_predict_bytes_do_not_depend_on_the_thread_count(tm
     for name, n, seed in (("train", 60, 1), ("test", 37, 2)):
         imgs, labels = make_blob_set(n, seed=seed, side=32)
         paths[name] = str(tmp_path / f"{name}.bin")
-        save_image_set(ImageSet(np.repeat(imgs[:, None], 3, axis=1), labels.astype(np.int64),
-                                fmt="cifar"), paths[name])
+        save_image_set(ImageSet(np.repeat(imgs[:, None], 3, axis=1), labels.astype(np.int64)),
+                       paths[name])
     runs = {}
     for threads in (1, 2):
         configs = []
