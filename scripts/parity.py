@@ -32,9 +32,12 @@ files it writes and `corrupt-3x32x32 stdout <sha256>` of what it prints. The
 same two lines follow as `corrupt-1x28x28` for `dstforge corrupt` on the MLP
 grid's raw `t10k-images-idx3-ubyte` file, whose labels the command finds by
 name, and `attenuate-1x28x28 stdout <sha256>` digests what `dstforge
-attenuate` prints for mlp-dense-s0 on that file, low then high mode. Run it
-on two checkouts and diff the outputs: a change that keeps every byte prints
-the same lines.
+attenuate` prints for mlp-dense-s0 on that file, low then high mode. Last,
+`inspect-<run> stdout <sha256>` digests what `dstforge inspect --layer`
+prints for the dense and the set_s50 run of each model (layer fc1 of the MLP,
+conv2 of the convnet), which covers the dense run's empty topology and a
+masked one. Run it on two checkouts and diff the outputs: a change that keeps
+every byte prints the same lines.
 BLAS runs on one thread, since float sums (and so the MLP artifacts) change
 with the thread count.
 """
@@ -74,6 +77,8 @@ STUDY_EPOCHS = 2
 STUDY_SIZES = (600, 700)  # n_train, n_test; the test set spans two 512-image batches
 COLOR_GRID_SIZE = 200
 ATTENUATE_RADII = "0,2,4,8,14"
+INSPECT_LAYERS = {"mlp": "fc1", "small_convnet": "conv2"}  # model kind -> --layer
+INSPECT_RUNS = ("dense-s0", "set-s50")
 
 
 def _sha256_file(path: str) -> str:
@@ -228,6 +233,14 @@ def main() -> int:
     if None in curves:
         return 1
     print("attenuate-1x28x28", "stdout", hashlib.sha256("".join(curves).encode()).hexdigest())
+    for kind, layer in INSPECT_LAYERS.items():
+        for run in INSPECT_RUNS:
+            name = f"{kind}-{run}"
+            report = _run_cli(cli_main, ["inspect", os.path.join(out, "runs", name, "final.ckpt"),
+                                         "--layer", layer])
+            if report is None:
+                return 1
+            print(f"inspect-{name}", "stdout", hashlib.sha256(report.encode()).hexdigest())
     return 0
 
 

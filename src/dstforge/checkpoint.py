@@ -2,9 +2,9 @@
 
 Layout: magic "DSTF", u16 version, u64 step, u32 header length, JSON header,
 then per layer (in header order) the weight, bias, and momentum arrays as
-little-endian float32, and for masked layers a u64 active count followed by a
-little-endian bitset. Everything needed to continue a run bit-exactly lives
-here; nothing in the file depends on wall-clock time.
+little-endian float32, and for masked layers (none in a dense run) a u64 active
+count followed by a little-endian bitset. Everything needed to continue a run
+bit-exactly lives here; nothing in the file depends on wall-clock time.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ class Checkpoint:
     epoch_loss_sum: float
     epoch_loss_count: int
     trajectory: list
-    layers: list  # (name, weight, bias, w_momentum, b_momentum, mask | None)
+    layers: list  # (name, weight, bias, w_momentum, b_momentum)
+    masks: dict  # name -> bool array, masked layers only
 
     def build_model(self) -> Model:
         """Reconstruct the trainable model with these exact weights."""
@@ -48,7 +49,7 @@ class Checkpoint:
         by_name = {layer.name: layer for layer in model.layers}
         if set(by_name) != {name for name, *_ in self.layers}:
             raise CheckpointError("checkpoint layers do not match the model spec")
-        for name, w, b, wm, bm, _ in self.layers:
+        for name, w, b, wm, bm in self.layers:
             layer = by_name[name]
             if layer.weight.data.shape != w.shape:
                 raise CheckpointError(
@@ -59,23 +60,22 @@ class Checkpoint:
             layer.bias.momentum[...] = bm
         return model
 
-    def mask(self) -> TopologyMask | None:
-        masks = {name: m for name, *_rest, m in self.layers if m is not None}
-        return TopologyMask(masks) if masks else None
+    def mask(self) -> TopologyMask:
+        return TopologyMask(self.masks)
 
 
 def _f32_bytes(a: np.ndarray) -> bytes:
     return np.ascontiguousarray(a, dtype="<f4").tobytes()
 
 
-def save_checkpoint(path, model: Model, mask: TopologyMask | None, step: int,
+def save_checkpoint(path, model: Model, mask: TopologyMask, step: int,
                     rng: np.random.Generator, dst_cfg: DstConfig, seed: int, run_digest: str,
                     trajectory: BudgetTrajectory | None = None,
                     epoch_loss_sum: float = 0.0, epoch_loss_count: int = 0):
     layer_meta = []
     blobs = []
     for layer in model.layers:
-        has_mask = mask is not None and layer.name in mask
+        has_mask = layer.name in mask
         layer_meta.append({
             "name": layer.name,
             "kind": layer.kind,
@@ -171,14 +171,14 @@ def load_checkpoint(path) -> Checkpoint:
     except (TypeError, ValueError, OverflowError) as e:
         raise CheckpointError(f"{path}: corrupt header: {e}") from None
 
-    layers = []
+    layers, masks = [], {}
     for i, meta in enumerate(header["layers"]):
         name, shape, masked = _layer_meta(path, i, meta)
         w = take_f32(shape)
         b = take_f32((shape[0],))
         wm = take_f32(shape)
         bm = take_f32((shape[0],))
-        m = None
+        layers.append((name, w, b, wm, bm))
         if masked:
             n = math.prod(shape)
             (active,) = struct.unpack("<Q", take(8))
@@ -188,7 +188,7 @@ def load_checkpoint(path) -> Checkpoint:
                 raise CheckpointError(
                     f"{path}: mask for {name} has {np.count_nonzero(m)} active bits, "
                     f"header says {active}")
-        layers.append((name, w, b, wm, bm, m))
+            masks[name] = m
     if off != len(buf):
         raise CheckpointError(f"{path}: {len(buf) - off} trailing bytes")
 
@@ -203,4 +203,5 @@ def load_checkpoint(path) -> Checkpoint:
         epoch_loss_count=header["epoch_loss_count"],
         trajectory=trajectory,
         layers=layers,
+        masks=masks,
     )

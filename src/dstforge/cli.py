@@ -41,7 +41,7 @@ from .data import (
 from .metrics import attach_baseline, cost_report, robustness_accuracy
 from .models import build_model, descriptor_library, parse_model_spec
 from .schedulers import METHODS, DstConfig, synthetic_trajectory
-from .sparsity import allocate_erk, allocate_uniform
+from .sparsity import ALLOCATORS, DENSE
 from .spectral import KernelHeatmap, check_radii, kernel_nonzero_counts, write_ra_curves_svg
 from .svg import grid_heatmap
 from .train import DivergenceError, run_eval, run_train
@@ -155,11 +155,8 @@ def cmd_attenuate(args) -> int:
 
 
 def _layer_heatmap(ck, name: str) -> KernelHeatmap:
-    model = ck.build_model()
-    layer = model.layer_by_name(name)
-    mask = ck.mask()
-    m = mask[name] if mask is not None and name in mask else np.ones(
-        layer.weight.data.shape, dtype=bool)
+    layer = ck.build_model().layer_by_name(name)
+    m = ck.masks.get(name, np.ones(layer.weight.data.shape, dtype=bool))
     if layer.kind == "conv":
         return kernel_nonzero_counts(layer, m)
     return KernelHeatmap(layer=name, kind="count", matrix=m.astype(np.int64))
@@ -179,11 +176,8 @@ def cmd_inspect(args) -> int:
     print(f"method   {ck.dst_config['method']}")
     rows = []
     for name, w, *_ in ck.layers:
-        if mask is not None and name in mask:
-            active, total = mask.active_count(name), mask[name].size
-        else:
-            active, total = w.size, w.size
-        rows.append((name, "x".join(str(d) for d in w.shape), active, total))
+        active = mask.active_count(name) if name in mask else w.size
+        rows.append((name, "x".join(str(d) for d in w.shape), active, w.size))
     print(f"density  {sum(r[2] for r in rows) / sum(r[3] for r in rows):.6f}")
     print(f"{'layer':<16} {'shape':<16} {'active':>10} {'total':>10} density")
     for name, shape, active, total in rows:
@@ -237,10 +231,6 @@ def cmd_flops(args) -> int:
         raise ConfigError("give either --density or --sparsity, not both")
     sparsity = args.sparsity if args.sparsity is not None else (
         1.0 - args.density if args.density is not None else 0.0)
-    if args.method == "dense" and sparsity != 0.0:
-        raise ConfigError("dense takes no --density/--sparsity")
-    if args.method != "dense" and sparsity == 0.0:
-        raise ConfigError(f"{args.method} needs --density or --sparsity")
     images = args.images_per_epoch
     if images is None:
         images = _default_images_per_epoch(args.arch)
@@ -250,10 +240,7 @@ def cmd_flops(args) -> int:
     try:
         dst = DstConfig(method=args.method, sparsity=sparsity,
                         total_steps=steps, delta_t=args.delta_t)
-        alloc = None
-        if args.method != "dense":
-            alloc_fn = allocate_erk if args.dist == "erk" else allocate_uniform
-            alloc = alloc_fn(desc, sparsity)
+        alloc = DENSE if args.method == "dense" else ALLOCATORS[args.dist](desc, sparsity)
     except ValueError as e:
         raise ConfigError(str(e)) from None
     report = cost_report(args.arch, desc, args.method, alloc, synthetic_trajectory(dst),
@@ -316,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, required=True)
     p.add_argument("--bs", type=int, required=True)
     p.add_argument("--delta-t", type=int, default=DstConfig.delta_t)
-    p.add_argument("--dist", default="erk", choices=("erk", "uniform"))
+    p.add_argument("--dist", default="erk", choices=tuple(ALLOCATORS))
     p.add_argument("--images-per-epoch", type=int, default=None,
                    help="default: 50000, or 1281167/*imagenet*, 100000/*tiny*")
     p.add_argument("--no-probe", action="store_true",

@@ -18,6 +18,7 @@ from .data import DataError, guess_idx_labels_path, image_file_shape, sha256_fil
 from .models import ModelSpec, parse_model_spec
 from .optim import LrSchedule
 from .schedulers import DstConfig
+from .sparsity import ALLOCATORS
 
 
 class ConfigError(Exception):
@@ -215,6 +216,8 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         raise ConfigError(f"cannot read dataset sizes: {e}") from None
     if n_train < bs:
         raise ConfigError(f"batch size {bs} exceeds training set size {n_train}")
+    if n_test == 0:
+        raise ConfigError(f"[data] test {test_images[0]} holds no images")
     if test_shape != image_shape:
         raise ConfigError(f"[data] train images are {_shape_text(image_shape)} but test "
                           f"images are {_shape_text(test_shape)}")
@@ -228,8 +231,8 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
                           f"but [data] classes = {classes}")
 
     sparsity_dist = _get(cp, "dst", "sparsity_dist", "uniform")
-    if sparsity_dist not in ("uniform", "erk"):
-        raise ConfigError(f"[dst] sparsity_dist must be uniform or erk, got {sparsity_dist!r}")
+    if sparsity_dist not in ALLOCATORS:
+        raise ConfigError(f"[dst] sparsity_dist must be {' or '.join(ALLOCATORS)}, got {sparsity_dist!r}")
     dense_overrides = tuple(
         s.strip() for s in (_get(cp, "dst", "dense_overrides") or "").split(",") if s.strip())
     dst_kwargs = {field: _typed("dst", key, raw, cast)

@@ -129,6 +129,14 @@ def guess_idx_labels_path(images_path: str) -> str | None:
     return cand if os.path.exists(cand) else None
 
 
+def _idx_labels_beside(images_path) -> str:
+    """The labels file of a canonically named IDX images file, or DataError."""
+    labels_path = guess_idx_labels_path(str(images_path))
+    if labels_path is None:
+        raise DataError(f"{images_path}: cannot infer labels file, pass labels_path")
+    return labels_path
+
+
 def _idx_set(images: np.ndarray, labels: np.ndarray, images_path, labels_path,
              name: str | None, classes: int) -> ImageSet:
     if images.shape[0] != labels.shape[0]:
@@ -143,9 +151,7 @@ def load_idx(images_path, labels_path=None, name: str | None = None, classes: in
     """Load an IDX image/label pair. With the canonical *-images-idx3-ubyte
     naming the labels file is found automatically."""
     if labels_path is None:
-        labels_path = guess_idx_labels_path(str(images_path))
-        if labels_path is None:
-            raise DataError(f"{images_path}: cannot infer labels file, pass labels_path")
+        labels_path = _idx_labels_beside(images_path)
     images, _ = _idx_images_from(_read_file(images_path), images_path)
     labels, _ = _idx_labels_from(_read_file(labels_path), labels_path)
     return _idx_set(images, labels, images_path, labels_path, name, classes)
@@ -155,9 +161,13 @@ def load_cifar_binary(paths, name: str | None = None, classes: int = 10) -> Imag
     """Load one or more CIFAR batch files (concatenated in argument order)."""
     if isinstance(paths, (str, os.PathLike)):
         paths = [paths]
+    return _cifar_set(map(_read_file, paths), paths, name, classes)
+
+
+def _cifar_set(bufs, paths: list, name: str | None, classes: int) -> ImageSet:
+    """One set of the CIFAR records in `bufs`, the contents of `paths` in order."""
     chunks, labels = [], []
-    for path in paths:
-        buf = _read_file(path)
+    for buf, path in zip(bufs, paths):
         _cifar_records(len(buf), path)
         rec = np.frombuffer(buf, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
         labels.append(rec[:, 0])
@@ -243,18 +253,20 @@ def save_image_set(s: ImageSet, path):
 
 
 def load_image_set(path, name: str | None = None, classes: int = 10) -> ImageSet:
-    """Load a persisted set or a raw images file, sniffing the layout from the
-    leading bytes. An IDX images block that ends the file takes its labels
-    from the file beside it, found by name as load_idx finds them."""
+    """Load a persisted set or a raw images file, read once, sniffing the layout
+    from its leading bytes. An IDX images block that ends the file takes its
+    labels from the file beside it, found by name as load_idx finds them."""
     buf = _read_file(path)
     if len(buf) >= 4 and struct.unpack_from(">I", buf)[0] == IDX_IMAGES_MAGIC:
         images, off = _idx_images_from(buf, path)
+        labels_path = path
         if off == len(buf):  # a raw images file
-            return load_idx(path, name=name, classes=classes)
-        labels, _ = _idx_labels_from(buf, path, off)
-        return _idx_set(images, labels, path, path, name, classes)
+            labels_path = _idx_labels_beside(path)
+            buf, off = _read_file(labels_path), 0
+        labels, _ = _idx_labels_from(buf, labels_path, off)
+        return _idx_set(images, labels, path, labels_path, name, classes)
     if len(buf) and len(buf) % CIFAR_RECORD == 0:
-        return load_cifar_binary(path, name=name, classes=classes)
+        return _cifar_set([buf], [path], name, classes)
     raise DataError(f"{path}: neither an IDX block (magic at offset 0) nor whole "
                     f"{CIFAR_RECORD}-byte CIFAR records (size {len(buf)})")
 

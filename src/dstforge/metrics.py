@@ -16,7 +16,7 @@ import numpy as np
 from .data import DataError, ImageSet, atomic_write, load_image_set
 from .models import ArchDescriptor, Model
 from .schedulers import PROBE_METHODS, BudgetTrajectory
-from .sparsity import SparsityAllocation
+from .sparsity import DENSE, SparsityAllocation
 
 
 @dataclass
@@ -88,8 +88,10 @@ def batched_accuracy(models: list[Model], images: np.ndarray, labels: np.ndarray
 
     `transform`, when given, maps each batch of images before prediction, so
     a filtered copy of a large set never has to exist whole; every model
-    scores the same transformed batch, which is built once.
+    scores the same transformed batch, which is built once. An empty set raises DataError.
     """
+    if len(images) == 0:
+        raise DataError("empty image set")
     correct = [0] * len(models)
     for lo in range(0, len(images), batch_size):
         x = images[lo : lo + batch_size]
@@ -103,8 +105,6 @@ def batched_accuracy(models: list[Model], images: np.ndarray, labels: np.ndarray
 
 def accuracy(model: Model, s: ImageSet, batch_size: int = 512, sparse: bool = False) -> float:
     """Top-1 accuracy of the model on a labeled set."""
-    if len(s) == 0:
-        raise DataError("empty image set")
     try:
         return batched_accuracy([model], s.images, s.labels, batch_size, sparse)[0]
     except ValueError as e:
@@ -162,14 +162,14 @@ def attach_baseline(report: MetricsReport, baseline: MetricsReport) -> MetricsRe
 # compute accounting
 
 
-def _check_alloc(desc: ArchDescriptor, alloc: SparsityAllocation | None):
+def _check_alloc(desc: ArchDescriptor, alloc: SparsityAllocation):
     names = {s.name for s in desc.layers}
-    for lb in alloc.layers if alloc is not None else ():
+    for lb in alloc.layers:
         if lb.name not in names:
             raise ValueError(f"allocation layer {lb.name!r} not present in {desc.name}")
 
 
-def inference_flops(desc: ArchDescriptor, alloc: SparsityAllocation | None = None,
+def inference_flops(desc: ArchDescriptor, alloc: SparsityAllocation = DENSE,
                     at_density: float | None = None) -> float:
     """2 * MACs * density summed over layers; unallocated layers are dense.
 
@@ -177,24 +177,22 @@ def inference_flops(desc: ArchDescriptor, alloc: SparsityAllocation | None = Non
     `at_density` when given (a schedule's instantaneous density).
     """
     _check_alloc(desc, alloc)
-    dens = alloc.densities(at_density) if alloc is not None else {}
+    dens = alloc.densities(at_density)
     total = 0.0
     for s in desc.layers:
         total += 2.0 * s.macs() * dens.get(s.name, 1.0)
     return total
 
 
-def param_count(desc: ArchDescriptor, alloc: SparsityAllocation | None = None) -> int:
+def param_count(desc: ArchDescriptor, alloc: SparsityAllocation = DENSE) -> int:
     """The allocation's active-weight targets, plus everything else (biases,
     bn affines, weights the allocation leaves out) counted dense."""
     _check_alloc(desc, alloc)
     total = sum(s.param_count() for s in desc.layers)
-    if alloc is None:
-        return total
     return total - alloc.total_weights() + sum(alloc.targets().values())
 
 
-def training_flops(desc: ArchDescriptor, alloc: SparsityAllocation | None,
+def training_flops(desc: ArchDescriptor, alloc: SparsityAllocation,
                    trajectory: BudgetTrajectory, steps: int, batch: int,
                    probe_events: int = 0) -> float:
     """batch * 3 * inference_flops at the trajectory's density, summed over
@@ -218,12 +216,12 @@ def training_flops(desc: ArchDescriptor, alloc: SparsityAllocation | None,
             continue
         total += seg * batch * 3.0 * inference_flops(desc, alloc, at_density=d)
     if probe_events:
-        total += probe_events * batch * 3.0 * inference_flops(desc, None)
+        total += probe_events * batch * 3.0 * inference_flops(desc)
     return total
 
 
 def cost_report(arch: str, desc: ArchDescriptor, method: str,
-                alloc: SparsityAllocation | None, trajectory: BudgetTrajectory,
+                alloc: SparsityAllocation, trajectory: BudgetTrajectory,
                 steps: int, batch: int, probe: bool = True) -> CostReport:
     """The FLOP and parameter account of one recipe at its final density.
 

@@ -83,9 +83,9 @@ class DstConfig:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.method == "dense":
             if self.sparsity != 0.0:
-                raise ValueError("dense method requires sparsity 0")
-        elif not 0.0 <= self.sparsity < 1.0:
-            raise ValueError(f"sparsity must be in [0, 1), got {self.sparsity}")
+                raise ValueError(f"dense takes no sparsity, got {self.sparsity}")
+        elif not 0.0 < self.sparsity < 1.0:
+            raise ValueError(f"{self.method} needs a sparsity in (0, 1), got {self.sparsity}")
         if self.total_steps < 1:
             raise ValueError("total_steps must be >= 1")
         if self.delta_t < 1:

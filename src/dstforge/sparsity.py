@@ -47,7 +47,7 @@ class SparsityAllocation:
 
 
 class TopologyMask:
-    """Boolean arrays (True = active), one per weight layer the allocation covers."""
+    """Boolean arrays (True = active), one per allocated weight layer; empty for dense."""
 
     def __init__(self, masks: dict[str, np.ndarray]):
         self.masks = {name: np.asarray(m, dtype=bool) for name, m in masks.items()}
@@ -71,7 +71,7 @@ class TopologyMask:
         return sum(m.size for m in self.masks.values())
 
     def global_density(self) -> float:
-        return self.total_active() / self.total_weights()
+        return self.total_active() / self.total_weights() if self.masks else 1.0
 
 
 def _erk_factor(s) -> float:
@@ -137,6 +137,10 @@ def allocate_erk(desc: ArchDescriptor, sparsity: float,
     return _allocate(desc, sparsity, dense_overrides, _erk_factor)
 
 
+DENSE = SparsityAllocation(1.0, ())  # dense training: no layer is allocated
+ALLOCATORS = {"uniform": allocate_uniform, "erk": allocate_erk}  # by sparsity_dist / --dist
+
+
 def mask_shapes(model: Model) -> dict[str, tuple[int, ...]]:
     return {layer.name: layer.weight.data.shape for layer in model.layers}
 
@@ -144,7 +148,7 @@ def mask_shapes(model: Model) -> dict[str, tuple[int, ...]]:
 def init_topology(alloc: SparsityAllocation, shapes: dict[str, tuple[int, ...]],
                   rng: np.random.Generator,
                   at_density: float | None = None) -> TopologyMask:
-    """Random initial topology at the allocation's densities.
+    """Random initial topology at the allocation's densities (DENSE: none, no draws).
 
     `at_density` rescales the whole allocation (methods that open with a
     looser budget than the final one start here).

@@ -21,7 +21,7 @@ from .metrics import MetricsReport, batched_accuracy, cost_report, robustness_ac
 from .models import Model, build_model
 from .optim import lr_at, sgd_momentum_step
 from .schedulers import BudgetTrajectory, should_update, topology_update
-from .sparsity import allocate_erk, allocate_uniform, apply_mask, init_topology, mask_shapes
+from .sparsity import ALLOCATORS, DENSE, apply_mask, init_topology, mask_shapes
 from .spectral import RACurve, ra_curve
 from .tensor import Tensor, backward, softmax_cross_entropy
 
@@ -46,7 +46,7 @@ def test_accuracy(model: Model, images: np.ndarray, labels: np.ndarray,
 
 
 def make_allocation(cfg: RunConfig, model: Model):
-    """The run's per-layer budget, None for dense; every dense override must
+    """The run's per-layer budget, DENSE for dense; every dense override must
     name a layer of the model, whatever the method."""
     names = {layer.name for layer in model.layers}
     unknown = [name for name in cfg.dense_overrides if name not in names]
@@ -54,10 +54,10 @@ def make_allocation(cfg: RunConfig, model: Model):
         raise ConfigError(f"[dst] dense_overrides: {cfg.model.to_string()} has no layer "
                           f"{', '.join(unknown)}; its layers are {', '.join(sorted(names))}")
     if cfg.dst.method == "dense":
-        return None
-    alloc_fn = allocate_erk if cfg.sparsity_dist == "erk" else allocate_uniform
+        return DENSE
     try:
-        return alloc_fn(model.descriptor(), cfg.dst.sparsity, cfg.dense_overrides)
+        return ALLOCATORS[cfg.sparsity_dist](model.descriptor(), cfg.dst.sparsity,
+                                             cfg.dense_overrides)
     except ValueError as e:
         raise ConfigError(f"[dst] {e}") from None
 
@@ -97,15 +97,9 @@ def run_train(cfg: RunConfig, resume_path=None, stop_after_step: int | None = No
     rng = np.random.default_rng((cfg.seed, _TOPOLOGY_STREAM))
     dst = cfg.dst
     alloc = make_allocation(cfg, model)
-    trajectory = BudgetTrajectory()
-    mask = None
-    if alloc is not None:
-        mask = init_topology(alloc, mask_shapes(model), rng,
-                             at_density=dst.initial_density())
-        apply_mask(model, mask)
-        trajectory.record(0, mask.global_density())
-    else:
-        trajectory.record(0, 1.0)
+    mask = init_topology(alloc, mask_shapes(model), rng, at_density=dst.initial_density())
+    apply_mask(model, mask)
+    trajectory = BudgetTrajectory([(0, mask.global_density())])
 
     start_step = 0
     epoch_loss_sum = 0.0
@@ -163,12 +157,11 @@ def run_train(cfg: RunConfig, resume_path=None, stop_after_step: int | None = No
             backward(loss)
             sgd_momentum_step(params, lr=lr_at(schedule, step),
                               momentum=cfg.momentum, weight_decay=cfg.weight_decay)
-            if mask is not None:
+            apply_mask(model, mask)
+            if should_update(dst, completed):
+                topology_update(model, mask, alloc, dst, completed, rng)
                 apply_mask(model, mask)
-                if should_update(dst, completed):
-                    topology_update(model, mask, alloc, dst, completed, rng)
-                    apply_mask(model, mask)
-                    trajectory.record(completed, mask.global_density())
+                trajectory.record(completed, mask.global_density())
 
             epoch_loss_sum += loss_value
             epoch_loss_count += 1
@@ -180,7 +173,7 @@ def run_train(cfg: RunConfig, resume_path=None, stop_after_step: int | None = No
                     "epoch": epoch,
                     "train_loss": epoch_loss_sum / epoch_loss_count,
                     "test_acc": acc,
-                    "density": mask.global_density() if mask is not None else 1.0,
+                    "density": mask.global_density(),
                 }
                 line = json.dumps(record)
                 metrics_fh.write(line + "\n")

@@ -24,7 +24,7 @@ def make_state(seed=1, with_mask=True):
     model.layers[0].weight.momentum[:] = 0.25
     cfg = DstConfig(method="set" if with_mask else "dense",
                     sparsity=0.5 if with_mask else 0.0, total_steps=100)
-    mask = None
+    mask = TopologyMask({})  # dense: the empty topology
     if with_mask:
         alloc = allocate_uniform(model.descriptor(), 0.5)
         mask = init_topology(alloc, mask_shapes(model), np.random.default_rng((seed, 23)))
@@ -83,9 +83,10 @@ def test_identical_state_saves_identical_bytes(tmp_path):
 def test_dense_checkpoint_has_no_mask(tmp_path):
     model, mask, cfg, rng = make_state(with_mask=False)
     p = tmp_path / "d.ckpt"
-    save_checkpoint(p, model, None, step=1, rng=rng, dst_cfg=cfg, seed=1, run_digest=DIGEST)
+    save_checkpoint(p, model, mask, step=1, rng=rng, dst_cfg=cfg, seed=1, run_digest=DIGEST)
     ck = load_checkpoint(p)
-    assert ck.mask() is None
+    assert ck.mask().names() == ()
+    assert ck.mask().global_density() == 1.0
 
 
 def test_conv_model_round_trip(tmp_path):

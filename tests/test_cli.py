@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import fail_atomic_writes, toy_config
+from conftest import fail_atomic_writes, toy_config, write_idx_pair
 
 import dstforge.spectral
 from dstforge.cli import main
@@ -73,6 +73,45 @@ def test_train_model_that_does_not_fit_the_data_exits_2_before_writing(
         assert code == 2, err
         assert "config error" in err and model in err
         assert not out.exists()
+
+
+def write_empty_idx_test_set(idx_dir: str, d) -> str:
+    """A 0-image IDX pair of the toy image size; returns the images path."""
+    write_idx_pair(str(d), "empty", np.zeros((0, 12, 12), dtype=np.float32),
+                   np.zeros(0, dtype=np.uint8))
+    return f"{d}/empty-images-idx3-ubyte"
+
+
+def test_train_empty_test_set_exits_2_before_writing(idx_dir, tmp_path, capsys):
+    out = tmp_path / "o"
+    empty = write_empty_idx_test_set(idx_dir, tmp_path)
+    text = toy_config(idx_dir, str(out)).replace(
+        f"test = {idx_dir}/t10k-images-idx3-ubyte", f"test = {empty}").replace(
+        f"test_labels = {idx_dir}/t10k-labels-idx1-ubyte",
+        f"test_labels = {tmp_path}/empty-labels-idx1-ubyte")
+    cfg_path = str(tmp_path / "run.ini")
+    with open(cfg_path, "w") as fh:
+        fh.write(text)
+    code, stdout, err = run_cli(capsys, "train", cfg_path)
+    assert code == 2
+    assert stdout == "" and err.startswith(f"config error: [data] test {empty} holds no images")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["set", "granet_g"])
+def test_train_sparse_method_without_sparsity_exits_2(idx_dir, tmp_path, capsys, method):
+    # no `sparsity` key: the default 0 would leave every weight active
+    out = tmp_path / "o"
+    text = toy_config(idx_dir, str(out), method=method).replace("sparsity = 0.0\n", "")
+    assert "sparsity =" not in text
+    cfg_path = str(tmp_path / "run.ini")
+    with open(cfg_path, "w") as fh:
+        fh.write(text)
+    code, stdout, err = run_cli(capsys, "train", cfg_path)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"config error: [dst] {method} needs a sparsity in (0, 1), got 0.0")
+    assert not out.exists()
 
 
 def test_train_output_dir_that_is_a_file_exits_2(idx_dir, tmp_path, capsys):
@@ -258,6 +297,7 @@ def test_evaluate_baseline_scoring_zero_on_a_kind_exits_3(cli_run, tmp_path, cap
     from dstforge.data import ImageSet
     from dstforge.models import build_model, parse_model_spec
     from dstforge.schedulers import DstConfig
+    from dstforge.sparsity import TopologyMask
     from conftest import make_blob_set
 
     out, _ = cli_run
@@ -266,7 +306,7 @@ def test_evaluate_baseline_scoring_zero_on_a_kind_exits_3(cli_run, tmp_path, cap
         layer.weight.data[...] = 0.0
     always_0.layers[-1].bias.data[0] = 1.0
     baseline = str(tmp_path / "always0.ckpt")
-    save_checkpoint(baseline, always_0, None, 1, np.random.default_rng(0),
+    save_checkpoint(baseline, always_0, TopologyMask({}), 1, np.random.default_rng(0),
                     DstConfig(method="dense", total_steps=1), 0, "0" * 64)
     imgs, _ = make_blob_set(20, seed=0)
     sets = str(tmp_path / "blobs-contrast-s1.bin")
@@ -359,6 +399,15 @@ def test_attenuate_outputs_curve(cli_run, idx_dir, tmp_path, capsys):
     assert [p["radius"] for p in doc["points"]] == [0, 2, 4]
     assert os.path.exists(svg)
     assert json.load(open(jsn)) == doc
+
+
+def test_attenuate_empty_set_exits_3(cli_run, idx_dir, tmp_path, capsys):
+    out, _ = cli_run
+    empty = write_empty_idx_test_set(idx_dir, tmp_path)
+    code, stdout, err = run_cli(capsys, "attenuate", os.path.join(out, "final.ckpt"),
+                                "--mode", "low", "--radii", "0,2", "--images", empty)
+    assert code == 3
+    assert stdout == "" and err == "data error: empty image set\n"
 
 
 def test_attenuate_bad_radii_exits_2(cli_run, idx_dir, capsys):

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+import dstforge.data
 from dstforge.data import (
     CIFAR_RECORD,
     DataError,
@@ -189,6 +190,30 @@ def test_load_image_set_reads_a_raw_idx_images_file(idx_dir):
     assert raw.images.tobytes() == pair.images.tobytes()
     assert raw.labels.tobytes() == pair.labels.tobytes()
     assert raw.name == pair.name == "t10k-images-idx3-ubyte"
+
+
+@pytest.mark.parametrize("layout", ["raw-idx", "idx-set", "cifar"])
+def test_load_image_set_opens_each_file_once(idx_dir, tmp_path, monkeypatch, layout):
+    """The layout is sniffed from the one read of the file that is parsed."""
+    if layout == "raw-idx":
+        path = f"{idx_dir}/t10k-images-idx3-ubyte"
+        files = [path, f"{idx_dir}/t10k-labels-idx1-ubyte"]
+    else:
+        c, h = (1, 5) if layout == "idx-set" else (3, 32)
+        path = str(tmp_path / "set.bin")
+        save_image_set(ImageSet(images=toy_images(c=c, h=h, w=h),
+                                labels=np.arange(6, dtype=np.int64)), path)
+        files = [path]
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(dstforge.data, "open", counting_open, raising=False)
+    s = load_image_set(path)
+    assert sorted(opened) == sorted(files)
+    assert len(s) == (len(load_idx(path)) if layout == "raw-idx" else 6)
 
 
 def test_load_image_set_sniffs_garbage(tmp_path):

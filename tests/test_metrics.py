@@ -12,6 +12,7 @@ from dstforge.metrics import (
     MetricsReport,
     accuracy,
     attach_baseline,
+    batched_accuracy,
     inference_flops,
     param_count,
     relative_gain,
@@ -20,7 +21,7 @@ from dstforge.metrics import (
 )
 from dstforge.models import build_mlp, descriptor_library
 from dstforge.schedulers import BudgetTrajectory, DstConfig, synthetic_trajectory
-from dstforge.sparsity import allocate_erk, allocate_uniform
+from dstforge.sparsity import DENSE, allocate_erk, allocate_uniform
 
 
 def toy_set(n=20, seed=0):
@@ -51,6 +52,15 @@ def test_accuracy_empty_set_rejected():
     with pytest.raises(DataError):
         accuracy(model, ImageSet(images=np.zeros((0, 1, 12, 12), dtype=np.float32),
                                  labels=np.zeros(0, dtype=np.int64), name="empty"))
+
+
+def test_batched_accuracy_empty_set_rejected():
+    # the one accuracy loop refuses an empty set for every caller (the
+    # trainer's test accuracy and attenuation curves too), not only accuracy()
+    model = build_mlp((144, 16, 10), np.random.default_rng(0))
+    with pytest.raises(DataError, match="empty image set"):
+        batched_accuracy([model], np.zeros((0, 1, 12, 12), dtype=np.float32),
+                         np.zeros(0, dtype=np.int64))
 
 
 def test_accuracy_shape_mismatch_names_the_set():
@@ -207,7 +217,7 @@ def test_param_count_spec_tolerances():
 def test_dense_training_flops_closed_form():
     desc = descriptor_library()["vgg16-cifar"]
     traj = BudgetTrajectory([(0, 1.0)])
-    total = training_flops(desc, None, traj, steps=80_000, batch=100)
+    total = training_flops(desc, DENSE, traj, steps=80_000, batch=100)
     assert total == pytest.approx(1.5046262784e16, rel=1e-12)
     assert abs(total - 1.51e16) / 1.51e16 < 0.01
 

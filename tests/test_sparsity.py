@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from dstforge.metrics import param_count
 from dstforge.models import ArchDescriptor, LayerSpec, build_mlp, descriptor_library
 from dstforge.sparsity import (
+    DENSE,
     TopologyMask,
     _prune_by_score,
     allocate_erk,
@@ -298,6 +299,20 @@ def test_mask_accounting():
     assert m.total_active() == 4
     assert m.total_weights() == 7
     assert m.global_density() == pytest.approx(4 / 7)
+
+
+def test_dense_is_the_empty_topology():
+    assert TopologyMask({}).global_density() == 1.0
+    model = build_mlp((6, 4, 2), np.random.default_rng(0))
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    mask = init_topology(DENSE, mask_shapes(model), rng, at_density=1.0)
+    assert mask.names() == () and mask.global_density() == 1.0
+    assert rng.bit_generator.state == state  # no draws
+    before = [layer.weight.data.copy() for layer in model.layers]
+    apply_mask(model, mask)
+    for w, layer in zip(before, model.layers):
+        np.testing.assert_array_equal(layer.weight.data, w)
 
 
 # --- selection rules -------------------------------------------------------

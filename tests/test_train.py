@@ -18,6 +18,7 @@ from dstforge.config import ConfigError, parse_config
 from dstforge.corruption import CorruptionSpec, corrupt_images
 from dstforge.data import ImageSet, save_image_set
 from dstforge.metrics import accuracy
+from dstforge.sparsity import DENSE
 from dstforge.spectral import RACurve
 from dstforge.train import (
     load_model_from_checkpoint,
@@ -119,7 +120,18 @@ def test_dense_run_trajectory(dense_run):
         lines = fh.read().splitlines()
     assert lines[1:] == ["0,1.0"]
     ck = load_checkpoint(ckpt)
-    assert ck.mask() is None
+    assert ck.mask().names() == ()
+    assert ck.mask().global_density() == 1.0
+
+
+def test_dense_run_draws_nothing_from_the_topology_stream(idx_dir, tmp_path):
+    # the empty topology is built like every other one, from the topology
+    # stream, but takes nothing from it: the checkpoint stores the stream
+    # exactly as seeded
+    cfg = parse_config(toy_config(idx_dir, str(tmp_path / "d"), epochs=1))
+    ck = load_checkpoint(run_train(cfg))
+    seeded = np.random.default_rng((cfg.seed, dstforge.train._TOPOLOGY_STREAM))
+    assert ck.rng_state == seeded.bit_generator.state
 
 
 def test_same_seed_reproduces_checkpoint_bytes(idx_dir, tmp_path):
@@ -305,9 +317,9 @@ def test_make_allocation_modes(idx_dir, tmp_path):
 
     model = build_model(cfg.model, np.random.default_rng(0))
     alloc = make_allocation(cfg, model)
-    assert alloc is not None and alloc.global_density == pytest.approx(0.5)
+    assert alloc is not DENSE and alloc.global_density == pytest.approx(0.5)
     dense_cfg = parse_config(toy_config(idx_dir, str(tmp_path / "y")))
-    assert make_allocation(dense_cfg, model) is None
+    assert make_allocation(dense_cfg, model) is DENSE
 
 
 def test_load_train_test_shapes(set_run):
