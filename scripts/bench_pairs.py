@@ -2,7 +2,7 @@
 """Alternating parent/change runs of one benchmark workload, summarised.
 
     python scripts/bench_pairs.py PARENT_CHECKOUT CHANGE_CHECKOUT \
-        --workload W --pairs N --seconds S --seed S0
+        --workload W --pairs N --seconds S --seed S0 [--claim METRIC]
 
 Pair i runs each checkout's own `perfbench/run.py --trace 0` at seed S0+i,
 the parent first on even i and the change first on odd i, so drift in the
@@ -11,8 +11,15 @@ of each run's standard output and prints one line per run (its `correct` and
 `failed`, and its end-to-end metrics), then one line per end-to-end metric of
 the change checkout's BENCHMARK.json: the parent's and the change's medians,
 the parent's quartiles, and in how many pairs the change did better, in the
-direction of the metric's `better`. It exits 1 if any run is not `correct`,
-has a failed operation or prints no result, and 0 otherwise.
+direction of the metric's `better` (a tie counts for neither side).
+
+With `--claim METRIC` it then prints whether the change shows a gain in that
+end-to-end metric: the change did better in at least nine tenths of the
+complete pairs, and its median is better than the parent's by more than the
+parent's quartile spread (q3 - q1).
+
+It exits 1 if any run is not `correct`, has a failed operation or prints no
+result, or if a claimed gain does not hold, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -50,6 +57,19 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def claim_holds(better: str, parent: list[float], change: list[float], wins: int) -> bool:
+    """A gain, `better` being "higher" or "lower": the change won at least
+    nine tenths of the pairs, and its median beats the parent's by more than
+    the parent's q3 - q1."""
+    if not parent:
+        return False
+    q1, q3 = quartiles(parent)
+    gap = statistics.median(change) - statistics.median(parent)
+    if better != "higher":
+        gap = -gap
+    return 10 * wins >= 9 * len(parent) and gap > q3 - q1
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", metavar="PARENT_CHECKOUT")
@@ -58,11 +78,16 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--claim", metavar="METRIC",
+                    help="end-to-end metric in which the change claims a gain")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         metrics = json.load(fh)["end_to_end"]
+    better = {m["name"]: m["better"] for m in metrics}
+    if args.claim is not None and args.claim not in better:
+        ap.error(f"--claim {args.claim}: not an end-to-end metric of {', '.join(better)}")
 
     sides = {"parent": args.parent, "change": args.change}
     values = {side: {m["name"]: [] for m in metrics} for side in sides}
@@ -103,6 +128,11 @@ def main(argv=None) -> int:
         print(f"{name} ({m['unit']}, {m['better']} is better): parent median {statistics.median(p):.6g} "
               f"[q1 {q1:.6g}, q3 {q3:.6g}], change median {statistics.median(c):.6g}, "
               f"change better in {wins[name]}/{len(p)} pairs")
+    if args.claim is not None:
+        holds = claim_holds(better[args.claim], values["parent"][args.claim],
+                            values["change"][args.claim], wins[args.claim])
+        print(f"claim {args.claim}: {'holds' if holds else 'does not hold'}")
+        ok &= holds
     return 0 if ok else 1
 
 

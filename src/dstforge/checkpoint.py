@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import atomic_write
-from .models import Model, build_model, parse_model_spec
+from .models import Model, layer_plan, model_from_arrays, parse_model_spec
 from .schedulers import BudgetTrajectory, DstConfig
 from .sparsity import TopologyMask
 
@@ -44,20 +44,20 @@ class Checkpoint:
     masks: dict  # name -> bool array, masked layers only
 
     def build_model(self) -> Model:
-        """Reconstruct the trainable model with these exact weights."""
-        model = build_model(parse_model_spec(self.model_spec), np.random.default_rng(0))
-        by_name = {layer.name: layer for layer in model.layers}
-        if set(by_name) != {name for name, *_ in self.layers}:
+        """The trainable model with these exact weights and momenta, built on
+        this checkpoint's own arrays, which it takes over without a copy."""
+        spec = parse_model_spec(self.model_spec)
+        shapes = {name: shape for name, shape, _ in layer_plan(spec)}
+        if set(shapes) != {name for name, *_ in self.layers}:
             raise CheckpointError("checkpoint layers do not match the model spec")
-        for name, w, b, wm, bm in self.layers:
-            layer = by_name[name]
-            if layer.weight.data.shape != w.shape:
+        for name, w, *_ in self.layers:
+            if w.shape != shapes[name]:
                 raise CheckpointError(
-                    f"layer {name}: shape {w.shape} in file, model expects {layer.weight.data.shape}")
-            layer.weight.data[...] = w
-            layer.bias.data[...] = b
-            layer.weight.momentum[...] = wm
-            layer.bias.momentum[...] = bm
+                    f"layer {name}: shape {w.shape} in file, model expects {shapes[name]}")
+        model = model_from_arrays(spec, {name: (w, b) for name, w, b, _, _ in self.layers})
+        momenta = {name: (wm, bm) for name, _, _, wm, bm in self.layers}
+        for layer in model.layers:
+            layer.weight.momentum, layer.bias.momentum = momenta[layer.name]
         return model
 
     def mask(self) -> TopologyMask:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (
+    EVAL_CONV_CHUNK,
     Parameter,
     Tensor,
     flatten,
@@ -157,6 +158,13 @@ class Model:
         run as CSR products of the current (masked) weights and convolutions
         stay dense; that product records no graph, so it is only allowed
         under `no_grad` (see `predict`).
+
+        Under `no_grad` the leading conv layers run EVAL_CONV_CHUNK images at
+        a time, each chunk's pooled output written into the batch's, so no
+        full-batch conv output is ever live; under grad the chunk is the
+        whole batch. The linear layers always take the whole batch at once:
+        a GEMM's row bytes can depend on how many rows it is given, while
+        every conv GEMM runs per image.
         """
         def csr_linear(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
             from scipy.sparse import csr_matrix
@@ -169,11 +177,28 @@ class Model:
                 raise ValueError("forward(sparse=True) builds no graph; call it under no_grad")
             linear = csr_linear
 
+        n_conv = next((i for i, layer in enumerate(self.layers) if layer.kind != "conv"),
+                      len(self.layers))
+
+        def conv_stack(h: Tensor) -> Tensor:
+            for layer in self.layers[:n_conv]:
+                h = relu(maxpool(conv2d(h, layer.weight, layer.bias, layer.stride, layer.padding)))
+            return h
+
+        n = x.data.shape[0]
+        if n_conv == 0 or grad_enabled() or n <= EVAL_CONV_CHUNK:
+            x = conv_stack(x)
+        else:
+            out = None
+            for s in range(0, n, EVAL_CONV_CHUNK):
+                h = conv_stack(Tensor(x.data[s : s + EVAL_CONV_CHUNK])).data
+                if out is None:
+                    out = np.empty((n, *h.shape[1:]), dtype=h.dtype)
+                out[s : s + h.shape[0]] = h
+            x = Tensor(out)
+
         last = self.layers[-1]
-        for layer in self.layers:
-            if layer.kind == "conv":
-                x = relu(maxpool(conv2d(x, layer.weight, layer.bias, layer.stride, layer.padding)))
-                continue
+        for layer in self.layers[n_conv:]:
             if x.data.ndim > 2:
                 x = flatten(x)
             x = linear(x, layer.weight, layer.bias)
@@ -208,58 +233,67 @@ class Model:
         return ArchDescriptor(self.spec.to_string(), self.input_shape, self.spec.classes, tuple(specs))
 
 
-def _param_layer(rng: np.random.Generator, name: str, shape: tuple[int, ...],
-                 padding: int = 0) -> Layer:
-    """A conv (4-d `shape`) or linear (2-d) layer: Kaiming-uniform weight,
-    fan-in mode with relu gain, U(-b, b) with b = sqrt(6/fan_in), then a zero
-    bias. Only the weight draws from `rng`."""
-    bound = np.sqrt(6.0 / np.prod(shape[1:]))
-    weight = Parameter(rng.uniform(-bound, bound, shape).astype(np.float32), name=f"{name}.weight")
-    bias = Parameter(np.zeros(shape[0], dtype=np.float32), name=f"{name}.bias")
-    return Layer(name, "conv" if len(shape) == 4 else "linear", weight, bias, padding=padding)
+def layer_plan(spec: ModelSpec) -> list[tuple[str, tuple[int, ...], int]]:
+    """(name, weight shape, padding) of each layer of `spec`, in forward order.
+
+    mlp: a fully connected relu net over `dims`, every width, input first,
+    classes last. small_convnet:
+    conv3x3(32)-pool-relu-conv3x3(64)-pool-relu-flatten-linear(128)-relu-linear(classes);
+    convolutions are stride 1 with padding 1, pools are 2x2/2, so spatial dims
+    shrink by 4x overall and must be divisible by 4.
+    """
+    if spec.kind == "mlp":
+        dims = spec.dims
+        if len(dims) < 2:
+            raise ValueError("mlp needs at least input and output widths")
+        return [(f"fc{i}", (f_out, f_in), 0)
+                for i, (f_in, f_out) in enumerate(zip(dims, dims[1:]), start=1)]
+    if spec.kind == "small_convnet":
+        c, h, w = spec.input_shape
+        if h % 4 or w % 4:
+            raise ValueError(f"small_convnet needs spatial dims divisible by 4, got {h}x{w}")
+        return [("conv1", (32, c, 3, 3), 1), ("conv2", (64, 32, 3, 3), 1),
+                ("fc1", (128, 64 * (h // 4) * (w // 4)), 0), ("fc2", (spec.classes, 128), 0)]
+    raise ValueError(f"unknown model kind {spec.kind!r}")
+
+
+def model_from_arrays(spec: ModelSpec, arrays: dict[str, tuple[np.ndarray, np.ndarray]]) -> Model:
+    """The model of `spec` over `arrays`, (weight, bias) by layer name, which
+    it holds without copying; each weight must have its `layer_plan` shape."""
+    layers = [Layer(name, "conv" if len(shape) == 4 else "linear",
+                    Parameter(arrays[name][0], name=f"{name}.weight"),
+                    Parameter(arrays[name][1], name=f"{name}.bias"), padding=padding)
+              for name, shape, padding in layer_plan(spec)]
+    if spec.kind == "small_convnet":
+        return Model(spec, layers, tuple(spec.input_shape))
+    side = int(round(np.sqrt(spec.dims[0])))
+    return Model(spec, layers, (1, side, side) if side * side == spec.dims[0] else (1, 1, spec.dims[0]))
+
+
+def build_model(spec: ModelSpec, rng: np.random.Generator) -> Model:
+    """A fresh model of `spec`: each weight Kaiming-uniform, fan-in mode with
+    relu gain, U(-b, b) with b = sqrt(6/fan_in), drawn from `rng` in layer
+    order; each bias zero. The same generator state always yields the same
+    weights."""
+    arrays = {}
+    for name, shape, _ in layer_plan(spec):
+        bound = np.sqrt(6.0 / np.prod(shape[1:]))
+        arrays[name] = (rng.uniform(-bound, bound, shape).astype(np.float32),
+                        np.zeros(shape[0], dtype=np.float32))
+    return model_from_arrays(spec, arrays)
 
 
 def build_mlp(dims: tuple[int, ...], rng: np.random.Generator) -> Model:
-    """Fully connected relu net; dims lists every width, input first, classes last.
-
-    The same generator state always yields the same weights.
-    """
-    if len(dims) < 2:
-        raise ValueError("mlp needs at least input and output widths")
-    layers = [_param_layer(rng, f"fc{i}", (f_out, f_in))
-              for i, (f_in, f_out) in enumerate(zip(dims, dims[1:]), start=1)]
-    spec = ModelSpec(kind="mlp", dims=tuple(dims), classes=dims[-1])
-    side = int(round(np.sqrt(dims[0])))
-    input_shape = (1, side, side) if side * side == dims[0] else (1, 1, dims[0])
-    return Model(spec, layers, input_shape)
+    """`build_model` of an mlp; dims lists every width, input first, classes last."""
+    dims = tuple(dims)
+    return build_model(ModelSpec(kind="mlp", dims=dims, classes=dims[-1] if dims else 0), rng)
 
 
 def build_small_convnet(input_shape: tuple[int, int, int], classes: int,
                         rng: np.random.Generator) -> Model:
-    """conv3x3(32)-pool-relu-conv3x3(64)-pool-relu-flatten-linear(128)-relu-linear(classes).
-
-    Convolutions are stride 1 with padding 1, pools are 2x2/2, so spatial dims
-    shrink by 4x overall and must be divisible by 4.
-    """
-    c, h, w = input_shape
-    if h % 4 or w % 4:
-        raise ValueError(f"small_convnet needs spatial dims divisible by 4, got {h}x{w}")
-    layers = [
-        _param_layer(rng, "conv1", (32, c, 3, 3), padding=1),
-        _param_layer(rng, "conv2", (64, 32, 3, 3), padding=1),
-        _param_layer(rng, "fc1", (128, 64 * (h // 4) * (w // 4))),
-        _param_layer(rng, "fc2", (classes, 128)),
-    ]
-    spec = ModelSpec(kind="small_convnet", input_shape=tuple(input_shape), classes=classes)
-    return Model(spec, layers, tuple(input_shape))
-
-
-def build_model(spec: ModelSpec, rng: np.random.Generator) -> Model:
-    if spec.kind == "mlp":
-        return build_mlp(spec.dims, rng)
-    if spec.kind == "small_convnet":
-        return build_small_convnet(spec.input_shape, spec.classes, rng)
-    raise ValueError(f"unknown model kind {spec.kind!r}")
+    """`build_model` of a small_convnet (see `layer_plan`)."""
+    return build_model(ModelSpec(kind="small_convnet", input_shape=tuple(input_shape),
+                                 classes=classes), rng)
 
 
 # ---------------------------------------------------------------------------

@@ -207,11 +207,6 @@ def _prune_by_score(score: np.ndarray, mask: np.ndarray, k: int) -> np.ndarray:
     return active_idx[_select_lowest(score.reshape(-1)[active_idx], k)]
 
 
-def magnitude_prune(weight: np.ndarray, mask: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k smallest-|w| active positions."""
-    return _prune_by_score(np.abs(weight), mask, k)
-
-
 def _regrow_candidates(mask: np.ndarray, exclude: np.ndarray | None) -> np.ndarray:
     free = ~mask.reshape(-1)
     if exclude is not None and exclude.size:

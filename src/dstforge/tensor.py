@@ -5,7 +5,8 @@ in float64, which is what the finite-difference tests rely on; no op silently
 changes dtype. Layout for images is NCHW throughout. Inside `no_grad()` the
 ops record no graph, so inference frees each intermediate as soon as the next
 op has consumed it, and `layer_kernels()` hands out forward-only forms of the
-layer kernels.
+layer kernels. `backward` frees each interior node's gradient once that
+node's grad_fn has consumed it, so only leaves keep `.grad`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ class Tensor:
 
     Interior nodes hold a closure (`_grad_fn`) that routes the incoming
     gradient to `_parents`. Leaves have neither. `grad` is filled in by
-    :func:`backward` and accumulates across multiple uses of the same node.
+    :func:`backward` and accumulates across multiple uses of the same node;
+    after backward only leaves keep it, and an interior node's is None.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn", "_consumed")
@@ -311,19 +313,16 @@ def _linear_eval(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return Tensor(_linear(x.data, w.data, b.data))
 
 
-# images per `_conv2d` call in inference: bounds the im2col buffer (4.7 MB
-# for the small convnet's conv2) whatever the batch size. Each image is its
-# own GEMM either way, so the chunk changes memory, not arithmetic.
+# images per chunk of an inference forward (`models.Model.forward`): the
+# whole conv stack runs on this many images at a time, which bounds its
+# working set (the conv2 im2col buffer, 4.7 MB for the small convnet, is the
+# largest) whatever the batch size. Each image is its own conv GEMM either
+# way, so the chunk changes memory, not arithmetic.
 EVAL_CONV_CHUNK = 16
 
 
 def _conv2d_eval(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """`_conv2d` over chunks of EVAL_CONV_CHUNK images; the bytes equal one
-    call on the whole batch."""
-    n = x.data.shape[0]
-    chunks = [_conv2d(x.data[s : s + EVAL_CONV_CHUNK], w.data, b.data, stride, padding)[0]
-              for s in range(0, max(n, 1), EVAL_CONV_CHUNK)]
-    return Tensor(chunks[0] if len(chunks) == 1 else np.concatenate(chunks))
+    return Tensor(_conv2d(x.data, w.data, b.data, stride, padding)[0])
 
 
 def _maxpool2x2_eval(x: Tensor) -> Tensor:
@@ -380,9 +379,11 @@ def backward(loss: Tensor):
     """Run reverse-mode accumulation from a scalar loss.
 
     Nodes are visited in a fixed reverse-topological order, so gradient
-    accumulation happens in a deterministic sequence. Each graph can be walked
-    once; a second backward through any already-consumed node raises
-    :class:`GraphError`.
+    accumulation happens in a deterministic sequence. An interior node's
+    gradient is dropped as soon as its grad_fn has consumed it, so the step
+    holds at most the gradients still in flight; leaves (the parameters) keep
+    theirs. Each graph can be walked once; a second backward through any
+    already-consumed node raises :class:`GraphError`.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
@@ -412,3 +413,4 @@ def backward(loss: Tensor):
         if node._grad_fn is not None:
             node._grad_fn(node.grad)
             node._consumed = True
+            node.grad = None

@@ -33,11 +33,11 @@ from dstforge.config import parse_config
 from dstforge.models import ArchDescriptor, LayerSpec, build_model, parse_model_spec
 from dstforge.schedulers import BudgetTrajectory, DstConfig, granet_density, mest_soft_bound
 from dstforge.sparsity import (
+    _prune_by_score,
     allocate_erk,
     apply_mask,
     gradient_regrow,
     init_topology,
-    magnitude_prune,
     mask_shapes,
     prune_rate,
     random_regrow,
@@ -379,7 +379,7 @@ def test_prune_and_regrow_match_brute_force_oracles():
         shape = (2, n // 2) if trial % 2 and n % 2 == 0 else (n,)
 
         k = int(rng.integers(0, mask.sum() + 1))
-        removed = magnitude_prune(w.reshape(shape), mask.reshape(shape), k)
+        removed = _prune_by_score(np.abs(w.reshape(shape)), mask.reshape(shape), k)
         active = np.flatnonzero(mask)
         by_magnitude = sorted(active, key=lambda i: (abs(w[i]), i))
         assert sorted(removed.tolist()) == sorted(by_magnitude[:k]), f"trial {trial}"

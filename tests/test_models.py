@@ -1,8 +1,11 @@
 """Model builders, spec strings, descriptors, and the architecture library."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import dstforge.tensor
 from dstforge import models
 from dstforge.metrics import inference_flops
 from dstforge.models import (
@@ -13,6 +16,7 @@ from dstforge.models import (
     parse_model_spec,
 )
 from dstforge.tensor import (
+    EVAL_CONV_CHUNK,
     Tensor,
     conv2d_forward,
     flatten,
@@ -117,6 +121,40 @@ def test_forward_and_predict_agree():
         plain_logits = model.predict(x)
         assert plain_logits.dtype == np.float32
         np.testing.assert_array_equal(graph_logits, plain_logits)
+
+
+def test_predict_runs_the_conv_stack_in_chunks_with_the_graph_bytes(monkeypatch):
+    # a batch past the inference chunk, with a ragged tail, runs each conv
+    # layer as three `_conv2d` calls and still gives the graph forward's bytes
+    model = build_small_convnet((3, 8, 8), 10, np.random.default_rng(4))
+    x = np.random.default_rng(5).random((2 * EVAL_CONV_CHUNK + 3, 3, 8, 8)).astype(np.float32)
+    want = model.forward(Tensor(x)).data
+    calls = {}
+    real_conv2d = dstforge.tensor._conv2d
+
+    def counting_conv2d(x, w, *args):
+        calls.setdefault(w.shape, []).append(x.shape[0])
+        return real_conv2d(x, w, *args)
+
+    monkeypatch.setattr(dstforge.tensor, "_conv2d", counting_conv2d)
+    got = model.predict(x)
+    chunks = [EVAL_CONV_CHUNK, EVAL_CONV_CHUNK, 3]
+    assert calls == {(32, 3, 3, 3): chunks, (64, 32, 3, 3): chunks}
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_predict_memory_stays_below_one_full_batch_conv_output():
+    model = build_small_convnet((3, 32, 32), 10, np.random.default_rng(6))
+    n = 4 * EVAL_CONV_CHUNK
+    x = np.random.default_rng(7).random((n, 3, 32, 32)).astype(np.float32)
+    model.predict(x[:1])  # first-call allocations (scipy, BLAS) stay out of the peak
+    tracemalloc.start()
+    try:
+        model.predict(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 32 * 32 * 32 * 4  # conv1's output for the whole batch
 
 
 def test_predict_casts_float64_input_to_float32():

@@ -17,7 +17,6 @@ from dstforge.sparsity import (
     apply_mask,
     gradient_regrow,
     init_topology,
-    magnitude_prune,
     mask_shapes,
     prune_rate,
     random_regrow,
@@ -321,30 +320,30 @@ def test_dense_is_the_empty_topology():
 def test_magnitude_prune_anchor():
     w = np.array([0.1, -0.5, 0.2])
     mask = np.ones(3, dtype=bool)
-    assert magnitude_prune(w, mask, 1).tolist() == [0]
+    assert _prune_by_score(np.abs(w), mask, 1).tolist() == [0]
 
 
 def test_magnitude_prune_tie_takes_lowest_index():
     w = np.array([0.9, 0.8, 0.3, 0.7, 0.6, 0.3])
     mask = np.ones(6, dtype=bool)
-    assert magnitude_prune(w, mask, 1).tolist() == [2]
-    assert magnitude_prune(w, mask, 2).tolist() == [2, 5]
+    assert _prune_by_score(np.abs(w), mask, 1).tolist() == [2]
+    assert _prune_by_score(np.abs(w), mask, 2).tolist() == [2, 5]
 
 
 def test_magnitude_prune_ignores_inactive():
     w = np.array([0.01, 0.5, 0.4])
     mask = np.array([False, True, True])
-    assert magnitude_prune(w, mask, 1).tolist() == [2]
+    assert _prune_by_score(np.abs(w), mask, 1).tolist() == [2]
 
 
 def test_prune_count_range_checked():
     w = np.ones(4)
     mask = np.array([True, True, False, False])
     with pytest.raises(ValueError):
-        magnitude_prune(w, mask, 3)
+        _prune_by_score(np.abs(w), mask, 3)
     with pytest.raises(ValueError):
-        magnitude_prune(w, mask, -1)
-    assert magnitude_prune(w, mask, 0).size == 0
+        _prune_by_score(np.abs(w), mask, -1)
+    assert _prune_by_score(np.abs(w), mask, 0).size == 0
 
 
 def test_gradient_regrow_anchor():
@@ -430,7 +429,7 @@ def test_prune_then_regrow_preserves_budget(seed):
     if n >= 4:
         w[1] = w[0]
     k = int(r.integers(0, min(k_active, n - k_active) + 1))
-    removed = magnitude_prune(w, mask, k)
+    removed = _prune_by_score(np.abs(w), mask, k)
     mask2 = mask.copy()
     mask2.reshape(-1)[removed] = False
     grown = random_regrow(mask2, k, r, exclude=removed)
@@ -449,7 +448,7 @@ def test_pruned_positions_hold_smallest_magnitudes(seed):
         mask[:2] = True
     w = np.round(r.standard_normal(n), 1)  # coarse grid forces ties
     k = int(r.integers(1, mask.sum() + 1))
-    removed = magnitude_prune(w, mask, k)
+    removed = _prune_by_score(np.abs(w), mask, k)
     kept = np.setdiff1d(np.flatnonzero(mask), removed)
     if kept.size and removed.size:
         assert np.abs(w[removed]).max() <= np.abs(w[kept]).min() + 1e-12
@@ -498,7 +497,7 @@ def test_prune_matches_sorting_oracle(case, data):
     got = _prune_by_score(score, mask, k)
     assert_ascending_unique(got)
     assert got.tolist() == oracle_lowest(score, active, k)
-    got = magnitude_prune(score, mask, k)
+    got = _prune_by_score(np.abs(score), mask, k)
     assert_ascending_unique(got)
     assert got.tolist() == oracle_lowest(np.abs(score), active, k)
 
