@@ -15,7 +15,8 @@ its JSON header (weights, momenta and masks, so a change to the header alone
 leaves it equal), and for the dense and sparse `Model.predict` logits of the
 final checkpoint on a fixed batch. It then
 prints `flops-<arch>-<dist>-<method> stdout <sha256>` for the `dstforge flops`
-report of every method on `mlp:784-300-100-10` and the four library archs
+report of every method on `mlp:784-300-100-10`, `small_convnet:3x32x32-10`
+and the four library archs
 (sparsity 0.5, ERK and uniform, 2 epochs, batch 100, delta_t 50, so every
 schedule has events), which covers the closed-form trajectory, the probe
 accounting and the bn and depthwise rows. Last it runs the
@@ -67,8 +68,8 @@ GRID = (
 )
 # method, sparsity, extra [dst] lines of the uniform-allocation MLP run
 UNIFORM_RUN = ("mest_g", 0.1, "sparsity_dist = uniform\ndense_overrides = fc1\n")
-FLOPS_ARCHS = ("mlp:784-300-100-10", "vgg16-cifar", "resnet34-cifar", "efficientnetb0-tiny",
-               "resnet50-imagenet")
+FLOPS_ARCHS = ("mlp:784-300-100-10", "small_convnet:3x32x32-10", "vgg16-cifar", "resnet34-cifar",
+               "efficientnetb0-tiny", "resnet50-imagenet")
 FLOPS_ARGS = ("--epochs", "2", "--bs", "100", "--delta-t", "50")
 # label, method, sparsity
 STUDY_METHODS = (("dense", "dense", 0.0), ("set_s50", "set", 0.5), ("rigl_s50", "rigl", 0.5))

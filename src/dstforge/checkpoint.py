@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import atomic_write
-from .models import Model, layer_plan, model_from_arrays, parse_model_spec
+from .models import Model, model_from_arrays, parse_model_spec
 from .schedulers import BudgetTrajectory, DstConfig
 from .sparsity import TopologyMask
 
@@ -47,18 +47,14 @@ class Checkpoint:
         """The trainable model with these exact weights and momenta, built on
         this checkpoint's own arrays, which it takes over without a copy."""
         spec = parse_model_spec(self.model_spec)
-        shapes = {name: shape for name, shape, _ in layer_plan(spec)}
+        shapes = {row.name: row.weight_shape() for row in spec.descriptor().layers}
         if set(shapes) != {name for name, *_ in self.layers}:
             raise CheckpointError("checkpoint layers do not match the model spec")
         for name, w, *_ in self.layers:
             if w.shape != shapes[name]:
                 raise CheckpointError(
                     f"layer {name}: shape {w.shape} in file, model expects {shapes[name]}")
-        model = model_from_arrays(spec, {name: (w, b) for name, w, b, _, _ in self.layers})
-        momenta = {name: (wm, bm) for name, _, _, wm, bm in self.layers}
-        for layer in model.layers:
-            layer.weight.momentum, layer.bias.momentum = momenta[layer.name]
-        return model
+        return model_from_arrays(spec, {name: arrays for name, *arrays in self.layers})
 
     def mask(self) -> TopologyMask:
         return TopologyMask(self.masks)

@@ -39,7 +39,7 @@ from .data import (
     write_corrupted_sets,
 )
 from .metrics import attach_baseline, cost_report, robustness_accuracy
-from .models import build_model, descriptor_library, parse_model_spec
+from .models import descriptor_library, parse_model_spec
 from .schedulers import METHODS, DstConfig, synthetic_trajectory
 from .sparsity import ALLOCATORS, DENSE
 from .spectral import KernelHeatmap, check_radii, kernel_nonzero_counts, write_ra_curves_svg
@@ -214,7 +214,7 @@ def _arch_descriptor(name: str):
         raise ConfigError(
             f"unknown arch {name!r}; provide one of {', '.join(sorted(lib))} "
             f"or a model spec string") from None
-    return build_model(spec, np.random.default_rng(0)).descriptor()
+    return spec.descriptor()
 
 
 def _default_images_per_epoch(arch: str) -> int:

@@ -1,9 +1,11 @@
-"""Trainable models (MLP, small convnet) and accounting-only architecture tables.
+"""Trainable models (MLP, small convnet) and architecture tables.
 
-Two views of a network live here. `Model` is a real trainable thing built on
-the autograd core. `ArchDescriptor` is a flat per-layer table used only for
-parameter/FLOP accounting; the descriptor library carries the large reference
-architectures that are never trained here.
+Two views of a network live here. `ArchDescriptor` is a flat per-layer table.
+`ModelSpec.descriptor()` writes the table of each trainable model, and both
+the model's weights and its parameter/FLOP accounting follow from it; the
+descriptor library carries the large reference architectures that are only
+counted, never trained here. `Model` is a real trainable thing built on the
+autograd core.
 """
 
 from __future__ import annotations
@@ -58,11 +60,16 @@ class LayerSpec:
             return 0
         return self.weight_count() * self.out_h * self.out_w
 
+    def weight_shape(self) -> tuple[int, ...]:
+        """Shape of a conv or linear row's weight array."""
+        if self.kind == "conv":
+            return (self.c_out, self.c_in, self.kh, self.kw)
+        return (self.c_out, self.c_in)
+
 
 @dataclass(frozen=True)
 class ArchDescriptor:
     name: str
-    input_shape: tuple[int, int, int]  # (c, h, w)
     classes: int
     layers: tuple[LayerSpec, ...]
 
@@ -79,11 +86,45 @@ class ModelSpec:
     input_shape: tuple[int, int, int] = (3, 32, 32)  # small_convnet input
     classes: int = 10
 
+    def __post_init__(self):
+        if self.kind == "mlp":
+            if len(self.dims) < 2 or min(self.dims) < 1:
+                raise ValueError(f"mlp spec needs input and output widths, each >= 1: "
+                                 f"{self.to_string()!r}")
+        elif self.kind == "small_convnet":
+            c, h, w = self.input_shape
+            if min(c, h, w, self.classes) < 1 or h % 4 or w % 4:
+                raise ValueError(f"small_convnet needs sizes >= 1 and spatial dims divisible "
+                                 f"by 4, got {self.to_string()!r}")
+        else:
+            raise ValueError(f"unknown model kind {self.kind!r}")
+
     def to_string(self) -> str:
         if self.kind == "mlp":
             return "mlp:" + "-".join(str(d) for d in self.dims)
         c, h, w = self.input_shape
         return f"small_convnet:{c}x{h}x{w}-{self.classes}"
+
+    def descriptor(self) -> ArchDescriptor:
+        """The layer table of this model, in forward order: the one place its
+        architecture is written.
+
+        mlp: a fully connected relu net over `dims`, every width, input first,
+        classes last. small_convnet:
+        conv3x3(32)-pool-relu-conv3x3(64)-pool-relu-flatten-linear(128)-relu-linear(classes);
+        each conv keeps its input size (see `Layer`) and each 2x2 pool halves
+        it, so spatial dims shrink by 4x overall.
+        """
+        if self.kind == "mlp":
+            layers = [LayerSpec(f"fc{i}", "linear", f_in, f_out, 1, 1, 1, 1)
+                      for i, (f_in, f_out) in enumerate(zip(self.dims, self.dims[1:]), start=1)]
+        else:
+            c, h, w = self.input_shape
+            layers = [LayerSpec("conv1", "conv", c, 32, 3, 3, h, w),
+                      LayerSpec("conv2", "conv", 32, 64, 3, 3, h // 2, w // 2),
+                      LayerSpec("fc1", "linear", 64 * (h // 4) * (w // 4), 128, 1, 1, 1, 1),
+                      LayerSpec("fc2", "linear", 128, self.classes, 1, 1, 1, 1)]
+        return ArchDescriptor(self.to_string(), self.classes, tuple(layers))
 
 
 def parse_model_spec(text: str) -> ModelSpec:
@@ -91,8 +132,6 @@ def parse_model_spec(text: str) -> ModelSpec:
     text = text.strip()
     if text.startswith("mlp:"):
         dims = tuple(int(p) for p in text[4:].split("-"))
-        if len(dims) < 2 or min(dims) < 1:
-            raise ValueError(f"mlp spec needs input and output widths, each >= 1: {text!r}")
         return ModelSpec(kind="mlp", dims=dims, classes=dims[-1])
     if text.startswith("small_convnet:"):
         body = text[len("small_convnet:"):]
@@ -102,34 +141,28 @@ def parse_model_spec(text: str) -> ModelSpec:
             classes = int(cls_part)
         except ValueError:
             raise ValueError(f"bad small_convnet spec {text!r}, expected CxHxW-classes") from None
-        if min(c, h, w, classes) < 1 or h % 4 or w % 4:
-            raise ValueError(f"small_convnet needs sizes >= 1 and spatial dims divisible by 4, "
-                             f"got {text!r}")
         return ModelSpec(kind="small_convnet", input_shape=(c, h, w), classes=classes)
     raise ValueError(f"unknown model spec {text!r}")
 
 
 class Layer:
-    """A weight-bearing layer of a trainable model: "conv" (followed by a 2x2
-    max pool and relu; max and relu commute, so pooling first gives the same
-    values with relu on a quarter of the elements) or "linear" (followed by
-    relu unless it is the last)."""
+    """A weight-bearing layer of a trainable model: "conv" (a same-size conv,
+    stride 1 and padding kh // 2, followed by a 2x2 max pool and relu; max and
+    relu commute, so pooling first gives the same values with relu on a
+    quarter of the elements) or "linear" (followed by relu unless it is the
+    last)."""
 
-    def __init__(self, name: str, kind: str, weight: Parameter, bias: Parameter,
-                 stride: int = 1, padding: int = 0):
+    def __init__(self, name: str, kind: str, weight: Parameter, bias: Parameter):
         self.name = name
         self.kind = kind
         self.weight = weight
         self.bias = bias
-        self.stride = stride
-        self.padding = padding
 
 
 class Model:
-    def __init__(self, spec: ModelSpec, layers: list[Layer], input_shape: tuple[int, int, int]):
+    def __init__(self, spec: ModelSpec, layers: list[Layer]):
         self.spec = spec
         self.layers = layers
-        self.input_shape = input_shape
 
     def parameters(self) -> list[Parameter]:
         out = []
@@ -182,7 +215,8 @@ class Model:
 
         def conv_stack(h: Tensor) -> Tensor:
             for layer in self.layers[:n_conv]:
-                h = relu(maxpool(conv2d(h, layer.weight, layer.bias, layer.stride, layer.padding)))
+                h = relu(maxpool(conv2d(h, layer.weight, layer.bias, 1,
+                                        layer.weight.data.shape[2] // 2)))
             return h
 
         n = x.data.shape[0]
@@ -217,83 +251,37 @@ class Model:
             return self.forward(Tensor(np.asarray(x, dtype=np.float32)), sparse=sparse).data
 
     def descriptor(self) -> ArchDescriptor:
-        """The accounting table of this model, read off its weights. A conv's
-        output size follows from its stride and padding, and the pool after
-        it halves that size for the next layer."""
-        specs = []
-        _, h, w = self.input_shape
-        for layer in self.layers:
-            c_out, c_in, kh, kw = (*layer.weight.data.shape, 1, 1)[:4]
-            out_h = out_w = 1
-            if layer.kind == "conv":
-                out_h = (h + 2 * layer.padding - kh) // layer.stride + 1
-                out_w = (w + 2 * layer.padding - kw) // layer.stride + 1
-                h, w = out_h // 2, out_w // 2
-            specs.append(LayerSpec(layer.name, layer.kind, c_in, c_out, kh, kw, out_h, out_w))
-        return ArchDescriptor(self.spec.to_string(), self.input_shape, self.spec.classes, tuple(specs))
+        return self.spec.descriptor()
 
 
-def layer_plan(spec: ModelSpec) -> list[tuple[str, tuple[int, ...], int]]:
-    """(name, weight shape, padding) of each layer of `spec`, in forward order.
-
-    mlp: a fully connected relu net over `dims`, every width, input first,
-    classes last. small_convnet:
-    conv3x3(32)-pool-relu-conv3x3(64)-pool-relu-flatten-linear(128)-relu-linear(classes);
-    convolutions are stride 1 with padding 1, pools are 2x2/2, so spatial dims
-    shrink by 4x overall and must be divisible by 4.
-    """
-    if spec.kind == "mlp":
-        dims = spec.dims
-        if len(dims) < 2:
-            raise ValueError("mlp needs at least input and output widths")
-        return [(f"fc{i}", (f_out, f_in), 0)
-                for i, (f_in, f_out) in enumerate(zip(dims, dims[1:]), start=1)]
-    if spec.kind == "small_convnet":
-        c, h, w = spec.input_shape
-        if h % 4 or w % 4:
-            raise ValueError(f"small_convnet needs spatial dims divisible by 4, got {h}x{w}")
-        return [("conv1", (32, c, 3, 3), 1), ("conv2", (64, 32, 3, 3), 1),
-                ("fc1", (128, 64 * (h // 4) * (w // 4)), 0), ("fc2", (spec.classes, 128), 0)]
-    raise ValueError(f"unknown model kind {spec.kind!r}")
-
-
-def model_from_arrays(spec: ModelSpec, arrays: dict[str, tuple[np.ndarray, np.ndarray]]) -> Model:
-    """The model of `spec` over `arrays`, (weight, bias) by layer name, which
-    it holds without copying; each weight must have its `layer_plan` shape."""
-    layers = [Layer(name, "conv" if len(shape) == 4 else "linear",
-                    Parameter(arrays[name][0], name=f"{name}.weight"),
-                    Parameter(arrays[name][1], name=f"{name}.bias"), padding=padding)
-              for name, shape, padding in layer_plan(spec)]
-    if spec.kind == "small_convnet":
-        return Model(spec, layers, tuple(spec.input_shape))
-    side = int(round(np.sqrt(spec.dims[0])))
-    return Model(spec, layers, (1, side, side) if side * side == spec.dims[0] else (1, 1, spec.dims[0]))
+def model_from_arrays(spec: ModelSpec,
+                      arrays: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+                      ) -> Model:
+    """The model of `spec` over `arrays`, (weight, bias, weight momentum, bias
+    momentum) by layer name, which it holds without copying; each weight must
+    have its descriptor row's `weight_shape()`."""
+    layers = []
+    for row in spec.descriptor().layers:
+        w, b, w_momentum, b_momentum = arrays[row.name]
+        layers.append(Layer(row.name, row.kind,
+                            Parameter(w, name=f"{row.name}.weight", momentum=w_momentum),
+                            Parameter(b, name=f"{row.name}.bias", momentum=b_momentum)))
+    return Model(spec, layers)
 
 
 def build_model(spec: ModelSpec, rng: np.random.Generator) -> Model:
     """A fresh model of `spec`: each weight Kaiming-uniform, fan-in mode with
     relu gain, U(-b, b) with b = sqrt(6/fan_in), drawn from `rng` in layer
-    order; each bias zero. The same generator state always yields the same
-    weights."""
+    order; each bias and momentum zero. The same generator state always
+    yields the same weights."""
     arrays = {}
-    for name, shape, _ in layer_plan(spec):
+    for row in spec.descriptor().layers:
+        shape = row.weight_shape()
         bound = np.sqrt(6.0 / np.prod(shape[1:]))
-        arrays[name] = (rng.uniform(-bound, bound, shape).astype(np.float32),
-                        np.zeros(shape[0], dtype=np.float32))
+        w = rng.uniform(-bound, bound, shape).astype(np.float32)
+        b = np.zeros(shape[0], dtype=np.float32)
+        arrays[row.name] = (w, b, np.zeros_like(w), np.zeros_like(b))
     return model_from_arrays(spec, arrays)
-
-
-def build_mlp(dims: tuple[int, ...], rng: np.random.Generator) -> Model:
-    """`build_model` of an mlp; dims lists every width, input first, classes last."""
-    dims = tuple(dims)
-    return build_model(ModelSpec(kind="mlp", dims=dims, classes=dims[-1] if dims else 0), rng)
-
-
-def build_small_convnet(input_shape: tuple[int, int, int], classes: int,
-                        rng: np.random.Generator) -> Model:
-    """`build_model` of a small_convnet (see `layer_plan`)."""
-    return build_model(ModelSpec(kind="small_convnet", input_shape=tuple(input_shape),
-                                 classes=classes), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +309,7 @@ def _vgg16_cifar() -> ArchDescriptor:
         c_in = item
     layers.append(LayerSpec("fc1", "linear", 512, 512, 1, 1, 1, 1))
     layers.append(LayerSpec("fc2", "linear", 512, 10, 1, 1, 1, 1))
-    return ArchDescriptor("vgg16-cifar", (3, 32, 32), 10, tuple(layers))
+    return ArchDescriptor("vgg16-cifar", 10, tuple(layers))
 
 
 def _basic_block(layers: list[LayerSpec], tag: str, c_in: int, c_out: int, hw: int,
@@ -344,7 +332,7 @@ def _resnet34_cifar() -> ArchDescriptor:
                          downsample=(b == 0 and c_in != c_out))
             c_in = c_out
     layers.append(LayerSpec("fc", "linear", 512, 10, 1, 1, 1, 1))
-    return ArchDescriptor("resnet34-cifar", (3, 32, 32), 10, tuple(layers))
+    return ArchDescriptor("resnet34-cifar", 10, tuple(layers))
 
 
 def _bottleneck(layers: list[LayerSpec], tag: str, c_in: int, mid: int, c_out: int,
@@ -371,7 +359,7 @@ def _resnet50_imagenet() -> ArchDescriptor:
             hw = hw_out
             c_in = c_out
     layers.append(LayerSpec("fc", "linear", 2048, 1000, 1, 1, 1, 1))
-    return ArchDescriptor("resnet50-imagenet", (3, 224, 224), 1000, tuple(layers))
+    return ArchDescriptor("resnet50-imagenet", 1000, tuple(layers))
 
 
 def _efficientnetb0_tiny() -> ArchDescriptor:
@@ -409,7 +397,7 @@ def _efficientnetb0_tiny() -> ArchDescriptor:
             c_in, hw = c_out, hw_out
     _conv_bn(layers, "head", "head_bn", 320, 1280, 1, hw)
     layers.append(LayerSpec("fc", "linear", 1280, 200, 1, 1, 1, 1))
-    return ArchDescriptor("efficientnetb0-tiny", (3, 64, 64), 200, tuple(layers))
+    return ArchDescriptor("efficientnetb0-tiny", 200, tuple(layers))
 
 
 def descriptor_library() -> dict[str, ArchDescriptor]:

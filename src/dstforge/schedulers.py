@@ -156,18 +156,6 @@ class BudgetTrajectory:
             for s, d in self.samples:
                 fh.write(f"{s},{d!r}\n")
 
-    @classmethod
-    def read_csv(cls, path) -> "BudgetTrajectory":
-        traj = cls()
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != "step,density":
-                raise ValueError(f"not a trajectory csv: header {header!r}")
-            for line in fh:
-                s, d = line.strip().split(",")
-                traj.record(int(s), float(d))
-        return traj
-
 
 def should_update(cfg: DstConfig, step: int) -> bool:
     """Topology events fire on multiples of delta_t, never at step 0, and

@@ -70,13 +70,14 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable leaf: a tensor with a momentum buffer and a name."""
+    """Trainable leaf: a tensor with a momentum buffer (zeros unless given,
+    held without a copy) and a name."""
 
     __slots__ = ("momentum", "name")
 
-    def __init__(self, data, name: str = ""):
+    def __init__(self, data, name: str = "", momentum: np.ndarray | None = None):
         super().__init__(data, requires_grad=True)
-        self.momentum = np.zeros_like(self.data)
+        self.momentum = np.zeros_like(self.data) if momentum is None else momentum
         self.name = name
 
 

@@ -88,8 +88,10 @@ def run_train(cfg: RunConfig, resume_path=None, stop_after_step: int | None = No
     step's backward left on the weights. `stop_after_step` must lie after the
     step the run starts from and at most at its last step, which completes
     the run. One JSON line per epoch goes to
-    metrics.jsonl (and `echo` when given). A non-finite loss aborts with the
-    failing step number.
+    metrics.jsonl (and `echo` when given), which is synced before each
+    checkpoint is written. A finished run writes trajectory.csv, then
+    cost.json, then final.ckpt last: a final.ckpt marks a whole run. A
+    non-finite loss aborts with the failing step number.
     """
     train, test = load_train_test(cfg)
     run_digest = cfg.digest()
@@ -134,6 +136,7 @@ def run_train(cfg: RunConfig, resume_path=None, stop_after_step: int | None = No
     last_ckpt = None
 
     def save(path, step):
+        os.fsync(metrics_fh.fileno())  # each line is flushed when written
         save_checkpoint(path, model, mask, step, rng, dst, cfg.seed, run_digest, trajectory,
                         epoch_loss_sum, epoch_loss_count)
         return path
@@ -190,16 +193,15 @@ def run_train(cfg: RunConfig, resume_path=None, stop_after_step: int | None = No
                 if stop:
                     trajectory.write_csv(os.path.join(cfg.out_dir, "trajectory.csv"))
                     return last_ckpt
+
+        trajectory.write_csv(os.path.join(cfg.out_dir, "trajectory.csv"))
+        cost = cost_report(cfg.model.to_string(), model.descriptor(), dst.method, alloc,
+                           trajectory, total, cfg.batch_size)
+        with atomic_write(os.path.join(cfg.out_dir, "cost.json")) as fh:
+            fh.write(cost.to_json() + "\n")
+        return save(os.path.join(cfg.out_dir, "final.ckpt"), total)
     finally:
         metrics_fh.close()
-
-    last_ckpt = save(os.path.join(cfg.out_dir, "final.ckpt"), total)
-    trajectory.write_csv(os.path.join(cfg.out_dir, "trajectory.csv"))
-    cost = cost_report(cfg.model.to_string(), model.descriptor(), dst.method, alloc,
-                       trajectory, total, cfg.batch_size)
-    with atomic_write(os.path.join(cfg.out_dir, "cost.json")) as fh:
-        fh.write(cost.to_json() + "\n")
-    return last_ckpt
 
 
 def load_model_from_checkpoint(path) -> tuple[Model, Checkpoint]:

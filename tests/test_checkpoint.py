@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from dstforge.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from dstforge.models import build_mlp, build_small_convnet
+from dstforge.models import build_model, parse_model_spec
 from dstforge.schedulers import BudgetTrajectory, DstConfig
 from dstforge.sparsity import TopologyMask, allocate_uniform, init_topology, mask_shapes
 
@@ -20,7 +21,7 @@ DIGEST = "0123456789abcdef" * 4  # a RunConfig.digest() stand-in
 
 
 def make_state(seed=1, with_mask=True):
-    model = build_mlp((20, 8, 4), np.random.default_rng(seed))
+    model = build_model(parse_model_spec("mlp:20-8-4"), np.random.default_rng(seed))
     model.layers[0].weight.momentum[:] = 0.25
     cfg = DstConfig(method="set" if with_mask else "dense",
                     sparsity=0.5 if with_mask else 0.0, total_steps=100)
@@ -60,6 +61,26 @@ def test_round_trip_exact(tmp_path):
         np.testing.assert_array_equal(back[name], mask[name])
 
 
+def test_build_model_takes_the_stored_momenta_without_a_new_buffer(tmp_path):
+    # the convnet's momenta are 2.18 MB of float32; building holds the loaded
+    # arrays and allocates no zero-filled buffer only to overwrite it
+    model = build_model(parse_model_spec("small_convnet:3x32x32-10"), np.random.default_rng(0))
+    p = tmp_path / "c.ckpt"
+    save_checkpoint(p, model, TopologyMask({}), step=1, rng=np.random.default_rng(0),
+                    dst_cfg=DstConfig(method="dense", total_steps=1), seed=0, run_digest=DIGEST)
+    ck = load_checkpoint(p)
+    tracemalloc.start()
+    try:
+        rebuilt = ck.build_model()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    for (_, w, b, wm, bm), layer in zip(ck.layers, rebuilt.layers, strict=True):
+        assert layer.weight.data is w and layer.bias.data is b
+        assert layer.weight.momentum is wm and layer.bias.momentum is bm
+
+
 def test_rng_state_resumes_identically(tmp_path):
     model, mask, cfg, rng = make_state(seed=3)
     p = tmp_path / "a.ckpt"
@@ -90,7 +111,7 @@ def test_dense_checkpoint_has_no_mask(tmp_path):
 
 
 def test_conv_model_round_trip(tmp_path):
-    model = build_small_convnet((1, 12, 12), 10, np.random.default_rng(2))
+    model = build_model(parse_model_spec("small_convnet:1x12x12-10"), np.random.default_rng(2))
     cfg = DstConfig(method="set", sparsity=0.5, total_steps=10)
     alloc = allocate_uniform(model.descriptor(), 0.5)
     mask = init_topology(alloc, mask_shapes(model), np.random.default_rng(0))
@@ -132,7 +153,7 @@ def test_truncated_payload(tmp_path):
 def test_every_truncation_is_a_checkpoint_error(tmp_path):
     # cuts land in the fixed prefix, the header, every float array, each
     # mask's u64 active count and each mask's bitset
-    model = build_mlp((3, 9, 2), np.random.default_rng(2))
+    model = build_model(parse_model_spec("mlp:3-9-2"), np.random.default_rng(2))
     alloc = allocate_uniform(model.descriptor(), 0.5)
     mask = init_topology(alloc, mask_shapes(model), np.random.default_rng(3))
     cfg = DstConfig(method="set", sparsity=0.5, total_steps=10)

@@ -19,7 +19,7 @@ from dstforge.metrics import (
     robustness_accuracy,
     training_flops,
 )
-from dstforge.models import build_mlp, descriptor_library
+from dstforge.models import build_model, descriptor_library, parse_model_spec
 from dstforge.schedulers import BudgetTrajectory, DstConfig, synthetic_trajectory
 from dstforge.sparsity import DENSE, allocate_erk, allocate_uniform
 
@@ -34,7 +34,7 @@ def toy_set(n=20, seed=0):
 
 
 def test_accuracy_counts_correct_predictions():
-    model = build_mlp((144, 16, 10), np.random.default_rng(0))
+    model = build_model(parse_model_spec("mlp:144-16-10"), np.random.default_rng(0))
     s = toy_set()
     acc = accuracy(model, s)
     preds = model.predict(s.images).argmax(axis=1)
@@ -42,13 +42,13 @@ def test_accuracy_counts_correct_predictions():
 
 
 def test_accuracy_batching_invariant():
-    model = build_mlp((144, 16, 10), np.random.default_rng(0))
+    model = build_model(parse_model_spec("mlp:144-16-10"), np.random.default_rng(0))
     s = toy_set(n=37)
     assert accuracy(model, s, batch_size=5) == accuracy(model, s, batch_size=512)
 
 
 def test_accuracy_empty_set_rejected():
-    model = build_mlp((144, 16, 10), np.random.default_rng(0))
+    model = build_model(parse_model_spec("mlp:144-16-10"), np.random.default_rng(0))
     with pytest.raises(DataError):
         accuracy(model, ImageSet(images=np.zeros((0, 1, 12, 12), dtype=np.float32),
                                  labels=np.zeros(0, dtype=np.int64), name="empty"))
@@ -57,21 +57,21 @@ def test_accuracy_empty_set_rejected():
 def test_batched_accuracy_empty_set_rejected():
     # the one accuracy loop refuses an empty set for every caller (the
     # trainer's test accuracy and attenuation curves too), not only accuracy()
-    model = build_mlp((144, 16, 10), np.random.default_rng(0))
+    model = build_model(parse_model_spec("mlp:144-16-10"), np.random.default_rng(0))
     with pytest.raises(DataError, match="empty image set"):
         batched_accuracy([model], np.zeros((0, 1, 12, 12), dtype=np.float32),
                          np.zeros(0, dtype=np.int64))
 
 
 def test_accuracy_shape_mismatch_names_the_set():
-    model = build_mlp((100, 10), np.random.default_rng(0))
+    model = build_model(parse_model_spec("mlp:100-10"), np.random.default_rng(0))
     s = toy_set()
     with pytest.raises(DataError, match="toy"):
         accuracy(model, s)
 
 
 def test_robustness_accuracy_mean_over_cells():
-    model = build_mlp((144, 16, 10), np.random.default_rng(1))
+    model = build_model(parse_model_spec("mlp:144-16-10"), np.random.default_rng(1))
     sets = {("gaussian_noise", 1): toy_set(seed=1), ("contrast", 5): toy_set(seed=2)}
     [rep] = robustness_accuracy([model], sets)
     assert rep.model_id == "mlp:144-16-10"
@@ -82,7 +82,7 @@ def test_robustness_accuracy_mean_over_cells():
 
 
 def test_clean_set_as_single_cell_equals_clean_accuracy():
-    model = build_mlp((144, 16, 10), np.random.default_rng(1))
+    model = build_model(parse_model_spec("mlp:144-16-10"), np.random.default_rng(1))
     s = toy_set(seed=3)
     [rep] = robustness_accuracy([model], {("clean", 1): s})
     assert rep.mean == pytest.approx(accuracy(model, s))
@@ -90,7 +90,8 @@ def test_clean_set_as_single_cell_equals_clean_accuracy():
 
 def test_robustness_accuracy_loads_each_path_once_and_scores_it_with_every_model(
         tmp_path, monkeypatch):
-    models = [build_mlp((144, 16, 10), np.random.default_rng(seed)) for seed in (1, 2)]
+    spec = parse_model_spec("mlp:144-16-10")
+    models = [build_model(spec, np.random.default_rng(seed)) for seed in (1, 2)]
     sets = {("gaussian_noise", s): toy_set(seed=s) for s in (1, 2, 3)}
     paths = {}
     for key, s in sets.items():

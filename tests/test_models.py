@@ -8,13 +8,7 @@ import pytest
 import dstforge.tensor
 from dstforge import models
 from dstforge.metrics import inference_flops
-from dstforge.models import (
-    build_mlp,
-    build_model,
-    build_small_convnet,
-    descriptor_library,
-    parse_model_spec,
-)
+from dstforge.models import ModelSpec, build_model, descriptor_library, parse_model_spec
 from dstforge.tensor import (
     EVAL_CONV_CHUNK,
     Tensor,
@@ -33,7 +27,7 @@ def _param_count(model) -> int:
 
 def test_mlp_parameter_count_anchor():
     # 784*300 + 300*100 + 100*10 = 266,200 weights plus 410 biases.
-    model = build_mlp((784, 300, 100, 10), np.random.default_rng(0))
+    model = build_model(parse_model_spec("mlp:784-300-100-10"), np.random.default_rng(0))
     weights = sum(l.weight.data.size for l in model.layers)
     biases = sum(l.bias.data.size for l in model.layers)
     assert weights == 266_200
@@ -42,13 +36,13 @@ def test_mlp_parameter_count_anchor():
 
 
 def test_small_convnet_parameter_count_anchor():
-    model = build_small_convnet((3, 32, 32), 10, np.random.default_rng(0))
+    model = build_model(parse_model_spec("small_convnet:3x32x32-10"), np.random.default_rng(0))
     # conv1 3->32 3x3, conv2 32->64 3x3, fc1 64*8*8->128, fc2 128->10
     assert _param_count(model) == 545_098
 
 
 def test_small_convnet_layer_shapes():
-    model = build_small_convnet((3, 32, 32), 10, np.random.default_rng(0))
+    model = build_model(parse_model_spec("small_convnet:3x32x32-10"), np.random.default_rng(0))
     shapes = {l.name: l.weight.data.shape for l in model.layers}
     assert shapes == {
         "conv1": (32, 3, 3, 3),
@@ -56,24 +50,27 @@ def test_small_convnet_layer_shapes():
         "fc1": (128, 64 * 8 * 8),
         "fc2": (10, 128),
     }
-    for l in model.layers:
-        if l.kind == "conv":
-            assert l.padding == 1
+    assert {s.name: s.weight_shape() for s in model.descriptor().layers} == shapes
 
 
 def test_small_convnet_needs_divisible_dims():
-    with pytest.raises(ValueError):
-        build_small_convnet((3, 30, 32), 10, np.random.default_rng(0))
+    # the spec checks itself, however it is made
+    with pytest.raises(ValueError, match="divisible by 4"):
+        ModelSpec(kind="small_convnet", input_shape=(3, 30, 32))
+    with pytest.raises(ValueError, match="divisible by 4"):
+        parse_model_spec("small_convnet:3x30x32-10")
+    with pytest.raises(ValueError, match="input and output widths"):
+        ModelSpec(kind="mlp", dims=(784,), classes=784)
 
 
 def test_mlp_biases_start_at_zero():
-    model = build_mlp((20, 8, 4), np.random.default_rng(5))
+    model = build_model(parse_model_spec("mlp:20-8-4"), np.random.default_rng(5))
     for l in model.layers:
         assert np.all(l.bias.data == 0.0)
 
 
 def test_init_is_kaiming_uniform():
-    model = build_mlp((200, 100, 10), np.random.default_rng(9))
+    model = build_model(parse_model_spec("mlp:200-100-10"), np.random.default_rng(9))
     w = model.layers[0].weight.data
     bound = np.sqrt(6.0 / 200)
     assert w.min() >= -bound and w.max() <= bound
@@ -84,8 +81,8 @@ def test_init_is_kaiming_uniform():
 
 
 def test_init_reproducible_from_seeded_rng():
-    a = build_mlp((30, 10), np.random.default_rng(42))
-    b = build_mlp((30, 10), np.random.default_rng(42))
+    a = build_model(parse_model_spec("mlp:30-10"), np.random.default_rng(42))
+    b = build_model(parse_model_spec("mlp:30-10"), np.random.default_rng(42))
     np.testing.assert_array_equal(a.layers[0].weight.data, b.layers[0].weight.data)
 
 
@@ -113,8 +110,8 @@ def test_build_model_dispatch():
 
 def test_forward_and_predict_agree():
     # predict is forward under no_grad, so the logits match bit for bit
-    models = (build_small_convnet((1, 12, 12), 10, np.random.default_rng(1)),
-              build_mlp((144, 16, 10), np.random.default_rng(1)))
+    models = (build_model(parse_model_spec("small_convnet:1x12x12-10"), np.random.default_rng(1)),
+              build_model(parse_model_spec("mlp:144-16-10"), np.random.default_rng(1)))
     x = np.random.default_rng(2).random((4, 1, 12, 12)).astype(np.float32)
     for model in models:
         graph_logits = model.forward(Tensor(x)).data
@@ -126,7 +123,7 @@ def test_forward_and_predict_agree():
 def test_predict_runs_the_conv_stack_in_chunks_with_the_graph_bytes(monkeypatch):
     # a batch past the inference chunk, with a ragged tail, runs each conv
     # layer as three `_conv2d` calls and still gives the graph forward's bytes
-    model = build_small_convnet((3, 8, 8), 10, np.random.default_rng(4))
+    model = build_model(parse_model_spec("small_convnet:3x8x8-10"), np.random.default_rng(4))
     x = np.random.default_rng(5).random((2 * EVAL_CONV_CHUNK + 3, 3, 8, 8)).astype(np.float32)
     want = model.forward(Tensor(x)).data
     calls = {}
@@ -144,7 +141,7 @@ def test_predict_runs_the_conv_stack_in_chunks_with_the_graph_bytes(monkeypatch)
 
 
 def test_predict_memory_stays_below_one_full_batch_conv_output():
-    model = build_small_convnet((3, 32, 32), 10, np.random.default_rng(6))
+    model = build_model(parse_model_spec("small_convnet:3x32x32-10"), np.random.default_rng(6))
     n = 4 * EVAL_CONV_CHUNK
     x = np.random.default_rng(7).random((n, 3, 32, 32)).astype(np.float32)
     model.predict(x[:1])  # first-call allocations (scipy, BLAS) stay out of the peak
@@ -158,13 +155,13 @@ def test_predict_memory_stays_below_one_full_batch_conv_output():
 
 
 def test_predict_casts_float64_input_to_float32():
-    model = build_small_convnet((1, 12, 12), 10, np.random.default_rng(1))
+    model = build_model(parse_model_spec("small_convnet:1x12x12-10"), np.random.default_rng(1))
     x = np.random.default_rng(2).random((4, 1, 12, 12))
     np.testing.assert_array_equal(model.predict(x), model.predict(x.astype(np.float32)))
 
 
 def test_predict_sparse_matches_dense():
-    model = build_mlp((36, 16, 10), np.random.default_rng(3))
+    model = build_model(parse_model_spec("mlp:36-16-10"), np.random.default_rng(3))
     # zero half the first layer to make the sparse path meaningful
     model.layers[0].weight.data[::2] = 0.0
     x = np.random.default_rng(4).random((5, 36)).astype(np.float32)
@@ -172,27 +169,27 @@ def test_predict_sparse_matches_dense():
 
 
 def test_sparse_forward_needs_no_grad():
-    model = build_mlp((36, 16, 10), np.random.default_rng(3))
+    model = build_model(parse_model_spec("mlp:36-16-10"), np.random.default_rng(3))
     with pytest.raises(ValueError, match="no_grad"):
         model.forward(Tensor(np.zeros((2, 36), dtype=np.float32)), sparse=True)
 
 
 def test_mlp_accepts_image_shaped_input():
-    model = build_mlp((144, 16, 10), np.random.default_rng(0))
+    model = build_model(parse_model_spec("mlp:144-16-10"), np.random.default_rng(0))
     x = np.random.default_rng(1).random((2, 1, 12, 12)).astype(np.float32)
     assert model.forward(Tensor(x)).data.shape == (2, 10)
     assert model.predict(x).shape == (2, 10)
 
 
 def test_layer_by_name():
-    model = build_mlp((10, 5, 2), np.random.default_rng(0))
+    model = build_model(parse_model_spec("mlp:10-5-2"), np.random.default_rng(0))
     assert model.layer_by_name("fc2").weight.data.shape == (2, 5)
     with pytest.raises(KeyError):
         model.layer_by_name("conv9")
 
 
 def test_descriptor_matches_built_model():
-    model = build_small_convnet((3, 32, 32), 10, np.random.default_rng(0))
+    model = build_model(parse_model_spec("small_convnet:3x32x32-10"), np.random.default_rng(0))
     desc = model.descriptor()
     kinds = [(s.name, s.kind) for s in desc.layers]
     assert kinds == [("conv1", "conv"), ("conv2", "conv"), ("fc1", "linear"), ("fc2", "linear")]
@@ -224,11 +221,11 @@ def test_resnet34_cifar_parameter_total():
 def _models_under_test():
     rng = np.random.default_rng(11)
     return [
-        (build_mlp((144, 16, 10), rng), (3, 1, 12, 12)),
-        (build_mlp((36, 8, 6, 4), rng), (3, 36)),
+        (build_model(parse_model_spec("mlp:144-16-10"), rng), (3, 1, 12, 12)),
+        (build_model(parse_model_spec("mlp:36-8-6-4"), rng), (3, 36)),
         (build_model(parse_model_spec("mlp:784-300-100-10"), rng), (2, 1, 28, 28)),
-        (build_small_convnet((1, 12, 12), 10, rng), (3, 1, 12, 12)),
-        (build_small_convnet((3, 16, 20), 7, rng), (2, 3, 16, 20)),
+        (build_model(parse_model_spec("small_convnet:1x12x12-10"), rng), (3, 1, 12, 12)),
+        (build_model(parse_model_spec("small_convnet:3x16x20-7"), rng), (2, 3, 16, 20)),
         (build_model(parse_model_spec("small_convnet:3x32x32-10"), rng), (2, 3, 32, 32)),
     ]
 
@@ -272,7 +269,6 @@ def test_descriptor_matches_the_shapes_forward_produces(monkeypatch):
             assert spec.macs() == layer_macs
             macs += layer_macs
         assert inference_flops(desc) == 2 * macs
-        assert desc.input_shape == model.input_shape
         assert desc.classes == model.spec.classes == seen[-1][3][1]
 
 

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from dstforge.metrics import param_count
-from dstforge.models import ArchDescriptor, LayerSpec, build_mlp, descriptor_library
+from dstforge.models import (
+    ArchDescriptor,
+    LayerSpec,
+    build_model,
+    descriptor_library,
+    parse_model_spec,
+)
 from dstforge.sparsity import (
     DENSE,
     TopologyMask,
@@ -26,7 +32,7 @@ from dstforge.sparsity import (
 def two_layer_desc() -> ArchDescriptor:
     conv = LayerSpec("conv1", "conv", 16, 16, 3, 3, 8, 8)
     lin = LayerSpec("fc1", "linear", 4, 4, 1, 1, 1, 1)
-    return ArchDescriptor("toy", (16, 8, 8), 4, (conv, lin))
+    return ArchDescriptor("toy", 4, (conv, lin))
 
 
 def erk_factor(s: LayerSpec) -> float:
@@ -147,7 +153,7 @@ def test_unknown_dense_override_rejected():
 
 def test_infeasible_dense_overrides_rejected():
     # fc1 holds 9216 of mlp:144-64-10's 9856 weights, more than 10% of them
-    desc = build_mlp((144, 64, 10), np.random.default_rng(0)).descriptor()
+    desc = build_model(parse_model_spec("mlp:144-64-10"), np.random.default_rng(0)).descriptor()
     for alloc_fn in (allocate_uniform, allocate_erk):
         with pytest.raises(ValueError, match="covering 9216/9856 weights"):
             alloc_fn(desc, 0.9, dense_overrides=("fc1",))
@@ -160,7 +166,7 @@ def test_infeasible_dense_overrides_rejected():
 
 def test_erk_rejects_a_layer_with_no_positive_factor():
     # a 1-wide hidden layer: fc1's factor is 1 - 147/144 and fc2's 1 - 13/10
-    desc = build_mlp((144, 1, 10), np.random.default_rng(0)).descriptor()
+    desc = build_model(parse_model_spec("mlp:144-1-10"), np.random.default_rng(0)).descriptor()
     with pytest.raises(ValueError, match="'fc1' is too small"):
         allocate_erk(desc, 0.5)
     with pytest.raises(ValueError, match="'fc2' is too small"):
@@ -183,7 +189,7 @@ def budget_cases(draw):
             layers.append(LayerSpec(f"fc{i}", "linear", c_in, c_out, 1, 1, 1, 1))
         else:
             layers.append(LayerSpec(f"bn{i}", "bn", c_out, c_out, 0, 0, 4, 4))
-    desc = ArchDescriptor("rand", (3, 8, 8), 10, tuple(layers))
+    desc = ArchDescriptor("rand", 10, tuple(layers))
     names = [s.name for s in desc.sparsifiable_layers()]
     assume(names)
     overrides = tuple(n for n in names if draw(st.booleans()) and draw(st.booleans()))
@@ -277,7 +283,7 @@ def test_init_topology_shape_mismatch_raises():
 
 
 def test_apply_mask_zeroes_weights_and_momentum():
-    model = build_mlp((6, 4, 2), np.random.default_rng(1))
+    model = build_model(parse_model_spec("mlp:6-4-2"), np.random.default_rng(1))
     model.layers[0].weight.momentum[:] = 1.0
     mask = TopologyMask({"fc1": np.zeros((4, 6), dtype=bool), "fc2": np.ones((2, 4), dtype=bool)})
     apply_mask(model, mask)
@@ -287,7 +293,7 @@ def test_apply_mask_zeroes_weights_and_momentum():
 
 
 def test_mask_shapes_covers_sparsifiable_layers():
-    model = build_mlp((6, 4, 2), np.random.default_rng(0))
+    model = build_model(parse_model_spec("mlp:6-4-2"), np.random.default_rng(0))
     assert mask_shapes(model) == {"fc1": (4, 6), "fc2": (2, 4)}
 
 
@@ -302,7 +308,7 @@ def test_mask_accounting():
 
 def test_dense_is_the_empty_topology():
     assert TopologyMask({}).global_density() == 1.0
-    model = build_mlp((6, 4, 2), np.random.default_rng(0))
+    model = build_model(parse_model_spec("mlp:6-4-2"), np.random.default_rng(0))
     rng = np.random.default_rng(5)
     state = rng.bit_generator.state
     mask = init_topology(DENSE, mask_shapes(model), rng, at_density=1.0)

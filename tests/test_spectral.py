@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dstforge.models import build_mlp, build_small_convnet
+from dstforge.models import build_model, parse_model_spec
 from dstforge.spectral import (
     RACurve,
     attenuate,
@@ -134,7 +134,7 @@ def test_ra_curve_on_toy_model():
     imgs = r.random((40, 1, 12, 12)).astype(np.float32)
     labels = r.integers(0, 10, 40).astype(np.int64)
     s = ImageSet(images=imgs, labels=labels, name="toy")
-    model = build_mlp((144, 16, 10), np.random.default_rng(1))
+    model = build_model(parse_model_spec("mlp:144-16-10"), np.random.default_rng(1))
     [curve] = ra_curve([model], s, "low", (0, 2, 4))
     assert curve.mode == "low"
     assert [p[0] for p in curve.points] == [0, 2, 4]
@@ -149,7 +149,7 @@ def test_ra_curve_r0_equals_clean_accuracy():
     imgs = r.random((30, 1, 12, 12)).astype(np.float32)
     labels = r.integers(0, 10, 30).astype(np.int64)
     s = ImageSet(images=imgs, labels=labels, name="toy")
-    model = build_mlp((144, 16, 10), np.random.default_rng(1))
+    model = build_model(parse_model_spec("mlp:144-16-10"), np.random.default_rng(1))
     [curve] = ra_curve([model], s, "high", (0, 3))
     assert curve.points[0][1] == pytest.approx(accuracy(model, s))
 
@@ -160,7 +160,8 @@ def test_ra_curve_filters_each_batch_once_for_every_model(monkeypatch):
     r = np.random.default_rng(4)
     s = ImageSet(images=r.random((25, 1, 12, 12)).astype(np.float32),
                  labels=r.integers(0, 10, 25).astype(np.int64), name="toy")
-    models = [build_mlp((144, 16, 10), np.random.default_rng(seed)) for seed in (1, 2, 3)]
+    spec = parse_model_spec("mlp:144-16-10")
+    models = [build_model(spec, np.random.default_rng(seed)) for seed in (1, 2, 3)]
     singles = [ra_curve([m], s, "low", (0, 2, 4), batch_size=10)[0] for m in models]
     calls = []
     attenuate_images = dstforge.spectral.attenuate_images
@@ -188,7 +189,7 @@ def test_write_ra_curves_svg(tmp_path):
 
 
 def test_dense_conv_counts_are_all_nine():
-    model = build_small_convnet((3, 32, 32), 10, np.random.default_rng(0))
+    model = build_model(parse_model_spec("small_convnet:3x32x32-10"), np.random.default_rng(0))
     conv1 = model.layers[0]
     mask = np.ones_like(conv1.weight.data, dtype=bool)
     hm = kernel_nonzero_counts(conv1, mask)
@@ -198,7 +199,7 @@ def test_dense_conv_counts_are_all_nine():
 
 
 def test_hand_built_mask_counts():
-    model = build_small_convnet((3, 32, 32), 10, np.random.default_rng(0))
+    model = build_model(parse_model_spec("small_convnet:3x32x32-10"), np.random.default_rng(0))
     conv1 = model.layers[0]
     mask = np.zeros_like(conv1.weight.data, dtype=bool)
     mask[0, 0, 0, 0] = True
@@ -213,13 +214,13 @@ def test_hand_built_mask_counts():
 
 
 def test_kernel_heatmap_rejects_non_conv():
-    model = build_mlp((8, 4), np.random.default_rng(0))
+    model = build_model(parse_model_spec("mlp:8-4"), np.random.default_rng(0))
     with pytest.raises(TypeError):
         kernel_nonzero_counts(model.layers[0], np.ones((4, 8), dtype=bool))
 
 
 def test_kernel_heatmap_shape_mismatch():
-    model = build_small_convnet((3, 32, 32), 10, np.random.default_rng(0))
+    model = build_model(parse_model_spec("small_convnet:3x32x32-10"), np.random.default_rng(0))
     with pytest.raises(ValueError):
         kernel_nonzero_counts(model.layers[0], np.ones((32, 3, 2, 2), dtype=bool))
 

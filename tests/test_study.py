@@ -12,6 +12,7 @@ import pytest
 from conftest import fail_atomic_writes, make_blob_set, write_idx_pair
 
 import dstforge.study
+import dstforge.train
 from dstforge.checkpoint import load_checkpoint
 from dstforge.config import parse_config
 from dstforge.corruption import KINDS, SEVERITIES
@@ -101,6 +102,36 @@ def test_ensure_run_reuses_finished_run(idx28_dir, tmp_path, monkeypatch):
     assert ckpt == str(run_dir / "final.ckpt")
     assert Path(ckpt).read_bytes() == planted
     assert cfg.seed == 1
+
+
+def test_a_run_that_dies_before_its_cost_report_is_trained_again(idx28_dir, tmp_path,
+                                                                  monkeypatch):
+    """final.ckpt is written last, so a run that dies before it leaves none,
+    and ensure_run trains the cell again instead of reusing a run that has
+    no cost.json."""
+    data = find_idx_dataset(idx28_dir)
+    m = StudyMethod("dense", "dense")
+    run_dir = tmp_path / "dense-seed1"
+
+    def no_cost(*args, **kwargs):
+        raise RuntimeError("cost report failed")
+
+    monkeypatch.setattr(dstforge.train, "cost_report", no_cost)
+    with pytest.raises(RuntimeError, match="cost report failed"):
+        ensure_run(m, 1, 1, data, str(tmp_path))
+    assert not run_dir.joinpath("final.ckpt").exists()
+    monkeypatch.undo()
+
+    trained = []
+
+    def counted_run_train(cfg):
+        trained.append(cfg)
+        return run_train(cfg)
+
+    monkeypatch.setattr(dstforge.study, "run_train", counted_run_train)
+    ensure_run(m, 1, 1, data, str(tmp_path))
+    assert len(trained) == 1
+    assert run_dir.joinpath("cost.json").exists() and run_dir.joinpath("final.ckpt").exists()
 
 
 def test_ensure_run_refuses_a_final_ckpt_of_other_data_or_unreadable(idx28_dir, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import MARGIN, check_param_grads, numeric_grad, relu_margin
 
-from dstforge.models import build_small_convnet
+from dstforge.models import build_model, parse_model_spec
 from dstforge.tensor import (
     GraphError,
     Parameter,
@@ -320,7 +320,7 @@ def test_conv_gradients_match_finite_differences_over_strides_and_padding(
 
 
 def test_no_grad_builds_no_graph_and_restores_grad_mode():
-    model = build_small_convnet((1, 8, 8), 10, np.random.default_rng(0))
+    model = build_model(parse_model_spec("small_convnet:1x8x8-10"), np.random.default_rng(0))
     x = Tensor(np.random.default_rng(1).random((2, 1, 8, 8)).astype(np.float32))
     sentinels = [np.full_like(p.data, 7.0) for p in model.parameters()]
     for p, g in zip(model.parameters(), sentinels):

@@ -269,6 +269,33 @@ def test_save_every_writes_periodic_checkpoints(idx_dir, tmp_path):
     # step 30 == total, so only the final checkpoint marks the end
 
 
+def test_metrics_are_synced_before_each_checkpoint(idx_dir, tmp_path, monkeypatch):
+    # a resume after an OS crash must find every epoch line its checkpoint
+    # has completed, so each checkpoint follows a sync of all metrics bytes
+    metrics = tmp_path / "synced" / "metrics.jsonl"
+    events = []
+    real_fsync, real_save = os.fsync, dstforge.train.save_checkpoint
+
+    def fsync(fd):
+        if os.fstat(fd).st_ino == metrics.stat().st_ino:
+            events.append(("sync", os.fstat(fd).st_size))
+        real_fsync(fd)
+
+    def save(*args, **kwargs):
+        events.append(("save", metrics.stat().st_size))
+        real_save(*args, **kwargs)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(dstforge.train, "save_checkpoint", save)
+    cfg = parse_config(toy_config(idx_dir, str(metrics.parent), epochs=2, save_every=10))
+    run_train(cfg)
+    saves = [i for i, (what, _) in enumerate(events) if what == "save"]
+    assert len(saves) == 6  # steps 10 to 50, then final
+    assert events[saves[-1]][1] > 0
+    for i in saves:
+        assert i > 0 and events[i - 1] == ("sync", events[i][1])
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_divergence_reports_step(idx_dir, tmp_path):
     out = str(tmp_path / "boom")
