@@ -10,8 +10,17 @@ machine's speed falls on both sides. It reads the result from the last line
 of each run's standard output and prints one line per run (its `correct` and
 `failed`, and its end-to-end metrics), then one line per end-to-end metric of
 the change checkout's BENCHMARK.json: the parent's and the change's medians,
-the parent's quartiles, and in how many pairs the change did better, in the
-direction of the metric's `better` (a tie counts for neither side).
+the parent's quartiles, in how many pairs the change did better, in the
+direction of the metric's `better` (a tie counts for neither side), and a
+verdict read against the metric's `bound`, the share of the parent's median
+by which it may worsen:
+
+- `worse`: the change's median is worse than the parent's by more than the
+  bound;
+- `unresolved`: otherwise, the parent's own q3 - q1 is wider than the bound,
+  so the runs cannot show the change is within it, unless every run of the
+  change beat every run of the parent;
+- `no worse`: neither of the above.
 
 With `--claim METRIC` it then prints whether the change shows a gain in that
 end-to-end metric: the change did better in at least nine tenths of the
@@ -19,7 +28,8 @@ complete pairs, and its median is better than the parent's by more than the
 parent's quartile spread (q3 - q1).
 
 It exits 1 if any run is not `correct`, has a failed operation or prints no
-result, or if a claimed gain does not hold, and 0 otherwise.
+result, if any metric is `worse`, or if a claimed gain does not hold, and 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -68,6 +78,26 @@ def claim_holds(better: str, parent: list[float], change: list[float], wins: int
     if better != "higher":
         gap = -gap
     return 10 * wins >= 9 * len(parent) and gap > q3 - q1
+
+
+def verdict(better: str, bound: float, parent: list[float], change: list[float]) -> str:
+    """`worse`, `unresolved` or `no worse` for one end-to-end metric (see the
+    module docstring); `bound` is a share of the parent's median."""
+    p_med = statistics.median(parent)
+    allowed = bound * abs(p_med)
+    worse_by = statistics.median(change) - p_med
+    if better == "higher":
+        worse_by = -worse_by
+    if worse_by > allowed:
+        return "worse"
+    q1, q3 = quartiles(parent)
+    if better == "higher":
+        all_beat = min(change) > max(parent)
+    else:
+        all_beat = max(change) < min(parent)
+    if q3 - q1 > allowed and not all_beat:
+        return "unresolved"
+    return "no worse"
 
 
 def main(argv=None) -> int:
@@ -125,9 +155,11 @@ def main(argv=None) -> int:
         if not p:
             continue
         q1, q3 = quartiles(p)
+        v = verdict(m["better"], m["bound"], p, c)
         print(f"{name} ({m['unit']}, {m['better']} is better): parent median {statistics.median(p):.6g} "
               f"[q1 {q1:.6g}, q3 {q3:.6g}], change median {statistics.median(c):.6g}, "
-              f"change better in {wins[name]}/{len(p)} pairs")
+              f"change better in {wins[name]}/{len(p)} pairs, bound {m['bound']:g}: {v}")
+        ok &= v != "worse"
     if args.claim is not None:
         holds = claim_holds(better[args.claim], values["parent"][args.claim],
                             values["change"][args.claim], wins[args.claim])

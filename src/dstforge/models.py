@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (
-    EVAL_CONV_CHUNK,
+    CONV_CHUNK,
     Parameter,
     Tensor,
     flatten,
@@ -91,6 +91,9 @@ class ModelSpec:
             if len(self.dims) < 2 or min(self.dims) < 1:
                 raise ValueError(f"mlp spec needs input and output widths, each >= 1: "
                                  f"{self.to_string()!r}")
+            if self.classes != self.dims[-1]:
+                raise ValueError(f"mlp spec {self.to_string()!r} has {self.dims[-1]} outputs "
+                                 f"but classes={self.classes}")
         elif self.kind == "small_convnet":
             c, h, w = self.input_shape
             if min(c, h, w, self.classes) < 1 or h % 4 or w % 4:
@@ -192,12 +195,13 @@ class Model:
         stay dense; that product records no graph, so it is only allowed
         under `no_grad` (see `predict`).
 
-        Under `no_grad` the leading conv layers run EVAL_CONV_CHUNK images at
-        a time, each chunk's pooled output written into the batch's, so no
-        full-batch conv output is ever live; under grad the chunk is the
-        whole batch. The linear layers always take the whole batch at once:
-        a GEMM's row bytes can depend on how many rows it is given, while
-        every conv GEMM runs per image.
+        Under `no_grad` the leading conv layers run CONV_CHUNK images at a
+        time, each chunk's pooled output written into the batch's, so no
+        full-batch conv output is ever live; under grad they take the whole
+        batch, whose outputs backward reads, and each conv chunks only its
+        columns (see `conv2d_forward`). The linear layers always take the
+        whole batch at once: a GEMM's row bytes can depend on how many rows
+        it is given, while every conv GEMM runs per image.
         """
         def csr_linear(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
             from scipy.sparse import csr_matrix
@@ -220,12 +224,12 @@ class Model:
             return h
 
         n = x.data.shape[0]
-        if n_conv == 0 or grad_enabled() or n <= EVAL_CONV_CHUNK:
+        if n_conv == 0 or grad_enabled() or n <= CONV_CHUNK:
             x = conv_stack(x)
         else:
             out = None
-            for s in range(0, n, EVAL_CONV_CHUNK):
-                h = conv_stack(Tensor(x.data[s : s + EVAL_CONV_CHUNK])).data
+            for s in range(0, n, CONV_CHUNK):
+                h = conv_stack(Tensor(x.data[s : s + CONV_CHUNK])).data
                 if out is None:
                     out = np.empty((n, *h.shape[1:]), dtype=h.dtype)
                 out[s : s + h.shape[0]] = h

@@ -5,20 +5,54 @@ in float64, which is what the finite-difference tests rely on; no op silently
 changes dtype. Layout for images is NCHW throughout. Inside `no_grad()` the
 ops record no graph, so inference frees each intermediate as soon as the next
 op has consumed it, and `layer_kernels()` hands out forward-only forms of the
-layer kernels. `backward` frees each interior node's gradient once that
-node's grad_fn has consumed it, so only leaves keep `.grad`.
+layer kernels. `backward` lets go of the graph as it walks it: once a node's
+grad_fn has run, the node drops its gradient, its grad_fn (and with it the
+arrays the closure kept for backward) and its parents. So a step's
+activations do not outlive its backward, even while the caller still holds
+the loss, and only leaves keep `.grad`.
+
+Importing this module sets glibc's allocator policy once (see
+`_keep_freed_memory`): a training step frees and reallocates the same
+multi-MB temporaries every step, and the policy keeps that memory in the
+process instead of handing it back to the kernel and faulting it in again.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import ctypes
 
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
 
 _FLOAT_DTYPES = (np.float32, np.float64)
+
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory():
+    """Keep freed memory in the process: blocks below 32 MiB (glibc's largest
+    mmap threshold on 64-bit) come from the heap, not from a fresh mmap, and
+    the heap is not trimmed until 128 MiB of it lies free at the top. A step's
+    temporaries are then reused from the heap, where glibc's defaults unmap
+    them and take a page fault for each page when they come back. RSS then
+    does not drop after large frees until the process exits. Where libc has
+    no `mallopt` this does nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 128 << 20)
+
+
+_keep_freed_memory()
 
 
 class GraphError(RuntimeError):
@@ -39,8 +73,11 @@ class Tensor:
 
     Interior nodes hold a closure (`_grad_fn`) that routes the incoming
     gradient to `_parents`. Leaves have neither. `grad` is filled in by
-    :func:`backward` and accumulates across multiple uses of the same node;
-    after backward only leaves keep it, and an interior node's is None.
+    :func:`backward` and accumulates across multiple uses of the same node.
+    Backward releases the graph behind it: an interior node it has passed
+    keeps neither `_grad_fn`, `_parents` nor `grad`, only its `data` and a
+    consumed mark, so a second backward through it raises
+    :class:`GraphError`. Leaves keep their `grad`.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn", "_consumed")
@@ -179,20 +216,30 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: int,
     return cols.reshape(n, c * kh * kw, oh * ow)
 
 
-def _col2im(dcols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: int,
-            oh: int, ow: int) -> np.ndarray:
-    """The adjoint of `_im2col`: dx from the columns' gradient, adding the
-    window offsets in row-major order."""
-    n, c = x_shape[:2]
+def _col2im(dcols: np.ndarray, dx: np.ndarray, kh: int, kw: int, stride: int, padding: int,
+            oh: int, ow: int):
+    """The adjoint of `_im2col`: add the columns' gradient into `dx` (zeros,
+    or a partial sum), window offset by window offset in row-major order."""
+    n, c = dx.shape[:2]
     dcols = dcols.reshape(n, c, kh, kw, oh, ow)
-    dx = np.zeros(x_shape, dtype=dcols.dtype)
-    for i, j, oy, ox, iy, ix in _window_offsets(kh, kw, stride, padding, x_shape[2:], (oh, ow)):
+    for i, j, oy, ox, iy, ix in _window_offsets(kh, kw, stride, padding, dx.shape[2:], (oh, ow)):
         dx[:, :, iy, ix] += dcols[:, :, i, j, oy, ox]
-    return dx
 
 
-def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, padding: int):
-    """The forward arithmetic of conv2d_forward: (y, im2col columns)."""
+# images per chunk of a convolution: its im2col columns exist for at most
+# this many images at a time, in forward and again in backward, which
+# rebuilds them instead of keeping them. That bounds a conv's working set to
+# CONV_CHUNK * c_in*kh*kw * oh*ow column elements whatever the batch size
+# (1.2 MB for the small convnet's conv2, against 5.9 MB at batch 20).
+# `models.Model.forward` runs its whole conv stack this many images at a time
+# under `no_grad`. Each image is its own conv GEMM either way, so the chunk
+# changes memory, not arithmetic.
+CONV_CHUNK = 4
+
+
+def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, padding: int) -> np.ndarray:
+    """The forward arithmetic of conv2d_forward: im2col and one GEMM per
+    image, CONV_CHUNK images at a time, written into the batch output."""
     if x.ndim != 4 or w.ndim != 4:
         raise ValueError(f"conv2d_forward expects 4-d x and w, got {x.shape} and {w.shape}")
     n, c_in, h, wid = x.shape
@@ -204,10 +251,14 @@ def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, padding: i
     if oh <= 0 or ow <= 0:
         raise ValueError(f"conv2d_forward: kernel {kh}x{kw} does not fit input {h}x{wid} with padding {padding}")
 
-    cols = _im2col(x, kh, kw, stride, padding, oh, ow)  # (n, c_in*kh*kw, oh*ow)
-    y = np.matmul(w.reshape(c_out, -1), cols)  # (n, c_out, oh*ow)
-    y += b.reshape(1, c_out, 1)
-    return y.reshape(n, c_out, oh, ow), cols
+    wmat = w.reshape(c_out, -1)
+    y = np.empty((n, c_out, oh * ow), dtype=np.result_type(w, x))
+    for s in range(0, n, CONV_CHUNK):
+        cols = _im2col(x[s : s + CONV_CHUNK], kh, kw, stride, padding, oh, ow)
+        ys = y[s : s + CONV_CHUNK]
+        np.matmul(wmat, cols, out=ys)
+        ys += b.reshape(1, c_out, 1)
+    return y.reshape(n, c_out, oh, ow)
 
 
 def conv2d_forward(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -223,21 +274,35 @@ def conv2d_forward(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: in
     Returns:
         Tensor of shape (n, c_out, oh, ow) with oh = (h + 2p - kh)//stride + 1.
 
-    Backward takes dW as one GEMM per image against the columns' transposed
-    view, summed over the batch, and dx as the columns' gradient scattered
-    back by `_col2im`; neither copies the columns.
+    Backward keeps only the input: it rebuilds the im2col columns CONV_CHUNK
+    images at a time (Chen et al., 2016, trade recomputation for memory).
+    dW is one GEMM per image against the columns' transposed view, added
+    image by image in batch order, the order of a sum over the batch axis.
+    dx is each chunk's columns' gradient scattered back by `_col2im`.
     """
-    y, cols = _conv2d(x.data, w.data, b.data, stride, padding)
+    y = _conv2d(x.data, w.data, b.data, stride, padding)
     c_out, _, kh, kw = w.data.shape
     n, _, oh, ow = y.shape
 
     def grad_fn(dy):
         dymat = dy.reshape(n, c_out, oh * ow)
-        _accum(w, np.matmul(dymat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape))
+        wmat = w.data.reshape(c_out, -1)
+        dw = None
+        dx = np.zeros(x.data.shape, dtype=np.result_type(wmat, dymat)) if x.requires_grad else None
+        for s in range(0, n, CONV_CHUNK):
+            dys = dymat[s : s + CONV_CHUNK]
+            cols = _im2col(x.data[s : s + CONV_CHUNK], kh, kw, stride, padding, oh, ow)
+            for g in np.matmul(dys, cols.transpose(0, 2, 1)):
+                if dw is None:
+                    dw = g
+                else:
+                    dw += g
+            if dx is not None:
+                _col2im(np.matmul(wmat.T, dys), dx[s : s + CONV_CHUNK], kh, kw, stride, padding, oh, ow)
+        _accum(w, dw.reshape(w.data.shape))
         _accum(b, dy.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            dcols = np.matmul(w.data.reshape(c_out, -1).T, dymat)  # (n, c_in*kh*kw, oh*ow)
-            _accum(x, _col2im(dcols, x.data.shape, kh, kw, stride, padding, oh, ow))
+        if dx is not None:
+            _accum(x, dx)
 
     return _make(y, (x, w, b), grad_fn)
 
@@ -314,16 +379,8 @@ def _linear_eval(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return Tensor(_linear(x.data, w.data, b.data))
 
 
-# images per chunk of an inference forward (`models.Model.forward`): the
-# whole conv stack runs on this many images at a time, which bounds its
-# working set (the conv2 im2col buffer, 4.7 MB for the small convnet, is the
-# largest) whatever the batch size. Each image is its own conv GEMM either
-# way, so the chunk changes memory, not arithmetic.
-EVAL_CONV_CHUNK = 16
-
-
 def _conv2d_eval(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    return Tensor(_conv2d(x.data, w.data, b.data, stride, padding)[0])
+    return Tensor(_conv2d(x.data, w.data, b.data, stride, padding))
 
 
 def _maxpool2x2_eval(x: Tensor) -> Tensor:
@@ -380,10 +437,13 @@ def backward(loss: Tensor):
     """Run reverse-mode accumulation from a scalar loss.
 
     Nodes are visited in a fixed reverse-topological order, so gradient
-    accumulation happens in a deterministic sequence. An interior node's
-    gradient is dropped as soon as its grad_fn has consumed it, so the step
-    holds at most the gradients still in flight; leaves (the parameters) keep
-    theirs. Each graph can be walked once; a second backward through any
+    accumulation happens in a deterministic sequence. Once an interior node's
+    grad_fn has run, the node drops its gradient, its grad_fn and its
+    parents, and leaves the list of nodes still to visit. So the step holds
+    only the gradients in flight and the activations that nodes not yet
+    visited still read, and nothing of the graph outlives backward, even
+    while the caller holds the loss. Leaves (the parameters) keep their
+    gradients. Each graph can be walked once; a second backward through any
     already-consumed node raises :class:`GraphError`.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
@@ -410,8 +470,10 @@ def backward(loss: Tensor):
                 stack.append((p, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node._grad_fn is not None:
             node._grad_fn(node.grad)
             node._consumed = True
-            node.grad = None
+            node.grad = node._grad_fn = None
+            node._parents = ()

@@ -10,7 +10,7 @@ from dstforge import models
 from dstforge.metrics import inference_flops
 from dstforge.models import ModelSpec, build_model, descriptor_library, parse_model_spec
 from dstforge.tensor import (
-    EVAL_CONV_CHUNK,
+    CONV_CHUNK,
     Tensor,
     conv2d_forward,
     flatten,
@@ -61,6 +61,13 @@ def test_small_convnet_needs_divisible_dims():
         parse_model_spec("small_convnet:3x30x32-10")
     with pytest.raises(ValueError, match="input and output widths"):
         ModelSpec(kind="mlp", dims=(784,), classes=784)
+
+
+def test_mlp_spec_classes_are_its_last_width():
+    with pytest.raises(ValueError, match=r"'mlp:4-3' has 3 outputs but classes=10"):
+        ModelSpec(kind="mlp", dims=(4, 3))
+    spec = ModelSpec(kind="mlp", dims=(4, 3), classes=3)
+    assert spec.descriptor().classes == 3 == spec.descriptor().layers[-1].c_out
 
 
 def test_mlp_biases_start_at_zero():
@@ -124,7 +131,7 @@ def test_predict_runs_the_conv_stack_in_chunks_with_the_graph_bytes(monkeypatch)
     # a batch past the inference chunk, with a ragged tail, runs each conv
     # layer as three `_conv2d` calls and still gives the graph forward's bytes
     model = build_model(parse_model_spec("small_convnet:3x8x8-10"), np.random.default_rng(4))
-    x = np.random.default_rng(5).random((2 * EVAL_CONV_CHUNK + 3, 3, 8, 8)).astype(np.float32)
+    x = np.random.default_rng(5).random((2 * CONV_CHUNK + 3, 3, 8, 8)).astype(np.float32)
     want = model.forward(Tensor(x)).data
     calls = {}
     real_conv2d = dstforge.tensor._conv2d
@@ -135,14 +142,14 @@ def test_predict_runs_the_conv_stack_in_chunks_with_the_graph_bytes(monkeypatch)
 
     monkeypatch.setattr(dstforge.tensor, "_conv2d", counting_conv2d)
     got = model.predict(x)
-    chunks = [EVAL_CONV_CHUNK, EVAL_CONV_CHUNK, 3]
+    chunks = [CONV_CHUNK, CONV_CHUNK, 3]
     assert calls == {(32, 3, 3, 3): chunks, (64, 32, 3, 3): chunks}
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_predict_memory_stays_below_one_full_batch_conv_output():
     model = build_model(parse_model_spec("small_convnet:3x32x32-10"), np.random.default_rng(6))
-    n = 4 * EVAL_CONV_CHUNK
+    n = 4 * CONV_CHUNK
     x = np.random.default_rng(7).random((n, 3, 32, 32)).astype(np.float32)
     model.predict(x[:1])  # first-call allocations (scipy, BLAS) stay out of the peak
     tracemalloc.start()

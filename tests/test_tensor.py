@@ -1,5 +1,7 @@
 """Autograd core: forward anchors, gradient checks, graph discipline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import MARGIN, check_param_grads, numeric_grad, relu_margin
 
+import dstforge.tensor
 from dstforge.models import build_model, parse_model_spec
 from dstforge.tensor import (
+    CONV_CHUNK,
     GraphError,
     Parameter,
     Tensor,
@@ -185,6 +189,56 @@ def test_conv_forward_matches_a_padded_window_loop(c_in, c_out, h, w, kh, kw, st
     np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+def test_chunked_conv_matches_the_whole_batch_arithmetic_bytewise(stride, padding):
+    # an uneven last chunk; the reference builds every image's columns at
+    # once, sums dW over the batch axis and scatters dx in one pass
+    n, c_in, c_out, kh, kw, h, w = 2 * CONV_CHUNK + 3, 3, 5, 3, 2, 7, 6
+    rng = np.random.default_rng(17)
+    x = Tensor(rng.standard_normal((n, c_in, h, w)).astype(np.float32), requires_grad=True)
+    wt = Parameter(rng.standard_normal((c_out, c_in, kh, kw)).astype(np.float32), name="w")
+    b = Parameter(rng.standard_normal(c_out).astype(np.float32), name="b")
+    y = conv2d_forward(x, wt, b, stride, padding)
+    oh, ow = y.shape[2:]
+    dy = rng.standard_normal(y.shape).astype(np.float32)
+    y._grad_fn(dy)
+
+    cols = dstforge.tensor._im2col(x.data, kh, kw, stride, padding, oh, ow)
+    wmat = wt.data.reshape(c_out, -1)
+    want_y = np.matmul(wmat, cols)
+    want_y += b.data.reshape(1, c_out, 1)
+    dymat = dy.reshape(n, c_out, oh * ow)
+    want_dw = np.matmul(dymat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(wt.data.shape)
+    want_dx = np.zeros_like(x.data)
+    dstforge.tensor._col2im(np.matmul(wmat.T, dymat), want_dx, kh, kw, stride, padding, oh, ow)
+    for got, want in ((y.data, want_y.reshape(y.shape)), (wt.grad, want_dw),
+                      (b.grad, dy.sum(axis=(0, 2, 3))), (x.grad, want_dx)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_conv_backward_allocates_less_than_the_full_batch_columns():
+    # conv2 of the small convnet at batch 20: its im2col columns for the
+    # whole batch would take 20*288*256*4 bytes; backward rebuilds them one
+    # chunk at a time instead
+    rng = np.random.default_rng(8)
+    n = 20
+    x = Tensor(rng.standard_normal((n, 32, 16, 16)).astype(np.float32), requires_grad=True)
+    w = Parameter(rng.standard_normal((64, 32, 3, 3)).astype(np.float32), name="w")
+    b = Parameter(np.zeros(64, dtype=np.float32), name="b")
+    y = conv2d_forward(x, w, b, padding=1)
+    dy = rng.standard_normal(y.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        y._grad_fn(dy)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.grad is not None and w.grad is not None
+    assert peak < n * 288 * 256 * 4
+
+
 def test_flatten_shape():
     x = Tensor(np.ones((3, 2, 4, 4), dtype=np.float32))
     assert flatten(x).data.shape == (3, 32)
@@ -217,11 +271,15 @@ def test_backward_keeps_only_the_leaf_gradients():
     backward(loss)
     for p in (cw, cb, fw, fb):
         assert p.grad is not None and p.grad.shape == p.data.shape, p.name
+    # the graph is released: no interior node keeps a closure or its parents
     for node in (conv, pooled, act, flat, logits, loss):
-        assert node.grad is None
+        assert node.grad is None and node._grad_fn is None and node._parents == ()
     assert x.grad is None  # a leaf that needs no gradient gets none
     with pytest.raises(GraphError):
         backward(loss)
+    with pytest.raises(GraphError):  # also from a fresh root over a consumed node
+        backward(softmax_cross_entropy(linear_forward(flat, fw, fb), np.array([1, 2])))
+    assert all(p.grad is not None for p in (cw, cb, fw, fb))
 
 
 def test_linear_mlp_gradients_match_finite_differences():

@@ -1,5 +1,6 @@
 """Trainer behavior: artifacts, determinism, resume, divergence, evaluation."""
 
+import ctypes
 import json
 import os
 import shutil
@@ -559,3 +560,49 @@ def test_convnet_training_and_predict_bytes_do_not_depend_on_the_thread_count(tm
         for name in ("final.ckpt", "logits.bin"):
             one, two = ((runs[method, t] / name).read_bytes() for t in (1, 2))
             assert one == two, f"{method} {name}"
+
+
+_STEADY_STATE_FAULTS = """
+import resource
+import numpy as np
+from dstforge.models import build_model, parse_model_spec
+from dstforge.optim import sgd_momentum_step
+from dstforge.tensor import Tensor, backward, softmax_cross_entropy
+
+model = build_model(parse_model_spec("small_convnet:3x32x32-10"), np.random.default_rng(0))
+rng = np.random.default_rng(1)
+x = rng.random((20, 3, 32, 32)).astype(np.float32)
+labels = rng.integers(0, 10, 20)
+
+def step():
+    model.zero_grad()
+    backward(softmax_cross_entropy(model.forward(Tensor(x)), labels))
+    sgd_momentum_step(model.parameters(), lr=0.01, momentum=0.9, weight_decay=1e-4)
+
+for _ in range(3):
+    step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    step()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _libc_has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _libc_has_mallopt(), reason="libc has no mallopt")
+def test_convnet_training_steps_take_no_page_faults_once_warm():
+    """Importing dstforge.tensor keeps freed memory in the process, so once
+    the first steps have grown the heap, a training step reuses it instead of
+    faulting fresh pages in. Run in a fresh process, where the policy is set
+    at import; with glibc's defaults these five steps take thousands of
+    minor faults."""
+    r = subprocess.run([sys.executable, "-c", _STEADY_STATE_FAULTS],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert int(r.stdout) < 100
