@@ -33,7 +33,11 @@ files it writes and `corrupt-3x32x32 stdout <sha256>` of what it prints. The
 same two lines follow as `corrupt-1x28x28` for `dstforge corrupt` on the MLP
 grid's raw `t10k-images-idx3-ubyte` file, whose labels the command finds by
 name, and `attenuate-1x28x28 stdout <sha256>` digests what `dstforge
-attenuate` prints for mlp-dense-s0 on that file, low then high mode. Last,
+attenuate` prints for mlp-dense-s0 on that file, low then high mode.
+`evaluate-<shape> stdout <sha256>` digests what `dstforge evaluate` prints
+for the dense run over each `dstforge corrupt` directory: the convnet's with
+`--baseline` set to its set_s50 run over `corrupt-3x32x32`, the MLP's alone
+over `corrupt-1x28x28`. Last,
 `inspect-<run> stdout <sha256>` digests what `dstforge inspect --layer`
 prints for the dense and the set_s50 run of each model (layer fc1 of the MLP,
 conv2 of the convnet), which covers the dense run's empty topology and a
@@ -75,7 +79,7 @@ FLOPS_ARGS = ("--epochs", "2", "--bs", "100", "--delta-t", "50")
 STUDY_METHODS = (("dense", "dense", 0.0), ("set_s50", "set", 0.5), ("rigl_s50", "rigl", 0.5))
 STUDY_SEEDS = (1, 2)
 STUDY_EPOCHS = 2
-STUDY_SIZES = (600, 700)  # n_train, n_test; the test set spans two 512-image batches
+STUDY_SIZES = (600, 700)  # n_train, n_test; the test set spans two metrics.EVAL_BATCH batches
 COLOR_GRID_SIZE = 200
 ATTENUATE_RADII = "0,2,4,8,14"
 INSPECT_LAYERS = {"mlp": "fc1", "small_convnet": "conv2"}  # model kind -> --layer
@@ -234,6 +238,16 @@ def main() -> int:
     if None in curves:
         return 1
     print("attenuate-1x28x28", "stdout", hashlib.sha256("".join(curves).encode()).hexdigest())
+    for label, kind, baseline in (("3x32x32", "small_convnet", "set-s50"),
+                                  ("1x28x28", "mlp", None)):
+        argv = ["evaluate", os.path.join(out, "runs", f"{kind}-dense-s0", "final.ckpt"),
+                "--sets", os.path.join(out, f"corrupt-{label}")]
+        if baseline:
+            argv += ["--baseline", os.path.join(out, "runs", f"{kind}-{baseline}", "final.ckpt")]
+        report = _run_cli(cli_main, argv)
+        if report is None:
+            return 1
+        print(f"evaluate-{label}", "stdout", hashlib.sha256(report.encode()).hexdigest())
     for kind, layer in INSPECT_LAYERS.items():
         for run in INSPECT_RUNS:
             name = f"{kind}-{run}"

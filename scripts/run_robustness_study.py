@@ -22,11 +22,15 @@ def main() -> int:
     ap.add_argument("--seeds", default=",".join(str(s) for s in DEFAULT_SEEDS))
     args = ap.parse_args()
 
+    try:
+        seeds = tuple(int(s) for s in args.seeds.split(","))
+    except ValueError:
+        print(f"--seeds must be comma-separated integers, got {args.seeds!r}", file=sys.stderr)
+        return 2
     data = find_idx_dataset(args.data)
     if data is None:
         print("no IDX dataset found; run scripts/fetch_data.py first", file=sys.stderr)
         return 3
-    seeds = tuple(int(s) for s in args.seeds.split(","))
     try:
         result = run_study(data, args.out, epochs=args.epochs, seeds=seeds, echo=print)
     except StudyError as e:  # a run directory or grid that belongs to other settings or data

@@ -66,8 +66,7 @@ def _f32_bytes(a: np.ndarray) -> bytes:
 
 def save_checkpoint(path, model: Model, mask: TopologyMask, step: int,
                     rng: np.random.Generator, dst_cfg: DstConfig, seed: int, run_digest: str,
-                    trajectory: BudgetTrajectory | None = None,
-                    epoch_loss_sum: float = 0.0, epoch_loss_count: int = 0):
+                    trajectory: BudgetTrajectory, epoch_loss_sum: float, epoch_loss_count: int):
     layer_meta = []
     blobs = []
     for layer in model.layers:
@@ -95,7 +94,7 @@ def save_checkpoint(path, model: Model, mask: TopologyMask, step: int,
         "dst_config": asdict(dst_cfg),
         "epoch_loss_sum": float(epoch_loss_sum).hex(),
         "epoch_loss_count": epoch_loss_count,
-        "trajectory": trajectory.samples if trajectory is not None else [],
+        "trajectory": trajectory.samples,
         "layers": layer_meta,
     }
     hbytes = json.dumps(header, sort_keys=True).encode()

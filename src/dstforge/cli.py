@@ -208,13 +208,14 @@ def _arch_descriptor(name: str):
     lib = descriptor_library()
     if name in lib:
         return lib[name]
-    try:
-        spec = parse_model_spec(name)
-    except ValueError:
+    if not name.startswith(("mlp:", "small_convnet:")):
         raise ConfigError(
             f"unknown arch {name!r}; provide one of {', '.join(sorted(lib))} "
-            f"or a model spec string") from None
-    return spec.descriptor()
+            f"or a model spec string")
+    try:
+        return parse_model_spec(name).descriptor()
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
 
 def _default_images_per_epoch(arch: str) -> int:
@@ -229,6 +230,8 @@ def cmd_flops(args) -> int:
     desc = _arch_descriptor(args.arch)
     if args.density is not None and args.sparsity is not None:
         raise ConfigError("give either --density or --sparsity, not both")
+    if args.density is not None and not 0.0 < args.density <= 1.0:
+        raise ConfigError(f"--density must lie in (0, 1], got {args.density}")
     sparsity = args.sparsity if args.sparsity is not None else (
         1.0 - args.density if args.density is not None else 0.0)
     images = args.images_per_epoch
@@ -237,6 +240,9 @@ def cmd_flops(args) -> int:
     if min(args.bs, images) < 1:
         raise ConfigError(f"--bs and --images-per-epoch must be >= 1, got {args.bs} and {images}")
     steps = args.epochs * (images // args.bs)
+    if steps < 1:
+        raise ConfigError(f"--epochs {args.epochs} of --images-per-epoch {images} at --bs "
+                          f"{args.bs} make {steps} training steps; need at least one")
     try:
         dst = DstConfig(method=args.method, sparsity=sparsity,
                         total_steps=steps, delta_t=args.delta_t)

@@ -36,11 +36,6 @@ KINDS = (
     "pixelate",
 )
 
-# reporting convention: noise kinds carry mostly high-frequency energy,
-# blur/contrast kinds are low-frequency-dominant
-HIGH_FREQUENCY_KINDS = KINDS[:4]
-LOW_FREQUENCY_KINDS = KINDS[4:]
-
 SEVERITIES = (1, 2, 3, 4, 5)
 
 SEVERITY_TABLE = {
@@ -233,12 +228,11 @@ def corrupt_images(images: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
     return _render(images, spec, 0)
 
 
-def build_corrupted_set(clean: ImageSet, kinds=None, severities=None,
+def build_corrupted_set(clean: ImageSet, kinds, severities,
                         seed: int = 0) -> dict[tuple[str, int], ImageSet]:
     """One corrupted copy of the clean set per (kind, severity); labels pass
     through untouched."""
-    kinds = tuple(kinds) if kinds is not None else KINDS
-    severities = tuple(severities) if severities is not None else SEVERITIES
+    kinds, severities = tuple(kinds), tuple(severities)
     if not kinds or not severities:
         raise ValueError("build_corrupted_set needs non-empty kinds and severities")
     for k in kinds:

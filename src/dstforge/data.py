@@ -129,14 +129,6 @@ def guess_idx_labels_path(images_path: str) -> str | None:
     return cand if os.path.exists(cand) else None
 
 
-def _idx_labels_beside(images_path) -> str:
-    """The labels file of a canonically named IDX images file, or DataError."""
-    labels_path = guess_idx_labels_path(str(images_path))
-    if labels_path is None:
-        raise DataError(f"{images_path}: cannot infer labels file, pass labels_path")
-    return labels_path
-
-
 def _idx_set(images: np.ndarray, labels: np.ndarray, images_path, labels_path,
              name: str | None, classes: int) -> ImageSet:
     if images.shape[0] != labels.shape[0]:
@@ -147,20 +139,15 @@ def _idx_set(images: np.ndarray, labels: np.ndarray, images_path, labels_path,
                     name or _stem(images_path))
 
 
-def load_idx(images_path, labels_path=None, name: str | None = None, classes: int = 10) -> ImageSet:
-    """Load an IDX image/label pair. With the canonical *-images-idx3-ubyte
-    naming the labels file is found automatically."""
-    if labels_path is None:
-        labels_path = _idx_labels_beside(images_path)
+def load_idx(images_path, labels_path, name: str | None = None, classes: int = 10) -> ImageSet:
+    """Load an IDX image/label pair."""
     images, _ = _idx_images_from(_read_file(images_path), images_path)
     labels, _ = _idx_labels_from(_read_file(labels_path), labels_path)
     return _idx_set(images, labels, images_path, labels_path, name, classes)
 
 
-def load_cifar_binary(paths, name: str | None = None, classes: int = 10) -> ImageSet:
-    """Load one or more CIFAR batch files (concatenated in argument order)."""
-    if isinstance(paths, (str, os.PathLike)):
-        paths = [paths]
+def load_cifar_binary(paths: list, name: str | None = None, classes: int = 10) -> ImageSet:
+    """Load a list of CIFAR batch files, concatenated in list order."""
     return _cifar_set(map(_read_file, paths), paths, name, classes)
 
 
@@ -255,13 +242,16 @@ def save_image_set(s: ImageSet, path):
 def load_image_set(path, name: str | None = None, classes: int = 10) -> ImageSet:
     """Load a persisted set or a raw images file, read once, sniffing the layout
     from its leading bytes. An IDX images block that ends the file takes its
-    labels from the file beside it, found by name as load_idx finds them."""
+    labels from the file beside it, found by `guess_idx_labels_path`."""
     buf = _read_file(path)
     if len(buf) >= 4 and struct.unpack_from(">I", buf)[0] == IDX_IMAGES_MAGIC:
         images, off = _idx_images_from(buf, path)
         labels_path = path
         if off == len(buf):  # a raw images file
-            labels_path = _idx_labels_beside(path)
+            labels_path = guess_idx_labels_path(str(path))
+            if labels_path is None:
+                raise DataError(f"{path}: cannot infer labels file; it is found beside the "
+                                f"images file, named with 'labels' for 'images'")
             buf, off = _read_file(labels_path), 0
         labels, _ = _idx_labels_from(buf, labels_path, off)
         return _idx_set(images, labels, path, labels_path, name, classes)

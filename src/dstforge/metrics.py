@@ -82,9 +82,14 @@ class CostReport:
         }, indent=2, sort_keys=True)
 
 
+# images per `predict` call of every accuracy: training's per-epoch test
+# accuracy, evaluate, attenuate and the study
+EVAL_BATCH = 500
+
+
 def batched_accuracy(models: list[Model], images: np.ndarray, labels: np.ndarray,
-                     batch_size: int = 512, sparse: bool = False, transform=None) -> list[float]:
-    """Top-1 accuracy of each model's `predict`, `batch_size` images at a time.
+                     sparse: bool = False, transform=None) -> list[float]:
+    """Top-1 accuracy of each model's `predict`, EVAL_BATCH images at a time.
 
     `transform`, when given, maps each batch of images before prediction, so
     a filtered copy of a large set never has to exist whole; every model
@@ -93,20 +98,20 @@ def batched_accuracy(models: list[Model], images: np.ndarray, labels: np.ndarray
     if len(images) == 0:
         raise DataError("empty image set")
     correct = [0] * len(models)
-    for lo in range(0, len(images), batch_size):
-        x = images[lo : lo + batch_size]
+    for lo in range(0, len(images), EVAL_BATCH):
+        x = images[lo : lo + EVAL_BATCH]
         if transform is not None:
             x = transform(x)
-        y = labels[lo : lo + batch_size]
+        y = labels[lo : lo + EVAL_BATCH]
         for i, model in enumerate(models):
             correct[i] += int((model.predict(x, sparse=sparse).argmax(axis=1) == y).sum())
     return [c / len(images) for c in correct]
 
 
-def accuracy(model: Model, s: ImageSet, batch_size: int = 512, sparse: bool = False) -> float:
+def accuracy(model: Model, s: ImageSet, sparse: bool = False) -> float:
     """Top-1 accuracy of the model on a labeled set."""
     try:
-        return batched_accuracy([model], s.images, s.labels, batch_size, sparse)[0]
+        return batched_accuracy([model], s.images, s.labels, sparse)[0]
     except ValueError as e:
         raise DataError(f"set {s.name!r} does not match the model: {e}") from e
 

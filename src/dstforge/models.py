@@ -149,11 +149,10 @@ def parse_model_spec(text: str) -> ModelSpec:
 
 
 class Layer:
-    """A weight-bearing layer of a trainable model: "conv" (a same-size conv,
-    stride 1 and padding kh // 2, followed by a 2x2 max pool and relu; max and
-    relu commute, so pooling first gives the same values with relu on a
-    quarter of the elements) or "linear" (followed by relu unless it is the
-    last)."""
+    """A weight-bearing layer of a trainable model: "conv" (the 'same' conv
+    of `conv2d_forward`, then a 2x2 max pool and relu; max and relu commute,
+    so pooling first gives the same values with relu on a quarter of the
+    elements) or "linear" (followed by relu unless it is the last)."""
 
     def __init__(self, name: str, kind: str, weight: Parameter, bias: Parameter):
         self.name = name
@@ -219,20 +218,17 @@ class Model:
 
         def conv_stack(h: Tensor) -> Tensor:
             for layer in self.layers[:n_conv]:
-                h = relu(maxpool(conv2d(h, layer.weight, layer.bias, 1,
-                                        layer.weight.data.shape[2] // 2)))
+                h = relu(maxpool(conv2d(h, layer.weight, layer.bias)))
             return h
 
-        n = x.data.shape[0]
-        if n_conv == 0 or grad_enabled() or n <= CONV_CHUNK:
+        if n_conv == 0 or grad_enabled():
             x = conv_stack(x)
         else:
-            out = None
-            for s in range(0, n, CONV_CHUNK):
-                h = conv_stack(Tensor(x.data[s : s + CONV_CHUNK])).data
-                if out is None:
-                    out = np.empty((n, *h.shape[1:]), dtype=h.dtype)
-                out[s : s + h.shape[0]] = h
+            first = conv_stack(Tensor(x.data[:CONV_CHUNK])).data
+            out = np.empty((x.data.shape[0], *first.shape[1:]), dtype=first.dtype)
+            out[:CONV_CHUNK] = first
+            for s in range(CONV_CHUNK, len(out), CONV_CHUNK):
+                out[s : s + CONV_CHUNK] = conv_stack(Tensor(x.data[s : s + CONV_CHUNK])).data
             x = Tensor(out)
 
         last = self.layers[-1]

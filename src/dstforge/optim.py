@@ -36,12 +36,16 @@ def sgd_momentum_step(params: Iterable[Parameter], lr: float, momentum: float = 
         p.data -= np.multiply(p.momentum, dtype(lr), out=scratch)
 
 
+STEP_EPOCHS = 30
+STEP_FACTOR = 0.1
+
+
 @dataclass(frozen=True)
 class LrSchedule:
     """Learning-rate schedule constants.
 
     kind "cosine": base * 0.5 * (1 + cos(pi * step / total_steps)).
-    kind "step": base * factor ** floor(epoch / decay_every) with
+    kind "step": base * STEP_FACTOR ** floor(epoch / STEP_EPOCHS) with
     epoch = step // steps_per_epoch.
     """
 
@@ -49,8 +53,6 @@ class LrSchedule:
     base_lr: float
     total_steps: int
     steps_per_epoch: int = 0
-    decay_every: int = 30
-    factor: float = 0.1
 
     def __post_init__(self):
         if self.kind not in ("cosine", "step"):
@@ -68,4 +70,4 @@ def lr_at(schedule: LrSchedule, step: int) -> float:
     if schedule.kind == "cosine":
         return schedule.base_lr * 0.5 * (1.0 + math.cos(math.pi * step / schedule.total_steps))
     epoch = step // schedule.steps_per_epoch
-    return schedule.base_lr * schedule.factor ** (epoch // schedule.decay_every)
+    return schedule.base_lr * STEP_FACTOR ** (epoch // STEP_EPOCHS)

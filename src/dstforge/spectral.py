@@ -109,8 +109,7 @@ def check_radii(radii: list, h: int, w: int):
                          f"[0, {r_max}] for {h}x{w} images, got {radii}")
 
 
-def ra_curve(models: list[Model], clean_test: ImageSet, mode: str, radii,
-             batch_size: int = 512) -> list[RACurve]:
+def ra_curve(models: list[Model], clean_test: ImageSet, mode: str, radii) -> list[RACurve]:
     """Accuracy after frequency attenuation, one point per radius and one
     curve per model. The radii are checked before any model is scored."""
     radii = list(radii)
@@ -119,7 +118,7 @@ def ra_curve(models: list[Model], clean_test: ImageSet, mode: str, radii,
     for r in radii:
         # attenuate one batch at a time, so a filtered copy of the set never
         # exists whole; every model scores each filtered batch
-        accs = batched_accuracy(models, clean_test.images, clean_test.labels, batch_size,
+        accs = batched_accuracy(models, clean_test.images, clean_test.labels,
                                 transform=lambda x: attenuate_images(x, mode, r))
         for pts, acc in zip(points, accs):
             pts.append((int(r), acc))

@@ -236,8 +236,12 @@ def run_study(data: dict[str, str], root: str, epochs: int = 20,
 
     Everything lands under `root`: one run directory per (method, seed), the
     corrupted sets under corrupted/, and study.json + RA-curve SVGs on top.
+    An empty `seeds` or `methods` raises ValueError before anything is written.
     """
     seeds, methods, radii = tuple(seeds), tuple(methods), tuple(radii)
+    for what, items in (("seeds", seeds), ("methods", methods)):
+        if not items:
+            raise ValueError(f"run_study: {what} is empty")
     result = StudyResult(labels=tuple(m.label for m in methods), seeds=seeds, radii=radii)
 
     models: dict[tuple[str, int], Model] = {}

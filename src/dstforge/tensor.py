@@ -59,13 +59,9 @@ class GraphError(RuntimeError):
     """Raised when backward is asked to walk a graph that was already consumed."""
 
 
-def _as_array(data, dtype=None) -> np.ndarray:
+def _as_array(data) -> np.ndarray:
     a = np.asarray(data)
-    if a.dtype not in _FLOAT_DTYPES:
-        a = a.astype(dtype or DEFAULT_DTYPE)
-    elif dtype is not None and a.dtype != dtype:
-        a = a.astype(dtype)
-    return a
+    return a if a.dtype in _FLOAT_DTYPES else a.astype(DEFAULT_DTYPE)
 
 
 class Tensor:
@@ -187,49 +183,46 @@ def linear_forward(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make(y, (x, w, b), grad_fn)
 
 
-def _window_offsets(kh: int, kw: int, stride: int, padding: int, size: tuple[int, int],
-                    out: tuple[int, int]):
+def _window_offsets(kh: int, kw: int, size: tuple[int, int]):
     """For each kernel offset (i, j) in row-major order: (i, j, oy, ox, iy, ix),
     the output and input slices it pairs. Output (y, x) reads input
-    (y*stride + i - padding, x*stride + j - padding); only outputs whose input
-    lies inside `size` are kept. The rest read zero padding, so im2col leaves
-    them zero and col2im drops them, and no padded copy of x is made."""
-    def axis(k: int, n_in: int, n_out: int):
-        lo = max(0, -((k - padding) // stride))
-        hi = max(lo, min(n_out, (n_in - 1 + padding - k) // stride + 1))
-        start = lo * stride + k - padding
-        return slice(lo, hi), slice(start, start + stride * (hi - lo), stride)
+    (y + i - kh//2, x + j - kw//2); only outputs whose input lies inside
+    `size` are kept. The rest read zero padding, so im2col leaves them zero
+    and col2im drops them, and no padded copy of x is made."""
+    def axis(d: int, n: int):
+        lo = max(0, -d)
+        hi = max(lo, n - max(0, d))
+        return slice(lo, hi), slice(lo + d, hi + d)
 
     for i in range(kh):
-        oy, iy = axis(i, size[0], out[0])
+        oy, iy = axis(i - kh // 2, size[0])
         for j in range(kw):
-            ox, ix = axis(j, size[1], out[1])
+            ox, ix = axis(j - kw // 2, size[1])
             yield i, j, oy, ox, iy, ix
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int, oh: int, ow: int) -> np.ndarray:
-    """Columns (n, c*kh*kw, oh*ow) in (c, kh, kw) row order, the kernels' own."""
-    n, c = x.shape[:2]
-    cols = (np.zeros if padding else np.empty)((n, c, kh, kw, oh, ow), dtype=x.dtype)
-    for i, j, oy, ox, iy, ix in _window_offsets(kh, kw, stride, padding, x.shape[2:], (oh, ow)):
+def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Columns (n, c*kh*kw, h*w) in (c, kh, kw) row order, the kernels' own."""
+    n, c, h, w = x.shape
+    cols = np.zeros((n, c, kh, kw, h, w), dtype=x.dtype)
+    for i, j, oy, ox, iy, ix in _window_offsets(kh, kw, (h, w)):
         cols[:, :, i, j, oy, ox] = x[:, :, iy, ix]
-    return cols.reshape(n, c * kh * kw, oh * ow)
+    return cols.reshape(n, c * kh * kw, h * w)
 
 
-def _col2im(dcols: np.ndarray, dx: np.ndarray, kh: int, kw: int, stride: int, padding: int,
-            oh: int, ow: int):
+def _col2im(dcols: np.ndarray, dx: np.ndarray, kh: int, kw: int):
     """The adjoint of `_im2col`: add the columns' gradient into `dx` (zeros,
     or a partial sum), window offset by window offset in row-major order."""
-    n, c = dx.shape[:2]
-    dcols = dcols.reshape(n, c, kh, kw, oh, ow)
-    for i, j, oy, ox, iy, ix in _window_offsets(kh, kw, stride, padding, dx.shape[2:], (oh, ow)):
+    n, c, h, w = dx.shape
+    dcols = dcols.reshape(n, c, kh, kw, h, w)
+    for i, j, oy, ox, iy, ix in _window_offsets(kh, kw, (h, w)):
         dx[:, :, iy, ix] += dcols[:, :, i, j, oy, ox]
 
 
 # images per chunk of a convolution: its im2col columns exist for at most
 # this many images at a time, in forward and again in backward, which
 # rebuilds them instead of keeping them. That bounds a conv's working set to
-# CONV_CHUNK * c_in*kh*kw * oh*ow column elements whatever the batch size
+# CONV_CHUNK * c_in*kh*kw * h*w column elements whatever the batch size
 # (1.2 MB for the small convnet's conv2, against 5.9 MB at batch 20).
 # `models.Model.forward` runs its whole conv stack this many images at a time
 # under `no_grad`. Each image is its own conv GEMM either way, so the chunk
@@ -237,7 +230,7 @@ def _col2im(dcols: np.ndarray, dx: np.ndarray, kh: int, kw: int, stride: int, pa
 CONV_CHUNK = 4
 
 
-def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, padding: int) -> np.ndarray:
+def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The forward arithmetic of conv2d_forward: im2col and one GEMM per
     image, CONV_CHUNK images at a time, written into the batch output."""
     if x.ndim != 4 or w.ndim != 4:
@@ -246,33 +239,31 @@ def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, padding: i
     c_out, c_in_w, kh, kw = w.shape
     if c_in != c_in_w:
         raise ValueError(f"conv2d_forward: x has {c_in} channels, kernels expect {c_in_w}")
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (wid + 2 * padding - kw) // stride + 1
-    if oh <= 0 or ow <= 0:
-        raise ValueError(f"conv2d_forward: kernel {kh}x{kw} does not fit input {h}x{wid} with padding {padding}")
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ValueError(f"conv2d_forward: a 'same' conv needs an odd kernel, got {kh}x{kw}")
 
     wmat = w.reshape(c_out, -1)
-    y = np.empty((n, c_out, oh * ow), dtype=np.result_type(w, x))
+    y = np.empty((n, c_out, h * wid), dtype=np.result_type(w, x))
     for s in range(0, n, CONV_CHUNK):
-        cols = _im2col(x[s : s + CONV_CHUNK], kh, kw, stride, padding, oh, ow)
+        cols = _im2col(x[s : s + CONV_CHUNK], kh, kw)
         ys = y[s : s + CONV_CHUNK]
         np.matmul(wmat, cols, out=ys)
         ys += b.reshape(1, c_out, 1)
-    return y.reshape(n, c_out, oh, ow)
+    return y.reshape(n, c_out, h, wid)
 
 
-def conv2d_forward(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-d cross-correlation, NCHW.
+def conv2d_forward(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """2-d 'same' cross-correlation at stride 1, NCHW: the input is zero-padded
+    by (kh//2, kw//2), so the output keeps its spatial size. Kernels must be
+    odd in both dims.
 
     Args:
         x: input (n, c_in, h, w).
         w: kernels (c_out, c_in, kh, kw).
         b: bias (c_out,).
-        stride: spatial step, same in both directions.
-        padding: zero padding applied symmetrically before the sweep.
 
     Returns:
-        Tensor of shape (n, c_out, oh, ow) with oh = (h + 2p - kh)//stride + 1.
+        Tensor of shape (n, c_out, h, w).
 
     Backward keeps only the input: it rebuilds the im2col columns CONV_CHUNK
     images at a time (Chen et al., 2016, trade recomputation for memory).
@@ -280,25 +271,25 @@ def conv2d_forward(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: in
     image by image in batch order, the order of a sum over the batch axis.
     dx is each chunk's columns' gradient scattered back by `_col2im`.
     """
-    y = _conv2d(x.data, w.data, b.data, stride, padding)
+    y = _conv2d(x.data, w.data, b.data)
     c_out, _, kh, kw = w.data.shape
-    n, _, oh, ow = y.shape
+    n, _, h, wid = y.shape
 
     def grad_fn(dy):
-        dymat = dy.reshape(n, c_out, oh * ow)
+        dymat = dy.reshape(n, c_out, h * wid)
         wmat = w.data.reshape(c_out, -1)
         dw = None
         dx = np.zeros(x.data.shape, dtype=np.result_type(wmat, dymat)) if x.requires_grad else None
         for s in range(0, n, CONV_CHUNK):
             dys = dymat[s : s + CONV_CHUNK]
-            cols = _im2col(x.data[s : s + CONV_CHUNK], kh, kw, stride, padding, oh, ow)
+            cols = _im2col(x.data[s : s + CONV_CHUNK], kh, kw)
             for g in np.matmul(dys, cols.transpose(0, 2, 1)):
                 if dw is None:
                     dw = g
                 else:
                     dw += g
             if dx is not None:
-                _col2im(np.matmul(wmat.T, dys), dx[s : s + CONV_CHUNK], kh, kw, stride, padding, oh, ow)
+                _col2im(np.matmul(wmat.T, dys), dx[s : s + CONV_CHUNK], kh, kw)
         _accum(w, dw.reshape(w.data.shape))
         _accum(b, dy.sum(axis=(0, 2, 3)))
         if dx is not None:
@@ -379,8 +370,8 @@ def _linear_eval(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return Tensor(_linear(x.data, w.data, b.data))
 
 
-def _conv2d_eval(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    return Tensor(_conv2d(x.data, w.data, b.data, stride, padding))
+def _conv2d_eval(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    return Tensor(_conv2d(x.data, w.data, b.data))
 
 
 def _maxpool2x2_eval(x: Tensor) -> Tensor:

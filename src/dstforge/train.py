@@ -40,9 +40,8 @@ def load_train_test(cfg: RunConfig) -> tuple[ImageSet, ImageSet]:
     return train, test
 
 
-def test_accuracy(model: Model, images: np.ndarray, labels: np.ndarray,
-                  batch_size: int = 500) -> float:
-    return batched_accuracy([model], images, labels, batch_size)[0]
+def test_accuracy(model: Model, images: np.ndarray, labels: np.ndarray) -> float:
+    return batched_accuracy([model], images, labels)[0]
 
 
 def make_allocation(cfg: RunConfig, model: Model):

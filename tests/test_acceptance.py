@@ -286,7 +286,7 @@ def _random_conv_net(seed: int):
         b1 = Parameter(r.standard_normal(f) * 0.1, name="b1")
         w2 = Parameter(r.standard_normal((classes, f * 9)) * 0.4, name="w2")
         b2 = Parameter(r.standard_normal(classes) * 0.1, name="b2")
-        pre = conv2d_forward(Tensor(x), w1, b1, padding=1).data
+        pre = conv2d_forward(Tensor(x), w1, b1).data
         if relu_margin(pre) > MARGIN:
             if pool_gap_margin(np.maximum(pre, 0.0)) > MARGIN:
                 break
@@ -294,7 +294,7 @@ def _random_conv_net(seed: int):
         raise AssertionError("no draw kept the pool/relu switches clear")
 
     def forward_loss():
-        h = maxpool2x2(relu(conv2d_forward(Tensor(x), w1, b1, padding=1)))
+        h = maxpool2x2(relu(conv2d_forward(Tensor(x), w1, b1)))
         return softmax_cross_entropy(linear_forward(flatten(h), w2, b2), labels)
 
     return [w1, b1, w2, b2], forward_loss

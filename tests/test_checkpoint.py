@@ -18,6 +18,8 @@ from dstforge.schedulers import BudgetTrajectory, DstConfig
 from dstforge.sparsity import TopologyMask, allocate_uniform, init_topology, mask_shapes
 
 DIGEST = "0123456789abcdef" * 4  # a RunConfig.digest() stand-in
+# the run state of a checkpoint written before any step: no trajectory, no loss
+FRESH = {"trajectory": BudgetTrajectory(), "epoch_loss_sum": 0.0, "epoch_loss_count": 0}
 
 
 def make_state(seed=1, with_mask=True):
@@ -67,7 +69,8 @@ def test_build_model_takes_the_stored_momenta_without_a_new_buffer(tmp_path):
     model = build_model(parse_model_spec("small_convnet:3x32x32-10"), np.random.default_rng(0))
     p = tmp_path / "c.ckpt"
     save_checkpoint(p, model, TopologyMask({}), step=1, rng=np.random.default_rng(0),
-                    dst_cfg=DstConfig(method="dense", total_steps=1), seed=0, run_digest=DIGEST)
+                    dst_cfg=DstConfig(method="dense", total_steps=1), seed=0,
+                    run_digest=DIGEST, **FRESH)
     ck = load_checkpoint(p)
     tracemalloc.start()
     try:
@@ -84,7 +87,8 @@ def test_build_model_takes_the_stored_momenta_without_a_new_buffer(tmp_path):
 def test_rng_state_resumes_identically(tmp_path):
     model, mask, cfg, rng = make_state(seed=3)
     p = tmp_path / "a.ckpt"
-    save_checkpoint(p, model, mask, step=0, rng=rng, dst_cfg=cfg, seed=3, run_digest=DIGEST)
+    save_checkpoint(p, model, mask, step=0, rng=rng, dst_cfg=cfg, seed=3,
+                    run_digest=DIGEST, **FRESH)
     future = rng.random(5)  # advance the live generator past the save point
     ck = load_checkpoint(p)
     rng2 = np.random.default_rng(0)
@@ -95,16 +99,19 @@ def test_rng_state_resumes_identically(tmp_path):
 def test_identical_state_saves_identical_bytes(tmp_path):
     a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     model, mask, cfg, rng = make_state(seed=5)
-    save_checkpoint(a, model, mask, step=9, rng=rng, dst_cfg=cfg, seed=5, run_digest=DIGEST)
+    save_checkpoint(a, model, mask, step=9, rng=rng, dst_cfg=cfg, seed=5,
+                    run_digest=DIGEST, **FRESH)
     model2, mask2, cfg2, rng2 = make_state(seed=5)
-    save_checkpoint(b, model2, mask2, step=9, rng=rng2, dst_cfg=cfg2, seed=5, run_digest=DIGEST)
+    save_checkpoint(b, model2, mask2, step=9, rng=rng2, dst_cfg=cfg2, seed=5,
+                    run_digest=DIGEST, **FRESH)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_dense_checkpoint_has_no_mask(tmp_path):
     model, mask, cfg, rng = make_state(with_mask=False)
     p = tmp_path / "d.ckpt"
-    save_checkpoint(p, model, mask, step=1, rng=rng, dst_cfg=cfg, seed=1, run_digest=DIGEST)
+    save_checkpoint(p, model, mask, step=1, rng=rng, dst_cfg=cfg, seed=1,
+                    run_digest=DIGEST, **FRESH)
     ck = load_checkpoint(p)
     assert ck.mask().names() == ()
     assert ck.mask().global_density() == 1.0
@@ -117,7 +124,8 @@ def test_conv_model_round_trip(tmp_path):
     mask = init_topology(alloc, mask_shapes(model), np.random.default_rng(0))
     rng = np.random.default_rng(8)
     p = tmp_path / "c.ckpt"
-    save_checkpoint(p, model, mask, step=5, rng=rng, dst_cfg=cfg, seed=2, run_digest=DIGEST)
+    save_checkpoint(p, model, mask, step=5, rng=rng, dst_cfg=cfg, seed=2,
+                    run_digest=DIGEST, **FRESH)
     ck = load_checkpoint(p)
     rebuilt = ck.build_model()
     np.testing.assert_array_equal(rebuilt.layers[0].weight.data, model.layers[0].weight.data)
@@ -143,7 +151,8 @@ def test_version_mismatch(tmp_path):
 def test_truncated_payload(tmp_path):
     model, mask, cfg, rng = make_state()
     p = tmp_path / "t.ckpt"
-    save_checkpoint(p, model, mask, step=1, rng=rng, dst_cfg=cfg, seed=1, run_digest=DIGEST)
+    save_checkpoint(p, model, mask, step=1, rng=rng, dst_cfg=cfg, seed=1,
+                    run_digest=DIGEST, **FRESH)
     data = p.read_bytes()
     p.write_bytes(data[:-20])
     with pytest.raises(CheckpointError):
@@ -159,7 +168,7 @@ def test_every_truncation_is_a_checkpoint_error(tmp_path):
     cfg = DstConfig(method="set", sparsity=0.5, total_steps=10)
     p = tmp_path / "whole.ckpt"
     save_checkpoint(p, model, mask, step=1, rng=np.random.default_rng(4), dst_cfg=cfg, seed=1,
-                    run_digest=DIGEST)
+                    run_digest=DIGEST, **FRESH)
     data = p.read_bytes()
     cut = tmp_path / "cut.ckpt"
     for end in range(len(data)):
@@ -187,7 +196,8 @@ def test_every_truncation_is_a_checkpoint_error(tmp_path):
 def test_malformed_header_is_a_checkpoint_error(tmp_path, edit):
     model, mask, cfg, rng = make_state()
     p = tmp_path / "h.ckpt"
-    save_checkpoint(p, model, mask, step=1, rng=rng, dst_cfg=cfg, seed=1, run_digest=DIGEST)
+    save_checkpoint(p, model, mask, step=1, rng=rng, dst_cfg=cfg, seed=1,
+                    run_digest=DIGEST, **FRESH)
     data = p.read_bytes()
     (hlen,) = struct.unpack_from("<I", data, 14)
     header = edit(json.loads(data[18 : 18 + hlen]))
@@ -201,7 +211,8 @@ def test_malformed_header_is_a_checkpoint_error(tmp_path, edit):
 def test_trailing_bytes_detected(tmp_path):
     model, mask, cfg, rng = make_state()
     p = tmp_path / "t.ckpt"
-    save_checkpoint(p, model, mask, step=1, rng=rng, dst_cfg=cfg, seed=1, run_digest=DIGEST)
+    save_checkpoint(p, model, mask, step=1, rng=rng, dst_cfg=cfg, seed=1,
+                    run_digest=DIGEST, **FRESH)
     p.write_bytes(p.read_bytes() + b"\x00\x00")
     with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(p)
@@ -210,7 +221,8 @@ def test_trailing_bytes_detected(tmp_path):
 def test_corrupt_header_detected(tmp_path):
     model, mask, cfg, rng = make_state()
     p = tmp_path / "h.ckpt"
-    save_checkpoint(p, model, mask, step=1, rng=rng, dst_cfg=cfg, seed=1, run_digest=DIGEST)
+    save_checkpoint(p, model, mask, step=1, rng=rng, dst_cfg=cfg, seed=1,
+                    run_digest=DIGEST, **FRESH)
     data = bytearray(p.read_bytes())
     data[20] = 0xFF  # stomp on the JSON header
     p.write_bytes(bytes(data))
@@ -221,7 +233,8 @@ def test_corrupt_header_detected(tmp_path):
 def test_mask_bit_count_mismatch(tmp_path):
     model, mask, cfg, rng = make_state()
     p = tmp_path / "m.ckpt"
-    save_checkpoint(p, model, mask, step=1, rng=rng, dst_cfg=cfg, seed=1, run_digest=DIGEST)
+    save_checkpoint(p, model, mask, step=1, rng=rng, dst_cfg=cfg, seed=1,
+                    run_digest=DIGEST, **FRESH)
     data = bytearray(p.read_bytes())
     # flip one bit in the final mask bitset (the file ends with mask bytes)
     data[-1] ^= 0x01
@@ -233,7 +246,8 @@ def test_mask_bit_count_mismatch(tmp_path):
 def test_build_model_shape_guard(tmp_path):
     model, mask, cfg, rng = make_state()
     p = tmp_path / "s.ckpt"
-    save_checkpoint(p, model, mask, step=1, rng=rng, dst_cfg=cfg, seed=1, run_digest=DIGEST)
+    save_checkpoint(p, model, mask, step=1, rng=rng, dst_cfg=cfg, seed=1,
+                    run_digest=DIGEST, **FRESH)
     ck = load_checkpoint(p)
     ck.layers[0] = ("fc9",) + tuple(ck.layers[0][1:])
     with pytest.raises(CheckpointError, match="layers"):

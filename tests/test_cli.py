@@ -187,7 +187,7 @@ def test_corrupt_renders_and_writes_one_cell_at_a_time(idx_dir, tmp_path, capsys
     assert cells_per_call == [1, 1, 1, 1]
     cells = [parse_corrupted_set_filename(p)[1:] for p in stdout.strip().splitlines()]
     assert cells == [(k, s) for k in ("shot_noise", "pixelate") for s in (2, 5)]
-    clean = load_idx(images)
+    clean = load_idx(images, f"{idx_dir}/t10k-labels-idx1-ubyte")
     alone_path = str(tmp_path / "alone")
     for p, cell in zip(stdout.strip().splitlines(), cells):
         save_image_set(build_corrupted_set(clean, *zip(cell), seed=3)[cell], alone_path)
@@ -296,7 +296,7 @@ def test_evaluate_baseline_scoring_zero_on_a_kind_exits_3(cli_run, tmp_path, cap
     from dstforge.checkpoint import save_checkpoint
     from dstforge.data import ImageSet
     from dstforge.models import build_model, parse_model_spec
-    from dstforge.schedulers import DstConfig
+    from dstforge.schedulers import BudgetTrajectory, DstConfig
     from dstforge.sparsity import TopologyMask
     from conftest import make_blob_set
 
@@ -307,7 +307,8 @@ def test_evaluate_baseline_scoring_zero_on_a_kind_exits_3(cli_run, tmp_path, cap
     always_0.layers[-1].bias.data[0] = 1.0
     baseline = str(tmp_path / "always0.ckpt")
     save_checkpoint(baseline, always_0, TopologyMask({}), 1, np.random.default_rng(0),
-                    DstConfig(method="dense", total_steps=1), 0, "0" * 64)
+                    DstConfig(method="dense", total_steps=1), 0, "0" * 64,
+                    BudgetTrajectory(), 0.0, 0)
     imgs, _ = make_blob_set(20, seed=0)
     sets = str(tmp_path / "blobs-contrast-s1.bin")
     save_image_set(ImageSet(imgs[:, None], np.full(20, 3, dtype=np.int64), "c"), sets)
@@ -329,7 +330,7 @@ def test_evaluate_directory_scores_only_corrupted_set_files(cli_run, idx_dir, tm
     corr = tmp_path / "sets"
     assert run_cli(capsys, "corrupt", f"{idx_dir}/t10k-images-idx3-ubyte", "--kinds",
                    "contrast", "--severities", "2", "--out", str(corr))[0] == 0
-    clean = load_idx(f"{idx_dir}/t10k-images-idx3-ubyte")
+    clean = load_idx(f"{idx_dir}/t10k-images-idx3-ubyte", f"{idx_dir}/t10k-labels-idx1-ubyte")
     for name in ("t10k.bin", "train.bin", "t10k-sepia-s1.bin", "t10k-contrast-s9.bin",
                  "t10k-contrast-s1.bin.tmp"):
         save_image_set(clean, corr / name)
@@ -607,6 +608,32 @@ def test_flops_rejects_a_zero_size(capsys, sizes):
     assert code == 2
     assert stdout == ""
     assert err.startswith("config error: --bs and --images-per-epoch must be >= 1")
+
+
+def test_flops_reports_a_bad_model_spec_by_its_own_reason(capsys):
+    code, stdout, err = run_cli(capsys, "flops", "small_convnet:3x30x32-10",
+                                "--epochs", "1", "--bs", "100")
+    assert code == 2
+    assert stdout == ""
+    assert "divisible by 4" in err and "unknown arch" not in err
+
+
+@pytest.mark.parametrize("sizes", [("--epochs", "0", "--bs", "100"),
+                                   ("--epochs", "1", "--bs", "100", "--images-per-epoch", "50")])
+def test_flops_names_the_flags_that_leave_no_training_step(capsys, sizes):
+    code, stdout, err = run_cli(capsys, "flops", "vgg16-cifar", *sizes)
+    assert code == 2
+    assert stdout == ""
+    assert all(flag in err for flag in ("--epochs", "--images-per-epoch", "--bs"))
+    assert "total_steps" not in err
+
+
+def test_flops_names_a_density_out_of_range(capsys):
+    code, stdout, err = run_cli(capsys, "flops", "vgg16-cifar", "--method", "set",
+                                "--density", "1.5", "--epochs", "1", "--bs", "100")
+    assert code == 2
+    assert stdout == ""
+    assert "--density" in err and "1.5" in err
 
 
 def test_flops_accepts_model_spec_strings(capsys):

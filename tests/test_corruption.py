@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dstforge.corruption import (
-    HIGH_FREQUENCY_KINDS,
     KINDS,
-    LOW_FREQUENCY_KINDS,
+    SEVERITIES,
     SEVERITY_TABLE,
     CorruptionSpec,
     build_corrupted_set,
@@ -27,6 +26,7 @@ from dstforge.data import ImageSet
 # never regenerate them from it.
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "corruption_golden.json")
 GOLDEN_SEEDS = {"1x28x28": 0, "3x32x32": 7}
+NOISE_KINDS = KINDS[:4]
 
 
 def sample_image(seed=0, c=1, h=16, w=16) -> np.ndarray:
@@ -60,8 +60,6 @@ def test_kind_taxonomy():
         "gaussian_blur", "defocus_blur", "motion_blur", "contrast",
         "brightness", "pixelate",
     )
-    assert HIGH_FREQUENCY_KINDS == KINDS[:4]
-    assert LOW_FREQUENCY_KINDS == KINDS[4:]
     assert set(SEVERITY_TABLE) == set(KINDS)
     for kind, params in SEVERITY_TABLE.items():
         assert len(params) == 5, kind
@@ -158,7 +156,7 @@ def test_only_kinds_that_draw_build_generators(monkeypatch):
     for kind in KINDS:
         built.clear()
         corrupt_images(imgs, CorruptionSpec(kind, 3))
-        draws = kind in HIGH_FREQUENCY_KINDS or kind == "motion_blur"
+        draws = kind in NOISE_KINDS or kind == "motion_blur"
         assert built == ([0, 1, 2, 3] if draws else []), kind
 
 
@@ -205,7 +203,7 @@ def test_build_corrupted_set_cardinality_and_labels():
     imgs = np.stack([sample_image(s) for s in range(3)])
     labels = np.array([0, 1, 2], dtype=np.int64)
     clean = ImageSet(images=imgs, labels=labels, name="toy")
-    grid = build_corrupted_set(clean)
+    grid = build_corrupted_set(clean, KINDS, SEVERITIES)
     assert len(grid) == 50
     for (kind, sev), s in grid.items():
         assert kind in KINDS and sev in (1, 2, 3, 4, 5)
@@ -216,9 +214,11 @@ def test_build_corrupted_set_cardinality_and_labels():
 def test_build_corrupted_set_validation():
     clean = ImageSet(images=sample_image()[None], labels=np.array([0]), name="toy")
     with pytest.raises(ValueError):
-        build_corrupted_set(clean, kinds=())
+        build_corrupted_set(clean, (), SEVERITIES)
     with pytest.raises(ValueError):
-        build_corrupted_set(clean, kinds=("vignette",))
+        build_corrupted_set(clean, KINDS, ())
+    with pytest.raises(ValueError):
+        build_corrupted_set(clean, ("vignette",), SEVERITIES)
 
 
 def test_pixelate_reduces_detail_but_keeps_resolution():
@@ -269,8 +269,8 @@ def test_severity_monotone_noise_degradation(dense_run):
     cfg, ckpt = dense_run
     model, _ = load_model_from_checkpoint(ckpt)
     _, test = load_train_test(cfg)
-    grid = build_corrupted_set(test, kinds=HIGH_FREQUENCY_KINDS, seed=0)
-    for kind in HIGH_FREQUENCY_KINDS:
+    grid = build_corrupted_set(test, NOISE_KINDS, SEVERITIES, seed=0)
+    for kind in NOISE_KINDS:
         accs = [accuracy(model, grid[(kind, s)]) for s in (1, 2, 3, 4, 5)]
         inversions = sum(1 for a, b in zip(accs, accs[1:]) if b > a + 1e-9)
         assert inversions <= 1, (kind, accs)

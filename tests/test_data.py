@@ -42,14 +42,6 @@ def test_load_idx_pair(idx_dir):
     assert s.labels.dtype == np.int64
 
 
-def test_load_idx_autoguesses_labels(idx_dir):
-    explicit = load_idx(f"{idx_dir}/train-images-idx3-ubyte",
-                        f"{idx_dir}/train-labels-idx1-ubyte")
-    guessed = load_idx(f"{idx_dir}/train-images-idx3-ubyte")
-    np.testing.assert_array_equal(explicit.images, guessed.images)
-    np.testing.assert_array_equal(explicit.labels, guessed.labels)
-
-
 def test_guess_labels_path_requires_images_token(tmp_path):
     assert guess_idx_labels_path(str(tmp_path / "mystery.bin")) is None
 
@@ -100,7 +92,7 @@ def test_load_cifar_binary(tmp_path):
     rec[:, 1:] = r.integers(0, 256, (7, 3072))
     p = tmp_path / "batch.bin"
     p.write_bytes(rec.tobytes())
-    s = load_cifar_binary(str(p))
+    s = load_cifar_binary([str(p)])
     assert s.images.shape == (7, 3, 32, 32)
     np.testing.assert_array_equal(s.labels, rec[:, 0])
     # two files concatenate in argument order
@@ -113,7 +105,7 @@ def test_load_cifar_rejects_ragged_file(tmp_path):
     p = tmp_path / "bad.bin"
     p.write_bytes(bytes(CIFAR_RECORD + 1))
     with pytest.raises(DataError, match="records"):
-        load_cifar_binary(str(p))
+        load_cifar_binary([str(p)])
 
 
 def test_idx_set_save_load_round_trip(tmp_path):
@@ -184,9 +176,9 @@ def test_save_layout_constraints(tmp_path):
 
 def test_load_image_set_reads_a_raw_idx_images_file(idx_dir):
     """An IDX images block that ends the file takes the labels file beside it,
-    as load_idx finds it."""
+    named with "labels" for "images"."""
     images = f"{idx_dir}/t10k-images-idx3-ubyte"
-    raw, pair = load_image_set(images), load_idx(images)
+    raw, pair = load_image_set(images), load_idx(images, f"{idx_dir}/t10k-labels-idx1-ubyte")
     assert raw.images.tobytes() == pair.images.tobytes()
     assert raw.labels.tobytes() == pair.labels.tobytes()
     assert raw.name == pair.name == "t10k-images-idx3-ubyte"
@@ -213,7 +205,7 @@ def test_load_image_set_opens_each_file_once(idx_dir, tmp_path, monkeypatch, lay
     monkeypatch.setattr(dstforge.data, "open", counting_open, raising=False)
     s = load_image_set(path)
     assert sorted(opened) == sorted(files)
-    assert len(s) == (len(load_idx(path)) if layout == "raw-idx" else 6)
+    assert len(s) == (len(load_idx(*files)) if layout == "raw-idx" else 6)
 
 
 def test_load_image_set_sniffs_garbage(tmp_path):

@@ -41,10 +41,12 @@ def test_accuracy_counts_correct_predictions():
     assert acc == pytest.approx((preds == s.labels).mean())
 
 
-def test_accuracy_batching_invariant():
+def test_accuracy_batching_invariant(monkeypatch):
     model = build_model(parse_model_spec("mlp:144-16-10"), np.random.default_rng(0))
     s = toy_set(n=37)
-    assert accuracy(model, s, batch_size=5) == accuracy(model, s, batch_size=512)
+    whole = accuracy(model, s)
+    monkeypatch.setattr(dstforge.metrics, "EVAL_BATCH", 5)
+    assert accuracy(model, s) == whole
 
 
 def test_accuracy_empty_set_rejected():

@@ -246,8 +246,8 @@ def test_descriptor_matches_the_shapes_forward_produces(monkeypatch):
         seen.append(("linear", w.data.shape, x.data.shape, y.data.shape))
         return y
 
-    def conv2d(x, w, b, stride, padding):
-        y = conv2d_forward(x, w, b, stride, padding)
+    def conv2d(x, w, b):
+        y = conv2d_forward(x, w, b)
         seen.append(("conv", w.data.shape, x.data.shape, y.data.shape))
         return y
 
@@ -287,8 +287,8 @@ def _explicit_logits(model, x: Tensor) -> Tensor:
             h = relu(linear_forward(h, layer.weight, layer.bias))
     else:
         conv1, conv2, fc1, _ = model.layers
-        h = relu(maxpool2x2(conv2d_forward(x, conv1.weight, conv1.bias, 1, 1)))
-        h = relu(maxpool2x2(conv2d_forward(h, conv2.weight, conv2.bias, 1, 1)))
+        h = relu(maxpool2x2(conv2d_forward(x, conv1.weight, conv1.bias)))
+        h = relu(maxpool2x2(conv2d_forward(h, conv2.weight, conv2.bias)))
         h = relu(linear_forward(flatten(h), fc1.weight, fc1.bias))
     last = model.layers[-1]
     return linear_forward(h, last.weight, last.bias)

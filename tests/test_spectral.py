@@ -155,6 +155,7 @@ def test_ra_curve_r0_equals_clean_accuracy():
 
 
 def test_ra_curve_filters_each_batch_once_for_every_model(monkeypatch):
+    import dstforge.metrics
     import dstforge.spectral
 
     r = np.random.default_rng(4)
@@ -162,7 +163,8 @@ def test_ra_curve_filters_each_batch_once_for_every_model(monkeypatch):
                  labels=r.integers(0, 10, 25).astype(np.int64), name="toy")
     spec = parse_model_spec("mlp:144-16-10")
     models = [build_model(spec, np.random.default_rng(seed)) for seed in (1, 2, 3)]
-    singles = [ra_curve([m], s, "low", (0, 2, 4), batch_size=10)[0] for m in models]
+    monkeypatch.setattr(dstforge.metrics, "EVAL_BATCH", 10)
+    singles = [ra_curve([m], s, "low", (0, 2, 4))[0] for m in models]
     calls = []
     attenuate_images = dstforge.spectral.attenuate_images
 
@@ -171,7 +173,7 @@ def test_ra_curve_filters_each_batch_once_for_every_model(monkeypatch):
         return attenuate_images(x, mode, radius)
 
     monkeypatch.setattr(dstforge.spectral, "attenuate_images", counted)
-    curves = ra_curve(models, s, "low", (0, 2, 4), batch_size=10)
+    curves = ra_curve(models, s, "low", (0, 2, 4))
     assert calls == [(n, radius) for radius in (0, 2, 4) for n in (10, 10, 5)]
     assert [c.points for c in curves] == [c.points for c in singles]
     assert [c.model_id for c in curves] == ["mlp:144-16-10"] * 3

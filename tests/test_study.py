@@ -5,6 +5,8 @@ import json
 import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -241,3 +243,25 @@ def test_corrupted_grid_from_another_seed_or_without_source_is_refused(idx28_dir
     source.unlink()
     with pytest.raises(StudyError, match="no source.json"):
         run_study(data, root, corruption_seed=0, **kwargs)
+
+
+@pytest.mark.parametrize("empty", ["seeds", "methods"])
+def test_an_empty_seed_or_method_tuple_is_refused_before_anything_is_written(
+        idx28_dir, tmp_path, empty):
+    root = tmp_path / "study"
+    with pytest.raises(ValueError, match=f"{empty} is empty"):
+        run_study(find_idx_dataset(idx28_dir), str(root), epochs=1, radii=(2,), **{empty: ()})
+    assert not root.exists()
+
+
+@pytest.mark.parametrize("seeds", ["", "1,,2", "1,x"])
+def test_the_study_script_refuses_bad_seeds_in_one_line(idx28_dir, tmp_path, seeds):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_robustness_study.py"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    r = subprocess.run([sys.executable, str(script), "--seeds", seeds, "--data", idx28_dir,
+                        "--out", str(tmp_path / "study")],
+                       capture_output=True, text=True, env=env, timeout=120)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.count("\n") == 1 and r.stderr.startswith("--seeds") and repr(seeds) in r.stderr
+    assert not (tmp_path / "study").exists()
