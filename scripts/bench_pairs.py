@@ -7,9 +7,14 @@
 Pair i runs each checkout's own `perfbench/run.py --trace 0` at seed S0+i,
 the parent first on even i and the change first on odd i, so drift in the
 machine's speed falls on both sides. It reads the result from the last line
-of each run's standard output and prints one line per run (its `correct` and
-`failed`, and its end-to-end metrics), then one line per end-to-end metric of
-the change checkout's BENCHMARK.json: the parent's and the change's medians,
+of each run's standard output, and the `machine` object from the line before
+it, and prints one line per run: its `correct` and `failed`, its end-to-end
+metrics, and the machine's `reference_step_ms` and `unscaled_items_per_s`.
+The scaled metrics divide by the reference step timed in the same process,
+so these two show whether a move in them came from the code or from the
+reference step. It then prints each side's medians of the two machine
+figures, which no verdict reads, and one line per end-to-end metric of the
+change checkout's BENCHMARK.json: the parent's and the change's medians,
 the parent's quartiles, in how many pairs the change did better, in the
 direction of the metric's `better` (a tie counts for neither side), and a
 verdict read against the metric's `bound`, the share of the parent's median
@@ -42,22 +47,44 @@ import subprocess
 import sys
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict | None:
-    """The result object of one benchmark run, or None if it printed none."""
+MACHINE = ("reference_step_ms", "unscaled_items_per_s")
+
+
+def _json_object(line: str) -> dict | None:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError:
+        return None
+    return obj if isinstance(obj, dict) else None
+
+
+def parse_output(stdout: str) -> tuple[dict | None, dict]:
+    """The result object on the last line of a run's standard output, or None,
+    and the `MACHINE` figures of the `machine` object on the line before it
+    (those it holds)."""
+    lines = stdout.strip().splitlines()
+    result = _json_object(lines[-1]) if lines else None
+    if result is not None and not isinstance(result.get("metrics"), dict):
+        result = None
+    before = _json_object(lines[-2]) if len(lines) > 1 else None
+    machine = before.get("machine") if before else None
+    if not isinstance(machine, dict):
+        return result, {}
+    return result, {k: machine[k] for k in MACHINE if isinstance(machine.get(k), (int, float))}
+
+
+def run_once(checkout: str, workload: str, seed: int, seconds: float) -> tuple[dict | None, dict]:
+    """`parse_output` of one benchmark run; no result if the run failed."""
     proc = subprocess.run(
         [sys.executable, os.path.join(checkout, "perfbench", "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    try:
-        result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
-    except json.JSONDecodeError:
-        result = None
-    if result is None or not isinstance(result.get("metrics"), dict):
+    result, machine = parse_output(proc.stdout)
+    if proc.returncode != 0 or result is None:
         sys.stderr.write(f"{checkout} seed {seed}: no result (exit {proc.returncode})\n"
                          f"{proc.stderr[-2000:]}")
-        return None
-    return result
+        return None, machine
+    return result, machine
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -122,22 +149,25 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent, "change": args.change}
     values = {side: {m["name"]: [] for m in metrics} for side in sides}
     wins = {m["name"]: 0 for m in metrics}
+    machine_values = {side: {k: [] for k in MACHINE} for side in sides}
     ok = True
     for i in range(args.pairs):
         seed = args.seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {}
         for side in order:
-            result = run_once(sides[side], args.workload, seed, args.seconds)
+            result, machine = run_once(sides[side], args.workload, seed, args.seconds)
             if result is None:
                 ok = False
                 print(f"pair {i} seed {seed} {side:<6} no result", flush=True)
                 continue
             ok &= result.get("correct") is True and result.get("failed") == 0
             got = {m["name"]: result["metrics"][m["name"]]["value"] for m in metrics}
+            for k, v in machine.items():
+                machine_values[side][k].append(v)
             print(f"pair {i} seed {seed} {side:<6} correct {result.get('correct')} "
                   f"failed {result.get('failed')} "
-                  + " ".join(f"{name} {v:.6g}" for name, v in got.items()), flush=True)
+                  + " ".join(f"{name} {v:.6g}" for name, v in (got | machine).items()), flush=True)
             pair[side] = got
         if len(pair) < 2:
             continue
@@ -149,6 +179,9 @@ def main(argv=None) -> int:
             wins[name] += c > p if m["better"] == "higher" else c < p
 
     print(f"{args.workload}: {len(values['parent'][metrics[0]['name']])} complete pairs")
+    for side in sides:
+        print(f"machine, {side} median (not judged): " + ", ".join(
+            f"{k} {statistics.median(v):.6g}" for k, v in machine_values[side].items() if v))
     for m in metrics:
         name = m["name"]
         p, c = values["parent"][name], values["change"][name]

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .data import ImageSet
 
@@ -123,7 +122,11 @@ def _speckle_noise(x, sigma, rngs):
     return noise
 
 
+# The blurs import scipy.ndimage when they run, not at module load: every
+# process that imports this module (cli, study) would otherwise pay its
+# memory and start-up time, and only the three blur kinds call it.
 def _gaussian_blur(x, sigma, rngs):
+    from scipy import ndimage
     return ndimage.gaussian_filter(x, sigma=(0, 0, sigma, sigma), mode="reflect")
 
 
@@ -134,6 +137,7 @@ def _disk_kernel(radius: int) -> np.ndarray:
 
 
 def _defocus_blur(x, radius, rngs):
+    from scipy import ndimage
     return ndimage.convolve(x, _disk_kernel(radius)[None, None], mode="reflect")
 
 
@@ -149,6 +153,7 @@ def _motion_kernel(length: int, angle: float) -> np.ndarray:
 
 
 def _motion_blur(x, length, rngs):
+    from scipy import ndimage
     out = np.empty_like(x)
     for img, img_out, rng in zip(x, out, rngs):
         kernel = _motion_kernel(length, rng.uniform(0.0, np.pi))

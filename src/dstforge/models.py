@@ -130,22 +130,38 @@ class ModelSpec:
         return ArchDescriptor(self.to_string(), self.classes, tuple(layers))
 
 
+_SPEC_FORMS = {"mlp": "mlp:IN-...-CLASSES", "small_convnet": "small_convnet:CxHxW-CLASSES"}
+
+
+def _spec_int(token: str) -> int:
+    """A size of a model spec, written as `to_string` writes it."""
+    n = int(token)
+    if str(n) != token:
+        raise ValueError(token)
+    return n
+
+
 def parse_model_spec(text: str) -> ModelSpec:
-    """Parse a model string: "mlp:784-300-100-10" or "small_convnet:3x32x32-10"."""
+    """Parse a model string: "mlp:784-300-100-10" or "small_convnet:3x32x32-10".
+
+    Sizes must be written as `to_string` writes them, so an accepted spec
+    reads back as itself and every refusal quotes `text`."""
     text = text.strip()
-    if text.startswith("mlp:"):
-        dims = tuple(int(p) for p in text[4:].split("-"))
-        return ModelSpec(kind="mlp", dims=dims, classes=dims[-1])
-    if text.startswith("small_convnet:"):
-        body = text[len("small_convnet:"):]
-        shape_part, _, cls_part = body.rpartition("-")
-        try:
-            c, h, w = (int(p) for p in shape_part.split("x"))
-            classes = int(cls_part)
-        except ValueError:
-            raise ValueError(f"bad small_convnet spec {text!r}, expected CxHxW-classes") from None
-        return ModelSpec(kind="small_convnet", input_shape=(c, h, w), classes=classes)
-    raise ValueError(f"unknown model spec {text!r}")
+    kind, colon, body = text.partition(":")
+    if not colon or kind not in _SPEC_FORMS:
+        raise ValueError(f"unknown model spec {text!r}, expected {' or '.join(_SPEC_FORMS.values())}")
+    try:
+        if kind == "mlp":
+            dims = tuple(_spec_int(p) for p in body.split("-"))
+            fields = dict(dims=dims, classes=dims[-1])
+        else:
+            shape_part, _, cls_part = body.rpartition("-")
+            c, h, w = (_spec_int(p) for p in shape_part.split("x"))
+            fields = dict(input_shape=(c, h, w), classes=_spec_int(cls_part))
+    except ValueError:
+        raise ValueError(f"bad {kind} spec {text!r}, expected {_SPEC_FORMS[kind]} "
+                         f"with sizes as plain integers") from None
+    return ModelSpec(kind=kind, **fields)
 
 
 class Layer:

@@ -17,11 +17,11 @@ import numpy as np
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint
 from .config import RunConfig, parse_config
 from .corruption import KINDS, SEVERITIES, build_corrupted_set
-from .data import (ImageSet, atomic_write, corrupted_set_filename, load_idx, sha256_file,
-                   write_corrupted_sets)
+from .data import (ImageSet, atomic_write, corrupted_set_filename, image_file_shape, load_idx,
+                   sha256_file, write_corrupted_sets)
 from .metrics import accuracy, robustness_accuracy
 from .models import Model
-from .spectral import RACurve, ra_curve, write_ra_curves_svg
+from .spectral import RACurve, check_radii, ra_curve, write_ra_curves_svg
 from .train import run_train
 
 DEFAULT_RADII = (2, 4, 6, 8, 10)
@@ -236,12 +236,15 @@ def run_study(data: dict[str, str], root: str, epochs: int = 20,
 
     Everything lands under `root`: one run directory per (method, seed), the
     corrupted sets under corrupted/, and study.json + RA-curve SVGs on top.
-    An empty `seeds` or `methods` raises ValueError before anything is written.
+    An empty `seeds` or `methods`, or radii that `spectral.check_radii`
+    refuses for the test images, raise ValueError before anything is written.
     """
     seeds, methods, radii = tuple(seeds), tuple(methods), tuple(radii)
     for what, items in (("seeds", seeds), ("methods", methods)):
         if not items:
             raise ValueError(f"run_study: {what} is empty")
+    _, (_, h, w) = image_file_shape(data["test_images"], "idx")
+    check_radii(list(radii), h, w)
     result = StudyResult(labels=tuple(m.label for m in methods), seeds=seeds, radii=radii)
 
     models: dict[tuple[str, int], Model] = {}

@@ -30,3 +30,20 @@ _spec.loader.exec_module(bench_pairs)
 ])
 def test_verdict_reads_each_metric_against_its_bound(better, parent, change, want):
     assert bench_pairs.verdict(better, 0.1, parent, change) == want
+
+
+def test_a_run_gives_its_result_and_the_machine_figures_before_it():
+    stdout = (
+        "perfbench: warming up\n"
+        '{"machine": {"reference_step_ms": 2.5, "unscaled_items_per_s": 580.0, '
+        '"unscaled_setup_s": 0.7}}\n'
+        '{"correct": true, "attempted": 9, "failed": 0, '
+        '"metrics": {"items_per_s": {"value": 637.0, "unit": "items/s"}}}\n')
+    result, machine = bench_pairs.parse_output(stdout)
+    assert result["correct"] is True and result["metrics"]["items_per_s"]["value"] == 637.0
+    assert machine == {"reference_step_ms": 2.5, "unscaled_items_per_s": 580.0}
+    # a run without the machine line still gives its result
+    assert bench_pairs.parse_output(stdout.splitlines()[-1]) == (result, {})
+    # a last line that is no result object gives none
+    assert bench_pairs.parse_output(stdout.rsplit("\n", 2)[0])[0] is None
+    assert bench_pairs.parse_output("") == (None, {})

@@ -618,6 +618,14 @@ def test_flops_reports_a_bad_model_spec_by_its_own_reason(capsys):
     assert "divisible by 4" in err and "unknown arch" not in err
 
 
+@pytest.mark.parametrize("spec", ["mlp:784-x-10", "mlp:784--10"])
+def test_flops_names_an_mlp_spec_with_a_width_that_is_no_integer(capsys, spec):
+    code, stdout, err = run_cli(capsys, "flops", spec, "--epochs", "1", "--bs", "100")
+    assert code == 2
+    assert stdout == ""
+    assert f"bad mlp spec {spec!r}, expected mlp:IN-...-CLASSES" in err
+
+
 @pytest.mark.parametrize("sizes", [("--epochs", "0", "--bs", "100"),
                                    ("--epochs", "1", "--bs", "100", "--images-per-epoch", "50")])
 def test_flops_names_the_flags_that_leave_no_training_step(capsys, sizes):

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dstforge.tensor
 from dstforge import models
@@ -51,6 +53,33 @@ def test_small_convnet_layer_shapes():
         "fc2": (10, 128),
     }
     assert {s.name: s.weight_shape() for s in model.descriptor().layers} == shapes
+
+
+# sizes as `to_string` writes them, often multiples of 4 so convnet specs pass
+_SPEC_SIZES = st.integers(0, 10).map(lambda n: str(4 * n)) | st.integers(-3, 40).map(str)
+# ... and text that `int()` takes in another form, or refuses
+_SPEC_TOKENS = _SPEC_SIZES | st.sampled_from(["", "x", "a", "1.5", "07", "+3", "1_0", " 4"])
+
+
+@st.composite
+def _spec_texts(draw):
+    token = _SPEC_SIZES if draw(st.booleans()) else _SPEC_TOKENS
+    if draw(st.booleans()):
+        return "mlp:" + "-".join(draw(st.lists(token, min_size=1, max_size=4)))
+    shape = "x".join(draw(st.lists(token, min_size=2, max_size=4)))
+    return f"small_convnet:{shape}-{draw(token)}"
+
+
+@settings(deadline=None, max_examples=100)
+@given(s=_spec_texts())
+def test_a_model_spec_reads_back_as_itself_or_is_refused_by_name(s):
+    try:
+        spec = parse_model_spec(s)
+    except ValueError as e:
+        assert s in str(e)
+    else:
+        assert parse_model_spec(spec.to_string()) == spec
+        assert spec.to_string() == s
 
 
 def test_small_convnet_needs_divisible_dims():

@@ -254,6 +254,17 @@ def test_an_empty_seed_or_method_tuple_is_refused_before_anything_is_written(
     assert not root.exists()
 
 
+@pytest.mark.parametrize("radii", [(), (4, 2), (15,)])
+def test_radii_the_test_images_cannot_take_are_refused_before_anything_is_written(
+        idx28_dir, tmp_path, radii):
+    # 28x28 test images: radii must rise strictly within [0, 14]
+    root = tmp_path / "study"
+    with pytest.raises(ValueError, match=r"within \[0, 14\] for 28x28 images"):
+        run_study(find_idx_dataset(idx28_dir), str(root), epochs=1, seeds=(1,),
+                  methods=DEFAULT_METHODS[:1], radii=radii)
+    assert not root.exists()
+
+
 @pytest.mark.parametrize("seeds", ["", "1,,2", "1,x"])
 def test_the_study_script_refuses_bad_seeds_in_one_line(idx28_dir, tmp_path, seeds):
     script = Path(__file__).resolve().parents[1] / "scripts" / "run_robustness_study.py"
