@@ -32,8 +32,10 @@ written as CIFAR records, printing `corrupt-3x32x32 files <sha256>` over the
 files it writes and `corrupt-3x32x32 stdout <sha256>` of what it prints. The
 same two lines follow as `corrupt-1x28x28` for `dstforge corrupt` on the MLP
 grid's raw `t10k-images-idx3-ubyte` file, whose labels the command finds by
-name, and `attenuate-1x28x28 stdout <sha256>` digests what `dstforge
-attenuate` prints for mlp-dense-s0 on that file, low then high mode.
+name. `attenuate-1x28x28 stdout <sha256>` digests what `dstforge
+attenuate` prints for mlp-dense-s0 on that file, low then high mode, and
+`attenuate-3x32x32 stdout <sha256>` the same for small_convnet-dense-s0 on
+the convnet grid's test set, so the three-channel path is covered too.
 `evaluate-<shape> stdout <sha256>` digests what `dstforge evaluate` prints
 for the dense run over each `dstforge corrupt` directory: the convnet's with
 `--baseline` set to its set_s50 run over `corrupt-3x32x32`, the MLP's alone
@@ -41,8 +43,9 @@ over `corrupt-1x28x28`. Last,
 `inspect-<run> stdout <sha256>` digests what `dstforge inspect --layer`
 prints for the dense and the set_s50 run of each model (layer fc1 of the MLP,
 conv2 of the convnet), which covers the dense run's empty topology and a
-masked one. Run it on two checkouts and diff the outputs: a change that keeps
-every byte prints the same lines.
+masked one, and `inspect-<run> json|svg <sha256>` the heatmap files that the
+same call writes with `--json` and `--svg`. Run it on two checkouts and diff
+the outputs: a change that keeps every byte prints the same lines.
 BLAS runs on one thread, since float sums (and so the MLP artifacts) change
 with the thread count.
 """
@@ -231,13 +234,16 @@ def main() -> int:
         print(label, "files", _sha256_dir(corr_dir))
         stdout = listing.replace(out + os.sep, "")
         print(label, "stdout", hashlib.sha256(stdout.encode()).hexdigest())
-    mlp_dense = os.path.join(out, "runs", "mlp-dense-s0", "final.ckpt")
-    curves = [_run_cli(cli_main, ["attenuate", mlp_dense, "--mode", mode, "--radii",
-                                  ATTENUATE_RADII, "--images", mlp_test])
-              for mode in ("low", "high")]
-    if None in curves:
-        return 1
-    print("attenuate-1x28x28", "stdout", hashlib.sha256("".join(curves).encode()).hexdigest())
+    for label, kind, images in (("1x28x28", "mlp", mlp_test),
+                                ("3x32x32", "small_convnet",
+                                 os.path.join(out, "data", "small_convnet", "test.bin"))):
+        dense = os.path.join(out, "runs", f"{kind}-dense-s0", "final.ckpt")
+        curves = [_run_cli(cli_main, ["attenuate", dense, "--mode", mode, "--radii",
+                                      ATTENUATE_RADII, "--images", images])
+                  for mode in ("low", "high")]
+        if None in curves:
+            return 1
+        print(f"attenuate-{label}", "stdout", hashlib.sha256("".join(curves).encode()).hexdigest())
     for label, kind, baseline in (("3x32x32", "small_convnet", "set-s50"),
                                   ("1x28x28", "mlp", None)):
         argv = ["evaluate", os.path.join(out, "runs", f"{kind}-dense-s0", "final.ckpt"),
@@ -251,11 +257,15 @@ def main() -> int:
     for kind, layer in INSPECT_LAYERS.items():
         for run in INSPECT_RUNS:
             name = f"{kind}-{run}"
+            heatmap = {ext: os.path.join(out, f"inspect-{name}.{ext}") for ext in ("json", "svg")}
             report = _run_cli(cli_main, ["inspect", os.path.join(out, "runs", name, "final.ckpt"),
-                                         "--layer", layer])
+                                         "--layer", layer, "--json", heatmap["json"],
+                                         "--svg", heatmap["svg"]])
             if report is None:
                 return 1
             print(f"inspect-{name}", "stdout", hashlib.sha256(report.encode()).hexdigest())
+            for ext, path in heatmap.items():
+                print(f"inspect-{name}", ext, _sha256_file(path))
     return 0
 
 

@@ -42,16 +42,16 @@ from .metrics import attach_baseline, cost_report, robustness_accuracy
 from .models import descriptor_library, parse_model_spec
 from .schedulers import METHODS, DstConfig, synthetic_trajectory
 from .sparsity import ALLOCATORS, DENSE
-from .spectral import KernelHeatmap, check_radii, kernel_nonzero_counts, write_ra_curves_svg
+from .spectral import check_radii, write_ra_curves_svg
 from .svg import grid_heatmap
 from .train import DivergenceError, run_eval, run_train
 
 
-def _csv_ints(raw: str) -> list[int]:
+def _csv_ints(raw: str, flag: str) -> list[int]:
     try:
-        return [int(tok) for tok in raw.split(",") if tok != ""]
+        return [int(tok) for tok in raw.split(",")]
     except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {raw!r}") from None
+        raise ConfigError(f"{flag} must be comma-separated integers, got {raw!r}") from None
 
 
 def cmd_train(args) -> int:
@@ -67,12 +67,11 @@ def cmd_corrupt(args) -> int:
     for k in kinds:
         if k not in KINDS:
             raise ConfigError(f"unknown corruption kind {k!r}; known: {', '.join(KINDS)}")
-    severities = _csv_ints(args.severities) if args.severities else list(SEVERITIES)
+    severities = (_csv_ints(args.severities, "--severities") if args.severities
+                  else list(SEVERITIES))
     for s in severities:
         if s not in SEVERITIES:
             raise ConfigError(f"severity {s} outside {SEVERITIES[0]}..{SEVERITIES[-1]}")
-    if not severities:
-        raise ConfigError("--severities names no severity")
     clean = load_image_set(args.dataset)
     out_dir = args.out or (os.path.dirname(args.dataset) or ".")
     # one rendered cell in memory at a time: a full grid of a real test set
@@ -133,7 +132,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_attenuate(args) -> int:
     clean = load_image_set(args.images)
-    radii = _csv_ints(args.radii)
+    radii = _csv_ints(args.radii, "--radii")
     try:
         check_radii(radii, *clean.images.shape[-2:])
     except ValueError as e:
@@ -154,21 +153,13 @@ def cmd_attenuate(args) -> int:
     return 0
 
 
-def _layer_heatmap(ck, name: str) -> KernelHeatmap:
-    layer = ck.build_model().layer_by_name(name)
-    m = ck.masks.get(name, np.ones(layer.weight.data.shape, dtype=bool))
-    if layer.kind == "conv":
-        return kernel_nonzero_counts(layer, m)
-    return KernelHeatmap(layer=name, kind="count", matrix=m.astype(np.int64))
-
-
 def cmd_inspect(args) -> int:
     if (args.svg or args.json) and not args.layer:
         raise ConfigError("--svg and --json write one layer's heatmap and need --layer")
     ck = load_checkpoint(args.ckpt)
-    names = [name for name, *_ in ck.layers]
-    if args.layer and args.layer not in names:
-        raise ConfigError(f"--layer {args.layer!r}: the checkpoint's layers are {', '.join(names)}")
+    shapes = {name: w.shape for name, w, *_ in ck.layers}
+    if args.layer and args.layer not in shapes:
+        raise ConfigError(f"--layer {args.layer!r}: the checkpoint's layers are {', '.join(shapes)}")
     mask = ck.mask()
     print(f"model    {ck.model_spec}")
     print(f"step     {ck.step}")
@@ -184,21 +175,25 @@ def cmd_inspect(args) -> int:
         print(f"{name:<16} {shape:<16} {active:>10} {total:>10} {active / total:.6f}")
 
     if args.layer:
-        hm = _layer_heatmap(ck, args.layer)
-        counts = np.bincount(hm.matrix.reshape(-1).astype(np.int64), minlength=10)
-        print(f"\nlayer {args.layer}: kernel nonzero counts, total {int(hm.total())}")
-        for value, n in enumerate(counts):
+        shape = shapes[args.layer]
+        # active weights per (output, input) pair: the active positions of a
+        # conv kernel, the mask bit itself of a linear weight
+        matrix = (ck.masks.get(args.layer, np.ones(shape, dtype=bool))
+                  .reshape(shape[0], shape[1], -1).sum(axis=2))
+        total = int(matrix.sum())
+        print(f"\nlayer {args.layer}: kernel nonzero counts, total {total}")
+        for value, n in enumerate(np.bincount(matrix.reshape(-1), minlength=10)):
             if n:
                 print(f"  count {value}: {int(n)} kernels")
         if args.svg:
-            grid_heatmap(hm.matrix, f"{args.layer} nonzero counts", args.svg)
+            grid_heatmap(matrix, f"{args.layer} nonzero counts", args.svg)
         if args.json:
             with atomic_write(args.json) as fh:
                 json.dump({
                     "layer": args.layer,
-                    "kind": hm.kind,
-                    "total": int(hm.total()),
-                    "matrix": hm.matrix.tolist(),
+                    "kind": "count",
+                    "total": total,
+                    "matrix": matrix.tolist(),
                 }, fh, indent=2, sort_keys=True)
                 fh.write("\n")
     return 0

@@ -1,11 +1,13 @@
-"""Frequency-domain attenuation diagnostics and kernel-level heatmaps.
+"""Frequency-domain attenuation diagnostics: radially filtered inputs and
+robustness-accuracy (RA) curves.
 
-Images are transformed per channel to a centered 2-D spectrum; attenuation
-removes bins by their Euclidean distance from the DC bin, with the distance
-field clamped at r_max = floor(min(h, w)/2) so corner bins count as r_max.
-Low mode removes d < r (low frequencies go first), high mode removes
-d > r_max - r; bins exactly at the cutoff always survive, and r = 0 is an
-exact identity in both modes.
+Attenuation removes spectrum bins by their Euclidean distance from the DC
+bin of the centered spectrum, with the distance clamped at
+r_max = floor(min(h, w)/2) so corner bins count as r_max. Low mode removes
+d < r (low frequencies go first), high mode removes d > r_max - r; bins
+exactly at the cutoff always survive, and r = 0 is an exact identity in both
+modes. The keep mask is built on the centered grid and moved into numpy's
+FFT bin order, so the batch's spectrum is never shifted.
 """
 
 from __future__ import annotations
@@ -16,17 +18,8 @@ import numpy as np
 
 from .data import ImageSet
 from .metrics import batched_accuracy
-from .models import Layer, Model
+from .models import Model
 from .svg import line_plot
-
-
-@dataclass
-class Spectrum:
-    """Complex per-channel spectrum with the DC bin at (h//2, w//2)."""
-
-    data: np.ndarray  # (..., h, w) complex
-    h: int
-    w: int
 
 
 @dataclass
@@ -43,60 +36,23 @@ class RACurve:
             raise ValueError("RA curve accuracies must lie in [0, 1]")
 
 
-@dataclass
-class KernelHeatmap:
-    layer: str
-    kind: str  # "count"
-    matrix: np.ndarray  # (c_out, c_in)
-
-    def total(self) -> float:
-        return float(self.matrix.sum())
-
-
-def dft2_centered(image: np.ndarray) -> Spectrum:
-    """Per-channel 2-D DFT with quadrants swapped so DC sits at the center."""
-    image = np.asarray(image)
-    if image.ndim < 2 or image.shape[-2] < 2 or image.shape[-1] < 2:
-        raise ValueError(f"dft2_centered needs spatial dims >= 2, got {image.shape}")
-    spec = np.fft.fftshift(np.fft.fft2(image, axes=(-2, -1)), axes=(-2, -1))
-    return Spectrum(spec, image.shape[-2], image.shape[-1])
-
-
-def idft2(spectrum: Spectrum, clip: bool = True) -> np.ndarray:
-    """Invert dft2_centered; real part, clipped to [0, 1] unless clip=False."""
-    img = np.fft.ifft2(np.fft.ifftshift(spectrum.data, axes=(-2, -1)), axes=(-2, -1)).real
-    if clip:
-        img = np.clip(img, 0.0, 1.0)
-    return img
-
-
-def _distance_field(h: int, w: int) -> tuple[np.ndarray, int]:
-    cy, cx = h // 2, w // 2
-    yy, xx = np.mgrid[0:h, 0:w]
-    d = np.sqrt((yy - cy) ** 2 + (xx - cx) ** 2)
-    r_max = min(h, w) // 2
-    return np.minimum(d, r_max), r_max
-
-
-def attenuate(spectrum: Spectrum, mode: str, r: int) -> Spectrum:
-    """Zero out a distance band: mode="low" removes d < r, mode="high"
-    removes d > r_max - r. Larger r removes more in both modes."""
+def attenuate_images(images: np.ndarray, mode: str, r: int) -> np.ndarray:
+    """Remove one distance band from every channel's spectrum (low mode:
+    d < r, high mode: d > r_max - r) and return the images, clipped to
+    [0, 1], as float32."""
+    images = np.asarray(images)
     if mode not in ("low", "high"):
         raise ValueError(f"attenuate mode must be 'low' or 'high', got {mode!r}")
-    d, r_max = _distance_field(spectrum.h, spectrum.w)
+    if images.ndim < 2 or min(images.shape[-2:]) < 2:
+        raise ValueError(f"attenuation needs spatial dims >= 2, got {images.shape}")
+    h, w = images.shape[-2:]
+    r_max = min(h, w) // 2
     if not 0 <= r <= r_max:
         raise ValueError(f"attenuate: r {r} outside [0, {r_max}]")
-    if mode == "low":
-        keep = d >= r
-    else:
-        keep = d <= r_max - r
-    return Spectrum(spectrum.data * keep, spectrum.h, spectrum.w)
-
-
-def attenuate_images(images: np.ndarray, mode: str, r: int) -> np.ndarray:
-    """dft -> attenuate -> idft for a batch, clipped for model consumption."""
-    spec = dft2_centered(images)
-    return idft2(attenuate(spec, mode, r)).astype(np.float32)
+    yy, xx = np.mgrid[0:h, 0:w]
+    d = np.minimum(np.sqrt((yy - h // 2) ** 2 + (xx - w // 2) ** 2), r_max)
+    keep = np.fft.ifftshift(d >= r if mode == "low" else d <= r_max - r)
+    return np.clip(np.fft.ifft2(np.fft.fft2(images) * keep).real, 0.0, 1.0).astype(np.float32)
 
 
 def check_radii(radii: list, h: int, w: int):
@@ -126,16 +82,6 @@ def ra_curve(models: list[Model], clean_test: ImageSet, mode: str, radii) -> lis
             for pts, model in zip(points, models)]
 
 
-def write_ra_curves_svg(curves: list[RACurve], path, title: str = "frequency attenuation"):
+def write_ra_curves_svg(curves: list[RACurve], path):
     series = [(f"{c.model_id or 'model'} {c.mode}", [(r, a) for r, a in c.points]) for c in curves]
-    line_plot(series, title, path, x_label="attenuation radius r", y_label="accuracy")
-
-
-def kernel_nonzero_counts(layer: Layer, mask: np.ndarray) -> KernelHeatmap:
-    """(c_out, c_in) grid of active-position counts per kernel."""
-    if layer.kind != "conv":
-        raise TypeError(f"kernel heatmaps need a conv layer, {layer.name} is {layer.kind}")
-    if mask.shape != layer.weight.data.shape:
-        raise ValueError(f"mask shape {mask.shape} does not match layer {layer.weight.data.shape}")
-    return KernelHeatmap(layer.name, "count", mask.reshape(mask.shape[0], mask.shape[1], -1)
-                         .sum(axis=2).astype(np.int64))
+    line_plot(series, "frequency attenuation", path, "attenuation radius r", "accuracy")

@@ -74,8 +74,7 @@ DEFAULT_METHODS = (
 
 
 def study_config_text(m: StudyMethod, seed: int, epochs: int,
-                      data: dict[str, str], out_dir: str,
-                      model: str = "mlp:784-300-100-10") -> str:
+                      data: dict[str, str], out_dir: str) -> str:
     lines = [
         "[data]",
         "dataset = fashion-mnist",
@@ -87,7 +86,7 @@ def study_config_text(m: StudyMethod, seed: int, epochs: int,
         "classes = 10",
         "",
         "[train]",
-        f"model = {model}",
+        "model = mlp:784-300-100-10",
         f"epochs = {epochs}",
         f"seed = {seed}",
         "lr = 0.1",
@@ -118,12 +117,12 @@ def _ensure_run(m: StudyMethod, seed: int, epochs: int, data: dict[str, str],
     """ensure_run, plus the final.ckpt it loaded to check a finished run's
     digest (None when it trained the run)."""
     run_dir = os.path.join(root, f"{m.label}-seed{seed}")
-    os.makedirs(run_dir, exist_ok=True)
     text = study_config_text(m, seed, epochs, data, run_dir)
+    # a config the parser refuses leaves nothing behind to block the next call
+    cfg = parse_config(text)
     cfg_path = os.path.join(run_dir, "config.ini")
     ckpt = os.path.join(run_dir, "final.ckpt")
     if os.path.exists(ckpt):
-        cfg = parse_config(text)
         try:
             loaded = load_checkpoint(ckpt)
         except CheckpointError as e:
@@ -136,9 +135,9 @@ def _ensure_run(m: StudyMethod, seed: int, epochs: int, data: dict[str, str],
             if fh.read() != text:
                 raise StudyError(
                     f"{run_dir} holds results for a different config; remove it to rerun")
+    os.makedirs(run_dir, exist_ok=True)
     with atomic_write(cfg_path) as fh:
         fh.write(text)
-    cfg = parse_config(text)
     if echo:
         echo(f"training {m.label} seed {seed}")
     run_train(cfg)
@@ -236,13 +235,16 @@ def run_study(data: dict[str, str], root: str, epochs: int = 20,
 
     Everything lands under `root`: one run directory per (method, seed), the
     corrupted sets under corrupted/, and study.json + RA-curve SVGs on top.
-    An empty `seeds` or `methods`, or radii that `spectral.check_radii`
-    refuses for the test images, raise ValueError before anything is written.
+    An empty `seeds` or `methods`, epochs < 1, or radii that
+    `spectral.check_radii` refuses for the test images, raise ValueError
+    before anything is written.
     """
     seeds, methods, radii = tuple(seeds), tuple(methods), tuple(radii)
     for what, items in (("seeds", seeds), ("methods", methods)):
         if not items:
             raise ValueError(f"run_study: {what} is empty")
+    if epochs < 1:
+        raise ValueError(f"run_study: epochs must be >= 1, got {epochs}")
     _, (_, h, w) = image_file_shape(data["test_images"], "idx")
     check_radii(list(radii), h, w)
     result = StudyResult(labels=tuple(m.label for m in methods), seeds=seeds, radii=radii)

@@ -7,7 +7,7 @@ from .data import atomic_write
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def line_plot(series, title: str, path, x_label: str = "", y_label: str = ""):
+def line_plot(series, title: str, path, x_label: str, y_label: str):
     """series: list of (label, [(x, y), ...]) pairs; y is clamped for display."""
     width, height, pad = 560, 360, 48
     xs = [x for _, pts in series for x, _ in pts]

@@ -9,8 +9,12 @@ import pytest
 from conftest import fail_atomic_writes, toy_config, write_idx_pair
 
 import dstforge.spectral
+from dstforge.checkpoint import save_checkpoint
 from dstforge.cli import main
 from dstforge.data import load_image_set, save_image_set
+from dstforge.models import build_model, parse_model_spec
+from dstforge.schedulers import BudgetTrajectory, DstConfig
+from dstforge.sparsity import TopologyMask
 
 
 def run_cli(capsys, *argv):
@@ -449,6 +453,26 @@ def test_attenuate_rejects_radii_before_scoring(cli_run, idx_dir, capsys, monkey
     assert err.startswith("config error: --radii")
 
 
+@pytest.mark.parametrize("flag, raw", [
+    ("--radii", "2,,4"), ("--radii", "2,x"), ("--radii", "0,2,"),
+    ("--severities", "1,,2"), ("--severities", "1,x"), ("--severities", ",3"),
+])
+def test_integer_lists_refuse_empty_and_non_integer_tokens_by_flag(
+        cli_run, idx_dir, tmp_path, capsys, flag, raw):
+    images = f"{idx_dir}/t10k-images-idx3-ubyte"
+    written = str(tmp_path / "out")
+    if flag == "--radii":
+        argv = ["attenuate", os.path.join(cli_run[0], "final.ckpt"), "--mode", "low",
+                "--images", images, "--json", written]
+    else:
+        argv = ["corrupt", images, "--out", written]
+    code, stdout, err = run_cli(capsys, *argv, flag, raw)
+    assert code == 2
+    assert stdout == ""
+    assert err == f"config error: {flag} must be comma-separated integers, got {raw!r}\n"
+    assert not os.path.exists(written)
+
+
 def test_inspect_totals_match_density(cli_run, capsys):
     out, _ = cli_run
     code, stdout, _ = run_cli(capsys, "inspect", os.path.join(out, "final.ckpt"))
@@ -474,6 +498,36 @@ def test_inspect_layer_heatmap_json(cli_run, tmp_path, capsys):
     mat = np.array(doc["matrix"])
     assert mat.shape == (64, 144)
     assert doc["total"] == int(mat.sum())
+
+
+def test_inspect_counts_active_weights_per_channel_pair(tmp_path, capsys):
+    """One count per (output, input) pair for conv and linear layers alike:
+    a conv kernel's active positions, a linear weight's mask bit."""
+    model = build_model(parse_model_spec("small_convnet:3x32x32-10"), np.random.default_rng(0))
+    conv1 = np.zeros((32, 3, 3, 3), dtype=bool)
+    conv1[0, 0, 0, 0] = conv1[0, 0, 2, 2] = conv1[5, 1, 1, 1] = conv1[31, 2, 0, 2] = True
+    fc2 = np.random.default_rng(1).random((10, 128)) < 0.3
+    ckpt = str(tmp_path / "hand.ckpt")
+    save_checkpoint(ckpt, model, TopologyMask({"conv1": conv1, "fc2": fc2}), 1,
+                    np.random.default_rng(0), DstConfig(method="dense", total_steps=1), 0,
+                    "0" * 64, BudgetTrajectory(), 0.0, 0)
+
+    def heatmap(layer):
+        jsn = tmp_path / f"{layer}.json"
+        code, stdout, _ = run_cli(capsys, "inspect", ckpt, "--layer", layer, "--json", str(jsn))
+        assert code == 0
+        return stdout.split("\n\n", 1)[1], json.loads(jsn.read_text())
+
+    stdout, doc = heatmap("conv1")
+    expected = np.zeros((32, 3), dtype=int)
+    expected[0, 0], expected[5, 1], expected[31, 2] = 2, 1, 1
+    assert doc["kind"] == "count" and doc["total"] == 4
+    np.testing.assert_array_equal(doc["matrix"], expected)
+    assert stdout == ("layer conv1: kernel nonzero counts, total 4\n"
+                      "  count 0: 93 kernels\n  count 1: 2 kernels\n  count 2: 1 kernels\n")
+    _, doc = heatmap("fc2")
+    np.testing.assert_array_equal(doc["matrix"], fc2)
+    assert doc["total"] == int(fc2.sum())
 
 
 def test_inspect_unknown_layer_exits_2_and_lists_the_layers(cli_run, capsys):

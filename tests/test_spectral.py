@@ -1,4 +1,4 @@
-"""Fourier round trips, band attenuation, RA curves, and kernel heatmaps."""
+"""Frequency attenuation against the centered-spectrum definition, and RA curves."""
 
 import numpy as np
 import pytest
@@ -6,16 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dstforge.models import build_model, parse_model_spec
-from dstforge.spectral import (
-    RACurve,
-    attenuate,
-    attenuate_images,
-    dft2_centered,
-    idft2,
-    kernel_nonzero_counts,
-    ra_curve,
-    write_ra_curves_svg,
-)
+from dstforge.spectral import RACurve, attenuate_images, ra_curve, write_ra_curves_svg
 from dstforge.data import ImageSet
 
 
@@ -23,37 +14,78 @@ def rand_image(seed=0, c=1, h=16, w=16):
     return np.random.default_rng(seed).random((c, h, w)).astype(np.float32)
 
 
-# --- transform core ---------------------------------------------------------
+def reference_attenuate(images, mode, r):
+    """The definition, step by step: shift the spectrum so DC sits at
+    (h//2, w//2), clamp each bin's distance from it at r_max, zero the bins
+    the mode removes, shift back, invert, clip to [0, 1]."""
+    h, w = images.shape[-2:]
+    spec = np.fft.fftshift(np.fft.fft2(images, axes=(-2, -1)), axes=(-2, -1))
+    r_max = min(h, w) // 2
+    yy, xx = np.mgrid[0:h, 0:w]
+    d = np.minimum(np.sqrt((yy - h // 2) ** 2 + (xx - w // 2) ** 2), r_max)
+    keep = d >= r if mode == "low" else d <= r_max - r
+    back = np.fft.ifft2(np.fft.ifftshift(spec * keep, axes=(-2, -1)), axes=(-2, -1))
+    return np.clip(back.real, 0.0, 1.0).astype(np.float32)
+
+
+def mid_range_image(seed, c=1, h=16, w=16):
+    """Pixels in [0.45, 0.55]: no filter output leaves [0, 1], so nothing is
+    clipped and the output is the filtered image itself."""
+    return (0.45 + 0.1 * rand_image(seed, c, h, w)).astype(np.float64)
+
+
+def spectrum_energy(x):
+    """sum |x|^2 computed in the frequency domain (Parseval: sum |X|^2 / (h*w))."""
+    h, w = x.shape[-2:]
+    return float((np.abs(np.fft.fft2(x.astype(np.float64))) ** 2).sum()) / (h * w)
+
+
+# --- attenuation --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", [(23, 1, 28, 28), (9, 3, 32, 32), (7, 1, 15, 13)])
+def test_attenuate_images_matches_the_centered_spectrum_definition_bytewise(shape):
+    images = np.random.default_rng(sum(shape)).random(shape).astype(np.float32)
+    for r in range(min(shape[-2:]) // 2 + 1):
+        for mode in ("low", "high"):
+            out = attenuate_images(images, mode, r)
+            assert out.dtype == np.float32 and out.shape == images.shape
+            assert out.tobytes() == reference_attenuate(images, mode, r).tobytes(), (mode, r)
 
 
 def test_round_trip_identity():
-    img = rand_image(1)
-    back = idft2(dft2_centered(img), clip=False)
-    assert np.abs(back - img).max() <= 1e-5
+    # r = 0 removes nothing from any image or channel of a batch
+    imgs = np.random.default_rng(1).random((5, 3, 16, 16)).astype(np.float32)
+    for mode in ("low", "high"):
+        assert np.abs(attenuate_images(imgs, mode, 0) - imgs).max() <= 1e-5
 
 
 def test_round_trip_odd_dims():
-    img = rand_image(2, h=15, w=13)
-    back = idft2(dft2_centered(img), clip=False)
-    assert np.abs(back - img).max() <= 1e-5
+    imgs = np.random.default_rng(2).random((4, 1, 15, 13)).astype(np.float32)
+    for mode in ("low", "high"):
+        assert np.abs(attenuate_images(imgs, mode, 0) - imgs).max() <= 1e-5
 
 
 def test_parseval_identity():
-    # sum |x|^2 == sum |X|^2 / (h*w), both sides by direct summation
-    img = rand_image(3).astype(np.float64)
-    spec = dft2_centered(img)
-    spatial = float((img ** 2).sum())
-    freq = float((np.abs(spec.data) ** 2).sum()) / (img.shape[-2] * img.shape[-1])
-    assert abs(spatial - freq) / spatial <= 1e-4
+    # the filter is a projection: the output's energy is that of the kept
+    # bins. High mode keeps DC, so the output stays unclipped
+    img = mid_range_image(3)
+    spec_energy = np.abs(np.fft.fftshift(np.fft.fft2(img))) ** 2 / img[0].size
+    d = np.minimum(np.hypot(*np.mgrid[-8:8, -8:8]), 8)
+    for r in range(9):
+        out = attenuate_images(img, "high", r).astype(np.float64)
+        keep = d <= 8 - r
+        spatial = float((out ** 2).sum())
+        assert spatial == pytest.approx(float(spec_energy[0][keep].sum()), rel=1e-5)
+        assert spatial == pytest.approx(spectrum_energy(out), rel=1e-9)
 
 
 def test_constant_image_concentrates_at_dc():
     img = np.full((1, 8, 8), 0.5)
-    spec = dft2_centered(img)
-    mag = np.abs(spec.data[0])
-    assert mag[4, 4] == pytest.approx(0.5 * 64)
-    mag[4, 4] = 0.0
-    assert mag.max() <= 1e-9
+    # removing the DC bin alone removes everything
+    assert np.abs(attenuate_images(img, "low", 1)).max() <= 1e-7
+    # keeping the DC bin alone keeps everything
+    np.testing.assert_allclose(attenuate_images(img, "high", 4), img, atol=1e-7)
 
 
 def test_attenuate_r0_is_identity_both_modes():
@@ -65,58 +97,56 @@ def test_attenuate_r0_is_identity_both_modes():
 
 def test_low_r1_removes_only_dc():
     img = rand_image(5)
-    spec = attenuate(dft2_centered(img), "low", 1)
-    recon = idft2(spec, clip=False)
-    # removing the DC bin alone zeroes the mean and nothing else
-    assert abs(recon.mean()) <= 1e-7
+    # removing the DC bin alone subtracts each channel's mean, then clips
     centered = img - img.mean(axis=(-2, -1), keepdims=True)
-    np.testing.assert_allclose(recon, centered, atol=1e-5)
+    np.testing.assert_allclose(attenuate_images(img, "low", 1), np.clip(centered, 0, 1),
+                               atol=1e-5)
 
 
 def test_high_mode_removes_far_bins_first():
-    img = rand_image(6, h=8, w=8)
-    spec = dft2_centered(img)
-    out = attenuate(spec, "high", 1)
+    img = mid_range_image(6, h=8, w=8)
+    out = attenuate_images(img, "high", 1)
+    before = np.fft.fftshift(np.fft.fft2(img))[0]
+    after = np.fft.fftshift(np.fft.fft2(out.astype(np.float64)))[0]
     d = np.minimum(np.hypot(*np.mgrid[-4:4, -4:4]), 4)
-    assert np.all(out.data[0][d > 3] == 0.0)
-    np.testing.assert_array_equal(out.data[0][d <= 3], spec.data[0][d <= 3])
+    assert np.abs(after[d > 3]).max() <= 1e-5
+    np.testing.assert_allclose(after[d <= 3], before[d <= 3], atol=1e-5)
 
 
 def test_attenuate_validation():
-    spec = dft2_centered(rand_image(7))
-    with pytest.raises(ValueError):
-        attenuate(spec, "band", 1)
-    with pytest.raises(ValueError):
-        attenuate(spec, "low", -1)
-    with pytest.raises(ValueError):
-        attenuate(spec, "low", 9)  # r_max = 8 for 16x16
+    img = rand_image(7)
+    with pytest.raises(ValueError, match="'low' or 'high'"):
+        attenuate_images(img, "band", 1)
+    with pytest.raises(ValueError, match=r"outside \[0, 8\]"):
+        attenuate_images(img, "low", -1)
+    with pytest.raises(ValueError, match=r"outside \[0, 8\]"):
+        attenuate_images(img, "low", 9)  # r_max = 8 for 16x16
 
 
 def test_full_attenuation_blanks_image():
-    img = rand_image(8)
-    out_low = attenuate(dft2_centered(img), "low", 8)
-    # removing d < 8 keeps only the clamped ring at r_max
-    d = np.hypot(*np.mgrid[-8:8, -8:8][::-1])
-    assert np.all(np.abs(out_low.data[0])[np.minimum(d, 8) < 8] == 0.0)
-    out_high = attenuate(dft2_centered(img), "high", 8)
-    # keep d <= 0: only the DC bin survives -> constant image
-    recon = idft2(out_high, clip=False)
-    assert np.ptp(recon) <= 1e-6
+    img = mid_range_image(8)
+    # low r_max keeps only the clamped ring at r_max: the mean goes with DC,
+    # and the faint ring is all that is left
+    assert attenuate_images(img, "low", 8).max() <= 0.05
+    # high r_max keeps d <= 0: only the DC bin survives -> the constant mean
+    out = attenuate_images(img, "high", 8)
+    assert np.ptp(out) <= 1e-6
+    assert out.mean() == pytest.approx(img.mean(), abs=1e-6)
 
 
 def test_dft_rejects_tiny_images():
-    with pytest.raises(ValueError):
-        dft2_centered(np.ones((3, 1, 5)))
+    with pytest.raises(ValueError, match="spatial dims >= 2"):
+        attenuate_images(np.ones((3, 1, 5)), "low", 0)
 
 
 @settings(deadline=None, max_examples=20)
 @given(st.integers(min_value=0, max_value=1000), st.integers(min_value=0, max_value=6),
        st.sampled_from(["low", "high"]))
 def test_attenuation_never_increases_energy(seed, r, mode):
-    img = np.random.default_rng(seed).random((1, 12, 12))
-    spec = dft2_centered(img)
-    out = attenuate(spec, mode, r)
-    assert (np.abs(out.data) ** 2).sum() <= (np.abs(spec.data) ** 2).sum() + 1e-9
+    # removing bins and clipping to [0, 1] can each only lose energy
+    img = np.random.default_rng(seed).random((2, 1, 12, 12))
+    out = attenuate_images(img, mode, r)
+    assert spectrum_energy(out) <= spectrum_energy(img) * (1 + 1e-6)
 
 
 # --- RA curves ---------------------------------------------------------------
@@ -185,44 +215,3 @@ def test_write_ra_curves_svg(tmp_path):
     write_ra_curves_svg([c], p)
     text = p.read_text()
     assert text.lstrip().startswith("<svg") or "<svg" in text
-
-
-# --- kernel heatmaps ---------------------------------------------------------
-
-
-def test_dense_conv_counts_are_all_nine():
-    model = build_model(parse_model_spec("small_convnet:3x32x32-10"), np.random.default_rng(0))
-    conv1 = model.layers[0]
-    mask = np.ones_like(conv1.weight.data, dtype=bool)
-    hm = kernel_nonzero_counts(conv1, mask)
-    assert hm.matrix.shape == (32, 3)
-    assert np.all(hm.matrix == 9)
-    assert hm.total() == 32 * 3 * 9
-
-
-def test_hand_built_mask_counts():
-    model = build_model(parse_model_spec("small_convnet:3x32x32-10"), np.random.default_rng(0))
-    conv1 = model.layers[0]
-    mask = np.zeros_like(conv1.weight.data, dtype=bool)
-    mask[0, 0, 0, 0] = True
-    mask[0, 0, 2, 2] = True
-    mask[5, 1, 1, 1] = True
-    mask[31, 2, 0, 2] = True
-    hm = kernel_nonzero_counts(conv1, mask)
-    assert hm.matrix[0, 0] == 2
-    assert hm.matrix[5, 1] == 1
-    assert hm.matrix[31, 2] == 1
-    assert hm.total() == 4
-
-
-def test_kernel_heatmap_rejects_non_conv():
-    model = build_model(parse_model_spec("mlp:8-4"), np.random.default_rng(0))
-    with pytest.raises(TypeError):
-        kernel_nonzero_counts(model.layers[0], np.ones((4, 8), dtype=bool))
-
-
-def test_kernel_heatmap_shape_mismatch():
-    model = build_model(parse_model_spec("small_convnet:3x32x32-10"), np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        kernel_nonzero_counts(model.layers[0], np.ones((32, 3, 2, 2), dtype=bool))
-

@@ -16,7 +16,7 @@ from conftest import fail_atomic_writes, make_blob_set, write_idx_pair
 import dstforge.study
 import dstforge.train
 from dstforge.checkpoint import load_checkpoint
-from dstforge.config import parse_config
+from dstforge.config import ConfigError, parse_config
 from dstforge.corruption import KINDS, SEVERITIES
 from dstforge.data import corrupted_set_filename, load_idx
 from dstforge.metrics import accuracy, robustness_accuracy
@@ -158,8 +158,8 @@ def test_ensure_run_refuses_a_final_ckpt_of_other_data_or_unreadable(idx28_dir, 
     assert str(run_dir) in str(e.value)
 
 
-def test_ensure_run_rejects_mismatched_config(idx_dir, tmp_path):
-    data = find_idx_dataset(str(idx_dir))
+def test_ensure_run_rejects_mismatched_config(idx28_dir, tmp_path):
+    data = find_idx_dataset(str(idx28_dir))
     m = StudyMethod("dense", "dense")
     run_dir = tmp_path / "dense-seed1"
     run_dir.mkdir()
@@ -169,11 +169,11 @@ def test_ensure_run_rejects_mismatched_config(idx_dir, tmp_path):
         ensure_run(m, 1, 20, data, str(tmp_path))
 
 
-def test_failed_config_write_leaves_no_config(idx_dir, tmp_path, monkeypatch):
+def test_failed_config_write_leaves_no_config(idx28_dir, tmp_path, monkeypatch):
     # a partial config.ini would make every later run_study refuse the
     # directory as holding a different config
     fail_atomic_writes(monkeypatch, "config.ini.tmp")
-    data = find_idx_dataset(str(idx_dir))
+    data = find_idx_dataset(str(idx28_dir))
     with pytest.raises(OSError, match="No space left"):
         ensure_run(StudyMethod("dense", "dense"), 1, 1, data, str(tmp_path))
     run_dir = tmp_path / "dense-seed1"
@@ -263,6 +263,22 @@ def test_radii_the_test_images_cannot_take_are_refused_before_anything_is_writte
         run_study(find_idx_dataset(idx28_dir), str(root), epochs=1, seeds=(1,),
                   methods=DEFAULT_METHODS[:1], radii=radii)
     assert not root.exists()
+
+
+def test_a_refused_config_writes_nothing_and_the_corrected_study_then_runs(idx28_dir, tmp_path):
+    # a config.ini left by a refused call would make the corrected call
+    # refuse its run directory as holding a different config
+    data = find_idx_dataset(idx28_dir)
+    root = tmp_path / "study"
+    dense = StudyMethod("dense", "dense")
+    with pytest.raises(ValueError, match="epochs must be >= 1"):
+        run_study(data, str(root), epochs=0, seeds=(1,), methods=(dense,), radii=(2,))
+    assert not root.exists()
+    with pytest.raises(ConfigError, match="epochs"):
+        ensure_run(dense, 1, 0, data, str(root))
+    assert not root.exists()
+    result = run_study(data, str(root), epochs=1, seeds=(1,), methods=(dense,), radii=(2,))
+    assert os.path.exists(result.checkpoints[("dense", 1)])
 
 
 @pytest.mark.parametrize("seeds", ["", "1,,2", "1,x"])
