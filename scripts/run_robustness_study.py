@@ -27,6 +27,9 @@ def main() -> int:
     except ValueError:
         print(f"--seeds must be comma-separated integers, got {args.seeds!r}", file=sys.stderr)
         return 2
+    if args.epochs < 1:
+        print(f"--epochs must be at least 1, got {args.epochs}", file=sys.stderr)
+        return 2
     data = find_idx_dataset(args.data)
     if data is None:
         print("no IDX dataset found; run scripts/fetch_data.py first", file=sys.stderr)

@@ -129,11 +129,9 @@ def guess_idx_labels_path(images_path: str) -> str | None:
     return cand if os.path.exists(cand) else None
 
 
-def _idx_set(images: np.ndarray, labels: np.ndarray, images_path, labels_path,
-             name: str | None, classes: int) -> ImageSet:
+def _idx_set(images: np.ndarray, labels: np.ndarray, images_path, name: str | None) -> ImageSet:
     if images.shape[0] != labels.shape[0]:
         raise DataError(f"{images_path}: {images.shape[0]} images but {labels.shape[0]} labels")
-    _check_labels(labels, classes, labels_path)
     n, h, w = images.shape
     return ImageSet(_unit_floats(images).reshape(n, 1, h, w), labels.astype(np.int64),
                     name or _stem(images_path))
@@ -143,15 +141,19 @@ def load_idx(images_path, labels_path, name: str | None = None, classes: int = 1
     """Load an IDX image/label pair."""
     images, _ = _idx_images_from(_read_file(images_path), images_path)
     labels, _ = _idx_labels_from(_read_file(labels_path), labels_path)
-    return _idx_set(images, labels, images_path, labels_path, name, classes)
+    s = _idx_set(images, labels, images_path, name)
+    _check_labels(s.labels, classes, labels_path)
+    return s
 
 
 def load_cifar_binary(paths: list, name: str | None = None, classes: int = 10) -> ImageSet:
     """Load a list of CIFAR batch files, concatenated in list order."""
-    return _cifar_set(map(_read_file, paths), paths, name, classes)
+    s = _cifar_set(map(_read_file, paths), paths, name)
+    _check_labels(s.labels, classes, paths[0])
+    return s
 
 
-def _cifar_set(bufs, paths: list, name: str | None, classes: int) -> ImageSet:
+def _cifar_set(bufs, paths: list, name: str | None) -> ImageSet:
     """One set of the CIFAR records in `bufs`, the contents of `paths` in order."""
     chunks, labels = [], []
     for buf, path in zip(bufs, paths):
@@ -159,11 +161,9 @@ def _cifar_set(bufs, paths: list, name: str | None, classes: int) -> ImageSet:
         rec = np.frombuffer(buf, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
         labels.append(rec[:, 0])
         chunks.append(rec[:, 1:].reshape(-1, 3, 32, 32))
-    labels = np.concatenate(labels)
-    _check_labels(labels, classes, paths[0])
     return ImageSet(
         images=_unit_floats(np.concatenate(chunks)),
-        labels=labels.astype(np.int64),
+        labels=np.concatenate(labels).astype(np.int64),
         name=name or _stem(paths[0]),
     )
 
@@ -239,10 +239,12 @@ def save_image_set(s: ImageSet, path):
         fh.write(payload)
 
 
-def load_image_set(path, name: str | None = None, classes: int = 10) -> ImageSet:
+def load_image_set(path) -> ImageSet:
     """Load a persisted set or a raw images file, read once, sniffing the layout
     from its leading bytes. An IDX images block that ends the file takes its
-    labels from the file beside it, found by `guess_idx_labels_path`."""
+    labels from the file beside it, found by `guess_idx_labels_path`. Labels
+    are not checked against a class count here: the model that scores the
+    set does that (`metrics.batched_accuracy`)."""
     buf = _read_file(path)
     if len(buf) >= 4 and struct.unpack_from(">I", buf)[0] == IDX_IMAGES_MAGIC:
         images, off = _idx_images_from(buf, path)
@@ -254,9 +256,9 @@ def load_image_set(path, name: str | None = None, classes: int = 10) -> ImageSet
                                 f"images file, named with 'labels' for 'images'")
             buf, off = _read_file(labels_path), 0
         labels, _ = _idx_labels_from(buf, labels_path, off)
-        return _idx_set(images, labels, path, labels_path, name, classes)
+        return _idx_set(images, labels, path, None)
     if len(buf) and len(buf) % CIFAR_RECORD == 0:
-        return _cifar_set([buf], [path], name, classes)
+        return _cifar_set([buf], [path], None)
     raise DataError(f"{path}: neither an IDX block (magic at offset 0) nor whole "
                     f"{CIFAR_RECORD}-byte CIFAR records (size {len(buf)})")
 

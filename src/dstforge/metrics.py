@@ -93,10 +93,16 @@ def batched_accuracy(models: list[Model], images: np.ndarray, labels: np.ndarray
 
     `transform`, when given, maps each batch of images before prediction, so
     a filtered copy of a large set never has to exist whole; every model
-    scores the same transformed batch, which is built once. An empty set raises DataError.
+    scores the same transformed batch, which is built once. An empty set, or
+    a label outside [0, classes) of any model, raises DataError.
     """
     if len(images) == 0:
         raise DataError("empty image set")
+    classes = min(model.spec.classes for model in models)
+    outside = (labels < 0) | (labels >= classes)
+    if outside.any():
+        bad = int(np.argmax(outside))
+        raise DataError(f"label {int(labels[bad])} outside [0, {classes}) at record {bad}")
     correct = [0] * len(models)
     for lo in range(0, len(images), EVAL_BATCH):
         x = images[lo : lo + EVAL_BATCH]

@@ -189,12 +189,6 @@ class Model:
             out.append(layer.bias)
         return out
 
-    def layer_by_name(self, name: str) -> Layer:
-        for layer in self.layers:
-            if layer.name == name:
-                return layer
-        raise KeyError(f"no layer named {name!r}")
-
     def zero_grad(self):
         for p in self.parameters():
             p.zero_grad()

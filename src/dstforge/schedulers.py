@@ -14,7 +14,13 @@ regrowth picks the largest dense |grad| or draws at random. One kernel,
           event prunes round(p * target) below the scheduled count, then
           regrows to it (granet_r, granet_g)
 
-Removal ranks by |w| except under the MEST schedule. A method that regrows or
+An event lists each layer's active and inactive positions once, from the
+mask before it. Removal takes the active positions with the lowest scores
+(|w|, or |w| + lambda*|grad| under the MEST schedule); gradient regrowth the
+inactive ones with the largest |grad|; both by `sparsity._select_lowest`
+(ties on the lowest flat index). Random regrowth draws distinct inactive
+positions from the run's generator. Drawing from the positions inactive
+before the event never regrows one removed in it. A method that regrows or
 scores by gradient reads each layer's `weight.grad` as the step's backward left
 it: the minibatch gradient at the weights before that step's SGD update, at
 every position, masked ones included. The FLOP account still charges such a
@@ -31,14 +37,7 @@ import numpy as np
 
 from .data import atomic_write
 from .models import Model
-from .sparsity import (
-    SparsityAllocation,
-    TopologyMask,
-    _prune_by_score,
-    gradient_regrow,
-    prune_rate,
-    random_regrow,
-)
+from .sparsity import SparsityAllocation, TopologyMask, _select_lowest, prune_rate
 
 
 @dataclass(frozen=True)
@@ -215,10 +214,11 @@ def topology_update(model: Model, mask: TopologyMask, alloc: SparsityAllocation,
                     cfg: DstConfig, step: int, rng: np.random.Generator):
     """One prune/regrow event, the same for every sparse method.
 
-    Each layer's target is its share of the event density. Removal takes the
-    layer down to a floor by lowest score (the base budget for MEST, else
-    round(p * target) below the target); regrowth then fills it back up to
-    the target, never at a position removed in the same event.
+    Each layer's target is its share of the event density. Removal takes
+    the layer down to a floor (the base budget for MEST, else round(p *
+    target) below the target); regrowth fills it back up to the target. Both
+    picks are made from the mask before the event (see the module docstring)
+    and then written to it together.
     """
     rule = RULES.get(cfg.method)
     if rule is None:
@@ -238,19 +238,23 @@ def topology_update(model: Model, mask: TopologyMask, alloc: SparsityAllocation,
     for layer in model.layers:
         if layer.name not in mask:
             continue
-        m = mask[layer.name]
-        active = mask.active_count(layer.name)
+        flat = mask[layer.name].reshape(-1)
+        active, free = np.flatnonzero(flat), np.flatnonzero(~flat)
+        target = targets[layer.name]
         # removed positions are not regrown, so remove no more than can regrow
-        k_remove = min(max(0, active - floors[layer.name]), m.size - targets[layer.name])
-        score = np.abs(layer.weight.data)
+        k_remove = min(max(0, active.size - floors[layer.name]), flat.size - target)
+        k_grow = target - (active.size - k_remove)
+        if not (0 <= k_remove <= active.size and 0 <= k_grow <= free.size):
+            raise ValueError(f"topology_update: layer {layer.name!r} cannot remove {k_remove} "
+                             f"of {active.size} active and regrow {k_grow} of {free.size} "
+                             f"inactive positions for a target of {target}")
+        score = np.abs(layer.weight.data.reshape(-1)[active])
         if rule.schedule == "mest":
-            score = score + cfg.mest_lambda * np.abs(layer.weight.grad)
-        removed = _prune_by_score(score, m, k_remove)
-        flat = m.reshape(-1)
-        flat[removed] = False
-        k_grow = max(0, targets[layer.name] - (active - k_remove))
+            score += cfg.mest_lambda * np.abs(layer.weight.grad.reshape(-1)[active])
+        removed = active[_select_lowest(score, k_remove)]
         if rule.grad_regrow:
-            grown = gradient_regrow(m, k_grow, layer.weight.grad, exclude=removed)
-        else:
-            grown = random_regrow(m, k_grow, rng, exclude=removed)
+            grown = free[_select_lowest(-np.abs(layer.weight.grad.reshape(-1)[free]), k_grow)]
+        else:  # no draw for an empty regrowth
+            grown = rng.choice(free, k_grow, replace=False) if k_grow else free[:0]
+        flat[removed] = False
         flat[grown] = True

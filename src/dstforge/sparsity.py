@@ -1,11 +1,10 @@
-"""Sparsity budgets, topology masks, and the prune/regrow primitives.
+"""Sparsity budgets, topology masks, and the one selection rule.
 
-Selection rules are fully deterministic: magnitude pruning removes the k
-smallest |w| among active positions with ties broken by ascending flat index,
-gradient regrowth activates the k largest |g| among candidates with the same
-tie rule, and random regrowth draws from the supplied generator. Selection is
-linear-time (a partition, not a sort), NaN scores rank last, and every rule
-returns its picks in ascending flat-index order.
+`_select_lowest` is how a topology event (`schedulers.topology_update`)
+ranks positions: the k lowest scores, ties broken by the lowest position,
+NaN last and -0.0 equal to 0.0, in linear time (a partition, not a sort).
+Removal ranks the active positions by |w|; gradient regrowth ranks the
+inactive ones by -|g|, so it takes the k largest |g|.
 """
 
 from __future__ import annotations
@@ -196,44 +195,6 @@ def _select_lowest(s: np.ndarray, k: int) -> np.ndarray:
         chosen = s < thr
     chosen[np.flatnonzero(tie)[: k - np.count_nonzero(chosen)]] = True
     return np.flatnonzero(chosen)
-
-
-def _prune_by_score(score: np.ndarray, mask: np.ndarray, k: int) -> np.ndarray:
-    """Ascending flat indices of the k lowest-scoring active positions (ties:
-    lowest flat index first)."""
-    active_idx = np.flatnonzero(mask)
-    if not 0 <= k <= active_idx.size:
-        raise ValueError(f"prune count {k} outside [0, {active_idx.size}]")
-    return active_idx[_select_lowest(score.reshape(-1)[active_idx], k)]
-
-
-def _regrow_candidates(mask: np.ndarray, exclude: np.ndarray | None) -> np.ndarray:
-    free = ~mask.reshape(-1)
-    if exclude is not None and exclude.size:
-        free[exclude] = False
-    return np.flatnonzero(free)
-
-
-def random_regrow(mask: np.ndarray, k: int, rng: np.random.Generator,
-                  exclude: np.ndarray | None = None) -> np.ndarray:
-    """k inactive positions chosen uniformly, never from `exclude` (the
-    positions removed in the same update)."""
-    cands = _regrow_candidates(mask, exclude)
-    if not 0 <= k <= cands.size:
-        raise ValueError(f"regrow count {k} outside [0, {cands.size}]")
-    if k == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.sort(rng.choice(cands, size=k, replace=False)).astype(np.int64)
-
-
-def gradient_regrow(mask: np.ndarray, k: int, grad: np.ndarray,
-                    exclude: np.ndarray | None = None) -> np.ndarray:
-    """Ascending indices of the k inactive positions with the largest |grad|
-    (ties: lowest flat index)."""
-    cands = _regrow_candidates(mask, exclude)
-    if not 0 <= k <= cands.size:
-        raise ValueError(f"regrow count {k} outside [0, {cands.size}]")
-    return cands[_select_lowest(-np.abs(grad.reshape(-1)[cands]), k)]
 
 
 def prune_rate(p0: float, step: int, total_steps: int) -> float:

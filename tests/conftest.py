@@ -14,7 +14,11 @@ import pytest
 import dstforge.data
 from dstforge.config import parse_config
 from dstforge.data import ImageSet
+from dstforge.models import Layer, Model, parse_model_spec
+from dstforge.schedulers import DstConfig, topology_update
+from dstforge.sparsity import LayerBudget, SparsityAllocation, TopologyMask
 from dstforge.study import find_idx_dataset
+from dstforge.tensor import Parameter
 from dstforge.train import run_train
 
 SIDE = 12
@@ -224,3 +228,30 @@ def pool_gap_margin(activations: np.ndarray) -> float:
     top, second = s[-1], s[-2]
     gaps = np.where(top > 0, top - second, np.inf)
     return float(gaps.min())
+
+
+def topology_event(w: np.ndarray, g: np.ndarray, mask: np.ndarray, k_remove: int,
+                   k_grow: int, method: str = "rigl",
+                   rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Run `topology_update` on one layer holding weights `w`, gradient `g`
+    and boolean `mask` (one shape), under a fixed schedule set up to remove
+    exactly `k_remove` active positions and regrow exactly `k_grow` (rigl by
+    gradient, set at random from `rng`); return the flat indices it
+    deactivated and activated, read off the mask before and after.
+
+    The schedule's target is t = active - k_remove + k_grow, and at step 0
+    the prune rate is p0 = k_grow / t exactly, so the floor t - round(p0 * t)
+    is active - k_remove.
+    """
+    before = np.asarray(mask, dtype=bool).reshape(-1)
+    n, target = before.size, int(before.sum()) - k_remove + k_grow
+    weight = Parameter(w, name="l.weight")
+    weight.grad = g
+    model = Model(parse_model_spec("mlp:1-2"), [Layer("l", "linear", weight, None)])
+    topo = TopologyMask({"l": before.reshape(np.shape(mask)).copy()})
+    alloc = SparsityAllocation(0.5, (LayerBudget("l", n, target / n),))
+    cfg = DstConfig(method=method, sparsity=0.5, total_steps=10,
+                    p0=k_grow / target if target else 0.0)
+    topology_update(model, topo, alloc, cfg, 0, rng or np.random.default_rng(0))
+    after = topo["l"].reshape(-1)
+    return np.flatnonzero(before & ~after), np.flatnonzero(~before & after)

@@ -24,6 +24,7 @@ from conftest import (
     pool_gap_margin,
     relu_margin,
     toy_config,
+    topology_event,
 )
 from test_sparsity import bisect_erk
 
@@ -32,16 +33,7 @@ from dstforge.cli import main
 from dstforge.config import parse_config
 from dstforge.models import ArchDescriptor, LayerSpec, build_model, parse_model_spec
 from dstforge.schedulers import BudgetTrajectory, DstConfig, granet_density, mest_soft_bound
-from dstforge.sparsity import (
-    _prune_by_score,
-    allocate_erk,
-    apply_mask,
-    gradient_regrow,
-    init_topology,
-    mask_shapes,
-    prune_rate,
-    random_regrow,
-)
+from dstforge.sparsity import allocate_erk, apply_mask, init_topology, mask_shapes, prune_rate
 from dstforge.spectral import attenuate_images
 from dstforge.study import find_idx_dataset, run_study
 from dstforge.tensor import (
@@ -384,22 +376,20 @@ def test_prune_and_regrow_match_brute_force_oracles():
         shape = (2, n // 2) if trial % 2 and n % 2 == 0 else (n,)
 
         k = int(rng.integers(0, mask.sum() + 1))
-        removed = _prune_by_score(np.abs(w.reshape(shape)), mask.reshape(shape), k)
+        candidates = np.flatnonzero(~mask).tolist()  # inactive before the event
+        k2 = int(rng.integers(0, len(candidates) + 1))
+        removed, grown = topology_event(w.reshape(shape), g.reshape(shape),
+                                        mask.reshape(shape), k, k2)
         active = np.flatnonzero(mask)
         by_magnitude = sorted(active, key=lambda i: (abs(w[i]), i))
         assert sorted(removed.tolist()) == sorted(by_magnitude[:k]), f"trial {trial}"
-
-        after = mask.copy()
-        after[removed] = False
-        candidates = [i for i in np.flatnonzero(~after) if i not in set(removed.tolist())]
-        k2 = int(rng.integers(0, len(candidates) + 1))
-        grown = gradient_regrow(after.reshape(shape), k2, g.reshape(shape),
-                                exclude=removed)
         by_gradient = sorted(candidates, key=lambda i: (-abs(g[i]), i))
         assert sorted(grown.tolist()) == sorted(by_gradient[:k2]), f"trial {trial}"
 
-        random_grown = random_regrow(after.reshape(shape), k2,
-                                     np.random.default_rng(trial), exclude=removed)
+        random_removed, random_grown = topology_event(
+            w.reshape(shape), g.reshape(shape), mask.reshape(shape), k, k2, "set",
+            np.random.default_rng(trial))
+        assert sorted(random_removed.tolist()) == sorted(by_magnitude[:k]), f"trial {trial}"
         assert len(set(random_grown.tolist())) == k2
         assert set(random_grown.tolist()) <= set(candidates)
 

@@ -437,6 +437,50 @@ def test_attenuate_names_an_out_of_range_cifar_label(cli_run, tmp_path, capsys):
     assert "label 12 outside [0, 10) at record 1" in err
 
 
+def constant_checkpoint(path: str, spec: str, answer: int) -> str:
+    """A checkpoint of `spec` whose every prediction is class `answer`."""
+    model = build_model(parse_model_spec(spec), np.random.default_rng(0))
+    for layer in model.layers:
+        layer.weight.data[...] = 0.0
+    model.layers[-1].bias.data[answer] = 1.0
+    save_checkpoint(path, model, TopologyMask({}), 1, np.random.default_rng(0),
+                    DstConfig(method="dense", total_steps=1), 0, "0" * 64,
+                    BudgetTrajectory(), 0.0, 0)
+    return path
+
+
+def test_a_20_class_set_is_corrupted_and_scored_against_the_models_classes(tmp_path, capsys):
+    """Labels are checked against the scoring model's class count, not a
+    fixed 10: a 20-class set corrupts with its labels unchanged, evaluates
+    and attenuates under a 20-class model, and a 10-class model refuses the
+    set by its first label outside [0, 10), 15 at record 10."""
+    labels = np.tile(np.r_[0:10, 15, 18, 10:15, 16, 17, 19], 2).astype(np.uint8)
+    imgs = np.random.default_rng(3).random((labels.size, 28, 28)).astype(np.float32)
+    write_idx_pair(str(tmp_path), "t10k", imgs, labels)
+    images = str(tmp_path / "t10k-images-idx3-ubyte")
+    corr = str(tmp_path / "corr")
+    code, stdout, _ = run_cli(capsys, "corrupt", images, "--kinds", "contrast",
+                              "--severities", "1", "--out", corr)
+    assert code == 0
+    np.testing.assert_array_equal(load_image_set(stdout.strip()).labels, labels)
+
+    ckpt20 = constant_checkpoint(str(tmp_path / "c20.ckpt"), "mlp:784-16-20", 18)
+    code, stdout, _ = run_cli(capsys, "evaluate", ckpt20, "--sets", corr)
+    assert code == 0
+    assert json.loads(stdout)["mean_robustness_accuracy"] == 2 / labels.size
+    code, stdout, _ = run_cli(capsys, "attenuate", ckpt20, "--mode", "low",
+                              "--radii", "0,2", "--images", images)
+    assert code == 0
+    assert [p["accuracy"] for p in json.loads(stdout)["points"]] == [2 / labels.size] * 2
+
+    ckpt10 = constant_checkpoint(str(tmp_path / "c10.ckpt"), "mlp:784-16-10", 3)
+    for argv in (["evaluate", ckpt10, "--sets", corr],
+                 ["attenuate", ckpt10, "--mode", "low", "--radii", "0,2", "--images", images]):
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert stdout == "" and "label 15 outside [0, 10) at record 10" in err
+
+
 @pytest.mark.parametrize("radii", ["4,2", "2,99", "-1", ""])
 def test_attenuate_rejects_radii_before_scoring(cli_run, idx_dir, capsys, monkeypatch, radii):
     def no_scoring(*args, **kwargs):

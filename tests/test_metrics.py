@@ -65,6 +65,18 @@ def test_batched_accuracy_empty_set_rejected():
                          np.zeros(0, dtype=np.int64))
 
 
+@pytest.mark.parametrize("bad,record", [(-1, 3), (12, 5)])
+def test_batched_accuracy_refuses_a_label_outside_the_models_classes(bad, record):
+    # the bound is the model's class count, 12 here, not a fixed 10
+    model = build_model(parse_model_spec("mlp:144-16-12"), np.random.default_rng(0))
+    s = toy_set()
+    assert batched_accuracy([model], s.images, np.full(20, 11))[0] >= 0.0
+    labels = s.labels.copy()
+    labels[record] = bad
+    with pytest.raises(DataError, match=rf"label {bad} outside \[0, 12\) at record {record}"):
+        batched_accuracy([model], s.images, labels)
+
+
 def test_accuracy_shape_mismatch_names_the_set():
     model = build_model(parse_model_spec("mlp:100-10"), np.random.default_rng(0))
     s = toy_set()

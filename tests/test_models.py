@@ -217,13 +217,6 @@ def test_mlp_accepts_image_shaped_input():
     assert model.predict(x).shape == (2, 10)
 
 
-def test_layer_by_name():
-    model = build_model(parse_model_spec("mlp:10-5-2"), np.random.default_rng(0))
-    assert model.layer_by_name("fc2").weight.data.shape == (2, 5)
-    with pytest.raises(KeyError):
-        model.layer_by_name("conv9")
-
-
 def test_descriptor_matches_built_model():
     model = build_model(parse_model_spec("small_convnet:3x32x32-10"), np.random.default_rng(0))
     desc = model.descriptor()

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dstforge import schedulers
 from dstforge.models import build_model, parse_model_spec
 from dstforge.optim import sgd_momentum_step
 from dstforge.schedulers import (
@@ -19,7 +18,13 @@ from dstforge.schedulers import (
     synthetic_trajectory,
     topology_update,
 )
-from dstforge.sparsity import allocate_uniform, apply_mask, init_topology, mask_shapes
+from dstforge.sparsity import (
+    allocate_uniform,
+    apply_mask,
+    init_topology,
+    mask_shapes,
+    prune_rate,
+)
 from dstforge.tensor import Tensor, backward, softmax_cross_entropy
 
 
@@ -235,7 +240,7 @@ def test_set_update_preserves_counts_and_moves_positions():
 def test_set_update_drops_smallest_magnitudes():
     cfg, model, alloc, mask, rng = toy_setup("set", delta_t=10)
     name = "fc1"
-    w = model.layer_by_name(name).weight.data
+    w = {layer.name: layer for layer in model.layers}[name].weight.data
     m = mask[name]
     k = int(round(0.1 * (1 - 10 / 80) ** 0.01 * m.sum()))
     active = np.flatnonzero(m)
@@ -255,7 +260,7 @@ def test_rigl_update_regrows_largest_gradients():
     apply_mask(model, mask)
     name = "fc1"
     m_before = mask[name].copy()
-    w = model.layer_by_name(name).weight.data
+    w = {layer.name: layer for layer in model.layers}[name].weight.data
     k = int(round(0.1 * (1 - 10 / 80) ** 0.01 * m_before.sum()))
     removed = set(np.flatnonzero(m_before)[
         np.argsort(np.abs(w.reshape(-1)[np.flatnonzero(m_before)]), kind="stable")[:k]
@@ -297,7 +302,7 @@ def test_mest_scoring_prefers_low_weight_and_low_grad():
     fake_backward(model, np.random.default_rng(2))
     name = "fc2"
     m = mask[name].copy()
-    w = model.layer_by_name(name).weight.data
+    w = {layer.name: layer for layer in model.layers}[name].weight.data
     tgt = alloc.targets()[name]
     k_remove = max(0, int(m.sum()) - tgt)
     active = np.flatnonzero(m)
@@ -358,13 +363,13 @@ def test_topology_update_rejects_dense():
 def test_update_never_breaks_budget_bounds(method, seed):
     cfg, model, alloc, mask, rng = toy_setup(method, total=80, delta_t=10, seed=seed)
     data_rng = np.random.default_rng(seed)
+    layers = {layer.name: layer for layer in model.layers}
     for step in (10, 40, 70):
         fake_backward(model, data_rng)
         topology_update(model, mask, alloc, cfg, step, rng)
         apply_mask(model, mask)
         for n in mask.names():
-            layer = model.layer_by_name(n)
-            assert np.all(layer.weight.data[~mask[n]] == 0.0)
+            assert np.all(layers[n].weight.data[~mask[n]] == 0.0)
         assert 0.0 < mask.global_density() <= 1.0
 
 
@@ -379,63 +384,52 @@ def schedule_targets(cfg: DstConfig, alloc, step: int) -> dict[str, int]:
     return alloc.targets()
 
 
+def schedule_floors(cfg: DstConfig, alloc, step: int, targets: dict) -> dict[str, int]:
+    """Per-layer counts each method's removal takes a layer down to at `step`."""
+    if cfg.method in ("mest_r", "mest_g"):
+        return alloc.targets()
+    p = prune_rate(cfg.p0, step, cfg.total_steps)
+    return {n: t - int(round(p * t)) for n, t in targets.items()}
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.sampled_from(["set", "rigl", "mest_r", "mest_g", "granet_r", "granet_g"]),
        st.sampled_from([0.3, 0.5, 0.8]),
        st.integers(min_value=0, max_value=10_000))
 def test_every_event_meets_schedule_with_disjoint_moves(method, sparsity, seed):
     """Train a toy MLP through every event of a run; after each one every
-    layer holds its scheduled count, the removed and regrown sets are
-    disjoint and account for the whole mask change, and masked weights and
-    momentum are exactly zero."""
+    layer holds its scheduled count, and the mask change is exactly k_remove
+    deactivated and k_grow activated positions, both computed from the
+    schedule's target and floor (a position removed and regrown in one event
+    would show as fewer of each), and masked weights and momentum are
+    exactly zero."""
     cfg, model, alloc, mask, rng = toy_setup(method, sparsity=sparsity, total=40,
                                              delta_t=4, seed=seed)
     data_rng = np.random.default_rng((seed, 1))
-    layer_of = {id(mask[n]): n for n in mask.names()}
-    picks = {}
-
-    def recording(fn, kind, mask_arg):
-        def wrapped(*args, **kwargs):
-            out = fn(*args, **kwargs)
-            picks[layer_of[id(args[mask_arg])], kind] = out
-            return out
-        return wrapped
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(schedulers, "_prune_by_score",
-                   recording(schedulers._prune_by_score, "removed", 1))
-        mp.setattr(schedulers, "random_regrow",
-                   recording(schedulers.random_regrow, "grown", 0))
-        mp.setattr(schedulers, "gradient_regrow",
-                   recording(schedulers.gradient_regrow, "grown", 0))
-        events = 0
-        for step in range(1, cfg.total_steps):
-            x, y = fake_batch(data_rng)
-            model.zero_grad()
-            backward(softmax_cross_entropy(model.forward(Tensor(x)), y))
-            sgd_momentum_step(model.parameters(), lr=0.1, momentum=0.9, weight_decay=1e-4)
-            apply_mask(model, mask)
-            if not should_update(cfg, step):
-                continue
-            before = {n: mask[n].copy() for n in mask.names()}
-            picks.clear()
-            topology_update(model, mask, alloc, cfg, step, rng)
-            apply_mask(model, mask)
-            events += 1
-            targets = schedule_targets(cfg, alloc, step)
-            for n in mask.names():
-                removed, grown = picks[n, "removed"], picks[n, "grown"]
-                for picked in (removed, grown):
-                    assert np.all(np.diff(picked) > 0), (n, step)
-                assert np.intersect1d(removed, grown).size == 0, (n, step)
-                expected = before[n].reshape(-1).copy()
-                assert expected[removed].all(), (n, step)
-                expected[removed] = False
-                assert not expected[grown].any(), (n, step)
-                expected[grown] = True
-                np.testing.assert_array_equal(mask[n].reshape(-1), expected)
-                assert mask.active_count(n) == targets[n], (method, n, step)
-                weight = model.layer_by_name(n).weight
-                assert np.all(weight.data[~mask[n]] == 0.0)
-                assert np.all(weight.momentum[~mask[n]] == 0.0)
-        assert events == 9
+    layers = {layer.name: layer for layer in model.layers}
+    events = 0
+    for step in range(1, cfg.total_steps):
+        x, y = fake_batch(data_rng)
+        model.zero_grad()
+        backward(softmax_cross_entropy(model.forward(Tensor(x)), y))
+        sgd_momentum_step(model.parameters(), lr=0.1, momentum=0.9, weight_decay=1e-4)
+        apply_mask(model, mask)
+        if not should_update(cfg, step):
+            continue
+        before = {n: mask[n].copy() for n in mask.names()}
+        topology_update(model, mask, alloc, cfg, step, rng)
+        apply_mask(model, mask)
+        events += 1
+        targets = schedule_targets(cfg, alloc, step)
+        floors = schedule_floors(cfg, alloc, step, targets)
+        for n in mask.names():
+            active = int(before[n].sum())
+            k_remove = min(max(0, active - floors[n]), before[n].size - targets[n])
+            k_grow = targets[n] - (active - k_remove)
+            assert np.count_nonzero(before[n] & ~mask[n]) == k_remove, (method, n, step)
+            assert np.count_nonzero(~before[n] & mask[n]) == k_grow, (method, n, step)
+            assert mask.active_count(n) == targets[n], (method, n, step)
+            weight = layers[n].weight
+            assert np.all(weight.data[~mask[n]] == 0.0)
+            assert np.all(weight.momentum[~mask[n]] == 0.0)
+    assert events == 9

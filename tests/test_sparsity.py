@@ -1,10 +1,12 @@
-"""Allocation math, mask bookkeeping, and prune/regrow selection rules."""
+"""Allocation math, mask bookkeeping, and the picks of a topology event."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
+
+from conftest import topology_event
 
 from dstforge.metrics import param_count
 from dstforge.models import (
@@ -14,18 +16,19 @@ from dstforge.models import (
     descriptor_library,
     parse_model_spec,
 )
+from dstforge.schedulers import DstConfig, topology_update
 from dstforge.sparsity import (
     DENSE,
+    LayerBudget,
+    SparsityAllocation,
     TopologyMask,
-    _prune_by_score,
+    _select_lowest,
     allocate_erk,
     allocate_uniform,
     apply_mask,
-    gradient_regrow,
     init_topology,
     mask_shapes,
     prune_rate,
-    random_regrow,
 )
 
 
@@ -320,80 +323,96 @@ def test_dense_is_the_empty_topology():
         np.testing.assert_array_equal(layer.weight.data, w)
 
 
-# --- selection rules -------------------------------------------------------
+# --- selection rules: the picks of one topology event --------------------
+
+
+def removed(w, mask, k):
+    """Positions an event removing k and regrowing none deactivates."""
+    return topology_event(np.asarray(w, dtype=float), np.zeros(np.shape(w)), mask, k, 0)[0]
+
+
+def grown(grad, mask, k, method="rigl", rng=None):
+    """Positions an event removing none and regrowing k activates."""
+    grad = np.asarray(grad, dtype=float)
+    return topology_event(np.zeros(grad.shape), grad, mask, 0, k, method, rng)[1]
 
 
 def test_magnitude_prune_anchor():
-    w = np.array([0.1, -0.5, 0.2])
-    mask = np.ones(3, dtype=bool)
-    assert _prune_by_score(np.abs(w), mask, 1).tolist() == [0]
+    assert removed([0.1, -0.5, 0.2], np.ones(3, dtype=bool), 1).tolist() == [0]
 
 
 def test_magnitude_prune_tie_takes_lowest_index():
     w = np.array([0.9, 0.8, 0.3, 0.7, 0.6, 0.3])
     mask = np.ones(6, dtype=bool)
-    assert _prune_by_score(np.abs(w), mask, 1).tolist() == [2]
-    assert _prune_by_score(np.abs(w), mask, 2).tolist() == [2, 5]
+    assert removed(w, mask, 1).tolist() == [2]
+    assert removed(w, mask, 2).tolist() == [2, 5]
 
 
 def test_magnitude_prune_ignores_inactive():
-    w = np.array([0.01, 0.5, 0.4])
-    mask = np.array([False, True, True])
-    assert _prune_by_score(np.abs(w), mask, 1).tolist() == [2]
+    assert removed([0.01, 0.5, 0.4], np.array([False, True, True]), 1).tolist() == [2]
+
+
+def oversized_event(method: str):
+    """A one-layer model, its mask and an allocation sized for a layer twice
+    as large, whose target of 12 the 8-weight layer cannot hold."""
+    model = build_model(parse_model_spec("mlp:4-2"), np.random.default_rng(0))
+    model.layers[0].weight.grad = np.ones((2, 4), dtype=np.float32)
+    mask = TopologyMask({"fc1": np.arange(8).reshape(2, 4) < 4})
+    alloc = SparsityAllocation(0.5, (LayerBudget("fc1", 16, 0.75),))
+    return model, mask, alloc, DstConfig(method=method, sparsity=0.5, total_steps=10)
 
 
 def test_prune_count_range_checked():
-    w = np.ones(4)
     mask = np.array([True, True, False, False])
-    with pytest.raises(ValueError):
-        _prune_by_score(np.abs(w), mask, 3)
-    with pytest.raises(ValueError):
-        _prune_by_score(np.abs(w), mask, -1)
-    assert _prune_by_score(np.abs(w), mask, 0).size == 0
+    assert removed(np.ones(4), mask, 0).size == 0
+    assert removed(np.ones(4), mask, 2).tolist() == [0, 1]
+    model, topo, alloc, cfg = oversized_event("set")
+    with pytest.raises(ValueError, match="'fc1' cannot remove -4 of 4 active"):
+        topology_update(model, topo, alloc, cfg, 1, np.random.default_rng(0))
 
 
 def test_gradient_regrow_anchor():
-    grad = np.array([0.9, 0.1, 0.5])
-    mask = np.zeros(3, dtype=bool)
-    got = set(gradient_regrow(mask, 2, grad).tolist())
-    assert got == {0, 2}
+    assert set(grown([0.9, 0.1, 0.5], np.zeros(3, dtype=bool), 2).tolist()) == {0, 2}
 
 
 def test_gradient_regrow_tie_takes_lowest_index():
-    grad = np.array([0.5, 0.5, 0.1])
-    mask = np.zeros(3, dtype=bool)
-    assert gradient_regrow(mask, 1, grad).tolist() == [0]
+    assert grown([0.5, 0.5, 0.1], np.zeros(3, dtype=bool), 1).tolist() == [0]
 
 
 def test_gradient_regrow_uses_magnitude():
-    grad = np.array([-0.9, 0.1, 0.5])
-    mask = np.zeros(3, dtype=bool)
-    assert gradient_regrow(mask, 1, grad).tolist() == [0]
+    assert grown([-0.9, 0.1, 0.5], np.zeros(3, dtype=bool), 1).tolist() == [0]
 
 
 def test_regrow_excludes_removed_positions():
-    mask = np.array([True, False, False, False])
-    removed = np.array([1, 2], dtype=np.int64)
-    for _ in range(20):
-        got = random_regrow(mask, 1, np.random.default_rng(_), exclude=removed)
-        assert got.tolist() == [3]
+    # the event removes 1 and 2, whose gradients are the largest; only
+    # position 3 was inactive before it, so both rules must regrow 3
+    w = np.array([9.0, 0.1, 0.2, 5.0])
     grad = np.array([0.0, 9.0, 8.0, 1.0])
-    assert gradient_regrow(mask, 1, grad, exclude=removed).tolist() == [3]
+    mask = np.array([True, True, True, False])
+    for seed in range(20):
+        gone, back = topology_event(w, grad, mask, 2, 1, "set", np.random.default_rng(seed))
+        assert (gone.tolist(), back.tolist()) == ([1, 2], [3])
+    gone, back = topology_event(w, grad, mask, 2, 1, "rigl")
+    assert (gone.tolist(), back.tolist()) == ([1, 2], [3])
 
 
 def test_regrow_count_range_checked():
-    mask = np.array([True, True, False])
-    with pytest.raises(ValueError):
-        random_regrow(mask, 2, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        gradient_regrow(mask, 2, np.zeros(3))
+    # a refused event draws nothing and leaves the mask as it was
+    for method in ("set", "rigl"):
+        model, topo, alloc, cfg = oversized_event(method)
+        before = topo["fc1"].copy()
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="for a target of 12"):
+            topology_update(model, topo, alloc, cfg, 1, rng)
+        assert rng.bit_generator.state == state
+        np.testing.assert_array_equal(topo["fc1"], before)
 
 
 def test_random_regrow_only_picks_inactive():
-    rng = np.random.default_rng(5)
     mask = np.zeros(30, dtype=bool)
     mask[:10] = True
-    got = random_regrow(mask, 5, rng)
+    got = grown(np.zeros(30), mask, 5, "set", np.random.default_rng(5))
     assert np.all(got >= 10)
     assert np.unique(got).size == 5
 
@@ -435,13 +454,9 @@ def test_prune_then_regrow_preserves_budget(seed):
     if n >= 4:
         w[1] = w[0]
     k = int(r.integers(0, min(k_active, n - k_active) + 1))
-    removed = _prune_by_score(np.abs(w), mask, k)
-    mask2 = mask.copy()
-    mask2.reshape(-1)[removed] = False
-    grown = random_regrow(mask2, k, r, exclude=removed)
-    mask2.reshape(-1)[grown] = True
-    assert mask2.sum() == mask.sum()
-    assert not np.intersect1d(removed, grown).size
+    gone, back = topology_event(w, np.zeros(n), mask, k, k, "set", r)
+    assert gone.size == back.size == k
+    assert np.all(mask[gone]) and not np.any(mask[back])
 
 
 @settings(deadline=None, max_examples=30)
@@ -454,10 +469,10 @@ def test_pruned_positions_hold_smallest_magnitudes(seed):
         mask[:2] = True
     w = np.round(r.standard_normal(n), 1)  # coarse grid forces ties
     k = int(r.integers(1, mask.sum() + 1))
-    removed = _prune_by_score(np.abs(w), mask, k)
-    kept = np.setdiff1d(np.flatnonzero(mask), removed)
-    if kept.size and removed.size:
-        assert np.abs(w[removed]).max() <= np.abs(w[kept]).min() + 1e-12
+    gone = removed(w, mask, k)
+    kept = np.setdiff1d(np.flatnonzero(mask), gone)
+    if kept.size and gone.size:
+        assert np.abs(w[gone]).max() <= np.abs(w[kept]).min() + 1e-12
 
 
 # --- linear-time selection against a sorting oracle -------------------------
@@ -498,13 +513,15 @@ def assert_ascending_unique(idx: np.ndarray):
 @given(selection_case(), st.data())
 def test_prune_matches_sorting_oracle(case, data):
     score, mask = case
+    # the rule itself, on signed scores with infinities over every position
+    k = data.draw(st.integers(0, score.size))
+    got = _select_lowest(score.reshape(-1), k)
+    assert_ascending_unique(got)
+    assert got.tolist() == oracle_lowest(score, np.arange(score.size), k)
+    # an event's removal: the k lowest |w| among the active positions
     active = np.flatnonzero(mask)
     k = data.draw(st.integers(0, active.size))
-    got = _prune_by_score(score, mask, k)
-    assert_ascending_unique(got)
-    assert got.tolist() == oracle_lowest(score, active, k)
-    got = _prune_by_score(np.abs(score), mask, k)
-    assert_ascending_unique(got)
+    got = removed(score, mask, k)
     assert got.tolist() == oracle_lowest(np.abs(score), active, k)
 
 
@@ -512,40 +529,39 @@ def test_prune_matches_sorting_oracle(case, data):
 @given(selection_case(), st.data())
 def test_gradient_regrow_matches_sorting_oracle(case, data):
     grad, mask = case
-    free = np.flatnonzero(~mask)
-    exclude = np.array(sorted(data.draw(st.sets(st.sampled_from(free.tolist()))
-                                        if free.size else st.just(set()))), dtype=np.int64)
-    cands = np.setdiff1d(free, exclude)
-    k = data.draw(st.integers(0, cands.size))
-    got = gradient_regrow(mask, k, grad, exclude=exclude)
-    assert_ascending_unique(got)
-    assert got.tolist() == oracle_lowest(-np.abs(grad), cands, k)
+    active, free = np.flatnonzero(mask), np.flatnonzero(~mask)
+    k_remove = data.draw(st.integers(0, active.size))
+    k_grow = data.draw(st.integers(0, free.size))
+    w = data.draw(arrays(np.float64, grad.shape, elements=st.floats(-1.0, 1.0)))
+    gone, back = topology_event(w, grad, mask, k_remove, k_grow)
+    assert gone.tolist() == oracle_lowest(np.abs(w), active, k_remove)
+    # the k largest |grad| among the positions inactive before the event
+    assert back.tolist() == oracle_lowest(-np.abs(grad), free, k_grow)
 
 
 def test_selection_nan_threshold_keeps_the_budget():
     # two finite scores and three NaNs: asking for four must take both
     # finite ones and then the lowest-index NaNs, never fewer than four
     score = np.array([np.nan, 0.3, np.nan, 0.1, np.nan])
-    mask = np.ones(5, dtype=bool)
-    assert _prune_by_score(score, mask, 4).tolist() == [0, 1, 2, 3]
-    assert _prune_by_score(score, mask, 3).tolist() == [0, 1, 3]
+    assert _select_lowest(score, 4).tolist() == [0, 1, 2, 3]
+    assert _select_lowest(score, 3).tolist() == [0, 1, 3]
+    assert removed(score, np.ones(5, dtype=bool), 4).tolist() == [0, 1, 2, 3]
     grad = np.array([np.nan, 0.0, np.nan, np.inf])
-    assert gradient_regrow(np.zeros(4, dtype=bool), 3, grad).tolist() == [0, 1, 3]
+    assert grown(grad, np.zeros(4, dtype=bool), 3).tolist() == [0, 1, 3]
 
 
 def test_selection_signed_zeros_tie_on_index():
-    score = np.array([0.0, -0.0, 0.0, -0.0])
-    mask = np.ones(4, dtype=bool)
-    assert _prune_by_score(score, mask, 2).tolist() == [0, 1]
+    assert _select_lowest(np.array([0.0, -0.0, 0.0, -0.0]), 2).tolist() == [0, 1]
     grad = np.array([1.0, -0.0, 0.0, 1.0])
-    assert gradient_regrow(np.zeros(4, dtype=bool), 3, grad).tolist() == [0, 1, 3]
+    assert grown(grad, np.zeros(4, dtype=bool), 3).tolist() == [0, 1, 3]
 
 
 def test_selection_count_endpoints():
     score = np.array([[np.nan, 2.0], [-np.inf, 0.0]])
     mask = np.array([[True, True], [False, True]])
-    assert _prune_by_score(score, mask, 0).tolist() == []
-    assert _prune_by_score(score, mask, 3).tolist() == [0, 1, 3]
-    free = ~mask
-    assert gradient_regrow(free, 3, score).tolist() == [0, 1, 3]
-    assert gradient_regrow(free, 0, score).tolist() == []
+    assert _select_lowest(score.reshape(-1), 0).tolist() == []
+    assert _select_lowest(score.reshape(-1), 4).tolist() == [0, 1, 2, 3]
+    assert removed(score, mask, 0).tolist() == []
+    assert removed(score, mask, 3).tolist() == [0, 1, 3]
+    assert grown(score, ~mask, 3).tolist() == [0, 1, 3]
+    assert grown(score, ~mask, 0).tolist() == []

@@ -281,14 +281,17 @@ def test_a_refused_config_writes_nothing_and_the_corrected_study_then_runs(idx28
     assert os.path.exists(result.checkpoints[("dense", 1)])
 
 
-@pytest.mark.parametrize("seeds", ["", "1,,2", "1,x"])
-def test_the_study_script_refuses_bad_seeds_in_one_line(idx28_dir, tmp_path, seeds):
+@pytest.mark.parametrize("flag,value,shown", [
+    ("--seeds", "", "''"), ("--seeds", "1,,2", "'1,,2'"), ("--seeds", "1,x", "'1,x'"),
+    ("--epochs", "0", "got 0"),
+], ids=["", "1,,2", "1,x", "epochs-0"])
+def test_the_study_script_refuses_bad_seeds_in_one_line(idx28_dir, tmp_path, flag, value, shown):
     script = Path(__file__).resolve().parents[1] / "scripts" / "run_robustness_study.py"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    r = subprocess.run([sys.executable, str(script), "--seeds", seeds, "--data", idx28_dir,
+    r = subprocess.run([sys.executable, str(script), flag, value, "--data", idx28_dir,
                         "--out", str(tmp_path / "study")],
                        capture_output=True, text=True, env=env, timeout=120)
     assert r.returncode == 2
     assert r.stdout == ""
-    assert r.stderr.count("\n") == 1 and r.stderr.startswith("--seeds") and repr(seeds) in r.stderr
+    assert r.stderr.count("\n") == 1 and r.stderr.startswith(flag) and shown in r.stderr
     assert not (tmp_path / "study").exists()

@@ -331,8 +331,9 @@ def test_masked_weights_stay_zero(set_run):
     _, ckpt = set_run
     model, ck = load_model_from_checkpoint(ckpt)
     mask = ck.mask()
+    layers = {layer.name: layer for layer in model.layers}
     for name in mask.names():
-        layer = model.layer_by_name(name)
+        layer = layers[name]
         assert np.all(layer.weight.data[~mask[name]] == 0.0)
         assert np.all(layer.weight.momentum[~mask[name]] == 0.0)
         assert mask.active_count(name) > 0
