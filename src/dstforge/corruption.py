@@ -12,6 +12,11 @@ kinds that draw random numbers loop over images, one generator each, and the
 kinds that draw nothing build no generator. `corrupt` is the same pass on a
 batch of one image, so its bytes equal that image's row of the batch.
 `dstforge corrupt` and the study hold one rendered cell at a time.
+
+The three blurs are numpy kernels with the bytes of `scipy.ndimage`'s
+`gaussian_filter` and `convolve` in mode "reflect", so corrupting loads no
+scipy. Motion blur convolves all images whose random angles give the same
+discretised kernel in one call.
 """
 
 from __future__ import annotations
@@ -122,12 +127,101 @@ def _speckle_noise(x, sigma, rngs):
     return noise
 
 
-# The blurs import scipy.ndimage when they run, not at module load: every
-# process that imports this module (cli, study) would otherwise pay its
-# memory and start-up time, and only the three blur kinds call it.
+# The blurs give the bytes of scipy.ndimage's filters in mode "reflect"
+# (`gaussian_filter`, and `convolve` for defocus and motion) without loading
+# scipy: ndimage sums in float64, in a fixed tap order, and casts each pass's
+# output to the input's float32. Each pass runs a cache-sized chunk of images
+# at a time, on the chunk's padded planes flattened into one row, so that
+# every tap is one contiguous add; the sums outside the planes are dropped.
+
+_BLUR_CHUNK = 1 << 15  # float64 elements of a chunk's padded planes
+
+
+def _chunks(x: np.ndarray, pad: int):
+    """Slices of the batch's images, each a chunk whose planes padded by
+    `pad` a side hold about _BLUR_CHUNK elements, or one image."""
+    c, h, w = x.shape[1:]
+    step = max(1, _BLUR_CHUNK // (c * (h + 2 * pad) * (w + 2 * pad)))
+    return (slice(s, s + step) for s in range(0, len(x), step))
+
+
+def _reflect_index(size: int, pad: int) -> np.ndarray:
+    """The source index of each position of an axis padded by `pad` a side as
+    ndimage's "reflect" pads it (numpy's "symmetric"), with period 2 * size."""
+    i = np.arange(-pad, size + pad) % (2 * size)
+    return np.minimum(i, 2 * size - 1 - i)
+
+
+def _reflect_pad(x: np.ndarray, pad: int, axes=(2, 3)) -> np.ndarray:
+    """The batch in float64, padded by `pad` a side along each of `axes`."""
+    for axis in axes:
+        x = np.take(x, _reflect_index(x.shape[axis], pad), axis=axis)
+    return x.astype(np.float64)
+
+
+def _gaussian_weights(sigma: float) -> np.ndarray:
+    """ndimage's `_gaussian_kernel1d(sigma, 0, radius)` at its truncate 4.0."""
+    radius = int(4.0 * sigma + 0.5)
+    t = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * t ** 2)
+    return phi / phi.sum()
+
+
+def _gaussian_pass(x: np.ndarray, weights: np.ndarray, axis: int) -> np.ndarray:
+    """ndimage's `correlate1d` of a symmetric kernel along `axis` (2 or 3):
+    the centre tap's product, plus each mirrored pair's sum times its
+    weight, outermost pair first, cast to float32."""
+    r = len(weights) // 2
+    h, w = x.shape[2:]
+    xp = _reflect_pad(x, r, (axis,))
+    stride = w if axis == 2 else 1  # between neighbours along the axis
+    flat = xp.reshape(-1)
+    size = flat.size - 2 * r * stride
+
+    def tap(j: int) -> np.ndarray:
+        return flat[(r + j) * stride : (r + j) * stride + size]
+
+    out = np.empty_like(flat)
+    acc = np.multiply(tap(0), weights[r], out=out[:size])
+    pair = np.empty(size)
+    for j in range(r, 0, -1):
+        np.add(tap(-j), tap(j), out=pair)
+        pair *= weights[r - j]
+        acc += pair
+    return out.reshape(xp.shape)[:, :, :h, :w].astype(np.float32)
+
+
 def _gaussian_blur(x, sigma, rngs):
-    from scipy import ndimage
-    return ndimage.gaussian_filter(x, sigma=(0, 0, sigma, sigma), mode="reflect")
+    weights = _gaussian_weights(sigma)
+    out = np.empty_like(x)
+    for rows in _chunks(x, len(weights) // 2):
+        out[rows] = _gaussian_pass(_gaussian_pass(x[rows], weights, 2), weights, 3)
+    return out
+
+
+def _convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """ndimage's `convolve` of each (h, w) plane with an odd square float32
+    kernel whose nonzero taps share one weight: over the flipped kernel's
+    nonzero taps in row-major order, 0.0 plus each tap's weight times its
+    shifted pixel, cast to float32. Each pixel's product with the shared
+    weight is formed once, with the bytes of the product ndimage forms at
+    every tap."""
+    taps = np.argwhere(kernel[::-1, ::-1])
+    weight = float(kernel.max())
+    k = len(kernel)
+    h, w = x.shape[2:]
+    out = np.empty_like(x)
+    for rows in _chunks(x, k // 2):
+        xp = _reflect_pad(x[rows], k // 2)
+        xp *= weight
+        flat = xp.reshape(-1)
+        width = xp.shape[3]
+        size = flat.size - (k - 1) * (width + 1)
+        acc = np.zeros_like(flat)
+        for i, j in taps:
+            acc[:size] += flat[i * width + j : i * width + j + size]
+        out[rows] = acc.reshape(xp.shape)[:, :, :h, :w]
+    return out
 
 
 def _disk_kernel(radius: int) -> np.ndarray:
@@ -137,8 +231,7 @@ def _disk_kernel(radius: int) -> np.ndarray:
 
 
 def _defocus_blur(x, radius, rngs):
-    from scipy import ndimage
-    return ndimage.convolve(x, _disk_kernel(radius)[None, None], mode="reflect")
+    return _convolve(x, _disk_kernel(radius))
 
 
 def _motion_kernel(length: int, angle: float) -> np.ndarray:
@@ -153,11 +246,15 @@ def _motion_kernel(length: int, angle: float) -> np.ndarray:
 
 
 def _motion_blur(x, length, rngs):
-    from scipy import ndimage
-    out = np.empty_like(x)
-    for img, img_out, rng in zip(x, out, rngs):
+    # one angle per image; the images whose angles discretise to the same
+    # kernel are convolved together
+    groups = {}
+    for i, rng in enumerate(rngs):
         kernel = _motion_kernel(length, rng.uniform(0.0, np.pi))
-        ndimage.convolve(img, kernel[None], output=img_out, mode="reflect")
+        groups.setdefault(kernel.tobytes(), (kernel, []))[1].append(i)
+    out = np.empty_like(x)
+    for kernel, rows in groups.values():
+        out[rows] = _convolve(x[rows], kernel)
     return out
 
 

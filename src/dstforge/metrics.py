@@ -93,8 +93,9 @@ def batched_accuracy(models: list[Model], images: np.ndarray, labels: np.ndarray
 
     `transform`, when given, maps each batch of images before prediction, so
     a filtered copy of a large set never has to exist whole; every model
-    scores the same transformed batch, which is built once. An empty set, or
-    a label outside [0, classes) of any model, raises DataError.
+    scores the same transformed batch, which is built once. An empty set, a
+    label outside [0, classes) of any model, or images whose shape a model
+    cannot take raises DataError.
     """
     if len(images) == 0:
         raise DataError("empty image set")
@@ -110,16 +111,21 @@ def batched_accuracy(models: list[Model], images: np.ndarray, labels: np.ndarray
             x = transform(x)
         y = labels[lo : lo + EVAL_BATCH]
         for i, model in enumerate(models):
-            correct[i] += int((model.predict(x, sparse=sparse).argmax(axis=1) == y).sum())
+            try:
+                logits = model.predict(x, sparse=sparse)
+            except ValueError as e:
+                raise DataError(f"images of shape {images.shape[1:]} do not match model "
+                                f"{model.spec.to_string()}: {e}") from e
+            correct[i] += int((logits.argmax(axis=1) == y).sum())
     return [c / len(images) for c in correct]
 
 
 def accuracy(model: Model, s: ImageSet, sparse: bool = False) -> float:
-    """Top-1 accuracy of the model on a labeled set."""
+    """Top-1 accuracy of the model on a labeled set; a DataError names the set."""
     try:
         return batched_accuracy([model], s.images, s.labels, sparse)[0]
-    except ValueError as e:
-        raise DataError(f"set {s.name!r} does not match the model: {e}") from e
+    except DataError as e:
+        raise DataError(f"set {s.name!r}: {e}") from e
 
 
 def robustness_accuracy(models: list[Model], corrupted_sets: dict) -> list[MetricsReport]:

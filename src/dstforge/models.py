@@ -177,6 +177,13 @@ class Layer:
         self.bias = bias
 
 
+# Weight density below which `Model.forward(sparse=True)` runs a linear layer
+# as CSR: where a CSR build plus product, paid on every call, matches one dense
+# GEMM at fc1's shape of mlp:784-300-100-10 with metrics.EVAL_BATCH rows
+# (README, "Sparse inference").
+CSR_DENSITY_CROSSOVER = 0.01
+
+
 class Model:
     def __init__(self, spec: ModelSpec, layers: list[Layer]):
         self.spec = spec
@@ -199,10 +206,11 @@ class Model:
         what reaches it.
 
         The layer kernels come from `layer_kernels()`: graph ops, or under
-        `no_grad` their forward-only forms. With sparse=True the linear layers
-        run as CSR products of the current (masked) weights and convolutions
-        stay dense; that product records no graph, so it is only allowed
-        under `no_grad` (see `predict`).
+        `no_grad` their forward-only forms. With sparse=True each linear layer
+        whose weight density is below CSR_DENSITY_CROSSOVER runs as a CSR
+        product of its current (masked) weights, and every other layer runs
+        as it does without it, to the same bytes; the CSR product records no
+        graph, so sparse=True is only allowed under `no_grad` (see `predict`).
 
         Under `no_grad` the leading conv layers run CONV_CHUNK images at a
         time, each chunk's pooled output written into the batch's, so no
@@ -218,10 +226,8 @@ class Model:
             return Tensor(np.asarray((csr_matrix(w.data) @ h.data.T).T) + b.data)
 
         linear, conv2d, maxpool = layer_kernels()
-        if sparse:
-            if grad_enabled():
-                raise ValueError("forward(sparse=True) builds no graph; call it under no_grad")
-            linear = csr_linear
+        if sparse and grad_enabled():
+            raise ValueError("forward(sparse=True) builds no graph; call it under no_grad")
 
         n_conv = next((i for i, layer in enumerate(self.layers) if layer.kind != "conv"),
                       len(self.layers))
@@ -245,7 +251,9 @@ class Model:
         for layer in self.layers[n_conv:]:
             if x.data.ndim > 2:
                 x = flatten(x)
-            x = linear(x, layer.weight, layer.bias)
+            w = layer.weight.data
+            csr = sparse and np.count_nonzero(w) < CSR_DENSITY_CROSSOVER * w.size
+            x = (csr_linear if csr else linear)(x, layer.weight, layer.bias)
             if layer is not last:
                 x = relu(x)
         return x
@@ -255,7 +263,8 @@ class Model:
 
         The input is cast to float32 first, so float64 and float32 copies of a
         batch give the same logits, equal to the training forward's on the
-        float32 batch. sparse=True selects the CSR linear layers of `forward`.
+        float32 batch. sparse=True runs the linear layers below the CSR
+        crossover as CSR products (see `forward`).
         """
         with no_grad():
             return self.forward(Tensor(np.asarray(x, dtype=np.float32)), sparse=sparse).data

@@ -31,7 +31,13 @@ from test_sparsity import bisect_erk
 from dstforge.checkpoint import load_checkpoint
 from dstforge.cli import main
 from dstforge.config import parse_config
-from dstforge.models import ArchDescriptor, LayerSpec, build_model, parse_model_spec
+from dstforge.models import (
+    CSR_DENSITY_CROSSOVER,
+    ArchDescriptor,
+    LayerSpec,
+    build_model,
+    parse_model_spec,
+)
 from dstforge.schedulers import BudgetTrajectory, DstConfig, granet_density, mest_soft_bound
 from dstforge.sparsity import allocate_erk, apply_mask, init_topology, mask_shapes, prune_rate
 from dstforge.spectral import attenuate_images
@@ -314,19 +320,42 @@ def test_dft_round_trip_and_parseval():
             assert abs(spatial - freq) / spatial <= 1e-4
 
 
-@pytest.mark.parametrize("spec_str,shape", [
+SPARSE_PATH_CASES = [
     ("mlp:144-64-10", (32, 144)),
     ("small_convnet:3x16x16-10", (8, 3, 16, 16)),
-])
-def test_masked_dense_and_sparse_paths_agree(spec_str, shape):
+]
+
+
+def masked_logits(spec_str: str, shape: tuple, sparsity: float):
+    """Dense and sparse-path logits of an ERK-masked model, and the names of
+    its linear layers below the CSR crossover."""
     rng = np.random.default_rng(9)
     model = build_model(parse_model_spec(spec_str), rng)
-    alloc = allocate_erk(model.descriptor(), 0.5)
+    alloc = allocate_erk(model.descriptor(), sparsity)
     mask = init_topology(alloc, mask_shapes(model), np.random.default_rng(10))
     apply_mask(model, mask)
+    for layer in model.layers:  # nonzero biases, which the CSR path adds itself
+        layer.bias.data[...] = rng.uniform(-0.1, 0.1, layer.bias.data.shape)
     x = rng.random(shape).astype(np.float32)
-    dense_logits = model.predict(x)
-    sparse_logits = model.predict(x, sparse=True)
+    linear = {layer.name: layer.weight.data for layer in model.layers if layer.kind == "linear"}
+    below = [name for name, w in linear.items()
+             if np.count_nonzero(w) < CSR_DENSITY_CROSSOVER * w.size]
+    return model.predict(x), model.predict(x, sparse=True), below
+
+
+@pytest.mark.parametrize("spec_str,shape", SPARSE_PATH_CASES)
+def test_masked_dense_and_sparse_paths_agree(spec_str, shape):
+    # at ERK 0.5 every layer is above the crossover: the sparse path is the
+    # dense one, to the byte
+    dense_logits, sparse_logits, below = masked_logits(spec_str, shape, 0.5)
+    assert below == []
+    assert sparse_logits.tobytes() == dense_logits.tobytes()
+
+
+@pytest.mark.parametrize("spec_str,shape", SPARSE_PATH_CASES)
+def test_masked_sparse_path_below_the_crossover_agrees_with_dense(spec_str, shape):
+    dense_logits, sparse_logits, below = masked_logits(spec_str, shape, 0.995)
+    assert below == ["fc1", "fc2"]
     rel = np.abs(dense_logits - sparse_logits).max() / max(
         np.abs(dense_logits).max(), 1e-6)
     assert rel <= 1e-5

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import fail_atomic_writes, toy_config, write_idx_pair
+from conftest import fail_atomic_writes, make_blob_set, toy_config, write_idx_pair
 
 import dstforge.spectral
 from dstforge.checkpoint import save_checkpoint
@@ -479,6 +479,18 @@ def test_a_20_class_set_is_corrupted_and_scored_against_the_models_classes(tmp_p
         code, stdout, err = run_cli(capsys, *argv)
         assert code == 3
         assert stdout == "" and "label 15 outside [0, 10) at record 10" in err
+
+
+def test_attenuate_with_a_checkpoint_that_does_not_fit_the_images_exits_3(tmp_path, capsys):
+    imgs, labels = make_blob_set(6, seed=5, side=28)
+    write_idx_pair(str(tmp_path), "t10k", imgs, labels)
+    ckpt = constant_checkpoint(str(tmp_path / "c.ckpt"), "mlp:144-16-10", 0)
+    code, stdout, err = run_cli(capsys, "attenuate", ckpt, "--mode", "low", "--radii", "0,2",
+                                "--images", str(tmp_path / "t10k-images-idx3-ubyte"))
+    assert code == 3
+    assert stdout == ""
+    assert err == ("data error: images of shape (1, 28, 28) do not match model mlp:144-16-10: "
+                   "linear_forward: x has 784 features, w expects 144\n")
 
 
 @pytest.mark.parametrize("radii", ["4,2", "2,99", "-1", ""])

@@ -274,3 +274,46 @@ def test_severity_monotone_noise_degradation(dense_run):
         accs = [accuracy(model, grid[(kind, s)]) for s in (1, 2, 3, 4, 5)]
         inversions = sum(1 for a, b in zip(accs, accs[1:]) if b > a + 1e-9)
         assert inversions <= 1, (kind, accs)
+
+
+def ndimage_blur(x: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
+    """The blur cell as scipy.ndimage renders it, clipped as `corrupt_images` clips."""
+    from scipy import ndimage
+
+    from dstforge.corruption import _disk_kernel, _image_rng, _motion_kernel
+
+    p = spec.param
+    if spec.kind == "gaussian_blur":
+        out = ndimage.gaussian_filter(x, sigma=(0, 0, p, p), mode="reflect")
+    elif spec.kind == "defocus_blur":
+        out = ndimage.convolve(x, _disk_kernel(p)[None, None], mode="reflect")
+    else:
+        out = np.empty_like(x)
+        for i, (img, img_out) in enumerate(zip(x, out)):
+            kernel = _motion_kernel(p, _image_rng(spec, i).uniform(0.0, np.pi))
+            ndimage.convolve(img, kernel[None], output=img_out, mode="reflect")
+    return np.clip(out, 0.0, 1.0)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=1, max_value=5), st.sampled_from((1, 3)),
+       st.integers(min_value=1, max_value=13), st.integers(min_value=1, max_value=13),
+       st.sampled_from((1, 1000, 1 << 15)), st.integers(min_value=0, max_value=2**32 - 1))
+def test_blurs_match_ndimage_bytes(n, c, h, w, chunk, seed):
+    # scipy.ndimage is the oracle only; the library's blurs never load it.
+    # Sides from 1 to 13 include images narrower than every kernel's reach
+    # (up to 6 pixels a side), where "reflect" pads past the far edge; the
+    # chunk sizes run one image, a few, or the whole batch at a time.
+    import dstforge.corruption as corruption
+
+    x = np.random.default_rng(seed).random((n, c, h, w)).astype(np.float32)
+    x[x > 0.9] = 1.0
+    default_chunk, corruption._BLUR_CHUNK = corruption._BLUR_CHUNK, chunk
+    try:
+        for kind in ("gaussian_blur", "defocus_blur", "motion_blur"):
+            for sev in SEVERITIES:
+                spec = CorruptionSpec(kind, sev, seed % 1000)
+                got = corrupt_images(x, spec)
+                assert got.tobytes() == ndimage_blur(x, spec).tobytes(), (kind, sev)
+    finally:
+        corruption._BLUR_CHUNK = default_chunk

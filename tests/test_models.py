@@ -198,9 +198,16 @@ def test_predict_casts_float64_input_to_float32():
 
 def test_predict_sparse_matches_dense():
     model = build_model(parse_model_spec("mlp:36-16-10"), np.random.default_rng(3))
-    # zero half the first layer to make the sparse path meaningful
+    # half the first layer zeroed is above the crossover: every layer runs dense
     model.layers[0].weight.data[::2] = 0.0
+    model.layers[0].bias.data[...] = 0.5  # the CSR path adds the bias itself
     x = np.random.default_rng(4).random((5, 36)).astype(np.float32)
+    assert model.predict(x, sparse=True).tobytes() == model.predict(x).tobytes()
+    # four weights left in the first layer are below it: that layer runs as CSR
+    w = model.layers[0].weight.data
+    w[4:] = 0.0
+    w[:, 1:] = 0.0
+    assert np.count_nonzero(w) < models.CSR_DENSITY_CROSSOVER * w.size
     np.testing.assert_allclose(model.predict(x), model.predict(x, sparse=True), atol=1e-5)
 
 
