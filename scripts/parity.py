@@ -44,8 +44,12 @@ over `corrupt-1x28x28`. Last,
 prints for the dense and the set_s50 run of each model (layer fc1 of the MLP,
 conv2 of the convnet), which covers the dense run's empty topology and a
 masked one, and `inspect-<run> json|svg <sha256>` the heatmap files that the
-same call writes with `--json` and `--svg`. Run it on two checkouts and diff
-the outputs: a change that keeps every byte prints the same lines.
+same call writes with `--json` and `--svg`. Last, one rigl run of the MLP at
+sparsity 0.5 with the config's default cosine schedule and no weight decay
+prints the seven lines of a grid run as `mlp-rigl-s50-cosine-wd0`, so the
+cosine branch of `optim.lr_at` and the no-decay branch of
+`optim.sgd_momentum_step` run too. Run it on two checkouts and diff the
+outputs: a change that keeps every byte prints the same lines.
 BLAS runs on one thread, since float sums (and so the MLP artifacts) change
 with the thread count.
 """
@@ -75,6 +79,9 @@ GRID = (
 )
 # method, sparsity, extra [dst] lines of the uniform-allocation MLP run
 UNIFORM_RUN = ("mest_g", 0.1, "sparsity_dist = uniform\ndense_overrides = fc1\n")
+# name, method, sparsity and [train] line replacements of the last MLP run
+DEFAULTS_RUN = ("mlp-rigl-s50-cosine-wd0", "rigl", 0.5,
+                (("lrs = step\n", "lrs = cosine\n"), ("wd = 1e-4\n", "wd = 0\n")))
 FLOPS_ARCHS = ("mlp:784-300-100-10", "small_convnet:3x32x32-10", "vgg16-cifar", "resnet34-cifar",
                "efficientnetb0-tiny", "resnet50-imagenet")
 FLOPS_ARGS = ("--epochs", "2", "--bs", "100", "--delta-t", "50")
@@ -126,6 +133,24 @@ def _run_cli(cli_main, argv: list[str]) -> str | None:
     return stdout.getvalue()
 
 
+def _train_and_digest(name: str, text: str, run_dir: str, test_x) -> None:
+    """Train the run of config `text` into `run_dir` and print its lines."""
+    from dstforge.checkpoint import load_checkpoint
+    from dstforge.config import parse_config
+    from dstforge.train import run_train
+
+    shutil.rmtree(run_dir, ignore_errors=True)
+    run_train(parse_config(text))
+    for artifact in ARTIFACTS:
+        print(name, artifact, _sha256_file(os.path.join(run_dir, artifact)))
+    print(name, "final.ckpt-body", _sha256_ckpt_body(os.path.join(run_dir, "final.ckpt")))
+    trained = load_checkpoint(os.path.join(run_dir, "final.ckpt")).build_model()
+    for sparse in (False, True):
+        logits = trained.predict(test_x, sparse=sparse)
+        print(name, "predict-sparse" if sparse else "predict-dense", _sha256_logits(logits))
+    sys.stdout.flush()
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -137,18 +162,16 @@ def main() -> int:
 
     import blobs
     import dstforge
-    from dstforge.checkpoint import load_checkpoint
     from dstforge.cli import main as cli_main
-    from dstforge.config import parse_config
     from dstforge.corruption import KINDS, SEVERITIES, CorruptionSpec, corrupt_images
     from dstforge.study import StudyMethod, find_idx_dataset, run_study
-    from dstforge.train import run_train
 
     if not os.path.abspath(dstforge.__file__).startswith(src_dir + os.sep):
         print(f"dstforge imported from {dstforge.__file__}, not {src_dir}", file=sys.stderr)
         return 2
 
     out = os.path.abspath(args.out_dir)
+    grid_data = {}  # model kind -> ([data] keys, test images)
     for model, shape, sparsities, (epochs, bs, lr, delta_t), (n_train, n_test) in GRID:
         kind = model.split(":")[0]
         data_dir = os.path.join(out, "data", kind)
@@ -164,6 +187,7 @@ def main() -> int:
             data = {"format": "cifar",
                     "train": blobs.write_cifar(os.path.join(data_dir, "train.bin"), *train_set),
                     "test": blobs.write_cifar(os.path.join(data_dir, "test.bin"), test_x, test_y)}
+        grid_data[kind] = data, test_x
 
         runs = [(method, sparsity, "") for method in METHODS
                 for sparsity in ((0.0,) if method == "dense" else sparsities)]
@@ -172,21 +196,11 @@ def main() -> int:
         for method, sparsity, extra in runs:
             name = f"{kind}-{method}-s{round(sparsity * 100)}" + ("-uniform" if extra else "")
             run_dir = os.path.join(out, "runs", name)
-            shutil.rmtree(run_dir, ignore_errors=True)
             text = blobs.run_config(data, model, run_dir, SEED, epochs, bs, lr,
                                     method, sparsity, delta_t)
             if extra:
                 text = text.replace("sparsity_dist = erk\n", extra)
-            run_train(parse_config(text))
-            for artifact in ARTIFACTS:
-                print(name, artifact, _sha256_file(os.path.join(run_dir, artifact)))
-            print(name, "final.ckpt-body", _sha256_ckpt_body(os.path.join(run_dir, "final.ckpt")))
-            trained = load_checkpoint(os.path.join(run_dir, "final.ckpt")).build_model()
-            for sparse in (False, True):
-                logits = trained.predict(test_x, sparse=sparse)
-                print(name, "predict-sparse" if sparse else "predict-dense",
-                      _sha256_logits(logits))
-            sys.stdout.flush()
+            _train_and_digest(name, text, run_dir, test_x)
 
     for arch in FLOPS_ARCHS:
         for dist in ("erk", "uniform"):
@@ -266,6 +280,15 @@ def main() -> int:
             print(f"inspect-{name}", "stdout", hashlib.sha256(report.encode()).hexdigest())
             for ext, path in heatmap.items():
                 print(f"inspect-{name}", ext, _sha256_file(path))
+
+    model, _, _, (epochs, bs, lr, delta_t), _ = GRID[0]
+    (data, test_x), (name, method, sparsity, replacements) = grid_data["mlp"], DEFAULTS_RUN
+    run_dir = os.path.join(out, "runs", name)
+    text = blobs.run_config(data, model, run_dir, SEED, epochs, bs, lr, method, sparsity, delta_t)
+    for old, new in replacements:
+        assert old in text, old
+        text = text.replace(old, new)
+    _train_and_digest(name, text, run_dir, test_x)
     return 0
 
 

@@ -63,6 +63,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_corrupt(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     kinds = args.kinds.split(",") if args.kinds else list(KINDS)
     for k in kinds:
         if k not in KINDS:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -195,6 +196,8 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         raise ConfigError(f"[train] model: {e}") from None
     epochs = _typed("train", "epochs", _get(cp, "train", "epochs"), int)
     seed = _typed("train", "seed", _get(cp, "train", "seed"), int)
+    if seed < 0:
+        raise ConfigError(f"[train] seed must be >= 0, got {seed}")
     lr = _typed("train", "lr", _get(cp, "train", "lr", "0.1"), float)
     bs = _typed("train", "bs", _get(cp, "train", "bs", "100"), int)
     lrs = _get(cp, "train", "lrs", "cosine")
@@ -205,8 +208,8 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     eval_every = _typed("train", "eval_every", _get(cp, "train", "eval_every", "1"), int)
     if epochs < 1 or bs < 1 or eval_every < 1:
         raise ConfigError("[train] epochs, bs and eval_every must be >= 1")
-    if not (lr >= 0 and wd >= 0 and 0 <= momentum < 1):
-        raise ConfigError(f"[train] lr and wd must be >= 0 and momentum in [0, 1), got "
+    if not (0 <= lr < math.inf and 0 <= wd < math.inf and 0 <= momentum < 1):
+        raise ConfigError(f"[train] lr and wd must be finite and >= 0 and momentum in [0, 1), got "
                           f"lr = {lr}, wd = {wd}, momentum = {momentum}")
 
     try:

@@ -4,8 +4,8 @@ Two views of a network live here. `ArchDescriptor` is a flat per-layer table.
 `ModelSpec.descriptor()` writes the table of each trainable model, and both
 the model's weights and its parameter/FLOP accounting follow from it; the
 descriptor library carries the large reference architectures that are only
-counted, never trained here. `Model` is a real trainable thing built on the
-autograd core.
+counted, never trained here. `Model` is a real trainable thing: a fixed stack
+of `Layer`s whose forward fills the tape that `tensor.backward` reads.
 """
 
 from __future__ import annotations
@@ -14,16 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (
-    CONV_CHUNK,
-    Parameter,
-    Tensor,
-    flatten,
-    grad_enabled,
-    layer_kernels,
-    no_grad,
-    relu,
-)
+from .tensor import CONV_CHUNK, Parameter, layer_kernels
 
 
 @dataclass(frozen=True)
@@ -198,76 +189,84 @@ class Model:
 
     def zero_grad(self):
         for p in self.parameters():
-            p.zero_grad()
+            p.grad = None
 
-    def forward(self, x: Tensor, sparse: bool = False) -> Tensor:
+    def forward(self, x: np.ndarray, tape: list | None = None, sparse: bool = False) -> np.ndarray:
         """Logits for a batch: one pass over `self.layers` (see `Layer`).
-        Images may arrive flat or as (n, c, h, w); a linear layer flattens
-        what reaches it.
+        Images may arrive flat or as (n, c, h, w); the first linear layer
+        flattens what reaches it.
 
-        The layer kernels come from `layer_kernels()`: graph ops, or under
-        `no_grad` their forward-only forms. With sparse=True each linear layer
-        whose weight density is below CSR_DENSITY_CROSSOVER runs as a CSR
-        product of its current (masked) weights, and every other layer runs
-        as it does without it, to the same bytes; the CSR product records no
-        graph, so sparse=True is only allowed under `no_grad` (see `predict`).
+        With a tape (training), every layer takes the whole batch through the
+        kernels `layer_kernels(traced=True)` hands out, and the tape gets what
+        `tensor.backward` reads: each layer's input, and after a conv layer's
+        input its conv and pool outputs. Without one (inference), the kernels
+        are their forward-only forms, nothing is kept, and the leading conv
+        layers run CONV_CHUNK images at a time, each chunk's pooled output
+        written into the batch's, so no full-batch conv output is ever live.
+        Each conv GEMM runs per image either way (see `tensor._conv2d`), so
+        both give the same bytes. The linear layers always take the whole
+        batch at once: a GEMM's row bytes can depend on how many rows it is
+        given.
 
-        Under `no_grad` the leading conv layers run CONV_CHUNK images at a
-        time, each chunk's pooled output written into the batch's, so no
-        full-batch conv output is ever live; under grad they take the whole
-        batch, whose outputs backward reads, and each conv chunks only its
-        columns (see `conv2d_forward`). The linear layers always take the
-        whole batch at once: a GEMM's row bytes can depend on how many rows
-        it is given, while every conv GEMM runs per image.
+        With sparse=True, which needs tape=None (see `predict`), each linear
+        layer whose weight density is below CSR_DENSITY_CROSSOVER runs as a
+        CSR product of its current (masked) weights, and every other layer
+        runs as it does without it, to the same bytes.
         """
-        def csr_linear(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
+        def csr_linear(h: np.ndarray, w: Parameter, b: Parameter) -> np.ndarray:
             from scipy.sparse import csr_matrix
 
-            return Tensor(np.asarray((csr_matrix(w.data) @ h.data.T).T) + b.data)
+            return np.asarray((csr_matrix(w.data) @ h.T).T) + b.data
 
-        linear, conv2d, maxpool = layer_kernels()
-        if sparse and grad_enabled():
-            raise ValueError("forward(sparse=True) builds no graph; call it under no_grad")
+        if sparse and tape is not None:
+            raise ValueError("forward(sparse=True) keeps no tape; call it with tape=None")
+        linear, conv2d, maxpool = layer_kernels(traced=tape is not None)
 
         n_conv = next((i for i, layer in enumerate(self.layers) if layer.kind != "conv"),
                       len(self.layers))
 
-        def conv_stack(h: Tensor) -> Tensor:
+        def conv_stack(h: np.ndarray) -> np.ndarray:
             for layer in self.layers[:n_conv]:
-                h = relu(maxpool(conv2d(h, layer.weight, layer.bias)))
+                conv = conv2d(h, layer.weight, layer.bias)
+                pooled = maxpool(conv)
+                if tape is not None:
+                    tape.extend((h, conv, pooled))
+                h = np.maximum(pooled, 0)
+                del conv, pooled  # without a tape, freed before the next layer runs
             return h
 
-        if n_conv == 0 or grad_enabled():
+        if n_conv == 0 or tape is not None:
             x = conv_stack(x)
         else:
-            first = conv_stack(Tensor(x.data[:CONV_CHUNK])).data
-            out = np.empty((x.data.shape[0], *first.shape[1:]), dtype=first.dtype)
+            first = conv_stack(x[:CONV_CHUNK])
+            out = np.empty((x.shape[0], *first.shape[1:]), dtype=first.dtype)
             out[:CONV_CHUNK] = first
             for s in range(CONV_CHUNK, len(out), CONV_CHUNK):
-                out[s : s + CONV_CHUNK] = conv_stack(Tensor(x.data[s : s + CONV_CHUNK])).data
-            x = Tensor(out)
+                out[s : s + CONV_CHUNK] = conv_stack(x[s : s + CONV_CHUNK])
+            x = out
 
+        if x.ndim > 2:
+            x = x.reshape(x.shape[0], -1)
         last = self.layers[-1]
         for layer in self.layers[n_conv:]:
-            if x.data.ndim > 2:
-                x = flatten(x)
+            if tape is not None:
+                tape.append(x)
             w = layer.weight.data
             csr = sparse and np.count_nonzero(w) < CSR_DENSITY_CROSSOVER * w.size
             x = (csr_linear if csr else linear)(x, layer.weight, layer.bias)
             if layer is not last:
-                x = relu(x)
+                x = np.maximum(x, 0)
         return x
 
     def predict(self, x: np.ndarray, sparse: bool = False) -> np.ndarray:
-        """Logits for a plain array: `forward` under `no_grad`, as an array.
+        """Logits for a plain array: `forward` without a tape.
 
         The input is cast to float32 first, so float64 and float32 copies of a
         batch give the same logits, equal to the training forward's on the
         float32 batch. sparse=True runs the linear layers below the CSR
         crossover as CSR products (see `forward`).
         """
-        with no_grad():
-            return self.forward(Tensor(np.asarray(x, dtype=np.float32)), sparse=sparse).data
+        return self.forward(np.asarray(x, dtype=np.float32), sparse=sparse)
 
     def descriptor(self) -> ArchDescriptor:
         return self.spec.descriptor()

@@ -31,7 +31,7 @@ extra pass, so measured time and `cost.json` differ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -78,6 +78,12 @@ class DstConfig:
     mest_lambda: float = 1.0
 
     def __post_init__(self):
+        # a NaN compares false with anything, so a check such as `if x < 0: refuse`
+        # lets it through
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.method == "dense":

@@ -235,14 +235,17 @@ def run_study(data: dict[str, str], root: str, epochs: int = 20,
 
     Everything lands under `root`: one run directory per (method, seed), the
     corrupted sets under corrupted/, and study.json + RA-curve SVGs on top.
-    An empty `seeds` or `methods`, epochs < 1, or radii that
-    `spectral.check_radii` refuses for the test images, raise ValueError
-    before anything is written.
+    An empty `seeds` or `methods`, a negative seed or `corruption_seed`,
+    epochs < 1, or radii that `spectral.check_radii` refuses for the test
+    images, raise ValueError before anything is written.
     """
     seeds, methods, radii = tuple(seeds), tuple(methods), tuple(radii)
     for what, items in (("seeds", seeds), ("methods", methods)):
         if not items:
             raise ValueError(f"run_study: {what} is empty")
+    if min(seeds) < 0 or corruption_seed < 0:
+        raise ValueError(f"run_study: seeds and corruption_seed must be >= 0, got seeds "
+                         f"{list(seeds)} and corruption_seed {corruption_seed}")
     if epochs < 1:
         raise ValueError(f"run_study: epochs must be >= 1, got {epochs}")
     _, (_, h, w) = image_file_shape(data["test_images"], "idx")

@@ -23,7 +23,7 @@ from .optim import lr_at, sgd_momentum_step
 from .schedulers import BudgetTrajectory, should_update, topology_update
 from .sparsity import ALLOCATORS, DENSE, apply_mask, init_topology, mask_shapes
 from .spectral import RACurve, ra_curve
-from .tensor import Tensor, backward, softmax_cross_entropy
+from .tensor import backward, softmax_cross_entropy
 
 _INIT_STREAM = 11
 _TOPOLOGY_STREAM = 23
@@ -151,12 +151,12 @@ def run_train(cfg: RunConfig, resume_path=None, stop_after_step: int | None = No
             x, y = train.images[idx], train.labels[idx]
 
             model.zero_grad()
-            loss = softmax_cross_entropy(model.forward(Tensor(x)), y)
-            loss_value = float(loss.data)
+            tape = []
+            loss_value, dlogits = softmax_cross_entropy(model.forward(x, tape), y)
             completed = step + 1
             if not np.isfinite(loss_value):
                 raise DivergenceError(f"loss diverged (non-finite) at step {completed}")
-            backward(loss)
+            backward(model.layers, tape, dlogits)
             sgd_momentum_step(params, lr=lr_at(schedule, step),
                               momentum=cfg.momentum, weight_decay=cfg.weight_decay)
             apply_mask(model, mask)

@@ -18,7 +18,7 @@ from dstforge.models import Layer, Model, parse_model_spec
 from dstforge.schedulers import DstConfig, topology_update
 from dstforge.sparsity import LayerBudget, SparsityAllocation, TopologyMask
 from dstforge.study import find_idx_dataset
-from dstforge.tensor import Parameter
+from dstforge.tensor import Parameter, backward, softmax_cross_entropy
 from dstforge.train import run_train
 
 SIDE = 12
@@ -181,9 +181,35 @@ def numeric_grad(f, arr: np.ndarray, eps: float) -> np.ndarray:
     return g
 
 
-def check_param_grads(params, forward_loss, tol=1e-3):
-    """Analytic gradients vs Richardson-extrapolated central differences,
-    both in float64.
+def layer_stack(*weights_and_biases) -> Model:
+    """A model over (weight, bias) array pairs in forward order, held without
+    a copy: a 4-d weight makes a conv layer (conv, pool, relu), a 2-d one a
+    linear layer, named conv1.. and fc1.. as the trainable models name them.
+    It has no spec, so it trains and infers but has no descriptor."""
+    layers, counts = [], {"conv": 0, "linear": 0}
+    for w, b in weights_and_biases:
+        kind = "conv" if np.ndim(w) == 4 else "linear"
+        counts[kind] += 1
+        name = f"{'conv' if kind == 'conv' else 'fc'}{counts[kind]}"
+        layers.append(Layer(name, kind, Parameter(w, name=f"{name}.weight"),
+                            Parameter(b, name=f"{name}.bias")))
+    return Model(None, layers)
+
+
+def step_gradients(model: Model, x: np.ndarray, labels: np.ndarray) -> float:
+    """The loss of one training step, as `train.run_train` takes it: forward
+    with a tape, softmax cross-entropy, backward. The gradients land on the
+    model's parameters."""
+    model.zero_grad()
+    tape = []
+    loss, dlogits = softmax_cross_entropy(model.forward(x, tape), labels)
+    backward(model.layers, tape, dlogits)
+    return loss
+
+
+def check_param_grads(model: Model, x: np.ndarray, labels: np.ndarray, tol=1e-3):
+    """The gradients of a training step vs Richardson-extrapolated central
+    differences of the loss, both in float64.
 
     Central differences are blind to one-sided slopes, so every probe point
     must keep relu and pool switches outside the difference bracket; call
@@ -191,19 +217,16 @@ def check_param_grads(params, forward_loss, tol=1e-3):
     clear MARGIN. The denominator floor holds near-zero gradient entries to
     an equivalent absolute bound.
     """
-    from dstforge.tensor import backward
-
-    backward(forward_loss())
-    for p in params:
+    step_gradients(model, x, labels)
+    f = lambda: softmax_cross_entropy(model.forward(x), labels)[0]
+    for p in model.parameters():
         analytic = p.grad.copy()
-        f = lambda: float(forward_loss().data)
         coarse = numeric_grad(f, p.data, eps=1e-3)
         fine = numeric_grad(f, p.data, eps=5e-4)
         numeric = (4.0 * fine - coarse) / 3.0
         rel = np.abs(analytic - numeric) / np.maximum(
             np.maximum(np.abs(numeric), np.abs(analytic)), 1e-3)
         assert rel.max() <= tol, f"{p.name}: max rel err {rel.max():.2e}"
-        p.grad = None
 
 
 MARGIN = 0.01  # distance every relu input / pool runner-up must keep

@@ -21,6 +21,7 @@ import pytest
 from conftest import (
     MARGIN,
     check_param_grads,
+    layer_stack,
     pool_gap_margin,
     relu_margin,
     toy_config,
@@ -42,16 +43,7 @@ from dstforge.schedulers import BudgetTrajectory, DstConfig, granet_density, mes
 from dstforge.sparsity import allocate_erk, apply_mask, init_topology, mask_shapes, prune_rate
 from dstforge.spectral import attenuate_images
 from dstforge.study import find_idx_dataset, run_study
-from dstforge.tensor import (
-    Parameter,
-    Tensor,
-    conv2d_forward,
-    flatten,
-    linear_forward,
-    maxpool2x2,
-    relu,
-    softmax_cross_entropy,
-)
+from dstforge.tensor import Parameter, conv2d_forward
 from dstforge.train import run_train
 
 
@@ -244,29 +236,18 @@ def _random_mlp(seed: int):
         bs = int(r.integers(2, 5))
         x = r.standard_normal((bs, dims[0]))
         labels = r.integers(0, dims[-1], bs)
-        params = []
-        for i in range(len(dims) - 1):
-            params.append(Parameter(
-                r.standard_normal((dims[i + 1], dims[i])) * 0.5, name=f"w{i}"))
-            params.append(Parameter(
-                r.standard_normal(dims[i + 1]) * 0.1, name=f"b{i}"))
+        layers = [(r.standard_normal((f_out, f_in)) * 0.5, r.standard_normal(f_out) * 0.1)
+                  for f_in, f_out in zip(dims, dims[1:])]
         h, margin = x, np.inf
-        for i in range(0, len(params) - 2, 2):
-            pre = h @ params[i].data.T + params[i + 1].data
+        for w, b in layers[:-1]:
+            pre = h @ w.T + b
             margin = min(margin, relu_margin(pre))
             h = np.maximum(pre, 0.0)
         if margin > MARGIN:
             break
     else:
         raise AssertionError("no draw kept relu inputs away from the switch")
-
-    def forward_loss():
-        h = Tensor(x)
-        for i in range(0, len(params) - 2, 2):
-            h = relu(linear_forward(h, params[i], params[i + 1]))
-        return softmax_cross_entropy(linear_forward(h, params[-2], params[-1]), labels)
-
-    return params, forward_loss
+    return layer_stack(*layers), x, labels
 
 
 def _random_conv_net(seed: int):
@@ -282,28 +263,21 @@ def _random_conv_net(seed: int):
         labels = r.integers(0, classes, bs)
         w1 = Parameter(r.standard_normal((f, c, 3, 3)) * 0.4, name="w1")
         b1 = Parameter(r.standard_normal(f) * 0.1, name="b1")
-        w2 = Parameter(r.standard_normal((classes, f * 9)) * 0.4, name="w2")
-        b2 = Parameter(r.standard_normal(classes) * 0.1, name="b2")
-        pre = conv2d_forward(Tensor(x), w1, b1).data
+        w2, b2 = r.standard_normal((classes, f * 9)) * 0.4, r.standard_normal(classes) * 0.1
+        pre = conv2d_forward(x, w1, b1)
         if relu_margin(pre) > MARGIN:
             if pool_gap_margin(np.maximum(pre, 0.0)) > MARGIN:
                 break
     else:
         raise AssertionError("no draw kept the pool/relu switches clear")
-
-    def forward_loss():
-        h = maxpool2x2(relu(conv2d_forward(Tensor(x), w1, b1)))
-        return softmax_cross_entropy(linear_forward(flatten(h), w2, b2), labels)
-
-    return [w1, b1, w2, b2], forward_loss
+    return layer_stack((w1.data, b1.data), (w2, b2)), x, labels
 
 
 def test_gradients_match_finite_differences_on_random_nets():
     for seed in range(20):
-        params, forward_loss = (
-            _random_conv_net if seed % 3 == 2 else _random_mlp)(seed)
-        assert sum(p.data.size for p in params) <= 10_000
-        check_param_grads(params, forward_loss)
+        model, x, labels = (_random_conv_net if seed % 3 == 2 else _random_mlp)(seed)
+        assert sum(p.data.size for p in model.parameters()) <= 10_000
+        check_param_grads(model, x, labels)
 
 
 def test_dft_round_trip_and_parseval():

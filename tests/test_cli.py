@@ -162,6 +162,25 @@ def test_corrupt_rejects_bad_severity(idx_dir, capsys):
     assert code == 2
 
 
+def test_corrupt_rejects_a_negative_seed_in_one_line(idx_dir, tmp_path, capsys):
+    code, stdout, err = run_cli(capsys, "corrupt", f"{idx_dir}/t10k-images-idx3-ubyte",
+                                "--seed", "-1", "--out", str(tmp_path / "corr"))
+    assert code == 2
+    assert stdout == "" and err == "config error: --seed must be >= 0, got -1\n"
+    assert not (tmp_path / "corr").exists()
+
+
+def test_train_negative_seed_exits_2_before_writing(idx_dir, tmp_path, capsys):
+    out = tmp_path / "o"
+    cfg_path = str(tmp_path / "run.ini")
+    with open(cfg_path, "w") as fh:
+        fh.write(toy_config(idx_dir, str(out), seed=-1))
+    code, stdout, err = run_cli(capsys, "train", cfg_path)
+    assert code == 2
+    assert stdout == "" and err == "config error: [train] seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_corrupt_rejects_empty_severity_list(idx_dir, tmp_path, capsys):
     code, stdout, err = run_cli(capsys, "corrupt", f"{idx_dir}/t10k-images-idx3-ubyte",
                                 "--severities", ",", "--out", str(tmp_path / "corr"))

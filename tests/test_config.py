@@ -104,7 +104,9 @@ def test_bad_numeric_value(idx_dir, tmp_path):
                           ("wd = 1e-4", "wd = -1e-4", "wd"),
                           ("momentum = 0.9", "momentum = -0.1", "momentum"),
                           ("momentum = 0.9", "momentum = 1.0", "momentum"),
-                          ("momentum = 0.9", "momentum = nan", "momentum")]:
+                          ("momentum = 0.9", "momentum = nan", "momentum"),
+                          ("lr = 0.1", "lr = inf", "lr = inf"),
+                          ("wd = 1e-4", "wd = inf", "wd = inf")]:
         with pytest.raises(ConfigError, match=key):
             parse_config(text.replace(old, new))
     assert parse_config(text.replace("lr = 0.1", "lr = 0")).lr == 0.0
@@ -312,3 +314,31 @@ def test_model_classes_must_match_data_classes(idx_dir, tmp_path):
 def test_negative_save_every_rejected(idx_dir, tmp_path):
     with pytest.raises(ConfigError, match="save_every"):
         parse_config(toy_config(idx_dir, str(tmp_path / "o"), save_every=-1))
+
+
+def test_negative_seed_rejected(idx_dir, tmp_path):
+    # numpy seeds its generators from non-negative integers only
+    with pytest.raises(ConfigError, match=r"\[train\] seed must be >= 0, got -1"):
+        parse_config(toy_config(idx_dir, str(tmp_path / "o"), seed=-1))
+
+
+@pytest.mark.parametrize("key", ["soft_bound", "mest_lambda", "sparsity", "init_density"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_dst_floats_rejected_by_name(idx_dir, tmp_path, key, value):
+    # a NaN soft_bound once passed its `< 0` check and mest_g trained dense
+    extra = f"{key} = {value}" if key != "sparsity" else ""
+    text = toy_config(idx_dir, str(tmp_path / "o"), method="mest_g", sparsity=0.5,
+                      extra_dst=extra)
+    if key == "sparsity":
+        text = text.replace("sparsity = 0.5\n", f"sparsity = {value}\n")
+    with pytest.raises(ConfigError, match=rf"\[dst\] {key} must be finite, got {value}"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(DstConfig)
+                                   if f.type in ("float", "float | None")])
+def test_dst_config_refuses_every_non_finite_float_field(field):
+    for value in (float("nan"), float("inf"), float("-inf")):
+        kwargs = {"method": "mest_g", "sparsity": 0.5, "total_steps": 100, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            DstConfig(**kwargs)

@@ -11,16 +11,7 @@ import dstforge.tensor
 from dstforge import models
 from dstforge.metrics import inference_flops
 from dstforge.models import ModelSpec, build_model, descriptor_library, parse_model_spec
-from dstforge.tensor import (
-    CONV_CHUNK,
-    Tensor,
-    conv2d_forward,
-    flatten,
-    linear_forward,
-    maxpool2x2,
-    no_grad,
-    relu,
-)
+from dstforge.tensor import CONV_CHUNK, conv2d_forward, linear_forward, maxpool2x2
 
 
 def _param_count(model) -> int:
@@ -145,23 +136,23 @@ def test_build_model_dispatch():
 
 
 def test_forward_and_predict_agree():
-    # predict is forward under no_grad, so the logits match bit for bit
+    # predict is forward without a tape, so the logits match bit for bit
     models = (build_model(parse_model_spec("small_convnet:1x12x12-10"), np.random.default_rng(1)),
               build_model(parse_model_spec("mlp:144-16-10"), np.random.default_rng(1)))
     x = np.random.default_rng(2).random((4, 1, 12, 12)).astype(np.float32)
     for model in models:
-        graph_logits = model.forward(Tensor(x)).data
+        training_logits = model.forward(x, [])
         plain_logits = model.predict(x)
         assert plain_logits.dtype == np.float32
-        np.testing.assert_array_equal(graph_logits, plain_logits)
+        np.testing.assert_array_equal(training_logits, plain_logits)
 
 
 def test_predict_runs_the_conv_stack_in_chunks_with_the_graph_bytes(monkeypatch):
     # a batch past the inference chunk, with a ragged tail, runs each conv
-    # layer as three `_conv2d` calls and still gives the graph forward's bytes
+    # layer as three `_conv2d` calls and still gives the training forward's bytes
     model = build_model(parse_model_spec("small_convnet:3x8x8-10"), np.random.default_rng(4))
     x = np.random.default_rng(5).random((2 * CONV_CHUNK + 3, 3, 8, 8)).astype(np.float32)
-    want = model.forward(Tensor(x)).data
+    want = model.forward(x, [])
     calls = {}
     real_conv2d = dstforge.tensor._conv2d
 
@@ -211,16 +202,16 @@ def test_predict_sparse_matches_dense():
     np.testing.assert_allclose(model.predict(x), model.predict(x, sparse=True), atol=1e-5)
 
 
-def test_sparse_forward_needs_no_grad():
+def test_sparse_forward_refuses_a_tape():
     model = build_model(parse_model_spec("mlp:36-16-10"), np.random.default_rng(3))
-    with pytest.raises(ValueError, match="no_grad"):
-        model.forward(Tensor(np.zeros((2, 36), dtype=np.float32)), sparse=True)
+    with pytest.raises(ValueError, match="tape"):
+        model.forward(np.zeros((2, 36), dtype=np.float32), [], sparse=True)
 
 
 def test_mlp_accepts_image_shaped_input():
     model = build_model(parse_model_spec("mlp:144-16-10"), np.random.default_rng(0))
     x = np.random.default_rng(1).random((2, 1, 12, 12)).astype(np.float32)
-    assert model.forward(Tensor(x)).data.shape == (2, 10)
+    assert model.forward(x, []).shape == (2, 10)
     assert model.predict(x).shape == (2, 10)
 
 
@@ -272,19 +263,19 @@ def test_descriptor_matches_the_shapes_forward_produces(monkeypatch):
 
     def linear(x, w, b):
         y = linear_forward(x, w, b)
-        seen.append(("linear", w.data.shape, x.data.shape, y.data.shape))
+        seen.append(("linear", w.data.shape, x.shape, y.shape))
         return y
 
     def conv2d(x, w, b):
         y = conv2d_forward(x, w, b)
-        seen.append(("conv", w.data.shape, x.data.shape, y.data.shape))
+        seen.append(("conv", w.data.shape, x.shape, y.shape))
         return y
 
-    monkeypatch.setattr(models, "layer_kernels", lambda: (linear, conv2d, maxpool2x2))
+    monkeypatch.setattr(models, "layer_kernels", lambda traced: (linear, conv2d, maxpool2x2))
     for model, x_shape in _models_under_test():
         seen.clear()
         x = np.random.default_rng(0).random(x_shape).astype(np.float32)
-        model.forward(Tensor(x))
+        model.forward(x, [])
         desc = model.descriptor()
         assert [s.name for s in desc.layers] == [l.name for l in model.layers]
         assert [s.name for s in desc.sparsifiable_layers()] == [l.name for l in model.layers]
@@ -308,29 +299,29 @@ def test_descriptor_matches_the_shapes_forward_produces(monkeypatch):
         assert desc.classes == model.spec.classes == seen[-1][3][1]
 
 
-def _explicit_logits(model, x: Tensor) -> Tensor:
+def _explicit_logits(model, x: np.ndarray) -> np.ndarray:
     # the layer sequence each model kind runs, spelled out op by op
+    def relu(a):
+        return np.maximum(a, 0)
+
     if model.spec.kind == "mlp":
-        h = flatten(x) if x.data.ndim > 2 else x
+        h = x.reshape(len(x), -1)
         for layer in model.layers[:-1]:
             h = relu(linear_forward(h, layer.weight, layer.bias))
     else:
         conv1, conv2, fc1, _ = model.layers
         h = relu(maxpool2x2(conv2d_forward(x, conv1.weight, conv1.bias)))
         h = relu(maxpool2x2(conv2d_forward(h, conv2.weight, conv2.bias)))
-        h = relu(linear_forward(flatten(h), fc1.weight, fc1.bias))
+        h = relu(linear_forward(h.reshape(len(h), -1), fc1.weight, fc1.bias))
     last = model.layers[-1]
     return linear_forward(h, last.weight, last.bias)
 
 
 def test_forward_is_byte_equal_to_the_explicit_op_sequence():
     for model, x_shape in _models_under_test():
-        x = Tensor(np.random.default_rng(3).random(x_shape).astype(np.float32))
-        expected = _explicit_logits(model, x).data
-        got = model.forward(x)
-        assert got.requires_grad
-        assert got.data.tobytes() == expected.tobytes()
-        with no_grad():
-            got = model.forward(x)
-            assert not got.requires_grad
-            assert got.data.tobytes() == _explicit_logits(model, x).data.tobytes()
+        x = np.random.default_rng(3).random(x_shape).astype(np.float32)
+        expected = _explicit_logits(model, x).tobytes()
+        tape = []
+        assert model.forward(x, tape).tobytes() == expected
+        assert len(tape) == sum(3 if layer.kind == "conv" else 1 for layer in model.layers)
+        assert model.forward(x).tobytes() == expected

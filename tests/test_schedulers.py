@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import step_gradients
+
 from dstforge.models import build_model, parse_model_spec
 from dstforge.optim import sgd_momentum_step
 from dstforge.schedulers import (
@@ -25,7 +27,6 @@ from dstforge.sparsity import (
     mask_shapes,
     prune_rate,
 )
-from dstforge.tensor import Tensor, backward, softmax_cross_entropy
 
 
 def toy_setup(method: str, sparsity: float = 0.5, total: int = 80, delta_t: int = 10,
@@ -47,9 +48,7 @@ def fake_batch(rng, n=8, f=20, classes=10):
 def fake_backward(model, rng):
     """One forward and backward on a fake batch, leaving each weight's
     gradient in place as a training step's backward does."""
-    x, y = fake_batch(rng)
-    model.zero_grad()
-    backward(softmax_cross_entropy(model.forward(Tensor(x)), y))
+    step_gradients(model, *fake_batch(rng))
 
 
 # --- config ------------------------------------------------------------------
@@ -409,9 +408,7 @@ def test_every_event_meets_schedule_with_disjoint_moves(method, sparsity, seed):
     layers = {layer.name: layer for layer in model.layers}
     events = 0
     for step in range(1, cfg.total_steps):
-        x, y = fake_batch(data_rng)
-        model.zero_grad()
-        backward(softmax_cross_entropy(model.forward(Tensor(x)), y))
+        step_gradients(model, *fake_batch(data_rng))
         sgd_momentum_step(model.parameters(), lr=0.1, momentum=0.9, weight_decay=1e-4)
         apply_mask(model, mask)
         if not should_update(cfg, step):

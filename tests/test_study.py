@@ -254,6 +254,16 @@ def test_an_empty_seed_or_method_tuple_is_refused_before_anything_is_written(
     assert not root.exists()
 
 
+@pytest.mark.parametrize("seeds, corruption_seed", [((1, -2), 0), ((1,), -1)])
+def test_a_negative_seed_is_refused_before_anything_is_written(
+        idx28_dir, tmp_path, seeds, corruption_seed):
+    root = tmp_path / "study"
+    with pytest.raises(ValueError, match="seeds and corruption_seed must be >= 0"):
+        run_study(find_idx_dataset(idx28_dir), str(root), epochs=1, seeds=seeds,
+                  methods=DEFAULT_METHODS[:1], radii=(2,), corruption_seed=corruption_seed)
+    assert not root.exists()
+
+
 @pytest.mark.parametrize("radii", [(), (4, 2), (15,)])
 def test_radii_the_test_images_cannot_take_are_refused_before_anything_is_written(
         idx28_dir, tmp_path, radii):
@@ -283,8 +293,8 @@ def test_a_refused_config_writes_nothing_and_the_corrected_study_then_runs(idx28
 
 @pytest.mark.parametrize("flag,value,shown", [
     ("--seeds", "", "''"), ("--seeds", "1,,2", "'1,,2'"), ("--seeds", "1,x", "'1,x'"),
-    ("--epochs", "0", "got 0"),
-], ids=["", "1,,2", "1,x", "epochs-0"])
+    ("--epochs", "0", "got 0"), ("--seeds", "1,-1", "'1,-1'"),
+], ids=["", "1,,2", "1,x", "epochs-0", "1,-1"])
 def test_the_study_script_refuses_bad_seeds_in_one_line(idx28_dir, tmp_path, flag, value, shown):
     script = Path(__file__).resolve().parents[1] / "scripts" / "run_robustness_study.py"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

@@ -1,63 +1,69 @@
-"""Autograd core: forward anchors, gradient checks, graph discipline."""
+"""Layer kernels and the training step: forward anchors, gradient checks, the tape."""
 
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MARGIN, check_param_grads, numeric_grad, relu_margin
+from conftest import (
+    MARGIN,
+    check_param_grads,
+    layer_stack,
+    numeric_grad,
+    relu_margin,
+    step_gradients,
+)
 
 import dstforge.tensor
 from dstforge.models import build_model, parse_model_spec
 from dstforge.tensor import (
     CONV_CHUNK,
-    GraphError,
     Parameter,
-    Tensor,
+    _conv2d_backward,
+    _linear_backward,
+    _maxpool2x2_backward,
     backward,
     conv2d_forward,
-    flatten,
     layer_kernels,
     linear_forward,
     maxpool2x2,
-    no_grad,
-    relu,
     softmax_cross_entropy,
 )
 
 
 def test_linear_forward_anchor():
-    x = Tensor(np.array([[1.0, 1.0]], dtype=np.float32))
+    x = np.array([[1.0, 1.0]], dtype=np.float32)
     w = Parameter(np.array([[2.0, 3.0]], dtype=np.float32), name="w")
     b = Parameter(np.array([1.0], dtype=np.float32), name="b")
     y = linear_forward(x, w, b)
-    assert y.data.shape == (1, 1)
-    assert y.data[0, 0] == pytest.approx(6.0)
+    assert y.shape == (1, 1)
+    assert y[0, 0] == pytest.approx(6.0)
 
 
 def test_conv_forward_anchor():
     # a 3x3 window of ones over a zero-padded 3x3 image of ones counts the
     # image pixels it covers
-    x = Tensor(np.ones((1, 1, 3, 3), dtype=np.float32))
+    x = np.ones((1, 1, 3, 3), dtype=np.float32)
     w = Parameter(np.ones((1, 1, 3, 3), dtype=np.float32), name="w")
     b = Parameter(np.zeros(1, dtype=np.float32), name="b")
     y = conv2d_forward(x, w, b)
-    np.testing.assert_array_equal(y.data[0, 0], [[4.0, 6.0, 4.0], [6.0, 9.0, 6.0], [4.0, 6.0, 4.0]])
+    np.testing.assert_array_equal(y[0, 0], [[4.0, 6.0, 4.0], [6.0, 9.0, 6.0], [4.0, 6.0, 4.0]])
 
 
 def test_conv_padding_shape():
-    x = Tensor(np.ones((2, 3, 8, 8), dtype=np.float32))
+    x = np.ones((2, 3, 8, 8), dtype=np.float32)
     for kh, kw in ((3, 3), (1, 5), (5, 1)):
         w = Parameter(np.ones((5, 3, kh, kw), dtype=np.float32), name="w")
         b = Parameter(np.zeros(5, dtype=np.float32), name="b")
-        assert conv2d_forward(x, w, b).data.shape == (2, 5, 8, 8)
+        assert conv2d_forward(x, w, b).shape == (2, 5, 8, 8)
 
 
 def test_conv_rejects_an_even_kernel():
-    x = Tensor(np.ones((1, 1, 4, 4), dtype=np.float32))
+    x = np.ones((1, 1, 4, 4), dtype=np.float32)
     b = Parameter(np.zeros(1, dtype=np.float32), name="b")
     for kh, kw in ((2, 2), (2, 3), (3, 2), (3, 4)):
         w = Parameter(np.ones((1, 1, kh, kw), dtype=np.float32), name="w")
@@ -66,20 +72,27 @@ def test_conv_rejects_an_even_kernel():
 
 
 def test_cross_entropy_anchor():
-    logits = Tensor(np.array([[1.0, 2.0, 3.0]], dtype=np.float32))
-    loss = softmax_cross_entropy(logits, np.array([2]))
-    assert float(loss.data) == pytest.approx(0.40761, abs=1e-5)
+    logits = np.array([[1.0, 2.0, 3.0]], dtype=np.float32)
+    loss, dlogits = softmax_cross_entropy(logits, np.array([2]))
+    assert loss == pytest.approx(0.40761, abs=1e-5)
+    # softmax minus the one-hot label, over the batch of one
+    np.testing.assert_allclose(dlogits, [[0.09003057, 0.24472847, -0.33475904]], rtol=1e-6)
 
 
 def test_cross_entropy_uniform_logits():
     for c in (2, 5, 10):
-        logits = Tensor(np.zeros((4, c), dtype=np.float32))
-        loss = softmax_cross_entropy(logits, np.zeros(4, dtype=np.int64))
-        assert float(loss.data) == pytest.approx(np.log(c), rel=1e-6)
+        logits = np.zeros((4, c), dtype=np.float32)
+        loss, dlogits = softmax_cross_entropy(logits, np.zeros(4, dtype=np.int64))
+        assert loss == pytest.approx(np.log(c), rel=1e-6)
+        # each row's gradient is divided by the batch size
+        want = np.full((4, c), 1.0 / c, dtype=np.float32)
+        want[:, 0] -= 1
+        assert dlogits.dtype == np.float32
+        np.testing.assert_allclose(dlogits, want / 4, rtol=1e-6)
 
 
 def test_cross_entropy_rejects_bad_labels():
-    logits = Tensor(np.zeros((2, 3), dtype=np.float32))
+    logits = np.zeros((2, 3), dtype=np.float32)
     with pytest.raises(ValueError):
         softmax_cross_entropy(logits, np.array([0, 3]))
     with pytest.raises(ValueError):
@@ -87,20 +100,24 @@ def test_cross_entropy_rejects_bad_labels():
 
 
 def test_relu_forward():
-    y = relu(Tensor(np.array([[-1.0, 0.0, 2.0]], dtype=np.float32)))
-    np.testing.assert_array_equal(y.data, [[0.0, 0.0, 2.0]])
+    # identity layers: the logits are the relu between the two layers
+    eye, zero = np.eye(3, dtype=np.float32), np.zeros(3, dtype=np.float32)
+    model = layer_stack((eye, zero), (eye, zero))
+    x = np.array([[-1.0, 0.0, 2.0]], dtype=np.float32)
+    np.testing.assert_array_equal(model.forward(x), [[0.0, 0.0, 2.0]])
+    np.testing.assert_array_equal(model.forward(x, []), [[0.0, 0.0, 2.0]])
 
 
 def test_maxpool_requires_even_dims():
-    x = Tensor(np.ones((1, 1, 3, 4), dtype=np.float32))
+    x = np.ones((1, 1, 3, 4), dtype=np.float32)
     with pytest.raises(ValueError):
         maxpool2x2(x)
 
 
 def test_maxpool_forward():
-    x = Tensor(np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4))
+    x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
     y = maxpool2x2(x)
-    np.testing.assert_array_equal(y.data[0, 0], [[5.0, 7.0], [13.0, 15.0]])
+    np.testing.assert_array_equal(y[0, 0], [[5.0, 7.0], [13.0, 15.0]])
 
 
 def _pool_oracle(a: np.ndarray, dy: np.ndarray):
@@ -136,15 +153,14 @@ def test_maxpool_matches_a_window_loop_bytewise(n, c, oh, ow, dtype, inputs, see
     dy[rng.random(dy.shape) < 0.2] = -0.0
     want_y, want_dx = _pool_oracle(a, dy)
 
-    x = Tensor(a, requires_grad=True)
-    y = maxpool2x2(x)
-    y._grad_fn(dy)
-    assert y.data.dtype == x.grad.dtype == dtype
-    assert y.data.tobytes() == want_y.tobytes()
-    assert x.grad.tobytes() == want_dx.tobytes()
+    y = maxpool2x2(a)
+    dx = _maxpool2x2_backward(a, y, dy)
+    assert y.dtype == dx.dtype == dtype
+    assert y.tobytes() == want_y.tobytes()
+    assert dx.tobytes() == want_dx.tobytes()
     for odd in (a[:, :, 1:], a[:, :, :, 1:]):
         with pytest.raises(ValueError):
-            maxpool2x2(Tensor(odd))
+            maxpool2x2(odd)
 
 
 @settings(deadline=None, max_examples=40)
@@ -154,22 +170,21 @@ def test_pool_then_relu_equals_relu_then_pool(n, c_out, oh, ow, dtype, seed):
     # small integer inputs, kernels and biases make conv outputs with ties,
     # exact zeros and negatives, and whole windows at or below zero
     rng = np.random.default_rng(seed)
-    x = Tensor(rng.integers(-1, 2, (n, 2, 2 * oh, 2 * ow)).astype(dtype))
+    x = rng.integers(-1, 2, (n, 2, 2 * oh, 2 * ow)).astype(dtype)
     w = Parameter(rng.integers(-1, 2, (c_out, 2, 3, 3)).astype(dtype), name="w")
     b = Parameter(rng.integers(-1, 2, c_out).astype(dtype), name="b")
-    y = conv2d_forward(x, w, b).data
+    y = conv2d_forward(x, w, b)
     dy = rng.standard_normal((n, c_out, oh, ow)).astype(dtype)
     dy[rng.random(dy.shape) < 0.2] = -0.0
 
-    grads = []
-    for first, second in ((maxpool2x2, relu), (relu, maxpool2x2)):
-        leaf = Tensor(y, requires_grad=True)
-        mid = first(leaf)
-        out = second(mid)
-        out._grad_fn(dy)
-        mid._grad_fn(mid.grad)
-        grads.append((out.data, leaf.grad))
-    (pool_relu, d_pool_relu), (relu_pool, d_relu_pool) = grads
+    # pool, then relu: the order the models run
+    pooled = maxpool2x2(y)
+    pool_relu = np.maximum(pooled, 0)
+    d_pool_relu = _maxpool2x2_backward(y, pooled, dy * (pooled > 0))
+    # relu, then pool
+    rectified = np.maximum(y, 0)
+    relu_pool = maxpool2x2(rectified)
+    d_relu_pool = _maxpool2x2_backward(rectified, relu_pool, dy) * (y > 0)
     assert pool_relu.dtype == relu_pool.dtype == dtype
     assert pool_relu.tobytes() == relu_pool.tobytes()
     # equal as numbers: the two orders differ only in the sign of a zero
@@ -205,9 +220,9 @@ def test_conv_forward_matches_a_padded_window_loop(c_in, c_out, h, w, seed):
         for i, j in np.ndindex(h, w):
             win = xp[:, :, i : i + kh, j : j + kw]
             want[:, :, i, j] = np.einsum("nchw,ochw->no", win, wt) + b
-        got = conv2d_forward(Tensor(x), Parameter(wt, name="w"), Parameter(b, name="b"))
-        assert got.data.dtype == dtype
-        np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-12)
+        got = conv2d_forward(x, Parameter(wt, name="w"), Parameter(b, name="b"))
+        assert got.dtype == dtype
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("pw", [1, 2])
@@ -218,24 +233,24 @@ def test_chunked_conv_matches_the_whole_batch_arithmetic_bytewise(ph, pw):
     # over the batch axis and scatters dx in one pass
     n, c_in, c_out, kh, kw, h, w = 2 * CONV_CHUNK + 3, 3, 5, 2 * ph + 1, 2 * pw + 1, 7, 6
     rng = np.random.default_rng(17)
-    x = Tensor(rng.standard_normal((n, c_in, h, w)).astype(np.float32), requires_grad=True)
+    x = rng.standard_normal((n, c_in, h, w)).astype(np.float32)
     wt = Parameter(rng.standard_normal((c_out, c_in, kh, kw)).astype(np.float32), name="w")
     b = Parameter(rng.standard_normal(c_out).astype(np.float32), name="b")
     y = conv2d_forward(x, wt, b)
     assert y.shape == (n, c_out, h, w)
     dy = rng.standard_normal(y.shape).astype(np.float32)
-    y._grad_fn(dy)
+    dx = _conv2d_backward(x, wt, b, dy, True)
 
-    cols = dstforge.tensor._im2col(x.data, kh, kw)
+    cols = dstforge.tensor._im2col(x, kh, kw)
     wmat = wt.data.reshape(c_out, -1)
     want_y = np.matmul(wmat, cols)
     want_y += b.data.reshape(1, c_out, 1)
     dymat = dy.reshape(n, c_out, h * w)
     want_dw = np.matmul(dymat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(wt.data.shape)
-    want_dx = np.zeros_like(x.data)
+    want_dx = np.zeros_like(x)
     dstforge.tensor._col2im(np.matmul(wmat.T, dymat), want_dx, kh, kw)
-    for got, want in ((y.data, want_y.reshape(y.shape)), (wt.grad, want_dw),
-                      (b.grad, dy.sum(axis=(0, 2, 3))), (x.grad, want_dx)):
+    for got, want in ((y, want_y.reshape(y.shape)), (wt.grad, want_dw),
+                      (b.grad, dy.sum(axis=(0, 2, 3))), (dx, want_dx)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -246,78 +261,135 @@ def test_conv_backward_allocates_less_than_the_full_batch_columns():
     # chunk at a time instead
     rng = np.random.default_rng(8)
     n = 20
-    x = Tensor(rng.standard_normal((n, 32, 16, 16)).astype(np.float32), requires_grad=True)
+    x = rng.standard_normal((n, 32, 16, 16)).astype(np.float32)
     w = Parameter(rng.standard_normal((64, 32, 3, 3)).astype(np.float32), name="w")
     b = Parameter(np.zeros(64, dtype=np.float32), name="b")
     y = conv2d_forward(x, w, b)
     dy = rng.standard_normal(y.shape).astype(np.float32)
     tracemalloc.start()
     try:
-        y._grad_fn(dy)
+        dx = _conv2d_backward(x, w, b, dy, True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert x.grad is not None and w.grad is not None
+    assert dx is not None and w.grad is not None
     assert peak < n * 288 * 256 * 4
 
 
 def test_flatten_shape():
-    x = Tensor(np.ones((3, 2, 4, 4), dtype=np.float32))
-    assert flatten(x).data.shape == (3, 32)
-
-
-def test_graph_reuse_raises():
-    x = Tensor(np.zeros((1, 2), dtype=np.float32))
-    w = Parameter(np.zeros((3, 2), dtype=np.float32), name="w")
-    b = Parameter(np.zeros(3, dtype=np.float32), name="b")
-    y = linear_forward(x, w, b)
-    loss = softmax_cross_entropy(y, np.array([0]))
-    backward(loss)
-    with pytest.raises(GraphError):
-        backward(loss)
+    # the tape of a convnet step: per conv layer its input, conv and pool
+    # outputs; per linear layer its input, fc1's flattened
+    model = build_model(parse_model_spec("small_convnet:3x8x8-10"), np.random.default_rng(2))
+    x = np.random.default_rng(3).random((3, 3, 8, 8)).astype(np.float32)
+    tape = []
+    model.forward(x, tape)
+    assert [a.shape for a in tape] == [
+        (3, 3, 8, 8), (3, 32, 8, 8), (3, 32, 4, 4),
+        (3, 32, 4, 4), (3, 64, 4, 4), (3, 64, 2, 2),
+        (3, 256), (3, 128)]
+    assert tape[0] is x
 
 
 def test_backward_keeps_only_the_leaf_gradients():
-    r = np.random.default_rng(4)
-    x = Tensor(r.standard_normal((2, 1, 4, 4)).astype(np.float32))
-    cw = Parameter(r.standard_normal((3, 1, 3, 3)).astype(np.float32), name="cw")
-    cb = Parameter(np.zeros(3, dtype=np.float32), name="cb")
-    fw = Parameter(r.standard_normal((5, 12)).astype(np.float32), name="fw")
-    fb = Parameter(np.zeros(5, dtype=np.float32), name="fb")
-    conv = conv2d_forward(x, cw, cb)
-    pooled = maxpool2x2(conv)
-    act = relu(pooled)
-    flat = flatten(act)
-    logits = linear_forward(flat, fw, fb)
-    loss = softmax_cross_entropy(logits, np.array([0, 4]))
-    backward(loss)
-    for p in (cw, cb, fw, fb):
-        assert p.grad is not None and p.grad.shape == p.data.shape, p.name
-    # the graph is released: no interior node keeps a closure or its parents
-    for node in (conv, pooled, act, flat, logits, loss):
-        assert node.grad is None and node._grad_fn is None and node._parents == ()
-    assert x.grad is None  # a leaf that needs no gradient gets none
-    with pytest.raises(GraphError):
-        backward(loss)
-    with pytest.raises(GraphError):  # also from a fresh root over a consumed node
-        backward(softmax_cross_entropy(linear_forward(flat, fw, fb), np.array([1, 2])))
-    assert all(p.grad is not None for p in (cw, cb, fw, fb))
+    # backward empties the tape and lets go of each activation once its
+    # layer is done: by conv1's turn nothing above it is alive. Afterwards
+    # the parameters alone hold arrays of the step, one gradient each
+    model = build_model(parse_model_spec("small_convnet:1x8x8-10"), np.random.default_rng(4))
+    x = np.random.default_rng(5).random((3, 1, 8, 8)).astype(np.float32)
+    tape = []
+    _, dlogits = softmax_cross_entropy(model.forward(x, tape), np.array([0, 4, 9]))
+    held = [weakref.ref(a) for a in tape[1:]]
+    alive_at_conv1 = []
+    real_conv2d_backward = dstforge.tensor._conv2d_backward
+
+    def spy(x_in, w, *args):
+        if w is model.layers[0].weight:
+            alive_at_conv1.append([ref() is not None for ref in held])
+        return real_conv2d_backward(x_in, w, *args)
+
+    dstforge.tensor._conv2d_backward = spy
+    try:
+        backward(model.layers, tape, dlogits)
+    finally:
+        dstforge.tensor._conv2d_backward = real_conv2d_backward
+    assert tape == []
+    assert alive_at_conv1 == [[False] * len(held)]
+    params = model.parameters()
+    for i, p in enumerate(params):
+        assert p.grad.shape == p.data.shape and p.grad.dtype == p.data.dtype, p.name
+        for q in params[i + 1:]:
+            assert not np.shares_memory(p.grad, q.grad), (p.name, q.name)
+
+
+def test_the_first_conv_layer_computes_no_input_gradient(monkeypatch):
+    # the model's input needs no gradient: of the two conv layers only conv2
+    # scatters columns back into an input gradient, once per chunk
+    model = build_model(parse_model_spec("small_convnet:3x8x8-10"), np.random.default_rng(8))
+    x = np.random.default_rng(9).random((CONV_CHUNK + 1, 3, 8, 8)).astype(np.float32)
+    scattered = []
+    real_col2im = dstforge.tensor._col2im
+
+    def counting_col2im(dcols, dx, kh, kw):
+        scattered.append(dx.shape[1])
+        real_col2im(dcols, dx, kh, kw)
+
+    monkeypatch.setattr(dstforge.tensor, "_col2im", counting_col2im)
+    step_gradients(model, x, np.arange(CONV_CHUNK + 1) % 10)
+    assert scattered == [32, 32]  # conv2's input channels, two chunks
+
+
+def _step_by_hand(model, x, labels):
+    """A step's gradients composed from the kernels op by op, with each relu
+    masked by its own input, the pre-activation. `backward` masks by the
+    relu's output, the next layer's input, which is above zero exactly where
+    the pre-activation is. Returns the gradients by parameter name."""
+    stages, h = [], x  # (layer, input, pool input or None, output before relu)
+    for layer in model.layers:
+        if layer.kind == "conv":
+            conv = conv2d_forward(h, layer.weight, layer.bias)
+            out = maxpool2x2(conv)
+        else:
+            conv, h = None, h.reshape(len(h), -1)
+            out = linear_forward(h, layer.weight, layer.bias)
+        stages.append((layer, h, conv, out))
+        h = np.maximum(out, 0)
+    _, dy = softmax_cross_entropy(out, labels)
+    for i in reversed(range(len(stages))):
+        layer, inp, conv, out = stages[i]
+        if i < len(stages) - 1:
+            dy = dy.reshape(out.shape) * (out > 0)
+        if conv is not None:
+            dy = _conv2d_backward(inp, layer.weight, layer.bias,
+                                  _maxpool2x2_backward(conv, out, dy), i > 0)
+        else:
+            dy = _linear_backward(inp, layer.weight, layer.bias, dy, i > 0)
+    return {p.name: p.grad for p in model.parameters()}
+
+
+@pytest.mark.parametrize("spec, x_shape", [
+    ("mlp:36-16-12-10", (7, 36)),
+    ("mlp:144-16-10", (5, 1, 12, 12)),
+    ("small_convnet:3x8x8-10", (2 * CONV_CHUNK + 1, 3, 8, 8)),
+])
+def test_backward_is_byte_equal_to_the_step_composed_by_hand(spec, x_shape):
+    model = build_model(parse_model_spec(spec), np.random.default_rng(6))
+    rng = np.random.default_rng(7)
+    x = rng.random(x_shape).astype(np.float32)
+    labels = rng.integers(0, 10, x_shape[0])
+    want = _step_by_hand(model, x, labels)
+    step_gradients(model, x, labels)
+    for p in model.parameters():
+        assert p.grad.dtype == want[p.name].dtype
+        assert p.grad.tobytes() == want[p.name].tobytes(), p.name
 
 
 def test_linear_mlp_gradients_match_finite_differences():
     r = np.random.default_rng(7)
     x = r.standard_normal((4, 6)).astype(np.float64)
     labels = np.array([0, 1, 2, 1])
-    w1 = Parameter(r.standard_normal((5, 6)) * 0.5, name="w1")
-    b1 = Parameter(r.standard_normal(5) * 0.1, name="b1")
-    w2 = Parameter(r.standard_normal((3, 5)) * 0.5, name="w2")
-    b2 = Parameter(r.standard_normal(3) * 0.1, name="b2")
-
-    def forward_loss():
-        h = relu(linear_forward(Tensor(x), w1, b1))
-        return softmax_cross_entropy(linear_forward(h, w2, b2), labels)
-
-    check_param_grads([w1, b1, w2, b2], forward_loss)
+    model = layer_stack((r.standard_normal((5, 6)) * 0.5, r.standard_normal(5) * 0.1),
+                        (r.standard_normal((3, 5)) * 0.5, r.standard_normal(3) * 0.1))
+    check_param_grads(model, x, labels)
 
 
 def test_conv_net_gradients_match_finite_differences():
@@ -326,16 +398,9 @@ def test_conv_net_gradients_match_finite_differences():
     r = np.random.default_rng(164)
     x = r.standard_normal((2, 1, 6, 6)).astype(np.float64)
     labels = np.array([1, 0])
-    w1 = Parameter(r.standard_normal((3, 1, 3, 3)) * 0.4, name="w1")
-    b1 = Parameter(r.standard_normal(3) * 0.1, name="b1")
-    w2 = Parameter(r.standard_normal((2, 27)) * 0.4, name="w2")
-    b2 = Parameter(r.standard_normal(2) * 0.1, name="b2")
-
-    def forward_loss():
-        h = maxpool2x2(relu(conv2d_forward(Tensor(x), w1, b1)))
-        return softmax_cross_entropy(linear_forward(flatten(h), w2, b2), labels)
-
-    check_param_grads([w1, b1, w2, b2], forward_loss)
+    model = layer_stack((r.standard_normal((3, 1, 3, 3)) * 0.4, r.standard_normal(3) * 0.1),
+                        (r.standard_normal((2, 27)) * 0.4, r.standard_normal(2) * 0.1))
+    check_param_grads(model, x, labels)
 
 
 @settings(deadline=None, max_examples=25)
@@ -349,20 +414,13 @@ def test_random_small_net_gradients(seed):
         bs = int(r.integers(1, 5))
         x = r.standard_normal((bs, n_in)).astype(np.float64)
         labels = r.integers(0, n_out, bs)
-        w1 = Parameter(r.standard_normal((n_hid, n_in)) * 0.6, name="w1")
-        b1 = Parameter(r.standard_normal(n_hid) * 0.1, name="b1")
-        w2 = Parameter(r.standard_normal((n_out, n_hid)) * 0.6, name="w2")
-        b2 = Parameter(r.standard_normal(n_out) * 0.1, name="b2")
-        if relu_margin(x @ w1.data.T + b1.data) > MARGIN:
+        w1, b1 = r.standard_normal((n_hid, n_in)) * 0.6, r.standard_normal(n_hid) * 0.1
+        w2, b2 = r.standard_normal((n_out, n_hid)) * 0.6, r.standard_normal(n_out) * 0.1
+        if relu_margin(x @ w1.T + b1) > MARGIN:
             break
     else:
         pytest.fail("no draw kept the relu inputs away from the switch")
-
-    def forward_loss():
-        h = relu(linear_forward(Tensor(x), w1, b1))
-        return softmax_cross_entropy(linear_forward(h, w2, b2), labels)
-
-    check_param_grads([w1, b1, w2, b2], forward_loss)
+    check_param_grads(layer_stack((w1, b1), (w2, b2)), x, labels)
 
 
 @settings(deadline=None, max_examples=40)
@@ -374,95 +432,62 @@ def test_conv_gradients_match_finite_differences_over_kernel_shapes(c_in, c_out,
     # operands are small integers and the step is 1, so there is no rounding
     rng = np.random.default_rng(seed)
     for kh, kw, dtype in itertools.product(KERNEL_SIDES, KERNEL_SIDES, (np.float32, np.float64)):
-        xd, wd, bd, r = _conv_operands(rng, dtype, (2, c_in, h, w), (c_out, c_in, kh, kw),
-                                       (c_out,), (2, c_out, h, w))
-        x = Tensor(xd, requires_grad=True)
+        x, wd, bd, r = _conv_operands(rng, dtype, (2, c_in, h, w), (c_out, c_in, kh, kw),
+                                      (c_out,), (2, c_out, h, w))
         wt, b = Parameter(wd, name="w"), Parameter(bd, name="b")
-        conv2d_forward(x, wt, b)._grad_fn(r)  # the gradient of sum(y * r)
+        dx = _conv2d_backward(x, wt, b, r, True)  # the gradient of sum(y * r)
 
         def loss():
-            return float(np.sum(conv2d_forward(x, wt, b).data * r))
+            return float(np.sum(conv2d_forward(x, wt, b) * r))
 
         eps = 1e-3 if dtype == np.float64 else 1.0
-        for t in (x, wt, b):
-            assert t.grad.dtype == dtype
-            np.testing.assert_allclose(t.grad, numeric_grad(loss, t.data, eps=eps),
+        for grad, arr in ((dx, x), (wt.grad, wt.data), (b.grad, b.data)):
+            assert grad.dtype == dtype
+            np.testing.assert_allclose(grad, numeric_grad(loss, arr, eps=eps),
                                        rtol=1e-7, atol=1e-9)
 
 
-def test_no_grad_builds_no_graph_and_restores_grad_mode():
+def test_forward_without_a_tape_leaves_the_gradients():
     model = build_model(parse_model_spec("small_convnet:1x8x8-10"), np.random.default_rng(0))
-    x = Tensor(np.random.default_rng(1).random((2, 1, 8, 8)).astype(np.float32))
+    x = np.random.default_rng(1).random((2, 1, 8, 8)).astype(np.float32)
     sentinels = [np.full_like(p.data, 7.0) for p in model.parameters()]
     for p, g in zip(model.parameters(), sentinels):
         p.grad = g
-    with no_grad():
-        out = model.forward(x)
-    assert out._parents == () and out._grad_fn is None
-    assert not out.requires_grad
+    assert model.forward(x).shape == (2, 10)
     for p, g in zip(model.parameters(), sentinels):
         assert p.grad is g and np.all(g == 7.0)
-
-    with pytest.raises(KeyError):
-        with no_grad():
-            raise KeyError("inside the block")
-    model.zero_grad()
-    backward(softmax_cross_entropy(model.forward(x), np.array([0, 1])))
-    assert all(p.grad is not None for p in model.parameters())
+    step_gradients(model, x, np.array([0, 1]))
+    for p, g in zip(model.parameters(), sentinels):
+        assert p.grad is not None and p.grad is not g
 
 
-def test_layer_kernels_under_no_grad_match_the_graph_ops():
+def test_untraced_layer_kernels_match_the_traced_ones():
     rng = np.random.default_rng(3)
-    x = Tensor(rng.standard_normal((2, 3, 6, 6)).astype(np.float32))
+    x = rng.standard_normal((2, 3, 6, 6)).astype(np.float32)
     w = Parameter(rng.standard_normal((4, 3, 3, 3)).astype(np.float32), name="w")
     b = Parameter(rng.standard_normal(4).astype(np.float32), name="b")
     fw = Parameter(rng.standard_normal((5, 108)).astype(np.float32), name="fw")
     fb = Parameter(rng.standard_normal(5).astype(np.float32), name="fb")
     # relu'd like every pool input of the models: zeros and rounded ties
-    pooled = relu(Tensor(np.round(rng.standard_normal((2, 3, 6, 6)) * 2).astype(np.float32)))
-    assert layer_kernels() == (linear_forward, conv2d_forward, maxpool2x2)
-    with no_grad():
-        linear, conv2d, maxpool = layer_kernels()
-        assert maxpool is not maxpool2x2
-        for got, want in ((conv2d(x, w, b), conv2d_forward(x, w, b)),
-                          (linear(flatten(x), fw, fb), linear_forward(flatten(x), fw, fb)),
-                          (maxpool(pooled), maxpool2x2(pooled))):
-            assert not got.requires_grad and got._parents == ()
-            assert got.data.dtype == want.data.dtype
-            assert got.data.tobytes() == want.data.tobytes()
-        with pytest.raises(ValueError):
-            maxpool(Tensor(np.ones((1, 1, 3, 4), dtype=np.float32)))
-
-
-def test_a_parameter_shared_by_two_layers_sums_both_gradients():
-    # w feeds both linear layers, so its gradient is the sum of two
-    # contributions; the first one is stored without a copy and the second
-    # is added into it in place
-    r = np.random.default_rng(5)
-    x = r.standard_normal((3, 4))
-    labels = np.array([0, 3, 1])
-    w = Parameter(r.standard_normal((4, 4)) * 0.5, name="w")
-    b1 = Parameter(r.standard_normal(4) * 0.1, name="b1")
-    b2 = Parameter(r.standard_normal(4) * 0.1, name="b2")
-
-    def forward_loss():
-        h = linear_forward(Tensor(x), w, b1)
-        return softmax_cross_entropy(linear_forward(h, w, b2), labels)
-
-    backward(forward_loss())
-    params = (w, b1, b2)
-    for i, p in enumerate(params):
-        for q in params[i + 1:]:
-            assert not np.shares_memory(p.grad, q.grad), (p.name, q.name)
-    for p in params:
-        numeric = numeric_grad(lambda: float(forward_loss().data), p.data, eps=1e-6)
-        np.testing.assert_allclose(p.grad, numeric, rtol=1e-6, atol=1e-9, err_msg=p.name)
+    pooled = np.maximum(np.round(rng.standard_normal((2, 3, 6, 6)) * 2), 0).astype(np.float32)
+    traced = layer_kernels(traced=True)
+    assert traced == (linear_forward, conv2d_forward, maxpool2x2)
+    linear, conv2d, maxpool = layer_kernels(traced=False)
+    assert not {linear, conv2d, maxpool} & set(traced)
+    flat = x.reshape(2, -1)
+    for got, want in ((conv2d(x, w, b), conv2d_forward(x, w, b)),
+                      (linear(flat, fw, fb), linear_forward(flat, fw, fb)),
+                      (maxpool(pooled), maxpool2x2(pooled))):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        maxpool(np.ones((1, 1, 3, 4), dtype=np.float32))
 
 
 def test_linear_backward_skips_the_input_gradient_nobody_reads():
-    # the weight's data counts the matrix products it takes part in; with a
-    # gradient-free input, backward's only products are dW = dy.T @ x, which
-    # does not touch the weight, so it runs none with the weight
+    # the first layer's weight counts the matrix products it takes part in;
+    # its input needs no gradient, so backward's only products there are
+    # dW = dy.T @ x, which does not touch the weight
     class CountingMatmul(np.ndarray):
         calls = 0
 
@@ -475,26 +500,29 @@ def test_linear_backward_skips_the_input_gradient_nobody_reads():
             return other @ np.asarray(self)
 
     r = np.random.default_rng(11)
-    x_data = r.standard_normal((5, 6)).astype(np.float32)
-    w_data = r.standard_normal((4, 6)).astype(np.float32)
-    b_data = r.standard_normal(4).astype(np.float32)
-    labels = np.array([0, 3, 1, 2, 3])
+    x = r.standard_normal((5, 6)).astype(np.float32)
+    labels = np.array([0, 2, 1, 2, 1])
+    w1, b1, w2, b2 = (r.standard_normal(s).astype(np.float32) for s in ((4, 6), (4,), (3, 4), (3,)))
+    model = layer_stack((w1, b1), (w2, b2))
+    fc1 = model.layers[0]
+    fc1.weight.data = fc1.weight.data.view(CountingMatmul)
+    tape = []
+    _, dlogits = softmax_cross_entropy(model.forward(x, tape), labels)
+    CountingMatmul.calls = 0
+    backward(model.layers, tape, dlogits)
+    assert CountingMatmul.calls == 0
+    assert type(fc1.weight.grad) is np.ndarray
 
-    def step(x_requires_grad):
-        x = Tensor(x_data, requires_grad=x_requires_grad)
-        w, b = Parameter(w_data.copy(), name="w"), Parameter(b_data.copy(), name="b")
-        w.data = w.data.view(CountingMatmul)
-        loss = softmax_cross_entropy(linear_forward(x, w, b), labels)
+    # asked for dx, the same layer runs one product more, dx = dy @ w, and
+    # writes the same gradients
+    dy = r.standard_normal((5, 4)).astype(np.float32)
+    runs = []
+    for need_dx in (False, True):
         CountingMatmul.calls = 0
-        backward(loss)
-        return x, w, b, CountingMatmul.calls
-
-    x, w, b, products = step(False)
-    assert products == 0
-    assert x.grad is None
-    x_wanted, w_wanted, b_wanted, products_wanted = step(True)
-    assert products_wanted == 1  # dx = dy @ w
-    assert x_wanted.grad.shape == x_data.shape
-    for got, want in ((w.grad, w_wanted.grad), (b.grad, b_wanted.grad)):
-        assert type(got) is np.ndarray and got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
+        dx = _linear_backward(x, fc1.weight, fc1.bias, dy, need_dx)
+        runs.append((CountingMatmul.calls, dx, fc1.weight.grad, fc1.bias.grad))
+    (products, dx, w_grad, b_grad), (products_wanted, dx_wanted, w_wanted, b_wanted) = runs
+    assert products == 0 and dx is None
+    assert products_wanted == 1 and dx_wanted.shape == x.shape
+    for got, want in ((w_grad, w_wanted), (b_grad, b_wanted)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

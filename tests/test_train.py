@@ -568,7 +568,7 @@ import resource
 import numpy as np
 from dstforge.models import build_model, parse_model_spec
 from dstforge.optim import sgd_momentum_step
-from dstforge.tensor import Tensor, backward, softmax_cross_entropy
+from dstforge.tensor import backward, softmax_cross_entropy
 
 model = build_model(parse_model_spec("small_convnet:3x32x32-10"), np.random.default_rng(0))
 rng = np.random.default_rng(1)
@@ -577,7 +577,9 @@ labels = rng.integers(0, 10, 20)
 
 def step():
     model.zero_grad()
-    backward(softmax_cross_entropy(model.forward(Tensor(x)), labels))
+    tape = []
+    _, dlogits = softmax_cross_entropy(model.forward(x, tape), labels)
+    backward(model.layers, tape, dlogits)
     sgd_momentum_step(model.parameters(), lr=0.01, momentum=0.9, weight_decay=1e-4)
 
 for _ in range(3):
