@@ -244,7 +244,10 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     try:
         dst = DstConfig(total_steps=n_train // bs * epochs, **dst_kwargs)
     except ValueError as e:
-        raise ConfigError(f"[dst] {e}") from None
+        # DstConfig's messages open with its field's name; a config names its key
+        field, _, rest = str(e).partition(" ")
+        key = next((k for k, (f, _) in _DST_FIELDS.items() if f == field), field)
+        raise ConfigError(f"[dst] {key} {rest}") from None
 
     out_dir = os.path.normpath(os.path.join(base_dir, _get(cp, "output", "dir")))
     existing = out_dir  # the deepest part of the path that exists must be a directory

@@ -1,22 +1,23 @@
 """Severity-leveled image corruptions, generated deterministically per image.
 
-Each image's randomness comes from a generator seeded by (set seed, kind id,
-severity, image index), so a corrupted set is byte-identical no matter the
-generation order, process count, or thread count. All kinds operate on float
-images in [0, 1], channel-wise for grayscale and color alike, and clip their
-output back to [0, 1].
+Each image's randomness comes from the stream `default_rng((set seed, kind
+id, severity, image index))` would give, so a corrupted set is
+byte-identical no matter the generation order, process count, or thread
+count. All kinds operate on float images in [0, 1], channel-wise for
+grayscale and color alike, and clip their output back to [0, 1].
 
 A (kind, severity) cell is rendered as one batch: `corrupt_images` checks the
 batch once, runs the kind's transform over all of it and clips once. Only the
-kinds that draw random numbers loop over images, one generator each, and the
-kinds that draw nothing build no generator. `corrupt` is the same pass on a
+kinds that draw random numbers loop over images: the batch's starting states
+are computed in one pass and loaded in turn into one generator, and the
+kinds that draw nothing seed nothing. `corrupt` is the same pass on a
 batch of one image, so its bytes equal that image's row of the batch.
 `dstforge corrupt` and the study hold one rendered cell at a time.
 
 The three blurs are numpy kernels with the bytes of `scipy.ndimage`'s
 `gaussian_filter` and `convolve` in mode "reflect", so corrupting loads no
-scipy. Motion blur convolves all images whose random angles give the same
-discretised kernel in one call.
+scipy. Motion blur discretises all the batch's random angles at once and
+convolves all images whose angles give the same set of taps in one call.
 """
 
 from __future__ import annotations
@@ -73,12 +74,118 @@ class CorruptionSpec:
         return SEVERITY_TABLE[self.kind][self.severity - 1]
 
 
-def _image_rng(spec: CorruptionSpec, index: int) -> np.random.Generator:
-    return np.random.default_rng((spec.seed, KINDS.index(spec.kind), spec.severity, index))
+# Image i's stream is the one `np.random.default_rng((seed, kind id, severity,
+# index))` would give. The set-up of such a generator, numpy's SeedSequence
+# hashing and PCG64's seeding step, is worth more than a cheap kind's own
+# work, so it runs for a whole batch at once: the hashing on uint32 arrays
+# with one column per image, then the 128-bit step on Python integers.
+
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # SeedSequence's hashmix while mixing
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # ... and while generating state
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4  # SeedSequence's default pool size, in words
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words(value: int) -> list[int]:
+    """The little-endian uint32 words SeedSequence splits an integer into."""
+    if value < 0:
+        raise ValueError(f"expected non-negative integer, got {value}")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k = 0..count, as a uint32 column."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each row of `values`, row k hashed with
+    consts k and k + 1 (rows of one word broadcast)."""
+    v = values ^ consts[:-1]
+    v *= consts[1:]
+    v ^= v >> 16
+    return v
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of word x with word y, elementwise."""
+    v = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    v ^= v >> 16
+    return v
+
+
+def _seed_sequence_words(entropy: np.ndarray) -> np.ndarray:
+    """`SeedSequence(e).generate_state(8)` for each column e of an (L, n)
+    uint32 entropy array, as an (8, n) array."""
+    extra = max(0, len(entropy) - _POOL)
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * extra)
+    # the first words, padded with zeros to the pool's size, hash into the pool
+    pool = np.zeros((_POOL, entropy.shape[1]), dtype=np.uint32)
+    pool[: len(entropy)] = entropy[:_POOL]
+    pool = _hashmix(pool, consts[: _POOL + 1])
+    k = _POOL
+    # each word mixes into the other three; the source word is unchanged
+    # while it does, so its three hashes are one call
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src : src + 1], consts[k : k + _POOL]))
+        k += _POOL - 1
+    # each further word mixes into every pool word
+    for src in range(_POOL, len(entropy)):
+        pool = _mix(pool, _hashmix(entropy[src : src + 1], consts[k : k + _POOL + 1]))
+        k += _POOL
+    # generate_state cycles through the pool, one hash per output word
+    return _hashmix(pool[np.arange(8) % _POOL], _hash_consts(_INIT_B, _MULT_B, 8))
+
+
+def _stream_states(spec: CorruptionSpec, start: int, n: int) -> list[dict]:
+    """The PCG64 state `default_rng((seed, kind id, severity, index))`
+    starts from, for each index in [start, start + n)."""
+    head = _words(spec.seed) + [KINDS.index(spec.kind), spec.severity]
+    states = []
+    lo, end = start, start + n
+    while lo < end:
+        # the indices that split into as many words as lo hash as one array
+        width = len(_words(lo))
+        index = range(lo, min(end, 1 << 32 * width))
+        entropy = np.array([[w] * len(index) for w in head]
+                           + [[i >> s & _MASK32 for i in index] for s in range(0, 32 * width, 32)],
+                           dtype=np.uint32)
+        words = _seed_sequence_words(entropy).astype(np.uint64)
+        seed_hi, seed_lo, seq_hi, seq_lo = (words[0::2] | words[1::2] << np.uint64(32)).tolist()
+        for a, b, c, d in zip(seed_hi, seed_lo, seq_hi, seq_lo):
+            # pcg64_set_seed: from state 0, step, add the seed, step again
+            inc = ((c << 64 | d) << 1 | 1) & _MASK128
+            state = ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128
+            states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                           "has_uint32": 0, "uinteger": 0})
+        lo = index.stop
+    return states
+
+
+def _streams(spec: CorruptionSpec, start: int, n: int):
+    """Yield image start + i's generator for i in range(n): one Generator,
+    its PCG64 set to each image's starting state in turn. The states are
+    computed on the first request, so a kind that draws nothing seeds
+    nothing."""
+    bit_generator = np.random.PCG64(0)  # seed unused: each image's state replaces it
+    rng = np.random.Generator(bit_generator)
+    for state in _stream_states(spec, start, n):
+        bit_generator.state = state
+        yield rng
 
 
 # Each transform maps a float32 (n, c, h, w) batch to a new array. `rngs`
-# yields image i's generator on demand; kinds that draw nothing never ask.
+# yields image i's generator on demand; kinds that draw nothing never ask,
+# and each generator is done with before the next is asked for.
 
 
 def _draw_noise(x, sigma, rngs):
@@ -234,27 +341,23 @@ def _defocus_blur(x, radius, rngs):
     return _convolve(x, _disk_kernel(radius))
 
 
-def _motion_kernel(length: int, angle: float) -> np.ndarray:
-    k = np.zeros((length, length), dtype=np.float32)
+def _motion_blur(x, length, rngs):
+    # one angle per image, all discretised at once; the images whose angles
+    # give the same set of taps share one kernel and one convolve call
+    angles = np.array([rng.uniform(0.0, np.pi) for rng in rngs])
     center = (length - 1) // 2
     t = np.arange(length) - (length - 1) / 2  # the values of linspace(-a, a, length), exactly
     # np.rint rounds half to even, as Python's round does
-    iy = center + np.rint(t * np.sin(angle)).astype(np.intp)
-    ix = center + np.rint(t * np.cos(angle)).astype(np.intp)
-    k[iy, ix] = 1.0
-    return k / k.sum()
-
-
-def _motion_blur(x, length, rngs):
-    # one angle per image; the images whose angles discretise to the same
-    # kernel are convolved together
+    iy = center + np.rint(t * np.sin(angles)[:, None]).astype(np.intp)
+    ix = center + np.rint(t * np.cos(angles)[:, None]).astype(np.intp)
+    taps = np.zeros((len(x), length, length), dtype=np.float32)
+    taps[np.arange(len(x))[:, None], iy, ix] = 1.0
     groups = {}
-    for i, rng in enumerate(rngs):
-        kernel = _motion_kernel(length, rng.uniform(0.0, np.pi))
-        groups.setdefault(kernel.tobytes(), (kernel, []))[1].append(i)
+    for i, tap_set in enumerate(taps):
+        groups.setdefault(tap_set.tobytes(), (tap_set, []))[1].append(i)
     out = np.empty_like(x)
-    for kernel, rows in groups.values():
-        out[rows] = _convolve(x[rows], kernel)
+    for tap_set, rows in groups.values():
+        out[rows] = _convolve(x[rows], tap_set / tap_set.sum())
     return out
 
 
@@ -308,8 +411,7 @@ def _render(images: np.ndarray, spec: CorruptionSpec, start: int) -> np.ndarray:
         return images.copy()
     if images.min() < 0.0 or images.max() > 1.0:
         raise ValueError("corrupt: input values outside [0, 1]")
-    rngs = (_image_rng(spec, start + i) for i in range(images.shape[0]))
-    out = _TRANSFORMS[spec.kind](images, spec.param, rngs)
+    out = _TRANSFORMS[spec.kind](images, spec.param, _streams(spec, start, len(images)))
     # every transform returns a new float32 array, so clipping in place is safe
     return np.clip(out, 0.0, 1.0, out=out)
 

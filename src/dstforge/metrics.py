@@ -88,14 +88,15 @@ EVAL_BATCH = 500
 
 
 def batched_accuracy(models: list[Model], images: np.ndarray, labels: np.ndarray,
-                     sparse: bool = False, transform=None) -> list[float]:
+                     sparse: bool = False, views=None) -> list:
     """Top-1 accuracy of each model's `predict`, EVAL_BATCH images at a time.
 
-    `transform`, when given, maps each batch of images before prediction, so
-    a filtered copy of a large set never has to exist whole; every model
-    scores the same transformed batch, which is built once. An empty set, a
-    label outside [0, classes) of any model, or images whose shape a model
-    cannot take raises DataError.
+    `views`, when given, maps each batch of images to an iterable of batches,
+    such as the batch filtered at each radius of a sweep, so that no filtered
+    copy of a large set has to exist whole. Every model scores each view,
+    which is built once, and the result is one list of per-model accuracies
+    per view. An empty set, a label outside [0, classes) of any model, or
+    images whose shape a model cannot take raises DataError.
     """
     if len(images) == 0:
         raise DataError("empty image set")
@@ -104,20 +105,22 @@ def batched_accuracy(models: list[Model], images: np.ndarray, labels: np.ndarray
     if outside.any():
         bad = int(np.argmax(outside))
         raise DataError(f"label {int(labels[bad])} outside [0, {classes}) at record {bad}")
-    correct = [0] * len(models)
+    correct = []  # per view, per model
     for lo in range(0, len(images), EVAL_BATCH):
         x = images[lo : lo + EVAL_BATCH]
-        if transform is not None:
-            x = transform(x)
         y = labels[lo : lo + EVAL_BATCH]
-        for i, model in enumerate(models):
-            try:
-                logits = model.predict(x, sparse=sparse)
-            except ValueError as e:
-                raise DataError(f"images of shape {images.shape[1:]} do not match model "
-                                f"{model.spec.to_string()}: {e}") from e
-            correct[i] += int((logits.argmax(axis=1) == y).sum())
-    return [c / len(images) for c in correct]
+        for v, view in enumerate([x] if views is None else views(x)):
+            if v == len(correct):
+                correct.append([0] * len(models))
+            for i, model in enumerate(models):
+                try:
+                    logits = model.predict(view, sparse=sparse)
+                except ValueError as e:
+                    raise DataError(f"images of shape {images.shape[1:]} do not match model "
+                                    f"{model.spec.to_string()}: {e}") from e
+                correct[v][i] += int((logits.argmax(axis=1) == y).sum())
+    accs = [[c / len(images) for c in row] for row in correct]
+    return accs[0] if views is None else accs
 
 
 def accuracy(model: Model, s: ImageSet, sparse: bool = False) -> float:

@@ -342,3 +342,14 @@ def test_dst_config_refuses_every_non_finite_float_field(field):
         kwargs = {"method": "mest_g", "sparsity": 0.5, "total_steps": 100, field: value}
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             DstConfig(**kwargs)
+
+
+@pytest.mark.parametrize("value, message", [("2", r"must be in \[0, 1\], got 2.0"),
+                                            ("nan", "must be finite, got nan")])
+def test_refused_p_is_named_by_its_key(idx_dir, tmp_path, value, message):
+    # the key `p` sets the field `p0`; a message naming `p0` names a key the
+    # parser refuses
+    text = toy_config(idx_dir, str(tmp_path / "o"), method="set", sparsity=0.5)
+    text = text.replace("p = 0.1\n", f"p = {value}\n")
+    with pytest.raises(ConfigError, match=rf"^\[dst\] p {message}$"):
+        parse_config(text)

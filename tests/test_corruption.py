@@ -148,16 +148,53 @@ def test_per_image_rng_is_order_independent():
 def test_only_kinds_that_draw_build_generators(monkeypatch):
     import dstforge.corruption as corruption
 
-    built = []
-    real = corruption._image_rng
-    monkeypatch.setattr(corruption, "_image_rng",
-                        lambda spec, index: built.append(index) or real(spec, index))
+    seeded = []
+    real = corruption._stream_states
+    monkeypatch.setattr(corruption, "_stream_states",
+                        lambda spec, start, n: seeded.append((start, n)) or real(spec, start, n))
     imgs = np.stack([sample_image(s) for s in range(4)])
     for kind in KINDS:
-        built.clear()
+        seeded.clear()
         corrupt_images(imgs, CorruptionSpec(kind, 3))
         draws = kind in NOISE_KINDS or kind == "motion_blur"
-        assert built == ([0, 1, 2, 3] if draws else []), kind
+        # the kinds that draw seed the whole batch's streams in one call
+        assert seeded == ([(0, 4)] if draws else []), kind
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=0, max_value=2**66), st.sampled_from(KINDS),
+       st.sampled_from(SEVERITIES),
+       st.one_of(st.integers(min_value=0, max_value=2**32 + 8),
+                 st.integers(min_value=2**32 - 8, max_value=2**32 + 8),
+                 st.integers(min_value=2**64 - 8, max_value=2**64 + 8)),
+       st.integers(min_value=1, max_value=12))
+def test_stream_states_are_default_rng_states(seed, kind, severity, start, n):
+    # numpy's own seeding is the oracle: seeds and indices past 2**32 and
+    # 2**64 split into more words, and a batch may straddle such a boundary
+    from dstforge.corruption import _stream_states
+
+    got = _stream_states(CorruptionSpec(kind, severity, seed), start, n)
+    kind_id = KINDS.index(kind)
+    assert got == [np.random.default_rng((seed, kind_id, severity, i)).bit_generator.state
+                   for i in range(start, start + n)]
+
+
+def test_streams_past_two_to_the_32_match_their_batch_rows():
+    from dstforge.corruption import _render
+
+    imgs = np.stack([sample_image(s) for s in range(8)])
+    for kind in NOISE_KINDS + ("motion_blur",):
+        spec = CorruptionSpec(kind, 4, seed=2**40 + 3)
+        for start in (2**32, 2**32 - 5):
+            batch = _render(imgs, spec, start)
+            for i in (0, 5, 7):
+                solo = corrupt(imgs[i], spec, index=start + i)
+                assert solo.tobytes() == batch[i].tobytes(), (kind, start, i)
+
+
+def test_negative_stream_seed_refused():
+    with pytest.raises(ValueError, match="non-negative"):
+        corrupt(sample_image(), CorruptionSpec("gaussian_noise", 1, seed=-1))
 
 
 @pytest.mark.parametrize("shape", sorted(GOLDEN_SEEDS))
@@ -276,21 +313,39 @@ def test_severity_monotone_noise_degradation(dense_run):
         assert inversions <= 1, (kind, accs)
 
 
-def ndimage_blur(x: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
-    """The blur cell as scipy.ndimage renders it, clipped as `corrupt_images` clips."""
-    from scipy import ndimage
+def disk_kernel(radius: int) -> np.ndarray:
+    """Equal float32 weights on the pixels within `radius` of the centre."""
+    yy, xx = np.mgrid[-radius : radius + 1, -radius : radius + 1]
+    k = (yy * yy + xx * xx <= radius * radius).astype(np.float32)
+    return k / k.sum()
 
-    from dstforge.corruption import _disk_kernel, _image_rng, _motion_kernel
+
+def motion_kernel(length: int, angle: float) -> np.ndarray:
+    """Equal float32 weights on a centred streak of `length` samples at
+    `angle`, each rounded (half to even) to its pixel."""
+    k = np.zeros((length, length), dtype=np.float32)
+    center = (length - 1) // 2
+    for t in np.linspace(-(length - 1) / 2, (length - 1) / 2, length):
+        k[center + round(t * np.sin(angle)), center + round(t * np.cos(angle))] = 1.0
+    return k / k.sum()
+
+
+def ndimage_blur(x: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
+    """The blur cell as scipy.ndimage renders it, clipped as `corrupt_images`
+    clips. Image i's motion angle is the first uniform draw of its stream,
+    `default_rng((seed, kind id, severity, i))`."""
+    from scipy import ndimage
 
     p = spec.param
     if spec.kind == "gaussian_blur":
         out = ndimage.gaussian_filter(x, sigma=(0, 0, p, p), mode="reflect")
     elif spec.kind == "defocus_blur":
-        out = ndimage.convolve(x, _disk_kernel(p)[None, None], mode="reflect")
+        out = ndimage.convolve(x, disk_kernel(p)[None, None], mode="reflect")
     else:
         out = np.empty_like(x)
         for i, (img, img_out) in enumerate(zip(x, out)):
-            kernel = _motion_kernel(p, _image_rng(spec, i).uniform(0.0, np.pi))
+            rng = np.random.default_rng((spec.seed, KINDS.index(spec.kind), spec.severity, i))
+            kernel = motion_kernel(p, rng.uniform(0.0, np.pi))
             ndimage.convolve(img, kernel[None], output=img_out, mode="reflect")
     return np.clip(out, 0.0, 1.0)
 
@@ -317,3 +372,24 @@ def test_blurs_match_ndimage_bytes(n, c, h, w, chunk, seed):
                 assert got.tobytes() == ndimage_blur(x, spec).tobytes(), (kind, sev)
     finally:
         corruption._BLUR_CHUNK = default_chunk
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from((3, 5, 7)), st.integers(min_value=1, max_value=9),
+       st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=2**32 - 1))
+def test_convolve_flips_an_asymmetric_kernel_as_ndimage_does(k, h, w, seed):
+    # the library's disk and motion kernels are point-symmetric, so only an
+    # asymmetric kernel tells a convolution from a correlation
+    from scipy import ndimage
+
+    from dstforge.corruption import _convolve
+
+    r = np.random.default_rng(seed)
+    taps = r.random((k, k)) < 0.4
+    taps[0, 0], taps[-1, -1] = True, False
+    kernel = taps.astype(np.float32) / np.float32(taps.sum())
+    x = r.random((2, 3, h, w)).astype(np.float32)
+    want = ndimage.convolve(x, kernel[None, None], mode="reflect")
+    assert _convolve(x, kernel).tobytes() == want.tobytes()
+    if min(h, w) >= k:  # on smaller images the reflected planes can hide the flip
+        assert ndimage.correlate(x, kernel[None, None], mode="reflect").tobytes() != want.tobytes()

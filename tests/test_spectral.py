@@ -185,8 +185,10 @@ def test_ra_curve_r0_equals_clean_accuracy():
 
 
 def test_ra_curve_filters_each_batch_once_for_every_model(monkeypatch):
+    # one forward FFT per batch for the whole sweep, one inverse per batch
+    # and radius, and every model scores the very same filtered batch
     import dstforge.metrics
-    import dstforge.spectral
+    from dstforge.models import Model
 
     r = np.random.default_rng(4)
     s = ImageSet(images=r.random((25, 1, 12, 12)).astype(np.float32),
@@ -195,18 +197,127 @@ def test_ra_curve_filters_each_batch_once_for_every_model(monkeypatch):
     models = [build_model(spec, np.random.default_rng(seed)) for seed in (1, 2, 3)]
     monkeypatch.setattr(dstforge.metrics, "EVAL_BATCH", 10)
     singles = [ra_curve([m], s, "low", (0, 2, 4))[0] for m in models]
-    calls = []
-    attenuate_images = dstforge.spectral.attenuate_images
+    forward, inverse, scored = [], [], []
+    fft2, ifft2, predict = np.fft.fft2, np.fft.ifft2, Model.predict
 
-    def counted(x, mode, radius):
-        calls.append((len(x), radius))
-        return attenuate_images(x, mode, radius)
+    def counted_fft2(x, *args, **kwargs):
+        forward.append(len(x))
+        return fft2(x, *args, **kwargs)
 
-    monkeypatch.setattr(dstforge.spectral, "attenuate_images", counted)
+    def counted_ifft2(x, *args, **kwargs):
+        inverse.append(len(x))
+        return ifft2(x, *args, **kwargs)
+
+    def recorded_predict(model, x, *args, **kwargs):
+        scored.append((models.index(model), x))
+        return predict(model, x, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft2", counted_fft2)
+    monkeypatch.setattr(np.fft, "ifft2", counted_ifft2)
+    monkeypatch.setattr(Model, "predict", recorded_predict)
     curves = ra_curve(models, s, "low", (0, 2, 4))
-    assert calls == [(n, radius) for radius in (0, 2, 4) for n in (10, 10, 5)]
+    assert forward == [10, 10, 5]
+    assert inverse == [n for n in (10, 10, 5) for _ in (0, 2, 4)]
+    assert [i for i, _ in scored] == [0, 1, 2] * 9
+    for k in range(0, len(scored), 3):
+        assert scored[k][1] is scored[k + 1][1] is scored[k + 2][1]
     assert [c.points for c in curves] == [c.points for c in singles]
     assert [c.model_id for c in curves] == ["mlp:144-16-10"] * 3
+
+
+# --- a known-answer RA curve -------------------------------------------------
+
+# Class k > 0 is a cosine at FREQS[k - 1] (cycles per 28 pixels down and
+# across) about 0.5, so the clean images need no clip; class 0 is blank. No
+# frequency is a multiple of another modulo 28, so the harmonics of a cosine
+# clipped after low mode removed its mean never reach another class's bins.
+FREQS = ((0, 2), (3, 1), (2, 5), (7, 3), (5, 9), (12, 5))
+SIDE = 28
+
+
+def cosine_images(per_class: int = 3):
+    """IDX-exact (multiples of 1/255) 28x28 images, `per_class` of each of
+    the 1 + len(FREQS) classes, at amplitudes 0.25-0.5 and random phases."""
+    r = np.random.default_rng(17)
+    yy, xx = np.mgrid[0:SIDE, 0:SIDE]
+    images, labels = [], []
+    for label in range(1 + len(FREQS)):
+        for _ in range(per_class):
+            img = np.full((SIDE, SIDE), 0.5)
+            if label:
+                u, v = FREQS[label - 1]
+                theta = 2 * np.pi * (u * yy + v * xx) / SIDE + r.uniform(0, 2 * np.pi)
+                img += r.uniform(0.25, 0.5) * np.cos(theta)
+            images.append(np.rint(img * 255) / 255)
+            labels.append(label)
+    return np.array(images, dtype=np.float32), np.array(labels, dtype=np.uint8)
+
+
+def frequency_detector():
+    """mlp:784-24-7 whose class-k logit is the summed magnitude of the
+    image's cosine and sine projections at FREQS[k - 1]; class 0's bias wins
+    when none of them is present."""
+    from dstforge.models import model_from_arrays
+
+    yy, xx = np.mgrid[0:SIDE, 0:SIDE]
+    w1, w2 = [], np.zeros((1 + len(FREQS), 4 * len(FREQS)), dtype=np.float32)
+    for k, (u, v) in enumerate(FREQS):
+        theta = 2 * np.pi * (u * yy + v * xx) / SIDE
+        w1 += [np.cos(theta), -np.cos(theta), np.sin(theta), -np.sin(theta)]
+        w2[k + 1, 4 * k : 4 * k + 4] = 1.0
+    w1 = np.array(w1, dtype=np.float32).reshape(4 * len(FREQS), SIDE * SIDE)
+    b2 = np.zeros(1 + len(FREQS), dtype=np.float32)
+    b2[0] = 5.0
+    arrays = {name: (w, b, np.zeros_like(w), np.zeros_like(b)) for name, w, b in (
+        ("fc1", w1, np.zeros(len(w1), dtype=np.float32)), ("fc2", w2, b2))}
+    return model_from_arrays(parse_model_spec(f"mlp:{SIDE * SIDE}-{len(w1)}-{len(w2)}"), arrays)
+
+
+def known_curve(labels, mode, radii):
+    """The blank images plus those whose class frequency the mode keeps at r."""
+    r_max = SIDE // 2
+    dist = [0.0] + [min(np.hypot(u, v), r_max) for u, v in FREQS]
+    kept = lambda d, r: d >= r if mode == "low" else d <= r_max - r
+    return [(r, sum(1 for y in labels if y == 0 or kept(dist[y], r)) / len(labels))
+            for r in radii]
+
+
+@pytest.mark.parametrize("mode", ["low", "high"])
+def test_ra_curve_gives_the_known_answer(monkeypatch, mode):
+    import dstforge.metrics
+
+    images, labels = cosine_images()
+    s = ImageSet(images=images[:, None], labels=labels.astype(np.int64), name="cosines")
+    radii = range(SIDE // 2 + 1)
+    want = known_curve(labels, mode, radii)
+    assert [c.points for c in ra_curve([frequency_detector()], s, mode, radii)] == [want]
+    # several batches per sweep give the same curve
+    monkeypatch.setattr(dstforge.metrics, "EVAL_BATCH", 8)
+    assert ra_curve([frequency_detector()], s, mode, radii)[0].points == want
+
+
+@pytest.mark.parametrize("mode", ["low", "high"])
+def test_attenuate_command_gives_the_known_answer(tmp_path, capsys, mode):
+    import json
+
+    from conftest import write_idx_pair
+    from dstforge.checkpoint import save_checkpoint
+    from dstforge.cli import main
+    from dstforge.schedulers import BudgetTrajectory, DstConfig
+    from dstforge.sparsity import TopologyMask
+
+    images, labels = cosine_images()
+    write_idx_pair(str(tmp_path), "t10k", images, labels)
+    ckpt = str(tmp_path / "detector.ckpt")
+    save_checkpoint(ckpt, frequency_detector(), TopologyMask({}), 1, np.random.default_rng(0),
+                    DstConfig(method="dense", total_steps=1), 0, "0" * 64,
+                    BudgetTrajectory(), 0.0, 0)
+    radii = range(SIDE // 2 + 1)
+    code = main(["attenuate", ckpt, "--mode", mode, "--radii", ",".join(map(str, radii)),
+                 "--images", str(tmp_path / "t10k-images-idx3-ubyte")])
+    assert code == 0
+    points = json.loads(capsys.readouterr().out)["points"]
+    assert [(p["radius"], p["accuracy"]) for p in points] == known_curve(labels, mode, radii)
 
 
 def test_write_ra_curves_svg(tmp_path):
