@@ -54,6 +54,17 @@ def _csv_ints(raw: str, flag: str) -> list[int]:
         raise ConfigError(f"{flag} must be comma-separated integers, got {raw!r}") from None
 
 
+def _check_outputs(*paths):
+    """Refuse, before any work is done, an output file that cannot be
+    written: one that names a directory or lies in a missing one."""
+    for path in filter(None, paths):
+        parent = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path):
+            raise DataError(f"cannot write {path}: it is a directory")
+        if not os.path.isdir(parent):
+            raise DataError(f"cannot write {path}: no directory {parent}")
+
+
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     path = run_train(cfg, resume_path=args.resume,
@@ -103,11 +114,12 @@ def _expand_sets(tokens: list[str]) -> list[str]:
         else:
             paths.append(tok)
     if not paths:
-        raise DataError("no corrupted-set files found")
+        raise DataError(f"no corrupted-set files found in {', '.join(tokens)}")
     return paths
 
 
 def cmd_evaluate(args) -> int:
+    _check_outputs(args.csv, args.json)
     sets = {}
     for p in _expand_sets(args.sets.split(",")):
         _, kind, sev = parse_corrupted_set_filename(p)
@@ -133,6 +145,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_attenuate(args) -> int:
+    _check_outputs(args.svg, args.json)
     clean = load_image_set(args.images)
     radii = _csv_ints(args.radii, "--radii")
     try:
@@ -158,6 +171,7 @@ def cmd_attenuate(args) -> int:
 def cmd_inspect(args) -> int:
     if (args.svg or args.json) and not args.layer:
         raise ConfigError("--svg and --json write one layer's heatmap and need --layer")
+    _check_outputs(args.svg, args.json)
     ck = load_checkpoint(args.ckpt)
     shapes = {name: w.shape for name, w, *_ in ck.layers}
     if args.layer and args.layer not in shapes:

@@ -19,7 +19,7 @@ from .data import DataError, guess_idx_labels_path, image_file_shape, sha256_fil
 from .models import ModelSpec, parse_model_spec
 from .optim import LrSchedule
 from .schedulers import DstConfig
-from .sparsity import ALLOCATORS
+from .sparsity import ALLOCATORS, DENSE, SparsityAllocation
 
 
 class ConfigError(Exception):
@@ -87,6 +87,23 @@ class RunConfig:
     def lr_schedule(self) -> LrSchedule:
         return LrSchedule(kind=self.lrs, base_lr=self.lr, total_steps=self.total_steps,
                           steps_per_epoch=self.steps_per_epoch if self.lrs == "step" else 0)
+
+    def allocation(self) -> SparsityAllocation:
+        """The run's per-layer budget, DENSE for dense. Every dense override
+        must name a layer of the model, whatever the method. `parse_config`
+        calls this, so a config it returns always allocates."""
+        desc = self.model.descriptor()
+        names = [s.name for s in desc.layers]
+        unknown = [name for name in self.dense_overrides if name not in names]
+        if unknown:
+            raise ConfigError(f"[dst] dense_overrides: {self.model.to_string()} has no layer "
+                              f"{', '.join(unknown)}; its layers are {', '.join(sorted(names))}")
+        if self.dst.method == "dense":
+            return DENSE
+        try:
+            return ALLOCATORS[self.sparsity_dist](desc, self.dst.sparsity, self.dense_overrides)
+        except ValueError as e:
+            raise ConfigError(f"[dst] {e}") from None
 
     def digest(self) -> str:
         """SHA-256 of every field outside [output], each data file entering by
@@ -216,9 +233,9 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         n_train, image_shape = _peek_images(train_images, fmt)
         n_test, test_shape = _peek_images(test_images, fmt)
     except (DataError, OSError) as e:
-        raise ConfigError(f"cannot read dataset sizes: {e}") from None
+        raise ConfigError(f"[data] train/test: cannot read dataset sizes as {fmt}: {e}") from None
     if n_train < bs:
-        raise ConfigError(f"batch size {bs} exceeds training set size {n_train}")
+        raise ConfigError(f"[train] bs: batch size {bs} exceeds training set size {n_train}")
     if n_test == 0:
         raise ConfigError(f"[data] test {test_images[0]} holds no images")
     if test_shape != image_shape:
@@ -259,7 +276,7 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     if save_every < 0:
         raise ConfigError("[output] save_every must be >= 0")
 
-    return RunConfig(
+    cfg = RunConfig(
         dataset=dataset, fmt=fmt, train_images=train_images, test_images=test_images[0],
         classes=classes, model=model, epochs=epochs, batch_size=bs, lr=lr, lrs=lrs,
         weight_decay=wd, momentum=momentum, seed=seed, eval_every=eval_every, dst=dst,
@@ -267,6 +284,8 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         save_every=save_every, n_train=n_train, n_test=n_test,
         train_labels=train_labels, test_labels=test_labels,
     )
+    cfg.allocation()
+    return cfg
 
 
 def load_config(path) -> RunConfig:

@@ -4,7 +4,10 @@ Each image's randomness comes from the stream `default_rng((set seed, kind
 id, severity, image index))` would give, so a corrupted set is
 byte-identical no matter the generation order, process count, or thread
 count. All kinds operate on float images in [0, 1], channel-wise for
-grayscale and color alike, and clip their output back to [0, 1].
+grayscale and color alike, and clip their output back to [0, 1]. Each kind
+is one row of `_KIND_TABLE`, its transform and its parameter at each
+severity; `KINDS` lists the rows in order, and a kind's position there is
+its id in the streams.
 
 A (kind, severity) cell is rendered as one batch: `corrupt_images` checks the
 batch once, runs the kind's transform over all of it and clips once. Only the
@@ -28,33 +31,7 @@ import numpy as np
 
 from .data import ImageSet
 
-KINDS = (
-    "gaussian_noise",
-    "shot_noise",
-    "impulse_noise",
-    "speckle_noise",
-    "gaussian_blur",
-    "defocus_blur",
-    "motion_blur",
-    "contrast",
-    "brightness",
-    "pixelate",
-)
-
 SEVERITIES = (1, 2, 3, 4, 5)
-
-SEVERITY_TABLE = {
-    "gaussian_noise": (0.04, 0.08, 0.12, 0.18, 0.26),  # additive sigma
-    "shot_noise": (500, 250, 100, 75, 50),  # photon count c
-    "impulse_noise": (0.01, 0.02, 0.05, 0.10, 0.17),  # flip prob p
-    "speckle_noise": (0.06, 0.10, 0.15, 0.20, 0.30),  # multiplicative sigma
-    "gaussian_blur": (0.4, 0.6, 0.8, 1.0, 1.5),  # filter sigma
-    "defocus_blur": (1, 2, 3, 4, 5),  # disk radius
-    "motion_blur": (3, 5, 7, 9, 11),  # streak length
-    "contrast": (0.75, 0.5, 0.4, 0.3, 0.15),  # scale about the mean
-    "brightness": (0.05, 0.10, 0.15, 0.20, 0.30),  # additive offset
-    "pixelate": (0.9, 0.8, 0.7, 0.6, 0.5),  # downsampling scale
-}
 
 
 @dataclass(frozen=True)
@@ -71,7 +48,7 @@ class CorruptionSpec:
 
     @property
     def param(self):
-        return SEVERITY_TABLE[self.kind][self.severity - 1]
+        return _KIND_TABLE[self.kind][1][self.severity - 1]
 
 
 # Image i's stream is the one `np.random.default_rng((seed, kind id, severity,
@@ -388,18 +365,21 @@ def _pixelate(x, scale, rngs):
     return x[:, :, rows[:, None], cols]
 
 
-_TRANSFORMS = {
-    "gaussian_noise": _gaussian_noise,
-    "shot_noise": _shot_noise,
-    "impulse_noise": _impulse_noise,
-    "speckle_noise": _speckle_noise,
-    "gaussian_blur": _gaussian_blur,
-    "defocus_blur": _defocus_blur,
-    "motion_blur": _motion_blur,
-    "contrast": _contrast,
-    "brightness": _brightness,
-    "pixelate": _pixelate,
+# kind -> (transform, its parameter at each severity); a kind's position here
+# is its id in the random streams (see `_stream_states`)
+_KIND_TABLE = {
+    "gaussian_noise": (_gaussian_noise, (0.04, 0.08, 0.12, 0.18, 0.26)),  # additive sigma
+    "shot_noise": (_shot_noise, (500, 250, 100, 75, 50)),  # photon count c
+    "impulse_noise": (_impulse_noise, (0.01, 0.02, 0.05, 0.10, 0.17)),  # flip prob p
+    "speckle_noise": (_speckle_noise, (0.06, 0.10, 0.15, 0.20, 0.30)),  # multiplicative sigma
+    "gaussian_blur": (_gaussian_blur, (0.4, 0.6, 0.8, 1.0, 1.5)),  # filter sigma
+    "defocus_blur": (_defocus_blur, (1, 2, 3, 4, 5)),  # disk radius
+    "motion_blur": (_motion_blur, (3, 5, 7, 9, 11)),  # streak length
+    "contrast": (_contrast, (0.75, 0.5, 0.4, 0.3, 0.15)),  # scale about the mean
+    "brightness": (_brightness, (0.05, 0.10, 0.15, 0.20, 0.30)),  # additive offset
+    "pixelate": (_pixelate, (0.9, 0.8, 0.7, 0.6, 0.5)),  # downsampling scale
 }
+KINDS = tuple(_KIND_TABLE)
 
 
 def _render(images: np.ndarray, spec: CorruptionSpec, start: int) -> np.ndarray:
@@ -411,7 +391,8 @@ def _render(images: np.ndarray, spec: CorruptionSpec, start: int) -> np.ndarray:
         return images.copy()
     if images.min() < 0.0 or images.max() > 1.0:
         raise ValueError("corrupt: input values outside [0, 1]")
-    out = _TRANSFORMS[spec.kind](images, spec.param, _streams(spec, start, len(images)))
+    transform = _KIND_TABLE[spec.kind][0]
+    out = transform(images, spec.param, _streams(spec, start, len(images)))
     # every transform returns a new float32 array, so clipping in place is safe
     return np.clip(out, 0.0, 1.0, out=out)
 

@@ -52,6 +52,8 @@ def _read_file(path) -> bytes:
             return fh.read()
     except FileNotFoundError:
         raise DataError(f"dataset file not found: {path}") from None
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e.strerror}") from None
 
 
 def sha256_file(path) -> str:
@@ -278,7 +280,10 @@ def parse_corrupted_set_filename(path) -> tuple[str, str, int]:
 
 
 def write_corrupted_sets(sets: dict, out_dir, base: str) -> list[str]:
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as e:
+        raise DataError(f"cannot make directory {out_dir}: {e.strerror}") from None
     paths = []
     for (kind, sev), s in sets.items():
         path = os.path.join(out_dir, corrupted_set_filename(base, kind, sev))

@@ -9,7 +9,7 @@ are charged dense.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -70,16 +70,7 @@ class CostReport:
     probe_events: int = 0
 
     def to_json(self) -> str:
-        return json.dumps({
-            "arch": self.arch,
-            "method": self.method,
-            "density": self.density,
-            "inference_flops": self.inference_flops,
-            "training_flops": self.training_flops,
-            "param_count": self.param_count,
-            "probe_events": self.probe_events,
-            "trajectory": [[s, d] for s, d in self.trajectory],
-        }, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 # images per `predict` call of every accuracy: training's per-epoch test

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import CONV_CHUNK, Parameter, layer_kernels
+from .tensor import (CONV_CHUNK, Parameter, _conv2d, _linear, _pool_max, conv2d_forward,
+                     linear_forward, maxpool2x2)
 
 
 @dataclass(frozen=True)
@@ -196,11 +197,12 @@ class Model:
         Images may arrive flat or as (n, c, h, w); the first linear layer
         flattens what reaches it.
 
-        With a tape (training), every layer takes the whole batch through the
-        kernels `layer_kernels(traced=True)` hands out, and the tape gets what
-        `tensor.backward` reads: each layer's input, and after a conv layer's
-        input its conv and pool outputs. Without one (inference), the kernels
-        are their forward-only forms, nothing is kept, and the leading conv
+        With a tape (training), every layer takes the whole batch through
+        `linear_forward`, `conv2d_forward` and `maxpool2x2`, and the tape gets
+        what `tensor.backward` reads: each layer's input, and after a conv
+        layer's input its conv and pool outputs. Without one (inference), each
+        layer calls those kernels' arithmetic (`tensor._linear`, `_conv2d`,
+        `_pool_max`) on its arrays, nothing is kept, and the leading conv
         layers run CONV_CHUNK images at a time, each chunk's pooled output
         written into the batch's, so no full-batch conv output is ever live.
         Each conv GEMM runs per image either way (see `tensor._conv2d`), so
@@ -213,26 +215,23 @@ class Model:
         CSR product of its current (masked) weights, and every other layer
         runs as it does without it, to the same bytes.
         """
-        def csr_linear(h: np.ndarray, w: Parameter, b: Parameter) -> np.ndarray:
-            from scipy.sparse import csr_matrix
-
-            return np.asarray((csr_matrix(w.data) @ h.T).T) + b.data
-
         if sparse and tape is not None:
             raise ValueError("forward(sparse=True) keeps no tape; call it with tape=None")
-        linear, conv2d, maxpool = layer_kernels(traced=tape is not None)
 
         n_conv = next((i for i, layer in enumerate(self.layers) if layer.kind != "conv"),
                       len(self.layers))
 
         def conv_stack(h: np.ndarray) -> np.ndarray:
             for layer in self.layers[:n_conv]:
-                conv = conv2d(h, layer.weight, layer.bias)
-                pooled = maxpool(conv)
-                if tape is not None:
+                w, b = layer.weight, layer.bias
+                if tape is None:
+                    pooled = _pool_max(_conv2d(h, w.data, b.data))
+                else:
+                    conv = conv2d_forward(h, w, b)
+                    pooled = maxpool2x2(conv)
                     tape.extend((h, conv, pooled))
                 h = np.maximum(pooled, 0)
-                del conv, pooled  # without a tape, freed before the next layer runs
+                del pooled  # without a tape, freed before the next layer runs
             return h
 
         if n_conv == 0 or tape is not None:
@@ -249,11 +248,16 @@ class Model:
             x = x.reshape(x.shape[0], -1)
         last = self.layers[-1]
         for layer in self.layers[n_conv:]:
+            w, b = layer.weight, layer.bias
             if tape is not None:
                 tape.append(x)
-            w = layer.weight.data
-            csr = sparse and np.count_nonzero(w) < CSR_DENSITY_CROSSOVER * w.size
-            x = (csr_linear if csr else linear)(x, layer.weight, layer.bias)
+                x = linear_forward(x, w, b)
+            elif sparse and np.count_nonzero(w.data) < CSR_DENSITY_CROSSOVER * w.data.size:
+                from scipy.sparse import csr_matrix
+
+                x = np.asarray((csr_matrix(w.data) @ x.T).T) + b.data
+            else:
+                x = _linear(x, w.data, b.data)
             if layer is not last:
                 x = np.maximum(x, 0)
         return x

@@ -97,7 +97,7 @@ def _allocate(desc: ArchDescriptor, sparsity: float, dense_overrides: tuple[str,
     dense = set(dense_overrides)
     pinned = sum(s.weight_count() for s in layers if s.name in dense)
     if b * total < pinned:
-        raise ValueError(f"global density {b} infeasible with dense overrides covering "
+        raise ValueError(f"global density {b} infeasible with dense_overrides covering "
                          f"{pinned}/{total} weights")
     for s in layers:
         if s.name not in dense and factors[s.name] <= 0:

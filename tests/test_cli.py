@@ -652,6 +652,86 @@ def test_failed_output_write_leaves_no_file(cli_run, idx_dir, tmp_path, capsys, 
     assert not os.path.exists(path + ".tmp")
 
 
+def _one_line_naming(err: str, path) -> str:
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and str(path) in lines[0], err
+    return lines[0]
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+@pytest.mark.parametrize("command, written", [
+    ("evaluate", "--csv"), ("evaluate", "--json"),
+    ("attenuate", "--svg"), ("attenuate", "--json"),
+    ("inspect", "--svg"), ("inspect", "--json"),
+])
+def test_an_output_that_cannot_be_written_exits_3_before_any_work(
+        cli_run, idx_dir, tmp_path, capsys, monkeypatch, command, written, where):
+    out, _ = cli_run
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the output path was checked")
+
+    for name in ("load_checkpoint", "load_image_set", "run_eval", "robustness_accuracy"):
+        monkeypatch.setattr(f"dstforge.cli.{name}", no_work)
+    args = {
+        "evaluate": ["--sets", idx_dir],
+        "attenuate": ["--mode", "low", "--radii", "0,2",
+                      "--images", f"{idx_dir}/t10k-images-idx3-ubyte"],
+        "inspect": ["--layer", "fc1"],
+    }[command]
+    path = tmp_path / "none" / "artifact" if where == "missing directory" else tmp_path
+    code, stdout, err = run_cli(capsys, command, os.path.join(out, "final.ckpt"), *args,
+                                written, str(path))
+    assert code == 3 and stdout == ""
+    assert _one_line_naming(err, path).startswith("data error: cannot write")
+
+
+@pytest.mark.parametrize("command", ["corrupt", "attenuate", "evaluate", "evaluate --sets",
+                                     "inspect"])
+def test_a_directory_given_as_an_input_file_exits_3_in_one_line(cli_run, idx_dir, tmp_path,
+                                                               capsys, command):
+    out, _ = cli_run
+    ckpt = os.path.join(out, "final.ckpt")
+    sets = tmp_path / "sets"
+    if command == "evaluate":
+        assert run_cli(capsys, "corrupt", f"{idx_dir}/t10k-images-idx3-ubyte", "--kinds",
+                       "brightness", "--severities", "1", "--out", str(sets))[0] == 0
+    argv = {
+        "corrupt": ["corrupt", str(tmp_path), "--out", str(tmp_path / "corr")],
+        "attenuate": ["attenuate", ckpt, "--mode", "low", "--radii", "0",
+                      "--images", str(tmp_path)],
+        "evaluate": ["evaluate", str(tmp_path), "--sets", str(sets)],
+        # a directory holding no corrupted set
+        "evaluate --sets": ["evaluate", ckpt, "--sets", str(tmp_path)],
+        "inspect": ["inspect", str(tmp_path)],
+    }[command]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 3 and stdout == ""
+    _one_line_naming(err, tmp_path)
+
+
+def test_a_directory_given_as_a_data_file_of_train_exits_2_in_one_line(idx_dir, tmp_path,
+                                                                       capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(toy_config(idx_dir, str(tmp_path / "run")).replace(
+        f"test = {idx_dir}/t10k-images-idx3-ubyte", f"test = {tmp_path}"))
+    code, _, err = run_cli(capsys, "train", str(cfg))
+    assert code == 2
+    _one_line_naming(err, tmp_path)
+    assert not (tmp_path / "run").exists()
+
+
+def test_corrupt_out_naming_a_file_exits_3_in_one_line(idx_dir, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, stdout, err = run_cli(capsys, "corrupt", f"{idx_dir}/t10k-images-idx3-ubyte",
+                                "--kinds", "brightness", "--severities", "1",
+                                "--out", str(taken))
+    assert code == 3 and stdout == ""
+    _one_line_naming(err, taken)
+    assert taken.read_text() == ""
+
+
 def test_inspect_not_a_checkpoint_exits_3(tmp_path, capsys):
     p = str(tmp_path / "x.ckpt")
     with open(p, "wb") as fh:

@@ -1,14 +1,20 @@
 """Config grammar: sections, defaults, validation, and derived quantities."""
 
+import os
+import re
 import shutil
+import tempfile
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_blob_set, toy_config, write_idx_pair
 
-from dstforge.config import _DST_FIELDS, ConfigError, load_config, parse_config
-from dstforge.schedulers import DstConfig
+from dstforge.config import _ALLOWED, _DST_FIELDS, ConfigError, load_config, parse_config
+from dstforge.schedulers import METHODS, DstConfig
+from dstforge.train import run_train
 
 
 def test_minimal_config_defaults(idx_dir, tmp_path):
@@ -177,7 +183,7 @@ def test_digest_stable_and_sensitive(idx_dir, tmp_path):
         toy_config(idx_dir, str(tmp_path / "o"), epochs=3, **kw),
         toy_config(idx_dir, str(tmp_path / "o"), delta_t=16, **kw),
         toy_config(idx_dir, str(tmp_path / "o"), model="mlp:144-32-10", **kw),
-        toy_config(idx_dir, str(tmp_path / "o"), extra_dst="dense_overrides = fc1", **kw),
+        toy_config(idx_dir, str(tmp_path / "o"), extra_dst="dense_overrides = fc2", **kw),
         toy_config(idx_dir, str(tmp_path / "o"), method="set", sparsity=0.6),
         toy_config(idx_dir, str(tmp_path / "o")),
         base.replace("sparsity_dist = erk", "sparsity_dist = uniform"),
@@ -245,9 +251,13 @@ def test_dst_extras_parse(idx_dir, tmp_path):
 
 def test_dense_overrides_parse(idx_dir, tmp_path):
     text = toy_config(idx_dir, str(tmp_path / "o"), method="set", sparsity=0.5,
-                      extra_dst="dense_overrides = fc1, fc3")
+                      model="mlp:144-64-32-10", extra_dst="dense_overrides = fc2, fc3")
     cfg = parse_config(text)
-    assert cfg.dense_overrides == ("fc1", "fc3")
+    assert cfg.dense_overrides == ("fc2", "fc3")
+    # mlp:144-64-10 has no fc3: refused at parse time, not once training starts
+    with pytest.raises(ConfigError, match=r"\[dst\] dense_overrides: .* no layer fc3"):
+        parse_config(toy_config(idx_dir, str(tmp_path / "o"), method="set", sparsity=0.5,
+                                extra_dst="dense_overrides = fc1, fc3"))
 
 
 def test_multi_file_train_counts(idx_dir, tmp_path):
@@ -353,3 +363,136 @@ def test_refused_p_is_named_by_its_key(idx_dir, tmp_path, value, message):
     text = text.replace("p = 0.1\n", f"p = {value}\n")
     with pytest.raises(ConfigError, match=rf"^\[dst\] p {message}$"):
         parse_config(text)
+
+
+# The config space: every key of config._ALLOWED over a 12x12 blob task of
+# 120 training images. A key takes one of its valid values, or is left out;
+# at most one key takes a value the parser must refuse.
+_N_TRAIN = 120
+_LAYERS = {"mlp:144-16-10": ("fc1", "fc2"), "mlp:144-8-8-10": ("fc1", "fc2", "fc3"),
+           "mlp:144-1-10": ("fc1", "fc2"),  # too small for ERK
+           "small_convnet:1x12x12-10": ("conv1", "conv2", "fc1", "fc2")}
+_VALID = {
+    ("data", "format"): ["idx"],
+    ("data", "classes"): ["10"],
+    ("train", "epochs"): ["1", "2"],
+    ("train", "seed"): ["0", "5"],
+    ("train", "lr"): ["0.01", "0.1"],
+    ("train", "bs"): ["20", "24", "40", "60", "25", "35", "50", "70"],  # divide 120, then not
+    ("train", "lrs"): ["cosine", "step"],
+    ("train", "wd"): ["0", "5e-4"],
+    ("train", "momentum"): ["0", "0.9"],
+    ("train", "eval_every"): ["1", "2", "3"],
+    ("dst", "sparsity_dist"): ["uniform", "erk"],
+    ("dst", "delta_t"): ["1", "2", "5"],
+    ("dst", "p"): ["0", "0.1", "0.5", "1"],
+    ("dst", "soft_bound"): ["0", "0.05", "0.5"],
+    ("dst", "init_density"): ["0.5", "0.95", "1"],
+    ("dst", "horizon"): ["1", "4", "100"],
+    ("dst", "start_step"): ["0", "2", "100"],
+    ("dst", "stop_step"): ["0", "3", "100"],
+    ("dst", "mest_lambda"): ["0", "1"],
+    ("output", "save_every"): ["0", "1", "3"],
+}
+_REFUSED = {
+    ("data", "format"): "cifar",
+    ("data", "classes"): "12",
+    ("train", "model"): "mlp:100-16-10",
+    ("train", "epochs"): "0",
+    ("train", "seed"): "-1",
+    ("train", "lr"): "-0.1",
+    ("train", "bs"): str(_N_TRAIN + 1),
+    ("train", "lrs"): "linear",
+    ("train", "wd"): "nan",
+    ("train", "momentum"): "1",
+    ("train", "eval_every"): "0",
+    ("dst", "method"): "sgd",
+    ("dst", "sparsity"): "1",
+    ("dst", "sparsity_dist"): "random",
+    ("dst", "delta_t"): "0",
+    ("dst", "p"): "1.5",
+    ("dst", "soft_bound"): "-0.1",
+    ("dst", "init_density"): "0",
+    ("dst", "horizon"): "0",
+    ("dst", "start_step"): "-1",
+    ("dst", "stop_step"): "-1",
+    ("dst", "mest_lambda"): "-1",
+    ("output", "dir"): None,  # a file
+    ("output", "save_every"): "-1",
+}
+
+
+@pytest.fixture(scope="module")
+def small_blobs(tmp_path_factory) -> str:
+    d = tmp_path_factory.mktemp("small_blobs")
+    write_idx_pair(str(d), "train", *make_blob_set(_N_TRAIN, seed=1))
+    write_idx_pair(str(d), "t10k", *make_blob_set(40, seed=2))
+    return str(d)
+
+
+def _names_a_key(message: str) -> bool:
+    """Whether a refusal names a section and one of its keys."""
+    return any(f"[{section}]" in message and re.search(rf"\b{key}\b", message)
+               for section, keys in _ALLOWED.items() for key in keys)
+
+
+@st.composite
+def config_texts(draw, data_dir: str, out_dir: str) -> tuple[str, bool]:
+    """Config text and whether the parser must refuse it."""
+    fault = draw(st.none() | st.sampled_from(sorted(_REFUSED)))
+    model = draw(st.sampled_from(sorted(_LAYERS)))
+    method = draw(st.sampled_from(METHODS))
+    values = {("data", "dataset"): "blobs-idx",
+              ("data", "train"): f"{data_dir}/train-images-idx3-ubyte",
+              ("data", "test"): f"{data_dir}/t10k-images-idx3-ubyte",
+              ("train", "model"): model, ("train", "epochs"): "1", ("train", "seed"): "0",
+              ("dst", "method"): method, ("output", "dir"): f"{out_dir}/run"}
+    if draw(st.booleans()):
+        values["data", "train_labels"] = f"{data_dir}/train-labels-idx1-ubyte"
+        values["data", "test_labels"] = f"{data_dir}/t10k-labels-idx1-ubyte"
+    if method != "dense":
+        values["dst", "sparsity"] = draw(st.sampled_from(["0.1", "0.5", "0.9"]))
+    overrides = draw(st.lists(st.sampled_from(_LAYERS[model] + ("fc9",)), unique=True,
+                              max_size=3))
+    if overrides:
+        values["dst", "dense_overrides"] = ", ".join(overrides)
+    for key, choices in _VALID.items():
+        value = draw(st.none() | st.sampled_from(choices))
+        if value is not None:
+            values[key] = value
+    if fault == ("output", "dir"):
+        values[fault] = f"{out_dir}/taken"
+        open(values[fault], "w").close()
+    elif fault is not None:
+        values[fault] = _REFUSED[fault]
+    text = ""
+    for section in _ALLOWED:
+        lines = [f"{key} = {value}" for (sec, key), value in values.items() if sec == section]
+        if lines:
+            text += f"[{section}]\n" + "\n".join(lines) + "\n\n"
+    return text, fault is not None or "fc9" in overrides
+
+
+def test_the_config_space_covers_every_key():
+    drawn = set(_VALID) | set(_REFUSED) | {("data", k) for k in (
+        "dataset", "train", "test", "train_labels", "test_labels")} | {("dst", "dense_overrides")}
+    assert drawn == {(section, key) for section, keys in _ALLOWED.items() for key in keys}
+
+
+@settings(deadline=None, max_examples=80)
+@given(data=st.data())
+def test_a_parsed_config_trains_and_a_refusal_names_its_key(small_blobs, tmp_path_factory,
+                                                             data):
+    # parse_config either refuses a config by [section] key, or run_train
+    # finishes it: no other exception, and no refusal once training starts
+    with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as out_dir:
+        text, refused = data.draw(config_texts(small_blobs, out_dir))
+        try:
+            cfg = parse_config(text)
+        except ConfigError as e:
+            assert _names_a_key(str(e)), str(e)
+            return
+        assert not refused, text
+        path = run_train(cfg)
+        assert os.path.basename(path) == "final.ckpt" and os.path.isfile(path)
+

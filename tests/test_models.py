@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dstforge.tensor
 from dstforge import models
 from dstforge.metrics import inference_flops
 from dstforge.models import ModelSpec, build_model, descriptor_library, parse_model_spec
@@ -154,13 +153,13 @@ def test_predict_runs_the_conv_stack_in_chunks_with_the_graph_bytes(monkeypatch)
     x = np.random.default_rng(5).random((2 * CONV_CHUNK + 3, 3, 8, 8)).astype(np.float32)
     want = model.forward(x, [])
     calls = {}
-    real_conv2d = dstforge.tensor._conv2d
+    real_conv2d = models._conv2d
 
     def counting_conv2d(x, w, *args):
         calls.setdefault(w.shape, []).append(x.shape[0])
         return real_conv2d(x, w, *args)
 
-    monkeypatch.setattr(dstforge.tensor, "_conv2d", counting_conv2d)
+    monkeypatch.setattr(models, "_conv2d", counting_conv2d)
     got = model.predict(x)
     chunks = [CONV_CHUNK, CONV_CHUNK, 3]
     assert calls == {(32, 3, 3, 3): chunks, (64, 32, 3, 3): chunks}
@@ -271,7 +270,9 @@ def test_descriptor_matches_the_shapes_forward_produces(monkeypatch):
         seen.append(("conv", w.data.shape, x.shape, y.shape))
         return y
 
-    monkeypatch.setattr(models, "layer_kernels", lambda traced: (linear, conv2d, maxpool2x2))
+    # the training kernels by the names `models` imports them under
+    monkeypatch.setattr(models, "linear_forward", linear)
+    monkeypatch.setattr(models, "conv2d_forward", conv2d)
     for model, x_shape in _models_under_test():
         seen.clear()
         x = np.random.default_rng(0).random(x_shape).astype(np.float32)

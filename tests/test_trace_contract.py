@@ -16,9 +16,10 @@ from pathlib import Path
 
 import pytest
 
-from dstforge import train
+from dstforge import metrics, train
 from dstforge.checkpoint import load_checkpoint
 from dstforge.config import parse_config
+from dstforge.data import load_idx
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 KERNELS = ("tensor.linear_forward", "tensor.conv2d_forward", "tensor.maxpool2x2")
@@ -116,3 +117,32 @@ def test_inference_runs_no_training_kernel(traced_spans):
         if s[0] in KERNELS or s[0] == "tensor.backward":
             assert under_predict[i] < 0, s
             assert run_of[i] >= 0, s
+
+
+@pytest.fixture(scope="module")
+def sparse_accuracy_spans(tmp_path_factory):
+    """Spans of `metrics.accuracy(model, set, sparse=True)` on a trained MLP
+    checkpoint and its test set, the call the benchmark's robustness round
+    times."""
+    cfg = parse_config(_run_config(tmp_path_factory.mktemp("sparse"), "mlp:144-16-12-10",
+                                   (1, 12, 12)))
+    model = load_checkpoint(train.run_train(cfg)).build_model()
+    test_set = load_idx(cfg.test_images, cfg.test_labels)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        metrics.accuracy(model, test_set, sparse=True)  # by module: the tracer patches it there
+    finally:
+        tracer.uninstall()
+    return tracer
+
+
+def test_sparse_accuracy_runs_no_training_kernel(sparse_accuracy_spans):
+    tracer = sparse_accuracy_spans
+    under_accuracy = tracer.ancestors_named("metrics.accuracy")
+    calls = [(s[0], s[1], s[5]) for s in tracer.spans if s[0] != "models.forward"]
+    assert calls == [("metrics.accuracy", "mlp", BATCH), ("models.predict", "mlp/sparse", BATCH)]
+    assert any(s[0] == "models.forward" for s in tracer.spans)
+    for i, s in enumerate(tracer.spans):
+        assert under_accuracy[i] >= 0, s
+        assert s[0] not in KERNELS and s[0] != "tensor.backward", s

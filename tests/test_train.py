@@ -24,7 +24,6 @@ from dstforge.spectral import RACurve
 from dstforge.train import (
     load_model_from_checkpoint,
     load_train_test,
-    make_allocation,
     run_eval,
     run_train,
 )
@@ -339,16 +338,14 @@ def test_masked_weights_stay_zero(set_run):
         assert mask.active_count(name) > 0
 
 
-def test_make_allocation_modes(idx_dir, tmp_path):
+def test_run_config_allocation_modes(idx_dir, tmp_path):
     cfg = parse_config(toy_config(idx_dir, str(tmp_path / "x"), method="set",
                                   sparsity=0.5))
-    from dstforge.models import build_model
-
-    model = build_model(cfg.model, np.random.default_rng(0))
-    alloc = make_allocation(cfg, model)
+    alloc = cfg.allocation()
     assert alloc is not DENSE and alloc.global_density == pytest.approx(0.5)
+    assert [lb.name for lb in alloc.layers] == ["fc1", "fc2"]
     dense_cfg = parse_config(toy_config(idx_dir, str(tmp_path / "y")))
-    assert make_allocation(dense_cfg, model) is DENSE
+    assert dense_cfg.allocation() is DENSE
 
 
 def test_load_train_test_shapes(set_run):
@@ -446,8 +443,8 @@ def test_a_dense_override_naming_no_layer_is_a_config_error(idx_dir, tmp_path):
                         extra_dst="dense_overrides = fc9")
     dense = toy_config(idx_dir, str(out)) + "\n[dst]\ndense_overrides = fc1, fc9\n"
     for text in (sparse, dense):
-        with pytest.raises(ConfigError, match="no layer fc9"):
-            run_train(parse_config(text))
+        with pytest.raises(ConfigError, match=r"\[dst\] dense_overrides: .*no layer fc9"):
+            parse_config(text)
         assert not out.exists()
 
 
@@ -455,12 +452,16 @@ def test_an_infeasible_budget_is_a_config_error(idx_dir, tmp_path):
     out = tmp_path / "run"
     overridden = toy_config(idx_dir, str(out), method="set", sparsity=0.9,
                             extra_dst="dense_overrides = fc1")
+    # no budget below 1 is left once every layer is overridden
+    all_dense = toy_config(idx_dir, str(out), method="set", sparsity=0.1,
+                           model="mlp:144-16-10", extra_dst="dense_overrides = fc1, fc2")
     too_small = toy_config(idx_dir, str(out), method="set", sparsity=0.5,
                            model="mlp:144-1-10")
     for text, message in ((overridden, "covering 9216/9856 weights"),
+                          (all_dense, "global density 0.9 infeasible"),
                           (too_small, "'fc1' is too small")):
-        with pytest.raises(ConfigError, match=message):
-            run_train(parse_config(text))
+        with pytest.raises(ConfigError, match=r"\[dst\] .*" + message):
+            parse_config(text)
         assert not out.exists()
 
 
