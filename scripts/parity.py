@@ -48,8 +48,13 @@ same call writes with `--json` and `--svg`. Last, one rigl run of the MLP at
 sparsity 0.5 with the config's default cosine schedule and no weight decay
 prints the seven lines of a grid run as `mlp-rigl-s50-cosine-wd0`, so the
 cosine branch of `optim.lr_at` and the no-decay branch of
-`optim.sgd_momentum_step` run too. Run it on two checkouts and diff the
-outputs: a change that keeps every byte prints the same lines.
+`optim.sgd_momentum_step` run too. After those 314 lines, which no later
+addition changes, the rigl run at sparsity 0.5 of each model is trained
+again, stopped after step 7 and resumed from that step's checkpoint, and
+`<model>-rigl-s50-resume final.ckpt <sha256>` must equal the grid run's
+`final.ckpt` line; the script exits 1 if it does not. Run it on two
+checkouts and diff the outputs: a change that keeps every byte prints the
+same lines.
 BLAS runs on one thread, since float sums (and so the MLP artifacts) change
 with the thread count.
 """
@@ -79,6 +84,9 @@ GRID = (
 )
 # method, sparsity, extra [dst] lines of the uniform-allocation MLP run
 UNIFORM_RUN = ("mest_g", 0.1, "sparsity_dist = uniform\ndense_overrides = fc1\n")
+# method, sparsity and the step after which the resumed runs stop: mid-epoch
+# in both models, after the event at step 4
+RESUME_RUN = ("rigl", 0.5, 7)
 # name, method, sparsity and [train] line replacements of the last MLP run
 DEFAULTS_RUN = ("mlp-rigl-s50-cosine-wd0", "rigl", 0.5,
                 (("lrs = step\n", "lrs = cosine\n"), ("wd = 1e-4\n", "wd = 0\n")))
@@ -289,6 +297,25 @@ def main() -> int:
         assert old in text, old
         text = text.replace(old, new)
     _train_and_digest(name, text, run_dir, test_x)
+
+    from dstforge.config import parse_config
+    from dstforge.train import run_train
+
+    method, sparsity, stop = RESUME_RUN
+    for model, _, _, (epochs, bs, lr, delta_t), _ in GRID:
+        kind = model.split(":")[0]
+        grid_run = f"{kind}-{method}-s{round(sparsity * 100)}"
+        run_dir = os.path.join(out, "runs", f"{grid_run}-resume")
+        shutil.rmtree(run_dir, ignore_errors=True)
+        cfg = parse_config(blobs.run_config(grid_data[kind][0], model, run_dir, SEED, epochs,
+                                            bs, lr, method, sparsity, delta_t))
+        run_train(cfg, resume_path=run_train(cfg, stop_after_step=stop))
+        digest = _sha256_file(os.path.join(run_dir, "final.ckpt"))
+        print(f"{grid_run}-resume", "final.ckpt", digest)
+        if digest != _sha256_file(os.path.join(out, "runs", grid_run, "final.ckpt")):
+            print(f"{grid_run} resumed after step {stop} differs from the uninterrupted run",
+                  file=sys.stderr)
+            return 1
     return 0
 
 

@@ -5,12 +5,18 @@ then per layer (in header order) the weight, bias, and momentum arrays as
 little-endian float32, and for masked layers (none in a dense run) a u64 active
 count followed by a little-endian bitset. Everything needed to continue a run
 bit-exactly lives here; nothing in the file depends on wall-clock time.
+
+Both directions stream, array by array: `save_checkpoint` hands the file each
+array's own buffer, and `load_checkpoint` reads the header, then each array
+straight into a new one of its own, so neither holds a second copy of the
+file's arrays.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass
 
@@ -60,32 +66,12 @@ class Checkpoint:
         return TopologyMask(self.masks)
 
 
-def _f32_bytes(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a, dtype="<f4").tobytes()
-
-
 def save_checkpoint(path, model: Model, mask: TopologyMask, step: int,
                     rng: np.random.Generator, dst_cfg: DstConfig, seed: int, run_digest: str,
                     trajectory: BudgetTrajectory, epoch_loss_sum: float, epoch_loss_count: int):
-    layer_meta = []
-    blobs = []
-    for layer in model.layers:
-        has_mask = layer.name in mask
-        layer_meta.append({
-            "name": layer.name,
-            "kind": layer.kind,
-            "shape": list(layer.weight.data.shape),
-            "mask": has_mask,
-        })
-        blobs.append(_f32_bytes(layer.weight.data))
-        blobs.append(_f32_bytes(layer.bias.data))
-        blobs.append(_f32_bytes(layer.weight.momentum))
-        blobs.append(_f32_bytes(layer.bias.momentum))
-        if has_mask:
-            m = mask[layer.name].reshape(-1)
-            blobs.append(struct.pack("<Q", np.count_nonzero(m)))
-            blobs.append(np.packbits(m, bitorder="little").tobytes())
-
+    layer_meta = [{"name": layer.name, "kind": layer.kind,
+                   "shape": list(layer.weight.data.shape), "mask": layer.name in mask}
+                  for layer in model.layers]
     header = {
         "model_spec": model.spec.to_string(),
         "seed": seed,
@@ -102,8 +88,15 @@ def save_checkpoint(path, model: Model, mask: TopologyMask, step: int,
         fh.write(MAGIC)
         fh.write(struct.pack("<HQI", VERSION, step, len(hbytes)))
         fh.write(hbytes)
-        for b in blobs:
-            fh.write(b)
+        for layer in model.layers:
+            # a copy only of an array that is not contiguous <f4 already
+            for a in (layer.weight.data, layer.bias.data, layer.weight.momentum,
+                      layer.bias.momentum):
+                fh.write(np.ascontiguousarray(a, dtype="<f4"))
+            if layer.name in mask:
+                m = mask[layer.name].reshape(-1)
+                fh.write(struct.pack("<Q", np.count_nonzero(m)))
+                fh.write(np.packbits(m, bitorder="little"))
 
 
 # the header fields load_checkpoint reads, with the JSON type each must have
@@ -126,30 +119,43 @@ def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; a file that is not one whole, well-formed checkpoint
     of this version raises CheckpointError, never a parsing error."""
     try:
-        with open(path, "rb") as fh:
-            buf = fh.read()
+        fh = open(path, "rb")
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint {path}: {e}") from None
-    if len(buf) < 18 or buf[:4] != MAGIC:
+    with fh:
+        try:
+            return _read_checkpoint(path, fh)
+        except OSError as e:
+            raise CheckpointError(f"cannot read checkpoint {path}: {e}") from None
+
+
+def _read_checkpoint(path, fh) -> Checkpoint:
+    """`load_checkpoint` on its open file `fh`."""
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(18)
+    if len(head) < 18 or head[:4] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
-    version, step, hlen = struct.unpack_from("<HQI", buf, 4)
+    version, step, hlen = struct.unpack_from("<HQI", head, 4)
     if version != VERSION:
         raise CheckpointError(f"{path}: checkpoint version {version}, this build reads {VERSION}")
-    view = memoryview(buf)
     off = 18
 
-    def take(nbytes: int) -> memoryview:
+    def take(nbytes: int, alloc=bytearray):
+        """The next `nbytes` of the file, read into `alloc(nbytes)`, which is
+        only made once the file is known to hold them."""
         nonlocal off
-        if off + nbytes > len(buf):
-            raise CheckpointError(f"{path}: truncated at offset {off}, need {nbytes} bytes")
-        off += nbytes
-        return view[off - nbytes : off]
+        if off + nbytes <= size:
+            out = alloc(nbytes)
+            if fh.readinto(memoryview(out).cast("B")) == nbytes:
+                off += nbytes
+                return out
+        raise CheckpointError(f"{path}: truncated at offset {off}, need {nbytes} bytes")
 
     def take_f32(shape):
-        return np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape).copy()
+        return take(4 * math.prod(shape), lambda _: np.empty(shape, dtype="<f4"))
 
     try:
-        header = json.loads(bytes(take(hlen)).decode())
+        header = json.loads(take(hlen).decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: corrupt header: {e}") from None
     if not isinstance(header, dict):
@@ -178,14 +184,15 @@ def load_checkpoint(path) -> Checkpoint:
             n = math.prod(shape)
             (active,) = struct.unpack("<Q", take(8))
             bits = np.frombuffer(take((n + 7) // 8), dtype=np.uint8)
-            m = np.unpackbits(bits, bitorder="little", count=n).astype(bool).reshape(shape)
+            # unpackbits writes 0 or 1 per byte, a bool array's own bytes
+            m = np.unpackbits(bits, bitorder="little", count=n).view(bool).reshape(shape)
             if np.count_nonzero(m) != active:
                 raise CheckpointError(
                     f"{path}: mask for {name} has {np.count_nonzero(m)} active bits, "
                     f"header says {active}")
             masks[name] = m
-    if off != len(buf):
-        raise CheckpointError(f"{path}: {len(buf) - off} trailing bytes")
+    if off != size:
+        raise CheckpointError(f"{path}: {size - off} trailing bytes")
 
     return Checkpoint(
         step=step,

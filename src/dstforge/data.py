@@ -196,12 +196,12 @@ def _unit_floats(pixels: np.ndarray) -> np.ndarray:
 
 
 def _quantize(images: np.ndarray) -> np.ndarray:
-    """Pixels in [0, 1] to uint8: clip into one new array, then scale and
-    round it in place."""
+    """Pixels in [0, 1] to C-ordered uint8: clip into one new array, then
+    scale and round it in place."""
     q = np.clip(images, 0.0, 1.0)
     q *= 255.0
     np.rint(q, out=q)
-    return q.astype(np.uint8)
+    return q.astype(np.uint8, order="C")
 
 
 @contextlib.contextmanager
@@ -229,16 +229,18 @@ def save_image_set(s: ImageSet, path):
     """Persist in the layout the image shape fits (see module docstring)."""
     imgs, labels = _quantize(s.images), s.labels.astype(np.uint8)
     n, c, h, w = imgs.shape
+    # the file gets the arrays' own buffers, not a joined copy of them
     if c == 1:
-        payload = (struct.pack(">IIII", IDX_IMAGES_MAGIC, n, h, w) + imgs.tobytes()
-                   + struct.pack(">II", IDX_LABELS_MAGIC, n) + labels.tobytes())
+        parts = (struct.pack(">IIII", IDX_IMAGES_MAGIC, n, h, w), imgs,
+                 struct.pack(">II", IDX_LABELS_MAGIC, n), labels)
     elif (c, h, w) == (3, 32, 32):
-        payload = np.concatenate([labels[:, None], imgs.reshape(n, -1)], axis=1).tobytes()
+        parts = (np.concatenate([labels[:, None], imgs.reshape(n, -1)], axis=1),)
     else:
         raise DataError(f"{path}: {c}x{h}x{w} images fit neither layout: IDX holds "
                         f"1-channel images, CIFAR records 3x32x32 ones")
     with atomic_write(path, "wb") as fh:
-        fh.write(payload)
+        for part in parts:
+            fh.write(part)
 
 
 def load_image_set(path) -> ImageSet:

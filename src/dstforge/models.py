@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (CONV_CHUNK, Parameter, _conv2d, _linear, _pool_max, conv2d_forward,
-                     linear_forward, maxpool2x2)
+from .tensor import (CONV_CHUNK, Parameter, _conv2d, _linear, _pool_max, _pool_routes,
+                     conv2d_forward, linear_forward, maxpool2x2)
 
 
 @dataclass(frozen=True)
@@ -200,11 +200,13 @@ class Model:
         With a tape (training), every layer takes the whole batch through
         `linear_forward`, `conv2d_forward` and `maxpool2x2`, and the tape gets
         what `tensor.backward` reads: each layer's input, and after a conv
-        layer's input its conv and pool outputs. Without one (inference), each
-        layer calls those kernels' arithmetic (`tensor._linear`, `_conv2d`,
-        `_pool_max`) on its arrays, nothing is kept, and the leading conv
-        layers run CONV_CHUNK images at a time, each chunk's pooled output
-        written into the batch's, so no full-batch conv output is ever live.
+        layer's input its pool routes (`tensor._pool_routes`), so the conv
+        and pool outputs are freed before the next layer runs. Without one
+        (inference), each layer calls those kernels' arithmetic
+        (`tensor._linear`, `_conv2d`, `_pool_max`) on its arrays, nothing is
+        kept, and the leading conv layers run CONV_CHUNK images at a time,
+        each chunk's pooled output written into the batch's, so no
+        full-batch conv output is ever live.
         Each conv GEMM runs per image either way (see `tensor._conv2d`), so
         both give the same bytes. The linear layers always take the whole
         batch at once: a GEMM's row bytes can depend on how many rows it is
@@ -229,9 +231,10 @@ class Model:
                 else:
                     conv = conv2d_forward(h, w, b)
                     pooled = maxpool2x2(conv)
-                    tape.extend((h, conv, pooled))
+                    tape.extend((h, _pool_routes(conv, pooled)))
+                    del conv
                 h = np.maximum(pooled, 0)
-                del pooled  # without a tape, freed before the next layer runs
+                del pooled  # freed before the next layer runs
             return h
 
         if n_conv == 0 or tape is not None:

@@ -245,22 +245,34 @@ def topology_update(model: Model, mask: TopologyMask, alloc: SparsityAllocation,
         if layer.name not in mask:
             continue
         flat = mask[layer.name].reshape(-1)
-        active, free = np.flatnonzero(flat), np.flatnonzero(~flat)
+        # one index list is live at a time: the active positions and their
+        # scores are dropped before the inactive ones are listed, and each
+        # gathered array is scored in place
+        active = np.flatnonzero(flat)
+        n_free = flat.size - active.size
         target = targets[layer.name]
         # removed positions are not regrown, so remove no more than can regrow
         k_remove = min(max(0, active.size - floors[layer.name]), flat.size - target)
         k_grow = target - (active.size - k_remove)
-        if not (0 <= k_remove <= active.size and 0 <= k_grow <= free.size):
+        if not (0 <= k_remove <= active.size and 0 <= k_grow <= n_free):
             raise ValueError(f"topology_update: layer {layer.name!r} cannot remove {k_remove} "
-                             f"of {active.size} active and regrow {k_grow} of {free.size} "
+                             f"of {active.size} active and regrow {k_grow} of {n_free} "
                              f"inactive positions for a target of {target}")
-        score = np.abs(layer.weight.data.reshape(-1)[active])
+        score = layer.weight.data.reshape(-1)[active]
+        np.abs(score, out=score)
         if rule.schedule == "mest":
-            score += cfg.mest_lambda * np.abs(layer.weight.grad.reshape(-1)[active])
+            g = layer.weight.grad.reshape(-1)[active]
+            score += np.multiply(np.abs(g, out=g), cfg.mest_lambda, out=g)
+            del g
         removed = active[_select_lowest(score, k_remove)]
+        del active, score
+        free = np.flatnonzero(~flat)  # the mask is still the one before the event
         if rule.grad_regrow:
-            grown = free[_select_lowest(-np.abs(layer.weight.grad.reshape(-1)[free]), k_grow)]
+            g = layer.weight.grad.reshape(-1)[free]
+            grown = free[_select_lowest(np.negative(np.abs(g, out=g), out=g), k_grow)]
+            del g
         else:  # no draw for an empty regrowth
             grown = rng.choice(free, k_grow, replace=False) if k_grow else free[:0]
+        del free
         flat[removed] = False
         flat[grown] = True

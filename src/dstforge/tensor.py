@@ -10,11 +10,13 @@ pool and relu, then linear layers with relu between them, then softmax
 cross-entropy. No layer feeds two others. A training step is two loops.
 `models.Model.forward` with a tape runs the batch through `linear_forward`,
 `conv2d_forward` and `maxpool2x2` and appends what the reverse pass reads:
-each layer's input, and for a conv layer also its conv and pool outputs.
-`backward` pops that tape from the last layer to the first and writes each
-weight and bias gradient once. It drops each activation as it pops it, so a
-step's activations do not outlive its backward, and only the parameters keep
-arrays of the step. Inference keeps no tape and calls the kernels'
+each layer's input, and for a conv layer also its pool routes
+(`_pool_routes`), one bool per conv output element, in place of the conv and
+pool outputs, which are freed before the next layer runs. `backward` pops
+that tape from the last layer to the first and writes each weight and bias
+gradient once. It drops each entry as it pops it, so a step's activations
+do not outlive its backward, and only the parameters keep arrays of the
+step. Inference keeps no tape and calls the kernels'
 arithmetic, `_linear`, `_conv2d` and `_pool_max`, on the layers' arrays, so
 it stays off the entry points the benchmark's tracer counts as training work.
 
@@ -269,31 +271,45 @@ def _conv2d_backward(x: np.ndarray, w: Parameter, b: Parameter, dy: np.ndarray,
     return dx
 
 
-def _maxpool2x2_backward(a: np.ndarray, y: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """The gradient of maxpool2x2's input `a`, given its output `y`.
+# the four positions of a 2x2 pool window, in row-major order
+_POOL_POSITIONS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-    Each window's gradient goes to the first of its positions, in row-major
-    order, whose value equals the window's max; the other three get +0.0. So
-    a tie goes to the top-left-most winner, as an argmax over the window
-    picks it. A window holding NaN pools to NaN and routes nothing, where an
-    argmax would pick its first NaN; its loss is NaN either way. On a window
-    that mixes -0.0 and +0.0 as its max, the pooled value may carry either
-    sign, while an argmax pick returns the first one's. The models pool raw
-    conv output, which holds -0.0 only where its bias is -0.0 (GEMM sum +
-    bias); a bias starts at +0.0, and SGD's subtractions never make -0.0 of
-    it, so no trained artifact depends on that sign.
+
+def _pool_routes(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Where maxpool2x2's gradient goes, given its input `a` and output `y`:
+    a bool array (4, *y.shape) whose k-th plane marks the windows that route
+    to their k-th position in `_POOL_POSITIONS`.
+
+    Each window routes to the first of its positions, in row-major order,
+    whose value equals the window's max, so a tie goes to the top-left-most
+    winner, as an argmax over the window picks it. A window holding NaN pools
+    to NaN and routes nothing, where an argmax would pick its first NaN; its
+    loss is NaN either way. On a window that mixes -0.0 and +0.0 as its max,
+    the pooled value may carry either sign, while an argmax pick returns the
+    first one's. The models pool raw conv output, which holds -0.0 only where
+    its bias is -0.0 (GEMM sum + bias); a bias starts at +0.0, and SGD's
+    subtractions never make -0.0 of it, so no trained artifact depends on
+    that sign.
     """
-    uint = np.dtype(f"u{a.itemsize}")
-    dx = np.empty_like(a)
-    # dy where a window routes to this position, +0.0 elsewhere: masking
-    # the bits keeps dy exact, where dy * hit would write -0.0 under a
-    # negative dy
-    dy_bits, dx_bits = dy.astype(a.dtype, copy=False).view(uint), dx.view(uint)
+    routes = np.empty((4, *y.shape), dtype=bool)
     free = np.ones(y.shape, dtype=bool)  # windows not yet routed
-    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):  # row-major
-        hit = a[:, :, i::2, j::2] == y
+    for hit, (i, j) in zip(routes, _POOL_POSITIONS):
+        np.equal(a[:, :, i::2, j::2], y, out=hit)
         hit &= free
         free ^= hit
+    return routes
+
+
+def _maxpool2x2_backward(routes: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """The gradient of maxpool2x2's input: `dy` at the positions `routes`
+    (`_pool_routes`) marks, +0.0 at the other three of each window."""
+    n, c, oh, ow = dy.shape
+    uint = np.dtype(f"u{dy.itemsize}")
+    dx = np.empty((n, c, 2 * oh, 2 * ow), dtype=dy.dtype)
+    # masking the bits keeps dy exact, where dy * hit would write -0.0 under
+    # a negative dy
+    dy_bits, dx_bits = dy.view(uint), dx.view(uint)
+    for hit, (i, j) in zip(routes, _POOL_POSITIONS):
         np.bitwise_and(dy_bits, np.negative(hit, dtype=uint), out=dx_bits[:, :, i::2, j::2])
     return dx
 
@@ -304,8 +320,8 @@ def backward(layers, tape: list, dlogits: np.ndarray):
     `models.Model.forward` filled for that loss.
 
     One pass from the last layer to the first. A linear layer pops its input;
-    a conv layer pops its pool output, conv output and input, and routes the
-    gradient through the pool before its own. Below every layer but the
+    a conv layer pops its pool routes and input, scatters the gradient
+    through the pool by the routes, then runs its own. Below every layer but the
     first, the gradient reaching the layer's input passes the relu that made
     that input: it is kept where the input is above zero, which is where the
     relu's own input was, so no pre-activation is kept for it. The first layer
@@ -316,9 +332,9 @@ def backward(layers, tape: list, dlogits: np.ndarray):
     dy = dlogits
     for layer in reversed(layers):
         if layer.kind == "conv":
-            pooled, conv, x = tape.pop(), tape.pop(), tape.pop()
-            dy = _maxpool2x2_backward(conv, pooled, dy.reshape(pooled.shape))
-            del pooled, conv
+            routes, x = tape.pop(), tape.pop()
+            dy = _maxpool2x2_backward(routes, dy.reshape(routes.shape[1:]))
+            del routes
             dy = _conv2d_backward(x, layer.weight, layer.bias, dy, bool(tape))
         else:
             x = tape.pop()

@@ -158,7 +158,9 @@ def test_infeasible_dense_overrides_rejected():
     # fc1 holds 9216 of mlp:144-64-10's 9856 weights, more than 10% of them
     desc = build_model(parse_model_spec("mlp:144-64-10"), np.random.default_rng(0)).descriptor()
     for alloc_fn in (allocate_uniform, allocate_erk):
-        with pytest.raises(ValueError, match="covering 9216/9856 weights"):
+        # the budget prints as 0.1, not 1 - 0.9 = 0.09999999999999998
+        with pytest.raises(ValueError, match=r"^global density 0\.1 infeasible with "
+                                             r"dense_overrides covering 9216/9856 weights$"):
             alloc_fn(desc, 0.9, dense_overrides=("fc1",))
         # every layer dense cannot meet any budget below 1
         with pytest.raises(ValueError, match="covering 9856/9856 weights"):

@@ -29,6 +29,7 @@ from dstforge.tensor import (
     _linear_backward,
     _maxpool2x2_backward,
     _pool_max,
+    _pool_routes,
     backward,
     conv2d_forward,
     linear_forward,
@@ -124,20 +125,25 @@ def test_maxpool_forward():
 
 def _pool_oracle(a: np.ndarray, dy: np.ndarray):
     """maxpool2x2 by a loop over windows: each takes the first of its maxima
-    in row-major order, which alone receives dy; every other position +0.0."""
+    in row-major order, which alone receives dy; every other position +0.0.
+    A window holding NaN pools to its NaN and routes nothing."""
     y, dx = np.empty_like(dy), np.zeros_like(a)
     for b, c, i, j in np.ndindex(*dy.shape):
         win = a[b, c, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
+        if np.isnan(win).any():
+            y[b, c, i, j] = win[np.isnan(win)][0]
+            continue
         r, s = next((r, s) for r in range(2) for s in range(2) if win[r, s] == win.max())
         y[b, c, i, j] = win[r, s]
         dx[b, c, 2 * i + r, 2 * j + s] = dy[b, c, i, j]
     return y, dx
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=80)
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(1, 4),
        st.sampled_from([np.float32, np.float64]),
-       st.sampled_from(["ints", "relu", "zero_windows"]), st.integers(0, 2**32 - 1))
+       st.sampled_from(["ints", "relu", "zero_windows", "nan", "signed_zeros"]),
+       st.integers(0, 2**32 - 1))
 def test_maxpool_matches_a_window_loop_bytewise(n, c, oh, ow, dtype, inputs, seed):
     rng = np.random.default_rng(seed)
     shape = (n, c, 2 * oh, 2 * ow)
@@ -146,19 +152,29 @@ def test_maxpool_matches_a_window_loop_bytewise(n, c, oh, ow, dtype, inputs, see
         a = rng.integers(-2, 3, (n, c, oh, ow)).repeat(2, axis=2).repeat(2, axis=3)
         redraw = rng.random(shape) < 0.5
         a[redraw] = rng.integers(-2, 3, int(redraw.sum()))
+    elif inputs == "signed_zeros":
+        # windows whose max is -0.0, +0.0 or both
+        a = rng.choice([-0.0, 0.0, -1.0], shape)
     else:
         a = np.maximum(rng.standard_normal(shape), 0.0)
         if inputs == "zero_windows":
             a[(rng.random((n, c, oh, ow)) < 0.5).repeat(2, axis=2).repeat(2, axis=3)] = 0.0
+        if inputs == "nan":
+            a[rng.random(shape) < 0.2] = np.nan
     a = a.astype(dtype)
     dy = rng.standard_normal((n, c, oh, ow)).astype(dtype)
     dy[rng.random(dy.shape) < 0.2] = -0.0
     want_y, want_dx = _pool_oracle(a, dy)
 
     y = maxpool2x2(a)
-    dx = _maxpool2x2_backward(a, y, dy)
+    routes = _pool_routes(a, y)
+    dx = _maxpool2x2_backward(routes, dy)
+    assert routes.dtype == bool and routes.shape == (4, *y.shape)
     assert y.dtype == dx.dtype == dtype
-    assert y.tobytes() == want_y.tobytes()
+    if inputs == "signed_zeros":  # a -0.0/+0.0 window's max may carry either sign
+        assert np.array_equal(y, want_y)
+    else:
+        assert y.tobytes() == want_y.tobytes()
     assert dx.tobytes() == want_dx.tobytes()
     for odd in (a[:, :, 1:], a[:, :, :, 1:]):
         with pytest.raises(ValueError):
@@ -182,11 +198,11 @@ def test_pool_then_relu_equals_relu_then_pool(n, c_out, oh, ow, dtype, seed):
     # pool, then relu: the order the models run
     pooled = maxpool2x2(y)
     pool_relu = np.maximum(pooled, 0)
-    d_pool_relu = _maxpool2x2_backward(y, pooled, dy * (pooled > 0))
+    d_pool_relu = _maxpool2x2_backward(_pool_routes(y, pooled), dy * (pooled > 0))
     # relu, then pool
     rectified = np.maximum(y, 0)
     relu_pool = maxpool2x2(rectified)
-    d_relu_pool = _maxpool2x2_backward(rectified, relu_pool, dy) * (y > 0)
+    d_relu_pool = _maxpool2x2_backward(_pool_routes(rectified, relu_pool), dy) * (y > 0)
     assert pool_relu.dtype == relu_pool.dtype == dtype
     assert pool_relu.tobytes() == relu_pool.tobytes()
     # equal as numbers: the two orders differ only in the sign of a zero
@@ -279,17 +295,39 @@ def test_conv_backward_allocates_less_than_the_full_batch_columns():
 
 
 def test_flatten_shape():
-    # the tape of a convnet step: per conv layer its input, conv and pool
-    # outputs; per linear layer its input, fc1's flattened
+    # the tape of a convnet step: per conv layer its input and pool routes,
+    # one bool per conv output element; per linear layer its input, fc1's
+    # flattened
     model = build_model(parse_model_spec("small_convnet:3x8x8-10"), np.random.default_rng(2))
     x = np.random.default_rng(3).random((3, 3, 8, 8)).astype(np.float32)
     tape = []
     model.forward(x, tape)
-    assert [a.shape for a in tape] == [
-        (3, 3, 8, 8), (3, 32, 8, 8), (3, 32, 4, 4),
-        (3, 32, 4, 4), (3, 64, 4, 4), (3, 64, 2, 2),
-        (3, 256), (3, 128)]
+    assert [(a.shape, a.dtype) for a in tape] == [
+        ((3, 3, 8, 8), np.float32), ((4, 3, 32, 4, 4), bool),
+        ((3, 32, 4, 4), np.float32), ((4, 3, 64, 2, 2), bool),
+        ((3, 256), np.float32), ((3, 128), np.float32)]
     assert tape[0] is x
+
+
+def test_a_convnet_tape_holds_no_conv_output():
+    # at 3x32x32 conv1's output takes n*32*32*32*4 bytes and conv2's half
+    # that. The tape holds each conv layer's input and routes and the relu'd
+    # pool outputs, a quarter of that or less each, and forward frees every
+    # conv and pool output it made before it returns
+    model = build_model(parse_model_spec("small_convnet:3x32x32-10"), np.random.default_rng(2))
+    n = 4
+    x = np.random.default_rng(3).random((n, 3, 32, 32)).astype(np.float32)
+    conv1_bytes, conv2_bytes = n * 32 * 32 * 32 * 4, n * 64 * 16 * 16 * 4
+    tape = []
+    tracemalloc.start()
+    try:
+        logits = model.forward(x, tape)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert logits.shape == (n, 10)
+    assert max(a.nbytes for a in tape) < conv2_bytes
+    assert held < conv1_bytes
 
 
 def test_backward_keeps_only_the_leaf_gradients():
@@ -362,7 +400,7 @@ def _step_by_hand(model, x, labels):
             dy = dy.reshape(out.shape) * (out > 0)
         if conv is not None:
             dy = _conv2d_backward(inp, layer.weight, layer.bias,
-                                  _maxpool2x2_backward(conv, out, dy), i > 0)
+                                  _maxpool2x2_backward(_pool_routes(conv, out), dy), i > 0)
         else:
             dy = _linear_backward(inp, layer.weight, layer.bias, dy, i > 0)
     return {p.name: p.grad for p in model.parameters()}
