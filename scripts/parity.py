@@ -52,7 +52,10 @@ cosine branch of `optim.lr_at` and the no-decay branch of
 addition changes, the rigl run at sparsity 0.5 of each model is trained
 again, stopped after step 7 and resumed from that step's checkpoint, and
 `<model>-rigl-s50-resume final.ckpt <sha256>` must equal the grid run's
-`final.ckpt` line; the script exits 1 if it does not. Run it on two
+`final.ckpt` line; the script exits 1 if it does not. Last, `study-cli
+stdout` and `study-cli study.json` digest what `dstforge study --epochs 1
+--seeds 1` prints (OUT_DIR cut from its paths) and writes on the study's
+blob IDX set. Run it on two
 checkouts and diff the outputs: a change that keeps every byte prints the
 same lines.
 BLAS runs on one thread, since float sums (and so the MLP artifacts) change
@@ -316,6 +319,16 @@ def main() -> int:
             print(f"{grid_run} resumed after step {stop} differs from the uninterrupted run",
                   file=sys.stderr)
             return 1
+
+    study_cli = os.path.join(out, "study-cli")
+    shutil.rmtree(study_cli, ignore_errors=True)
+    stdout = _run_cli(cli_main, ["study", "--data", study_data_dir, "--out", study_cli,
+                                 "--epochs", "1", "--seeds", "1"])
+    if stdout is None:
+        return 1
+    stdout = stdout.replace(out + os.sep, "")
+    print("study-cli", "stdout", hashlib.sha256(stdout.encode()).hexdigest())
+    print("study-cli", "study.json", _sha256_file(os.path.join(study_cli, "study.json")))
     return 0
 
 

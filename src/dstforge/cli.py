@@ -1,4 +1,6 @@
-"""Command-line entry point.
+"""Command-line entry point. Every command exits 0 on success, 2 on a
+ConfigError (or `run_study`'s ValueError), 3 on a DataError, CheckpointError
+or StudyError and 1 when training diverges, each error one line on stderr.
 
 DSTFORGE_THREADS caps BLAS parallelism; the translation into the usual
 OMP/OPENBLAS/MKL variables must happen before numpy first loads, which is why
@@ -29,7 +31,7 @@ import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import ConfigError, load_config
-from .corruption import KINDS, SEVERITIES, build_corrupted_set
+from .corruption import KINDS, SEVERITIES, CorruptionSpec, build_corrupted_set
 from .data import (
     DataError,
     _stem,
@@ -43,6 +45,7 @@ from .models import descriptor_library, parse_model_spec
 from .schedulers import METHODS, DstConfig, synthetic_trajectory
 from .sparsity import ALLOCATORS, DENSE
 from .spectral import check_radii, write_ra_curves_svg
+from .study import DEFAULT_SEEDS, StudyError, find_idx_dataset, run_study
 from .svg import grid_heatmap
 from .train import DivergenceError, run_eval, run_train
 
@@ -74,26 +77,23 @@ def cmd_train(args) -> int:
 
 
 def cmd_corrupt(args) -> int:
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    kinds = args.kinds.split(",") if args.kinds else list(KINDS)
-    for k in kinds:
-        if k not in KINDS:
-            raise ConfigError(f"unknown corruption kind {k!r}; known: {', '.join(KINDS)}")
-    severities = (_csv_ints(args.severities, "--severities") if args.severities
-                  else list(SEVERITIES))
-    for s in severities:
-        if s not in SEVERITIES:
-            raise ConfigError(f"severity {s} outside {SEVERITIES[0]}..{SEVERITIES[-1]}")
+    kinds = args.kinds.split(",") if args.kinds else KINDS
+    severities = _csv_ints(args.severities, "--severities") if args.severities else SEVERITIES
+    try:  # a cell named twice is written once
+        specs = [CorruptionSpec(kind, sev, args.seed)
+                 for kind in dict.fromkeys(kinds) for sev in dict.fromkeys(severities)]
+    except ValueError as e:  # CorruptionSpec's messages open with the field the flag sets
+        field, _, rest = str(e).partition(" ")
+        flag = {"kind": "--kinds", "severity": "--severities", "seed": "--seed"}[field]
+        raise ConfigError(f"{flag} {rest}") from None
     clean = load_image_set(args.dataset)
     out_dir = args.out or (os.path.dirname(args.dataset) or ".")
     # one rendered cell in memory at a time: a full grid of a real test set
-    # would hold gigabytes. A cell named twice is written once.
-    for kind in dict.fromkeys(kinds):
-        for sev in dict.fromkeys(severities):
-            cell = build_corrupted_set(clean, [kind], [sev], seed=args.seed)
-            for p in write_corrupted_sets(cell, out_dir, _stem(args.dataset)):
-                print(p)
+    # would hold gigabytes
+    for spec in specs:
+        cell = build_corrupted_set(clean, [spec.kind], [spec.severity], seed=spec.seed)
+        for p in write_corrupted_sets(cell, out_dir, _stem(args.dataset)):
+            print(p)
     return 0
 
 
@@ -260,9 +260,24 @@ def cmd_flops(args) -> int:
         alloc = DENSE if args.method == "dense" else ALLOCATORS[args.dist](desc, sparsity)
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    report = cost_report(args.arch, desc, args.method, alloc, synthetic_trajectory(dst),
-                         steps, args.bs, probe=not args.no_probe)
+    report = cost_report(desc, args.method, alloc, synthetic_trajectory(dst), steps, args.bs,
+                         probe=not args.no_probe)
     print(report.to_json())
+    return 0
+
+
+def cmd_study(args) -> int:
+    seeds = _csv_ints(args.seeds, "--seeds")
+    data = find_idx_dataset(args.data)
+    if data is None:
+        raise DataError("no IDX dataset found; run scripts/fetch_data.py first")
+    try:
+        result = run_study(data, args.out, epochs=args.epochs, seeds=seeds, echo=print)
+    except ValueError as e:  # run_study's refusals of its arguments
+        raise ConfigError(str(e)) from None
+    for label in result.labels:
+        print(f"{label:<10} mean robustness accuracy {result.robustness_mean(label):.4f}")
+    print(f"details: {args.out}/study.json")
     return 0
 
 
@@ -326,6 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-probe", action="store_true",
                    help="exclude dense-gradient probe cost from TrFLOPs")
     p.set_defaults(fn=cmd_flops)
+
+    p = sub.add_parser("study", help="train the default stable and score its robustness")
+    p.add_argument("--data", help="dataset directory (default: $DSTFORGE_DATA or ./data)")
+    p.add_argument("--out", default="runs/study", help="study output root")
+    p.add_argument("--epochs", type=int, default=20)
+    p.add_argument("--seeds", default=",".join(map(str, DEFAULT_SEEDS)), help="training seeds")
+    p.set_defaults(fn=cmd_study)
     return parser
 
 
@@ -336,7 +358,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (DataError, CheckpointError) as e:
+    except (DataError, CheckpointError, StudyError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
     except DivergenceError as e:

@@ -223,8 +223,9 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     wd = _typed("train", "wd", _get(cp, "train", "wd", "5e-4"), float)
     momentum = _typed("train", "momentum", _get(cp, "train", "momentum", "0.9"), float)
     eval_every = _typed("train", "eval_every", _get(cp, "train", "eval_every", "1"), int)
-    if epochs < 1 or bs < 1 or eval_every < 1:
-        raise ConfigError("[train] epochs, bs and eval_every must be >= 1")
+    for key, value in (("epochs", epochs), ("bs", bs), ("eval_every", eval_every)):
+        if value < 1:
+            raise ConfigError(f"[train] {key} must be >= 1, got {value}")
     if not (0 <= lr < math.inf and 0 <= wd < math.inf and 0 <= momentum < 1):
         raise ConfigError(f"[train] lr and wd must be finite and >= 0 and momentum in [0, 1), got "
                           f"lr = {lr}, wd = {wd}, momentum = {momentum}")

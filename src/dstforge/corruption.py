@@ -36,15 +36,21 @@ SEVERITIES = (1, 2, 3, 4, 5)
 
 @dataclass(frozen=True)
 class CorruptionSpec:
+    """One (kind, severity) cell of a grid and the seed of its streams. Each
+    refusal opens with the name of the field it refuses."""
+
     kind: str
     severity: int
     seed: int = 0
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown corruption kind {self.kind!r}")
+            raise ValueError(f"kind must be one of {', '.join(KINDS)}, got {self.kind!r}")
         if self.severity not in SEVERITIES:
-            raise ValueError(f"severity must be 1..5, got {self.severity}")
+            raise ValueError(f"severity must be one of {SEVERITIES[0]}..{SEVERITIES[-1]}, "
+                             f"got {self.severity}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative int, got {self.seed!r}")
 
     @property
     def param(self):
@@ -416,20 +422,11 @@ def corrupt_images(images: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
 def build_corrupted_set(clean: ImageSet, kinds, severities,
                         seed: int = 0) -> dict[tuple[str, int], ImageSet]:
     """One corrupted copy of the clean set per (kind, severity); labels pass
-    through untouched."""
-    kinds, severities = tuple(kinds), tuple(severities)
-    if not kinds or not severities:
+    through untouched. Every cell's spec is built before any cell renders."""
+    severities = tuple(severities)
+    specs = [CorruptionSpec(kind, sev, seed) for kind in kinds for sev in severities]
+    if not specs:
         raise ValueError("build_corrupted_set needs non-empty kinds and severities")
-    for k in kinds:
-        if k not in KINDS:
-            raise ValueError(f"unknown corruption kind {k!r}")
-    out = {}
-    for kind in kinds:
-        for sev in severities:
-            spec = CorruptionSpec(kind, sev, seed)
-            out[(kind, sev)] = ImageSet(
-                images=corrupt_images(clean.images, spec),
-                labels=clean.labels.copy(),
-                name=clean.name,
-            )
-    return out
+    return {(spec.kind, spec.severity): ImageSet(images=corrupt_images(clean.images, spec),
+                                                 labels=clean.labels.copy(), name=clean.name)
+            for spec in specs}

@@ -231,7 +231,7 @@ def training_flops(desc: ArchDescriptor, alloc: SparsityAllocation,
     return total
 
 
-def cost_report(arch: str, desc: ArchDescriptor, method: str,
+def cost_report(desc: ArchDescriptor, method: str,
                 alloc: SparsityAllocation, trajectory: BudgetTrajectory,
                 steps: int, batch: int, probe: bool = True) -> CostReport:
     """The FLOP and parameter account of one recipe at its final density.
@@ -244,7 +244,7 @@ def cost_report(arch: str, desc: ArchDescriptor, method: str,
     final = trajectory.samples[-1][1]
     probes = len(trajectory.samples) - 1 if probe and method in PROBE_METHODS else 0
     return CostReport(
-        arch=arch,
+        arch=desc.name,
         method=method,
         density=final,
         inference_flops=inference_flops(desc, alloc, at_density=final),

@@ -2,8 +2,13 @@
 
 Trains dense and sparse variants over several seeds, builds the corrupted
 test grid once, and collects robustness accuracies plus frequency-attenuation
-curves. Finished runs are recognized by the run digest in their final.ckpt
-and reused, so a crashed or repeated invocation only pays for what is missing.
+curves; `dstforge study` runs the default stable. `run_study` plans, then
+runs: it parses every cell's config and checks every run directory, the
+radii and the corruption grid before anything is trained or rendered, so a
+refused study leaves nothing behind; then it trains the missing cells,
+renders the missing grid cells and scores every model. Finished runs are
+recognized by the run digest in their final.ckpt and reused, so a crashed
+or repeated invocation only pays for what is missing.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint
 from .config import RunConfig, parse_config
-from .corruption import KINDS, SEVERITIES, build_corrupted_set
+from .corruption import KINDS, SEVERITIES, CorruptionSpec, build_corrupted_set
 from .data import (ImageSet, atomic_write, corrupted_set_filename, image_file_shape, load_idx,
                    sha256_file, write_corrupted_sets)
 from .metrics import accuracy, robustness_accuracy
@@ -112,51 +117,66 @@ def study_config_text(m: StudyMethod, seed: int, epochs: int,
     return "\n".join(lines) + "\n"
 
 
-def _ensure_run(m: StudyMethod, seed: int, epochs: int, data: dict[str, str],
-                root: str, echo=None) -> tuple[RunConfig, str, Checkpoint | None]:
-    """ensure_run, plus the final.ckpt it loaded to check a finished run's
-    digest (None when it trained the run)."""
-    run_dir = os.path.join(root, f"{m.label}-seed{seed}")
-    text = study_config_text(m, seed, epochs, data, run_dir)
-    # a config the parser refuses leaves nothing behind to block the next call
-    cfg = parse_config(text)
-    cfg_path = os.path.join(run_dir, "config.ini")
-    ckpt = os.path.join(run_dir, "final.ckpt")
-    if os.path.exists(ckpt):
-        try:
-            loaded = load_checkpoint(ckpt)
-        except CheckpointError as e:
-            raise StudyError(f"{run_dir}: {e}; remove it to rerun") from None
-        if loaded.run_digest == cfg.digest():
-            return cfg, ckpt, loaded
-        raise StudyError(f"{run_dir} holds a run of another config or data; remove it to rerun")
-    if os.path.exists(cfg_path):
-        with open(cfg_path) as fh:
-            if fh.read() != text:
-                raise StudyError(
-                    f"{run_dir} holds results for a different config; remove it to rerun")
-    os.makedirs(run_dir, exist_ok=True)
-    with atomic_write(cfg_path) as fh:
-        fh.write(text)
-    if echo:
-        echo(f"training {m.label} seed {seed}")
-    run_train(cfg)
-    return cfg, ckpt, None
+@dataclass
+class _Cell:
+    """One (label, seed) run of a study as `_Cell.plan` found it: its config
+    parsed, its run directory checked and `loaded` the final.ckpt there."""
+
+    label: str
+    run_dir: str
+    ckpt: str
+    text: str
+    cfg: RunConfig
+    loaded: Checkpoint | None = None
+
+    @classmethod
+    def plan(cls, m: StudyMethod, seed: int, epochs: int, data: dict[str, str],
+             root: str) -> _Cell:
+        """Parse the cell's config and check its run directory, writing
+        nothing: a final.ckpt must carry the run digest, a config.ini without
+        one the same text."""
+        run_dir = os.path.join(root, f"{m.label}-seed{seed}")
+        text = study_config_text(m, seed, epochs, data, run_dir)
+        cell = cls(m.label, run_dir, os.path.join(run_dir, "final.ckpt"), text, parse_config(text))
+        if os.path.exists(cell.ckpt):
+            try:
+                cell.loaded = load_checkpoint(cell.ckpt)
+            except CheckpointError as e:
+                raise StudyError(f"{run_dir}: {e}; remove it to rerun") from None
+            if cell.loaded.run_digest != cell.cfg.digest():
+                raise StudyError(f"{run_dir} holds a run of another config or data; "
+                                 f"remove it to rerun")
+        elif os.path.exists(cfg_path := os.path.join(run_dir, "config.ini")):
+            with open(cfg_path) as fh:
+                if fh.read() != text:
+                    raise StudyError(f"{run_dir} holds results for a different config; "
+                                     f"remove it to rerun")
+        return cell
+
+    def train(self, echo=None):
+        os.makedirs(self.run_dir, exist_ok=True)
+        with atomic_write(os.path.join(self.run_dir, "config.ini")) as fh:
+            fh.write(self.text)
+        if echo:
+            echo(f"training {self.label} seed {self.cfg.seed}")
+        run_train(self.cfg)
 
 
 def ensure_run(m: StudyMethod, seed: int, epochs: int, data: dict[str, str],
                root: str, echo=None) -> tuple[RunConfig, str]:
     """Train one (method, seed) cell unless its final.ckpt carries the cell's
     run digest. Any other final.ckpt, or another config.ini, raises StudyError."""
-    return _ensure_run(m, seed, epochs, data, root, echo)[:2]
+    cell = _Cell.plan(m, seed, epochs, data, root)
+    if cell.loaded is None:
+        cell.train(echo)
+    return cell.cfg, cell.ckpt
 
 
-def ensure_corrupted_set(clean: ImageSet, corr_dir: str, base: str, kind: str,
-                         severity: int, seed: int) -> str:
+def ensure_corrupted_set(clean: ImageSet, corr_dir: str, base: str, spec: CorruptionSpec) -> str:
     """Path of one corrupted grid cell, rendering and writing it if missing."""
-    path = os.path.join(corr_dir, corrupted_set_filename(base, kind, severity))
+    path = os.path.join(corr_dir, corrupted_set_filename(base, spec.kind, spec.severity))
     if not os.path.exists(path):
-        sets = build_corrupted_set(clean, [kind], [severity], seed=seed)
+        sets = build_corrupted_set(clean, [spec.kind], [spec.severity], seed=spec.seed)
         write_corrupted_sets(sets, corr_dir, base)
     return path
 
@@ -235,49 +255,50 @@ def run_study(data: dict[str, str], root: str, epochs: int = 20,
 
     Everything lands under `root`: one run directory per (method, seed), the
     corrupted sets under corrupted/, and study.json + RA-curve SVGs on top.
-    An empty `seeds` or `methods`, a negative seed or `corruption_seed`,
-    epochs < 1, or radii that `spectral.check_radii` refuses for the test
-    images, raise ValueError before anything is written.
+    The whole study is checked first, as `ensure_run` checks a cell: the
+    parser refuses a bad seed or epoch count. An empty `seeds` or `methods`,
+    a label named twice with different methods, radii that `check_radii`
+    refuses or a corruption seed that `CorruptionSpec` refuses raise
+    ValueError. The plan's one write, corrupted/source.json, comes last.
     """
     seeds, methods, radii = tuple(seeds), tuple(methods), tuple(radii)
     for what, items in (("seeds", seeds), ("methods", methods)):
         if not items:
             raise ValueError(f"run_study: {what} is empty")
-    if min(seeds) < 0 or corruption_seed < 0:
-        raise ValueError(f"run_study: seeds and corruption_seed must be >= 0, got seeds "
-                         f"{list(seeds)} and corruption_seed {corruption_seed}")
-    if epochs < 1:
-        raise ValueError(f"run_study: epochs must be >= 1, got {epochs}")
+    by_label = {}  # a label names one run directory per seed: a repeated one is one cell
+    for m in methods:
+        if by_label.setdefault(m.label, m) != m:
+            raise ValueError(f"run_study: label {m.label!r} names {by_label[m.label]} and {m}")
+    cells = [_Cell.plan(m, seed, epochs, data, root)
+             for m in by_label.values() for seed in dict.fromkeys(seeds)]
     _, (_, h, w) = image_file_shape(data["test_images"], "idx")
     check_radii(list(radii), h, w)
-    result = StudyResult(labels=tuple(m.label for m in methods), seeds=seeds, radii=radii)
+    specs = [CorruptionSpec(kind, sev, corruption_seed) for kind in KINDS for sev in SEVERITIES]
+    corr_dir = os.path.join(root, "corrupted")
+    _pin_grid_source(corr_dir, data, corruption_seed)
 
+    result = StudyResult(labels=tuple(m.label for m in methods), seeds=seeds, radii=radii)
     models: dict[tuple[str, int], Model] = {}
-    test = None
-    for m in methods:
-        for seed in seeds:
-            cfg, ckpt, loaded = _ensure_run(m, seed, epochs, data, root, echo)
-            result.checkpoints[(m.label, seed)] = ckpt
-            models[(m.label, seed)] = (loaded or load_checkpoint(ckpt)).build_model()
-            if test is None:
-                test = load_idx(data["test_images"], data["test_labels"],
-                                name="test", classes=cfg.classes)
+    for cell in cells:
+        if cell.loaded is None:
+            cell.train(echo)
+        key = (cell.label, cell.cfg.seed)
+        result.checkpoints[key] = cell.ckpt
+        models[key] = (cell.loaded or load_checkpoint(cell.ckpt)).build_model()
+    test = load_idx(data["test_images"], data["test_labels"], name="test",
+                    classes=cell.cfg.classes)
 
     for key, model in models.items():
         result.clean_accuracy[key] = accuracy(model, test)
 
     # corruption grid: cells are rendered once and cached on disk; every model
     # scores each cell before the next one loads
-    corr_dir = os.path.join(root, "corrupted")
     base = os.path.basename(data["test_images"])
-    _pin_grid_source(corr_dir, data, corruption_seed)
     paths = {}
-    for kind in KINDS:
-        if echo:
-            echo(f"corruption {kind}")
-        for severity in SEVERITIES:
-            paths[(kind, severity)] = ensure_corrupted_set(
-                test, corr_dir, base, kind, severity, corruption_seed)
+    for spec in specs:
+        if echo and spec.severity == SEVERITIES[0]:
+            echo(f"corruption {spec.kind}")
+        paths[(spec.kind, spec.severity)] = ensure_corrupted_set(test, corr_dir, base, spec)
     stable = list(models.values())
     for (label, seed), report in zip(models, robustness_accuracy(stable, paths)):
         report.model_id = f"{label}-seed{seed}"
@@ -293,10 +314,7 @@ def run_study(data: dict[str, str], root: str, epochs: int = 20,
 
     with atomic_write(os.path.join(root, "study.json")) as fh:
         fh.write(result.to_json() + "\n")
-    curves = []
-    for label in result.labels:
-        for mode in ("low", "high"):
-            curves.append(RACurve(mode=mode, points=result.ra_mean(label, mode),
-                                  model_id=label))
+    curves = [RACurve(mode=mode, points=result.ra_mean(label, mode), model_id=label)
+              for label in result.labels for mode in ("low", "high")]
     write_ra_curves_svg(curves, os.path.join(root, "ra_curves.svg"))
     return result

@@ -177,8 +177,8 @@ def run_train(cfg: RunConfig, resume_path=None, stop_after_step: int | None = No
                     return last_ckpt
 
         trajectory.write_csv(os.path.join(cfg.out_dir, "trajectory.csv"))
-        cost = cost_report(cfg.model.to_string(), model.descriptor(), dst.method, alloc,
-                           trajectory, total, cfg.batch_size)
+        cost = cost_report(model.descriptor(), dst.method, alloc, trajectory, total,
+                           cfg.batch_size)
         with atomic_write(os.path.join(cfg.out_dir, "cost.json")) as fh:
             fh.write(cost.to_json() + "\n")
         return save(os.path.join(cfg.out_dir, "final.ckpt"), total)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import dstforge.data
+from dstforge.cli import main as cli_main
 from dstforge.config import parse_config
 from dstforge.data import ImageSet
 from dstforge.models import Layer, Model, parse_model_spec
@@ -47,6 +48,13 @@ def write_idx_pair(dir_path: str, prefix: str, imgs: np.ndarray, labels: np.ndar
     with open(os.path.join(dir_path, f"{prefix}-labels-idx1-ubyte"), "wb") as fh:
         fh.write(struct.pack(">II", 0x801, n))
         fh.write(labels.tobytes())
+
+
+def run_cli(capsys, *argv):
+    """`dstforge <argv>` in process: its exit code, stdout and stderr."""
+    code = cli_main(list(argv))
+    out = capsys.readouterr()
+    return code, out.out, out.err
 
 
 class _DiskFull:

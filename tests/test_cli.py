@@ -6,21 +6,16 @@ import os
 import numpy as np
 import pytest
 
-from conftest import fail_atomic_writes, make_blob_set, toy_config, write_idx_pair
+from conftest import fail_atomic_writes, make_blob_set, run_cli, toy_config, write_idx_pair
 
 import dstforge.spectral
 from dstforge.checkpoint import save_checkpoint
 from dstforge.cli import main
+from dstforge.corruption import KINDS
 from dstforge.data import load_image_set, save_image_set
 from dstforge.models import build_model, parse_model_spec
 from dstforge.schedulers import BudgetTrajectory, DstConfig
 from dstforge.sparsity import TopologyMask
-
-
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    out = capsys.readouterr()
-    return code, out.out, out.err
 
 
 @pytest.fixture(scope="module")
@@ -151,22 +146,23 @@ def test_corrupt_writes_named_files(idx_dir, tmp_path, capsys):
 
 def test_corrupt_rejects_unknown_kind(idx_dir, capsys):
     code, _, err = run_cli(capsys, "corrupt", f"{idx_dir}/t10k-images-idx3-ubyte",
-                           "--kinds", "sepia")
+                           "--kinds", "contrast,sepia")
     assert code == 2
-    assert "sepia" in err
+    assert err == f"config error: --kinds must be one of {', '.join(KINDS)}, got 'sepia'\n"
 
 
 def test_corrupt_rejects_bad_severity(idx_dir, capsys):
     code, _, err = run_cli(capsys, "corrupt", f"{idx_dir}/t10k-images-idx3-ubyte",
-                           "--severities", "0,9")
+                           "--severities", "1,9")
     assert code == 2
+    assert err == "config error: --severities must be one of 1..5, got 9\n"
 
 
 def test_corrupt_rejects_a_negative_seed_in_one_line(idx_dir, tmp_path, capsys):
     code, stdout, err = run_cli(capsys, "corrupt", f"{idx_dir}/t10k-images-idx3-ubyte",
                                 "--seed", "-1", "--out", str(tmp_path / "corr"))
     assert code == 2
-    assert stdout == "" and err == "config error: --seed must be >= 0, got -1\n"
+    assert stdout == "" and err == "config error: --seed must be a non-negative int, got -1\n"
     assert not (tmp_path / "corr").exists()
 
 

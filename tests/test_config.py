@@ -332,6 +332,15 @@ def test_negative_seed_rejected(idx_dir, tmp_path):
         parse_config(toy_config(idx_dir, str(tmp_path / "o"), seed=-1))
 
 
+@pytest.mark.parametrize("key", ["epochs", "bs", "eval_every"])
+def test_a_train_count_below_one_is_refused_by_its_own_key(idx_dir, tmp_path, key):
+    # one message named all three keys, whichever of them failed
+    text = toy_config(idx_dir, str(tmp_path / "o")).replace("bs = 50\n", "bs = 50\neval_every = 1\n")
+    text = re.sub(rf"^{key} = \d+$", f"{key} = 0", text, flags=re.M)
+    with pytest.raises(ConfigError, match=rf"^\[train\] {key} must be >= 1, got 0$"):
+        parse_config(text)
+
+
 @pytest.mark.parametrize("key", ["soft_bound", "mest_lambda", "sparsity", "init_density"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_dst_floats_rejected_by_name(idx_dir, tmp_path, key, value):

@@ -196,6 +196,26 @@ def test_negative_stream_seed_refused():
         corrupt(sample_image(), CorruptionSpec("gaussian_noise", 1, seed=-1))
 
 
+@pytest.mark.parametrize("kinds, severities, seed, refused", [
+    (KINDS, (1, 9), 0, "severity must be one of 1..5, got 9"),
+    (("contrast", "sepia"), (1,), 0, "kind must be one of .*, got 'sepia'"),
+    (KINDS, (1,), -1, "seed must be a non-negative int, got -1"),
+    (KINDS, (1,), 1.5, "seed must be a non-negative int, got 1.5"),
+], ids=["severity", "kind", "negative-seed", "float-seed"])
+def test_build_corrupted_set_refuses_a_bad_cell_before_rendering_any(monkeypatch, kinds,
+                                                                     severities, seed, refused):
+    # (KINDS, (1, 9)) once rendered gaussian_noise s1 before it refused s9
+    import dstforge.corruption
+
+    rendered = []
+    monkeypatch.setattr(dstforge.corruption, "corrupt_images",
+                        lambda images, spec: rendered.append(spec))
+    clean = ImageSet(images=sample_image()[None], labels=np.zeros(1, dtype=np.int64), name="toy")
+    with pytest.raises(ValueError, match=refused):
+        build_corrupted_set(clean, kinds, severities, seed=seed)
+    assert rendered == []
+
+
 @pytest.mark.parametrize("shape", sorted(GOLDEN_SEEDS))
 def test_cells_match_golden_digests(shape):
     with open(GOLDEN_PATH) as fh:

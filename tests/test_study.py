@@ -4,14 +4,13 @@ and the scores of a whole study against direct metric calls."""
 import json
 import os
 import re
+import shutil
 import struct
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import fail_atomic_writes, make_blob_set, write_idx_pair
+from conftest import fail_atomic_writes, make_blob_set, run_cli, write_idx_pair
 
 import dstforge.study
 import dstforge.train
@@ -254,11 +253,15 @@ def test_an_empty_seed_or_method_tuple_is_refused_before_anything_is_written(
     assert not root.exists()
 
 
-@pytest.mark.parametrize("seeds, corruption_seed", [((1, -2), 0), ((1,), -1)])
+@pytest.mark.parametrize("seeds, corruption_seed, error, refused", [
+    ((1, -2), 0, ConfigError, r"\[train\] seed must be >= 0, got -2"),
+    ((1,), -1, ValueError, "seed must be a non-negative int, got -1"),
+], ids=["seeds0-0", "seeds1--1"])
 def test_a_negative_seed_is_refused_before_anything_is_written(
-        idx28_dir, tmp_path, seeds, corruption_seed):
+        idx28_dir, tmp_path, seeds, corruption_seed, error, refused):
+    # the parser refuses a cell's seed, CorruptionSpec the grid's
     root = tmp_path / "study"
-    with pytest.raises(ValueError, match="seeds and corruption_seed must be >= 0"):
+    with pytest.raises(error, match=refused):
         run_study(find_idx_dataset(idx28_dir), str(root), epochs=1, seeds=seeds,
                   methods=DEFAULT_METHODS[:1], radii=(2,), corruption_seed=corruption_seed)
     assert not root.exists()
@@ -281,7 +284,7 @@ def test_a_refused_config_writes_nothing_and_the_corrected_study_then_runs(idx28
     data = find_idx_dataset(idx28_dir)
     root = tmp_path / "study"
     dense = StudyMethod("dense", "dense")
-    with pytest.raises(ValueError, match="epochs must be >= 1"):
+    with pytest.raises(ConfigError, match=r"\[train\] epochs must be >= 1, got 0"):
         run_study(data, str(root), epochs=0, seeds=(1,), methods=(dense,), radii=(2,))
     assert not root.exists()
     with pytest.raises(ConfigError, match="epochs"):
@@ -291,17 +294,141 @@ def test_a_refused_config_writes_nothing_and_the_corrected_study_then_runs(idx28
     assert os.path.exists(result.checkpoints[("dense", 1)])
 
 
+def _tree(root) -> dict[str, bytes | None]:
+    """Every path under `root` and the bytes of each file in it."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in Path(root).rglob("*")}
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make any training or rendering of a grid cell fail the test."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a study trained or rendered before it refused")
+
+    monkeypatch.setattr(dstforge.study, "run_train", refused)
+    monkeypatch.setattr(dstforge.study, "build_corrupted_set", refused)
+
+
+@pytest.fixture(scope="module")
+def dense_study(idx28_dir, tmp_path_factory) -> str:
+    """A finished 1-epoch study of the dense label alone, seed 1, its grid
+    pinned at corruption_seed 0."""
+    root = str(tmp_path_factory.mktemp("dense-study") / "study")
+    run_study(find_idx_dataset(idx28_dir), root, epochs=1, seeds=(1,),
+              methods=(StudyMethod("dense", "dense"),), radii=(2,), corruption_seed=0)
+    return root
+
+
+DENSE, SET_S50 = StudyMethod("dense", "dense"), StudyMethod("set_s50", "set", 0.5)
+
+
+def test_a_label_the_parser_refuses_is_refused_before_the_first_cell_trains(
+        idx28_dir, tmp_path, no_work):
+    root = tmp_path / "study"
+    with pytest.raises(ConfigError, match=r"\[dst\] set needs a sparsity in \(0, 1\), got 1.5"):
+        run_study(find_idx_dataset(idx28_dir), str(root), epochs=1, seeds=(1,),
+                  methods=(DENSE, StudyMethod("set_s150", "set", 1.5)), radii=(2,))
+    assert not root.exists()
+
+
+def test_a_stale_final_ckpt_in_a_later_cell_is_refused_before_the_first_cell_trains(
+        idx28_dir, dense_study, tmp_path, no_work):
+    root = tmp_path / "study"
+    stale = root / "set_s50-seed1"
+    stale.mkdir(parents=True)
+    shutil.copy(Path(dense_study, "dense-seed1", "final.ckpt"), stale / "final.ckpt")
+    before = _tree(root)
+    with pytest.raises(StudyError, match=re.escape(f"{stale} holds a run of another")):
+        run_study(find_idx_dataset(idx28_dir), str(root), epochs=1, seeds=(1,),
+                  methods=(DENSE, SET_S50), radii=(2,))
+    assert _tree(root) == before
+
+
+def test_a_grid_of_another_corruption_seed_is_refused_before_an_untrained_label_trains(
+        idx28_dir, dense_study, tmp_path, no_work):
+    root = tmp_path / "study"
+    shutil.copytree(dense_study, root)
+    before = _tree(root)
+    with pytest.raises(StudyError, match="corruption_seed': 7"):
+        run_study(find_idx_dataset(idx28_dir), str(root), epochs=1, seeds=(1,),
+                  methods=(DENSE, SET_S50), radii=(2,), corruption_seed=7)
+    assert _tree(root) == before
+
+
+def test_two_configs_in_one_run_directory_are_refused_before_anything_is_written(
+        idx28_dir, tmp_path, no_work):
+    root = tmp_path / "study"
+    with pytest.raises(ValueError, match="label 'dense' names .*'dense'.* and .*method='set'"):
+        run_study(find_idx_dataset(idx28_dir), str(root), epochs=1, seeds=(1,),
+                  methods=(DENSE, StudyMethod("dense", "set", 0.5)), radii=(2,))
+    assert not root.exists()
+
+
+def test_a_label_named_twice_with_one_config_is_one_cell(idx28_dir, dense_study, tmp_path,
+                                                         monkeypatch):
+    root = tmp_path / "study"
+    shutil.copytree(dense_study, root)
+    loads = []
+    load = dstforge.study.load_checkpoint
+    monkeypatch.setattr(dstforge.study, "load_checkpoint", lambda p: loads.append(p) or load(p))
+    result = run_study(find_idx_dataset(idx28_dir), str(root), epochs=1, seeds=(1,),
+                       methods=(DENSE, DENSE), radii=(2,), corruption_seed=0)
+    assert loads == [str(root / "dense-seed1" / "final.ckpt")]
+    assert list(result.checkpoints) == [("dense", 1)]
+
+
 @pytest.mark.parametrize("flag,value,shown", [
-    ("--seeds", "", "''"), ("--seeds", "1,,2", "'1,,2'"), ("--seeds", "1,x", "'1,x'"),
-    ("--epochs", "0", "got 0"), ("--seeds", "1,-1", "'1,-1'"),
-], ids=["", "1,,2", "1,x", "epochs-0", "1,-1"])
-def test_the_study_script_refuses_bad_seeds_in_one_line(idx28_dir, tmp_path, flag, value, shown):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_robustness_study.py"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    r = subprocess.run([sys.executable, str(script), flag, value, "--data", idx28_dir,
-                        "--out", str(tmp_path / "study")],
-                       capture_output=True, text=True, env=env, timeout=120)
-    assert r.returncode == 2
-    assert r.stdout == ""
-    assert r.stderr.count("\n") == 1 and r.stderr.startswith(flag) and shown in r.stderr
-    assert not (tmp_path / "study").exists()
+    ("--seeds", "", "--seeds must be comma-separated integers, got ''"),
+    ("--seeds", "1,,2", "--seeds must be comma-separated integers, got '1,,2'"),
+    ("--seeds", "1,x", "--seeds must be comma-separated integers, got '1,x'"),
+    ("--seeds", "1,-1", "[train] seed must be >= 0, got -1"),
+    ("--epochs", "0", "[train] epochs must be >= 1, got 0"),
+], ids=["", "1,,2", "1,x", "1,-1", "epochs-0"])
+def test_the_study_script_refuses_bad_seeds_in_one_line(idx28_dir, tmp_path, capsys,
+                                                        flag, value, shown):
+    # `dstforge study` took the study script's place, flags and messages
+    out = tmp_path / "study"
+    code, stdout, err = run_cli(capsys, "study", flag, value, "--data", idx28_dir,
+                                "--out", str(out))
+    assert (code, stdout, err) == (2, "", f"config error: {shown}\n")
+    assert not out.exists()
+
+
+def test_study_without_a_dataset_exits_3(tmp_path, capsys):
+    out = tmp_path / "study"
+    code, stdout, err = run_cli(capsys, "study", "--data", str(tmp_path / "none"),
+                                "--out", str(out))
+    assert (code, stdout) == (3, "")
+    assert err == "data error: no IDX dataset found; run scripts/fetch_data.py first\n"
+    assert not out.exists()
+
+
+def test_study_with_a_stale_run_directory_exits_3(idx28_dir, tmp_path, capsys):
+    out = tmp_path / "study"
+    stale = out / "dense-seed1"
+    stale.mkdir(parents=True)
+    stale.joinpath("config.ini").write_text("[train]\n")
+    code, stdout, err = run_cli(capsys, "study", "--data", idx28_dir, "--out", str(out),
+                                "--epochs", "1", "--seeds", "1")
+    assert (code, stdout) == (3, "")
+    assert err == f"data error: {stale} holds results for a different config; remove it to rerun\n"
+    assert _tree(out) == {"dense-seed1": None, "dense-seed1/config.ini": b"[train]\n"}
+
+
+def test_study_trains_scores_and_summarizes_the_default_stable(idx28_dir, tmp_path, capsys):
+    out = tmp_path / "study"
+    code, stdout, err = run_cli(capsys, "study", "--data", idx28_dir, "--out", str(out),
+                                "--epochs", "1", "--seeds", "1")
+    assert (code, err) == (0, "")
+    lines = stdout.splitlines()
+    labels = [m.label for m in DEFAULT_METHODS]
+    assert lines[:4] == [f"training {label} seed 1" for label in labels]
+    assert lines[4:14] == [f"corruption {kind}" for kind in KINDS]
+    assert lines[14:16] == ["attenuation low r=2,4,6,8,10", "attenuation high r=2,4,6,8,10"]
+    doc = json.loads(out.joinpath("study.json").read_text())
+    assert lines[16:] == [
+        *(f"{label:<10} mean robustness accuracy {doc['mean_robustness_accuracy'][label]:.4f}"
+          for label in labels),
+        f"details: {out}/study.json"]
