@@ -12,8 +12,9 @@ data and run directories under OUT_DIR. For each run it prints
 `<run> <artifact> <sha256>` for final.ckpt, metrics.jsonl, trajectory.csv and
 cost.json, `<run> final.ckpt-body <sha256>` for the checkpoint bytes after
 its JSON header (weights, momenta and masks, so a change to the header alone
-leaves it equal), and for the dense and sparse `Model.predict` logits of the
-final checkpoint on a fixed batch. It then
+leaves it equal), and for the dense and sparse `Model.predict` logits on a
+fixed batch of the final checkpoint, loaded for scoring (without its
+momenta) through `train.load_model_from_checkpoint`. It then
 prints `flops-<arch>-<dist>-<method> stdout <sha256>` for the `dstforge flops`
 report of every method on `mlp:784-300-100-10`, `small_convnet:3x32x32-10`
 and the four library archs
@@ -146,16 +147,15 @@ def _run_cli(cli_main, argv: list[str]) -> str | None:
 
 def _train_and_digest(name: str, text: str, run_dir: str, test_x) -> None:
     """Train the run of config `text` into `run_dir` and print its lines."""
-    from dstforge.checkpoint import load_checkpoint
     from dstforge.config import parse_config
-    from dstforge.train import run_train
+    from dstforge.train import load_model_from_checkpoint, run_train
 
     shutil.rmtree(run_dir, ignore_errors=True)
     run_train(parse_config(text))
     for artifact in ARTIFACTS:
         print(name, artifact, _sha256_file(os.path.join(run_dir, artifact)))
     print(name, "final.ckpt-body", _sha256_ckpt_body(os.path.join(run_dir, "final.ckpt")))
-    trained = load_checkpoint(os.path.join(run_dir, "final.ckpt")).build_model()
+    trained, _ = load_model_from_checkpoint(os.path.join(run_dir, "final.ckpt"))
     for sparse in (False, True):
         logits = trained.predict(test_x, sparse=sparse)
         print(name, "predict-sparse" if sparse else "predict-dense", _sha256_logits(logits))

@@ -10,6 +10,14 @@ Both directions stream, array by array: `save_checkpoint` hands the file each
 array's own buffer, and `load_checkpoint` reads the header, then each array
 straight into a new one of its own, so neither holds a second copy of the
 file's arrays.
+
+A load for scoring, `load_checkpoint(path, momenta=False)`, seeks past every
+momentum array instead of reading it, so it holds the weights, biases and
+masks alone. It checks what a full load checks: every array must lie inside
+the file's length, every mask's active count must match its bits, and no
+bytes may trail the last array. The model it builds has no momentum buffers,
+so it scores but cannot take an SGD step or be saved. Resume and `inspect`
+read everything.
 """
 
 from __future__ import annotations
@@ -46,12 +54,13 @@ class Checkpoint:
     epoch_loss_sum: float
     epoch_loss_count: int
     trajectory: list
-    layers: list  # (name, weight, bias, w_momentum, b_momentum)
+    layers: list  # (name, weight, bias, w_momentum, b_momentum); momenta None if skipped
     masks: dict  # name -> bool array, masked layers only
 
     def build_model(self) -> Model:
-        """The trainable model with these exact weights and momenta, built on
-        this checkpoint's own arrays, which it takes over without a copy."""
+        """The model with these exact weights and momenta, built on this
+        checkpoint's own arrays, which it takes over without a copy. Read
+        without its momenta, the checkpoint builds a model that only scores."""
         spec = parse_model_spec(self.model_spec)
         shapes = {row.name: row.weight_shape() for row in spec.descriptor().layers}
         if set(shapes) != {name for name, *_ in self.layers}:
@@ -69,6 +78,10 @@ class Checkpoint:
 def save_checkpoint(path, model: Model, mask: TopologyMask, step: int,
                     rng: np.random.Generator, dst_cfg: DstConfig, seed: int, run_digest: str,
                     trajectory: BudgetTrajectory, epoch_loss_sum: float, epoch_loss_count: int):
+    for p in model.parameters():
+        if p.momentum is None:
+            raise ValueError(f"save_checkpoint: parameter {p.name!r} has no momentum buffer; "
+                             f"it was loaded for scoring")
     layer_meta = [{"name": layer.name, "kind": layer.kind,
                    "shape": list(layer.weight.data.shape), "mask": layer.name in mask}
                   for layer in model.layers]
@@ -115,21 +128,23 @@ def _layer_meta(path, i: int, meta) -> tuple[str, tuple, bool]:
     return meta["name"], tuple(shape), meta["mask"]
 
 
-def load_checkpoint(path) -> Checkpoint:
+def load_checkpoint(path, *, momenta: bool = True) -> Checkpoint:
     """Read a checkpoint; a file that is not one whole, well-formed checkpoint
-    of this version raises CheckpointError, never a parsing error."""
+    of this version raises CheckpointError, never a parsing error. With
+    momenta=False every momentum array is skipped, not read, and its place in
+    `layers` is None."""
     try:
         fh = open(path, "rb")
     except OSError as e:
         raise CheckpointError(f"cannot read checkpoint {path}: {e}") from None
     with fh:
         try:
-            return _read_checkpoint(path, fh)
+            return _read_checkpoint(path, fh, momenta)
         except OSError as e:
             raise CheckpointError(f"cannot read checkpoint {path}: {e}") from None
 
 
-def _read_checkpoint(path, fh) -> Checkpoint:
+def _read_checkpoint(path, fh, momenta: bool) -> Checkpoint:
     """`load_checkpoint` on its open file `fh`."""
     size = os.fstat(fh.fileno()).st_size
     head = fh.read(18)
@@ -140,6 +155,9 @@ def _read_checkpoint(path, fh) -> Checkpoint:
         raise CheckpointError(f"{path}: checkpoint version {version}, this build reads {VERSION}")
     off = 18
 
+    def truncated(nbytes: int) -> CheckpointError:
+        return CheckpointError(f"{path}: truncated at offset {off}, need {nbytes} bytes")
+
     def take(nbytes: int, alloc=bytearray):
         """The next `nbytes` of the file, read into `alloc(nbytes)`, which is
         only made once the file is known to hold them."""
@@ -149,10 +167,21 @@ def _read_checkpoint(path, fh) -> Checkpoint:
             if fh.readinto(memoryview(out).cast("B")) == nbytes:
                 off += nbytes
                 return out
-        raise CheckpointError(f"{path}: truncated at offset {off}, need {nbytes} bytes")
+        raise truncated(nbytes)
 
     def take_f32(shape):
         return take(4 * math.prod(shape), lambda _: np.empty(shape, dtype="<f4"))
+
+    def skip_f32(shape) -> None:
+        """Seek past the next float32 array, which the file must hold whole."""
+        nonlocal off
+        nbytes = 4 * math.prod(shape)
+        if off + nbytes > size:
+            raise truncated(nbytes)
+        fh.seek(nbytes, os.SEEK_CUR)
+        off += nbytes
+
+    momentum = take_f32 if momenta else skip_f32
 
     try:
         header = json.loads(take(hlen).decode())
@@ -177,8 +206,8 @@ def _read_checkpoint(path, fh) -> Checkpoint:
         name, shape, masked = _layer_meta(path, i, meta)
         w = take_f32(shape)
         b = take_f32((shape[0],))
-        wm = take_f32(shape)
-        bm = take_f32((shape[0],))
+        wm = momentum(shape)
+        bm = momentum((shape[0],))
         layers.append((name, w, b, wm, bm))
         if masked:
             n = math.prod(shape)

@@ -128,7 +128,7 @@ def cmd_evaluate(args) -> int:
     ckpts = [args.ckpt] + ([args.baseline] if args.baseline else [])
     # one pass: each set is loaded once and scored by the model and the baseline
     report, *baseline = robustness_accuracy(
-        [load_checkpoint(c).build_model() for c in ckpts], sets)
+        [load_checkpoint(c, momenta=False).build_model() for c in ckpts], sets)
     if baseline:
         try:
             report = attach_baseline(report, baseline[0])

@@ -105,15 +105,18 @@ class RunConfig:
         except ValueError as e:
             raise ConfigError(f"[dst] {e}") from None
 
-    def digest(self) -> str:
+    def digest(self, sha256=None) -> str:
         """SHA-256 of every field outside [output], each data file entering by
-        the SHA-256 of its content, not its path: the identity of a run."""
+        the SHA-256 of its content, not its path: the identity of a run.
+        `sha256(path)` hashes a file, `data.sha256_file` unless given, such
+        as a memoized one that hashes each file of a study once."""
+        sha256 = sha256 or sha256_file
         doc = asdict(self)
         del doc["out_dir"], doc["save_every"]
-        doc["train_images"] = [sha256_file(p) for p in self.train_images]
-        doc["train_labels"] = [sha256_file(p) for p in self.train_labels]
-        doc["test_images"] = sha256_file(self.test_images)
-        doc["test_labels"] = self.test_labels and sha256_file(self.test_labels)
+        doc["train_images"] = [sha256(p) for p in self.train_images]
+        doc["train_labels"] = [sha256(p) for p in self.train_labels]
+        doc["test_images"] = sha256(self.test_images)
+        doc["test_labels"] = self.test_labels and sha256(self.test_labels)
         return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 

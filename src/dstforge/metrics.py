@@ -85,9 +85,11 @@ def batched_accuracy(models: list[Model], images: np.ndarray, labels: np.ndarray
     `views`, when given, maps each batch of images to an iterable of batches,
     such as the batch filtered at each radius of a sweep, so that no filtered
     copy of a large set has to exist whole. Every model scores each view,
-    which is built once, and the result is one list of per-model accuracies
-    per view. An empty set, a label outside [0, classes) of any model, or
-    images whose shape a model cannot take raises DataError.
+    which is built once, before the next view is requested, so a view is
+    valid only until then and may reuse the previous view's buffer. The
+    result is one list of per-model accuracies per view. An empty set, a
+    label outside [0, classes) of any model, or images whose shape a model
+    cannot take raises DataError.
     """
     if len(images) == 0:
         raise DataError("empty image set")

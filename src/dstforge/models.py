@@ -280,11 +280,14 @@ class Model:
 
 
 def model_from_arrays(spec: ModelSpec,
-                      arrays: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+                      arrays: dict[str, tuple[np.ndarray, np.ndarray,
+                                              np.ndarray | None, np.ndarray | None]]
                       ) -> Model:
     """The model of `spec` over `arrays`, (weight, bias, weight momentum, bias
     momentum) by layer name, which it holds without copying; each weight must
-    have its descriptor row's `weight_shape()`."""
+    have its descriptor row's `weight_shape()`. A momentum of None leaves its
+    parameter without a buffer (see `tensor.Parameter`): such a model scores
+    but does not train."""
     layers = []
     for row in spec.descriptor().layers:
         w, b, w_momentum, b_momentum = arrays[row.name]

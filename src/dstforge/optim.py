@@ -19,11 +19,16 @@ def sgd_momentum_step(params: Iterable[Parameter], lr: float, momentum: float = 
     read. Each operation rounds as in the formula (float addition commutes,
     so wd*w + g is g + wd*w).
     Parameters without a gradient (no backward reached them) raise, since that
-    always indicates a wiring bug rather than a legitimate state.
+    always indicates a wiring bug rather than a legitimate state. So do
+    parameters without a momentum buffer (a model loaded for scoring), which
+    must not train on as if their momentum were zero.
     """
     for p in params:
         if p.grad is None:
             raise ValueError(f"sgd_momentum_step: parameter {p.name!r} has no gradient")
+        if p.momentum is None:
+            raise ValueError(f"sgd_momentum_step: parameter {p.name!r} has no momentum buffer; "
+                             f"it was loaded for scoring")
         dtype = p.data.dtype.type
         scratch = np.empty_like(p.data)
         p.momentum *= dtype(momentum)

@@ -84,13 +84,15 @@ class DstConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not np.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
+        # each message opens with the field at fault, which config.parse_config
+        # turns into the [dst] key
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
+            raise ValueError(f"method must be one of {', '.join(METHODS)}, got {self.method!r}")
         if self.method == "dense":
             if self.sparsity != 0.0:
-                raise ValueError(f"dense takes no sparsity, got {self.sparsity}")
+                raise ValueError(f"sparsity must be 0 for dense, got {self.sparsity}")
         elif not 0.0 < self.sparsity < 1.0:
-            raise ValueError(f"{self.method} needs a sparsity in (0, 1), got {self.sparsity}")
+            raise ValueError(f"sparsity must be in (0, 1) for {self.method}, got {self.sparsity}")
         if self.total_steps < 1:
             raise ValueError("total_steps must be >= 1")
         if self.delta_t < 1:

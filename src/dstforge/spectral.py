@@ -8,11 +8,17 @@ d < r (low frequencies go first), high mode removes d > r_max - r; bins
 exactly at the cutoff always survive, and r = 0 is an exact identity in both
 modes. The keep mask is built on the centered grid and moved into numpy's
 FFT bin order, so the batch's spectrum is never shifted. An RA sweep takes
-each batch's spectrum once and filters every radius from it.
+each batch's spectrum once and filters every radius from it, transforming
+a few images at a time, since numpy's FFT temporaries for a whole batch
+would be the largest allocation of a study. Each radius's view is a whole
+batch, since the models' GEMM row bytes can depend on the row count, written
+into the buffer of the radius before: a view is valid only until the next
+view is requested.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,18 +61,35 @@ def _keep_masks(shape: tuple, mode: str, radii) -> list[np.ndarray]:
     return [np.fft.ifftshift(d >= r if mode == "low" else d <= r_max - r) for r in radii]
 
 
-def _filtered(spectrum: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The images whose spectrum keeps only `keep`, clipped to [0, 1], as float32."""
-    return np.clip(np.fft.ifft2(spectrum * keep).real, 0.0, 1.0).astype(np.float32)
-
-
 def attenuate_images(images: np.ndarray, mode: str, r: int) -> np.ndarray:
     """Remove one distance band from every channel's spectrum (low mode:
     d < r, high mode: d > r_max - r) and return the images, clipped to
     [0, 1], as float32."""
     images = np.asarray(images)
     [keep] = _keep_masks(images.shape, mode, [r])
-    return _filtered(np.fft.fft2(images), keep)
+    return np.clip(np.fft.ifft2(np.fft.fft2(images) * keep).real, 0.0, 1.0).astype(np.float32)
+
+
+# spectrum elements a sweep transforms at a time, forward or inverse: about
+# 20 1x28x28 images or 5 3x32x32 ones, and at least one image
+_FFT_CHUNK = 1 << 14
+
+
+def _filtered_views(x: np.ndarray, keeps: list[np.ndarray]):
+    """For each keep mask in turn, the batch `x` as `attenuate_images` filters
+    it, to the same bytes. The spectrum is taken once, _FFT_CHUNK elements at
+    a time, and every view is written into one float32 batch, so a view is
+    valid only until the next one is requested."""
+    step = max(1, _FFT_CHUNK // math.prod(x.shape[1:]))
+    chunks = [slice(s, s + step) for s in range(0, len(x), step)]
+    spectrum = np.empty(x.shape, np.result_type(x.dtype, np.complex64))
+    for s in chunks:
+        np.fft.fft2(x[s], out=spectrum[s])
+    out = np.empty(x.shape, np.float32)
+    for keep in keeps:
+        for s in chunks:
+            np.clip(np.fft.ifft2(spectrum[s] * keep).real, 0.0, 1.0, out=out[s])
+        yield out
 
 
 def check_radii(radii: list, h: int, w: int):
@@ -85,15 +108,10 @@ def ra_curve(models: list[Model], clean_test: ImageSet, mode: str, radii) -> lis
     radii = list(radii)
     check_radii(radii, *clean_test.images.shape[-2:])
     keeps = _keep_masks(clean_test.images.shape, mode, radii)
-
-    def sweep(x):
-        # one spectrum per batch, filtered at each radius in turn, so a
-        # filtered copy of the set never exists whole; every model scores
-        # each filtered batch
-        spectrum = np.fft.fft2(x)
-        return (_filtered(spectrum, keep) for keep in keeps)
-
-    accs = batched_accuracy(models, clean_test.images, clean_test.labels, views=sweep)
+    # one spectrum per batch, filtered at each radius in turn, so a filtered
+    # copy of the set never exists whole; every model scores each view
+    accs = batched_accuracy(models, clean_test.images, clean_test.labels,
+                            views=lambda x: _filtered_views(x, keeps))
     return [RACurve(mode=mode, points=[(int(r), row[i]) for r, row in zip(radii, accs)],
                     model_id=model.spec.to_string())
             for i, model in enumerate(models)]

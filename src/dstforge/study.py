@@ -8,11 +8,14 @@ radii and the corruption grid before anything is trained or rendered, so a
 refused study leaves nothing behind; then it trains the missing cells,
 renders the missing grid cells and scores every model. Finished runs are
 recognized by the run digest in their final.ckpt and reused, so a crashed
-or repeated invocation only pays for what is missing.
+or repeated invocation only pays for what is missing. The plan hashes each
+data file once, and a finished run's checkpoint is read without its
+momenta, which scoring never reads.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -120,7 +123,8 @@ def study_config_text(m: StudyMethod, seed: int, epochs: int,
 @dataclass
 class _Cell:
     """One (label, seed) run of a study as `_Cell.plan` found it: its config
-    parsed, its run directory checked and `loaded` the final.ckpt there."""
+    parsed, its run directory checked and `loaded` the final.ckpt there,
+    read for scoring (without its momenta)."""
 
     label: str
     run_dir: str
@@ -131,19 +135,19 @@ class _Cell:
 
     @classmethod
     def plan(cls, m: StudyMethod, seed: int, epochs: int, data: dict[str, str],
-             root: str) -> _Cell:
+             root: str, sha256=None) -> _Cell:
         """Parse the cell's config and check its run directory, writing
-        nothing: a final.ckpt must carry the run digest, a config.ini without
-        one the same text."""
+        nothing: a final.ckpt must carry the run digest (`RunConfig.digest`,
+        with `sha256` when given), a config.ini without one the same text."""
         run_dir = os.path.join(root, f"{m.label}-seed{seed}")
         text = study_config_text(m, seed, epochs, data, run_dir)
         cell = cls(m.label, run_dir, os.path.join(run_dir, "final.ckpt"), text, parse_config(text))
         if os.path.exists(cell.ckpt):
             try:
-                cell.loaded = load_checkpoint(cell.ckpt)
+                cell.loaded = load_checkpoint(cell.ckpt, momenta=False)
             except CheckpointError as e:
                 raise StudyError(f"{run_dir}: {e}; remove it to rerun") from None
-            if cell.loaded.run_digest != cell.cfg.digest():
+            if cell.loaded.run_digest != cell.cfg.digest(sha256):
                 raise StudyError(f"{run_dir} holds a run of another config or data; "
                                  f"remove it to rerun")
         elif os.path.exists(cfg_path := os.path.join(run_dir, "config.ini")):
@@ -181,7 +185,7 @@ def ensure_corrupted_set(clean: ImageSet, corr_dir: str, base: str, spec: Corrup
     return path
 
 
-def _pin_grid_source(corr_dir: str, data: dict[str, str], corruption_seed: int):
+def _pin_grid_source(corr_dir: str, data: dict[str, str], corruption_seed: int, sha256):
     """Tie the cached corrupted grid to what it was rendered from.
 
     Cells are cached by file name alone, so `corr_dir/source.json` records the
@@ -191,8 +195,8 @@ def _pin_grid_source(corr_dir: str, data: dict[str, str], corruption_seed: int):
     """
     source = {
         "corruption_seed": corruption_seed,
-        "test_images_sha256": sha256_file(data["test_images"]),
-        "test_labels_sha256": sha256_file(data["test_labels"]),
+        "test_images_sha256": sha256(data["test_images"]),
+        "test_labels_sha256": sha256(data["test_labels"]),
     }
     path = os.path.join(corr_dir, "source.json")
     if os.path.exists(path):
@@ -260,6 +264,8 @@ def run_study(data: dict[str, str], root: str, epochs: int = 20,
     a label named twice with different methods, radii that `check_radii`
     refuses or a corruption seed that `CorruptionSpec` refuses raise
     ValueError. The plan's one write, corrupted/source.json, comes last.
+    The plan hashes each data file once, for every cell's digest and the
+    grid's source.
     """
     seeds, methods, radii = tuple(seeds), tuple(methods), tuple(radii)
     for what, items in (("seeds", seeds), ("methods", methods)):
@@ -269,13 +275,14 @@ def run_study(data: dict[str, str], root: str, epochs: int = 20,
     for m in methods:
         if by_label.setdefault(m.label, m) != m:
             raise ValueError(f"run_study: label {m.label!r} names {by_label[m.label]} and {m}")
-    cells = [_Cell.plan(m, seed, epochs, data, root)
+    sha256 = functools.cache(sha256_file)
+    cells = [_Cell.plan(m, seed, epochs, data, root, sha256)
              for m in by_label.values() for seed in dict.fromkeys(seeds)]
     _, (_, h, w) = image_file_shape(data["test_images"], "idx")
     check_radii(list(radii), h, w)
     specs = [CorruptionSpec(kind, sev, corruption_seed) for kind in KINDS for sev in SEVERITIES]
     corr_dir = os.path.join(root, "corrupted")
-    _pin_grid_source(corr_dir, data, corruption_seed)
+    _pin_grid_source(corr_dir, data, corruption_seed, sha256)
 
     result = StudyResult(labels=tuple(m.label for m in methods), seeds=seeds, radii=radii)
     models: dict[tuple[str, int], Model] = {}
@@ -284,7 +291,7 @@ def run_study(data: dict[str, str], root: str, epochs: int = 20,
             cell.train(echo)
         key = (cell.label, cell.cfg.seed)
         result.checkpoints[key] = cell.ckpt
-        models[key] = (cell.loaded or load_checkpoint(cell.ckpt)).build_model()
+        models[key] = (cell.loaded or load_checkpoint(cell.ckpt, momenta=False)).build_model()
     test = load_idx(data["test_images"], data["test_labels"], name="test",
                     classes=cell.cfg.classes)
 

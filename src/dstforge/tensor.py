@@ -67,16 +67,22 @@ def _as_array(data) -> np.ndarray:
     return a if a.dtype in _FLOAT_DTYPES else a.astype(DEFAULT_DTYPE)
 
 
+_ZEROS = object()  # Parameter's default momentum: a zeros buffer of its own
+
+
 class Parameter:
     """A trainable array: its gradient (None until `backward` writes one), a
-    momentum buffer (zeros unless given, held without a copy) and a name."""
+    momentum buffer and a name. The buffer is zeros unless given, and a given
+    one is held without a copy. `momentum=None` leaves a parameter that is
+    only read, such as one of a model loaded for scoring, without a buffer:
+    `optim.sgd_momentum_step` and `checkpoint.save_checkpoint` refuse it."""
 
     __slots__ = ("data", "grad", "momentum", "name")
 
-    def __init__(self, data, name: str = "", momentum: np.ndarray | None = None):
+    def __init__(self, data, name: str = "", momentum: np.ndarray | None = _ZEROS):
         self.data = _as_array(data)
         self.grad = None
-        self.momentum = np.zeros_like(self.data) if momentum is None else momentum
+        self.momentum = np.zeros_like(self.data) if momentum is _ZEROS else momentum
         self.name = name
 
 

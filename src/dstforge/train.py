@@ -187,7 +187,9 @@ def run_train(cfg: RunConfig, resume_path=None, stop_after_step: int | None = No
 
 
 def load_model_from_checkpoint(path) -> tuple[Model, Checkpoint]:
-    ck = load_checkpoint(path)
+    """The model of a checkpoint, for scoring: its momenta are not read, so
+    the model cannot train (see `checkpoint.load_checkpoint`)."""
+    ck = load_checkpoint(path, momenta=False)
     return ck.build_model(), ck
 
 

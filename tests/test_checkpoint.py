@@ -135,6 +135,27 @@ def test_load_reads_each_array_into_its_own_buffer(tmp_path):
         assert np.array_equal(ck.masks[name], mask[name])
 
 
+def test_a_load_for_scoring_reads_the_weights_and_masks_alone(tmp_path):
+    # the momenta are half the float32 bytes: the weights, biases and masks
+    # take about 0.62 file sizes loaded, a full load about 1.1
+    model, mask, cfg = _masked_convnet_state()
+    p = tmp_path / "c.ckpt"
+    save_checkpoint(p, model, mask, step=1, rng=np.random.default_rng(0), dst_cfg=cfg, seed=0,
+                    run_digest=DIGEST, **FRESH)
+    ck, peak = _traced_peak(lambda: load_checkpoint(p, momenta=False))
+    assert peak < 0.7 * p.stat().st_size
+    full = load_checkpoint(p)
+    assert (ck.step, ck.rng_state, ck.run_digest) == (full.step, full.rng_state, full.run_digest)
+    for (name, w, b, wm, bm), (_, fw, fb, *_), layer in zip(
+            ck.layers, full.layers, ck.build_model().layers, strict=True):
+        assert w.tobytes() == fw.tobytes() and b.tobytes() == fb.tobytes()
+        assert wm is None and bm is None
+        assert layer.weight.data is w and layer.weight.momentum is None
+        assert layer.bias.data is b and layer.bias.momentum is None
+    for name in mask.names():
+        assert np.array_equal(ck.masks[name], full.masks[name])
+
+
 def test_rng_state_resumes_identically(tmp_path):
     model, mask, cfg, rng = make_state(seed=3)
     p = tmp_path / "a.ckpt"
@@ -224,8 +245,11 @@ def test_every_truncation_is_a_checkpoint_error(tmp_path):
     cut = tmp_path / "cut.ckpt"
     for end in range(len(data)):
         cut.write_bytes(data[:end])
-        with pytest.raises(CheckpointError):
-            load_checkpoint(cut)
+        # a load for scoring seeks past each momentum array, and a cut
+        # inside or before one must still be caught
+        for momenta in (True, False):
+            with pytest.raises(CheckpointError):
+                load_checkpoint(cut, momenta=momenta)
 
 
 @pytest.mark.parametrize("edit", [
@@ -265,8 +289,9 @@ def test_trailing_bytes_detected(tmp_path):
     save_checkpoint(p, model, mask, step=1, rng=rng, dst_cfg=cfg, seed=1,
                     run_digest=DIGEST, **FRESH)
     p.write_bytes(p.read_bytes() + b"\x00\x00")
-    with pytest.raises(CheckpointError, match="trailing"):
-        load_checkpoint(p)
+    for momenta in (True, False):
+        with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(p, momenta=momenta)
 
 
 def test_corrupt_header_detected(tmp_path):
@@ -290,8 +315,9 @@ def test_mask_bit_count_mismatch(tmp_path):
     # flip one bit in the final mask bitset (the file ends with mask bytes)
     data[-1] ^= 0x01
     p.write_bytes(bytes(data))
-    with pytest.raises(CheckpointError, match="active bits"):
-        load_checkpoint(p)
+    for momenta in (True, False):
+        with pytest.raises(CheckpointError, match="active bits"):
+            load_checkpoint(p, momenta=momenta)
 
 
 def test_build_model_shape_guard(tmp_path):

@@ -109,7 +109,7 @@ def test_train_sparse_method_without_sparsity_exits_2(idx_dir, tmp_path, capsys,
     code, stdout, err = run_cli(capsys, "train", cfg_path)
     assert code == 2
     assert stdout == ""
-    assert err.startswith(f"config error: [dst] {method} needs a sparsity in (0, 1), got 0.0")
+    assert err.startswith(f"config error: [dst] sparsity must be in (0, 1) for {method}, got 0.0")
     assert not out.exists()
 
 

@@ -374,6 +374,21 @@ def test_refused_p_is_named_by_its_key(idx_dir, tmp_path, value, message):
         parse_config(text)
 
 
+@pytest.mark.parametrize("method, sparsity, message", [
+    ("sett", "0.5", f"method must be one of {', '.join(METHODS)}, got 'sett'"),
+    ("dense", "0.5", "sparsity must be 0 for dense, got 0.5"),
+    ("set", "1.5", "sparsity must be in (0, 1) for set, got 1.5"),
+    ("rigl", "0", "sparsity must be in (0, 1) for rigl, got 0.0"),
+], ids=["unknown-method", "dense-sparsity", "set-sparsity-1.5", "rigl-sparsity-0"])
+def test_a_refused_method_or_sparsity_is_named_by_its_key(idx_dir, tmp_path, method, sparsity,
+                                                          message):
+    # the message once opened with the method's value: `[dst] set needs a sparsity ...`
+    text = (toy_config(idx_dir, str(tmp_path / "o"))
+            + f"\n[dst]\nmethod = {method}\nsparsity = {sparsity}\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'[dst] {message}')}$"):
+        parse_config(text)
+
+
 # The config space: every key of config._ALLOWED over a 12x12 blob task of
 # 120 training images. A key takes one of its valid values, or is left out;
 # at most one key takes a value the parser must refuse.

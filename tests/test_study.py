@@ -15,7 +15,7 @@ from conftest import fail_atomic_writes, make_blob_set, run_cli, write_idx_pair
 import dstforge.study
 import dstforge.train
 from dstforge.checkpoint import load_checkpoint
-from dstforge.config import ConfigError, parse_config
+from dstforge.config import ConfigError, RunConfig, parse_config
 from dstforge.corruption import KINDS, SEVERITIES
 from dstforge.data import corrupted_set_filename, load_idx
 from dstforge.metrics import accuracy, robustness_accuracy
@@ -216,13 +216,16 @@ def test_run_study_scores_match_direct_calls_and_rerun_is_cached(tmp_path, monke
     monkeypatch.setattr(dstforge.study, "run_train", no_rework)
     loads = []
     load = dstforge.study.load_checkpoint
-    monkeypatch.setattr(dstforge.study, "load_checkpoint", lambda p: loads.append(p) or load(p))
+    monkeypatch.setattr(dstforge.study, "load_checkpoint",
+                        lambda p, **kw: loads.append((p, kw)) or load(p, **kw))
     run_study(data, root, epochs=1, seeds=(1,), methods=methods, radii=radii,
               corruption_seed=3)
     with open(os.path.join(root, "study.json"), "rb") as fh:
         assert fh.read() == written
-    # each finished run's final.ckpt is read once: its digest check builds the model
-    assert sorted(loads) == sorted(result.checkpoints.values())
+    # each finished run's final.ckpt is read once, for scoring: its digest
+    # check builds the model
+    assert sorted(p for p, _ in loads) == sorted(result.checkpoints.values())
+    assert all(kw == {"momenta": False} for _, kw in loads)
 
 
 def test_corrupted_grid_from_another_seed_or_without_source_is_refused(idx28_dir, tmp_path):
@@ -327,7 +330,7 @@ DENSE, SET_S50 = StudyMethod("dense", "dense"), StudyMethod("set_s50", "set", 0.
 def test_a_label_the_parser_refuses_is_refused_before_the_first_cell_trains(
         idx28_dir, tmp_path, no_work):
     root = tmp_path / "study"
-    with pytest.raises(ConfigError, match=r"\[dst\] set needs a sparsity in \(0, 1\), got 1.5"):
+    with pytest.raises(ConfigError, match=r"\[dst\] sparsity must be in \(0, 1\) for set, got 1.5"):
         run_study(find_idx_dataset(idx28_dir), str(root), epochs=1, seeds=(1,),
                   methods=(DENSE, StudyMethod("set_s150", "set", 1.5)), radii=(2,))
     assert not root.exists()
@@ -372,11 +375,35 @@ def test_a_label_named_twice_with_one_config_is_one_cell(idx28_dir, dense_study,
     shutil.copytree(dense_study, root)
     loads = []
     load = dstforge.study.load_checkpoint
-    monkeypatch.setattr(dstforge.study, "load_checkpoint", lambda p: loads.append(p) or load(p))
+    monkeypatch.setattr(dstforge.study, "load_checkpoint",
+                        lambda p, **kw: loads.append((p, kw)) or load(p, **kw))
     result = run_study(find_idx_dataset(idx28_dir), str(root), epochs=1, seeds=(1,),
                        methods=(DENSE, DENSE), radii=(2,), corruption_seed=0)
-    assert loads == [str(root / "dense-seed1" / "final.ckpt")]
+    assert loads == [(str(root / "dense-seed1" / "final.ckpt"), {"momenta": False})]
     assert list(result.checkpoints) == [("dense", 1)]
+
+
+def test_a_cached_study_hashes_each_data_file_once(idx28_dir, tmp_path, monkeypatch):
+    # every cell's run digest and the grid's source.json take the SHA-256 of
+    # the same files; a 2 x 2 study once hashed the training images 4 times
+    # and the test images 5 times
+    data = find_idx_dataset(idx28_dir)
+    root = str(tmp_path / "study")
+    study = dict(epochs=1, seeds=(1, 2), methods=(DENSE, SET_S50), radii=(2,))
+    result = run_study(data, root, **study)
+    hashed, digests = [], []
+    for module in (dstforge.config, dstforge.study):
+        monkeypatch.setattr(module, "sha256_file",
+                            lambda p, real=module.sha256_file: hashed.append(p) or real(p))
+    digest = RunConfig.digest
+    monkeypatch.setattr(RunConfig, "digest", lambda cfg, *args, **kwargs: digests.append(
+        (cfg, digest(cfg, *args, **kwargs))) or digests[-1][1])
+    run_study(data, root, **study)
+    assert sorted(hashed) == sorted(data.values())
+    monkeypatch.undo()
+    assert len(digests) == len(result.checkpoints) == 4
+    for cfg, got in digests:
+        assert got == cfg.digest()
 
 
 @pytest.mark.parametrize("flag,value,shown", [

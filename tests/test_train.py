@@ -14,13 +14,16 @@ from conftest import make_blob_set, toy_config, write_idx_pair
 
 import dstforge.data
 import dstforge.train
-from dstforge.checkpoint import CheckpointError, load_checkpoint
+from dstforge.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from dstforge.config import ConfigError, parse_config
 from dstforge.corruption import CorruptionSpec, corrupt_images
 from dstforge.data import ImageSet, save_image_set
 from dstforge.metrics import accuracy
+from dstforge.optim import sgd_momentum_step
+from dstforge.schedulers import BudgetTrajectory, DstConfig
 from dstforge.sparsity import DENSE
 from dstforge.spectral import RACurve
+from dstforge.tensor import backward, softmax_cross_entropy
 from dstforge.train import (
     load_model_from_checkpoint,
     load_train_test,
@@ -327,10 +330,11 @@ def test_eval_every_skips_interior_epochs(idx_dir, tmp_path):
 
 
 def test_masked_weights_stay_zero(set_run):
+    # the momenta are read too, which a load for scoring skips
     _, ckpt = set_run
-    model, ck = load_model_from_checkpoint(ckpt)
+    ck = load_checkpoint(ckpt)
     mask = ck.mask()
-    layers = {layer.name: layer for layer in model.layers}
+    layers = {layer.name: layer for layer in ck.build_model().layers}
     for name in mask.names():
         layer = layers[name]
         assert np.all(layer.weight.data[~mask[name]] == 0.0)
@@ -402,6 +406,32 @@ def test_run_eval_corrupted_sets(set_run, blob_test_set):
     report = run_eval(ckpt, corrupted_sets={("gaussian_noise", 1): noisy})
     model, _ = load_model_from_checkpoint(ckpt)
     assert report.mean == pytest.approx(accuracy(model, noisy))
+
+
+def test_a_model_loaded_for_scoring_holds_no_momentum_and_refuses_to_train(
+        set_run, blob_test_set, tmp_path):
+    _, ckpt = set_run
+    model, ck = load_model_from_checkpoint(ckpt)
+    assert all(p.momentum is None for p in model.parameters())
+    assert all(wm is None and bm is None for _, _, _, wm, bm in ck.layers)
+    x, y = blob_test_set.images, blob_test_set.labels
+    full = load_checkpoint(ckpt).build_model()
+    assert model.predict(x).tobytes() == full.predict(x).tobytes()
+
+    before = [p.data.copy() for p in model.parameters()]
+    tape = []
+    _, dlogits = softmax_cross_entropy(model.forward(x[:10], tape), y[:10])
+    backward(model.layers, tape, dlogits)
+    with pytest.raises(ValueError, match="parameter 'fc1.weight' has no momentum buffer"):
+        sgd_momentum_step(model.parameters(), lr=0.1, momentum=0.9)
+    assert all(np.array_equal(a, p.data) for a, p in zip(before, model.parameters()))
+    # nor is it written back as a checkpoint with made-up momenta
+    out = tmp_path / "scored.ckpt"
+    with pytest.raises(ValueError, match="parameter 'fc1.weight' has no momentum buffer"):
+        save_checkpoint(out, model, ck.mask(), ck.step, np.random.default_rng(0),
+                        DstConfig(**ck.dst_config), ck.seed, ck.run_digest,
+                        BudgetTrajectory(ck.trajectory), ck.epoch_loss_sum, ck.epoch_loss_count)
+    assert not out.exists()
 
 
 def test_run_eval_accepts_file_paths(set_run, blob_test_set, tmp_path):
