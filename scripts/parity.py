@@ -56,7 +56,12 @@ again, stopped after step 7 and resumed from that step's checkpoint, and
 `final.ckpt` line; the script exits 1 if it does not. Last, `study-cli
 stdout` and `study-cli study.json` digest what `dstforge study --epochs 1
 --seeds 1` prints (OUT_DIR cut from its paths) and writes on the study's
-blob IDX set. Run it on two
+blob IDX set. Last, the convnet's rigl run at sparsity 0.5 is trained
+again on its training records cut into two CIFAR files (`[data] train =
+train0.bin,train1.bin`) and prints the seven lines of a grid run as
+`small_convnet-rigl-s50-split2`; its `final.ckpt-body` must equal the grid
+run's, or the script exits 1 (the header differs: the run digest names
+other files). Run it on two
 checkouts and diff the outputs: a change that keeps every byte prints the
 same lines.
 BLAS runs on one thread, since float sums (and so the MLP artifacts) change
@@ -106,6 +111,7 @@ COLOR_GRID_SIZE = 200
 ATTENUATE_RADII = "0,2,4,8,14"
 INSPECT_LAYERS = {"mlp": "fc1", "small_convnet": "conv2"}  # model kind -> --layer
 INSPECT_RUNS = ("dense-s0", "set-s50")
+SPLIT_RECORD = 3073  # bytes of one CIFAR record: the split-file run cuts between records
 
 
 def _sha256_file(path: str) -> str:
@@ -329,6 +335,30 @@ def main() -> int:
     stdout = stdout.replace(out + os.sep, "")
     print("study-cli", "stdout", hashlib.sha256(stdout.encode()).hexdigest())
     print("study-cli", "study.json", _sha256_file(os.path.join(study_cli, "study.json")))
+
+    model, _, _, (epochs, bs, lr, delta_t), _ = GRID[1]
+    data, test_x = grid_data["small_convnet"]
+    with open(data["train"], "rb") as fh:
+        records = fh.read()
+    cut = len(records) // SPLIT_RECORD // 2 * SPLIT_RECORD
+    split_dir = os.path.join(out, "data", "small_convnet-split")
+    os.makedirs(split_dir, exist_ok=True)
+    parts = [os.path.join(split_dir, f"train{i}.bin") for i in range(2)]
+    for path, chunk in zip(parts, (records[:cut], records[cut:])):
+        with open(path, "wb") as fh:
+            fh.write(chunk)
+    method, sparsity, _ = RESUME_RUN
+    grid_run = f"small_convnet-{method}-s{round(sparsity * 100)}"
+    run_dir = os.path.join(out, "runs", f"{grid_run}-split2")
+    _train_and_digest(f"{grid_run}-split2",
+                      blobs.run_config({**data, "train": ",".join(parts)}, model, run_dir, SEED,
+                                       epochs, bs, lr, method, sparsity, delta_t),
+                      run_dir, test_x)
+    if (_sha256_ckpt_body(os.path.join(run_dir, "final.ckpt"))
+            != _sha256_ckpt_body(os.path.join(out, "runs", grid_run, "final.ckpt"))):
+        print(f"{grid_run} trained on its records split across two files differs from the "
+              f"run on one file", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -237,12 +237,37 @@ def _default_images_per_epoch(arch: str) -> int:
     return 50_000
 
 
+def _flops_refusal(args, message: str) -> str:
+    """A DstConfig refusal met by `cmd_flops`, named by the flag the user
+    typed: a sparsity comes from --sparsity or --density, a delta_t from
+    --delta-t. Other messages pass as they are."""
+    field, _, rest = message.partition(" ")
+    if field == "delta_t":
+        return f"--delta-t {rest}"
+    if field not in ("sparsity", "init_density"):
+        return message
+    if args.density is None:
+        flag, value = "--sparsity", args.sparsity
+    else:
+        flag, value = "--density", args.density
+    if field == "init_density":  # granet's schedule starts below the target density
+        return (f"{flag} {value} sets a target density above {args.method}'s initial "
+                f"density {DstConfig.init_density}; the density schedule only decays")
+    if args.method == "dense":
+        want = "1" if flag == "--density" else "0"
+    else:
+        want = "in (0, 1)"
+    return f"{flag} must be {want} for {args.method}, got {value}"
+
+
 def cmd_flops(args) -> int:
     desc = _arch_descriptor(args.arch)
     if args.density is not None and args.sparsity is not None:
         raise ConfigError("give either --density or --sparsity, not both")
     if args.density is not None and not 0.0 < args.density <= 1.0:
         raise ConfigError(f"--density must lie in (0, 1], got {args.density}")
+    if args.method != "dense" and args.sparsity is None and args.density is None:
+        raise ConfigError(f"--method {args.method} needs --sparsity or --density")
     sparsity = args.sparsity if args.sparsity is not None else (
         1.0 - args.density if args.density is not None else 0.0)
     images = args.images_per_epoch
@@ -258,8 +283,8 @@ def cmd_flops(args) -> int:
         dst = DstConfig(method=args.method, sparsity=sparsity,
                         total_steps=steps, delta_t=args.delta_t)
         alloc = DENSE if args.method == "dense" else ALLOCATORS[args.dist](desc, sparsity)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    except ValueError as e:  # DstConfig's messages open with the field at fault
+        raise ConfigError(_flops_refusal(args, str(e))) from None
     report = cost_report(desc, args.method, alloc, synthetic_trajectory(dst), steps, args.bs,
                          probe=not args.no_probe)
     print(report.to_json())

@@ -6,6 +6,12 @@ CIFAR-style records (1 label byte + 3072 pixel bytes) hold 3x32x32 ones.
 Persisted sets take the layout their image shape fits: 1-channel sets as a
 single file holding the IDX images block followed by the labels block,
 3x32x32 sets as plain record files.
+
+An `ImageSet` holds float32 pixels, which is what corruption, spectral code
+and scoring take. A training run holds its splits as the files' own bytes
+instead (`load_split`), a quarter of the floats' size, and converts each
+batch with `_unit_floats` when it needs it; that one conversion builds every
+float pixel either way, so both give the same bytes.
 """
 
 from __future__ import annotations
@@ -131,56 +137,70 @@ def guess_idx_labels_path(images_path: str) -> str | None:
     return cand if os.path.exists(cand) else None
 
 
-def _idx_set(images: np.ndarray, labels: np.ndarray, images_path, name: str | None) -> ImageSet:
+def _idx_arrays(images: np.ndarray, labels: np.ndarray, images_path) -> tuple[np.ndarray, np.ndarray]:
+    """An IDX pair's uint8 pixels (n, 1, h, w), a view of `images`, and int64 labels."""
     if images.shape[0] != labels.shape[0]:
         raise DataError(f"{images_path}: {images.shape[0]} images but {labels.shape[0]} labels")
     n, h, w = images.shape
-    return ImageSet(_unit_floats(images).reshape(n, 1, h, w), labels.astype(np.int64),
-                    name or _stem(images_path))
+    return images.reshape(n, 1, h, w), labels.astype(np.int64)
 
 
 def load_idx(images_path, labels_path, name: str | None = None, classes: int = 10) -> ImageSet:
     """Load an IDX image/label pair."""
-    images, _ = _idx_images_from(_read_file(images_path), images_path)
-    labels, _ = _idx_labels_from(_read_file(labels_path), labels_path)
-    s = _idx_set(images, labels, images_path, name)
-    _check_labels(s.labels, classes, labels_path)
-    return s
+    pixels, labels = load_split("idx", [images_path], [labels_path], classes)
+    return ImageSet(_unit_floats(pixels), labels, name or _stem(images_path))
 
 
 def load_cifar_binary(paths: list, name: str | None = None, classes: int = 10) -> ImageSet:
     """Load a list of CIFAR batch files, concatenated in list order."""
-    s = _cifar_set(map(_read_file, paths), paths, name)
-    _check_labels(s.labels, classes, paths[0])
-    return s
+    pixels, labels = load_split("cifar", paths, (), classes)
+    return ImageSet(_unit_floats(pixels), labels, name or _stem(paths[0]))
 
 
-def _cifar_set(bufs, paths: list, name: str | None) -> ImageSet:
-    """One set of the CIFAR records in `bufs`, the contents of `paths` in order."""
+def _cifar_arrays(bufs, paths) -> tuple[np.ndarray, np.ndarray]:
+    """The uint8 pixels (n, 3, 32, 32) and int64 labels of the CIFAR records
+    in `bufs`, the contents of `paths` in order. The pixels of a single file
+    are a view of its buffer; several files' are joined into one array."""
     chunks, labels = [], []
     for buf, path in zip(bufs, paths):
         _cifar_records(len(buf), path)
         rec = np.frombuffer(buf, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
         labels.append(rec[:, 0])
         chunks.append(rec[:, 1:].reshape(-1, 3, 32, 32))
-    return ImageSet(
-        images=_unit_floats(np.concatenate(chunks)),
-        labels=np.concatenate(labels).astype(np.int64),
-        name=name or _stem(paths[0]),
-    )
+    pixels = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    return pixels, np.concatenate(labels).astype(np.int64)
 
 
-def load_split(fmt: str, images_paths, labels_paths, name: str, classes: int) -> ImageSet:
-    """One split of a run's data: the `fmt` files concatenated in order, a
-    single file used as loaded; IDX images pair with `labels_paths`."""
+def load_split(fmt: str, images_paths, labels_paths, classes: int,
+               digests: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """One split of a run's data as uint8 pixels (n, c, h, w) and int64
+    labels: the `fmt` ("idx" | "cifar") files concatenated in order, IDX
+    images paired with `labels_paths`, each label checked against `classes`.
+    A single file's pixels are a view of the bytes read, and no float copy
+    is made: `_unit_floats` converts a batch of them when one is needed.
+    Each file is read once; `digests`, when given, gets each path's SHA-256
+    of the bytes parsed, so a run names exactly the bytes it trained on."""
+    def read(path) -> bytes:
+        buf = _read_file(path)
+        if digests is not None:
+            digests[path] = hashlib.sha256(buf).hexdigest()
+        return buf
+
     if fmt == "cifar":
-        return load_cifar_binary(list(images_paths), name=name, classes=classes)
-    parts = [load_idx(img, lab, name=name, classes=classes)
-             for img, lab in zip(images_paths, labels_paths, strict=True)]
+        pixels, labels = _cifar_arrays(map(read, images_paths), images_paths)
+        _check_labels(labels, classes, images_paths[0])
+        return pixels, labels
+    parts = []
+    for images_path, labels_path in zip(images_paths, labels_paths, strict=True):
+        images, _ = _idx_images_from(read(images_path), images_path)
+        labels, _ = _idx_labels_from(read(labels_path), labels_path)
+        pixels, labels = _idx_arrays(images, labels, images_path)
+        _check_labels(labels, classes, labels_path)
+        parts.append((pixels, labels))
     if len(parts) == 1:
         return parts[0]
-    return ImageSet(np.concatenate([p.images for p in parts]),
-                    np.concatenate([p.labels for p in parts]), name)
+    pixels, labels = zip(*parts)
+    return np.concatenate(pixels), np.concatenate(labels)
 
 
 def _stem(path) -> str:
@@ -189,7 +209,9 @@ def _stem(path) -> str:
 
 
 def _unit_floats(pixels: np.ndarray) -> np.ndarray:
-    """uint8 pixels as float32 in [0, 1], divided in place: one float copy."""
+    """uint8 pixels as float32 in [0, 1], divided in place: one float copy.
+    Each pixel converts on its own, so a batch gathered from the bytes gives
+    the bytes of the same batch gathered from the whole set's floats."""
     images = pixels.astype(np.float32)
     images /= 255.0
     return images
@@ -260,11 +282,13 @@ def load_image_set(path) -> ImageSet:
                                 f"images file, named with 'labels' for 'images'")
             buf, off = _read_file(labels_path), 0
         labels, _ = _idx_labels_from(buf, labels_path, off)
-        return _idx_set(images, labels, path, None)
-    if len(buf) and len(buf) % CIFAR_RECORD == 0:
-        return _cifar_set([buf], [path], None)
-    raise DataError(f"{path}: neither an IDX block (magic at offset 0) nor whole "
-                    f"{CIFAR_RECORD}-byte CIFAR records (size {len(buf)})")
+        pixels, labels = _idx_arrays(images, labels, path)
+    elif len(buf) and len(buf) % CIFAR_RECORD == 0:
+        pixels, labels = _cifar_arrays([buf], [path])
+    else:
+        raise DataError(f"{path}: neither an IDX block (magic at offset 0) nor whole "
+                        f"{CIFAR_RECORD}-byte CIFAR records (size {len(buf)})")
+    return ImageSet(_unit_floats(pixels), labels, _stem(path))
 
 
 def corrupted_set_filename(base: str, kind: str, severity: int) -> str:

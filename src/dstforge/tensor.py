@@ -152,7 +152,9 @@ CONV_CHUNK = 4
 
 def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The forward arithmetic of conv2d_forward: im2col and one GEMM per
-    image, CONV_CHUNK images at a time, written into the batch output."""
+    image, CONV_CHUNK images at a time, written into the batch output. Each
+    chunk's columns are freed after its GEMMs, before the next chunk's are
+    built, so one chunk of columns is live at a time."""
     if x.ndim != 4 or w.ndim != 4:
         raise ValueError(f"conv2d_forward expects 4-d x and w, got {x.shape} and {w.shape}")
     n, c_in, h, wid = x.shape
@@ -168,6 +170,7 @@ def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
         cols = _im2col(x[s : s + CONV_CHUNK], kh, kw)
         ys = y[s : s + CONV_CHUNK]
         np.matmul(wmat, cols, out=ys)
+        del cols
         ys += b.reshape(1, c_out, 1)
     return y.reshape(n, c_out, h, wid)
 
@@ -255,6 +258,8 @@ def _conv2d_backward(x: np.ndarray, w: Parameter, b: Parameter, dy: np.ndarray,
     memory). dW is one GEMM per image against the columns' transposed view,
     added image by image in batch order, the order of a sum over the batch
     axis. dx is each chunk's columns' gradient scattered back by `_col2im`.
+    A chunk's columns are freed after its dW GEMMs, before that gradient is
+    computed, so they are never live next to it or to the next chunk's.
     """
     c_out, _, kh, kw = w.data.shape
     n, _, h, wid = dy.shape
@@ -270,6 +275,7 @@ def _conv2d_backward(x: np.ndarray, w: Parameter, b: Parameter, dy: np.ndarray,
                 dw = g
             else:
                 dw += g
+        del cols, g  # g views the chunk's dW GEMM output
         if dx is not None:
             _col2im(np.matmul(wmat.T, dys), dx[s : s + CONV_CHUNK], kh, kw)
     w.grad = dw.reshape(w.data.shape)
@@ -312,11 +318,12 @@ def _maxpool2x2_backward(routes: np.ndarray, dy: np.ndarray) -> np.ndarray:
     n, c, oh, ow = dy.shape
     uint = np.dtype(f"u{dy.itemsize}")
     dx = np.empty((n, c, 2 * oh, 2 * ow), dtype=dy.dtype)
-    # masking the bits keeps dy exact, where dy * hit would write -0.0 under
-    # a negative dy
+    # multiplying dy's bits by 0 or 1 keeps dy exact, where the float product
+    # dy * hit would write -0.0 under a negative dy; the bool plane is cast
+    # in the ufunc's buffer, so no uint copy of it is made
     dy_bits, dx_bits = dy.view(uint), dx.view(uint)
     for hit, (i, j) in zip(routes, _POOL_POSITIONS):
-        np.bitwise_and(dy_bits, np.negative(hit, dtype=uint), out=dx_bits[:, :, i::2, j::2])
+        np.multiply(dy_bits, hit, out=dx_bits[:, :, i::2, j::2])
     return dx
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig
-from .data import ImageSet, atomic_write, load_split
+from .data import _unit_floats, atomic_write, load_split
 from .metrics import MetricsReport, batched_accuracy, cost_report, robustness_accuracy
 from .models import Model, build_model
 from .optim import lr_at, sgd_momentum_step
@@ -34,14 +34,20 @@ class DivergenceError(RuntimeError):
     pass
 
 
-def load_train_test(cfg: RunConfig) -> tuple[ImageSet, ImageSet]:
-    train = load_split(cfg.fmt, cfg.train_images, cfg.train_labels, cfg.dataset, cfg.classes)
-    test = load_split(cfg.fmt, (cfg.test_images,), (cfg.test_labels,), cfg.dataset, cfg.classes)
+Split = tuple[np.ndarray, np.ndarray]  # uint8 pixels (n, c, h, w), int64 labels
+
+
+def load_train_test(cfg: RunConfig, digests: dict | None = None) -> tuple[Split, Split]:
+    """The run's training and test splits as pixel bytes and labels
+    (`data.load_split`); `digests` gets each data file's SHA-256."""
+    train = load_split(cfg.fmt, cfg.train_images, cfg.train_labels, cfg.classes, digests)
+    test = load_split(cfg.fmt, (cfg.test_images,), (cfg.test_labels,), cfg.classes, digests)
     return train, test
 
 
-def test_accuracy(model: Model, images: np.ndarray, labels: np.ndarray) -> float:
-    return batched_accuracy([model], images, labels)[0]
+def test_accuracy(model: Model, pixels: np.ndarray, labels: np.ndarray) -> float:
+    """Top-1 accuracy on uint8 pixels, converted one EVAL_BATCH at a time."""
+    return batched_accuracy([model], pixels, labels, views=lambda x: (_unit_floats(x),))[0][0]
 
 
 def _keep_epoch_lines(metrics_path: str, epochs: int):
@@ -74,9 +80,15 @@ def run_train(cfg: RunConfig, resume_path=None, stop_after_step: int | None = No
     checkpoint is written. A finished run writes trajectory.csv, then
     cost.json, then final.ckpt last: a final.ckpt marks a whole run. A
     non-finite loss aborts with the failing step number.
+
+    The splits stay uint8 pixels for the whole run: each step converts its
+    batch, and each evaluation its test batches, to float32 (`data._unit_floats`).
+    Each data file is read once, and the run digest hashes the bytes read,
+    not the files again.
     """
-    train, test = load_train_test(cfg)
-    run_digest = cfg.digest()
+    digests = {}
+    (train_x, train_y), (test_x, test_y) = load_train_test(cfg, digests)
+    run_digest = cfg.digest(digests.__getitem__)
     model = build_model(cfg.model, np.random.default_rng((cfg.seed, _INIT_STREAM)))
     rng = np.random.default_rng((cfg.seed, _TOPOLOGY_STREAM))
     dst = cfg.dst
@@ -129,9 +141,9 @@ def run_train(cfg: RunConfig, resume_path=None, stop_after_step: int | None = No
             pos = step % spe
             if perm is None or pos == 0:
                 perm = np.random.default_rng(
-                    (cfg.seed, _SHUFFLE_STREAM, epoch)).permutation(train.images.shape[0])
+                    (cfg.seed, _SHUFFLE_STREAM, epoch)).permutation(train_x.shape[0])
             idx = perm[pos * cfg.batch_size : (pos + 1) * cfg.batch_size]
-            x, y = train.images[idx], train.labels[idx]
+            x, y = _unit_floats(train_x[idx]), train_y[idx]
 
             model.zero_grad()
             tape = []
@@ -153,7 +165,7 @@ def run_train(cfg: RunConfig, resume_path=None, stop_after_step: int | None = No
 
             if pos == spe - 1:
                 evaluate = (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1
-                acc = test_accuracy(model, test.images, test.labels) if evaluate else None
+                acc = test_accuracy(model, test_x, test_y) if evaluate else None
                 record = {
                     "epoch": epoch,
                     "train_loss": epoch_loss_sum / epoch_loss_count,

@@ -849,6 +849,25 @@ def test_flops_names_a_density_out_of_range(capsys):
     assert "--density" in err and "1.5" in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--method", "set", "--density", "1.0"), "--density must be in (0, 1) for set, got 1.0"),
+    (("--method", "set"), "--method set needs --sparsity or --density"),
+    (("--method", "set", "--sparsity", "1.5"), "--sparsity must be in (0, 1) for set, got 1.5"),
+    (("--method", "dense", "--sparsity", "0.5"), "--sparsity must be 0 for dense, got 0.5"),
+    (("--method", "dense", "--density", "0.5"), "--density must be 1 for dense, got 0.5"),
+    (("--delta-t", "0"), "--delta-t must be >= 1"),
+    (("--method", "granet_g", "--sparsity", "0.1"),
+     "--sparsity 0.1 sets a target density above granet_g's initial density 0.8"),
+])
+def test_flops_names_the_flag_it_refuses(capsys, flags, message):
+    # a DstConfig refusal names the flag that set the value, not its field
+    code, stdout, err = run_cli(capsys, "flops", "mlp:784-300-100-10",
+                                "--epochs", "1", "--bs", "100", *flags)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"config error: {message}")
+
+
 def test_flops_accepts_model_spec_strings(capsys):
     code, stdout, _ = run_cli(capsys, "flops", "mlp:784-300-100-10",
                               "--epochs", "1", "--bs", "100",

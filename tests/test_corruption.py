@@ -319,12 +319,13 @@ def test_corrupt_always_in_range(kind, severity, seed):
 def test_severity_monotone_noise_degradation(dense_run):
     """A trained model's accuracy should not increase with noise severity,
     allowing at most one inversion per kind."""
+    from dstforge.data import load_idx
     from dstforge.metrics import accuracy
-    from dstforge.train import load_model_from_checkpoint, load_train_test
+    from dstforge.train import load_model_from_checkpoint
 
     cfg, ckpt = dense_run
     model, _ = load_model_from_checkpoint(ckpt)
-    _, test = load_train_test(cfg)
+    test = load_idx(cfg.test_images, cfg.test_labels, classes=cfg.classes)
     grid = build_corrupted_set(test, NOISE_KINDS, SEVERITIES, seed=0)
     for kind in NOISE_KINDS:
         accs = [accuracy(model, grid[(kind, s)]) for s in (1, 2, 3, 4, 5)]

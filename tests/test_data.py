@@ -1,6 +1,8 @@
 """IDX/CIFAR ingestion, persistence round trips, and filename conventions."""
 
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +12,13 @@ from dstforge.data import (
     CIFAR_RECORD,
     DataError,
     ImageSet,
+    _unit_floats,
     corrupted_set_filename,
     guess_idx_labels_path,
     load_cifar_binary,
     load_idx,
     load_image_set,
+    load_split,
     parse_corrupted_set_filename,
     save_image_set,
     write_corrupted_sets,
@@ -99,6 +103,66 @@ def test_load_cifar_binary(tmp_path):
     s2 = load_cifar_binary([str(p), str(p)])
     assert len(s2) == 14
     np.testing.assert_array_equal(s2.images[:7], s.images)
+
+
+def write_split(tmp_path, layout: str):
+    """(fmt, images paths, labels paths) of a split of random pixels and
+    labels: one IDX pair of 300 28x28 images, or 200 CIFAR records in one
+    file ("cifar") or two ("cifar2")."""
+    r = np.random.default_rng(3)
+    if layout == "idx":
+        n, h = 300, 28
+        images, labels = tmp_path / "s-images-idx3-ubyte", tmp_path / "s-labels-idx1-ubyte"
+        images.write_bytes(struct.pack(">IIII", 0x803, n, h, h)
+                           + r.integers(0, 256, n * h * h, dtype=np.uint8).tobytes())
+        labels.write_bytes(struct.pack(">II", 0x801, n)
+                           + r.integers(0, 10, n, dtype=np.uint8).tobytes())
+        return "idx", [str(images)], [str(labels)]
+    rec = r.integers(0, 256, (200, CIFAR_RECORD), dtype=np.uint8)
+    rec[:, 0] %= 10
+    parts = np.split(rec, 2 if layout == "cifar2" else 1)
+    paths = [tmp_path / f"part{i}.bin" for i in range(len(parts))]
+    for path, part in zip(paths, parts):
+        path.write_bytes(part.tobytes())
+    return "cifar", [str(p) for p in paths], []
+
+
+@pytest.mark.parametrize("layout", ["idx", "cifar", "cifar2"])
+def test_a_batch_of_split_bytes_converts_to_the_bytes_of_the_float_set(tmp_path, layout):
+    # a run converts each batch it gathers; the float sets convert the whole
+    # split first: both give the same bytes
+    fmt, images, labels = write_split(tmp_path, layout)
+    pixels, y = load_split(fmt, images, labels, 10)
+    s = load_idx(images[0], labels[0]) if fmt == "idx" else load_cifar_binary(images)
+    assert pixels.dtype == np.uint8 and pixels.shape == s.images.shape
+    assert y.dtype == np.int64 and y.tobytes() == s.labels.tobytes()
+    assert _unit_floats(pixels).tobytes() == s.images.tobytes()
+    idx = np.random.default_rng(4).permutation(len(y))[:37]
+    assert _unit_floats(pixels[idx]).tobytes() == _unit_floats(pixels)[idx].tobytes()
+
+
+@pytest.mark.parametrize("layout", ["idx", "cifar"])
+def test_loading_a_split_holds_its_file_bytes_once(tmp_path, layout):
+    # the pixels are a view of the bytes read, and no float copy (4x the
+    # file) is made: the load peaks near the file's size
+    fmt, images, labels = write_split(tmp_path, layout)
+    size = sum(os.path.getsize(p) for p in images + labels)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pixels, _ = load_split(fmt, images, labels, 10, digests={})
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert not pixels.flags.owndata
+    assert peak < 1.5 * size
+
+
+def test_a_split_names_the_sha256_of_each_file_it_read(tmp_path):
+    fmt, images, labels = write_split(tmp_path, "idx")
+    digests = {}
+    load_split(fmt, images, labels, 10, digests)
+    assert digests == {p: dstforge.data.sha256_file(p) for p in images + labels}
 
 
 def test_load_cifar_rejects_ragged_file(tmp_path):

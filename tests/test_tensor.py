@@ -294,6 +294,33 @@ def test_conv_backward_allocates_less_than_the_full_batch_columns():
     assert peak < n * 288 * 256 * 4
 
 
+def test_a_warm_convnet_step_holds_one_chunk_of_columns_at_a_time():
+    # forward and backward free each CONV_CHUNK's im2col columns after its
+    # GEMMs, before the next chunk's are built. A warm small_convnet step at
+    # batch 20 peaked 8.43 MB above its entry when a chunk's columns lived
+    # into the next chunk's im2col, and 7.15 MB when they do not
+    model = build_model(parse_model_spec("small_convnet:3x32x32-10"), np.random.default_rng(0))
+    r = np.random.default_rng(1)
+    x = r.random((20, 3, 32, 32)).astype(np.float32)
+    labels = r.integers(0, 10, 20)
+
+    def step():
+        model.zero_grad()
+        tape = []
+        _, dlogits = softmax_cross_entropy(model.forward(x, tape), labels)
+        backward(model.layers, tape, dlogits)
+
+    step()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        step()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 7_600_000
+
+
 def test_flatten_shape():
     # the tape of a convnet step: per conv layer its input and pool routes,
     # one bool per conv output element; per linear layer its input, fc1's

@@ -17,7 +17,7 @@ import dstforge.train
 from dstforge.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from dstforge.config import ConfigError, parse_config
 from dstforge.corruption import CorruptionSpec, corrupt_images
-from dstforge.data import ImageSet, save_image_set
+from dstforge.data import ImageSet, _unit_floats, load_idx, save_image_set
 from dstforge.metrics import accuracy
 from dstforge.optim import sgd_momentum_step
 from dstforge.schedulers import BudgetTrajectory, DstConfig
@@ -353,11 +353,17 @@ def test_run_config_allocation_modes(idx_dir, tmp_path):
 
 
 def test_load_train_test_shapes(set_run):
+    # a run holds its splits as the files' bytes: uint8 pixels that convert
+    # to the bytes of the float sets `load_idx` gives, and int64 labels
     cfg, _ = set_run
     train, test = load_train_test(cfg)
-    assert train.images.shape == (1500, 1, 12, 12)
-    assert test.images.shape == (400, 1, 12, 12)
-    assert train.name == test.name == "blobs"
+    for (x, y), images, labels, n in ((train, cfg.train_images[0], cfg.train_labels[0], 1500),
+                                      (test, cfg.test_images, cfg.test_labels, 400)):
+        assert x.shape == (n, 1, 12, 12) and x.dtype == np.uint8
+        assert y.shape == (n,) and y.dtype == np.int64
+        s = load_idx(images, labels)
+        assert _unit_floats(x).tobytes() == s.images.tobytes()
+        assert y.tobytes() == s.labels.tobytes()
 
 
 def test_split_idx_training_files_concatenate_and_train(idx_dir, tmp_path):
@@ -374,12 +380,103 @@ def test_split_idx_training_files_concatenate_and_train(idx_dir, tmp_path):
                         f"train_labels = {d}/split0-labels-idx1-ubyte,{d}/split1-labels-idx1-ubyte")
     cfg = parse_config(text)
     assert cfg.n_train == 600 and cfg.steps_per_epoch == 12
-    train, _ = load_train_test(cfg)
-    assert train.images.shape == (600, 1, 12, 12)
-    np.testing.assert_array_equal(train.labels, np.concatenate([p[1] for p in parts]))
+    (x, y), _ = load_train_test(cfg)
+    assert x.shape == (600, 1, 12, 12) and x.dtype == np.uint8
+    np.testing.assert_array_equal(x[:, 0], np.rint(np.concatenate([p[0] for p in parts]) * 255))
+    np.testing.assert_array_equal(y, np.concatenate([p[1] for p in parts]))
     ckpt = run_train(cfg)
     assert load_checkpoint(ckpt).step == 12
     assert len(read_metrics(cfg.out_dir)) == 1
+
+
+def write_cifar(path: str, imgs: np.ndarray, labels: np.ndarray) -> str:
+    """CIFAR records of float images (n, 3, 32, 32) in [0, 1]."""
+    q = np.rint(imgs * 255).astype(np.uint8).reshape(len(labels), -1)
+    with open(path, "wb") as fh:
+        fh.write(np.concatenate([labels.astype(np.uint8)[:, None], q], axis=1).tobytes())
+    return path
+
+
+def cifar_config(train: str, test: str, out_dir: str) -> str:
+    return f"""
+[data]
+dataset = blobs
+format = cifar
+train = {train}
+test = {test}
+
+[train]
+model = small_convnet:3x32x32-10
+epochs = 2
+seed = 3
+bs = 10
+lrs = step
+
+[dst]
+method = rigl
+sparsity = 0.5
+delta_t = 2
+
+[output]
+dir = {out_dir}
+"""
+
+
+def color_blobs(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    imgs, labels = make_blob_set(n, seed=seed, side=32)
+    return np.repeat(imgs[:, None], 3, axis=1), labels
+
+
+def test_split_cifar_training_files_concatenate_and_train(tmp_path):
+    # `[data] train = a.bin,b.bin`: the run trains through every step the
+    # config counted, on the records of both files in order, to the bytes of
+    # a run on one file holding the same records
+    d = str(tmp_path)
+    parts = [color_blobs(30, seed=20 + i) for i in range(2)]
+    a, b = (write_cifar(f"{d}/part{i}.bin", *part) for i, part in enumerate(parts))
+    whole = write_cifar(f"{d}/whole.bin", *map(np.concatenate, zip(*parts)))
+    test = write_cifar(f"{d}/test.bin", *color_blobs(12, seed=22))
+    split_cfg = parse_config(cifar_config(f"{a}, {b}", test, f"{d}/split"))
+    whole_cfg = parse_config(cifar_config(whole, test, f"{d}/whole"))
+    assert split_cfg.n_train == 60 and split_cfg.total_steps == 12
+    (x, y), _ = load_train_test(split_cfg)
+    (wx, wy), _ = load_train_test(whole_cfg)
+    assert x.shape == (60, 3, 32, 32) and x.tobytes() == wx.tobytes()
+    assert y.tobytes() == wy.tobytes()
+    split, whole_run = load_checkpoint(run_train(split_cfg)), load_checkpoint(run_train(whole_cfg))
+    assert split.step == 12 and len(read_metrics(split_cfg.out_dir)) == 2
+    for (name, *got), (want_name, *want) in zip(split.layers, whole_run.layers, strict=True):
+        assert name == want_name and [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert split.masks.keys() == whole_run.masks.keys()
+    assert all(split.masks[k].tobytes() == m.tobytes() for k, m in whole_run.masks.items())
+    assert read_metrics(split_cfg.out_dir) == read_metrics(whole_cfg.out_dir)
+
+
+@pytest.mark.parametrize("layout", ["idx", "cifar2"])
+def test_a_run_opens_each_data_file_once_and_its_digest_names_their_bytes(
+        idx_dir, tmp_path, monkeypatch, layout):
+    if layout == "idx":
+        cfg = parse_config(toy_config(idx_dir, str(tmp_path / "run"), epochs=1))
+    else:
+        d = str(tmp_path)
+        parts = [write_cifar(f"{d}/part{i}.bin", *color_blobs(10, seed=30 + i)) for i in range(2)]
+        test = write_cifar(f"{d}/test.bin", *color_blobs(10, seed=32))
+        cfg = parse_config(cifar_config(",".join(parts), test, f"{d}/run").replace(
+            "epochs = 2", "epochs = 1"))
+    data_paths = {*cfg.train_images, *cfg.train_labels, cfg.test_images, cfg.test_labels} - {None}
+    opened = []
+    real_open = open
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(os.fspath(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    ckpt = run_train(cfg)
+    monkeypatch.undo()
+    assert len(data_paths) == (4 if layout == "idx" else 3)
+    assert {p: opened.count(p) for p in data_paths} == dict.fromkeys(data_paths, 1)
+    assert load_checkpoint(ckpt).run_digest == cfg.digest()
 
 
 def test_split_idx_label_count_must_match(idx_dir, tmp_path):
