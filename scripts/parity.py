@@ -59,9 +59,10 @@ stdout` and `study-cli study.json` digest what `dstforge study --epochs 1
 blob IDX set. Last, the convnet's rigl run at sparsity 0.5 is trained
 again on its training records cut into two CIFAR files (`[data] train =
 train0.bin,train1.bin`) and prints the seven lines of a grid run as
-`small_convnet-rigl-s50-split2`; its `final.ckpt-body` must equal the grid
-run's, or the script exits 1 (the header differs: the run digest names
-other files). Run it on two
+`small_convnet-rigl-s50-split2`, then the MLP's on its training images cut
+into two IDX pairs, as `mlp-rigl-s50-split2`; each `final.ckpt-body` must
+equal its grid run's, or the script exits 1 (the header differs: the run
+digest names other files). Run it on two
 checkouts and diff the outputs: a change that keeps every byte prints the
 same lines.
 BLAS runs on one thread, since float sums (and so the MLP artifacts) change
@@ -138,6 +139,37 @@ def _sha256_dir(path: str) -> str:
     for name in sorted(os.listdir(path)):
         h.update(f"{name} {_sha256_file(os.path.join(path, name))}\n".encode())
     return h.hexdigest()
+
+
+def _cut_in_two(data: dict, split_dir: str) -> dict:
+    """`data`'s [data] keys with its training set cut in two at half its
+    images, written into `split_dir`: two CIFAR record files, or two IDX
+    pairs."""
+    os.makedirs(split_dir, exist_ok=True)
+    with open(data["train"], "rb") as fh:
+        images = fh.read()
+    if data["format"] == "cifar":
+        cut = len(images) // SPLIT_RECORD // 2 * SPLIT_RECORD
+        parts = [os.path.join(split_dir, f"train{i}.bin") for i in range(2)]
+        for path, chunk in zip(parts, (images[:cut], images[cut:])):
+            with open(path, "wb") as fh:
+                fh.write(chunk)
+        return {**data, "train": ",".join(parts)}
+    with open(data["train_labels"], "rb") as fh:
+        labels = fh.read()
+    n, h, w = struct.unpack_from(">III", images, 4)
+    pairs = []
+    for i, (lo, hi) in enumerate(((0, n // 2), (n // 2, n))):
+        pair = (os.path.join(split_dir, f"train{i}-images-idx3-ubyte"),
+                os.path.join(split_dir, f"train{i}-labels-idx1-ubyte"))
+        with open(pair[0], "wb") as fh:
+            fh.write(struct.pack(">IIII", 0x803, hi - lo, h, w)
+                     + images[16 + lo * h * w : 16 + hi * h * w])
+        with open(pair[1], "wb") as fh:
+            fh.write(struct.pack(">II", 0x801, hi - lo) + labels[8 + lo : 8 + hi])
+        pairs.append(pair)
+    images_paths, labels_paths = zip(*pairs)
+    return {**data, "train": ",".join(images_paths), "train_labels": ",".join(labels_paths)}
 
 
 def _run_cli(cli_main, argv: list[str]) -> str | None:
@@ -336,29 +368,22 @@ def main() -> int:
     print("study-cli", "stdout", hashlib.sha256(stdout.encode()).hexdigest())
     print("study-cli", "study.json", _sha256_file(os.path.join(study_cli, "study.json")))
 
-    model, _, _, (epochs, bs, lr, delta_t), _ = GRID[1]
-    data, test_x = grid_data["small_convnet"]
-    with open(data["train"], "rb") as fh:
-        records = fh.read()
-    cut = len(records) // SPLIT_RECORD // 2 * SPLIT_RECORD
-    split_dir = os.path.join(out, "data", "small_convnet-split")
-    os.makedirs(split_dir, exist_ok=True)
-    parts = [os.path.join(split_dir, f"train{i}.bin") for i in range(2)]
-    for path, chunk in zip(parts, (records[:cut], records[cut:])):
-        with open(path, "wb") as fh:
-            fh.write(chunk)
     method, sparsity, _ = RESUME_RUN
-    grid_run = f"small_convnet-{method}-s{round(sparsity * 100)}"
-    run_dir = os.path.join(out, "runs", f"{grid_run}-split2")
-    _train_and_digest(f"{grid_run}-split2",
-                      blobs.run_config({**data, "train": ",".join(parts)}, model, run_dir, SEED,
-                                       epochs, bs, lr, method, sparsity, delta_t),
-                      run_dir, test_x)
-    if (_sha256_ckpt_body(os.path.join(run_dir, "final.ckpt"))
-            != _sha256_ckpt_body(os.path.join(out, "runs", grid_run, "final.ckpt"))):
-        print(f"{grid_run} trained on its records split across two files differs from the "
-              f"run on one file", file=sys.stderr)
-        return 1
+    for model, _, _, (epochs, bs, lr, delta_t), _ in (GRID[1], GRID[0]):
+        kind = model.split(":")[0]
+        data, test_x = grid_data[kind]
+        grid_run = f"{kind}-{method}-s{round(sparsity * 100)}"
+        run_dir = os.path.join(out, "runs", f"{grid_run}-split2")
+        split_data = _cut_in_two(data, os.path.join(out, "data", f"{kind}-split"))
+        _train_and_digest(f"{grid_run}-split2",
+                          blobs.run_config(split_data, model, run_dir, SEED, epochs, bs, lr,
+                                           method, sparsity, delta_t),
+                          run_dir, test_x)
+        if (_sha256_ckpt_body(os.path.join(run_dir, "final.ckpt"))
+                != _sha256_ckpt_body(os.path.join(out, "runs", grid_run, "final.ckpt"))):
+            print(f"{grid_run} trained on its training set split across two files differs "
+                  f"from the run on one file", file=sys.stderr)
+            return 1
     return 0
 
 

@@ -207,6 +207,11 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     for p in filter(None, (*train_images, test_images[0], *train_labels, test_labels)):
         if not os.path.exists(p):
             raise ConfigError(f"referenced path does not exist: {p}")
+    for key, images, labels in (("train_labels", train_images, train_labels),
+                                ("test_labels", test_images, (test_labels,))):
+        if fmt == "idx" and None in labels:
+            raise ConfigError(f"[data] {key}: no labels file for {images[labels.index(None)]}; "
+                              f"name one, or put one beside it named with 'labels' for 'images'")
 
     classes = _typed("data", "classes", _get(cp, "data", "classes", "10"), int)
 

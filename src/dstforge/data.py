@@ -1,23 +1,25 @@
 """Dataset ingestion and persistence in the canonical public binary formats.
 
-This module alone knows the two file layouts. IDX files (big-endian magic
-0x00000803 for images, 0x00000801 for labels) hold 1-channel images;
+This module alone knows the two file layouts. IDX files hold 1-channel
+images as blocks, each a big-endian header (magic 0x00000803 for images,
+0x00000801 for labels) and the bytes its sizes count (`_idx_header`);
 CIFAR-style records (1 label byte + 3072 pixel bytes) hold 3x32x32 ones.
 Persisted sets take the layout their image shape fits: 1-channel sets as a
 single file holding the IDX images block followed by the labels block,
 3x32x32 sets as plain record files.
 
-An `ImageSet` holds float32 pixels, which is what corruption, spectral code
-and scoring take. A training run holds its splits as the files' own bytes
-instead (`load_split`), a quarter of the floats' size, and converts each
-batch with `_unit_floats` when it needs it; that one conversion builds every
-float pixel either way, so both give the same bytes.
+Every loader reads through `_read_split`, which reads each file's body
+straight into its rows of the split's one uint8 array. A run keeps those
+bytes (`load_split`) and converts each batch with `_unit_floats`; an
+`ImageSet` (for corruption, spectral code and scoring) holds the float32
+pixels of that same conversion, so both give the same bytes.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import os
 import struct
 from dataclasses import dataclass
@@ -52,80 +54,127 @@ class ImageSet:
         return self.images.shape[0]
 
 
-def _read_file(path) -> bytes:
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except FileNotFoundError:
-        raise DataError(f"dataset file not found: {path}") from None
-    except OSError as e:
-        raise DataError(f"cannot read {path}: {e.strerror}") from None
+class _DataFile(io.BufferedReader):
+    """A dataset file opened once and read front to back into arrays, which
+    it keeps, so `digest` names the file's bytes without a second read."""
+
+    def __init__(self, path):
+        try:
+            super().__init__(open(path, "rb").detach())  # its raw file, buffered here
+        except FileNotFoundError:
+            raise DataError(f"dataset file not found: {path}") from None
+        except OSError as e:
+            raise DataError(f"cannot read {path}: {e.strerror}") from None
+        self.size, self.parts = os.fstat(self.fileno()).st_size, []
+
+    def fill(self, out: np.ndarray, what: str | None = None) -> int:
+        """Read `out` from the file's position; the count of bytes read. A
+        block body of `what` bytes that the file cuts short is a DataError."""
+        start, got = self.tell(), self.readinto(out)
+        if what and got < out.nbytes:
+            raise DataError(f"{self.name}: expected {out.nbytes} {what} bytes at offset {start}, "
+                            f"found {got}")
+        self.parts.append(out)
+        return got
+
+    def digest(self) -> str:
+        """SHA-256 of the file: the bytes read, then the rest of it."""
+        h = hashlib.sha256()
+        for part in self.parts:
+            h.update(part)
+        while chunk := self.read1():
+            h.update(chunk)
+        return h.hexdigest()
 
 
 def sha256_file(path) -> str:
-    """SHA-256 hex digest of a file's content, read 1 MiB at a time."""
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            h.update(chunk)
-    return h.hexdigest()
+    """SHA-256 hex digest of a file's content."""
+    with _DataFile(path) as f:
+        return f.digest()
 
 
-def _idx_images_header(buf: bytes, path, offset: int = 0) -> tuple[int, int, int]:
-    if len(buf) - offset < 16:
-        raise DataError(f"{path}: truncated IDX header, {len(buf) - offset} bytes at offset {offset}")
-    magic, n, h, w = struct.unpack_from(">IIII", buf, offset)
-    if magic != IDX_IMAGES_MAGIC:
-        raise DataError(f"{path}: bad IDX image magic 0x{magic:08x} at offset {offset}, "
-                        f"expected 0x{IDX_IMAGES_MAGIC:08x}")
-    return n, h, w
+def _idx_header(f: _DataFile, kind: str) -> list[int]:
+    """The sizes in the header of the IDX `kind` ("image" | "label") block
+    at `f`'s position, which its body follows: [n, h, w] or [n], as many as
+    the magic's last byte counts."""
+    magic = IDX_IMAGES_MAGIC if kind == "image" else IDX_LABELS_MAGIC
+    head, offset = np.empty(1 + (magic & 0xFF), ">u4"), f.tell()
+    if (got := f.fill(head)) < head.nbytes:
+        raise DataError(f"{f.name}: truncated IDX header, {got} bytes at offset {offset}")
+    found, *sizes = head.tolist()
+    if found != magic:
+        raise DataError(f"{f.name}: bad IDX {kind} magic 0x{found:08x} at offset {offset}, "
+                        f"expected 0x{magic:08x}")
+    return sizes
 
 
-def _idx_images_from(buf: bytes, path, offset: int = 0) -> tuple[np.ndarray, int]:
-    n, h, w = _idx_images_header(buf, path, offset)
-    need = n * h * w
-    start = offset + 16
-    if len(buf) - start < need:
-        raise DataError(f"{path}: expected {need} image bytes at offset {start}, "
-                        f"found {len(buf) - start}")
-    data = np.frombuffer(buf, dtype=np.uint8, count=need, offset=start).reshape(n, h, w)
-    return data, start + need
-
-
-def _idx_labels_from(buf: bytes, path, offset: int = 0) -> tuple[np.ndarray, int]:
-    if len(buf) - offset < 8:
-        raise DataError(f"{path}: truncated IDX header, {len(buf) - offset} bytes at offset {offset}")
-    magic, n = struct.unpack_from(">II", buf, offset)
-    if magic != IDX_LABELS_MAGIC:
-        raise DataError(f"{path}: bad IDX label magic 0x{magic:08x} at offset {offset}, "
-                        f"expected 0x{IDX_LABELS_MAGIC:08x}")
-    start = offset + 8
-    if len(buf) - start < n:
-        raise DataError(f"{path}: expected {n} label bytes at offset {start}, "
-                        f"found {len(buf) - start}")
-    return np.frombuffer(buf, dtype=np.uint8, count=n, offset=start), start + n
-
-
-def _check_labels(labels: np.ndarray, classes: int, path):
-    if labels.size and int(labels.max()) >= classes:
-        bad = int(np.argmax(labels >= classes))
-        raise DataError(f"{path}: label {int(labels[bad])} outside [0, {classes}) at record {bad}")
-
-
-def _cifar_records(size: int, path) -> int:
-    if size == 0 or size % CIFAR_RECORD:
-        raise DataError(f"{path}: size {size} is not a multiple of {CIFAR_RECORD}-byte records")
-    return size // CIFAR_RECORD
+def _images_header(fmt: str, f: _DataFile) -> tuple[int, tuple[int, int, int]]:
+    """Image count and (c, h, w) of the `fmt` images file `f`, from its IDX
+    header or its size in CIFAR records."""
+    if fmt == "idx":
+        n, h, w = _idx_header(f, "image")
+        return n, (1, h, w)
+    if f.size == 0 or f.size % CIFAR_RECORD:
+        raise DataError(f"{f.name}: size {f.size} is not a multiple of {CIFAR_RECORD}-byte records")
+    return f.size // CIFAR_RECORD, (3, 32, 32)
 
 
 def image_file_shape(path, fmt: str) -> tuple[int, tuple[int, int, int]]:
     """Image count and (c, h, w) of one `fmt` ("idx" | "cifar") images file,
     read from its IDX header or its size alone, under the loaders' checks."""
+    with _DataFile(path) as f:
+        return _images_header(fmt, f)
+
+
+def _read_rows(fmt: str, files: list[_DataFile], n: int, rows: list[np.ndarray]):
+    """Read one file pair's `n` images, after its images header, into `rows`:
+    CIFAR records, or IDX pixels and labels (whose file may be the images')."""
+    files[0].fill(rows[0], "record" if fmt == "cifar" else "image")
     if fmt == "idx":
-        with open(path, "rb") as fh:
-            n, h, w = _idx_images_header(fh.read(16), path)
-        return n, (1, h, w)
-    return _cifar_records(os.path.getsize(path), path), (3, 32, 32)
+        (m,) = _idx_header(files[1], "label")
+        if m != n:
+            raise DataError(f"{files[0].name}: {n} images but {m} labels")
+        files[1].fill(rows[1], "label")
+
+
+def _read_split(fmt: str, pairs: list, heads: list, classes: int | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """uint8 pixels (n, c, h, w) and int64 labels of the open file `pairs`,
+    whose images headers are `heads`, read in order into one array. Each
+    pair's labels are checked against `classes` unless it is None."""
+    (_, shape), n = heads[0], sum(k for k, _ in heads)
+    if any(s != shape for _, s in heads):
+        raise DataError(f"{pairs[0][0].name}: the split's files hold images of shapes "
+                        f"{[s for _, s in heads]}")
+    if fmt == "cifar":
+        rec = np.empty((n, CIFAR_RECORD), np.uint8)
+        arrays, pixels, labels = (rec,), rec[:, 1:].reshape(n, *shape), rec[:, 0]
+    else:
+        arrays = pixels, labels = np.empty((n, *shape), np.uint8), np.empty(n, np.uint8)
+    at = 0
+    for files, (k, _) in zip(pairs, heads):
+        _read_rows(fmt, files, k, [a[at:at + k] for a in arrays])
+        if classes is not None and (outside := labels[at:at + k] >= classes).any():
+            bad = int(np.argmax(outside))
+            raise DataError(f"{files[-1].name}: label {int(labels[at + bad])} outside "
+                            f"[0, {classes}) at record {bad}")
+        at += k
+    return pixels, labels.astype(np.int64)
+
+
+def load_split(fmt: str, images_paths, labels_paths, classes: int,
+               digests: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """One split of a run's data as uint8 pixels (n, c, h, w) and int64
+    labels: the `fmt` ("idx" | "cifar") files in order, IDX images paired
+    with `labels_paths`, each label checked against `classes`. `digests`,
+    when given, gets each path's SHA-256 of the bytes read."""
+    pairs = zip(images_paths, labels_paths, strict=True) if fmt == "idx" else zip(images_paths)
+    with contextlib.ExitStack() as stack:
+        files = [[stack.enter_context(_DataFile(p)) for p in pair] for pair in pairs]
+        split = _read_split(fmt, files, [_images_header(fmt, f[0]) for f in files], classes)
+        if digests is not None:
+            digests.update((f.name, f.digest()) for pair in files for f in pair)
+    return split
 
 
 def guess_idx_labels_path(images_path: str) -> str | None:
@@ -135,14 +184,6 @@ def guess_idx_labels_path(images_path: str) -> str | None:
     cand = os.path.join(os.path.dirname(images_path),
                         base.replace("images", "labels").replace("idx3", "idx1"))
     return cand if os.path.exists(cand) else None
-
-
-def _idx_arrays(images: np.ndarray, labels: np.ndarray, images_path) -> tuple[np.ndarray, np.ndarray]:
-    """An IDX pair's uint8 pixels (n, 1, h, w), a view of `images`, and int64 labels."""
-    if images.shape[0] != labels.shape[0]:
-        raise DataError(f"{images_path}: {images.shape[0]} images but {labels.shape[0]} labels")
-    n, h, w = images.shape
-    return images.reshape(n, 1, h, w), labels.astype(np.int64)
 
 
 def load_idx(images_path, labels_path, name: str | None = None, classes: int = 10) -> ImageSet:
@@ -155,52 +196,6 @@ def load_cifar_binary(paths: list, name: str | None = None, classes: int = 10) -
     """Load a list of CIFAR batch files, concatenated in list order."""
     pixels, labels = load_split("cifar", paths, (), classes)
     return ImageSet(_unit_floats(pixels), labels, name or _stem(paths[0]))
-
-
-def _cifar_arrays(bufs, paths) -> tuple[np.ndarray, np.ndarray]:
-    """The uint8 pixels (n, 3, 32, 32) and int64 labels of the CIFAR records
-    in `bufs`, the contents of `paths` in order. The pixels of a single file
-    are a view of its buffer; several files' are joined into one array."""
-    chunks, labels = [], []
-    for buf, path in zip(bufs, paths):
-        _cifar_records(len(buf), path)
-        rec = np.frombuffer(buf, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
-        labels.append(rec[:, 0])
-        chunks.append(rec[:, 1:].reshape(-1, 3, 32, 32))
-    pixels = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    return pixels, np.concatenate(labels).astype(np.int64)
-
-
-def load_split(fmt: str, images_paths, labels_paths, classes: int,
-               digests: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """One split of a run's data as uint8 pixels (n, c, h, w) and int64
-    labels: the `fmt` ("idx" | "cifar") files concatenated in order, IDX
-    images paired with `labels_paths`, each label checked against `classes`.
-    A single file's pixels are a view of the bytes read, and no float copy
-    is made: `_unit_floats` converts a batch of them when one is needed.
-    Each file is read once; `digests`, when given, gets each path's SHA-256
-    of the bytes parsed, so a run names exactly the bytes it trained on."""
-    def read(path) -> bytes:
-        buf = _read_file(path)
-        if digests is not None:
-            digests[path] = hashlib.sha256(buf).hexdigest()
-        return buf
-
-    if fmt == "cifar":
-        pixels, labels = _cifar_arrays(map(read, images_paths), images_paths)
-        _check_labels(labels, classes, images_paths[0])
-        return pixels, labels
-    parts = []
-    for images_path, labels_path in zip(images_paths, labels_paths, strict=True):
-        images, _ = _idx_images_from(read(images_path), images_path)
-        labels, _ = _idx_labels_from(read(labels_path), labels_path)
-        pixels, labels = _idx_arrays(images, labels, images_path)
-        _check_labels(labels, classes, labels_path)
-        parts.append((pixels, labels))
-    if len(parts) == 1:
-        return parts[0]
-    pixels, labels = zip(*parts)
-    return np.concatenate(pixels), np.concatenate(labels)
 
 
 def _stem(path) -> str:
@@ -271,23 +266,21 @@ def load_image_set(path) -> ImageSet:
     labels from the file beside it, found by `guess_idx_labels_path`. Labels
     are not checked against a class count here: the model that scores the
     set does that (`metrics.batched_accuracy`)."""
-    buf = _read_file(path)
-    if len(buf) >= 4 and struct.unpack_from(">I", buf)[0] == IDX_IMAGES_MAGIC:
-        images, off = _idx_images_from(buf, path)
-        labels_path = path
-        if off == len(buf):  # a raw images file
+    with contextlib.ExitStack() as stack:
+        f = stack.enter_context(_DataFile(path))
+        fmt = "idx" if f.peek(4)[:4] == IDX_IMAGES_MAGIC.to_bytes(4, "big") else "cifar"
+        if fmt == "cifar" and (f.size == 0 or f.size % CIFAR_RECORD):
+            raise DataError(f"{path}: neither an IDX block (magic at offset 0) nor whole "
+                            f"{CIFAR_RECORD}-byte CIFAR records (size {f.size})")
+        head = n, (_, h, w) = _images_header(fmt, f)
+        files = [f] if fmt == "cifar" else [f, f]
+        if fmt == "idx" and f.size == f.tell() + n * h * w:  # a raw images file
             labels_path = guess_idx_labels_path(str(path))
             if labels_path is None:
                 raise DataError(f"{path}: cannot infer labels file; it is found beside the "
                                 f"images file, named with 'labels' for 'images'")
-            buf, off = _read_file(labels_path), 0
-        labels, _ = _idx_labels_from(buf, labels_path, off)
-        pixels, labels = _idx_arrays(images, labels, path)
-    elif len(buf) and len(buf) % CIFAR_RECORD == 0:
-        pixels, labels = _cifar_arrays([buf], [path])
-    else:
-        raise DataError(f"{path}: neither an IDX block (magic at offset 0) nor whole "
-                        f"{CIFAR_RECORD}-byte CIFAR records (size {len(buf)})")
+            files[1] = stack.enter_context(_DataFile(labels_path))
+        pixels, labels = _read_split(fmt, [files], [head])
     return ImageSet(_unit_floats(pixels), labels, _stem(path))
 
 

@@ -10,6 +10,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import dstforge.data
 from dstforge.cli import main as cli_main
@@ -21,6 +22,16 @@ from dstforge.sparsity import LayerBudget, SparsityAllocation, TopologyMask
 from dstforge.study import find_idx_dataset
 from dstforge.tensor import Parameter, backward, softmax_cross_entropy
 from dstforge.train import run_train
+
+# Every Hypothesis test sets its own max_examples but the config-space
+# properties of test_config.py, which take theirs from the loaded profile:
+# "config-space", loaded here, keeps Tier-1 short, and
+# `pytest --hypothesis-profile=config-space-long tests/test_config.py` draws
+# 25 times as many configs.
+settings.register_profile("config-space", settings.default, max_examples=80, deadline=None)
+settings.register_profile("config-space-long", settings.default, max_examples=2000,
+                          deadline=None)
+settings.load_profile("config-space")
 
 SIDE = 12
 N_TRAIN = 1500
@@ -48,6 +59,20 @@ def write_idx_pair(dir_path: str, prefix: str, imgs: np.ndarray, labels: np.ndar
     with open(os.path.join(dir_path, f"{prefix}-labels-idx1-ubyte"), "wb") as fh:
         fh.write(struct.pack(">II", 0x801, n))
         fh.write(labels.tobytes())
+
+
+def color_blobs(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """`make_blob_set` at 32x32, each image in all three channels."""
+    imgs, labels = make_blob_set(n, seed=seed, side=32)
+    return np.repeat(imgs[:, None], 3, axis=1), labels
+
+
+def write_cifar(path: str, imgs: np.ndarray, labels: np.ndarray) -> str:
+    """CIFAR records of float images (n, 3, 32, 32) in [0, 1]."""
+    q = np.rint(imgs * 255).astype(np.uint8).reshape(len(labels), -1)
+    with open(path, "wb") as fh:
+        fh.write(np.concatenate([labels.astype(np.uint8)[:, None], q], axis=1).tobytes())
+    return path
 
 
 def run_cli(capsys, *argv):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -94,6 +95,25 @@ def test_train_empty_test_set_exits_2_before_writing(idx_dir, tmp_path, capsys):
     code, stdout, err = run_cli(capsys, "train", cfg_path)
     assert code == 2
     assert stdout == "" and err.startswith(f"config error: [data] test {empty} holds no images")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("split, prefix", [("train", "train"), ("test", "t10k")])
+def test_train_idx_split_without_a_labels_file_exits_2_before_writing(
+        idx_dir, tmp_path, capsys, split, prefix):
+    # `<split>.idx` has no 'images' in its name, so no labels file is found
+    # beside it, and the config names none
+    out, images = tmp_path / "o", tmp_path / f"{split}.idx"
+    shutil.copy(f"{idx_dir}/{prefix}-images-idx3-ubyte", images)
+    text = "\n".join(f"{split} = {images}" if line.startswith(f"{split} = ") else line
+                     for line in toy_config(idx_dir, str(out)).splitlines()
+                     if not line.startswith(f"{split}_labels"))
+    cfg_path = str(tmp_path / "run.ini")
+    with open(cfg_path, "w") as fh:
+        fh.write(text)
+    code, stdout, err = run_cli(capsys, "train", cfg_path)
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"config error: [data] {split}_labels: no labels file for {images};")
     assert not out.exists()
 
 

@@ -4,13 +4,15 @@ import os
 import re
 import shutil
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
+from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_blob_set, toy_config, write_idx_pair
+from conftest import color_blobs, make_blob_set, toy_config, write_cifar, write_idx_pair
 
 from dstforge.config import _ALLOWED, _DST_FIELDS, ConfigError, load_config, parse_config
 from dstforge.schedulers import METHODS, DstConfig
@@ -389,13 +391,20 @@ def test_a_refused_method_or_sparsity_is_named_by_its_key(idx_dir, tmp_path, met
         parse_config(text)
 
 
-# The config space: every key of config._ALLOWED over a 12x12 blob task of
-# 120 training images. A key takes one of its valid values, or is left out;
-# at most one key takes a value the parser must refuse.
+# The config space: every key of config._ALLOWED over a blob task of 120
+# training and 40 test images in one of four layouts: 12x12 IDX pairs or
+# 3x32x32 CIFAR records, with the training images in one file or two. A key
+# takes one of its valid values, or is left out; at most one key takes a value
+# the parser must refuse. The hypothesis profile sets how many configs each
+# property draws (see conftest.py).
 _N_TRAIN = 120
-_LAYERS = {"mlp:144-16-10": ("fc1", "fc2"), "mlp:144-8-8-10": ("fc1", "fc2", "fc3"),
-           "mlp:144-1-10": ("fc1", "fc2"),  # too small for ERK
-           "small_convnet:1x12x12-10": ("conv1", "conv2", "fc1", "fc2")}
+_LAYERS = {
+    "idx": {"mlp:144-16-10": ("fc1", "fc2"), "mlp:144-8-8-10": ("fc1", "fc2", "fc3"),
+            "mlp:144-1-10": ("fc1", "fc2"),  # too small for ERK
+            "small_convnet:1x12x12-10": ("conv1", "conv2", "fc1", "fc2")},
+    "cifar": {"mlp:3072-16-10": ("fc1", "fc2"), "mlp:3072-1-10": ("fc1", "fc2"),
+              "small_convnet:3x32x32-10": ("conv1", "conv2", "fc1", "fc2")},
+}
 _VALID = {
     ("data", "format"): ["idx"],
     ("data", "classes"): ["10"],
@@ -447,11 +456,29 @@ _REFUSED = {
 
 
 @pytest.fixture(scope="module")
-def small_blobs(tmp_path_factory) -> str:
-    d = tmp_path_factory.mktemp("small_blobs")
-    write_idx_pair(str(d), "train", *make_blob_set(_N_TRAIN, seed=1))
-    write_idx_pair(str(d), "t10k", *make_blob_set(40, seed=2))
-    return str(d)
+def small_blobs(tmp_path_factory) -> dict[str, dict[str, str]]:
+    """Layout ("idx", "idx2", "cifar" or "cifar2") -> its [data] paths. The
+    IDX layouts name their labels files too; a config may leave them to be
+    found beside the images."""
+    d = str(tmp_path_factory.mktemp("small_blobs"))
+    write_idx_pair(d, "t10k", *make_blob_set(40, seed=2))
+    cifar_test = write_cifar(f"{d}/test.bin", *color_blobs(40, seed=2))
+    layouts = {}
+    for files, suffix in ((1, ""), (2, "2")):
+        prefixes = [f"train{files}-{i}" for i in range(files)]
+        gray = zip(*(np.array_split(a, files) for a in make_blob_set(_N_TRAIN, seed=1)))
+        color = zip(*(np.array_split(a, files) for a in color_blobs(_N_TRAIN, seed=1)))
+        for prefix, part in zip(prefixes, gray):
+            write_idx_pair(d, prefix, *part)
+        layouts["idx" + suffix] = {
+            "train": ", ".join(f"{d}/{p}-images-idx3-ubyte" for p in prefixes),
+            "train_labels": ", ".join(f"{d}/{p}-labels-idx1-ubyte" for p in prefixes),
+            "test": f"{d}/t10k-images-idx3-ubyte", "test_labels": f"{d}/t10k-labels-idx1-ubyte"}
+        layouts["cifar" + suffix] = {
+            "train": ", ".join(write_cifar(f"{d}/{p}.bin", *part)
+                               for p, part in zip(prefixes, color)),
+            "test": cifar_test}
+    return layouts
 
 
 def _names_a_key(message: str) -> bool:
@@ -461,26 +488,31 @@ def _names_a_key(message: str) -> bool:
 
 
 @st.composite
-def config_texts(draw, data_dir: str, out_dir: str) -> tuple[str, bool]:
-    """Config text and whether the parser must refuse it."""
-    fault = draw(st.none() | st.sampled_from(sorted(_REFUSED)))
-    model = draw(st.sampled_from(sorted(_LAYERS)))
+def config_texts(draw, layouts: dict, out_dir: str, faults: bool = True) -> tuple[str, bool]:
+    """Config text and whether the parser must refuse it; no key takes a
+    refused value unless `faults`."""
+    layout = draw(st.sampled_from(sorted(layouts)))
+    fmt = layout.rstrip("2")
+    valid = {**_VALID, ("data", "format"): [fmt]}
+    refused = {**_REFUSED, ("data", "format"): "cifar" if fmt == "idx" else "idx"}
+    fault = draw(st.none() | st.sampled_from(sorted(refused))) if faults else None
+    model = draw(st.sampled_from(sorted(_LAYERS[fmt])))
     method = draw(st.sampled_from(METHODS))
-    values = {("data", "dataset"): "blobs-idx",
-              ("data", "train"): f"{data_dir}/train-images-idx3-ubyte",
-              ("data", "test"): f"{data_dir}/t10k-images-idx3-ubyte",
+    paths = layouts[layout]
+    values = {("data", "dataset"): f"blobs-{fmt}", ("data", "train"): paths["train"],
+              ("data", "test"): paths["test"],
               ("train", "model"): model, ("train", "epochs"): "1", ("train", "seed"): "0",
               ("dst", "method"): method, ("output", "dir"): f"{out_dir}/run"}
-    if draw(st.booleans()):
-        values["data", "train_labels"] = f"{data_dir}/train-labels-idx1-ubyte"
-        values["data", "test_labels"] = f"{data_dir}/t10k-labels-idx1-ubyte"
+    if "train_labels" in paths and draw(st.booleans()):
+        values["data", "train_labels"] = paths["train_labels"]
+        values["data", "test_labels"] = paths["test_labels"]
     if method != "dense":
         values["dst", "sparsity"] = draw(st.sampled_from(["0.1", "0.5", "0.9"]))
-    overrides = draw(st.lists(st.sampled_from(_LAYERS[model] + ("fc9",)), unique=True,
-                              max_size=3))
+    overrides = draw(st.lists(st.sampled_from(_LAYERS[fmt][model] + (("fc9",) if faults else ())),
+                              unique=True, max_size=3))
     if overrides:
         values["dst", "dense_overrides"] = ", ".join(overrides)
-    for key, choices in _VALID.items():
+    for key, choices in valid.items():
         value = draw(st.none() | st.sampled_from(choices))
         if value is not None:
             values[key] = value
@@ -488,7 +520,7 @@ def config_texts(draw, data_dir: str, out_dir: str) -> tuple[str, bool]:
         values[fault] = f"{out_dir}/taken"
         open(values[fault], "w").close()
     elif fault is not None:
-        values[fault] = _REFUSED[fault]
+        values[fault] = refused[fault]
     text = ""
     for section in _ALLOWED:
         lines = [f"{key} = {value}" for (sec, key), value in values.items() if sec == section]
@@ -503,7 +535,7 @@ def test_the_config_space_covers_every_key():
     assert drawn == {(section, key) for section, keys in _ALLOWED.items() for key in keys}
 
 
-@settings(deadline=None, max_examples=80)
+@settings(deadline=None)  # max_examples from the profile
 @given(data=st.data())
 def test_a_parsed_config_trains_and_a_refusal_names_its_key(small_blobs, tmp_path_factory,
                                                              data):
@@ -520,3 +552,34 @@ def test_a_parsed_config_trains_and_a_refusal_names_its_key(small_blobs, tmp_pat
         path = run_train(cfg)
         assert os.path.basename(path) == "final.ckpt" and os.path.isfile(path)
 
+
+def _files(run_dir: str) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(Path(run_dir).iterdir())}
+
+
+# each example trains three or four times, against once for the property
+# above, so it draws an eighth as many configs to keep Tier-1 short
+@settings(deadline=None, max_examples=max(1, settings.default.max_examples // 8))
+@given(data=st.data())
+def test_a_parsed_config_trains_to_the_same_bytes_again_and_through_a_resume(
+        small_blobs, tmp_path_factory, data):
+    # (b) a second run of a config writes the same bytes in every artifact;
+    # (c) a run stopped after a drawn step and resumed from its checkpoint
+    # writes every artifact of the uninterrupted run, with its bytes
+    with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as out_dir:
+        text, _ = data.draw(config_texts(small_blobs, out_dir, faults=False))
+        try:
+            cfg = parse_config(text)
+        except ConfigError:
+            assume(False)
+        first, again, resumed = (replace(cfg, out_dir=f"{out_dir}/{name}")
+                                 for name in ("first", "again", "resumed"))
+        run_train(first)
+        run_train(again)
+        artifacts = _files(first.out_dir)
+        assert _files(again.out_dir) == artifacts, text
+        if cfg.total_steps > 1:
+            stop = data.draw(st.integers(1, cfg.total_steps - 1), label="stop")
+            run_train(resumed, resume_path=run_train(resumed, stop_after_step=stop))
+            written = _files(resumed.out_dir)  # also holds the checkpoint of the stop
+            assert {name: written.get(name) for name in artifacts} == artifacts, text

@@ -107,33 +107,41 @@ def test_load_cifar_binary(tmp_path):
 
 def write_split(tmp_path, layout: str):
     """(fmt, images paths, labels paths) of a split of random pixels and
-    labels: one IDX pair of 300 28x28 images, or 200 CIFAR records in one
-    file ("cifar") or two ("cifar2")."""
+    labels: 300 28x28 images in one IDX pair ("idx") or two ("idx2"), or 200
+    CIFAR records in one file ("cifar") or two ("cifar2")."""
     r = np.random.default_rng(3)
-    if layout == "idx":
-        n, h = 300, 28
-        images, labels = tmp_path / "s-images-idx3-ubyte", tmp_path / "s-labels-idx1-ubyte"
-        images.write_bytes(struct.pack(">IIII", 0x803, n, h, h)
-                           + r.integers(0, 256, n * h * h, dtype=np.uint8).tobytes())
-        labels.write_bytes(struct.pack(">II", 0x801, n)
-                           + r.integers(0, 10, n, dtype=np.uint8).tobytes())
-        return "idx", [str(images)], [str(labels)]
+    files = 2 if layout.endswith("2") else 1
+    if layout.startswith("idx"):
+        n, h = 300 // files, 28
+        images, labels = [], []
+        for i in range(files):
+            images.append(tmp_path / f"s{i}-images-idx3-ubyte")
+            labels.append(tmp_path / f"s{i}-labels-idx1-ubyte")
+            images[i].write_bytes(struct.pack(">IIII", 0x803, n, h, h)
+                                  + r.integers(0, 256, n * h * h, dtype=np.uint8).tobytes())
+            labels[i].write_bytes(struct.pack(">II", 0x801, n)
+                                  + r.integers(0, 10, n, dtype=np.uint8).tobytes())
+        return "idx", [str(p) for p in images], [str(p) for p in labels]
     rec = r.integers(0, 256, (200, CIFAR_RECORD), dtype=np.uint8)
     rec[:, 0] %= 10
-    parts = np.split(rec, 2 if layout == "cifar2" else 1)
-    paths = [tmp_path / f"part{i}.bin" for i in range(len(parts))]
-    for path, part in zip(paths, parts):
+    paths = [tmp_path / f"part{i}.bin" for i in range(files)]
+    for path, part in zip(paths, np.split(rec, files)):
         path.write_bytes(part.tobytes())
     return "cifar", [str(p) for p in paths], []
 
 
-@pytest.mark.parametrize("layout", ["idx", "cifar", "cifar2"])
+@pytest.mark.parametrize("layout", ["idx", "idx2", "cifar", "cifar2"])
 def test_a_batch_of_split_bytes_converts_to_the_bytes_of_the_float_set(tmp_path, layout):
     # a run converts each batch it gathers; the float sets convert the whole
     # split first: both give the same bytes
     fmt, images, labels = write_split(tmp_path, layout)
     pixels, y = load_split(fmt, images, labels, 10)
-    s = load_idx(images[0], labels[0]) if fmt == "idx" else load_cifar_binary(images)
+    if fmt == "idx":
+        sets = [load_idx(*pair) for pair in zip(images, labels)]
+        s = ImageSet(np.concatenate([p.images for p in sets]),
+                     np.concatenate([p.labels for p in sets]))
+    else:
+        s = load_cifar_binary(images)
     assert pixels.dtype == np.uint8 and pixels.shape == s.images.shape
     assert y.dtype == np.int64 and y.tobytes() == s.labels.tobytes()
     assert _unit_floats(pixels).tobytes() == s.images.tobytes()
@@ -141,10 +149,11 @@ def test_a_batch_of_split_bytes_converts_to_the_bytes_of_the_float_set(tmp_path,
     assert _unit_floats(pixels[idx]).tobytes() == _unit_floats(pixels)[idx].tobytes()
 
 
-@pytest.mark.parametrize("layout", ["idx", "cifar"])
+@pytest.mark.parametrize("layout", ["idx", "idx2", "cifar", "cifar2"])
 def test_loading_a_split_holds_its_file_bytes_once(tmp_path, layout):
-    # the pixels are a view of the bytes read, and no float copy (4x the
-    # file) is made: the load peaks near the file's size
+    # each file is read straight into the split's one uint8 array: no float
+    # copy (4x the files), and no per-file buffers beside it, so the load
+    # peaks near the files' size however many there are
     fmt, images, labels = write_split(tmp_path, layout)
     size = sum(os.path.getsize(p) for p in images + labels)
     tracemalloc.start()
@@ -154,12 +163,12 @@ def test_loading_a_split_holds_its_file_bytes_once(tmp_path, layout):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert not pixels.flags.owndata
+    assert pixels.dtype == np.uint8
     assert peak < 1.5 * size
 
 
 def test_a_split_names_the_sha256_of_each_file_it_read(tmp_path):
-    fmt, images, labels = write_split(tmp_path, "idx")
+    fmt, images, labels = write_split(tmp_path, "idx2")
     digests = {}
     load_split(fmt, images, labels, 10, digests)
     assert digests == {p: dstforge.data.sha256_file(p) for p in images + labels}

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import make_blob_set, toy_config, write_idx_pair
+from conftest import color_blobs, make_blob_set, toy_config, write_cifar, write_idx_pair
 
 import dstforge.data
 import dstforge.train
@@ -366,19 +366,24 @@ def test_load_train_test_shapes(set_run):
         assert y.tobytes() == s.labels.tobytes()
 
 
+def split_idx_config(idx_dir: str, d: str, parts: list) -> str:
+    """A one-epoch `toy_config` training on `parts`, (images, labels) pairs
+    written as IDX pairs `split<i>` into `d`."""
+    for i, (imgs, labels) in enumerate(parts):
+        write_idx_pair(d, f"split{i}", imgs, labels)
+    names = range(len(parts))
+    text = toy_config(idx_dir, f"{d}/run", epochs=1)
+    text = text.replace(f"train = {idx_dir}/train-images-idx3-ubyte", "train = " + ", ".join(
+        f"{d}/split{i}-images-idx3-ubyte" for i in names))
+    return text.replace(f"train_labels = {idx_dir}/train-labels-idx1-ubyte", "train_labels = "
+                        + ",".join(f"{d}/split{i}-labels-idx1-ubyte" for i in names))
+
+
 def test_split_idx_training_files_concatenate_and_train(idx_dir, tmp_path):
     # `[data] train = a,b` with IDX files: both files load, in config order,
     # and the run trains through every step the config counted
-    d = str(tmp_path)
     parts = [make_blob_set(300, seed=10 + i) for i in range(2)]
-    for i, (imgs, labels) in enumerate(parts):
-        write_idx_pair(d, f"split{i}", imgs, labels)
-    text = toy_config(idx_dir, str(tmp_path / "run"), epochs=1)
-    text = text.replace(f"train = {idx_dir}/train-images-idx3-ubyte",
-                        f"train = {d}/split0-images-idx3-ubyte, {d}/split1-images-idx3-ubyte")
-    text = text.replace(f"train_labels = {idx_dir}/train-labels-idx1-ubyte",
-                        f"train_labels = {d}/split0-labels-idx1-ubyte,{d}/split1-labels-idx1-ubyte")
-    cfg = parse_config(text)
+    cfg = parse_config(split_idx_config(idx_dir, str(tmp_path), parts))
     assert cfg.n_train == 600 and cfg.steps_per_epoch == 12
     (x, y), _ = load_train_test(cfg)
     assert x.shape == (600, 1, 12, 12) and x.dtype == np.uint8
@@ -387,14 +392,6 @@ def test_split_idx_training_files_concatenate_and_train(idx_dir, tmp_path):
     ckpt = run_train(cfg)
     assert load_checkpoint(ckpt).step == 12
     assert len(read_metrics(cfg.out_dir)) == 1
-
-
-def write_cifar(path: str, imgs: np.ndarray, labels: np.ndarray) -> str:
-    """CIFAR records of float images (n, 3, 32, 32) in [0, 1]."""
-    q = np.rint(imgs * 255).astype(np.uint8).reshape(len(labels), -1)
-    with open(path, "wb") as fh:
-        fh.write(np.concatenate([labels.astype(np.uint8)[:, None], q], axis=1).tobytes())
-    return path
 
 
 def cifar_config(train: str, test: str, out_dir: str) -> str:
@@ -422,11 +419,6 @@ dir = {out_dir}
 """
 
 
-def color_blobs(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    imgs, labels = make_blob_set(n, seed=seed, side=32)
-    return np.repeat(imgs[:, None], 3, axis=1), labels
-
-
 def test_split_cifar_training_files_concatenate_and_train(tmp_path):
     # `[data] train = a.bin,b.bin`: the run trains through every step the
     # config counted, on the records of both files in order, to the bytes of
@@ -452,11 +444,14 @@ def test_split_cifar_training_files_concatenate_and_train(tmp_path):
     assert read_metrics(split_cfg.out_dir) == read_metrics(whole_cfg.out_dir)
 
 
-@pytest.mark.parametrize("layout", ["idx", "cifar2"])
+@pytest.mark.parametrize("layout", ["idx", "idx2", "cifar2"])
 def test_a_run_opens_each_data_file_once_and_its_digest_names_their_bytes(
         idx_dir, tmp_path, monkeypatch, layout):
     if layout == "idx":
         cfg = parse_config(toy_config(idx_dir, str(tmp_path / "run"), epochs=1))
+    elif layout == "idx2":
+        parts = [make_blob_set(100, seed=40 + i) for i in range(2)]
+        cfg = parse_config(split_idx_config(idx_dir, str(tmp_path), parts))
     else:
         d = str(tmp_path)
         parts = [write_cifar(f"{d}/part{i}.bin", *color_blobs(10, seed=30 + i)) for i in range(2)]
@@ -474,7 +469,7 @@ def test_a_run_opens_each_data_file_once_and_its_digest_names_their_bytes(
     monkeypatch.setattr("builtins.open", counting_open)
     ckpt = run_train(cfg)
     monkeypatch.undo()
-    assert len(data_paths) == (4 if layout == "idx" else 3)
+    assert len(data_paths) == {"idx": 4, "idx2": 6, "cifar2": 3}[layout]
     assert {p: opened.count(p) for p in data_paths} == dict.fromkeys(data_paths, 1)
     assert load_checkpoint(ckpt).run_digest == cfg.digest()
 
