@@ -62,7 +62,10 @@ train0.bin,train1.bin`) and prints the seven lines of a grid run as
 `small_convnet-rigl-s50-split2`, then the MLP's on its training images cut
 into two IDX pairs, as `mlp-rigl-s50-split2`; each `final.ckpt-body` must
 equal its grid run's, or the script exits 1 (the header differs: the run
-digest names other files). Run it on two
+digest names other files). Last, the convnet's rigl run at sparsity 0.5
+is trained again at batch 18, which is no multiple of the conv layers'
+chunk of images, and prints the seven lines of a grid run as
+`small_convnet-rigl-s50-bs18`. Run it on two
 checkouts and diff the outputs: a change that keeps every byte prints the
 same lines.
 BLAS runs on one thread, since float sums (and so the MLP artifacts) change
@@ -112,6 +115,9 @@ COLOR_GRID_SIZE = 200
 ATTENUATE_RADII = "0,2,4,8,14"
 INSPECT_LAYERS = {"mlp": "fc1", "small_convnet": "conv2"}  # model kind -> --layer
 INSPECT_RUNS = ("dense-s0", "set-s50")
+# name, method, sparsity and batch size of the last convnet run: a batch that
+# is no multiple of tensor.CONV_CHUNK, so every step's last conv chunk is ragged
+RAGGED_RUN = ("small_convnet-rigl-s50-bs18", "rigl", 0.5, 18)
 SPLIT_RECORD = 3073  # bytes of one CIFAR record: the split-file run cuts between records
 
 
@@ -384,6 +390,13 @@ def main() -> int:
             print(f"{grid_run} trained on its training set split across two files differs "
                   f"from the run on one file", file=sys.stderr)
             return 1
+
+    model, _, _, (epochs, _, lr, delta_t), _ = GRID[1]
+    (data, test_x), (name, method, sparsity, bs) = grid_data["small_convnet"], RAGGED_RUN
+    run_dir = os.path.join(out, "runs", name)
+    _train_and_digest(name, blobs.run_config(data, model, run_dir, SEED, epochs, bs, lr,
+                                             method, sparsity, delta_t),
+                      run_dir, test_x)
     return 0
 
 

@@ -60,7 +60,7 @@ class _DataFile(io.BufferedReader):
 
     def __init__(self, path):
         try:
-            super().__init__(open(path, "rb").detach())  # its raw file, buffered here
+            super().__init__(open(path, "rb", buffering=0))  # its raw file, buffered here
         except FileNotFoundError:
             raise DataError(f"dataset file not found: {path}") from None
         except OSError as e:

@@ -14,52 +14,24 @@ each layer's input, and for a conv layer also its pool routes
 (`_pool_routes`), one bool per conv output element, in place of the conv and
 pool outputs, which are freed before the next layer runs. `backward` pops
 that tape from the last layer to the first and writes each weight and bias
-gradient once. It drops each entry as it pops it, so a step's activations
-do not outlive its backward, and only the parameters keep arrays of the
-step. Inference keeps no tape and calls the kernels'
+gradient once. A conv layer's backward runs `CONV_CHUNK` images at a time
+from its pool's gradient to its input, so no array of it is conv-output
+sized. `backward` drops each tape entry as it pops it, so a step's
+activations do not outlive its backward, and only the parameters keep arrays
+of the step. Under glibc's default allocator settings a warm training step
+reuses the heap its first steps grew and takes no page faults
+(`test_train.py` counts them). Inference keeps no tape and calls the kernels'
 arithmetic, `_linear`, `_conv2d` and `_pool_max`, on the layers' arrays, so
 it stays off the entry points the benchmark's tracer counts as training work.
-
-Importing this module sets glibc's allocator policy once (see
-`_keep_freed_memory`): a training step frees and reallocates the same
-multi-MB temporaries every step, and the policy keeps that memory in the
-process instead of handing it back to the kernel and faulting it in again.
 """
 
 from __future__ import annotations
-
-import ctypes
 
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
 
 _FLOAT_DTYPES = (np.float32, np.float64)
-
-# glibc's mallopt parameters (malloc.h)
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-def _keep_freed_memory():
-    """Keep freed memory in the process: blocks below 32 MiB (glibc's largest
-    mmap threshold on 64-bit) come from the heap, not from a fresh mmap, and
-    the heap is not trimmed until 128 MiB of it lies free at the top. A step's
-    temporaries are then reused from the heap, where glibc's defaults unmap
-    them and take a page fault for each page when they come back. RSS then
-    does not drop after large frees until the process exits. Where libc has
-    no `mallopt` this does nothing."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 128 << 20)
-
-
-_keep_freed_memory()
 
 
 def _as_array(data) -> np.ndarray:
@@ -248,38 +220,43 @@ def _linear_backward(x: np.ndarray, w: Parameter, b: Parameter, dy: np.ndarray,
     return dy @ w.data if need_dx else None
 
 
-def _conv2d_backward(x: np.ndarray, w: Parameter, b: Parameter, dy: np.ndarray,
+def _conv2d_backward(x: np.ndarray, w: Parameter, b: Parameter, dy_rows,
                      need_dx: bool) -> np.ndarray | None:
     """Write conv2d_forward's weight and bias gradients; return dx when
-    `need_dx`.
+    `need_dx`. `dy_rows(rows)` gives the conv output's gradient for the
+    images of the slice `rows` (for a whole array `dy`, `dy.__getitem__`).
 
-    Only the input is kept from forward: the im2col columns are rebuilt
-    CONV_CHUNK images at a time (Chen et al., 2016, trade recomputation for
-    memory). dW is one GEMM per image against the columns' transposed view,
-    added image by image in batch order, the order of a sum over the batch
-    axis. dx is each chunk's columns' gradient scattered back by `_col2im`.
-    A chunk's columns are freed after its dW GEMMs, before that gradient is
-    computed, so they are never live next to it or to the next chunk's.
+    The pass runs CONV_CHUNK images at a time and asks for one chunk's
+    gradient at a time, so no array of it but dx spans the batch. Only the
+    input is kept from forward: the chunk's im2col columns are rebuilt (Chen
+    et al., 2016, trade recomputation for memory). dW is one GEMM per image
+    against the columns' transposed view and db one sum per image; each is
+    added image by image in batch order, which gives the bytes of a sum over
+    the batch axis (`test_tensor.py` pins that for db). dx is each chunk's
+    columns' gradient scattered back by `_col2im`. A chunk's columns are
+    freed after its dW GEMMs, before that gradient is computed, so they are
+    never live next to it or to the next chunk's.
     """
     c_out, _, kh, kw = w.data.shape
-    n, _, h, wid = dy.shape
-    dymat = dy.reshape(n, c_out, h * wid)
+    n, _, h, wid = x.shape
     wmat = w.data.reshape(c_out, -1)
-    dw = None
-    dx = np.zeros(x.shape, dtype=np.result_type(wmat, dymat)) if need_dx else None
+    dw = db = None
+    dx = np.zeros(x.shape, dtype=np.result_type(wmat, x)) if need_dx else None
     for s in range(0, n, CONV_CHUNK):
-        dys = dymat[s : s + CONV_CHUNK]
+        dys = dy_rows(slice(s, s + CONV_CHUNK))
+        dys = dys.reshape(len(dys), c_out, h * wid)
         cols = _im2col(x[s : s + CONV_CHUNK], kh, kw)
-        for g in np.matmul(dys, cols.transpose(0, 2, 1)):
+        for gw, gb in zip(np.matmul(dys, cols.transpose(0, 2, 1)), dys.sum(axis=2)):
             if dw is None:
-                dw = g
+                dw, db = gw, gb
             else:
-                dw += g
-        del cols, g  # g views the chunk's dW GEMM output
+                dw += gw
+                db += gb
+        del cols, gw  # gw views the chunk's dW GEMM output
         if dx is not None:
             _col2im(np.matmul(wmat.T, dys), dx[s : s + CONV_CHUNK], kh, kw)
     w.grad = dw.reshape(w.data.shape)
-    b.grad = dy.sum(axis=(0, 2, 3))
+    b.grad = db
     return dx
 
 
@@ -333,8 +310,10 @@ def backward(layers, tape: list, dlogits: np.ndarray):
     `models.Model.forward` filled for that loss.
 
     One pass from the last layer to the first. A linear layer pops its input;
-    a conv layer pops its pool routes and input, scatters the gradient
-    through the pool by the routes, then runs its own. Below every layer but the
+    a conv layer pops its pool routes and input and runs its backward one
+    CONV_CHUNK of images at a time, each chunk from the pool's gradient
+    through that chunk's routes to the conv's input (`_conv2d_backward`), so
+    no conv-output-sized gradient exists. Below every layer but the
     first, the gradient reaching the layer's input passes the relu that made
     that input: it is kept where the input is above zero, which is where the
     relu's own input was, so no pre-activation is kept for it. The first layer
@@ -346,9 +325,11 @@ def backward(layers, tape: list, dlogits: np.ndarray):
     for layer in reversed(layers):
         if layer.kind == "conv":
             routes, x = tape.pop(), tape.pop()
-            dy = _maxpool2x2_backward(routes, dy.reshape(routes.shape[1:]))
-            del routes
-            dy = _conv2d_backward(x, layer.weight, layer.bias, dy, bool(tape))
+            pooled = dy.reshape(routes.shape[1:])
+            dy = _conv2d_backward(
+                x, layer.weight, layer.bias,
+                lambda rows: _maxpool2x2_backward(routes[:, rows], pooled[rows]), bool(tape))
+            del routes, pooled
         else:
             x = tape.pop()
             dy = _linear_backward(x, layer.weight, layer.bias, dy, bool(tape))

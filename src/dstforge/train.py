@@ -73,7 +73,8 @@ def run_train(cfg: RunConfig, resume_path=None, stop_after_step: int | None = No
 
     Per step: forward on masked weights, backward, SGD step, re-mask, then a
     topology update when the schedule fires, which reads the gradients this
-    step's backward left on the weights. `stop_after_step` must lie after the
+    step's backward left on the weights; then the gradients are dropped, so
+    they do not outlive their step. `stop_after_step` must lie after the
     step the run starts from and at most at its last step, which completes
     the run. One JSON line per epoch goes to
     metrics.jsonl (and `echo` when given), which is synced before each
@@ -145,7 +146,6 @@ def run_train(cfg: RunConfig, resume_path=None, stop_after_step: int | None = No
             idx = perm[pos * cfg.batch_size : (pos + 1) * cfg.batch_size]
             x, y = _unit_floats(train_x[idx]), train_y[idx]
 
-            model.zero_grad()
             tape = []
             loss_value, dlogits = softmax_cross_entropy(model.forward(x, tape), y)
             completed = step + 1
@@ -159,6 +159,7 @@ def run_train(cfg: RunConfig, resume_path=None, stop_after_step: int | None = No
                 topology_update(model, mask, alloc, dst, completed, rng)
                 apply_mask(model, mask)
                 trajectory.record(completed, mask.global_density())
+            model.zero_grad()  # the topology update was the last reader
 
             epoch_loss_sum += loss_value
             epoch_loss_count += 1

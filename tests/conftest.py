@@ -102,8 +102,8 @@ class _DiskFull:
 def fail_atomic_writes(monkeypatch, suffix: str):
     """Make `data.atomic_write` fail partway through the first write to any
     temporary file whose path ends with `suffix`."""
-    def failing_open(path, mode="r"):
-        fh = open(path, mode)
+    def failing_open(path, mode="r", buffering=-1):
+        fh = open(path, mode, buffering)
         return _DiskFull(fh) if path.endswith(suffix) else fh
 
     monkeypatch.setattr(dstforge.data, "open", failing_open, raising=False)

@@ -257,7 +257,7 @@ def test_chunked_conv_matches_the_whole_batch_arithmetic_bytewise(ph, pw):
     y = conv2d_forward(x, wt, b)
     assert y.shape == (n, c_out, h, w)
     dy = rng.standard_normal(y.shape).astype(np.float32)
-    dx = _conv2d_backward(x, wt, b, dy, True)
+    dx = _conv2d_backward(x, wt, b, dy.__getitem__, True)
 
     cols = dstforge.tensor._im2col(x, kh, kw)
     wmat = wt.data.reshape(c_out, -1)
@@ -286,7 +286,7 @@ def test_conv_backward_allocates_less_than_the_full_batch_columns():
     dy = rng.standard_normal(y.shape).astype(np.float32)
     tracemalloc.start()
     try:
-        dx = _conv2d_backward(x, w, b, dy, True)
+        dx = _conv2d_backward(x, w, b, dy.__getitem__, True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -359,19 +359,21 @@ def test_a_convnet_tape_holds_no_conv_output():
 
 def test_backward_keeps_only_the_leaf_gradients():
     # backward empties the tape and lets go of each activation once its
-    # layer is done: by conv1's turn nothing above it is alive. Afterwards
-    # the parameters alone hold arrays of the step, one gradient each
+    # layer is done: by conv1's turn nothing above it is alive, and conv1's
+    # own routes, which its backward reads chunk by chunk, are gone once
+    # backward returns. Afterwards the parameters alone hold arrays of the
+    # step, one gradient each
     model = build_model(parse_model_spec("small_convnet:1x8x8-10"), np.random.default_rng(4))
     x = np.random.default_rng(5).random((3, 1, 8, 8)).astype(np.float32)
     tape = []
     _, dlogits = softmax_cross_entropy(model.forward(x, tape), np.array([0, 4, 9]))
-    held = [weakref.ref(a) for a in tape[1:]]
+    conv1_routes, *above_conv1 = (weakref.ref(a) for a in tape[1:])
     alive_at_conv1 = []
     real_conv2d_backward = dstforge.tensor._conv2d_backward
 
     def spy(x_in, w, *args):
         if w is model.layers[0].weight:
-            alive_at_conv1.append([ref() is not None for ref in held])
+            alive_at_conv1.append([ref() is not None for ref in above_conv1])
         return real_conv2d_backward(x_in, w, *args)
 
     dstforge.tensor._conv2d_backward = spy
@@ -380,12 +382,58 @@ def test_backward_keeps_only_the_leaf_gradients():
     finally:
         dstforge.tensor._conv2d_backward = real_conv2d_backward
     assert tape == []
-    assert alive_at_conv1 == [[False] * len(held)]
+    assert alive_at_conv1 == [[False] * len(above_conv1)]
+    assert conv1_routes() is None
     params = model.parameters()
     for i, p in enumerate(params):
         assert p.grad.shape == p.data.shape and p.grad.dtype == p.data.dtype, p.name
         for q in params[i + 1:]:
             assert not np.shares_memory(p.grad, q.grad), (p.name, q.name)
+
+
+@pytest.mark.parametrize("n", [20, 22])
+def test_backward_expands_each_pool_gradient_one_chunk_at_a_time(n, monkeypatch):
+    # no conv-output-sized gradient exists in backward: each conv layer
+    # takes its pool's gradient through the routes CONV_CHUNK images at a
+    # time, in batch order; at n = 22 the last chunk is ragged
+    model = build_model(parse_model_spec("small_convnet:3x8x8-10"), np.random.default_rng(10))
+    x = np.random.default_rng(11).random((n, 3, 8, 8)).astype(np.float32)
+    expanded = []
+    real_pool_backward = dstforge.tensor._maxpool2x2_backward
+
+    def spy(routes, dy):
+        dx = real_pool_backward(routes, dy)
+        expanded.append(len(dx))
+        return dx
+
+    monkeypatch.setattr(dstforge.tensor, "_maxpool2x2_backward", spy)
+    step_gradients(model, x, np.arange(n) % 10)
+    chunks = [min(CONV_CHUNK, n - s) for s in range(0, n, CONV_CHUNK)]
+    assert expanded == chunks * 2  # conv2, then conv1
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(1, 3, 2, 2), (3, 5, 4, 4), (5, 7, 6, 10), (20, 32, 32, 32),
+                                   (22, 32, 32, 32), (22, 64, 16, 16), (128, 32, 32, 32),
+                                   (128, 64, 16, 16)])
+def test_conv_bias_gradient_is_the_bytes_of_a_sum_over_the_batch(shape, dtype):
+    # the conv backward adds each image's per-channel sum into db in batch
+    # order, chunk by chunk; in numpy's reduction order that gives the bytes
+    # of dy.sum(axis=(0, 2, 3)), where adding per-chunk sums does not for
+    # five of these shapes. dy is three quarters zeros, like a relu'd pool
+    # gradient
+    n, c_out, h, w = shape
+    wt = Parameter(np.ones((c_out, 1, 1, 1), dtype=dtype), name="w")
+    b = Parameter(np.zeros(c_out, dtype=dtype), name="b")
+    x = np.ones((n, 1, h, w), dtype=dtype)
+    for seed in range(4):
+        rng = np.random.default_rng((seed, *shape))
+        dy = rng.standard_normal(shape).astype(dtype)
+        dy[rng.random(shape) < 0.75] = 0
+        _conv2d_backward(x, wt, b, dy.__getitem__, False)
+        want = dy.sum(axis=(0, 2, 3))
+        assert b.grad.dtype == want.dtype
+        assert b.grad.tobytes() == want.tobytes(), seed
 
 
 def test_the_first_conv_layer_computes_no_input_gradient(monkeypatch):
@@ -426,8 +474,8 @@ def _step_by_hand(model, x, labels):
         if i < len(stages) - 1:
             dy = dy.reshape(out.shape) * (out > 0)
         if conv is not None:
-            dy = _conv2d_backward(inp, layer.weight, layer.bias,
-                                  _maxpool2x2_backward(_pool_routes(conv, out), dy), i > 0)
+            dy = _maxpool2x2_backward(_pool_routes(conv, out), dy)  # for the whole batch at once
+            dy = _conv2d_backward(inp, layer.weight, layer.bias, dy.__getitem__, i > 0)
         else:
             dy = _linear_backward(inp, layer.weight, layer.bias, dy, i > 0)
     return {p.name: p.grad for p in model.parameters()}
@@ -502,7 +550,7 @@ def test_conv_gradients_match_finite_differences_over_kernel_shapes(c_in, c_out,
         x, wd, bd, r = _conv_operands(rng, dtype, (2, c_in, h, w), (c_out, c_in, kh, kw),
                                       (c_out,), (2, c_out, h, w))
         wt, b = Parameter(wd, name="w"), Parameter(bd, name="b")
-        dx = _conv2d_backward(x, wt, b, r, True)  # the gradient of sum(y * r)
+        dx = _conv2d_backward(x, wt, b, r.__getitem__, True)  # the gradient of sum(y * r)
 
         def loss():
             return float(np.sum(conv2d_forward(x, wt, b) * r))

@@ -1,6 +1,5 @@
 """Trainer behavior: artifacts, determinism, resume, divergence, evaluation."""
 
-import ctypes
 import json
 import os
 import shutil
@@ -56,8 +55,8 @@ def test_failed_checkpoint_write_leaves_no_final_ckpt(idx_dir, tmp_path, monkeyp
                 raise OSError(28, "No space left on device")
             return self.fh.write(b)
 
-    def failing_open(path, mode="r"):
-        fh = open(path, mode)
+    def failing_open(path, mode="r", buffering=-1):
+        fh = open(path, mode, buffering)
         return DiskFullAfterFirstWrite(fh) if path.endswith("final.ckpt.tmp") else fh
 
     monkeypatch.setattr(dstforge.data, "open", failing_open, raising=False)
@@ -688,22 +687,24 @@ def test_convnet_training_and_predict_bytes_do_not_depend_on_the_thread_count(tm
 
 _STEADY_STATE_FAULTS = """
 import resource
+import sys
 import numpy as np
 from dstforge.models import build_model, parse_model_spec
 from dstforge.optim import sgd_momentum_step
 from dstforge.tensor import backward, softmax_cross_entropy
 
+n = int(sys.argv[1])
 model = build_model(parse_model_spec("small_convnet:3x32x32-10"), np.random.default_rng(0))
 rng = np.random.default_rng(1)
-x = rng.random((20, 3, 32, 32)).astype(np.float32)
-labels = rng.integers(0, 10, 20)
+x = rng.random((n, 3, 32, 32)).astype(np.float32)
+labels = rng.integers(0, 10, n)
 
-def step():
-    model.zero_grad()
+def step():  # run_train's order: the gradients go once the step is done
     tape = []
     _, dlogits = softmax_cross_entropy(model.forward(x, tape), labels)
     backward(model.layers, tape, dlogits)
     sgd_momentum_step(model.parameters(), lr=0.01, momentum=0.9, weight_decay=1e-4)
+    model.zero_grad()
 
 for _ in range(3):
     step()
@@ -714,21 +715,19 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
-def _libc_has_mallopt() -> bool:
-    try:
-        return hasattr(ctypes.CDLL(None), "mallopt")
-    except (OSError, TypeError):
-        return False
-
-
-@pytest.mark.skipif(not _libc_has_mallopt(), reason="libc has no mallopt")
+@pytest.mark.skipif(sys.platform != "linux", reason="counts glibc's page faults on Linux")
 def test_convnet_training_steps_take_no_page_faults_once_warm():
-    """Importing dstforge.tensor keeps freed memory in the process, so once
-    the first steps have grown the heap, a training step reuses it instead of
-    faulting fresh pages in. Run in a fresh process, where the policy is set
-    at import; with glibc's defaults these five steps take thousands of
-    minor faults."""
-    r = subprocess.run([sys.executable, "-c", _STEADY_STATE_FAULTS],
-                       capture_output=True, text=True)
-    assert r.returncode == 0, r.stderr
-    assert int(r.stdout) < 100
+    """Once the first steps have grown the heap, a training step reuses it
+    instead of faulting fresh pages in, under glibc's default allocator
+    settings. The layer code keeps it so: conv backward runs one CONV_CHUNK
+    of images at a time from the pool's gradient on. Each batch size runs in
+    a fresh process. A backward that expands the whole batch's pool gradient
+    at once takes thousands of minor faults in these five steps at each of
+    these batch sizes, the ragged 22 included."""
+    faults = {}
+    for batch in (20, 22, 128):
+        r = subprocess.run([sys.executable, "-c", _STEADY_STATE_FAULTS, str(batch)],
+                           capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        faults[batch] = int(r.stdout)
+    assert all(count < 100 for count in faults.values()), faults
