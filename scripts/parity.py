@@ -1,75 +1,31 @@
 #!/usr/bin/env python
-"""Digests of every artifact of a fixed grid of training runs.
+"""Digests of every artifact of a fixed table of training runs and probes.
 
     python scripts/parity.py SRC_DIR OUT_DIR
 
-Imports dstforge from SRC_DIR (the `src` directory of a checkout) and trains
-all seven methods on the synthetic blob task of perfbench/blobs.py:
-`mlp:784-300-100-10` at sparsity 0.5 and 0.9 and `small_convnet:3x32x32-10`
-at 0.5 (dense once per model), all with ERK allocation, plus one mest_g run
-of the MLP at sparsity 0.1 with uniform allocation and fc1 kept dense, writing
-data and run directories under OUT_DIR. For each run it prints
-`<run> <artifact> <sha256>` for final.ckpt, metrics.jsonl, trajectory.csv and
-cost.json, `<run> final.ckpt-body <sha256>` for the checkpoint bytes after
-its JSON header (weights, momenta and masks, so a change to the header alone
-leaves it equal), and for the dense and sparse `Model.predict` logits on a
-fixed batch of the final checkpoint, loaded for scoring (without its
-momenta) through `train.load_model_from_checkpoint`. It then
-prints `flops-<arch>-<dist>-<method> stdout <sha256>` for the `dstforge flops`
-report of every method on `mlp:784-300-100-10`, `small_convnet:3x32x32-10`
-and the four library archs
-(sparsity 0.5, ERK and uniform, 2 epochs, batch 100, delta_t 50, so every
-schedule has events), which covers the closed-form trajectory, the probe
-accounting and the bn and depthwise rows. Last it runs the
-robustness study (`study.run_study`: dense, set_s50 and rigl_s50, seeds 1 and
-2, 2 epochs, on a 1x28x28 blob IDX set) twice, first from an empty root and
-then on its cached runs and corrupted grid, and prints
-`study-<fresh|cached> <artifact> <sha256>` for study.json, ra_curves.svg and
-the corrupted grid (one digest over the sorted file names and contents).
-Then it renders all 50 (kind, severity) cells of a 3x32x32 blob set with
-`corrupt_images` and prints `grid-3x32x32 <kind>-s<severity> <sha256>` of
-each cell's float32 bytes, and runs `dstforge corrupt` on the same set
-written as CIFAR records, printing `corrupt-3x32x32 files <sha256>` over the
-files it writes and `corrupt-3x32x32 stdout <sha256>` of what it prints. The
-same two lines follow as `corrupt-1x28x28` for `dstforge corrupt` on the MLP
-grid's raw `t10k-images-idx3-ubyte` file, whose labels the command finds by
-name. `attenuate-1x28x28 stdout <sha256>` digests what `dstforge
-attenuate` prints for mlp-dense-s0 on that file, low then high mode, and
-`attenuate-3x32x32 stdout <sha256>` the same for small_convnet-dense-s0 on
-the convnet grid's test set, so the three-channel path is covered too.
-`evaluate-<shape> stdout <sha256>` digests what `dstforge evaluate` prints
-for the dense run over each `dstforge corrupt` directory: the convnet's with
-`--baseline` set to its set_s50 run over `corrupt-3x32x32`, the MLP's alone
-over `corrupt-1x28x28`. Last,
-`inspect-<run> stdout <sha256>` digests what `dstforge inspect --layer`
-prints for the dense and the set_s50 run of each model (layer fc1 of the MLP,
-conv2 of the convnet), which covers the dense run's empty topology and a
-masked one, and `inspect-<run> json|svg <sha256>` the heatmap files that the
-same call writes with `--json` and `--svg`. Last, one rigl run of the MLP at
-sparsity 0.5 with the config's default cosine schedule and no weight decay
-prints the seven lines of a grid run as `mlp-rigl-s50-cosine-wd0`, so the
-cosine branch of `optim.lr_at` and the no-decay branch of
-`optim.sgd_momentum_step` run too. After those 314 lines, which no later
-addition changes, the rigl run at sparsity 0.5 of each model is trained
-again, stopped after step 7 and resumed from that step's checkpoint, and
-`<model>-rigl-s50-resume final.ckpt <sha256>` must equal the grid run's
-`final.ckpt` line; the script exits 1 if it does not. Last, `study-cli
-stdout` and `study-cli study.json` digest what `dstforge study --epochs 1
---seeds 1` prints (OUT_DIR cut from its paths) and writes on the study's
-blob IDX set. Last, the convnet's rigl run at sparsity 0.5 is trained
-again on its training records cut into two CIFAR files (`[data] train =
-train0.bin,train1.bin`) and prints the seven lines of a grid run as
-`small_convnet-rigl-s50-split2`, then the MLP's on its training images cut
-into two IDX pairs, as `mlp-rigl-s50-split2`; each `final.ckpt-body` must
-equal its grid run's, or the script exits 1 (the header differs: the run
-digest names other files). Last, the convnet's rigl run at sparsity 0.5
-is trained again at batch 18, which is no multiple of the conv layers'
-chunk of images, and prints the seven lines of a grid run as
-`small_convnet-rigl-s50-bs18`. Run it on two
-checkouts and diff the outputs: a change that keeps every byte prints the
-same lines.
-BLAS runs on one thread, since float sums (and so the MLP artifacts) change
-with the thread count.
+Imports dstforge from SRC_DIR (the `src` directory of a checkout), writes
+data and run directories under OUT_DIR and prints one `<label> <artifact>
+<sha256>` line per artifact. Run it on two checkouts and diff the outputs: a
+change that keeps every byte prints the same lines.
+
+RUNS is the table of training runs, on the synthetic blob task of
+perfbench/blobs.py with the models of MODELS: each row names the model
+kind, method and sparsity, and may edit lines of the config, cut the
+training set into two files (two CIFAR record files or two IDX pairs), set
+another batch size, or stop after a step and resume from its checkpoint. A
+run prints, under its name, the SHA-256 of final.ckpt, metrics.jsonl,
+trajectory.csv and cost.json, of the checkpoint after its JSON header
+(`final.ckpt-body`), and of the dense and sparse `Model.predict` logits of
+the final checkpoint, loaded for scoring, on the fixed test batch
+(`predict-dense`, `predict-sparse`); a resumed run prints its final.ckpt
+line alone. Then come the probes: the stdout of `dstforge flops` for every
+method on FLOPS_ARCHS, a robustness study run fresh and then cached, every
+cell of `corrupt_images` on a 3x32x32 set, and the stdout and files of
+`dstforge corrupt`, `attenuate`, `evaluate`, `inspect` and `study` (OUT_DIR
+cut from what they print). SAME lists the pairs of lines that must be
+equal; the script exits 1, naming each pair that differs, after printing
+all 339 lines. BLAS runs on one thread, since float sums (and so the MLP
+artifacts) change with the thread count.
 """
 
 from __future__ import annotations
@@ -82,29 +38,75 @@ import os
 import shutil
 import struct
 import sys
-
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-    os.environ[_var] = "1"  # before numpy loads
+from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 METHODS = ("dense", "set", "rigl", "mest_r", "mest_g", "granet_r", "granet_g")
 ARTIFACTS = ("final.ckpt", "metrics.jsonl", "trajectory.csv", "cost.json")
 SEED = 21
-# model, input shape, sparsities, (epochs, bs, lr, delta_t), (n_train, n_test)
-GRID = (
-    ("mlp:784-300-100-10", (1, 28, 28), (0.5, 0.9), (2, 50, 0.1, 4), (600, 200)),
-    ("small_convnet:3x32x32-10", (3, 32, 32), (0.5,), (2, 20, 0.05, 4), (200, 100)),
+# kind -> model spec, input shape, (epochs, bs, lr, delta_t), (n_train, n_test)
+MODELS = {
+    "mlp": ("mlp:784-300-100-10", (1, 28, 28), (2, 50, 0.1, 4), (600, 200)),
+    "small_convnet": ("small_convnet:3x32x32-10", (3, 32, 32), (2, 20, 0.05, 4), (200, 100)),
+}
+
+
+class Run(NamedTuple):
+    kind: str  # a key of MODELS
+    method: str
+    sparsity: float
+    tag: str = ""  # appended to the name
+    edits: tuple = ()  # (old, new) replacements of config lines
+    split: bool = False  # the training set cut into two files
+    bs: int | None = None  # instead of the model's batch size
+    stop: int | None = None  # stop after this step, then resume from its checkpoint
+
+    @property
+    def name(self) -> str:
+        return f"{self.kind}-{self.method}-s{round(self.sparsity * 100)}{self.tag}"
+
+    @property
+    def artifacts(self) -> tuple[str, ...]:
+        if self.stop:
+            return ("final.ckpt",)
+        return (*ARTIFACTS, "final.ckpt-body", "predict-dense", "predict-sparse")
+
+
+def _grid(kind: str, sparsities: tuple[float, ...]) -> tuple[Run, ...]:
+    """Every method at each sparsity, all with ERK allocation; dense once."""
+    return tuple(Run(kind, method, sparsity) for method in METHODS
+                 for sparsity in ((0.0,) if method == "dense" else sparsities))
+
+
+RUNS = (
+    *_grid("mlp", (0.5, 0.9)),
+    Run("mlp", "mest_g", 0.1, "-uniform",
+        edits=(("sparsity_dist = erk\n", "sparsity_dist = uniform\ndense_overrides = fc1\n"),)),
+    *_grid("small_convnet", (0.5,)),
+    # the cosine branch of optim.lr_at and the no-decay branch of optim.sgd_momentum_step
+    Run("mlp", "rigl", 0.5, "-cosine-wd0",
+        edits=(("lrs = step\n", "lrs = cosine\n"), ("wd = 1e-4\n", "wd = 0\n"))),
+    # step 7 is mid-epoch in both models, after the event at step 4
+    Run("mlp", "rigl", 0.5, "-resume", stop=7),
+    Run("small_convnet", "rigl", 0.5, "-resume", stop=7),
+    Run("small_convnet", "rigl", 0.5, "-split2", split=True),
+    Run("mlp", "rigl", 0.5, "-split2", split=True),
+    # no multiple of tensor.CONV_CHUNK, so every step's last conv chunk is ragged
+    Run("small_convnet", "rigl", 0.5, "-bs18", bs=18),
 )
-# method, sparsity, extra [dst] lines of the uniform-allocation MLP run
-UNIFORM_RUN = ("mest_g", 0.1, "sparsity_dist = uniform\ndense_overrides = fc1\n")
-# method, sparsity and the step after which the resumed runs stop: mid-epoch
-# in both models, after the event at step 4
-RESUME_RUN = ("rigl", 0.5, 7)
-# name, method, sparsity and [train] line replacements of the last MLP run
-DEFAULTS_RUN = ("mlp-rigl-s50-cosine-wd0", "rigl", 0.5,
-                (("lrs = step\n", "lrs = cosine\n"), ("wd = 1e-4\n", "wd = 0\n")))
+# Lines that must be equal: a resumed run ends as the uninterrupted one does,
+# and a split training set trains as one file does (the checkpoint headers
+# differ, since the run digest names the files).
+SAME = (
+    (("mlp-rigl-s50-resume", "final.ckpt"), ("mlp-rigl-s50", "final.ckpt")),
+    (("small_convnet-rigl-s50-resume", "final.ckpt"), ("small_convnet-rigl-s50", "final.ckpt")),
+    (("small_convnet-rigl-s50-split2", "final.ckpt-body"), ("small_convnet-rigl-s50", "final.ckpt-body")),
+    (("mlp-rigl-s50-split2", "final.ckpt-body"), ("mlp-rigl-s50", "final.ckpt-body")),
+)
 FLOPS_ARCHS = ("mlp:784-300-100-10", "small_convnet:3x32x32-10", "vgg16-cifar", "resnet34-cifar",
                "efficientnetb0-tiny", "resnet50-imagenet")
+# 2 epochs of batch 100 with an event every 50 steps, so every schedule has events;
+# the sparse methods run at sparsity 0.5
 FLOPS_ARGS = ("--epochs", "2", "--bs", "100", "--delta-t", "50")
 # label, method, sparsity
 STUDY_METHODS = (("dense", "dense", 0.0), ("set_s50", "set", 0.5), ("rigl_s50", "rigl", 0.5))
@@ -115,9 +117,6 @@ COLOR_GRID_SIZE = 200
 ATTENUATE_RADII = "0,2,4,8,14"
 INSPECT_LAYERS = {"mlp": "fc1", "small_convnet": "conv2"}  # model kind -> --layer
 INSPECT_RUNS = ("dense-s0", "set-s50")
-# name, method, sparsity and batch size of the last convnet run: a batch that
-# is no multiple of tensor.CONV_CHUNK, so every step's last conv chunk is ragged
-RAGGED_RUN = ("small_convnet-rigl-s50-bs18", "rigl", 0.5, 18)
 SPLIT_RECORD = 3073  # bytes of one CIFAR record: the split-file run cuts between records
 
 
@@ -145,6 +144,26 @@ def _sha256_dir(path: str) -> str:
     for name in sorted(os.listdir(path)):
         h.update(f"{name} {_sha256_file(os.path.join(path, name))}\n".encode())
     return h.hexdigest()
+
+
+def _write_data(out: str, kind: str):
+    """The [data] keys of model `kind`'s blob set, written under
+    OUT_DIR/data, and its test images."""
+    import blobs
+
+    _, shape, _, (n_train, n_test) = MODELS[kind]
+    data_dir = os.path.join(out, "data", kind)
+    os.makedirs(data_dir, exist_ok=True)
+    train_set = blobs.make_blob_set(n_train, (SEED, 1), shape)
+    test_x, test_y = blobs.make_blob_set(n_test, (SEED, 2), shape)
+    if shape[0] == 1:
+        tr = blobs.write_idx_pair(data_dir, "train", *train_set)
+        te = blobs.write_idx_pair(data_dir, "t10k", test_x, test_y)
+        return {"format": "idx", "train": tr[0], "train_labels": tr[1],
+                "test": te[0], "test_labels": te[1]}, test_x
+    return {"format": "cifar",
+            "train": blobs.write_cifar(os.path.join(data_dir, "train.bin"), *train_set),
+            "test": blobs.write_cifar(os.path.join(data_dir, "test.bin"), test_x, test_y)}, test_x
 
 
 def _cut_in_two(data: dict, split_dir: str) -> dict:
@@ -178,35 +197,57 @@ def _cut_in_two(data: dict, split_dir: str) -> dict:
     return {**data, "train": ",".join(images_paths), "train_labels": ",".join(labels_paths)}
 
 
-def _run_cli(cli_main, argv: list[str]) -> str | None:
-    """What `dstforge <argv>` prints, or None (reported on stderr) when it fails."""
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        status = cli_main(argv)
-    if status != 0:
-        print(f"dstforge {' '.join(argv)} exited {status}", file=sys.stderr)
-        return None
-    return stdout.getvalue()
-
-
-def _train_and_digest(name: str, text: str, run_dir: str, test_x) -> None:
-    """Train the run of config `text` into `run_dir` and print its lines."""
+def _train(run: Run, data: dict, test_x, out: str) -> dict:
+    """Train `run` into OUT_DIR/runs/<name> and print its lines; returns
+    them as {(name, artifact): sha256}."""
+    import blobs
     from dstforge.config import parse_config
     from dstforge.train import load_model_from_checkpoint, run_train
 
+    model, _, (epochs, bs, lr, delta_t), _ = MODELS[run.kind]
+    run_dir = os.path.join(out, "runs", run.name)
+    if run.split:
+        data = _cut_in_two(data, os.path.join(out, "data", f"{run.kind}-split"))
+    text = blobs.run_config(data, model, run_dir, SEED, epochs, run.bs or bs, lr,
+                            run.method, run.sparsity, delta_t)
+    for old, new in run.edits:
+        assert old in text, old
+        text = text.replace(old, new)
+    cfg = parse_config(text)
     shutil.rmtree(run_dir, ignore_errors=True)
-    run_train(parse_config(text))
-    for artifact in ARTIFACTS:
-        print(name, artifact, _sha256_file(os.path.join(run_dir, artifact)))
-    print(name, "final.ckpt-body", _sha256_ckpt_body(os.path.join(run_dir, "final.ckpt")))
-    trained, _ = load_model_from_checkpoint(os.path.join(run_dir, "final.ckpt"))
-    for sparse in (False, True):
-        logits = trained.predict(test_x, sparse=sparse)
-        print(name, "predict-sparse" if sparse else "predict-dense", _sha256_logits(logits))
+    run_train(cfg, resume_path=run_train(cfg, stop_after_step=run.stop) if run.stop else None)
+    ckpt = os.path.join(run_dir, "final.ckpt")
+    digests = {artifact: _sha256_file(os.path.join(run_dir, artifact)) for artifact in ARTIFACTS}
+    digests["final.ckpt-body"] = _sha256_ckpt_body(ckpt)
+    trained, _ = load_model_from_checkpoint(ckpt)
+    digests["predict-dense"] = _sha256_logits(trained.predict(test_x, sparse=False))
+    digests["predict-sparse"] = _sha256_logits(trained.predict(test_x, sparse=True))
+    lines = {(run.name, artifact): digests[artifact] for artifact in run.artifacts}
+    for (name, artifact), digest in lines.items():
+        print(name, artifact, digest)
     sys.stdout.flush()
+    return lines
+
+
+def _probe(out: str, label: str, *argvs: list[str]) -> None:
+    """Print `<label> stdout <sha256>` of what `dstforge <argv>` prints for
+    each argv in turn, OUT_DIR cut from its paths; exit 1 if one fails."""
+    from dstforge.cli import main as cli_main
+
+    stdout = io.StringIO()
+    for argv in argvs:
+        with contextlib.redirect_stdout(stdout):
+            status = cli_main(argv)
+        if status != 0:
+            print(f"dstforge {' '.join(argv)} exited {status}", file=sys.stderr)
+            sys.exit(1)
+    text = stdout.getvalue().replace(out + os.sep, "")
+    print(label, "stdout", hashlib.sha256(text.encode()).hexdigest(), flush=True)
 
 
 def main() -> int:
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        os.environ[var] = "1"  # before numpy loads
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("src_dir", help="directory holding the dstforge package to test")
@@ -217,7 +258,6 @@ def main() -> int:
 
     import blobs
     import dstforge
-    from dstforge.cli import main as cli_main
     from dstforge.corruption import KINDS, SEVERITIES, CorruptionSpec, corrupt_images
     from dstforge.study import StudyMethod, find_idx_dataset, run_study
 
@@ -226,48 +266,20 @@ def main() -> int:
         return 2
 
     out = os.path.abspath(args.out_dir)
-    grid_data = {}  # model kind -> ([data] keys, test images)
-    for model, shape, sparsities, (epochs, bs, lr, delta_t), (n_train, n_test) in GRID:
-        kind = model.split(":")[0]
-        data_dir = os.path.join(out, "data", kind)
-        os.makedirs(data_dir, exist_ok=True)
-        train_set = blobs.make_blob_set(n_train, (SEED, 1), shape)
-        test_x, test_y = blobs.make_blob_set(n_test, (SEED, 2), shape)
-        if shape[0] == 1:
-            tr = blobs.write_idx_pair(data_dir, "train", *train_set)
-            te = blobs.write_idx_pair(data_dir, "t10k", test_x, test_y)
-            data = {"format": "idx", "train": tr[0], "train_labels": tr[1],
-                    "test": te[0], "test_labels": te[1]}
-        else:
-            data = {"format": "cifar",
-                    "train": blobs.write_cifar(os.path.join(data_dir, "train.bin"), *train_set),
-                    "test": blobs.write_cifar(os.path.join(data_dir, "test.bin"), test_x, test_y)}
-        grid_data[kind] = data, test_x
+    data = {kind: _write_data(out, kind) for kind in MODELS}
+    printed = {}
+    for run in RUNS:
+        printed.update(_train(run, *data[run.kind], out))
 
-        runs = [(method, sparsity, "") for method in METHODS
-                for sparsity in ((0.0,) if method == "dense" else sparsities)]
-        if kind == "mlp":
-            runs.append(UNIFORM_RUN)
-        for method, sparsity, extra in runs:
-            name = f"{kind}-{method}-s{round(sparsity * 100)}" + ("-uniform" if extra else "")
-            run_dir = os.path.join(out, "runs", name)
-            text = blobs.run_config(data, model, run_dir, SEED, epochs, bs, lr,
-                                    method, sparsity, delta_t)
-            if extra:
-                text = text.replace("sparsity_dist = erk\n", extra)
-            _train_and_digest(name, text, run_dir, test_x)
+    def ckpt(name: str) -> str:
+        return os.path.join(out, "runs", name, "final.ckpt")
 
     for arch in FLOPS_ARCHS:
         for dist in ("erk", "uniform"):
             for method in METHODS:
-                argv = ["flops", arch, "--method", method, "--dist", dist, *FLOPS_ARGS]
-                if method != "dense":
-                    argv += ["--sparsity", "0.5"]
-                report = _run_cli(cli_main, argv)
-                if report is None:
-                    return 1
-                digest = hashlib.sha256(report.encode()).hexdigest()
-                print(f"flops-{arch.split(':')[0]}-{dist}-{method}", "stdout", digest)
+                sparsity = () if method == "dense" else ("--sparsity", "0.5")
+                _probe(out, f"flops-{arch.split(':')[0]}-{dist}-{method}",
+                       ["flops", arch, "--method", method, "--dist", dist, *FLOPS_ARGS, *sparsity])
 
     study_data_dir = os.path.join(out, "data", "study")
     os.makedirs(study_data_dir, exist_ok=True)
@@ -283,7 +295,11 @@ def main() -> int:
         for artifact in ("study.json", "ra_curves.svg"):
             print(f"study-{phase}", artifact, _sha256_file(os.path.join(study_root, artifact)))
         print(f"study-{phase}", "corrupted", _sha256_dir(os.path.join(study_root, "corrupted")))
-        sys.stdout.flush()
+    study_cli = os.path.join(out, "study-cli")
+    shutil.rmtree(study_cli, ignore_errors=True)
+    _probe(out, "study-cli", ["study", "--data", study_data_dir, "--out", study_cli,
+                              "--epochs", "1", "--seeds", "1"])
+    print("study-cli", "study.json", _sha256_file(os.path.join(study_cli, "study.json")))
 
     color_x, color_y = blobs.make_blob_set(COLOR_GRID_SIZE, (SEED, 5), (3, 32, 32))
     for kind in KINDS:
@@ -293,111 +309,34 @@ def main() -> int:
     color_dir = os.path.join(out, "data", "color")
     os.makedirs(color_dir, exist_ok=True)
     color_path = blobs.write_cifar(os.path.join(color_dir, "test.bin"), color_x, color_y)
-    mlp_test = os.path.join(out, "data", "mlp", "t10k-images-idx3-ubyte")
-    for label, path in (("corrupt-3x32x32", color_path), ("corrupt-1x28x28", mlp_test)):
+    for label, path in (("corrupt-3x32x32", color_path), ("corrupt-1x28x28", data["mlp"][0]["test"])):
         corr_dir = os.path.join(out, label)
         shutil.rmtree(corr_dir, ignore_errors=True)
-        listing = _run_cli(cli_main, ["corrupt", path, "--seed", str(SEED), "--out", corr_dir])
-        if listing is None:
-            return 1
+        _probe(out, label, ["corrupt", path, "--seed", str(SEED), "--out", corr_dir])
         print(label, "files", _sha256_dir(corr_dir))
-        stdout = listing.replace(out + os.sep, "")
-        print(label, "stdout", hashlib.sha256(stdout.encode()).hexdigest())
-    for label, kind, images in (("1x28x28", "mlp", mlp_test),
-                                ("3x32x32", "small_convnet",
-                                 os.path.join(out, "data", "small_convnet", "test.bin"))):
-        dense = os.path.join(out, "runs", f"{kind}-dense-s0", "final.ckpt")
-        curves = [_run_cli(cli_main, ["attenuate", dense, "--mode", mode, "--radii",
-                                      ATTENUATE_RADII, "--images", images])
-                  for mode in ("low", "high")]
-        if None in curves:
-            return 1
-        print(f"attenuate-{label}", "stdout", hashlib.sha256("".join(curves).encode()).hexdigest())
-    for label, kind, baseline in (("3x32x32", "small_convnet", "set-s50"),
-                                  ("1x28x28", "mlp", None)):
-        argv = ["evaluate", os.path.join(out, "runs", f"{kind}-dense-s0", "final.ckpt"),
-                "--sets", os.path.join(out, f"corrupt-{label}")]
-        if baseline:
-            argv += ["--baseline", os.path.join(out, "runs", f"{kind}-{baseline}", "final.ckpt")]
-        report = _run_cli(cli_main, argv)
-        if report is None:
-            return 1
-        print(f"evaluate-{label}", "stdout", hashlib.sha256(report.encode()).hexdigest())
+    for shape, kind in (("1x28x28", "mlp"), ("3x32x32", "small_convnet")):
+        _probe(out, f"attenuate-{shape}",
+               *(["attenuate", ckpt(f"{kind}-dense-s0"), "--mode", mode, "--radii", ATTENUATE_RADII,
+                  "--images", data[kind][0]["test"]] for mode in ("low", "high")))
+    _probe(out, "evaluate-3x32x32", ["evaluate", ckpt("small_convnet-dense-s0"),
+                                     "--sets", os.path.join(out, "corrupt-3x32x32"),
+                                     "--baseline", ckpt("small_convnet-set-s50")])
+    _probe(out, "evaluate-1x28x28", ["evaluate", ckpt("mlp-dense-s0"),
+                                     "--sets", os.path.join(out, "corrupt-1x28x28")])
     for kind, layer in INSPECT_LAYERS.items():
         for run in INSPECT_RUNS:
             name = f"{kind}-{run}"
             heatmap = {ext: os.path.join(out, f"inspect-{name}.{ext}") for ext in ("json", "svg")}
-            report = _run_cli(cli_main, ["inspect", os.path.join(out, "runs", name, "final.ckpt"),
-                                         "--layer", layer, "--json", heatmap["json"],
-                                         "--svg", heatmap["svg"]])
-            if report is None:
-                return 1
-            print(f"inspect-{name}", "stdout", hashlib.sha256(report.encode()).hexdigest())
+            _probe(out, f"inspect-{name}", ["inspect", ckpt(name), "--layer", layer,
+                                            "--json", heatmap["json"], "--svg", heatmap["svg"]])
             for ext, path in heatmap.items():
                 print(f"inspect-{name}", ext, _sha256_file(path))
 
-    model, _, _, (epochs, bs, lr, delta_t), _ = GRID[0]
-    (data, test_x), (name, method, sparsity, replacements) = grid_data["mlp"], DEFAULTS_RUN
-    run_dir = os.path.join(out, "runs", name)
-    text = blobs.run_config(data, model, run_dir, SEED, epochs, bs, lr, method, sparsity, delta_t)
-    for old, new in replacements:
-        assert old in text, old
-        text = text.replace(old, new)
-    _train_and_digest(name, text, run_dir, test_x)
-
-    from dstforge.config import parse_config
-    from dstforge.train import run_train
-
-    method, sparsity, stop = RESUME_RUN
-    for model, _, _, (epochs, bs, lr, delta_t), _ in GRID:
-        kind = model.split(":")[0]
-        grid_run = f"{kind}-{method}-s{round(sparsity * 100)}"
-        run_dir = os.path.join(out, "runs", f"{grid_run}-resume")
-        shutil.rmtree(run_dir, ignore_errors=True)
-        cfg = parse_config(blobs.run_config(grid_data[kind][0], model, run_dir, SEED, epochs,
-                                            bs, lr, method, sparsity, delta_t))
-        run_train(cfg, resume_path=run_train(cfg, stop_after_step=stop))
-        digest = _sha256_file(os.path.join(run_dir, "final.ckpt"))
-        print(f"{grid_run}-resume", "final.ckpt", digest)
-        if digest != _sha256_file(os.path.join(out, "runs", grid_run, "final.ckpt")):
-            print(f"{grid_run} resumed after step {stop} differs from the uninterrupted run",
-                  file=sys.stderr)
-            return 1
-
-    study_cli = os.path.join(out, "study-cli")
-    shutil.rmtree(study_cli, ignore_errors=True)
-    stdout = _run_cli(cli_main, ["study", "--data", study_data_dir, "--out", study_cli,
-                                 "--epochs", "1", "--seeds", "1"])
-    if stdout is None:
-        return 1
-    stdout = stdout.replace(out + os.sep, "")
-    print("study-cli", "stdout", hashlib.sha256(stdout.encode()).hexdigest())
-    print("study-cli", "study.json", _sha256_file(os.path.join(study_cli, "study.json")))
-
-    method, sparsity, _ = RESUME_RUN
-    for model, _, _, (epochs, bs, lr, delta_t), _ in (GRID[1], GRID[0]):
-        kind = model.split(":")[0]
-        data, test_x = grid_data[kind]
-        grid_run = f"{kind}-{method}-s{round(sparsity * 100)}"
-        run_dir = os.path.join(out, "runs", f"{grid_run}-split2")
-        split_data = _cut_in_two(data, os.path.join(out, "data", f"{kind}-split"))
-        _train_and_digest(f"{grid_run}-split2",
-                          blobs.run_config(split_data, model, run_dir, SEED, epochs, bs, lr,
-                                           method, sparsity, delta_t),
-                          run_dir, test_x)
-        if (_sha256_ckpt_body(os.path.join(run_dir, "final.ckpt"))
-                != _sha256_ckpt_body(os.path.join(out, "runs", grid_run, "final.ckpt"))):
-            print(f"{grid_run} trained on its training set split across two files differs "
-                  f"from the run on one file", file=sys.stderr)
-            return 1
-
-    model, _, _, (epochs, _, lr, delta_t), _ = GRID[1]
-    (data, test_x), (name, method, sparsity, bs) = grid_data["small_convnet"], RAGGED_RUN
-    run_dir = os.path.join(out, "runs", name)
-    _train_and_digest(name, blobs.run_config(data, model, run_dir, SEED, epochs, bs, lr,
-                                             method, sparsity, delta_t),
-                      run_dir, test_x)
-    return 0
+    sys.stdout.flush()
+    failed = [(a, b) for a, b in SAME if printed[a] != printed[b]]
+    for a, b in failed:
+        print(f"{' '.join(a)} differs from {' '.join(b)}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -47,7 +47,7 @@ from .sparsity import ALLOCATORS, DENSE
 from .spectral import check_radii, write_ra_curves_svg
 from .study import DEFAULT_SEEDS, StudyError, find_idx_dataset, run_study
 from .svg import grid_heatmap
-from .train import DivergenceError, run_eval, run_train
+from .train import DivergenceError, load_model_from_checkpoint, run_eval, run_train
 
 
 def _csv_ints(raw: str, flag: str) -> list[int]:
@@ -128,7 +128,7 @@ def cmd_evaluate(args) -> int:
     ckpts = [args.ckpt] + ([args.baseline] if args.baseline else [])
     # one pass: each set is loaded once and scored by the model and the baseline
     report, *baseline = robustness_accuracy(
-        [load_checkpoint(c, momenta=False).build_model() for c in ckpts], sets)
+        [load_model_from_checkpoint(c)[0] for c in ckpts], sets)
     if baseline:
         try:
             report = attach_baseline(report, baseline[0])
